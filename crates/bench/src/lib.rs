@@ -7,7 +7,7 @@
 //!   paper plots, as printed tables and CSV files under `results/`.
 //!   Run via `cargo run --release -p smp-bench --bin figures -- <fig|all>`;
 //! * **criterion micro-benchmarks** (`benches/`): substrate performance
-//!   (kd-tree, DES throughput, partitioners, planners, thread pool) plus
+//!   (kd-tree, DES throughput, partitioners, planners) plus
 //!   the design-choice ablations listed in DESIGN.md §6.
 //!
 //! A third piece, the **kernel benchmark harness** ([`kernels`], run as

@@ -1,25 +1,27 @@
-//! Planner integration for the distributed multi-process backend.
+//! The planners' side of the distributed backend's byte contract.
 //!
 //! The [`smp_runtime::DistExecutor`] ships work as bytes: a *kind* string
 //! plus an opaque *blob*, executed by a [`DistHandler`] in the worker
-//! process. This module provides the planner side of that contract
-//! (DESIGN.md §17, PROTOCOL.md §5):
+//! process. The planner pipelines themselves are backend-independent
+//! ([`crate::parallel_prm`], [`crate::parallel_rrt`]; DESIGN.md §12);
+//! this module is what lets their phases cross a process boundary
+//! (PROTOCOL.md §5):
 //!
 //! * explicit little-endian **wire codecs** for the geometry and outcome
-//!   types that cross the process boundary ([`smp_geom::Environment`],
-//!   [`WorkCounters`], [`CandidateEdge`], region/branch outcomes) — `f64`
-//!   travels as raw bit patterns, so decoding is an exact inverse and the
-//!   merged roadmap digest is byte-identical to the DES and live backends;
+//!   types ([`smp_geom::Environment`], [`WorkCounters`],
+//!   [`CandidateEdge`], region/branch/cross outcomes) — `f64` travels as
+//!   raw bit patterns, so decoding is an exact inverse and the merged
+//!   roadmap digest is byte-identical to the DES and live backends;
+//! * the per-run **config blobs** ([`encode_prm_blob`],
+//!   [`encode_rrt_blob`]) and the coordinator-side result decoders the
+//!   pipelines name in each phase;
 //! * [`CoreHandler`], the worker-side handler for the five planner work
 //!   kinds (`prm-gen`, `prm-connect`, `prm-cross`, `rrt-grow`,
 //!   `rrt-cross`), which rebuilds the subdivision from the blob once
 //!   (cached by blob hash) and derives any region's samples on demand —
 //!   region work is a pure function of `(config, region id)`, so a stolen
 //!   task needs **no sample migration**, mirroring the live backend's
-//!   location-independence argument;
-//! * [`run_parallel_prm_dist`] / [`run_parallel_rrt_dist`], the planner
-//!   drivers that phase the same experiment as the live backend through a
-//!   coordinator + N worker *processes*.
+//!   location-independence argument.
 //!
 //! Dimension is part of the blob (first field), so one worker binary
 //! serves 2-D and 3-D experiments; unknown dimensions or malformed blobs
@@ -29,30 +31,20 @@
 use std::collections::HashMap;
 
 use crate::parallel_prm::{
-    connect_region, cross_edge, gen_region, owner_queues, CrossOutcome, ParallelPrmConfig, PrmRun,
-    PrmWorkload, RegionOutcome,
+    connect_region, cross_edge, gen_region, grid_subdivision, CrossOutcome, ParallelPrmConfig,
 };
 use crate::parallel_rrt::{
-    grow_branch, rrt_cross_edge, BranchOutcome, ParallelRrtConfig, RrtCrossOutcome, RrtRun,
-    RrtWorkload,
+    grow_branch, radial_subdivision, rrt_cross_edge, BranchOutcome, ParallelRrtConfig,
 };
-use crate::partition::{greedy_lpt, loads, naive_block, rect_partition};
-use crate::phases::PhaseBreakdown;
-use crate::strategy::{Strategy, WeightKind};
-use crate::weights;
-use smp_cspace::{derive_seed, Cfg, WorkCounters};
+use smp_cspace::{Cfg, WorkCounters};
 use smp_geom::{
     Aabb, ConvexPolytope, Environment, GridSubdivision, Halfspace, Obstacle, Point,
     RadialSubdivision,
 };
-use smp_graph::{OwnerMap, RegionGraph, RemoteAccessCounter};
-use smp_obs::MetricsRegistry;
+use smp_graph::RegionGraph;
 use smp_plan::connect::CandidateEdge;
-use smp_runtime::dist::{
-    blob_key, DistExecutor, DistHandler, DistOptions, SynthHandler, WireReader, WireWriter,
-    WorkDesc,
-};
-use smp_runtime::{DistTuning, ExecError, ExecSpec, SimError};
+use smp_runtime::dist::{blob_key, DistHandler, SynthHandler, WireReader, WireWriter};
+use smp_runtime::ExecError;
 
 // ---------------------------------------------------------------------------
 // Geometry / outcome wire codecs (PROTOCOL.md §5)
@@ -66,6 +58,20 @@ type WeightedEdges = Vec<(u32, u32, f64)>;
 
 fn err(e: impl std::fmt::Display) -> String {
     format!("dist codec: {e}")
+}
+
+/// A `u32`-counted sequence. Reserves for what the buffer could still
+/// hold, never for what a hostile count claims.
+fn get_vec<T>(
+    r: &mut WireReader<'_>,
+    mut item: impl FnMut(&mut WireReader<'_>) -> Res<T>,
+) -> Res<Vec<T>> {
+    let n = r.u32().map_err(err)? as usize;
+    let mut v = Vec::with_capacity(n.min(r.remaining()));
+    for _ in 0..n {
+        v.push(item(r)?);
+    }
+    Ok(v)
 }
 
 fn put_point<const D: usize>(w: &mut WireWriter, p: &Point<D>) {
@@ -125,13 +131,10 @@ fn get_obstacle<const D: usize>(r: &mut WireReader<'_>) -> Res<Obstacle<D>> {
             radius: r.f64().map_err(err)?,
         }),
         2 => {
-            let n = r.u32().map_err(err)? as usize;
-            let mut hs = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
+            let hs = get_vec(r, |r| {
                 let normal = get_point(r)?;
-                let offset = r.f64().map_err(err)?;
-                hs.push(Halfspace::new(normal, offset));
-            }
+                Ok(Halfspace::new(normal, r.f64().map_err(err)?))
+            })?;
             if hs.is_empty() {
                 return Err("dist codec: empty polytope".into());
             }
@@ -156,11 +159,7 @@ fn get_env<const D: usize>(r: &mut WireReader<'_>) -> Res<Environment<D>> {
     let name = r.string().map_err(err)?;
     let bounds = get_aabb(r)?;
     let disjoint = r.bool().map_err(err)?;
-    let n = r.u32().map_err(err)? as usize;
-    let mut obs = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        obs.push(get_obstacle(r)?);
-    }
+    let obs = get_vec(r, get_obstacle)?;
     Ok(Environment::new(name, bounds, obs, disjoint))
 }
 
@@ -198,17 +197,14 @@ fn put_cfgs<const D: usize>(w: &mut WireWriter, cfgs: &[Cfg<D>]) {
 }
 
 fn get_cfgs<const D: usize>(r: &mut WireReader<'_>) -> Res<Vec<Cfg<D>>> {
-    let n = r.u32().map_err(err)? as usize;
-    let mut v = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        v.push(get_point(r)?);
-    }
-    Ok(v)
+    get_vec(r, get_point)
 }
 
-fn put_weighted_edges(w: &mut WireWriter, edges: &[(u32, u32, f64)]) {
+/// `(from, to, length)` triples — roadmap edges and cross links share
+/// this layout.
+fn put_weighted_edges(w: &mut WireWriter, edges: impl ExactSizeIterator<Item = (u32, u32, f64)>) {
     w.u32(edges.len() as u32);
-    for &(a, b, len) in edges {
+    for (a, b, len) in edges {
         w.u32(a);
         w.u32(b);
         w.f64(len);
@@ -216,38 +212,21 @@ fn put_weighted_edges(w: &mut WireWriter, edges: &[(u32, u32, f64)]) {
 }
 
 fn get_weighted_edges(r: &mut WireReader<'_>) -> Res<WeightedEdges> {
-    let n = r.u32().map_err(err)? as usize;
-    let mut v = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        v.push((
+    get_vec(r, |r| {
+        Ok((
             r.u32().map_err(err)?,
             r.u32().map_err(err)?,
             r.f64().map_err(err)?,
-        ));
-    }
-    Ok(v)
+        ))
+    })
 }
 
-fn put_links(w: &mut WireWriter, links: &[CandidateEdge]) {
-    w.u32(links.len() as u32);
-    for l in links {
-        w.u32(l.from);
-        w.u32(l.to);
-        w.f64(l.length);
-    }
-}
-
-fn get_links(r: &mut WireReader<'_>) -> Res<Vec<CandidateEdge>> {
-    let n = r.u32().map_err(err)? as usize;
-    let mut v = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        v.push(CandidateEdge {
-            from: r.u32().map_err(err)?,
-            to: r.u32().map_err(err)?,
-            length: r.f64().map_err(err)?,
-        });
-    }
-    Ok(v)
+fn put_cross(w: &mut WireWriter, out: &CrossOutcome) {
+    w.u32(out.regions.0);
+    w.u32(out.regions.1);
+    put_weighted_edges(w, out.links.iter().map(|l| (l.from, l.to, l.length)));
+    put_counters(w, &out.work);
+    w.u64(out.partner_reads);
 }
 
 // ---------------------------------------------------------------------------
@@ -433,11 +412,7 @@ impl<const D: usize> PrmCtx<D> {
         }
         let params: PrmParams<D> = decode_prm_params(&mut r)?;
         r.finish().map_err(err)?;
-        let grid = GridSubdivision::with_target_regions(
-            *params.env.bounds(),
-            params.regions_target,
-            params.overlap,
-        );
+        let grid = grid_subdivision(&params.view());
         let edges = RegionGraph::from_grid(&grid).edges().to_vec();
         Ok(PrmCtx {
             params,
@@ -448,12 +423,10 @@ impl<const D: usize> PrmCtx<D> {
     }
 
     fn gen(&mut self, region: u32) -> &(Vec<Cfg<D>>, WorkCounters) {
-        if !self.gens.contains_key(&region) {
-            let out = gen_region(&self.params.view(), &self.grid, region);
-            self.gens.insert(region, out);
-        }
-        // Inserted just above when absent.
-        &self.gens[&region]
+        let (params, grid) = (&self.params, &self.grid);
+        self.gens
+            .entry(region)
+            .or_insert_with(|| gen_region(&params.view(), grid, region))
     }
 
     fn run(&mut self, kind: &str, task: u32) -> Res<Vec<u8>> {
@@ -467,7 +440,7 @@ impl<const D: usize> PrmCtx<D> {
             "prm-connect" => {
                 let cfgs = self.gen(task).0.clone();
                 let (edges, work) = connect_region(&self.params.view(), &cfgs);
-                put_weighted_edges(&mut w, &edges);
+                put_weighted_edges(&mut w, edges.iter().copied());
                 put_counters(&mut w, &work);
             }
             "prm-cross" => {
@@ -478,11 +451,7 @@ impl<const D: usize> PrmCtx<D> {
                 let a_cfgs = self.gen(a).0.clone();
                 let b_cfgs = self.gen(b).0.clone();
                 let out = cross_edge(&self.params.view(), a, b, &a_cfgs, &b_cfgs);
-                w.u32(out.regions.0);
-                w.u32(out.regions.1);
-                put_links(&mut w, &out.links);
-                put_counters(&mut w, &out.work);
-                w.u64(out.partner_reads);
+                put_cross(&mut w, &out);
             }
             other => return Err(format!("unknown prm work kind {other:?}")),
         }
@@ -509,14 +478,7 @@ impl<const D: usize> RrtCtx<D> {
         }
         let params: RrtParamsOwned<D> = decode_rrt_params(&mut r)?;
         r.finish().map_err(err)?;
-        let root = params.env.bounds().center();
-        let sub = RadialSubdivision::sample(
-            root,
-            params.radius,
-            params.num_regions,
-            params.overlap_factor,
-            derive_seed(params.seed, 0, 0x726_164),
-        );
+        let sub = radial_subdivision(&params.view());
         let edges = RegionGraph::from_radial(&sub, params.k_adjacent)
             .edges()
             .to_vec();
@@ -529,11 +491,10 @@ impl<const D: usize> RrtCtx<D> {
     }
 
     fn branch(&mut self, region: u32) -> &BranchOutcome<D> {
-        if !self.branches.contains_key(&region) {
-            let out = grow_branch(&self.params.view(), &self.sub, region);
-            self.branches.insert(region, out);
-        }
-        &self.branches[&region]
+        let (params, sub) = (&self.params, &self.sub);
+        self.branches
+            .entry(region)
+            .or_insert_with(|| grow_branch(&params.view(), sub, region))
     }
 
     fn run(&mut self, kind: &str, task: u32) -> Res<Vec<u8>> {
@@ -542,7 +503,7 @@ impl<const D: usize> RrtCtx<D> {
             "rrt-grow" => {
                 let b = self.branch(task).clone();
                 put_cfgs(&mut w, &b.cfgs);
-                put_weighted_edges(&mut w, &b.edges);
+                put_weighted_edges(&mut w, b.edges.iter().copied());
                 put_counters(&mut w, &b.work);
             }
             "rrt-cross" => {
@@ -553,11 +514,7 @@ impl<const D: usize> RrtCtx<D> {
                 let a_cfgs = self.branch(a).cfgs.clone();
                 let b_cfgs = self.branch(b).cfgs.clone();
                 let out = rrt_cross_edge(&self.params.view(), a, b, &a_cfgs, &b_cfgs);
-                w.u32(out.regions.0);
-                w.u32(out.regions.1);
-                put_links(&mut w, &out.links);
-                put_counters(&mut w, &out.work);
-                w.u64(out.partner_reads);
+                put_cross(&mut w, &out);
             }
             other => return Err(format!("unknown rrt work kind {other:?}")),
         }
@@ -637,513 +594,50 @@ impl DistHandler for CoreHandler {
 // Coordinator-side result decoders
 // ---------------------------------------------------------------------------
 
-fn transport(e: impl std::fmt::Display) -> ExecError {
-    ExecError::Transport(e.to_string())
-}
-
-fn decode_gen<const D: usize>(bytes: &[u8]) -> Result<(Vec<Cfg<D>>, WorkCounters), ExecError> {
+/// Decode one task's result payload: `read` must consume it exactly. A
+/// malformed payload is a protocol violation by the worker.
+fn decode<T>(
+    bytes: &[u8],
+    read: impl FnOnce(&mut WireReader<'_>) -> Res<T>,
+) -> Result<T, ExecError> {
     let mut r = WireReader::new(bytes);
-    let cfgs = get_cfgs(&mut r).map_err(transport)?;
-    let work = get_counters(&mut r).map_err(transport)?;
-    r.finish().map_err(transport)?;
-    Ok((cfgs, work))
+    let out = read(&mut r).map_err(ExecError::Transport)?;
+    r.finish().map_err(|e| ExecError::Transport(err(e)))?;
+    Ok(out)
 }
 
-fn decode_connect(bytes: &[u8]) -> Result<(WeightedEdges, WorkCounters), ExecError> {
-    let mut r = WireReader::new(bytes);
-    let edges = get_weighted_edges(&mut r).map_err(transport)?;
-    let work = get_counters(&mut r).map_err(transport)?;
-    r.finish().map_err(transport)?;
-    Ok((edges, work))
+pub(crate) fn decode_gen<const D: usize>(
+    bytes: &[u8],
+) -> Result<(Vec<Cfg<D>>, WorkCounters), ExecError> {
+    decode(bytes, |r| Ok((get_cfgs(r)?, get_counters(r)?)))
 }
 
-fn decode_cross(bytes: &[u8]) -> Result<CrossOutcome, ExecError> {
-    let mut r = WireReader::new(bytes);
-    let regions = (r.u32().map_err(transport)?, r.u32().map_err(transport)?);
-    let links = get_links(&mut r).map_err(transport)?;
-    let work = get_counters(&mut r).map_err(transport)?;
-    let partner_reads = r.u64().map_err(transport)?;
-    r.finish().map_err(transport)?;
-    Ok(CrossOutcome {
-        regions,
-        links,
-        work,
-        partner_reads,
-    })
+pub(crate) fn decode_connect(bytes: &[u8]) -> Result<(WeightedEdges, WorkCounters), ExecError> {
+    decode(bytes, |r| Ok((get_weighted_edges(r)?, get_counters(r)?)))
 }
 
-fn decode_branch<const D: usize>(bytes: &[u8]) -> Result<BranchOutcome<D>, ExecError> {
-    let mut r = WireReader::new(bytes);
-    let cfgs = get_cfgs(&mut r).map_err(transport)?;
-    let edges = get_weighted_edges(&mut r).map_err(transport)?;
-    let work = get_counters(&mut r).map_err(transport)?;
-    r.finish().map_err(transport)?;
-    Ok(BranchOutcome { cfgs, edges, work })
-}
-
-fn decode_rrt_cross(bytes: &[u8]) -> Result<RrtCrossOutcome, ExecError> {
-    let mut r = WireReader::new(bytes);
-    let regions = (r.u32().map_err(transport)?, r.u32().map_err(transport)?);
-    let links = get_links(&mut r).map_err(transport)?;
-    let work = get_counters(&mut r).map_err(transport)?;
-    let partner_reads = r.u64().map_err(transport)?;
-    r.finish().map_err(transport)?;
-    Ok(RrtCrossOutcome {
-        regions,
-        links,
-        work,
-        partner_reads,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Planner drivers
-// ---------------------------------------------------------------------------
-
-/// Run the full parallel PRM on worker **processes** via a pre-built
-/// [`DistExecutor`] — the distributed mirror of
-/// [`crate::parallel_prm::run_parallel_prm_live`], phase for phase.
-///
-/// Because region work is a pure function of `(config, region id)`, the
-/// returned workload — and hence the assembled roadmap and its digest —
-/// is byte-identical to the DES and live backends for the same
-/// `cfg.seed`, at any worker count, under any strategy, and across
-/// injected message faults and worker-process crashes (the three-way
-/// differential gate in `tests/dist_backend_differential.rs`).
-///
-/// `Probe`/`KRays` repartitioning weights are not supported (as live);
-/// use `SampleCount` or `Vfree`.
-pub fn run_parallel_prm_dist_with<const D: usize>(
-    cfg: &ParallelPrmConfig<'_, D>,
-    p: usize,
-    strategy: &Strategy,
-    exec: &mut DistExecutor,
-) -> Result<(PrmWorkload<D>, PrmRun), ExecError> {
-    if p == 0 {
-        return Err(SimError::NoPes.into());
-    }
-    let grid =
-        GridSubdivision::with_target_regions(*cfg.env.bounds(), cfg.regions_target, cfg.overlap);
-    let region_graph = RegionGraph::from_grid(&grid);
-    let nr = grid.num_regions();
-    let vfree = weights::vfree_weights(cfg.env, &grid);
-    let blob = encode_prm_blob(cfg);
-
-    let naive = naive_block(nr, p);
-    let naive_queues = owner_queues(&naive);
-
-    // Phase 1: generation (static, naïve).
-    let gen_spec = ExecSpec {
-        n_tasks: nr,
-        costs: None,
-        payloads: None,
-        assignment: &naive_queues,
-        steal: None,
-        seed: derive_seed(cfg.seed, p as u64, 1),
-    };
-    let gen_out = exec.execute_raw(
-        &gen_spec,
-        &WorkDesc {
-            kind: "prm-gen",
-            blob: &blob,
-        },
-    )?;
-    let gen_results: Vec<(Vec<Cfg<D>>, WorkCounters)> = gen_out
-        .results
-        .iter()
-        .map(|b| decode_gen(b))
-        .collect::<Result<_, _>>()?;
-    let gen_makespan = gen_out.report.makespan;
-
-    // Phase 2: load balancing (coordinator-side, as in the live backend —
-    // a repartition is an ownership-table update; samples never move
-    // because workers re-derive them).
-    let counts: Vec<u32> = gen_results.iter().map(|(c, _)| c.len() as u32).collect();
-    let mut migrations = 0usize;
-    let lb_clock = std::time::Instant::now();
-    let (connect_queues, steal) = match strategy {
-        Strategy::NoLb => (naive_queues.clone(), None),
-        Strategy::WorkStealing(sc) => (naive_queues.clone(), Some(*sc)),
-        Strategy::Repartition(kind) | Strategy::RectPartition(kind) => {
-            let w: Vec<f64> = match kind {
-                WeightKind::SampleCount => weights::sample_count_weights(&counts),
-                WeightKind::Vfree => vfree.clone(),
-                other => {
-                    return Err(ExecError::Transport(format!(
-                        "{other:?} weights are not supported by the dist backend"
-                    )))
-                }
-            };
-            let cur = loads(&naive, &w);
-            let mean = cur.iter().sum::<f64>() / p as f64;
-            let max = cur.iter().cloned().fold(0.0, f64::max);
-            if mean <= 0.0 || max <= mean * 1.05 {
-                (naive_queues.clone(), None)
-            } else {
-                let new_map = if matches!(strategy, Strategy::RectPartition(_)) {
-                    let mut rdims: Vec<usize> = grid.dims().to_vec();
-                    rdims.reverse();
-                    rect_partition(&rdims, &w, p)
-                } else {
-                    greedy_lpt(&w, p)
-                };
-                migrations = naive.migration_count(&new_map);
-                (owner_queues(&new_map), None)
-            }
-        }
-    };
-    let lb_time = u64::try_from(lb_clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
-
-    // Phase 3: node connection under the chosen strategy — a worker that
-    // steals a region derives that region's samples itself and connects
-    // them (no sample migration).
-    let payloads: Vec<u64> = gen_results.iter().map(|(c, _)| c.len() as u64).collect();
-    let con_spec = ExecSpec {
-        n_tasks: nr,
-        costs: None,
-        payloads: Some(&payloads),
-        assignment: &connect_queues,
-        steal,
-        seed: derive_seed(cfg.seed, p as u64, 2),
-    };
-    let con_out = exec.execute_raw(
-        &con_spec,
-        &WorkDesc {
-            kind: "prm-connect",
-            blob: &blob,
-        },
-    )?;
-    let con_results: Vec<(WeightedEdges, WorkCounters)> = con_out
-        .results
-        .iter()
-        .map(|b| decode_connect(b))
-        .collect::<Result<_, _>>()?;
-    let con_report = con_out.report;
-    let con_makespan = con_report.makespan;
-    let final_owner: Vec<u32> = con_report.executed_by.clone();
-
-    // Phase 4: region connection on the final owner of each edge's first
-    // region.
-    let edges: Vec<(u32, u32)> = region_graph.edges().to_vec();
-    let mut cross_queues: Vec<Vec<u32>> = vec![Vec::new(); p];
-    for (i, &(a, _)) in edges.iter().enumerate() {
-        cross_queues[final_owner[a as usize] as usize].push(i as u32);
-    }
-    let cross_spec = ExecSpec {
-        n_tasks: edges.len(),
-        costs: None,
-        payloads: None,
-        assignment: &cross_queues,
-        steal: None,
-        seed: derive_seed(cfg.seed, p as u64, 4),
-    };
-    let cross_out = exec.execute_raw(
-        &cross_spec,
-        &WorkDesc {
-            kind: "prm-cross",
-            blob: &blob,
-        },
-    )?;
-    let cross_results: Vec<CrossOutcome> = cross_out
-        .results
-        .iter()
-        .map(|b| decode_cross(b))
-        .collect::<Result<_, _>>()?;
-    let cross_makespan = cross_out.report.makespan;
-
-    // Remote-access accounting, loads, cut — identical to the live path.
-    let mut remote = RemoteAccessCounter::new();
-    for c in &cross_results {
-        let (a, b) = c.regions;
-        let oa = final_owner[a as usize];
-        let ob = final_owner[b as usize];
-        remote.touch_region(oa, ob);
-        if oa != ob && c.partner_reads > 0 {
-            remote.roadmap_remote += c.partner_reads;
-        } else {
-            remote.local += c.partner_reads;
-        }
-    }
-    let mut node_load_initial = vec![0u64; p];
-    let mut node_load_final = vec![0u64; p];
-    for r in 0..nr {
-        node_load_initial[naive.owner_of(r as u32) as usize] += counts[r] as u64;
-        node_load_final[final_owner[r] as usize] += counts[r] as u64;
-    }
-    let final_map = OwnerMap::new(final_owner, p);
-    let edge_cut = final_map.edge_cut(region_graph.edges());
-
-    let phases = PhaseBreakdown {
-        other: gen_makespan + lb_time,
-        node_connection: con_makespan,
-        region_connection: cross_makespan,
-    };
-    let construction = con_report.to_sim_report();
-
-    let regions: Vec<RegionOutcome<D>> = gen_results
-        .into_iter()
-        .zip(con_results)
-        .map(|((cfgs, gen_work), (edges, con_work))| RegionOutcome {
-            cfgs,
-            edges,
-            gen_work,
-            con_work,
+pub(crate) fn decode_cross(bytes: &[u8]) -> Result<CrossOutcome, ExecError> {
+    decode(bytes, |r| {
+        Ok(CrossOutcome {
+            regions: (r.u32().map_err(err)?, r.u32().map_err(err)?),
+            links: get_weighted_edges(r)?
+                .into_iter()
+                .map(|(from, to, length)| CandidateEdge { from, to, length })
+                .collect(),
+            work: get_counters(r)?,
+            partner_reads: r.u64().map_err(err)?,
         })
-        .collect();
-    let workload = PrmWorkload {
-        grid,
-        region_graph,
-        regions,
-        cross: cross_results,
-        vfree,
-        seed: cfg.seed,
-    };
-
-    let mut reg = MetricsRegistry::new();
-    reg.set_gauge("prm.p", p as u64);
-    reg.set_gauge("prm.regions", nr as u64);
-    reg.set_gauge("prm.vertices", workload.total_vertices() as u64);
-    reg.inc("prm.migrations", migrations as u64);
-    reg.set_gauge("prm.edge_cut", edge_cut as u64);
-    reg.inc("prm.remote.accesses", remote.total_remote());
-    reg.inc("prm.remote.local", remote.local);
-    reg.set_gauge("prm.time.total_ns", phases.total());
-    reg.set_gauge("prm.time.generation_ns", gen_makespan);
-    reg.set_gauge("prm.time.load_balance_ns", lb_time);
-    reg.set_gauge("prm.time.node_connection_ns", con_makespan);
-    reg.set_gauge("prm.time.region_connection_ns", cross_makespan);
-    let metrics = reg.snapshot().merged_with(&construction.metrics);
-
-    let run = PrmRun {
-        strategy_label: strategy.label(),
-        p,
-        total_time: phases.total(),
-        phases,
-        construction,
-        node_load_initial,
-        node_load_final,
-        remote,
-        edge_cut,
-        migrations,
-        metrics,
-    };
-    Ok((workload, run))
+    })
 }
 
-/// As [`run_parallel_prm_dist_with`], spawning `p` worker processes of the
-/// `smp-dist-worker` binary with the given tuning (the `Backend::Dist`
-/// entry point).
-pub fn run_parallel_prm_dist<const D: usize>(
-    cfg: &ParallelPrmConfig<'_, D>,
-    p: usize,
-    strategy: &Strategy,
-    tuning: DistTuning,
-) -> Result<(PrmWorkload<D>, PrmRun), ExecError> {
-    let opts = DistOptions::process(tuning).map_err(transport)?;
-    let mut exec = DistExecutor::new(opts);
-    run_parallel_prm_dist_with(cfg, p, strategy, &mut exec)
-}
-
-/// Run the full parallel RRT on worker processes via a pre-built
-/// [`DistExecutor`] — the distributed mirror of
-/// [`crate::parallel_rrt::run_parallel_rrt_live`], with the same
-/// cross-backend digest-identity guarantee as
-/// [`run_parallel_prm_dist_with`]. RRT repartitioning requires `KRays`
-/// weights (computed coordinator-side, as live).
-pub fn run_parallel_rrt_dist_with<const D: usize>(
-    cfg: &ParallelRrtConfig<'_, D>,
-    p: usize,
-    strategy: &Strategy,
-    exec: &mut DistExecutor,
-) -> Result<(RrtWorkload<D>, RrtRun), ExecError> {
-    if p == 0 {
-        return Err(SimError::NoPes.into());
-    }
-    let root = cfg.env.bounds().center();
-    let sub = RadialSubdivision::sample(
-        root,
-        cfg.radius,
-        cfg.num_regions,
-        cfg.overlap_factor,
-        derive_seed(cfg.seed, 0, 0x726_164),
-    );
-    let region_graph = RegionGraph::from_radial(&sub, cfg.k_adjacent);
-    let nr = sub.num_regions();
-    let naive = naive_block(nr, p);
-    let blob = encode_rrt_blob(cfg);
-
-    // Phase 1: load balancing before growth (RRT work cannot be measured
-    // a priori), coordinator-side.
-    let lb_clock = std::time::Instant::now();
-    let mut migrations = 0usize;
-    let (queues, steal, krays_weights) = match strategy {
-        Strategy::NoLb => (naive.items_per_pe(), None, None),
-        Strategy::WorkStealing(sc) => (naive.items_per_pe(), Some(*sc), None),
-        Strategy::Repartition(kind) | Strategy::RectPartition(kind) => {
-            let w: Vec<f64> = match kind {
-                WeightKind::KRays(k) => weights::krays_weights(cfg.env, &sub, *k, cfg.seed),
-                other => {
-                    return Err(ExecError::Transport(format!(
-                        "RRT repartitioning requires KRays weights, got {other:?}"
-                    )))
-                }
-            };
-            let cur = loads(&naive, &w);
-            let mean = cur.iter().sum::<f64>() / p as f64;
-            let max = cur.iter().cloned().fold(0.0, f64::max);
-            if mean <= 0.0 || max <= mean * 1.05 {
-                (naive.items_per_pe(), None, Some(w))
-            } else {
-                let new_map = if matches!(strategy, Strategy::RectPartition(_)) {
-                    rect_partition(&[nr], &w, p)
-                } else {
-                    greedy_lpt(&w, p)
-                };
-                migrations = naive.migration_count(&new_map);
-                (new_map.items_per_pe(), None, Some(w))
-            }
-        }
-    };
-    let lb_time = u64::try_from(lb_clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
-
-    // Phase 2: construction (branch growth) under the chosen strategy.
-    let con_spec = ExecSpec {
-        n_tasks: nr,
-        costs: None,
-        payloads: None,
-        assignment: &queues,
-        steal,
-        seed: derive_seed(cfg.seed, p as u64, 3),
-    };
-    let con_out = exec.execute_raw(
-        &con_spec,
-        &WorkDesc {
-            kind: "rrt-grow",
-            blob: &blob,
-        },
-    )?;
-    let branches: Vec<BranchOutcome<D>> = con_out
-        .results
-        .iter()
-        .map(|b| decode_branch(b))
-        .collect::<Result<_, _>>()?;
-    let con_report = con_out.report;
-    let con_makespan = con_report.makespan;
-    let final_owner: Vec<u32> = con_report.executed_by.clone();
-
-    // Phase 3: region connection on the final owner of each edge's first
-    // region.
-    let edges: Vec<(u32, u32)> = region_graph.edges().to_vec();
-    let mut cross_queues: Vec<Vec<u32>> = vec![Vec::new(); p];
-    for (i, &(a, _)) in edges.iter().enumerate() {
-        cross_queues[final_owner[a as usize] as usize].push(i as u32);
-    }
-    let cross_spec = ExecSpec {
-        n_tasks: edges.len(),
-        costs: None,
-        payloads: None,
-        assignment: &cross_queues,
-        steal: None,
-        seed: derive_seed(cfg.seed, p as u64, 4),
-    };
-    let cross_out = exec.execute_raw(
-        &cross_spec,
-        &WorkDesc {
-            kind: "rrt-cross",
-            blob: &blob,
-        },
-    )?;
-    let cross_results: Vec<RrtCrossOutcome> = cross_out
-        .results
-        .iter()
-        .map(|b| decode_rrt_cross(b))
-        .collect::<Result<_, _>>()?;
-    let cross_makespan = cross_out.report.makespan;
-
-    let mut remote = RemoteAccessCounter::new();
-    for c in &cross_results {
-        let (a, b) = c.regions;
-        let oa = final_owner[a as usize];
-        let ob = final_owner[b as usize];
-        remote.touch_region(oa, ob);
-        if oa != ob && c.partner_reads > 0 {
-            remote.roadmap_remote += c.partner_reads;
-        } else {
-            remote.local += c.partner_reads;
-        }
-    }
-
-    let counts: Vec<u32> = branches
-        .iter()
-        .map(|b| b.cfgs.len().saturating_sub(1) as u32)
-        .collect();
-    let mut node_load_initial = vec![0u64; p];
-    let mut node_load_final = vec![0u64; p];
-    for r in 0..nr {
-        node_load_initial[naive.owner_of(r as u32) as usize] += counts[r] as u64;
-        node_load_final[final_owner[r] as usize] += counts[r] as u64;
-    }
-    let final_map = OwnerMap::new(final_owner, p);
-    let edge_cut = final_map.edge_cut(region_graph.edges());
-
-    let phases = PhaseBreakdown {
-        other: lb_time,
-        node_connection: con_makespan,
-        region_connection: cross_makespan,
-    };
-    let construction = con_report.to_sim_report();
-
-    let krays_weights =
-        krays_weights.unwrap_or_else(|| weights::krays_weights(cfg.env, &sub, cfg.krays, cfg.seed));
-    let workload = RrtWorkload {
-        sub,
-        region_graph,
-        regions: branches,
-        cross: cross_results,
-        krays_weights,
-        seed: cfg.seed,
-    };
-
-    let mut reg = MetricsRegistry::new();
-    reg.set_gauge("rrt.p", p as u64);
-    reg.set_gauge("rrt.regions", nr as u64);
-    reg.inc("rrt.migrations", migrations as u64);
-    reg.set_gauge("rrt.edge_cut", edge_cut as u64);
-    reg.inc("rrt.remote.accesses", remote.total_remote());
-    reg.inc("rrt.remote.local", remote.local);
-    reg.set_gauge("rrt.time.total_ns", phases.total());
-    reg.set_gauge("rrt.time.load_balance_ns", lb_time);
-    reg.set_gauge("rrt.time.construction_ns", con_makespan);
-    reg.set_gauge("rrt.time.region_connection_ns", cross_makespan);
-    let metrics = reg.snapshot().merged_with(&construction.metrics);
-
-    let run = RrtRun {
-        strategy_label: strategy.label(),
-        p,
-        total_time: phases.total(),
-        phases,
-        construction,
-        node_load_initial,
-        node_load_final,
-        remote,
-        edge_cut,
-        migrations,
-        metrics,
-    };
-    Ok((workload, run))
-}
-
-/// As [`run_parallel_rrt_dist_with`], spawning `p` worker processes of the
-/// `smp-dist-worker` binary (the `Backend::Dist` entry point).
-pub fn run_parallel_rrt_dist<const D: usize>(
-    cfg: &ParallelRrtConfig<'_, D>,
-    p: usize,
-    strategy: &Strategy,
-    tuning: DistTuning,
-) -> Result<(RrtWorkload<D>, RrtRun), ExecError> {
-    let opts = DistOptions::process(tuning).map_err(transport)?;
-    let mut exec = DistExecutor::new(opts);
-    run_parallel_rrt_dist_with(cfg, p, strategy, &mut exec)
+pub(crate) fn decode_branch<const D: usize>(bytes: &[u8]) -> Result<BranchOutcome<D>, ExecError> {
+    decode(bytes, |r| {
+        Ok(BranchOutcome {
+            cfgs: get_cfgs(r)?,
+            edges: get_weighted_edges(r)?,
+            work: get_counters(r)?,
+        })
+    })
 }
 
 #[cfg(test)]
@@ -1174,12 +668,7 @@ mod tests {
         let mut ctx: PrmCtx<3> = PrmCtx::from_blob(&blob).unwrap();
         assert_eq!(ctx.params.seed, cfg.seed);
         // Worker-side derivation matches coordinator-side execution.
-        let grid = GridSubdivision::with_target_regions(
-            *cfg.env.bounds(),
-            cfg.regions_target,
-            cfg.overlap,
-        );
-        let (cfgs, work) = gen_region(&cfg, &grid, 3);
+        let (cfgs, work) = gen_region(&cfg, &grid_subdivision(&cfg), 3);
         let (wcfgs, wwork) = ctx.gen(3).clone();
         assert_eq!(cfgs, wcfgs);
         assert_eq!(work, wwork);
@@ -1218,18 +707,10 @@ mod tests {
         let mut h = CoreHandler::default();
         let grown = h.run("rrt-grow", &blob, 2).unwrap();
         let b = decode_branch::<3>(&grown).unwrap();
-        let root = cfg.env.bounds().center();
-        let sub = RadialSubdivision::sample(
-            root,
-            cfg.radius,
-            cfg.num_regions,
-            cfg.overlap_factor,
-            derive_seed(cfg.seed, 0, 0x726_164),
-        );
-        let direct = grow_branch(&cfg, &sub, 2);
+        let direct = grow_branch(&cfg, &radial_subdivision(&cfg), 2);
         assert_eq!(b.cfgs, direct.cfgs);
         assert_eq!(b.edges, direct.edges);
         let cross = h.run("rrt-cross", &blob, 0).unwrap();
-        assert!(decode_rrt_cross(&cross).is_ok());
+        assert!(decode_cross(&cross).is_ok());
     }
 }

@@ -13,9 +13,16 @@
 //!   (Algorithm 4), and work stealing (Algorithm 3) with RAND-K /
 //!   DIFFUSIVE / HYBRID victim selection;
 //! * [`parallel_prm`] — uniform-subdivision parallel PRM (Algorithm 1)
-//!   under any strategy, on the simulated distributed runtime;
+//!   under any strategy: one DES replay of a measured workload and one
+//!   executing pipeline shared by the live and dist backends;
 //! * [`parallel_rrt`] — uniform radial-subdivision parallel RRT
-//!   (Algorithm 2) under any strategy;
+//!   (Algorithm 2), structured the same way;
+//! * `pipeline` (private) — what both planners and all three backends
+//!   share: the balancing decision, the phase-runner seam between a
+//!   pipeline and an executing backend, and the run epilogue
+//!   ([`PlannerRun`]);
+//! * [`dist`] — wire codecs, config blobs and the worker-side
+//!   [`CoreHandler`] that let pipeline phases cross a process boundary;
 //! * [`model`] — the theoretical model of §IV-B: exact `V_free` imbalance
 //!   prediction and best-possible improvement bounds;
 //! * [`cost`] — conversion of measured [`smp_cspace::WorkCounters`] into
@@ -30,10 +37,11 @@
 //!   the moment one succeeds, and the wasted work is accounted in a
 //!   deterministic ledger (`run_portfolio_rrt_on`).
 //!
-//! Both planners run on either execution backend (DESIGN.md §12): the
-//! deterministic DES (virtual time on a simulated machine) via
-//! `run_parallel_prm` / `run_parallel_rrt`, or the live shared-memory
-//! backend (real OS threads, wall-clock time) via the `*_live` variants;
+//! Both planners run on all three execution backends (DESIGN.md §12):
+//! the deterministic DES (virtual time on a simulated machine) via
+//! `run_parallel_prm` / `run_parallel_rrt`, the live shared-memory
+//! backend (real OS threads, wall-clock time) via the `*_live` variants,
+//! and the multi-process backend via the `*_dist` variants;
 //! `run_parallel_prm_on` / `run_parallel_rrt_on` dispatch on
 //! [`smp_runtime::Backend`].
 
@@ -48,6 +56,7 @@ pub mod parallel_prm;
 pub mod parallel_rrt;
 pub mod partition;
 pub mod phases;
+mod pipeline;
 pub mod portfolio;
 pub mod restart;
 pub mod strategy;
@@ -55,22 +64,21 @@ pub mod weights;
 
 pub use assemble::{assemble_prm_roadmap, assemble_rrt_tree, roadmap_digest};
 pub use cost::work_cost;
-pub use dist::{
-    run_parallel_prm_dist, run_parallel_prm_dist_with, run_parallel_rrt_dist,
-    run_parallel_rrt_dist_with, CoreHandler,
-};
+pub use dist::CoreHandler;
 pub use parallel_prm::{
-    build_prm_workload, build_prm_workload_on_grid, run_parallel_prm, run_parallel_prm_faulted,
-    run_parallel_prm_live, run_parallel_prm_live_controlled, run_parallel_prm_live_observed,
-    run_parallel_prm_observed, run_parallel_prm_on, run_parallel_prm_with_weights,
-    ParallelPrmConfig, PrmRun, PrmWorkload,
+    build_prm_workload, build_prm_workload_on_grid, run_parallel_prm, run_parallel_prm_dist,
+    run_parallel_prm_dist_with, run_parallel_prm_faulted, run_parallel_prm_live,
+    run_parallel_prm_live_controlled, run_parallel_prm_live_observed, run_parallel_prm_observed,
+    run_parallel_prm_on, run_parallel_prm_with_weights, ParallelPrmConfig, PrmRun, PrmWorkload,
 };
 pub use parallel_rrt::{
-    build_rrt_workload, run_parallel_rrt, run_parallel_rrt_faulted, run_parallel_rrt_live,
-    run_parallel_rrt_live_controlled, run_parallel_rrt_live_observed, run_parallel_rrt_observed,
-    run_parallel_rrt_on, ParallelRrtConfig, RrtRun, RrtWorkload,
+    build_rrt_workload, run_parallel_rrt, run_parallel_rrt_dist, run_parallel_rrt_dist_with,
+    run_parallel_rrt_faulted, run_parallel_rrt_live, run_parallel_rrt_live_controlled,
+    run_parallel_rrt_live_observed, run_parallel_rrt_observed, run_parallel_rrt_on,
+    ParallelRrtConfig, RrtRun, RrtWorkload,
 };
 pub use phases::PhaseBreakdown;
+pub use pipeline::PlannerRun;
 pub use portfolio::{
     run_portfolio_rrt_faulted, run_portfolio_rrt_on, Attempt, PlannerKind, PortfolioLedger,
     PortfolioOutcome, RoundReport, RrtPortfolioConfig,

@@ -21,10 +21,20 @@
 //! 4. **region connection phase** — cross-region connection charged to the
 //!    owning PE, with remote accesses counted and charged whenever the
 //!    partner region lives elsewhere (Figure 7(b)).
+//!
+//! The live and dist backends *execute* the same four phases instead of
+//! replaying them — one pipeline (`execute_prm`) for both, with the
+//! balancing decision and the run epilogue shared with the replay
+//! (DESIGN.md §12).
 
 use crate::cost::work_cost;
-use crate::partition::{greedy_lpt, loads, naive_block, rect_partition};
+use crate::dist;
+use crate::partition::naive_block;
 use crate::phases::PhaseBreakdown;
+use crate::pipeline::{
+    balance, cross_queues, finish, modelled_region_connection, remote_accesses, static_spec,
+    DistRunner, Finish, LiveRunner, MetricNames, Phase, PhaseRunner, PlannerRun, Timeline,
+};
 use crate::strategy::{Strategy, WeightKind};
 use crate::weights;
 use rand::rngs::StdRng;
@@ -34,12 +44,13 @@ use serde::{Deserialize, Serialize};
 use smp_cspace::{derive_seed, BoxSampler, Cfg, EnvValidity, StraightLinePlanner, WorkCounters};
 use smp_cspace::{LocalPlanner, Sampler, ValidityChecker};
 use smp_geom::{Environment, GridSubdivision};
-use smp_graph::{KdTree, OwnerMap, RegionGraph, RemoteAccessCounter};
-use smp_obs::{cat, MetricsRegistry, MetricsSnapshot, Tracer};
+use smp_graph::{KdTree, RegionGraph};
+use smp_obs::Tracer;
 use smp_plan::connect::{connect_roadmaps, CandidateEdge};
+use smp_runtime::dist::{DistExecutor, DistOptions};
 use smp_runtime::{
-    simulate_observed, Backend, ExecError, ExecSpec, FaultPlan, LiveControl, LiveOutcome,
-    LivePartial, LiveTuning, MachineModel, SimConfig, SimError, SimReport,
+    simulate_observed, Backend, DistTuning, ExecError, ExecSpec, FaultPlan, LiveControl,
+    LiveOutcome, LiveTuning, MachineModel, SimConfig, SimError,
 };
 use std::time::Instant;
 
@@ -100,12 +111,13 @@ pub struct RegionOutcome<const D: usize> {
     pub con_work: WorkCounters,
 }
 
-/// The measured outcome of one region-graph edge's cross connection.
+/// The measured outcome of one region-graph edge's cross connection
+/// (between two regional roadmaps, or two RRT branches).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CrossOutcome {
     /// The region-graph edge `(a, b)` this outcome belongs to.
     pub regions: (u32, u32),
-    /// Successful cross-region links found.
+    /// Successful cross-region (cross-branch) links found.
     pub links: Vec<CandidateEdge>,
     /// Measured connection work.
     pub work: WorkCounters,
@@ -270,11 +282,17 @@ pub(crate) fn cross_edge<const D: usize>(
     }
 }
 
+/// The experiment's uniform grid — a function of `cfg` alone, so the
+/// coordinator and every worker process rebuild the identical one.
+pub(crate) fn grid_subdivision<const D: usize>(
+    cfg: &ParallelPrmConfig<'_, D>,
+) -> GridSubdivision<D> {
+    GridSubdivision::with_target_regions(*cfg.env.bounds(), cfg.regions_target, cfg.overlap)
+}
+
 /// Build (really execute, once) the full workload for an experiment.
 pub fn build_prm_workload<const D: usize>(cfg: &ParallelPrmConfig<'_, D>) -> PrmWorkload<D> {
-    let grid =
-        GridSubdivision::with_target_regions(*cfg.env.bounds(), cfg.regions_target, cfg.overlap);
-    build_prm_workload_on_grid(cfg, grid)
+    build_prm_workload_on_grid(cfg, grid_subdivision(cfg))
 }
 
 /// As [`build_prm_workload`] but on an explicit grid (the Figure-4 harness
@@ -317,56 +335,42 @@ pub fn build_prm_workload_on_grid<const D: usize>(
     }
 }
 
-/// Result of replaying a workload under one strategy at one PE count.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PrmRun {
-    /// Human-readable strategy name (e.g. `"repart-samples"`).
-    pub strategy_label: String,
-    /// Number of PEs (virtual) or worker threads (live).
-    pub p: usize,
-    /// End-to-end virtual time (all phases + barriers).
-    pub total_time: u64,
-    /// Per-phase split of `total_time` (Figure 7(a)).
-    pub phases: PhaseBreakdown,
-    /// DES report of the node-connection phase.
-    pub construction: SimReport,
-    /// Roadmap vertices per PE under the initial naïve mapping.
-    pub node_load_initial: Vec<u64>,
-    /// Roadmap vertices per PE after balancing (final executors).
-    pub node_load_final: Vec<u64>,
-    /// Remote accesses during region connection (Figure 7(b)).
-    pub remote: RemoteAccessCounter,
-    /// Region-graph edge cut under the final assignment.
-    pub edge_cut: usize,
-    /// Regions that changed owner during repartitioning.
-    pub migrations: usize,
-    /// Flat metrics: planner-level `prm.*` rows merged with the
-    /// node-connection phase's `des.*` rows (DESIGN.md §9).
-    pub metrics: MetricsSnapshot,
-}
+/// Result of running the PRM under one strategy at one worker count, on
+/// any backend.
+pub type PrmRun = PlannerRun;
 
-impl PrmRun {
-    /// CoV of per-PE roadmap-node load before balancing (Fig. 5(b) "Before").
-    pub fn cov_before(&self) -> f64 {
-        smp_runtime::metrics::cov_u64(&self.node_load_initial)
-    }
+const PRM_METRICS: MetricNames = MetricNames {
+    p: "prm.p",
+    regions: "prm.regions",
+    migrations: "prm.migrations",
+    edge_cut: "prm.edge_cut",
+    remote_accesses: "prm.remote.accesses",
+    remote_local: "prm.remote.local",
+    time_total: "prm.time.total_ns",
+    time_load_balance: "prm.time.load_balance_ns",
+    time_balanced: "prm.time.node_connection_ns",
+    time_region_connection: "prm.time.region_connection_ns",
+};
 
-    /// CoV after balancing (Fig. 5(b) "After").
-    pub fn cov_after(&self) -> f64 {
-        smp_runtime::metrics::cov_u64(&self.node_load_final)
-    }
-}
-
-/// Weights for a repartitioning strategy, resolved against the workload.
-fn resolve_weights<const D: usize>(workload: &PrmWorkload<D>, kind: WeightKind) -> Vec<f64> {
+/// The repartitioning weights PRM can resolve from what a run already
+/// has: measured sample counts and exact free volume. `Probe`/`KRays`
+/// need a separate measurement pass over the environment
+/// ([`run_parallel_prm_with_weights`] takes its result).
+fn prm_weights(kind: WeightKind, counts: &[u32], vfree: &[f64]) -> Option<Vec<f64>> {
     match kind {
-        WeightKind::SampleCount => weights::sample_count_weights(&workload.sample_counts()),
-        WeightKind::Vfree => workload.vfree.clone(),
-        WeightKind::Probe(_) | WeightKind::KRays(_) => panic!(
-            "{:?} weights need environment access; use run_parallel_prm_with_weights",
-            kind
-        ),
+        WeightKind::SampleCount => Some(weights::sample_count_weights(counts)),
+        WeightKind::Vfree => Some(vfree.to_vec()),
+        WeightKind::Probe(_) | WeightKind::KRays(_) => None,
     }
+}
+
+/// `RectPartition`'s index space: region ids vary fastest along axis 0,
+/// so the grid dims are reversed to match `rect_bisection`'s row-major
+/// strides.
+fn rect_dims<const D: usize>(grid: &GridSubdivision<D>) -> Vec<usize> {
+    let mut dims = grid.dims().to_vec();
+    dims.reverse();
+    dims
 }
 
 /// Replay the workload under `strategy` on `p` virtual PEs of `machine`.
@@ -395,7 +399,8 @@ pub fn run_parallel_prm<const D: usize>(
 }
 
 /// As [`run_parallel_prm`] but with explicit repartitioning weights
-/// (required for `Probe`/`KRays` weight kinds).
+/// (required for `Probe`/`KRays` weight kinds, which otherwise fail with
+/// [`SimError::UnsupportedWeights`]).
 pub fn run_parallel_prm_with_weights<const D: usize>(
     workload: &PrmWorkload<D>,
     machine: &MachineModel,
@@ -433,14 +438,14 @@ pub fn run_parallel_prm_observed<const D: usize>(
     strategy: &Strategy,
     custom_weights: Option<&[f64]>,
     fault: Option<&FaultPlan>,
-    mut tracer: Option<&mut Tracer>,
+    tracer: Option<&mut Tracer>,
 ) -> Result<PrmRun, SimError> {
     if p == 0 {
         return Err(SimError::NoPes);
     }
     let nr = workload.num_regions();
     let ops = &machine.ops;
-    let phase_track = p as u32;
+    let mut timeline = Timeline::new(tracer, p);
 
     let gen_costs: Vec<u64> = workload
         .regions
@@ -454,7 +459,6 @@ pub fn run_parallel_prm_observed<const D: usize>(
         .collect();
 
     let naive = naive_block(nr, p);
-    let naive_queues = owner_queues(&naive);
 
     // Phase 1: generation (static, naïve).
     let gen_cfg = SimConfig {
@@ -462,239 +466,222 @@ pub fn run_parallel_prm_observed<const D: usize>(
         steal: None,
         seed: derive_seed(workload.seed, p as u64, 1),
     };
-    if let Some(tr) = tracer.as_deref_mut() {
-        tr.name_track(phase_track, "phases");
-        tr.begin(0, phase_track, cat::PHASE, "generation");
-    }
+    timeline.begin("generation");
     let gen_sim = simulate_observed(
         &gen_costs,
         None,
-        &naive_queues,
+        &naive.items_per_pe(),
         &gen_cfg,
         None,
-        tracer.as_deref_mut(),
+        timeline.tracer(),
     )?;
-    if let Some(tr) = tracer.as_deref_mut() {
-        tr.end(gen_sim.makespan, phase_track, cat::PHASE);
-    }
+    timeline.end(gen_sim.makespan);
 
-    // Phase 2: load balancing.
-    let mut lb_time: u64 = 0;
-    let mut migrations = 0usize;
-    let (connect_queues, steal) = match strategy {
-        Strategy::NoLb => (naive_queues.clone(), None),
-        Strategy::WorkStealing(sc) => (naive_queues.clone(), Some(*sc)),
-        Strategy::Repartition(kind) | Strategy::RectPartition(kind) => {
-            let w: Vec<f64> = match custom_weights {
-                Some(w) => w.to_vec(),
-                None => resolve_weights(workload, *kind),
-            };
-            assert_eq!(w.len(), nr, "weight vector length mismatch");
-            // parallel partition compute: ~sort per PE share
-            let partition_cpu = (nr as u64 * 60) / p as u64 + 60;
-            // Rebalance only when the current distribution is actually
-            // imbalanced (standard bulk-synchronous LB guard; keeps the
-            // free-environment overhead negligible, Fig. 8(c)).
-            let cur = loads(&naive, &w);
-            let mean = cur.iter().sum::<f64>() / p as f64;
-            let max = cur.iter().cloned().fold(0.0, f64::max);
-            if mean <= 0.0 || max <= mean * 1.05 {
-                lb_time = machine.barrier(p) * 2 + partition_cpu;
-                (naive_queues.clone(), None)
-            } else {
-                let new_map = if matches!(strategy, Strategy::RectPartition(_)) {
-                    // Rectangular repartition: recursive bisection with
-                    // grid-aligned cut planes, so every PE owns an
-                    // axis-aligned block of regions. Region ids vary
-                    // fastest along axis 0, so the dims are reversed to
-                    // match `rect_bisection`'s row-major strides.
-                    let mut rdims: Vec<usize> = workload.grid.dims().to_vec();
-                    rdims.reverse();
-                    rect_partition(&rdims, &w, p)
-                } else {
-                    // Greedy global weight partitioning, ignoring edge
-                    // cuts — the paper's partitioner (§IV-B); the induced
-                    // edge-cut growth is what Figure 7(b) measures. The
-                    // geometry-preserving alternative lives in
-                    // `partition::spatial_bisection` (ablation bench).
-                    greedy_lpt(&w, p)
-                };
-                migrations = naive.migration_count(&new_map);
-                // migration: each moved region ships its descriptor plus
-                // its already-generated samples; cost is the max per-PE
-                // transfer volume
-                let mut out_cost = vec![0u64; p];
-                let mut in_cost = vec![0u64; p];
-                for r in 0..nr as u32 {
-                    let (src, dst) = (naive.owner_of(r), new_map.owner_of(r));
-                    if src != dst {
-                        let c = machine.lat.per_task_transfer
-                            + machine.lat.per_vertex_transfer
-                                * workload.regions[r as usize].cfgs.len() as u64;
-                        out_cost[src as usize] += c;
-                        in_cost[dst as usize] += c;
-                    }
-                }
-                let mig_max = (0..p)
-                    .map(|pe| out_cost[pe] + in_cost[pe])
-                    .max()
-                    .unwrap_or(0);
-                lb_time = machine.barrier(p) * 2 + partition_cpu + mig_max;
-                (owner_queues(&new_map), None)
+    // Phase 2: load balancing, at modelled cost: two barriers and the
+    // parallel partition compute (~sort per PE share), plus — when regions
+    // move — the migration: each moved region ships its descriptor and its
+    // already-generated samples, costing the max per-PE transfer volume.
+    let counts = workload.sample_counts();
+    let bal = balance(strategy, &naive, &rect_dims(&workload.grid), |kind| {
+        custom_weights
+            .map(<[f64]>::to_vec)
+            .or_else(|| prm_weights(kind, &counts, &workload.vfree))
+    })?;
+    let lb_time = if bal.weights.is_some() {
+        let mut transfer = vec![0u64; p];
+        for r in 0..nr as u32 {
+            let (src, dst) = (naive.owner_of(r), bal.owners.owner_of(r));
+            if src != dst {
+                let c = machine.lat.per_task_transfer
+                    + machine.lat.per_vertex_transfer * counts[r as usize] as u64;
+                transfer[src as usize] += c;
+                transfer[dst as usize] += c;
             }
         }
+        let partition_cpu = (nr as u64 * 60) / p as u64 + 60;
+        machine.barrier(p) * 2 + partition_cpu + transfer.into_iter().max().unwrap_or(0)
+    } else {
+        0
     };
-
-    // Splice the remaining phases onto one trace timeline.
-    let mut offset = gen_sim.makespan;
-    if let Some(tr) = tracer.as_deref_mut() {
-        tr.set_base(offset);
-        tr.begin(0, phase_track, cat::PHASE, "load_balance");
-        if migrations > 0 {
-            tr.instant(
-                0,
-                phase_track,
-                cat::PHASE,
-                "repartition",
-                &[("migrations", migrations as u64)],
-            );
-        }
-        tr.end(lb_time, phase_track, cat::PHASE);
-    }
-    offset += lb_time;
+    timeline.load_balance(bal.migrations, lb_time);
 
     // Phase 3: node connection (the balanced phase). Stolen regions carry
     // their samples (ownership transfer), so steals pay per-vertex payload.
-    let payloads: Vec<u64> = workload
-        .regions
-        .iter()
-        .map(|r| r.cfgs.len() as u64)
-        .collect();
+    let payloads: Vec<u64> = counts.iter().map(|&c| c as u64).collect();
     let con_cfg = SimConfig {
         machine: machine.clone(),
-        steal,
+        steal: bal.steal,
         seed: derive_seed(workload.seed, p as u64, 2),
     };
-    if let Some(tr) = tracer.as_deref_mut() {
-        tr.set_base(offset);
-        tr.begin(0, phase_track, cat::PHASE, "node_connection");
-    }
+    timeline.begin("node_connection");
     let con_sim = simulate_observed(
         &con_costs,
         Some(&payloads),
-        &connect_queues,
+        &bal.owners.items_per_pe(),
         &con_cfg,
         fault,
-        tracer.as_deref_mut(),
+        timeline.tracer(),
     )?;
-    if let Some(tr) = tracer.as_deref_mut() {
-        tr.end(con_sim.makespan, phase_track, cat::PHASE);
-    }
-    offset += con_sim.makespan;
-    let final_owner: Vec<u32> = con_sim.executed_by.clone();
+    timeline.end(con_sim.makespan);
 
     // Phase 4: region connection, charged to the owner of each edge's first
     // region, with remote access costs for cross-PE partners.
-    let mut remote = RemoteAccessCounter::new();
-    let mut regconn_time = vec![0u64; p];
-    for c in &workload.cross {
-        let (a, b) = c.regions;
-        let oa = final_owner[a as usize] as usize;
-        let ob = final_owner[b as usize];
-        regconn_time[oa] += work_cost(&c.work, ops);
-        remote.touch_region(oa as u32, ob);
-        if oa as u32 != ob && c.partner_reads > 0 {
-            remote.roadmap_remote += c.partner_reads;
-            // one bulk RMI fetches the partner's boundary candidates
-            // (STAPL-style aggregation): latency + per-vertex payload
-            regconn_time[oa] +=
-                machine.lat.remote_access + machine.lat.per_vertex_transfer * c.partner_reads;
-        } else {
-            remote.local += c.partner_reads;
-        }
-    }
-    let regconn_max = regconn_time.iter().copied().max().unwrap_or(0);
-    if let Some(tr) = tracer {
-        tr.set_base(offset);
-        tr.begin(0, phase_track, cat::PHASE, "region_connection");
-        tr.end(regconn_max, phase_track, cat::PHASE);
-        tr.set_base(offset + regconn_max);
-    }
-
-    // Loads and cut under final ownership.
-    let counts = workload.sample_counts();
-    let mut node_load_initial = vec![0u64; p];
-    let mut node_load_final = vec![0u64; p];
-    for r in 0..nr {
-        node_load_initial[naive.owner_of(r as u32) as usize] += counts[r] as u64;
-        node_load_final[final_owner[r] as usize] += counts[r] as u64;
-    }
-    let final_map = OwnerMap::new(final_owner, p);
-    let edge_cut = final_map.edge_cut(workload.region_graph.edges());
+    let (remote, regconn_max) =
+        modelled_region_connection(machine, p, &con_sim.executed_by, &workload.cross);
+    timeline.begin("region_connection");
+    timeline.end(regconn_max);
 
     let barriers = machine.barrier(p) * 3;
-    let phases = PhaseBreakdown {
-        other: gen_sim.makespan + lb_time + barriers,
-        node_connection: con_sim.makespan,
-        region_connection: regconn_max,
-    };
-
-    let mut reg = MetricsRegistry::new();
-    reg.set_gauge("prm.p", p as u64);
-    reg.set_gauge("prm.regions", nr as u64);
-    reg.set_gauge("prm.vertices", workload.total_vertices() as u64);
-    reg.inc("prm.migrations", migrations as u64);
-    reg.set_gauge("prm.edge_cut", edge_cut as u64);
-    reg.inc("prm.remote.accesses", remote.total_remote());
-    reg.inc("prm.remote.local", remote.local);
-    reg.set_gauge("prm.time.total_ns", phases.total());
-    reg.set_gauge("prm.time.generation_ns", gen_sim.makespan);
-    reg.set_gauge("prm.time.load_balance_ns", lb_time);
-    reg.set_gauge("prm.time.node_connection_ns", con_sim.makespan);
-    reg.set_gauge("prm.time.region_connection_ns", regconn_max);
-    let metrics = reg.snapshot().merged_with(&con_sim.metrics);
-
-    Ok(PrmRun {
-        strategy_label: strategy.label(),
-        p,
-        total_time: phases.total(),
-        phases,
+    Ok(finish(Finish {
+        names: &PRM_METRICS,
+        extra: &[
+            ("prm.vertices", workload.total_vertices() as u64),
+            ("prm.time.generation_ns", gen_sim.makespan),
+        ],
+        strategy,
+        naive: &naive,
+        region_graph: &workload.region_graph,
+        counts: &counts,
+        migrations: bal.migrations,
+        lb_time,
+        phases: PhaseBreakdown {
+            other: gen_sim.makespan + lb_time + barriers,
+            node_connection: con_sim.makespan,
+            region_connection: regconn_max,
+        },
         construction: con_sim,
-        node_load_initial,
-        node_load_final,
         remote,
-        edge_cut,
-        migrations,
-        metrics,
-    })
+    }))
 }
 
-/// Owner map → per-PE queues ordered by region id.
-pub(crate) fn owner_queues(map: &OwnerMap) -> Vec<Vec<u32>> {
-    map.items_per_pe()
-}
-
-/// One live phase's disposition: `Ok` carries the completed results and
-/// report, `Err` carries the [`LivePartial`] a cooperative stop left.
-pub(crate) type PhaseDone<R> = Result<(Vec<R>, smp_runtime::ExecReport), Box<LivePartial>>;
-
-/// Unwrap one live phase of a controlled planner run: completed phases
-/// yield their results + report, cooperative stops yield the
-/// [`LivePartial`] the planner should surface, executor failures
-/// propagate as [`ExecError`].
-pub(crate) fn phase_complete<R>(
-    out: smp_runtime::ResilientOutcome<R>,
-    phase: &'static str,
-) -> Result<PhaseDone<R>, ExecError> {
-    if out.status.is_complete() {
-        Ok(Ok(out.into_complete()?))
-    } else {
-        Ok(Err(Box::new(LivePartial {
-            phase,
-            status: out.status,
-            report: out.report,
-        })))
+/// The executing PRM pipeline (Algorithm 1 with the balancing step of
+/// Algorithms 3/4), written once for every backend that really runs the
+/// work: generate → balance → connect → region-connect, each phase handed
+/// to `runner`.
+///
+/// Region work is location-independent — a pure function of `(cfg,
+/// region id)` — so the workload this returns, and hence the assembled
+/// roadmap and its digest, is byte-identical to [`build_prm_workload`]'s
+/// at any worker count, under any strategy, on any runner. A repartition
+/// is an ownership-table update: in shared memory the samples do not
+/// move, and dist workers re-derive them from the config blob, so its
+/// cost is just the partition compute wall-timed here.
+fn execute_prm<const D: usize>(
+    cfg: &ParallelPrmConfig<'_, D>,
+    p: usize,
+    strategy: &Strategy,
+    runner: &mut impl PhaseRunner,
+    tracer: Option<&mut Tracer>,
+) -> Result<(PrmWorkload<D>, PrmRun), ExecError> {
+    if p == 0 {
+        return Err(SimError::NoPes.into());
     }
+    let grid = grid_subdivision(cfg);
+    let region_graph = RegionGraph::from_grid(&grid);
+    let nr = grid.num_regions();
+    let vfree = weights::vfree_weights(cfg.env, &grid);
+    let mut timeline = Timeline::new(tracer, p);
+    let naive = naive_block(nr, p);
+    let naive_queues = naive.items_per_pe();
+    let phase_seed = |phase: u64| derive_seed(cfg.seed, p as u64, phase);
+
+    // Phase 1: generation (static, naïve) — samples must exist before
+    // sample-count weights can.
+    let gen = Phase {
+        name: "generation",
+        kind: "prm-gen",
+        spec: static_spec(&naive_queues, nr, phase_seed(1)),
+        local: |r| gen_region(cfg, &grid, r),
+        decode: dist::decode_gen::<D>,
+    };
+    let (gen_results, gen_report) = runner.run(gen, &mut timeline)?;
+
+    // Phase 2: load balancing, wall-timed on the calling thread.
+    let lb_clock = Instant::now();
+    let counts: Vec<u32> = gen_results.iter().map(|(c, _)| c.len() as u32).collect();
+    let bal = balance(strategy, &naive, &rect_dims(&grid), |kind| {
+        prm_weights(kind, &counts, &vfree)
+    })?;
+    let lb_time = u64::try_from(lb_clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    timeline.load_balance(bal.migrations, lb_time);
+
+    // Phase 3: node connection under the chosen strategy — a thief that
+    // steals a region builds (and keeps) that region's roadmap.
+    let payloads: Vec<u64> = counts.iter().map(|&c| c as u64).collect();
+    let connect_queues = bal.owners.items_per_pe();
+    let connect = Phase {
+        name: "node_connection",
+        kind: "prm-connect",
+        spec: ExecSpec {
+            payloads: Some(&payloads),
+            steal: bal.steal,
+            ..static_spec(&connect_queues, nr, phase_seed(2))
+        },
+        local: |r| connect_region(cfg, &gen_results[r as usize].0),
+        decode: dist::decode_connect,
+    };
+    let (con_results, con_report) = runner.run(connect, &mut timeline)?;
+    let construction = con_report.to_sim_report();
+    let final_owner = &construction.executed_by;
+
+    // Phase 4: region connection on the final owner of each edge's first
+    // region.
+    let edges = region_graph.edges();
+    let edge_queues = cross_queues(edges, final_owner, p);
+    let cross = Phase {
+        name: "region_connection",
+        kind: "prm-cross",
+        spec: static_spec(&edge_queues, edges.len(), phase_seed(4)),
+        local: |i| {
+            let (a, b) = edges[i as usize];
+            let (a_cfgs, b_cfgs) = (&gen_results[a as usize].0, &gen_results[b as usize].0);
+            cross_edge(cfg, a, b, a_cfgs, b_cfgs)
+        },
+        decode: dist::decode_cross,
+    };
+    let (cross_results, cross_report) = runner.run(cross, &mut timeline)?;
+
+    let run = finish(Finish {
+        names: &PRM_METRICS,
+        extra: &[
+            ("prm.vertices", counts.iter().map(|&c| c as u64).sum()),
+            ("prm.time.generation_ns", gen_report.makespan),
+        ],
+        strategy,
+        naive: &naive,
+        region_graph: &region_graph,
+        counts: &counts,
+        migrations: bal.migrations,
+        lb_time,
+        // Barriers are real joins here, already inside each makespan.
+        phases: PhaseBreakdown {
+            other: gen_report.makespan + lb_time,
+            node_connection: construction.makespan,
+            region_connection: cross_report.makespan,
+        },
+        remote: remote_accesses(final_owner, &cross_results, |_, _, _| {}),
+        construction,
+    });
+
+    let regions: Vec<RegionOutcome<D>> = gen_results
+        .into_iter()
+        .zip(con_results)
+        .map(|((cfgs, gen_work), (edges, con_work))| RegionOutcome {
+            cfgs,
+            edges,
+            gen_work,
+            con_work,
+        })
+        .collect();
+    let workload = PrmWorkload {
+        grid,
+        region_graph,
+        regions,
+        cross: cross_results,
+        vfree,
+        seed: cfg.seed,
+    };
+    Ok((workload, run))
 }
 
 /// Run the full parallel PRM **live** on `threads` OS threads: the four
@@ -709,8 +696,9 @@ pub(crate) fn phase_complete<R>(
 /// count and under any strategy. Only the report's wall-clock timings and
 /// steal counters vary run to run (DESIGN.md §12).
 ///
-/// `Probe`/`KRays` repartitioning weights are not supported live (they
-/// need a separate measurement pass); use `SampleCount` or `Vfree`.
+/// `Probe`/`KRays` repartitioning weights need a separate measurement
+/// pass and fail with [`SimError::UnsupportedWeights`]; use `SampleCount`
+/// or `Vfree`.
 pub fn run_parallel_prm_live<const D: usize>(
     cfg: &ParallelPrmConfig<'_, D>,
     threads: usize,
@@ -753,272 +741,57 @@ pub fn run_parallel_prm_live_controlled<const D: usize>(
     threads: usize,
     strategy: &Strategy,
     control: &LiveControl,
-    mut tracer: Option<&mut Tracer>,
+    tracer: Option<&mut Tracer>,
 ) -> Result<LiveOutcome<(PrmWorkload<D>, PrmRun)>, ExecError> {
-    if threads == 0 {
-        return Err(SimError::NoPes.into());
-    }
-    let run_start = Instant::now();
-    let p = threads;
-    let grid =
-        GridSubdivision::with_target_regions(*cfg.env.bounds(), cfg.regions_target, cfg.overlap);
-    let region_graph = RegionGraph::from_grid(&grid);
-    let nr = grid.num_regions();
-    let phase_track = p as u32;
-    let trace_on = tracer.is_some();
-    let vfree = weights::vfree_weights(cfg.env, &grid);
+    let mut runner = LiveRunner::new(control);
+    let result = execute_prm(cfg, threads, strategy, &mut runner, tracer);
+    runner.outcome(result)
+}
 
-    let naive = naive_block(nr, p);
-    let naive_queues = owner_queues(&naive);
-    // Each phase gets a fresh executor carrying the control bundle; the
-    // deadline each one receives is the whole-run budget *remaining*.
-    let mk_exec = |trace: bool| {
-        let ex = control.phase_executor(p, run_start);
-        if trace {
-            ex.with_tracing()
-        } else {
-            ex
-        }
+/// Run the full parallel PRM on `p` worker **processes** via a pre-built
+/// [`DistExecutor`]: the same pipeline as
+/// [`run_parallel_prm_live`], with each phase shipped as a work kind plus
+/// the encoded `cfg` ([`crate::dist`]) instead of a closure.
+///
+/// The returned workload — and hence the assembled roadmap and its
+/// digest — is byte-identical to the DES and live backends for the same
+/// `cfg.seed`, at any worker count, under any strategy, and across
+/// injected message faults and worker-process crashes (the three-way
+/// differential gate in `tests/dist_backend_differential.rs`). Supported
+/// repartitioning weights are as live.
+pub fn run_parallel_prm_dist_with<const D: usize>(
+    cfg: &ParallelPrmConfig<'_, D>,
+    p: usize,
+    strategy: &Strategy,
+    exec: &mut DistExecutor,
+) -> Result<(PrmWorkload<D>, PrmRun), ExecError> {
+    let mut runner = DistRunner {
+        exec,
+        blob: dist::encode_prm_blob(cfg),
     };
+    execute_prm(cfg, p, strategy, &mut runner, None)
+}
 
-    // Phase 1: generation (static, naïve) — samples must exist before
-    // sample-count weights can.
-    let mut ex = mk_exec(trace_on);
-    let gen_spec = ExecSpec {
-        n_tasks: nr,
-        costs: None,
-        payloads: None,
-        assignment: &naive_queues,
-        steal: None,
-        seed: derive_seed(cfg.seed, p as u64, 1),
-    };
-    let gen_full = ex.execute_resilient(&gen_spec, &|r| gen_region(cfg, &grid, r))?;
-    let (gen_results, gen_report) = match phase_complete(gen_full, "generation")? {
-        Ok(done) => done,
-        Err(partial) => return Ok(LiveOutcome::Partial(partial)),
-    };
-    let gen_makespan = gen_report.makespan;
-    if let Some(tr) = tracer.as_deref_mut() {
-        tr.name_track(phase_track, "phases");
-        tr.begin(0, phase_track, cat::PHASE, "generation");
-        ex.replay_trace_into(tr);
-        tr.end(gen_makespan, phase_track, cat::PHASE);
-    }
-    let mut offset = gen_makespan;
-
-    // Phase 2: load balancing, wall-timed on the calling thread. The
-    // repartition "migration" is an ownership-table update — in shared
-    // memory the samples do not move, so its cost is just the partition
-    // compute measured here.
-    let lb_clock = Instant::now();
-    let counts: Vec<u32> = gen_results.iter().map(|(c, _)| c.len() as u32).collect();
-    let mut migrations = 0usize;
-    let (connect_queues, steal) = match strategy {
-        Strategy::NoLb => (naive_queues.clone(), None),
-        Strategy::WorkStealing(sc) => (naive_queues.clone(), Some(*sc)),
-        Strategy::Repartition(kind) | Strategy::RectPartition(kind) => {
-            let w: Vec<f64> = match kind {
-                WeightKind::SampleCount => weights::sample_count_weights(&counts),
-                WeightKind::Vfree => vfree.clone(),
-                other => panic!("{other:?} weights are not supported by the live backend"),
-            };
-            let cur = loads(&naive, &w);
-            let mean = cur.iter().sum::<f64>() / p as f64;
-            let max = cur.iter().cloned().fold(0.0, f64::max);
-            if mean <= 0.0 || max <= mean * 1.05 {
-                (naive_queues.clone(), None)
-            } else {
-                let new_map = if matches!(strategy, Strategy::RectPartition(_)) {
-                    // grid-aligned rectangular bisection; ids vary fastest
-                    // along axis 0, hence the reversed dims (see the DES
-                    // backend for the full rationale)
-                    let mut rdims: Vec<usize> = grid.dims().to_vec();
-                    rdims.reverse();
-                    rect_partition(&rdims, &w, p)
-                } else {
-                    greedy_lpt(&w, p)
-                };
-                migrations = naive.migration_count(&new_map);
-                (owner_queues(&new_map), None)
-            }
-        }
-    };
-    let lb_time = u64::try_from(lb_clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    if let Some(tr) = tracer.as_deref_mut() {
-        tr.set_base(offset);
-        tr.begin(0, phase_track, cat::PHASE, "load_balance");
-        if migrations > 0 {
-            tr.instant(
-                0,
-                phase_track,
-                cat::PHASE,
-                "repartition",
-                &[("migrations", migrations as u64)],
-            );
-        }
-        tr.end(lb_time, phase_track, cat::PHASE);
-    }
-    offset += lb_time;
-
-    // Phase 3: node connection under the chosen strategy — a thief that
-    // steals a region builds (and keeps) that region's roadmap.
-    let payloads: Vec<u64> = gen_results.iter().map(|(c, _)| c.len() as u64).collect();
-    let mut ex = mk_exec(trace_on);
-    let con_spec = ExecSpec {
-        n_tasks: nr,
-        costs: None,
-        payloads: Some(&payloads),
-        assignment: &connect_queues,
-        steal,
-        seed: derive_seed(cfg.seed, p as u64, 2),
-    };
-    let con_full = ex.execute_resilient(&con_spec, &|r| {
-        connect_region(cfg, &gen_results[r as usize].0)
-    })?;
-    let (con_results, con_report) = match phase_complete(con_full, "node_connection")? {
-        Ok(done) => done,
-        Err(partial) => return Ok(LiveOutcome::Partial(partial)),
-    };
-    let con_makespan = con_report.makespan;
-    if let Some(tr) = tracer.as_deref_mut() {
-        tr.set_base(offset);
-        tr.begin(0, phase_track, cat::PHASE, "node_connection");
-        ex.replay_trace_into(tr);
-        tr.end(con_makespan, phase_track, cat::PHASE);
-    }
-    offset += con_makespan;
-    let final_owner: Vec<u32> = con_report.executed_by.clone();
-
-    // Phase 4: region connection — each region-graph edge runs on the
-    // final owner of its first region (static; deterministic from the
-    // samples and the edge-derived seed).
-    let edges: Vec<(u32, u32)> = region_graph.edges().to_vec();
-    let mut cross_queues: Vec<Vec<u32>> = vec![Vec::new(); p];
-    for (i, &(a, _)) in edges.iter().enumerate() {
-        cross_queues[final_owner[a as usize] as usize].push(i as u32);
-    }
-    let mut ex = mk_exec(trace_on);
-    let cross_spec = ExecSpec {
-        n_tasks: edges.len(),
-        costs: None,
-        payloads: None,
-        assignment: &cross_queues,
-        steal: None,
-        seed: derive_seed(cfg.seed, p as u64, 4),
-    };
-    let cross_full = ex.execute_resilient(&cross_spec, &|i| {
-        let (a, b) = edges[i as usize];
-        cross_edge(
-            cfg,
-            a,
-            b,
-            &gen_results[a as usize].0,
-            &gen_results[b as usize].0,
-        )
-    })?;
-    let (cross_results, cross_report) = match phase_complete(cross_full, "region_connection")? {
-        Ok(done) => done,
-        Err(partial) => return Ok(LiveOutcome::Partial(partial)),
-    };
-    let cross_makespan = cross_report.makespan;
-    if let Some(tr) = tracer {
-        tr.set_base(offset);
-        tr.begin(0, phase_track, cat::PHASE, "region_connection");
-        ex.replay_trace_into(tr);
-        tr.end(cross_makespan, phase_track, cat::PHASE);
-        tr.set_base(offset + cross_makespan);
-    }
-
-    // Logical remote-access accounting (NUMA-style): a cross edge whose
-    // partner region lives on another worker would be a remote fetch on a
-    // distributed machine — counted for comparability with the DES runs
-    // even though shared memory makes the read free here.
-    let mut remote = RemoteAccessCounter::new();
-    for c in &cross_results {
-        let (a, b) = c.regions;
-        let oa = final_owner[a as usize];
-        let ob = final_owner[b as usize];
-        remote.touch_region(oa, ob);
-        if oa != ob && c.partner_reads > 0 {
-            remote.roadmap_remote += c.partner_reads;
-        } else {
-            remote.local += c.partner_reads;
-        }
-    }
-
-    let mut node_load_initial = vec![0u64; p];
-    let mut node_load_final = vec![0u64; p];
-    for r in 0..nr {
-        node_load_initial[naive.owner_of(r as u32) as usize] += counts[r] as u64;
-        node_load_final[final_owner[r] as usize] += counts[r] as u64;
-    }
-    let final_map = OwnerMap::new(final_owner, p);
-    let edge_cut = final_map.edge_cut(region_graph.edges());
-
-    // Barriers are real thread joins here, already inside each makespan.
-    let phases = PhaseBreakdown {
-        other: gen_makespan + lb_time,
-        node_connection: con_makespan,
-        region_connection: cross_makespan,
-    };
-    let construction = con_report.to_sim_report();
-
-    let regions: Vec<RegionOutcome<D>> = gen_results
-        .into_iter()
-        .zip(con_results)
-        .map(|((cfgs, gen_work), (edges, con_work))| RegionOutcome {
-            cfgs,
-            edges,
-            gen_work,
-            con_work,
-        })
-        .collect();
-    let workload = PrmWorkload {
-        grid,
-        region_graph,
-        regions,
-        cross: cross_results,
-        vfree,
-        seed: cfg.seed,
-    };
-
-    let mut reg = MetricsRegistry::new();
-    reg.set_gauge("prm.p", p as u64);
-    reg.set_gauge("prm.regions", nr as u64);
-    reg.set_gauge("prm.vertices", workload.total_vertices() as u64);
-    reg.inc("prm.migrations", migrations as u64);
-    reg.set_gauge("prm.edge_cut", edge_cut as u64);
-    reg.inc("prm.remote.accesses", remote.total_remote());
-    reg.inc("prm.remote.local", remote.local);
-    reg.set_gauge("prm.time.total_ns", phases.total());
-    reg.set_gauge("prm.time.generation_ns", gen_makespan);
-    reg.set_gauge("prm.time.load_balance_ns", lb_time);
-    reg.set_gauge("prm.time.node_connection_ns", con_makespan);
-    reg.set_gauge("prm.time.region_connection_ns", cross_makespan);
-    let metrics = reg.snapshot().merged_with(&construction.metrics);
-
-    let run = PrmRun {
-        strategy_label: strategy.label(),
-        p,
-        total_time: phases.total(),
-        phases,
-        construction,
-        node_load_initial,
-        node_load_final,
-        remote,
-        edge_cut,
-        migrations,
-        metrics,
-    };
-    Ok(LiveOutcome::Complete((workload, run)))
+/// As [`run_parallel_prm_dist_with`], spawning `p` worker processes of the
+/// `smp-dist-worker` binary with the given tuning (the `Backend::Dist`
+/// entry point).
+pub fn run_parallel_prm_dist<const D: usize>(
+    cfg: &ParallelPrmConfig<'_, D>,
+    p: usize,
+    strategy: &Strategy,
+    tuning: DistTuning,
+) -> Result<(PrmWorkload<D>, PrmRun), ExecError> {
+    let mut exec = DistExecutor::new(DistOptions::process(tuning)?);
+    run_parallel_prm_dist_with(cfg, p, strategy, &mut exec)
 }
 
 /// Backend-agnostic entry point: build-and-run the experiment described by
 /// `cfg` on `p` workers of the selected [`Backend`]. `Backend::Des`
 /// measures the workload once and replays it on `p` virtual PEs of
-/// `machine`; `Backend::Live` executes it on `p` OS threads (`machine` is
-/// unused). Either way the returned workload assembles to the same
-/// roadmap for the same `cfg.seed` — the cross-backend determinism gate.
+/// `machine`; `Backend::Live` executes it on `p` OS threads and
+/// `Backend::Dist` on `p` worker processes (`machine` is unused). Every
+/// backend's workload assembles to the same roadmap for the same
+/// `cfg.seed` — the cross-backend determinism gate.
 pub fn run_parallel_prm_on<const D: usize>(
     cfg: &ParallelPrmConfig<'_, D>,
     machine: &MachineModel,
@@ -1033,15 +806,24 @@ pub fn run_parallel_prm_on<const D: usize>(
             Ok((workload, run))
         }
         Backend::Live(tuning) => run_parallel_prm_live(cfg, p, strategy, tuning),
-        Backend::Dist(tuning) => crate::dist::run_parallel_prm_dist(cfg, p, strategy, tuning),
+        Backend::Dist(tuning) => run_parallel_prm_dist(cfg, p, strategy, tuning),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::assert_phase_spans;
     use smp_geom::envs;
+    use smp_obs::cat;
     use smp_runtime::{StealConfig, StealPolicyKind};
+
+    const PHASES: [&str; 4] = [
+        "generation",
+        "load_balance",
+        "node_connection",
+        "region_connection",
+    ];
 
     fn small_workload() -> PrmWorkload<3> {
         let env = envs::med_cube();
@@ -1216,20 +998,7 @@ mod tests {
         let observed =
             run_parallel_prm_observed(&w, &machine, 16, &s, None, None, Some(&mut tr)).unwrap();
         tr.check_well_formed().expect("planner trace well-formed");
-        // all four phase spans present on the phases track
-        for name in [
-            "generation",
-            "load_balance",
-            "node_connection",
-            "region_connection",
-        ] {
-            assert!(
-                tr.events()
-                    .iter()
-                    .any(|e| e.track == 16 && e.cat == cat::PHASE && e.name == name),
-                "missing phase span {name}"
-            );
-        }
+        assert_phase_spans(&tr, 16, &PHASES);
         // observation must not change the result
         let plain = run_parallel_prm(&w, &machine, 16, &s).unwrap();
         assert_eq!(observed.total_time, plain.total_time);
@@ -1292,32 +1061,6 @@ mod tests {
     }
 
     #[test]
-    fn backend_dispatch_runs_both_backends_on_one_config() {
-        use crate::assemble::{assemble_prm_roadmap, roadmap_digest};
-        let env = envs::free_env();
-        let cfg = ParallelPrmConfig {
-            regions_target: 64,
-            attempts_per_region: 5,
-            lp_resolution: 0.05,
-            ..ParallelPrmConfig::new(&env)
-        };
-        let machine = MachineModel::hopper();
-        let s = Strategy::NoLb;
-        let (wd, des) =
-            run_parallel_prm_on(&cfg, &machine, 4, &s, smp_runtime::Backend::Des).unwrap();
-        let (wl, live) =
-            run_parallel_prm_on(&cfg, &machine, 4, &s, smp_runtime::Backend::live(4)).unwrap();
-        assert_eq!(
-            roadmap_digest(&assemble_prm_roadmap(&wd)),
-            roadmap_digest(&assemble_prm_roadmap(&wl))
-        );
-        assert_eq!(des.strategy_label, live.strategy_label);
-        // The DES charges simulated network messages; the live backend has
-        // none to send under a static schedule.
-        assert_eq!(live.construction.steal_attempts, 0);
-    }
-
-    #[test]
     fn observed_live_prm_trace_is_well_formed() {
         let env = envs::med_cube();
         let cfg = ParallelPrmConfig {
@@ -1334,19 +1077,7 @@ mod tests {
                 .unwrap();
         tr.check_well_formed()
             .expect("live planner trace well-formed");
-        for name in [
-            "generation",
-            "load_balance",
-            "node_connection",
-            "region_connection",
-        ] {
-            assert!(
-                tr.events()
-                    .iter()
-                    .any(|e| e.track == 2 && e.cat == cat::PHASE && e.name == name),
-                "missing phase span {name}"
-            );
-        }
+        assert_phase_spans(&tr, 2, &PHASES);
         // Every region generated and connected exactly once => one task
         // span pair per region per live phase, plus the cross-edge phase.
         let task_events = tr.events().iter().filter(|e| e.cat == cat::TASK).count();

@@ -10,9 +10,14 @@
 //! repartitioning *worse than no balancing at all* (Figure 10(b)).
 
 use crate::cost::work_cost;
-use crate::parallel_prm::phase_complete;
-use crate::partition::{greedy_lpt, loads, naive_block, rect_partition};
+use crate::dist;
+use crate::parallel_prm::CrossOutcome;
+use crate::partition::naive_block;
 use crate::phases::PhaseBreakdown;
+use crate::pipeline::{
+    balance, cross_queues, finish, modelled_region_connection, remote_accesses, static_spec,
+    DistRunner, Finish, LiveRunner, MetricNames, Phase, PhaseRunner, PlannerRun, Timeline,
+};
 use crate::strategy::{Strategy, WeightKind};
 use crate::weights;
 use rand::rngs::StdRng;
@@ -21,13 +26,14 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use smp_cspace::{derive_seed, Cfg, ConeSampler, EnvValidity, StraightLinePlanner, WorkCounters};
 use smp_geom::{Environment, RadialSubdivision};
-use smp_graph::{OwnerMap, RegionGraph, RemoteAccessCounter};
-use smp_obs::{cat, MetricsRegistry, MetricsSnapshot, Tracer};
-use smp_plan::connect::{connect_roadmaps, CandidateEdge};
+use smp_graph::RegionGraph;
+use smp_obs::Tracer;
+use smp_plan::connect::connect_roadmaps;
 use smp_plan::rrt::{grow_rrt, RrtParams};
+use smp_runtime::dist::{DistExecutor, DistOptions};
 use smp_runtime::{
-    simulate_observed, Backend, ExecError, ExecSpec, FaultPlan, LiveControl, LiveOutcome,
-    LiveTuning, MachineModel, SimConfig, SimError, SimReport,
+    simulate_observed, Backend, DistTuning, ExecError, ExecSpec, FaultPlan, LiveControl,
+    LiveOutcome, LiveTuning, MachineModel, SimConfig, SimError,
 };
 use std::time::Instant;
 
@@ -104,19 +110,9 @@ pub struct BranchOutcome<const D: usize> {
     pub work: WorkCounters,
 }
 
-/// Cross-branch connection outcome for one region-graph edge.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RrtCrossOutcome {
-    /// The region-graph edge `(a, b)` this outcome belongs to.
-    pub regions: (u32, u32),
-    /// Successful cross-branch links found.
-    pub links: Vec<CandidateEdge>,
-    /// Measured connection work.
-    pub work: WorkCounters,
-    /// Vertices of the partner branch read during the attempt (remote
-    /// when the partner lives on another PE).
-    pub partner_reads: u64,
-}
+/// Cross-branch connection outcome for one region-graph edge — the same
+/// record as PRM's cross-region connection.
+pub type RrtCrossOutcome = CrossOutcome;
 
 /// A fully-measured parallel RRT workload.
 #[derive(Debug, Clone)]
@@ -221,7 +217,7 @@ pub(crate) fn rrt_cross_edge<const D: usize>(
         l.from += 1;
         l.to += 1;
     }
-    RrtCrossOutcome {
+    CrossOutcome {
         regions: (a, b),
         partner_reads: b_cfgs.len() as u64,
         links,
@@ -229,16 +225,24 @@ pub(crate) fn rrt_cross_edge<const D: usize>(
     }
 }
 
-/// Build (really execute, once) the RRT workload.
-pub fn build_rrt_workload<const D: usize>(cfg: &ParallelRrtConfig<'_, D>) -> RrtWorkload<D> {
-    let root = cfg.env.bounds().center();
-    let sub = RadialSubdivision::sample(
-        root,
+/// The experiment's radial subdivision: cones around the workspace
+/// centre, sampled from a seed derived from `cfg.seed` alone — so the
+/// coordinator and every worker process rebuild the identical one.
+pub(crate) fn radial_subdivision<const D: usize>(
+    cfg: &ParallelRrtConfig<'_, D>,
+) -> RadialSubdivision<D> {
+    RadialSubdivision::sample(
+        cfg.env.bounds().center(),
         cfg.radius,
         cfg.num_regions,
         cfg.overlap_factor,
         derive_seed(cfg.seed, 0, 0x726_164),
-    );
+    )
+}
+
+/// Build (really execute, once) the RRT workload.
+pub fn build_rrt_workload<const D: usize>(cfg: &ParallelRrtConfig<'_, D>) -> RrtWorkload<D> {
+    let sub = radial_subdivision(cfg);
     let region_graph = RegionGraph::from_radial(&sub, cfg.k_adjacent);
 
     let regions: Vec<BranchOutcome<D>> = (0..sub.num_regions() as u32)
@@ -272,52 +276,30 @@ pub fn build_rrt_workload<const D: usize>(cfg: &ParallelRrtConfig<'_, D>) -> Rrt
     }
 }
 
-/// Result of replaying an RRT workload under one strategy at one PE count.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RrtRun {
-    /// Human-readable strategy name.
-    pub strategy_label: String,
-    /// Number of PEs (virtual) or worker threads (live).
-    pub p: usize,
-    /// End-to-end virtual (DES) or wall-clock (live) time, ns.
-    pub total_time: u64,
-    /// Per-phase split of `total_time`.
-    pub phases: PhaseBreakdown,
-    /// Report of the branch-construction phase.
-    pub construction: SimReport,
-    /// Tree nodes per PE under the initial naïve mapping.
-    pub node_load_initial: Vec<u64>,
-    /// Tree nodes per PE after balancing (final executors).
-    pub node_load_final: Vec<u64>,
-    /// Remote accesses during region connection.
-    pub remote: RemoteAccessCounter,
-    /// Region-graph edge cut under the final assignment.
-    pub edge_cut: usize,
-    /// Regions that changed owner during repartitioning.
-    pub migrations: usize,
-    /// Flat metrics: planner-level `rrt.*` rows merged with the
-    /// construction phase's `des.*` rows (DESIGN.md §9).
-    pub metrics: MetricsSnapshot,
-}
+/// Result of running the RRT under one strategy at one worker count, on
+/// any backend.
+pub type RrtRun = PlannerRun;
 
-impl RrtRun {
-    /// Coefficient of variation of the initial per-PE node load.
-    pub fn cov_before(&self) -> f64 {
-        smp_runtime::metrics::cov_u64(&self.node_load_initial)
-    }
-
-    /// Coefficient of variation of the balanced per-PE node load.
-    pub fn cov_after(&self) -> f64 {
-        smp_runtime::metrics::cov_u64(&self.node_load_final)
-    }
-}
+const RRT_METRICS: MetricNames = MetricNames {
+    p: "rrt.p",
+    regions: "rrt.regions",
+    migrations: "rrt.migrations",
+    edge_cut: "rrt.edge_cut",
+    remote_accesses: "rrt.remote.accesses",
+    remote_local: "rrt.remote.local",
+    time_total: "rrt.time.total_ns",
+    time_load_balance: "rrt.time.load_balance_ns",
+    time_balanced: "rrt.time.construction_ns",
+    time_region_connection: "rrt.time.region_connection_ns",
+};
 
 /// Replay the workload under `strategy` on `p` virtual PEs of `machine`.
 ///
 /// `Repartition` uses the k-random-rays weights measured in the workload
 /// (the only weight available *before* growth — RRT work cannot be measured
-/// a priori, §III-B). The repartitioning happens before construction, so
-/// migration ships only region descriptors.
+/// a priori, §III-B); any other weight kind fails with
+/// [`SimError::UnsupportedWeights`]. The repartitioning happens before
+/// construction, so migration ships only region descriptors.
 pub fn run_parallel_rrt<const D: usize>(
     workload: &RrtWorkload<D>,
     machine: &MachineModel,
@@ -350,14 +332,14 @@ pub fn run_parallel_rrt_observed<const D: usize>(
     p: usize,
     strategy: &Strategy,
     fault: Option<&FaultPlan>,
-    mut tracer: Option<&mut Tracer>,
+    tracer: Option<&mut Tracer>,
 ) -> Result<RrtRun, SimError> {
     if p == 0 {
         return Err(SimError::NoPes);
     }
     let nr = workload.num_regions();
     let ops = &machine.ops;
-    let phase_track = p as u32;
+    let mut timeline = Timeline::new(tracer, p);
     let costs: Vec<u64> = workload
         .regions
         .iter()
@@ -366,158 +348,174 @@ pub fn run_parallel_rrt_observed<const D: usize>(
 
     let naive = naive_block(nr, p);
 
-    let mut lb_time: u64 = 0;
-    let mut migrations = 0usize;
-    let (queues, steal) = match strategy {
-        Strategy::NoLb => (naive.items_per_pe(), None),
-        Strategy::WorkStealing(sc) => (naive.items_per_pe(), Some(*sc)),
-        Strategy::Repartition(kind) | Strategy::RectPartition(kind) => {
-            let w: Vec<f64> = match kind {
-                WeightKind::KRays(_) => workload.krays_weights.clone(),
-                other => panic!("RRT repartitioning requires KRays weights, got {other:?}"),
-            };
-            // the cost of computing the ray weights themselves
-            // (k ray casts per region, §III-B calls this expensive)
-            let krays_cost = (nr as u64 * ops.cd_check * 4) / p as u64;
-            let cur = loads(&naive, &w);
-            let mean = cur.iter().sum::<f64>() / p as f64;
-            let max = cur.iter().cloned().fold(0.0, f64::max);
-            if mean <= 0.0 || max <= mean * 1.05 {
-                lb_time = machine.barrier(p) * 2 + krays_cost + (nr as u64 * 60) / p as u64;
-                (naive.items_per_pe(), None)
-            } else if matches!(strategy, Strategy::RectPartition(_)) {
-                // the radial cones form a 1-D index space, so rectangular
-                // bisection degenerates to weight-balanced contiguous
-                // interval splitting (spatially adjacent cones stay on the
-                // same PE, unlike greedy LPT's scatter)
-                let new_map = rect_partition(&[nr], &w, p);
-                migrations = naive.migration_count(&new_map);
-                lb_time = machine.barrier(p) * 2
-                    + krays_cost
-                    + machine.lat.per_task_transfer * migrations as u64 / p.max(1) as u64
-                    + (nr as u64 * 60) / p as u64;
-                (new_map.items_per_pe(), None)
-            } else {
-                // greedy global weight partitioning (as for PRM); the
-                // weights are just a much worse predictor here
-                let new_map = greedy_lpt(&w, p);
-                migrations = naive.migration_count(&new_map);
-                // pre-construction migration: descriptors only
-                lb_time = machine.barrier(p) * 2
-                    + krays_cost
-                    + machine.lat.per_task_transfer * migrations as u64 / p.max(1) as u64
-                    + (nr as u64 * 60) / p as u64;
-                (new_map.items_per_pe(), None)
-            }
-        }
+    // Load balancing before growth, at modelled cost: two barriers, the ray
+    // casts behind the weights themselves (k per region, §III-B calls this
+    // expensive), the partition compute, and — when cones move — their
+    // descriptors (pre-construction migration ships nothing else).
+    let bal = balance(strategy, &naive, &[nr], |kind| match kind {
+        WeightKind::KRays(_) => Some(workload.krays_weights.clone()),
+        _ => None,
+    })?;
+    let lb_time = if bal.weights.is_some() {
+        let krays_cost = (nr as u64 * ops.cd_check * 4) / p as u64;
+        machine.barrier(p) * 2
+            + krays_cost
+            + machine.lat.per_task_transfer * bal.migrations as u64 / p as u64
+            + (nr as u64 * 60) / p as u64
+    } else {
+        0
     };
+    timeline.load_balance(bal.migrations, lb_time);
 
     let con_cfg = SimConfig {
         machine: machine.clone(),
-        steal,
+        steal: bal.steal,
         seed: derive_seed(workload.seed, p as u64, 3),
     };
-    if let Some(tr) = tracer.as_deref_mut() {
-        tr.name_track(phase_track, "phases");
-        tr.begin(0, phase_track, cat::PHASE, "load_balance");
-        if migrations > 0 {
-            tr.instant(
-                0,
-                phase_track,
-                cat::PHASE,
-                "repartition",
-                &[("migrations", migrations as u64)],
-            );
-        }
-        tr.end(lb_time, phase_track, cat::PHASE);
-        tr.set_base(lb_time);
-        tr.begin(0, phase_track, cat::PHASE, "construction");
-    }
+    timeline.begin("construction");
     let con_sim = simulate_observed(
         &costs,
         None,
-        &queues,
+        &bal.owners.items_per_pe(),
         &con_cfg,
         fault,
-        tracer.as_deref_mut(),
+        timeline.tracer(),
     )?;
-    if let Some(tr) = tracer.as_deref_mut() {
-        tr.end(con_sim.makespan, phase_track, cat::PHASE);
-    }
-    let mut offset = lb_time + con_sim.makespan;
-    let final_owner = con_sim.executed_by.clone();
+    timeline.end(con_sim.makespan);
 
     // region connection (with cycle pruning happening at assembly; the
     // attempts' cost is charged here)
-    let mut remote = RemoteAccessCounter::new();
-    let mut regconn_time = vec![0u64; p];
-    for c in &workload.cross {
-        let (a, b) = c.regions;
-        let oa = final_owner[a as usize] as usize;
-        let ob = final_owner[b as usize];
-        regconn_time[oa] += work_cost(&c.work, ops);
-        remote.touch_region(oa as u32, ob);
-        if oa as u32 != ob && c.partner_reads > 0 {
-            remote.roadmap_remote += c.partner_reads;
-            // one bulk RMI fetches the partner branch's boundary candidates
-            regconn_time[oa] +=
-                machine.lat.remote_access + machine.lat.per_vertex_transfer * c.partner_reads;
-        } else {
-            remote.local += c.partner_reads;
-        }
-    }
-    let regconn_max = regconn_time.iter().copied().max().unwrap_or(0);
-    if let Some(tr) = tracer {
-        tr.set_base(offset);
-        tr.begin(0, phase_track, cat::PHASE, "region_connection");
-        tr.end(regconn_max, phase_track, cat::PHASE);
-        offset += regconn_max;
-        tr.set_base(offset);
-    }
-
-    let counts = workload.node_counts();
-    let mut node_load_initial = vec![0u64; p];
-    let mut node_load_final = vec![0u64; p];
-    for r in 0..nr {
-        node_load_initial[naive.owner_of(r as u32) as usize] += counts[r] as u64;
-        node_load_final[final_owner[r] as usize] += counts[r] as u64;
-    }
-    let final_map = OwnerMap::new(final_owner, p);
-    let edge_cut = final_map.edge_cut(workload.region_graph.edges());
+    let (remote, regconn_max) =
+        modelled_region_connection(machine, p, &con_sim.executed_by, &workload.cross);
+    timeline.begin("region_connection");
+    timeline.end(regconn_max);
 
     let barriers = machine.barrier(p) * 2;
-    let phases = PhaseBreakdown {
-        other: lb_time + barriers,
-        node_connection: con_sim.makespan,
-        region_connection: regconn_max,
-    };
-
-    let mut reg = MetricsRegistry::new();
-    reg.set_gauge("rrt.p", p as u64);
-    reg.set_gauge("rrt.regions", nr as u64);
-    reg.inc("rrt.migrations", migrations as u64);
-    reg.set_gauge("rrt.edge_cut", edge_cut as u64);
-    reg.inc("rrt.remote.accesses", remote.total_remote());
-    reg.inc("rrt.remote.local", remote.local);
-    reg.set_gauge("rrt.time.total_ns", phases.total());
-    reg.set_gauge("rrt.time.load_balance_ns", lb_time);
-    reg.set_gauge("rrt.time.construction_ns", con_sim.makespan);
-    reg.set_gauge("rrt.time.region_connection_ns", regconn_max);
-    let metrics = reg.snapshot().merged_with(&con_sim.metrics);
-
-    Ok(RrtRun {
-        strategy_label: strategy.label(),
-        p,
-        total_time: phases.total(),
-        phases,
+    Ok(finish(Finish {
+        names: &RRT_METRICS,
+        extra: &[],
+        strategy,
+        naive: &naive,
+        region_graph: &workload.region_graph,
+        counts: &workload.node_counts(),
+        migrations: bal.migrations,
+        lb_time,
+        phases: PhaseBreakdown {
+            other: lb_time + barriers,
+            node_connection: con_sim.makespan,
+            region_connection: regconn_max,
+        },
         construction: con_sim,
-        node_load_initial,
-        node_load_final,
         remote,
-        edge_cut,
-        migrations,
-        metrics,
-    })
+    }))
+}
+
+/// The executing RRT pipeline (Algorithm 2 with the balancing step of
+/// Algorithms 3/4), written once for every backend that really runs the
+/// work: balance → grow → region-connect, each phase handed to `runner`.
+///
+/// Branch growth is seeded by region id, so the workload this returns —
+/// and the assembled tree digest — is byte-identical to
+/// [`build_rrt_workload`]'s at any worker count, under any strategy, on
+/// any runner.
+fn execute_rrt<const D: usize>(
+    cfg: &ParallelRrtConfig<'_, D>,
+    p: usize,
+    strategy: &Strategy,
+    runner: &mut impl PhaseRunner,
+    tracer: Option<&mut Tracer>,
+) -> Result<(RrtWorkload<D>, RrtRun), ExecError> {
+    if p == 0 {
+        return Err(SimError::NoPes.into());
+    }
+    let sub = radial_subdivision(cfg);
+    let region_graph = RegionGraph::from_radial(&sub, cfg.k_adjacent);
+    let nr = sub.num_regions();
+    let mut timeline = Timeline::new(tracer, p);
+    let naive = naive_block(nr, p);
+    let phase_seed = |phase: u64| derive_seed(cfg.seed, p as u64, phase);
+
+    // Phase 1: load balancing *before* growth (RRT work cannot be measured
+    // a priori) — wall-timed, including the real k-random-rays casts.
+    // Pre-growth migration moves descriptors only: the queues just start
+    // elsewhere.
+    let lb_clock = Instant::now();
+    let bal = balance(strategy, &naive, &[nr], |kind| match kind {
+        WeightKind::KRays(k) => Some(weights::krays_weights(cfg.env, &sub, k, cfg.seed)),
+        _ => None,
+    })?;
+    let lb_time = u64::try_from(lb_clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    timeline.load_balance(bal.migrations, lb_time);
+
+    // Phase 2: construction (branch growth) under the chosen strategy — a
+    // thief that steals a region grows (and keeps) that region's branch.
+    let queues = bal.owners.items_per_pe();
+    let grow = Phase {
+        name: "construction",
+        kind: "rrt-grow",
+        spec: ExecSpec {
+            steal: bal.steal,
+            ..static_spec(&queues, nr, phase_seed(3))
+        },
+        local: |r| grow_branch(cfg, &sub, r),
+        decode: dist::decode_branch::<D>,
+    };
+    let (branches, con_report) = runner.run(grow, &mut timeline)?;
+    let construction = con_report.to_sim_report();
+    let final_owner = &construction.executed_by;
+
+    // Phase 3: region connection on the final owner of each edge's first
+    // region.
+    let edges = region_graph.edges();
+    let edge_queues = cross_queues(edges, final_owner, p);
+    let cross = Phase {
+        name: "region_connection",
+        kind: "rrt-cross",
+        spec: static_spec(&edge_queues, edges.len(), phase_seed(4)),
+        local: |i| {
+            let (a, b) = edges[i as usize];
+            let (a_cfgs, b_cfgs) = (&branches[a as usize].cfgs, &branches[b as usize].cfgs);
+            rrt_cross_edge(cfg, a, b, a_cfgs, b_cfgs)
+        },
+        decode: dist::decode_cross,
+    };
+    let (cross_results, cross_report) = runner.run(cross, &mut timeline)?;
+
+    let counts: Vec<u32> = branches
+        .iter()
+        .map(|b| b.cfgs.len().saturating_sub(1) as u32)
+        .collect();
+    let run = finish(Finish {
+        names: &RRT_METRICS,
+        extra: &[],
+        strategy,
+        naive: &naive,
+        region_graph: &region_graph,
+        counts: &counts,
+        migrations: bal.migrations,
+        lb_time,
+        phases: PhaseBreakdown {
+            other: lb_time,
+            node_connection: construction.makespan,
+            region_connection: cross_report.makespan,
+        },
+        remote: remote_accesses(final_owner, &cross_results, |_, _, _| {}),
+        construction,
+    });
+
+    // A repartitioning run already cast its rays; reuse them.
+    let krays_weights = bal
+        .weights
+        .unwrap_or_else(|| weights::krays_weights(cfg.env, &sub, cfg.krays, cfg.seed));
+    let workload = RrtWorkload {
+        sub,
+        region_graph,
+        regions: branches,
+        cross: cross_results,
+        krays_weights,
+        seed: cfg.seed,
+    };
+    Ok((workload, run))
 }
 
 /// Run the full parallel RRT **live** on `threads` OS threads: branch
@@ -570,230 +568,49 @@ pub fn run_parallel_rrt_live_controlled<const D: usize>(
     threads: usize,
     strategy: &Strategy,
     control: &LiveControl,
-    mut tracer: Option<&mut Tracer>,
+    tracer: Option<&mut Tracer>,
 ) -> Result<LiveOutcome<(RrtWorkload<D>, RrtRun)>, ExecError> {
-    if threads == 0 {
-        return Err(SimError::NoPes.into());
-    }
-    let run_start = Instant::now();
-    let p = threads;
-    let root = cfg.env.bounds().center();
-    let sub = RadialSubdivision::sample(
-        root,
-        cfg.radius,
-        cfg.num_regions,
-        cfg.overlap_factor,
-        derive_seed(cfg.seed, 0, 0x726_164),
-    );
-    let region_graph = RegionGraph::from_radial(&sub, cfg.k_adjacent);
-    let nr = sub.num_regions();
-    let phase_track = p as u32;
-    let trace_on = tracer.is_some();
-    let naive = naive_block(nr, p);
-    // Each phase gets a fresh executor carrying the control bundle; the
-    // deadline each one receives is the whole-run budget *remaining*.
-    let mk_exec = |trace: bool| {
-        let ex = control.phase_executor(p, run_start);
-        if trace {
-            ex.with_tracing()
-        } else {
-            ex
-        }
-    };
+    let mut runner = LiveRunner::new(control);
+    let result = execute_rrt(cfg, threads, strategy, &mut runner, tracer);
+    runner.outcome(result)
+}
 
-    // Phase 1: load balancing *before* growth (RRT work cannot be measured
-    // a priori) — wall-timed, including the real k-random-rays casts.
-    let lb_clock = Instant::now();
-    let mut migrations = 0usize;
-    let (queues, steal, krays_weights) = match strategy {
-        Strategy::NoLb => (naive.items_per_pe(), None, None),
-        Strategy::WorkStealing(sc) => (naive.items_per_pe(), Some(*sc), None),
-        Strategy::Repartition(kind) | Strategy::RectPartition(kind) => {
-            let w: Vec<f64> = match kind {
-                WeightKind::KRays(k) => weights::krays_weights(cfg.env, &sub, *k, cfg.seed),
-                other => panic!("RRT repartitioning requires KRays weights, got {other:?}"),
-            };
-            let cur = loads(&naive, &w);
-            let mean = cur.iter().sum::<f64>() / p as f64;
-            let max = cur.iter().cloned().fold(0.0, f64::max);
-            if mean <= 0.0 || max <= mean * 1.05 {
-                (naive.items_per_pe(), None, Some(w))
-            } else {
-                let new_map = if matches!(strategy, Strategy::RectPartition(_)) {
-                    // 1-D cone index space: contiguous interval splitting
-                    rect_partition(&[nr], &w, p)
-                } else {
-                    greedy_lpt(&w, p)
-                };
-                migrations = naive.migration_count(&new_map);
-                // pre-growth migration moves descriptors only — free in
-                // shared memory (the queues just start elsewhere)
-                (new_map.items_per_pe(), None, Some(w))
-            }
-        }
+/// Run the full parallel RRT on `p` worker **processes** via a pre-built
+/// [`DistExecutor`]: the same pipeline as [`run_parallel_rrt_live`], with
+/// the same cross-backend digest-identity guarantee as
+/// [`crate::parallel_prm::run_parallel_prm_dist_with`]. The k-random-rays
+/// weights are computed coordinator-side.
+pub fn run_parallel_rrt_dist_with<const D: usize>(
+    cfg: &ParallelRrtConfig<'_, D>,
+    p: usize,
+    strategy: &Strategy,
+    exec: &mut DistExecutor,
+) -> Result<(RrtWorkload<D>, RrtRun), ExecError> {
+    let mut runner = DistRunner {
+        exec,
+        blob: dist::encode_rrt_blob(cfg),
     };
-    let lb_time = u64::try_from(lb_clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    if let Some(tr) = tracer.as_deref_mut() {
-        tr.name_track(phase_track, "phases");
-        tr.begin(0, phase_track, cat::PHASE, "load_balance");
-        if migrations > 0 {
-            tr.instant(
-                0,
-                phase_track,
-                cat::PHASE,
-                "repartition",
-                &[("migrations", migrations as u64)],
-            );
-        }
-        tr.end(lb_time, phase_track, cat::PHASE);
-    }
-    let mut offset = lb_time;
+    execute_rrt(cfg, p, strategy, &mut runner, None)
+}
 
-    // Phase 2: construction (branch growth) under the chosen strategy — a
-    // thief that steals a region grows (and keeps) that region's branch.
-    let mut ex = mk_exec(trace_on);
-    let con_spec = ExecSpec {
-        n_tasks: nr,
-        costs: None,
-        payloads: None,
-        assignment: &queues,
-        steal,
-        seed: derive_seed(cfg.seed, p as u64, 3),
-    };
-    let con_full = ex.execute_resilient(&con_spec, &|r| grow_branch(cfg, &sub, r))?;
-    let (con_results, con_report) = match phase_complete(con_full, "construction")? {
-        Ok(done) => done,
-        Err(partial) => return Ok(LiveOutcome::Partial(partial)),
-    };
-    let con_makespan = con_report.makespan;
-    if let Some(tr) = tracer.as_deref_mut() {
-        tr.set_base(offset);
-        tr.begin(0, phase_track, cat::PHASE, "construction");
-        ex.replay_trace_into(tr);
-        tr.end(con_makespan, phase_track, cat::PHASE);
-    }
-    offset += con_makespan;
-    let final_owner: Vec<u32> = con_report.executed_by.clone();
-    let branches = con_results;
-
-    // Phase 3: region connection — each region-graph edge runs on the
-    // final owner of its first region.
-    let edges: Vec<(u32, u32)> = region_graph.edges().to_vec();
-    let mut cross_queues: Vec<Vec<u32>> = vec![Vec::new(); p];
-    for (i, &(a, _)) in edges.iter().enumerate() {
-        cross_queues[final_owner[a as usize] as usize].push(i as u32);
-    }
-    let mut ex = mk_exec(trace_on);
-    let cross_spec = ExecSpec {
-        n_tasks: edges.len(),
-        costs: None,
-        payloads: None,
-        assignment: &cross_queues,
-        steal: None,
-        seed: derive_seed(cfg.seed, p as u64, 4),
-    };
-    let cross_full = ex.execute_resilient(&cross_spec, &|i| {
-        let (a, b) = edges[i as usize];
-        rrt_cross_edge(
-            cfg,
-            a,
-            b,
-            &branches[a as usize].cfgs,
-            &branches[b as usize].cfgs,
-        )
-    })?;
-    let (cross_results, cross_report) = match phase_complete(cross_full, "region_connection")? {
-        Ok(done) => done,
-        Err(partial) => return Ok(LiveOutcome::Partial(partial)),
-    };
-    let cross_makespan = cross_report.makespan;
-    if let Some(tr) = tracer {
-        tr.set_base(offset);
-        tr.begin(0, phase_track, cat::PHASE, "region_connection");
-        ex.replay_trace_into(tr);
-        tr.end(cross_makespan, phase_track, cat::PHASE);
-        tr.set_base(offset + cross_makespan);
-    }
-
-    // Logical remote-access accounting, as in the PRM live path.
-    let mut remote = RemoteAccessCounter::new();
-    for c in &cross_results {
-        let (a, b) = c.regions;
-        let oa = final_owner[a as usize];
-        let ob = final_owner[b as usize];
-        remote.touch_region(oa, ob);
-        if oa != ob && c.partner_reads > 0 {
-            remote.roadmap_remote += c.partner_reads;
-        } else {
-            remote.local += c.partner_reads;
-        }
-    }
-
-    let counts: Vec<u32> = branches
-        .iter()
-        .map(|b| b.cfgs.len().saturating_sub(1) as u32)
-        .collect();
-    let mut node_load_initial = vec![0u64; p];
-    let mut node_load_final = vec![0u64; p];
-    for r in 0..nr {
-        node_load_initial[naive.owner_of(r as u32) as usize] += counts[r] as u64;
-        node_load_final[final_owner[r] as usize] += counts[r] as u64;
-    }
-    let final_map = OwnerMap::new(final_owner, p);
-    let edge_cut = final_map.edge_cut(region_graph.edges());
-
-    let phases = PhaseBreakdown {
-        other: lb_time,
-        node_connection: con_makespan,
-        region_connection: cross_makespan,
-    };
-    let construction = con_report.to_sim_report();
-
-    let krays_weights =
-        krays_weights.unwrap_or_else(|| weights::krays_weights(cfg.env, &sub, cfg.krays, cfg.seed));
-    let workload = RrtWorkload {
-        sub,
-        region_graph,
-        regions: branches,
-        cross: cross_results,
-        krays_weights,
-        seed: cfg.seed,
-    };
-
-    let mut reg = MetricsRegistry::new();
-    reg.set_gauge("rrt.p", p as u64);
-    reg.set_gauge("rrt.regions", nr as u64);
-    reg.inc("rrt.migrations", migrations as u64);
-    reg.set_gauge("rrt.edge_cut", edge_cut as u64);
-    reg.inc("rrt.remote.accesses", remote.total_remote());
-    reg.inc("rrt.remote.local", remote.local);
-    reg.set_gauge("rrt.time.total_ns", phases.total());
-    reg.set_gauge("rrt.time.load_balance_ns", lb_time);
-    reg.set_gauge("rrt.time.construction_ns", con_makespan);
-    reg.set_gauge("rrt.time.region_connection_ns", cross_makespan);
-    let metrics = reg.snapshot().merged_with(&construction.metrics);
-
-    let run = RrtRun {
-        strategy_label: strategy.label(),
-        p,
-        total_time: phases.total(),
-        phases,
-        construction,
-        node_load_initial,
-        node_load_final,
-        remote,
-        edge_cut,
-        migrations,
-        metrics,
-    };
-    Ok(LiveOutcome::Complete((workload, run)))
+/// As [`run_parallel_rrt_dist_with`], spawning `p` worker processes of the
+/// `smp-dist-worker` binary (the `Backend::Dist` entry point).
+pub fn run_parallel_rrt_dist<const D: usize>(
+    cfg: &ParallelRrtConfig<'_, D>,
+    p: usize,
+    strategy: &Strategy,
+    tuning: DistTuning,
+) -> Result<(RrtWorkload<D>, RrtRun), ExecError> {
+    let mut exec = DistExecutor::new(DistOptions::process(tuning)?);
+    run_parallel_rrt_dist_with(cfg, p, strategy, &mut exec)
 }
 
 /// Backend-agnostic entry point, mirroring
 /// [`crate::parallel_prm::run_parallel_prm_on`]: `Backend::Des` measures
 /// the workload once and replays it on `p` virtual PEs of `machine`;
-/// `Backend::Live` executes it on `p` OS threads (`machine` unused). The
-/// returned workloads assemble to the same tree for the same `cfg.seed`.
+/// `Backend::Live` executes it on `p` OS threads and `Backend::Dist` on
+/// `p` worker processes (`machine` unused). The returned workloads
+/// assemble to the same tree for the same `cfg.seed`.
 pub fn run_parallel_rrt_on<const D: usize>(
     cfg: &ParallelRrtConfig<'_, D>,
     machine: &MachineModel,
@@ -808,14 +625,16 @@ pub fn run_parallel_rrt_on<const D: usize>(
             Ok((workload, run))
         }
         Backend::Live(tuning) => run_parallel_rrt_live(cfg, p, strategy, tuning),
-        Backend::Dist(tuning) => crate::dist::run_parallel_rrt_dist(cfg, p, strategy, tuning),
+        Backend::Dist(tuning) => run_parallel_rrt_dist(cfg, p, strategy, tuning),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::assert_phase_spans;
     use smp_geom::envs;
+    use smp_obs::cat;
     use smp_runtime::{StealConfig, StealPolicyKind};
 
     fn mixed_workload() -> RrtWorkload<3> {
@@ -969,14 +788,11 @@ mod tests {
         let observed =
             run_parallel_rrt_observed(&w, &machine, 16, &s, None, Some(&mut tr)).unwrap();
         tr.check_well_formed().expect("planner trace well-formed");
-        for name in ["load_balance", "construction", "region_connection"] {
-            assert!(
-                tr.events()
-                    .iter()
-                    .any(|e| e.track == 16 && e.cat == cat::PHASE && e.name == name),
-                "missing phase span {name}"
-            );
-        }
+        assert_phase_spans(
+            &tr,
+            16,
+            &["load_balance", "construction", "region_connection"],
+        );
         let plain = run_parallel_rrt(&w, &machine, 16, &s).unwrap();
         assert_eq!(observed.total_time, plain.total_time);
         assert_eq!(observed.construction, plain.construction);
@@ -1037,43 +853,17 @@ mod tests {
             run_parallel_rrt_live_observed(&cfg, 2, &s, LiveTuning::default(), Some(&mut tr))
                 .unwrap();
         tr.check_well_formed().expect("live rrt trace well-formed");
-        for name in ["load_balance", "construction", "region_connection"] {
-            assert!(
-                tr.events()
-                    .iter()
-                    .any(|e| e.track == 2 && e.cat == cat::PHASE && e.name == name),
-                "missing phase span {name}"
-            );
-        }
+        assert_phase_spans(
+            &tr,
+            2,
+            &["load_balance", "construction", "region_connection"],
+        );
         let task_events = tr.events().iter().filter(|e| e.cat == cat::TASK).count();
         assert_eq!(
             task_events,
             2 * (w.num_regions() + w.region_graph.num_edges())
         );
         assert_eq!(run.metrics.expect("rrt.regions") as usize, w.num_regions());
-    }
-
-    #[test]
-    fn backend_dispatch_matches_across_rrt_backends() {
-        use crate::assemble::{assemble_rrt_tree, roadmap_digest};
-        let env = envs::free_env();
-        let cfg = ParallelRrtConfig {
-            num_regions: 32,
-            nodes_per_region: 8,
-            max_iters: 80,
-            lp_resolution: 0.05,
-            ..ParallelRrtConfig::new(&env)
-        };
-        let machine = MachineModel::opteron();
-        let s = Strategy::NoLb;
-        let (wd, _) =
-            run_parallel_rrt_on(&cfg, &machine, 4, &s, smp_runtime::Backend::Des).unwrap();
-        let (wl, _) =
-            run_parallel_rrt_on(&cfg, &machine, 4, &s, smp_runtime::Backend::live(4)).unwrap();
-        assert_eq!(
-            roadmap_digest(&assemble_rrt_tree(&wd)),
-            roadmap_digest(&assemble_rrt_tree(&wl))
-        );
     }
 
     #[test]

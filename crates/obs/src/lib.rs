@@ -58,8 +58,6 @@ pub mod cat {
     pub const FAULT: &str = "fault";
     /// Planner phase spans (sample / repartition / connect / assemble).
     pub const PHASE: &str = "phase";
-    /// Host thread-pool events.
-    pub const POOL: &str = "pool";
     /// Restart-portfolio events: round starts, first-success cancellation
     /// fan-out, loser settlement. The matching metrics taxonomy is
     /// `portfolio.*` — deterministic ledger fields (members, rounds,

@@ -14,7 +14,8 @@
 //! Reading validates magic, version, length bound, and checksum before the
 //! payload is handed to the message decoder, and returns a structured
 //! [`FrameError`] on any mismatch — corrupt or truncated frames can never
-//! panic the peer. The frame layer is transport-agnostic: it only needs
+//! panic the peer, nor make it allocate much more than they actually
+//! send. The frame layer is transport-agnostic: it only needs
 //! `Read`/`Write`.
 
 use std::io::{self, Read, Write};
@@ -26,6 +27,12 @@ pub const VERSION: u8 = 1;
 /// Maximum accepted payload size (64 MiB); larger frames are rejected
 /// before allocation.
 pub const MAX_FRAME: usize = 64 * 1024 * 1024;
+/// Largest payload buffer allocated on the header's word alone. The
+/// checksum can only be verified once the payload is in, so a longer
+/// claim is believed only as far as bytes have actually arrived: the
+/// buffer at most doubles per completed read, bounding what a 17-byte
+/// header can make a peer allocate.
+const EAGER_PAYLOAD: usize = 64 * 1024;
 /// Fixed header size in bytes (magic + version + length + checksum).
 pub const HEADER_LEN: usize = 17;
 
@@ -150,8 +157,13 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, FrameError> {
         header[9], header[10], header[11], header[12], header[13], header[14], header[15],
         header[16],
     ]);
-    let mut payload = vec![0u8; len];
+    let mut payload = vec![0u8; len.min(EAGER_PAYLOAD)];
     r.read_exact(&mut payload)?;
+    while payload.len() < len {
+        let have = payload.len();
+        payload.resize(len.min(have * 2), 0);
+        r.read_exact(&mut payload[have..])?;
+    }
     let actual = fnv1a(&payload);
     if actual != expected {
         return Err(FrameError::ChecksumMismatch { expected, actual });

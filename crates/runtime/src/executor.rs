@@ -2,8 +2,11 @@
 //!
 //! The planners in `smp-core` describe a phase as *data* — a set of
 //! independent tasks, an initial per-worker assignment, and an optional
-//! steal configuration — and hand it to an [`Executor`] to run. Two
-//! interchangeable backends implement the contract (DESIGN.md §12):
+//! steal configuration — and hand it to a backend to run. Two
+//! interchangeable backends implement the [`Executor`] contract over a
+//! task *closure* (DESIGN.md §12); the third, [`crate::dist::DistExecutor`],
+//! takes the same [`ExecSpec`] but ships the work to other processes as
+//! bytes, so it has its own entry point:
 //!
 //! * [`DesExecutor`] replays the phase through the deterministic
 //!   discrete-event simulator ([`crate::sim`]) in **virtual time**. It is
@@ -73,7 +76,7 @@ use smp_obs::MetricsSnapshot;
 
 /// Why an execution did not complete normally.
 ///
-/// Every failure mode of either backend is representable here, so callers
+/// Every failure mode of any backend is representable here, so callers
 /// can match on the cause instead of unwinding: spec/plan validation
 /// failures wrap the existing [`SimError`] taxonomy, and the live
 /// backend's runtime failures (panics that killed every recovery path,
@@ -362,7 +365,7 @@ pub struct ExecOutcome<R> {
 /// used with static dispatch (it is not object-safe); planner code selects
 /// a backend with the [`Backend`] enum instead of `dyn Executor`.
 pub trait Executor {
-    /// Short backend name for labels (`"des"` / `"live"`).
+    /// Short backend name for labels (`"des"` / `"live"` / `"dist"`).
     fn name(&self) -> &'static str;
     /// The time base of the reports this backend produces.
     fn mode(&self) -> ExecMode;

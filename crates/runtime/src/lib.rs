@@ -1,4 +1,4 @@
-//! # smp-runtime — simulated distributed runtime + real thread pool
+//! # smp-runtime — simulated distributed runtime + executing backends
 //!
 //! The paper runs on STAPL over MPI on a Cray XE6 and an Opteron cluster.
 //! This crate substitutes that stack with two components (DESIGN.md §2):
@@ -11,14 +11,13 @@
 //!    Task *costs* are measured by really executing the planners once
 //!    (region work is location-independent); every load-balancing strategy
 //!    is then replayed exactly in virtual time.
-//! 2. A **real work-stealing thread pool** ([`threadpool`]) built on
-//!    `crossbeam-deque`, used for genuine on-host parallelism (examples,
-//!    one-pass cost measurement, wall-clock benches).
-//! 3. An **execution-backend abstraction** ([`executor`]): planners emit
-//!    per-phase [`ExecSpec`]s and run them on either the DES
-//!    ([`DesExecutor`], virtual time, schedule-deterministic) or the
-//!    **live shared-memory backend** ([`live`]: [`LiveExecutor`], real OS
-//!    threads, wall-clock time, result-deterministic) — DESIGN.md §12.
+//! 2. An **execution-backend abstraction** ([`executor`]): planners emit
+//!    per-phase [`ExecSpec`]s and run them on the DES ([`DesExecutor`],
+//!    virtual time, schedule-deterministic), the **live shared-memory
+//!    backend** ([`live`]: [`LiveExecutor`], real OS threads, wall-clock
+//!    time, result-deterministic) or the **multi-process backend**
+//!    ([`dist`]: [`DistExecutor`], worker processes over framed sockets)
+//!    — DESIGN.md §12.
 //!
 //! [`machine`] defines the virtual machine models (`HOPPER`, `OPTERON`);
 //! [`topology`] the 2-D processor mesh used by diffusive stealing;
@@ -42,7 +41,6 @@ pub mod metrics;
 pub mod rect;
 pub mod sim;
 pub mod steal;
-pub mod threadpool;
 pub mod topology;
 
 pub use cancel::CancelToken;
@@ -66,7 +64,6 @@ pub use sim::{
 };
 pub use smp_obs::{MetricsRegistry, MetricsSnapshot, Tracer};
 pub use steal::StealPolicyKind;
-pub use threadpool::{pool_metrics, TaskPanic, WorkStealingPool, WorkerStats};
 pub use topology::Mesh;
 
 /// Virtual time in nanoseconds.

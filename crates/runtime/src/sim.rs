@@ -87,6 +87,11 @@ pub enum SimError {
     },
     /// The DES backend needs measured task costs but the spec had none.
     MissingCosts,
+    /// A repartitioning strategy named a weight kind the planner cannot
+    /// resolve on its own (rendered kind, e.g. `"Probe(16)"`): PRM
+    /// resolves `SampleCount` and `Vfree`, RRT resolves `KRays`. The same
+    /// value on every backend.
+    UnsupportedWeights(String),
 }
 
 impl std::fmt::Display for SimError {
@@ -116,6 +121,12 @@ impl std::fmt::Display for SimError {
             }
             SimError::MissingCosts => {
                 write!(f, "the DES backend requires measured task costs")
+            }
+            SimError::UnsupportedWeights(kind) => {
+                write!(
+                    f,
+                    "{kind} repartitioning weights are not supported by this planner"
+                )
             }
         }
     }

@@ -9,7 +9,64 @@ use smp_runtime::dist::frame::{fnv1a, read_frame, write_frame, HEADER_LEN, MAX_F
 use smp_runtime::dist::wire::{WireReader, WireWriter};
 use smp_runtime::dist::{FrameError, Msg};
 use smp_runtime::StealAmount;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::Cursor;
+
+/// Counts the bytes each thread requests from the heap (the pattern of
+/// `crates/graph/tests/alloc_free.rs`, per thread because the other cases
+/// here run concurrently).
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    // `try_with`: the allocator outlives a thread's locals.
+    let _ = ALLOCATED.try_with(|a| a.set(a.get() + bytes));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the only addition
+// is a thread-local counter that itself never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static COUNTING: CountingAlloc = CountingAlloc;
+
+/// A 17-byte header may *claim* the largest legal payload; until bytes
+/// actually arrive the reader must not believe it. (The checksum cannot
+/// help here: it is only checkable once the whole payload is in.)
+#[test]
+fn a_lying_length_prefix_cannot_force_a_large_allocation() {
+    let mut buf = framed(&[]);
+    buf[5..9].copy_from_slice(&(MAX_FRAME as u32).to_le_bytes());
+    buf.extend_from_slice(&[1, 2, 3]);
+    let before = ALLOCATED.with(Cell::get);
+    let res = read_frame(&mut Cursor::new(&buf));
+    let allocated = ALLOCATED.with(Cell::get) - before;
+    assert!(matches!(res, Err(FrameError::Truncated)), "{res:?}");
+    assert!(
+        allocated < 1 << 20,
+        "{allocated} bytes allocated for a frame that delivered 3"
+    );
+}
 
 fn framed(payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::new();
@@ -20,10 +77,12 @@ fn framed(payload: &[u8]) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Arbitrary payload bytes survive a frame round-trip unchanged.
+    /// Arbitrary payload bytes survive a frame round-trip unchanged —
+    /// including payloads several times the reader's eager buffer, which
+    /// arrive in more than one read.
     #[test]
     fn frame_roundtrips_arbitrary_payloads(
-        payload in prop::collection::vec(0u8..255, 0..2048),
+        payload in prop::collection::vec(0u8..255, 0..300_000),
     ) {
         let buf = framed(&payload);
         prop_assert_eq!(buf.len(), HEADER_LEN + payload.len());
@@ -35,7 +94,7 @@ proptest! {
     /// (kill-recovery relies on this: a dying worker tears its last frame).
     #[test]
     fn truncated_frames_are_structured_errors(
-        payload in prop::collection::vec(0u8..255, 1..512),
+        payload in prop::collection::vec(0u8..255, 1..300_000),
         cut_frac in 0u32..1000,
     ) {
         let buf = framed(&payload);

@@ -1,0 +1,15 @@
+//! Per-crate integration suites this repo's tier-1 gate must see.
+//!
+//! `cargo test` at the workspace root runs only the umbrella package, so
+//! a suite under `crates/*/tests/` can be red while tier-1 is green. The
+//! ones that guard the layers the planner pipelines stand on — the dist
+//! wire protocol and framing, and the batch collision kernels — are
+//! compiled into this target as modules, unchanged (they still run in
+//! their own crates under `cargo test --workspace`).
+
+#[path = "../crates/geom/tests/batch_prop.rs"]
+mod geom_batch_prop;
+#[path = "../crates/runtime/tests/dist_framing_props.rs"]
+mod runtime_dist_framing_props;
+#[path = "../crates/runtime/tests/dist_protocol.rs"]
+mod runtime_dist_protocol;
