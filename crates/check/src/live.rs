@@ -229,8 +229,12 @@ fn exactly_once_live(spec: &CaseSpec, outcome: &ExecOutcome<u64>, out: &mut Vec<
 
 /// Steal-traffic bookkeeping closes on the live protocol: every request
 /// is a grant or a denial, every off-owner execution is backed by a
-/// transfer, batches respect the configured bound, and a static schedule
-/// records no traffic at all.
+/// transfer (`stolen_exec <= transferred`, with equality exactly when no
+/// task hops twice: `tasks_transferred` counts every hop of a steal
+/// chain, so a task re-stolen from a thief's queue or stolen back to its
+/// initial owner adds a transfer with no off-owner execution), batches
+/// respect the configured bound, and a static schedule records no traffic
+/// at all.
 fn steal_accounting_live(spec: &CaseSpec, outcome: &ExecOutcome<u64>, out: &mut Vec<Violation>) {
     let report = &outcome.report;
     if report.steal_attempts != report.steal_hits + report.steal_misses {
@@ -257,13 +261,11 @@ fn steal_accounting_live(spec: &CaseSpec, outcome: &ExecOutcome<u64>, out: &mut 
         .iter()
         .map(|&e| u64::from(e))
         .sum();
-    // no faults live: every off-owner execution came from exactly one
-    // transfer, and every transferred task executes off-owner
-    if stolen_exec != report.tasks_transferred {
+    if stolen_exec > report.tasks_transferred {
         fail!(
             out,
             "steal_accounting_live",
-            "{stolen_exec} stolen executions but {} transfers",
+            "{stolen_exec} stolen executions but only {} transfers",
             report.tasks_transferred
         );
     }
@@ -287,13 +289,11 @@ fn steal_accounting_live(spec: &CaseSpec, outcome: &ExecOutcome<u64>, out: &mut 
 
 /// Steal bookkeeping under faults: the attempt ledger stays exact, and
 /// every off-owner execution must be backed by a steal grant or a
-/// recovery (`stolen_exec <= transferred + recovered`). The converse is
-/// *not* a law: `tasks_transferred` counts every hop of a steal chain,
-/// so a task re-stolen from a thief's queue — or stolen back to its
-/// initial owner, which stragglers make likely — adds a transfer with no
-/// off-owner execution. Batch bounds and the static-schedule
-/// zero-traffic law are fault-free-only oracles and are not enforced
-/// here.
+/// recovery (`stolen_exec <= transferred + recovered`; as in
+/// [`steal_accounting_live`] equality is not a law, and stragglers make
+/// re-steals and steal-backs likely). Batch bounds and the
+/// static-schedule zero-traffic law are fault-free-only oracles and are
+/// not enforced here.
 fn steal_accounting_live_faulted(
     spec: &CaseSpec,
     outcome: &ExecOutcome<u64>,

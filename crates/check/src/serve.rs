@@ -15,7 +15,8 @@
 //! - **differential_modes** — the batched run's answers digest equals a
 //!   sequential one-at-a-time replay;
 //! - **differential_backends** — the live shared-memory backend returns
-//!   the same answers digest as the DES;
+//!   the same answers digest as the DES, from the same batches, one
+//!   executor phase each;
 //! - **snapshot_reuse** — every request on the same `(env, robot)` key
 //!   is answered against the same roadmap digest;
 //! - **expiry_exact** — a request expires iff its deterministic service
@@ -104,7 +105,10 @@ pub fn request_of(r: &ServeCaseRequest) -> PlanRequest {
 
 /// Generate a random serve case from `seed`: 1–20 requests with mixed
 /// tenant classes, bursty monotone arrivals, ~1/3 carrying a tight
-/// logical deadline, on 1–4 threads with small batch and cache caps.
+/// logical deadline, on 1–8 threads with small batch and cache caps
+/// (batches hold at most 5 queries, so most cases have more threads
+/// than any batch has queries and sweep the live backend's
+/// `min(threads, batch)` phase sizing).
 pub fn generate_serve_case(seed: u64) -> ServeCase {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5E21_CA5E);
     let n = rng.random_range(1usize..21);
@@ -134,7 +138,7 @@ pub fn generate_serve_case(seed: u64) -> ServeCase {
     }
     ServeCase {
         requests,
-        threads: rng.random_range(1usize..5),
+        threads: rng.random_range(1usize..9),
         batch_max: rng.random_range(1usize..6),
         cache_capacity: rng.random_range(1usize..3),
         seed: rng.next_u64(),
@@ -244,6 +248,16 @@ pub fn check_serve_case(case: &ServeCase) -> Vec<Violation> {
                     "live {:#018x} != DES {:#018x}",
                     live.answers_digest,
                     des.answers_digest
+                );
+            }
+            if (live.batches, live.submissions) != (des.batches, des.batches) {
+                fail!(
+                    out,
+                    "differential_backends",
+                    "live ran {} batches as {} executor phases, DES {} batches",
+                    live.batches,
+                    live.submissions,
+                    des.batches
                 );
             }
         }
@@ -489,9 +503,11 @@ mod tests {
         let mut classes = (0, 0);
         let mut deadlines = 0;
         let mut unknown = 0;
+        let mut wider_than_a_batch = 0;
         for s in 0..32 {
             let a = generate_serve_case(s);
             assert_eq!(a, generate_serve_case(s));
+            wider_than_a_batch += usize::from(a.threads > a.batch_max);
             for r in &a.requests {
                 if r.batch {
                     classes.1 += 1;
@@ -505,6 +521,7 @@ mod tests {
         assert!(classes.0 > 0 && classes.1 > 0);
         assert!(deadlines > 0);
         assert!(unknown > 0);
+        assert!(wider_than_a_batch > 0 && wider_than_a_batch < 32);
     }
 
     #[test]

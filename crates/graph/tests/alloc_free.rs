@@ -2,29 +2,40 @@
 //!
 //! ISSUE 4 requires *zero heap allocations per `k_nearest_into` query*
 //! (after buffer warm-up) — asserted here with a counting global allocator.
-//! This test binary gets its own allocator, so the counts are exact.
+//! This test binary gets its own allocator and the counter is per thread
+//! (the harness runs these cases concurrently, each on its own thread), so
+//! a window counts exactly the asserting test's allocations.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use smp_geom::Point;
 use smp_graph::{IncrementalNn, KdTree, KnnScratch};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count() {
+    // `try_with`: the allocator outlives a thread's locals.
+    let _ = ALLOCS.try_with(|a| a.set(a.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the only addition
+// is a thread-local counter that itself never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -32,8 +43,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static A: CountingAlloc = CountingAlloc;
 
+/// Allocations made by the calling thread so far.
 fn alloc_count() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 fn random_points(n: usize, seed: u64) -> Vec<Point<3>> {

@@ -3,8 +3,10 @@
 //!
 //! Where the DES *replays* measured task costs in virtual time
 //! ([`crate::sim`]), [`LiveExecutor`] actually runs the task closures on
-//! `spec.assignment.len()` worker threads. The protocol mirrors the
-//! simulated one end to end (DESIGN.md §12):
+//! `spec.assignment.len()` worker threads (a one-queue phase has no
+//! peers, so its single worker loop runs on the calling thread instead
+//! of a spawned one). The protocol mirrors the simulated one end to end
+//! (DESIGN.md §12):
 //!
 //! * every worker owns a mutex-protected region queue, seeded from the
 //!   phase's initial assignment, and executes from its **front**;
@@ -282,8 +284,10 @@ impl<T> LiveOutcome<T> {
 ///
 /// The worker count is `spec.assignment.len()` — one thread per queue —
 /// so the same `ExecSpec` that the DES treats as `p` virtual PEs runs
-/// here as `p` host threads. [`LiveExecutor::threads`] is what planner
-/// entry points size their assignments to.
+/// here as `p` host threads; with `p == 1` the one worker is the calling
+/// thread, with `p >= 2` every worker is spawned and the caller only
+/// joins. [`LiveExecutor::threads`] is what planner entry points size
+/// their assignments to.
 #[derive(Debug)]
 pub struct LiveExecutor {
     threads: usize,
@@ -409,56 +413,55 @@ impl LiveExecutor {
         let epoch = Instant::now();
         let deadline_at = self.deadline.map(|d| epoch + d);
 
-        let locals: Vec<WorkerLocal> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..p)
-                .map(|w| {
-                    let queues = &queues;
-                    let results = &results;
-                    let remaining = &remaining;
-                    let lost = &lost;
-                    let alive = &alive;
-                    let death_lock = &death_lock;
-                    let stop_cause = &stop_cause;
-                    let grant_seq = &grant_seq;
-                    let mesh = &mesh;
-                    let initial_owner = &initial_owner;
-                    let tuning = self.tuning;
-                    let cancel = self.cancel.clone();
-                    let faults = self.faults.clone();
-                    s.spawn(move || {
-                        worker_loop(WorkerCtx {
-                            w,
-                            queues,
-                            results,
-                            remaining,
-                            lost,
-                            alive,
-                            death_lock,
-                            stop_cause,
-                            grant_seq,
-                            mesh,
-                            initial_owner,
-                            steal: spec.steal,
-                            seed: spec.seed,
-                            tuning,
-                            cancel,
-                            deadline_at,
-                            faults,
-                            epoch,
-                            trace_on,
-                            work,
-                        })
+        let ctx = |w: usize| WorkerCtx {
+            w,
+            queues: &queues,
+            results: &results,
+            remaining: &remaining,
+            lost: &lost,
+            alive: &alive,
+            death_lock: &death_lock,
+            stop_cause: &stop_cause,
+            grant_seq: &grant_seq,
+            mesh: &mesh,
+            initial_owner: &initial_owner,
+            steal: spec.steal,
+            seed: spec.seed,
+            tuning: self.tuning,
+            cancel: self.cancel.clone(),
+            deadline_at,
+            faults: self.faults.clone(),
+            epoch,
+            trace_on,
+            work,
+        };
+        // Workers catch task panics themselves; a panic escaping the
+        // worker loop is an executor bug, but even then we degrade to an
+        // empty tally instead of aborting the caller.
+        let locals: Vec<WorkerLocal> = if p == 1 {
+            // One queue has no peer to steal from or to hand orphans to,
+            // so a thread for it buys nothing but its spawn and join: the
+            // caller runs the same worker loop. Phases with two or more
+            // queues always spawn — the caller never doubles as worker 0.
+            let only = ctx(0);
+            vec![
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker_loop(only)))
+                    .unwrap_or_default(),
+            ]
+        } else {
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..p)
+                    .map(|w| {
+                        let worker = ctx(w);
+                        s.spawn(move || worker_loop(worker))
                     })
-                })
-                .collect();
-            // Workers catch task panics themselves; a panic escaping the
-            // worker loop is an executor bug, but even then we degrade to
-            // an empty tally instead of aborting the caller.
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_default())
-                .collect()
-        });
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_default())
+                    .collect()
+            })
+        };
         let makespan = elapsed_ns(epoch);
         let not_executed = remaining.load(Ordering::Acquire);
         let executed = spec.n_tasks - not_executed;
@@ -1043,7 +1046,9 @@ mod tests {
                 .iter()
                 .map(|&x| u64::from(x))
                 .sum();
-            assert_eq!(stolen, out.report.tasks_transferred);
+            // every hop of a steal chain is a transfer, so a task
+            // stolen twice makes this strict
+            assert!(stolen <= out.report.tasks_transferred);
         }
     }
 
@@ -1218,15 +1223,21 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, ExecError::Sim(SimError::InvalidFaultPlan(_))));
 
+        // One queue runs on the calling thread: the panic is caught on
+        // the caller's own stack and still comes back as a value.
+        let caller = std::thread::current().id();
+        let ran_on = Mutex::new(Vec::new());
         let result = with_quiet_panics(|| {
             let mut ex = LiveExecutor::new(1, LiveTuning::default());
             ex.execute(&spec(n, &assignment, None), &|t: u32| {
+                ran_on.lock().push(std::thread::current().id());
                 if t == 1 {
                     panic!("irrecoverable");
                 }
                 region_work(t)
             })
         });
+        assert_eq!(*ran_on.lock(), vec![caller; 2]);
         match result.unwrap_err() {
             ExecError::WorkerPanic {
                 workers,
@@ -1239,6 +1250,69 @@ mod tests {
             }
             other => panic!("expected WorkerPanic, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn one_queue_phases_run_on_the_caller_and_wider_phases_never_do() {
+        let caller = std::thread::current().id();
+        let n = 6;
+        for p in [1usize, 2, 3] {
+            let assignment: Vec<Vec<u32>> = (0..p)
+                .map(|w| (0..n as u32).filter(|t| *t as usize % p == w).collect())
+                .collect();
+            for steal in [None, Some(StealConfig::new(StealPolicyKind::Hybrid(8)))] {
+                let mut ex = LiveExecutor::new(p, LiveTuning::default());
+                let out = ex
+                    .execute(&spec(n, &assignment, steal), &|t: u32| {
+                        (std::thread::current().id(), region_work(t))
+                    })
+                    .expect("execute");
+                for (t, (ran_on, value)) in out.results.iter().enumerate() {
+                    assert_eq!(*value, region_work(t as u32));
+                    assert_eq!(
+                        *ran_on == caller,
+                        p == 1,
+                        "task {t} of a {p}-queue phase, steal={steal:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_queue_phase_stops_return_partials_to_the_caller() {
+        // A fired token and a spent deadline, on the path that runs the
+        // worker loop on the calling thread.
+        let n = 4;
+        let assignment = vec![vec![0, 1, 2, 3]];
+
+        let token = CancelToken::new();
+        token.cancel();
+        let out = LiveExecutor::new(1, LiveTuning::default())
+            .with_cancel(token)
+            .execute_resilient(&spec(n, &assignment, None), &region_work)
+            .expect("cancelled run");
+        assert_eq!(
+            out.status,
+            RunStatus::Cancelled {
+                executed: 0,
+                total: n
+            }
+        );
+        assert!(out.results.iter().all(|r| r.is_none()));
+
+        let out = LiveExecutor::new(1, LiveTuning::default())
+            .with_deadline(Duration::ZERO)
+            .execute_resilient(&spec(n, &assignment, None), &region_work)
+            .expect("deadline run");
+        assert_eq!(
+            out.status,
+            RunStatus::DeadlineExceeded {
+                executed: 0,
+                total: n
+            }
+        );
+        assert!(out.results.iter().all(|r| r.is_none()));
     }
 
     #[test]

@@ -6,26 +6,38 @@
 //! roadmap). This crate serves the second phase as a multi-tenant
 //! request/response loop while amortising the first:
 //!
-//! * **Admission** ([`AdmissionQueue`]) — requests get monotone sequence
-//!   numbers and a deterministic *service order*: interactive class
-//!   first, then batch, FIFO within each class. The order is a pure
-//!   function of the admitted set, never of thread scheduling.
+//! * **Registry catalog** ([`registry`]) — string keys resolve to
+//!   deterministic environment constructors; [`registry::shared_env`]
+//!   constructs each environment at most once per process and shares
+//!   it, [`registry::has_env`] answers membership without constructing.
+//! * **Admission and gate** ([`AdmissionQueue`], [`Server`]) — requests
+//!   get monotone sequence numbers and a deterministic *service order*:
+//!   interactive class first, then batch, FIFO within each class. The
+//!   order is a pure function of the admitted set, never of thread
+//!   scheduling. The gate that rejects cancelled, expired and
+//!   unknown-key requests only looks things up.
 //! * **Snapshots** ([`RoadmapSnapshot`], [`SnapshotCache`]) — the PRM
 //!   roadmap for each `(environment, robot)` key is built **once** via
-//!   the existing parallel-construction pipeline, digest-pinned, and
-//!   published as a shared immutable `Arc` with lease-counted LRU
-//!   eviction (an in-use snapshot is never evicted).
+//!   the existing parallel-construction pipeline over the catalog's
+//!   shared environment, digest-pinned, and published as a shared
+//!   immutable `Arc` with lease-counted LRU eviction (an in-use snapshot
+//!   is never evicted).
 //! * **Batched service** ([`Server`]) — consecutive same-snapshot
-//!   queries become one phase on a single reused executor (DES or live
-//!   shared-memory). Answers are pure functions of `(snapshot,
-//!   request)`, so batching changes only *when* work runs, never *what*
-//!   it returns.
+//!   queries become one phase on a single reused executor. Live, the
+//!   phase has `min(threads, batch)` queues and steals like the planners
+//!   do (query costs are uneven); on the DES it is a static schedule
+//!   whose virtual times are a recorded reference. Answers are pure
+//!   functions of `(snapshot, request)`, so batching and stealing change
+//!   only *when* and *where* work runs, never *what* it returns.
 //! * **Oracles** — every run carries a request-conservation ledger
 //!   (admitted = completed + rejected + expired) checked at runtime, and
 //!   an answers digest that must be byte-identical between a batched
 //!   concurrent run and a sequential one-at-a-time replay. The
 //!   `smp-check --serve-smoke` generator and the workspace differential
 //!   tests enforce both.
+//!
+//! With every needed snapshot cached, a request constructs nothing
+//! (DESIGN.md §15 walks the path layer by layer).
 //!
 //! ```
 //! use smp_serve::{PlanRequest, ServeConfig, Server};

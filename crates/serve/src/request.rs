@@ -48,7 +48,10 @@ impl QueryClass {
 /// One planning query submitted to the front door.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanRequest {
-    /// Environment key, resolved through [`crate::registry::resolve_env`].
+    /// Environment key: checked at the gate with
+    /// [`crate::registry::has_env`], resolved to the catalog's shared
+    /// environment ([`crate::registry::shared_env`]) when a snapshot is
+    /// built — never per request.
     pub env_key: String,
     /// Robot key, resolved through [`crate::registry::resolve_robot`].
     pub robot_key: String,

@@ -7,7 +7,9 @@
 //! * [`Server::run`] — **batched**: maximal runs of consecutive
 //!   same-snapshot requests (up to `batch_max`) become one executor
 //!   phase; per-query answers are computed through the snapshot's
-//!   prebuilt [`smp_plan::QueryIndex`].
+//!   prebuilt [`smp_plan::QueryIndex`]. A live phase has
+//!   `min(threads, batch)` queues and work stealing; a DES phase is a
+//!   static schedule (DESIGN.md §15 has the reason for each).
 //! * [`Server::run_sequential`] — **one-at-a-time replay**: the same
 //!   service order, no executor. This is the differential baseline: the
 //!   batched run must produce byte-identical answer digests.
@@ -26,8 +28,8 @@ use smp_core::work_cost;
 use smp_cspace::WorkCounters;
 use smp_obs::{MetricsRegistry, MetricsSnapshot};
 use smp_runtime::{
-    Backend, CancelToken, DesExecutor, ExecError, ExecSpec, Executor, LiveExecutor, MachineModel,
-    RunStatus,
+    Backend, CancelToken, DesExecutor, ExecError, ExecSpec, Executor, LiveExecutor, LiveTuning,
+    MachineModel, RunStatus, StealConfig, StealPolicyKind,
 };
 use std::time::{Duration, Instant};
 
@@ -266,27 +268,12 @@ impl Server {
         } else {
             match self.cfg.backend {
                 Backend::Des => Exec::Des(DesExecutor::new(self.machine.clone())),
-                Backend::Live(tuning) => {
-                    let mut e = LiveExecutor::new(self.cfg.threads, tuning)
-                        .with_cancel(self.cancel.clone());
-                    if let Some(d) = self.cfg.wall_deadline {
-                        e = e.with_deadline(d);
-                    }
-                    Exec::Live(Box::new(e))
-                }
+                Backend::Live(tuning) => Exec::Live(Box::new(self.live_executor(tuning))),
                 // Service batches are closures over in-process snapshot
                 // state and cannot cross a process boundary; a Dist
                 // backend serves on the in-process live engine with
                 // default tuning (answer digests are backend-invariant).
-                Backend::Dist(_) => {
-                    let mut e =
-                        LiveExecutor::new(self.cfg.threads, smp_runtime::LiveTuning::default())
-                            .with_cancel(self.cancel.clone());
-                    if let Some(d) = self.cfg.wall_deadline {
-                        e = e.with_deadline(d);
-                    }
-                    Exec::Live(Box::new(e))
-                }
+                Backend::Dist(_) => Exec::Live(Box::new(self.live_executor(LiveTuning::default()))),
             }
         };
 
@@ -408,6 +395,9 @@ impl Server {
         metrics.inc("serve.batches", batches);
         metrics.inc("serve.executor.submissions", submissions);
         metrics.inc("serve.cache.evictions", self.cache.evictions - evict0);
+        // Process-wide and cumulative, unlike the per-run rows around it:
+        // a run that moves it constructed an environment.
+        metrics.set_gauge("serve.registry.env_builds", registry::env_builds());
         if let Some(h) = metrics.histogram("serve.latency_ns") {
             let (p50, p99) = (h.quantile(0.5), h.quantile(0.99));
             if let Some(p50) = p50 {
@@ -442,8 +432,19 @@ impl Server {
         Ok(report)
     }
 
+    /// The run's one live executor: the server's cancel token and the
+    /// optional per-batch wall deadline apply to every batch it is handed.
+    fn live_executor(&self, tuning: LiveTuning) -> LiveExecutor {
+        let e = LiveExecutor::new(self.cfg.threads, tuning).with_cancel(self.cancel.clone());
+        match self.cfg.wall_deadline {
+            Some(d) => e.with_deadline(d),
+            None => e,
+        }
+    }
+
     /// Classification gates shared by both modes. `None` = the request
     /// proceeds to query evaluation; `Some(outcome)` settles it now.
+    /// Look-ups only: nothing is constructed to classify a request.
     fn gate(&self, a: &Admitted, service_index: u64) -> Option<ServeOutcome> {
         if self.cancel.is_cancelled() {
             return Some(ServeOutcome::Rejected(ServeError::Cancelled));
@@ -451,7 +452,7 @@ impl Server {
         if a.req.deadline.is_some_and(|d| service_index > d) {
             return Some(ServeOutcome::Expired);
         }
-        if registry::resolve_env(&a.req.env_key).is_none() {
+        if !registry::has_env(&a.req.env_key) {
             return Some(ServeOutcome::Rejected(ServeError::UnknownEnv(
                 a.req.env_key.clone(),
             )));
@@ -504,14 +505,10 @@ impl Server {
                     costs.push(work_cost(&work, &self.machine.ops));
                     outcomes.push(ServeOutcome::from_query(res));
                 }
-                let threads = self.cfg.threads.max(1);
-                let assignment: Vec<Vec<u32>> = (0..threads)
-                    .map(|w| {
-                        (0..batch.len() as u32)
-                            .filter(|t| *t as usize % threads == w)
-                            .collect()
-                    })
-                    .collect();
+                // The model's schedule is static on all `threads` PEs: the
+                // virtual latencies are a recorded reference
+                // (`BENCH_serve.json`), not a throughput.
+                let assignment = round_robin(self.cfg.threads.max(1), batch.len());
                 let spec = ExecSpec {
                     n_tasks: batch.len(),
                     costs: Some(&costs),
@@ -534,20 +531,19 @@ impl Server {
                     .collect())
             }
             Exec::Live(e) => {
-                let threads = e.threads();
-                let assignment: Vec<Vec<u32>> = (0..threads)
-                    .map(|w| {
-                        (0..batch.len() as u32)
-                            .filter(|t| *t as usize % threads == w)
-                            .collect()
-                    })
-                    .collect();
+                // One queue per query at most (a worker with an empty
+                // queue is a thread spawned to do nothing), and the
+                // planners' default stealing: query costs are uneven and
+                // unknown in advance, so a static split leaves a worker
+                // idle behind the expensive ones. Results are indexed by
+                // task, so who ran a query cannot change an answer.
+                let assignment = round_robin(e.threads().min(batch.len()), batch.len());
                 let spec = ExecSpec {
                     n_tasks: batch.len(),
                     costs: None,
                     payloads: None,
                     assignment: &assignment,
-                    steal: None,
+                    steal: Some(StealConfig::new(StealPolicyKind::Hybrid(8))),
                     seed: self.cfg.seed ^ batch_no,
                 };
                 let epoch = Instant::now();
@@ -600,6 +596,13 @@ impl Server {
             Backend::Live(_) | Backend::Dist(_) => epoch.elapsed().as_nanos() as u64,
         }
     }
+}
+
+/// Deal tasks `0..n_tasks` round-robin onto `queues` worker queues.
+fn round_robin(queues: usize, n_tasks: usize) -> Vec<Vec<u32>> {
+    (0..queues)
+        .map(|w| (w as u32..n_tasks as u32).step_by(queues).collect())
+        .collect()
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ use smp_cspace::{Cfg, EnvValidity, StraightLinePlanner, WorkCounters};
 use smp_geom::Environment;
 use smp_plan::{QueryError, QueryIndex, QueryResult, Roadmap};
 use smp_runtime::MachineModel;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -84,8 +84,11 @@ impl Default for SnapshotParams {
 pub struct RoadmapSnapshot {
     /// The `(environment, robot)` key this snapshot serves.
     pub key: SnapshotKey,
-    /// The resolved environment.
-    pub env: Environment<3>,
+    /// The resolved environment — the registry catalog's shared
+    /// instance, so every snapshot of one environment key (`x/point`,
+    /// `x/ball`, …) holds the same `Arc` and one lazily built SoA batch
+    /// layout.
+    pub env: Arc<Environment<3>>,
     /// The resolved robot radius.
     pub radius: f64,
     /// Local-planner resolution used for build and queries.
@@ -102,15 +105,16 @@ pub struct RoadmapSnapshot {
 }
 
 impl RoadmapSnapshot {
-    /// Build the snapshot for `key`: resolve the registry, run the
-    /// parallel-PRM workload build, assemble, digest. Pure in
-    /// `(key, params)`; `machine` only prices the build cost.
+    /// Build the snapshot for `key`: take the environment from the
+    /// registry catalog, run the parallel-PRM workload build, assemble,
+    /// digest. Pure in `(key, params)`; `machine` only prices the build
+    /// cost.
     pub fn build(
         key: &SnapshotKey,
         params: &SnapshotParams,
         machine: &MachineModel,
     ) -> Result<Self, ServeError> {
-        let env = registry::resolve_env(&key.env)
+        let env = registry::shared_env(&key.env)
             .ok_or_else(|| ServeError::UnknownEnv(key.env.clone()))?;
         let radius = registry::resolve_robot(&key.robot)
             .ok_or_else(|| ServeError::UnknownRobot(key.robot.clone()))?;
@@ -147,7 +151,7 @@ impl RoadmapSnapshot {
     /// A tiny synthetic snapshot (free space, empty roadmap) for queue
     /// and cache tests that must not pay for a real PRM build.
     pub fn synthetic(key: SnapshotKey, digest: u64) -> Self {
-        let env = smp_geom::envs::free_env();
+        let env = Arc::new(smp_geom::envs::free_env());
         let roadmap: Roadmap<3> = Roadmap::new();
         let index = QueryIndex::new(&roadmap);
         RoadmapSnapshot {
@@ -227,10 +231,15 @@ pub struct SnapshotCache {
     pub misses: u64,
     /// Entries evicted (always with zero outstanding leases).
     pub evictions: u64,
-    /// Eviction log: `(key, leases at eviction)`. The eviction-safety
-    /// oracle asserts every logged lease count is zero.
-    pub evict_log: Vec<(SnapshotKey, usize)>,
+    /// The last [`EVICT_LOG_TAIL`] evictions, see [`Self::evict_log`].
+    evict_log: VecDeque<(SnapshotKey, usize)>,
 }
+
+/// Evictions [`SnapshotCache::evict_log`] remembers. A thrashing cache
+/// evicts once per batch for as long as it serves, so the log keeps a
+/// tail, not a history; an oracle that reads it after every cache
+/// operation still sees every eviction.
+pub const EVICT_LOG_TAIL: usize = 64;
 
 impl SnapshotCache {
     /// A cache that aims to keep at most `capacity` snapshots (leased
@@ -244,7 +253,7 @@ impl SnapshotCache {
             hits: 0,
             misses: 0,
             evictions: 0,
-            evict_log: Vec::new(),
+            evict_log: VecDeque::new(),
         }
     }
 
@@ -263,6 +272,13 @@ impl SnapshotCache {
         self.entries
             .get(key)
             .map_or(0, |e| e.leases.load(Ordering::Acquire))
+    }
+
+    /// The most recent evictions (at most [`EVICT_LOG_TAIL`], oldest
+    /// first) as `(key, leases at eviction)`. The eviction-safety oracle
+    /// asserts every logged lease count is zero.
+    pub fn evict_log(&self) -> &VecDeque<(SnapshotKey, usize)> {
+        &self.evict_log
     }
 
     /// The published digest for `key`, if cached.
@@ -314,7 +330,10 @@ impl SnapshotCache {
             match victim {
                 Some(k) => {
                     let leases = self.leases(&k);
-                    self.evict_log.push((k.clone(), leases));
+                    if self.evict_log.len() == EVICT_LOG_TAIL {
+                        self.evict_log.pop_front();
+                    }
+                    self.evict_log.push_back((k.clone(), leases));
                     self.entries.remove(&k);
                     self.evictions += 1;
                 }
@@ -346,6 +365,22 @@ mod tests {
         MachineModel::hopper()
     }
 
+    /// The assembled-workload digest any client computes for itself, on
+    /// a private, freshly constructed environment.
+    fn client_digest(env_key: &str, radius: f64, params: &SnapshotParams) -> u64 {
+        let env = registry::resolve_env(env_key).unwrap();
+        let cfg = ParallelPrmConfig {
+            regions_target: params.regions_target,
+            attempts_per_region: params.attempts_per_region,
+            k_neighbors: params.k_neighbors,
+            lp_resolution: params.lp_resolution,
+            robot_radius: radius,
+            seed: params.seed,
+            ..ParallelPrmConfig::new(&env)
+        };
+        roadmap_digest(&smp_core::assemble_prm_roadmap(&build_prm_workload(&cfg)))
+    }
+
     #[test]
     fn build_is_deterministic_and_digest_pinned() {
         let key = SnapshotKey::new("small_cube", "point");
@@ -355,19 +390,31 @@ mod tests {
         assert_eq!(a.digest, b.digest);
         assert!(a.roadmap.num_vertices() > 0);
         assert_eq!(a.build_vcost, b.build_vcost);
-        // the digest is the assembled-workload digest any client computes
-        let env = registry::resolve_env("small_cube").unwrap();
-        let cfg = ParallelPrmConfig {
-            regions_target: params.regions_target,
-            attempts_per_region: params.attempts_per_region,
-            k_neighbors: params.k_neighbors,
-            lp_resolution: params.lp_resolution,
-            robot_radius: 0.0,
-            seed: params.seed,
-            ..ParallelPrmConfig::new(&env)
+        assert_eq!(a.digest, client_digest("small_cube", 0.0, &params));
+    }
+
+    #[test]
+    fn snapshots_of_one_environment_share_it_and_keep_their_digests() {
+        let params = SnapshotParams::default();
+        let build = |robot: &str| {
+            RoadmapSnapshot::build(&SnapshotKey::new("small_cube", robot), &params, &machine())
+                .unwrap()
         };
-        let direct = roadmap_digest(&smp_core::assemble_prm_roadmap(&build_prm_workload(&cfg)));
-        assert_eq!(a.digest, direct);
+        let (point, ball) = (build("point"), build("ball"));
+        assert!(Arc::ptr_eq(&point.env, &ball.env));
+        assert!(Arc::ptr_eq(
+            &point.env,
+            &registry::shared_env("small_cube").unwrap()
+        ));
+        for snap in [&point, &ball] {
+            assert_eq!(
+                snap.digest,
+                client_digest("small_cube", snap.radius, &params),
+                "{}",
+                snap.key
+            );
+        }
+        assert_ne!(point.digest, ball.digest);
     }
 
     #[test]
@@ -417,11 +464,29 @@ mod tests {
         let _l3 = cache.publish(RoadmapSnapshot::synthetic(k3.clone(), 3));
         // k2 was the only evictable entry
         assert_eq!(cache.evictions, 1);
-        assert_eq!(cache.evict_log, vec![(k2.clone(), 0)]);
+        assert_eq!(*cache.evict_log(), vec![(k2.clone(), 0)]);
         assert!(cache.digest(&k1).is_some());
         assert!(cache.digest(&k2).is_none());
         assert!(cache.digest(&k3).is_some());
         drop(l1);
+
+        // the log is a bounded tail: a thrashing cache keeps the newest
+        // EVICT_LOG_TAIL evictions, the counter keeps the total
+        let mut thrash = SnapshotCache::new(1);
+        let n = EVICT_LOG_TAIL as u64 + 10;
+        for i in 0..=n {
+            drop(thrash.publish(RoadmapSnapshot::synthetic(
+                SnapshotKey::new(&format!("e{i}"), "r"),
+                i,
+            )));
+        }
+        assert_eq!(thrash.evictions, n);
+        assert_eq!(thrash.evict_log().len(), EVICT_LOG_TAIL);
+        assert_eq!(
+            thrash.evict_log().back(),
+            Some(&(SnapshotKey::new(&format!("e{}", n - 1), "r"), 0))
+        );
+        assert!(thrash.evict_log().iter().all(|(_, leases)| *leases == 0));
 
         // all-leased: capacity is exceeded rather than evicting
         let mut full = SnapshotCache::new(1);

@@ -187,7 +187,7 @@ proptest! {
                 }
             }
             // The oracle: every eviction so far happened at zero leases.
-            for (k, leases) in &cache.evict_log {
+            for (k, leases) in cache.evict_log() {
                 prop_assert_eq!(*leases, 0usize, "evicted {} with {} leases", k, leases);
             }
             // A held lease keeps its snapshot reachable: if its key has
@@ -196,7 +196,7 @@ proptest! {
             for lease in &held {
                 if cache.digest(&lease.key).is_none() {
                     prop_assert!(
-                        cache.evict_log.iter().any(|(k, _)| *k == lease.key),
+                        cache.evict_log().iter().any(|(k, _)| *k == lease.key),
                         "leased key {} vanished without an eviction record",
                         lease.key
                     );

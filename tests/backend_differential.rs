@@ -162,8 +162,9 @@ fn live_portfolio_matches_des_winner_ledger_and_payload() {
 fn live_steal_counters_obey_conservation_laws() {
     // The live protocol must satisfy the same accounting invariants the
     // smp-check oracles enforce on the DES: attempts = hits + misses and
-    // stolen-executed = transferred (every transferred task is executed
-    // by a non-initial owner exactly once).
+    // stolen-executed <= transferred (every off-owner execution is backed
+    // by a transfer; `tasks_transferred` counts every hop, so a task
+    // stolen twice, or stolen back by its first owner, makes it strict).
     let env = envs::med_cube();
     let cfg = ParallelPrmConfig {
         regions_target: 128,
@@ -185,6 +186,10 @@ fn live_steal_counters_obey_conservation_laws() {
             "{policy:?}"
         );
         let stolen: u64 = c.per_pe_stolen_executed.iter().map(|&x| u64::from(x)).sum();
-        assert_eq!(stolen, c.tasks_transferred, "{policy:?}");
+        assert!(
+            stolen <= c.tasks_transferred,
+            "{policy:?}: {stolen} stolen executions, {} transfers",
+            c.tasks_transferred
+        );
     }
 }

@@ -3,9 +3,10 @@
 //! `cargo test` at the workspace root runs only the umbrella package, so
 //! a suite under `crates/*/tests/` can be red while tier-1 is green. The
 //! ones that guard the layers the planner pipelines stand on — the dist
-//! wire protocol and framing, and the batch collision kernels — are
-//! compiled into this target as modules, unchanged (they still run in
-//! their own crates under `cargo test --workspace`).
+//! wire protocol and framing, and the batch collision kernels — and the
+//! serve registry's build-once catalog are compiled into this target as
+//! modules, unchanged (they still run in their own crates under
+//! `cargo test --workspace`).
 
 #[path = "../crates/geom/tests/batch_prop.rs"]
 mod geom_batch_prop;
@@ -13,3 +14,7 @@ mod geom_batch_prop;
 mod runtime_dist_framing_props;
 #[path = "../crates/runtime/tests/dist_protocol.rs"]
 mod runtime_dist_protocol;
+// Counts environment builds process-wide: must stay the only module here
+// that touches `smp_serve::registry`.
+#[path = "../crates/serve/tests/registry_catalog.rs"]
+mod serve_registry_catalog;

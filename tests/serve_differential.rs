@@ -15,6 +15,7 @@
 use smp_geom::Point;
 use smp_runtime::{Backend, LiveTuning};
 use smp_serve::{PlanRequest, QueryClass, ServeConfig, ServeReport, Server, SnapshotParams};
+use std::time::Duration;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -205,4 +206,57 @@ fn tenants_sharing_a_key_observe_one_snapshot() {
     let mut other = Server::new(cfg(Backend::Des, 2));
     let digest = other.prewarm("small_cube", "point").expect("prewarm");
     assert_eq!(Some(digest), digests[0]);
+}
+
+#[test]
+fn live_phase_sizing_and_stealing_change_no_answer() {
+    // One key, so `batch_max` alone decides the batch sizes: 16 requests
+    // are 16 batches of 1, 5 of 3 + 1 of 1, or 2 of 8. On 1, 2 and 8
+    // threads that sweeps phases of one queue (caller thread), of as many
+    // queues as threads, and of fewer queues than threads — all stealing.
+    let reqs: Vec<PlanRequest> = (0..16)
+        .map(|i| mk("small_cube", "point", 0.05 + 0.005 * i as f64, 0.9))
+        .collect();
+    let live = |threads, batch_max, wall_deadline| ServeConfig {
+        batch_max,
+        wall_deadline,
+        ..cfg(Backend::Live(LiveTuning::default()), threads)
+    };
+    let baseline = serve(&reqs, cfg(Backend::Des, 1), false, false);
+    assert_eq!(baseline.ledger.completed, 16);
+    for batch_max in [1usize, 3, 8] {
+        for threads in THREAD_COUNTS {
+            let what = format!("live t={threads} batch_max={batch_max}");
+            // A deadline no batch comes near must change nothing.
+            for wall_deadline in [None, Some(Duration::from_secs(3600))] {
+                let report = serve(&reqs, live(threads, batch_max, wall_deadline), true, true);
+                assert_same_answers(&report, &baseline, &what);
+                assert_eq!(report.batches, 16usize.div_ceil(batch_max) as u64, "{what}");
+                assert_eq!(report.submissions, report.batches, "{what}");
+                assert!(report.ledger.closes(), "{what}");
+            }
+
+            // A spent deadline stops every phase at its first task
+            // boundary: each query settles as expired, none is lost.
+            let report = serve(
+                &reqs,
+                live(threads, batch_max, Some(Duration::ZERO)),
+                true,
+                true,
+            );
+            assert_eq!(report.ledger.expired, 16, "{what} zero deadline");
+            assert_eq!(report.submissions, report.batches, "{what} zero deadline");
+
+            // A fired token rejects at the gate: no batch forms.
+            let mut server = Server::new(live(threads, batch_max, None));
+            for r in &reqs {
+                server.submit(r.clone());
+            }
+            server.cancel_token().cancel();
+            let report = server.run().expect("cancelled run");
+            assert!(report.conservation_violations().is_empty(), "{what}");
+            assert_eq!(report.ledger.rejected, 16, "{what} cancelled");
+            assert_eq!((report.batches, report.submissions), (0, 0), "{what}");
+        }
+    }
 }
