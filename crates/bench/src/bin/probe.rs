@@ -33,7 +33,7 @@ use smp_bench::figures::Suite;
 use smp_bench::HarnessConfig;
 use smp_core::{
     assemble_prm_roadmap, build_prm_workload, roadmap_digest, run_parallel_prm,
-    run_parallel_prm_live, run_parallel_prm_live_controlled, run_parallel_prm_observed,
+    run_parallel_prm_live_controlled, run_parallel_prm_live_observed, run_parallel_prm_observed,
     run_parallel_rrt, work_cost, ParallelPrmConfig, Strategy, WeightKind,
 };
 use smp_runtime::{
@@ -179,15 +179,8 @@ fn bench_probe(args: impl Iterator<Item = String>) {
         eprintln!("wrote {path}");
     }
     if let Some(path) = &check {
-        let committed = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let drift = smp_bench::kernels::check_against(&reports, &committed);
-        if drift.is_empty() {
-            println!("gate: all counters match {path}");
-        } else {
-            for d in &drift {
-                eprintln!("gate: {d}");
-            }
+        if !smp_bench::gate::check_file(path, &smp_bench::kernels::gate_lines(&reports), "counters")
+        {
             std::process::exit(1);
         }
     }
@@ -250,17 +243,8 @@ fn scaling_probe(args: impl Iterator<Item = String>) {
     }
     let mut failed = !digest_violations.is_empty();
     if let Some(path) = &check {
-        let committed = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let drift = smp_bench::scaling::check_against(&report, &committed);
-        if drift.is_empty() {
-            println!("gate: all digests match {path}");
-        } else {
-            for d in &drift {
-                eprintln!("gate: {d}");
-            }
-            failed = true;
-        }
+        failed |=
+            !smp_bench::gate::check_file(path, &smp_bench::scaling::gate_lines(&report), "digests");
     }
     if report.host_parallelism >= 4 && !report.speedup_violations(1.5).is_empty() {
         failed = true;
@@ -320,17 +304,11 @@ fn portfolio_probe(args: impl Iterator<Item = String>) {
     }
     let mut failed = !tail.is_empty();
     if let Some(path) = &check {
-        let committed = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let drift = smp_bench::portfolio::check_against(&report, &committed);
-        if drift.is_empty() {
-            println!("gate: all digests match {path}");
-        } else {
-            for d in &drift {
-                eprintln!("gate: {d}");
-            }
-            failed = true;
-        }
+        failed |= !smp_bench::gate::check_file(
+            path,
+            &smp_bench::portfolio::gate_lines(&report),
+            "digests",
+        );
     }
     if failed {
         std::process::exit(1);
@@ -388,17 +366,8 @@ fn serve_probe(args: impl Iterator<Item = String>) {
     }
     let mut failed = !violations.is_empty();
     if let Some(path) = &check {
-        let committed = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let drift = smp_bench::serve::check_against(&report, &committed);
-        if drift.is_empty() {
-            println!("gate: all digests match {path}");
-        } else {
-            for d in &drift {
-                eprintln!("gate: {d}");
-            }
-            failed = true;
-        }
+        failed |=
+            !smp_bench::gate::check_file(path, &smp_bench::serve::gate_lines(&report), "digests");
     }
     if failed {
         std::process::exit(1);
@@ -463,8 +432,9 @@ fn resilience_probe(args: impl Iterator<Item = String>) {
     };
     let strategy = Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Hybrid(8)));
 
-    let (base_w, base_run) = run_parallel_prm_live(&cfg, threads, &strategy, LiveTuning::default())
-        .expect("fault-free baseline run failed");
+    let (base_w, base_run) =
+        run_parallel_prm_live_observed(&cfg, threads, &strategy, LiveTuning::default(), None)
+            .expect("fault-free baseline run failed");
     let base_digest = roadmap_digest(&assemble_prm_roadmap(&base_w));
     println!(
         "baseline : t={threads} wall={:.3}ms digest={base_digest:#018x}",

@@ -5,8 +5,8 @@ use crate::table::{f4, vsecs, Table};
 use smp_core::partition::{greedy_lpt, loads, naive_block, spatial_bisection};
 use smp_core::weights::{normalize_to, probe_weights};
 use smp_core::{
-    build_prm_workload, run_parallel_prm, run_parallel_prm_with_weights, work_cost,
-    ParallelPrmConfig, Strategy, WeightKind,
+    build_prm_workload, run_parallel_prm, run_parallel_prm_observed, work_cost, ParallelPrmConfig,
+    Strategy, WeightKind,
 };
 use smp_geom::envs;
 use smp_runtime::{simulate, MachineModel, SimConfig, StealAmount, StealConfig, StealPolicyKind};
@@ -108,12 +108,14 @@ pub fn weight_quality(suite: &mut Suite) -> Table {
         let w = probe_weights(&env, &workload.grid, m, robot_radius, seed);
         let total: f64 = workload.sample_counts().iter().map(|&c| c as f64).sum();
         let w = normalize_to(&w, total);
-        let run = run_parallel_prm_with_weights(
+        let run = run_parallel_prm_observed(
             workload,
             &machine,
             p,
             &Strategy::Repartition(WeightKind::Probe(m)),
             Some(&w),
+            None,
+            None,
         )
         .expect("sim failed");
         t.push_row(vec![

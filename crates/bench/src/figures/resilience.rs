@@ -14,8 +14,22 @@
 
 use super::Suite;
 use crate::table::{f4, vsecs, Table};
-use smp_core::{run_parallel_prm, run_parallel_prm_faulted, Strategy, WeightKind};
+use smp_core::{
+    run_parallel_prm, run_parallel_prm_observed, PrmRun, PrmWorkload, Strategy, WeightKind,
+};
 use smp_runtime::{FaultPlan, MachineModel, StealConfig, StealPolicyKind};
+
+/// The replay of `workload` with `plan` injected into node connection.
+fn faulted(
+    workload: &PrmWorkload<3>,
+    machine: &MachineModel,
+    p: usize,
+    strategy: &Strategy,
+    plan: &FaultPlan,
+) -> PrmRun {
+    run_parallel_prm_observed(workload, machine, p, strategy, None, Some(plan), None)
+        .expect("faulted sim failed")
+}
 
 fn strategies() -> Vec<Strategy> {
     vec![
@@ -48,8 +62,7 @@ pub fn straggler(suite: &mut Suite) -> Table {
         for factor in [1.0f64, 2.0, 4.0, 8.0] {
             let plan = FaultPlan::new(seed).with_straggler(0, 0, u64::MAX, factor);
             let workload = suite.hopper_medcube();
-            let run = run_parallel_prm_faulted(workload, &machine, p, &strategy, None, Some(&plan))
-                .expect("faulted sim failed");
+            let run = faulted(workload, &machine, p, &strategy, &plan);
             t.push_row(vec![
                 format!("{factor}"),
                 strategy.label(),
@@ -96,8 +109,7 @@ pub fn message_loss(suite: &mut Suite) -> Table {
         for loss in [0.0f64, 0.1, 0.3] {
             let plan = FaultPlan::new(seed).with_message_loss(loss);
             let workload = suite.hopper_medcube();
-            let run = run_parallel_prm_faulted(workload, &machine, p, &strategy, None, Some(&plan))
-                .expect("faulted sim failed");
+            let run = faulted(workload, &machine, p, &strategy, &plan);
             let r = &run.construction.resilience;
             t.push_row(vec![
                 format!("{loss}"),
@@ -139,8 +151,7 @@ pub fn crash(suite: &mut Suite) -> Table {
         let crash_at = base.construction.makespan / 4;
         let plan = FaultPlan::new(seed).with_crash(1, crash_at.max(1));
         let workload = suite.hopper_medcube();
-        let run = run_parallel_prm_faulted(workload, &machine, p, &strategy, None, Some(&plan))
-            .expect("faulted sim failed");
+        let run = faulted(workload, &machine, p, &strategy, &plan);
         let r = &run.construction.resilience;
         t.push_row(vec![
             strategy.label(),

@@ -71,8 +71,9 @@ pub fn restarts(_suite: &mut crate::figures::Suite) -> Table {
                     seed: 0x9E1D + trial as u64,
                     ..base.clone()
                 };
-                let out = run_portfolio_rrt_on(&cfg, &machine, WORKERS, strategy, Backend::Des)
-                    .expect("DES portfolio run");
+                let out =
+                    run_portfolio_rrt_on(&cfg, &machine, WORKERS, strategy, Backend::Des, None)
+                        .expect("DES portfolio run");
                 times.push(out.total_time);
                 wasted += out.ledger.wasted_vcost;
                 rounds += out.ledger.rounds_run;

@@ -1,8 +1,10 @@
 //! Kernel benchmark harness (`probe bench`): before/after timings for the
 //! PR-4 hot-path kernels, plus deterministic gate counters.
 //!
-//! Each benchmark runs the **pre-overhaul implementation** (kept inline
-//! here, verbatim) and the optimized library kernel over the same inputs,
+//! Each benchmark runs the **pre-overhaul implementation** (kept verbatim:
+//! inline here, or — where a crate's test tree already holds it as an
+//! oracle — `#[path]`-included from there) and the optimized library
+//! kernel over the same inputs,
 //! asserts the results are identical, and reports both wall times. Because
 //! every kernel is bit-identical by construction, the interesting
 //! regression signal is not the timings (machine-dependent) but the
@@ -24,7 +26,6 @@ use smp_cspace::{
 use smp_geom::{envs, Point};
 use smp_graph::{knn, IncrementalNn, KdTree, KnnScratch};
 use smp_plan::rrt::{grow_rrt, RrtParams};
-use std::collections::VecDeque;
 use std::time::Instant;
 
 /// One kernel's before/after measurement plus its deterministic gates.
@@ -130,37 +131,12 @@ fn bench_rrt_extension(quick: bool) -> KernelReport {
 // 2. kd-tree build: full-sort median (old) vs select_nth partition (new)
 // ---------------------------------------------------------------------------
 
-/// The pre-PR-4 kd-tree build: median by full index sort per level,
-/// O(n log² n) with two fresh buffers per recursion. Kept verbatim as the
-/// timing baseline (layout equality with the new build is proven in
-/// `crates/graph/tests/nn_index_differential.rs`).
-fn reference_build(points: &[Point<3>]) -> (Vec<Point<3>>, Vec<u32>) {
-    fn rec(pts: &mut [Point<3>], orig: &mut [u32], axis: usize, lo: usize, hi: usize) {
-        if hi - lo <= 1 {
-            return;
-        }
-        let mid = (lo + hi) / 2;
-        let mut idx: Vec<usize> = (lo..hi).collect();
-        idx.sort_by(|&a, &b| {
-            pts[a][axis]
-                .total_cmp(&pts[b][axis])
-                .then(orig[a].cmp(&orig[b]))
-        });
-        let new_pts: Vec<Point<3>> = idx.iter().map(|&i| pts[i]).collect();
-        let new_orig: Vec<u32> = idx.iter().map(|&i| orig[i]).collect();
-        pts[lo..hi].copy_from_slice(&new_pts);
-        orig[lo..hi].copy_from_slice(&new_orig);
-        let next = (axis + 1) % 3;
-        rec(pts, orig, next, lo, mid);
-        rec(pts, orig, next, mid + 1, hi);
-    }
-    let mut pts = points.to_vec();
-    let mut orig: Vec<u32> = (0..points.len() as u32).collect();
-    if !pts.is_empty() {
-        rec(&mut pts, &mut orig, 0, 0, points.len());
-    }
-    (pts, orig)
-}
+// The pre-PR-4 build (median by full index sort per level) is the timing
+// baseline; it is the same file `smp-graph`'s differential suite uses as
+// its layout oracle.
+#[path = "../../graph/tests/reference/kd_build.rs"]
+mod kd_build;
+use kd_build::reference_build;
 
 fn bench_kd_build(quick: bool) -> KernelReport {
     let n = 65_536;
@@ -240,7 +216,13 @@ fn bench_knn_query(quick: bool) -> KernelReport {
 // 4. Local planning: VecDeque bisection (old) vs van-der-Corput walk (new)
 // ---------------------------------------------------------------------------
 
-/// The pre-PR-4 queue-based bisection check, verbatim.
+// The pre-PR-4 queue-based bisection is the timing baseline; it is the same
+// file `smp-cspace`'s ordering suite uses as its oracle.
+#[path = "../../cspace/tests/reference/queue_bisection.rs"]
+mod queue_bisection;
+
+/// The pre-PR-4 local-planner check: [`queue_bisection`]'s visit order
+/// with the old per-step work accounting.
 fn reference_lp_check(
     a: &Cfg<3>,
     b: &Cfg<3>,
@@ -251,25 +233,11 @@ fn reference_lp_check(
     work.lp_calls += 1;
     let dist = a.dist(b);
     let n = (dist / resolution).ceil() as u32;
-    let mut queue = VecDeque::new();
-    if n > 1 {
-        queue.push_back((1u32, n - 1));
-    }
-    while let Some((lo, hi)) = queue.pop_front() {
-        let mid = lo + (hi - lo) / 2;
+    queue_bisection::reference_bisection(n, |mid| {
         let q = a.lerp(b, mid as f64 / n as f64);
         work.lp_steps += 1;
-        if !validity.is_valid(&q, work) {
-            return false;
-        }
-        if mid > lo {
-            queue.push_back((lo, mid - 1));
-        }
-        if mid < hi {
-            queue.push_back((mid + 1, hi));
-        }
-    }
-    true
+        validity.is_valid(&q, work)
+    })
 }
 
 fn bench_lp_check(quick: bool) -> KernelReport {
@@ -660,69 +628,9 @@ pub fn to_json(reports: &[KernelReport], quick: bool) -> String {
         });
     }
     s.push_str("  ],\n");
-    s.push_str("  \"gate\": [\n");
-    let lines = gate_lines(reports);
-    for (i, l) in lines.iter().enumerate() {
-        s.push_str(&format!(
-            "    \"{l}\"{}\n",
-            if i + 1 < lines.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
+    crate::gate::write_gate_array(&mut s, &gate_lines(reports));
+    s.push_str("}\n");
     s
-}
-
-/// Extract the `gate` array from a committed benchmark JSON file.
-pub fn parse_gate(json: &str) -> Vec<String> {
-    let Some(start) = json.find("\"gate\"") else {
-        return Vec::new();
-    };
-    let Some(open) = json[start..].find('[') else {
-        return Vec::new();
-    };
-    let Some(close) = json[start + open..].find(']') else {
-        return Vec::new();
-    };
-    json[start + open + 1..start + open + close]
-        .split(',')
-        .filter_map(|tok| {
-            let t = tok.trim().trim_matches('"');
-            if t.is_empty() {
-                None
-            } else {
-                Some(t.to_string())
-            }
-        })
-        .collect()
-}
-
-/// Compare this run's gates against a committed baseline file. Returns the
-/// list of drift messages (empty = pass).
-pub fn check_against(reports: &[KernelReport], committed_json: &str) -> Vec<String> {
-    let committed = parse_gate(committed_json);
-    let current = gate_lines(reports);
-    let mut drift = Vec::new();
-    if committed.is_empty() {
-        drift.push("committed baseline has no gate array".to_string());
-        return drift;
-    }
-    for line in &current {
-        let key = line.split('=').next().unwrap();
-        match committed.iter().find(|c| c.split('=').next() == Some(key)) {
-            None => drift.push(format!("gate {key} missing from committed baseline")),
-            Some(c) if c != line => {
-                drift.push(format!("gate drift: committed `{c}` vs current `{line}`"))
-            }
-            Some(_) => {}
-        }
-    }
-    for c in &committed {
-        let key = c.split('=').next().unwrap();
-        if !current.iter().any(|l| l.split('=').next() == Some(key)) {
-            drift.push(format!("gate {key} present in baseline but not produced"));
-        }
-    }
-    drift
 }
 
 #[cfg(test)]
@@ -750,7 +658,7 @@ mod tests {
     fn json_roundtrips_gate_lines() {
         let reports = sample_reports();
         let json = to_json(&reports, false);
-        assert_eq!(parse_gate(&json), gate_lines(&reports));
+        assert_eq!(crate::gate::parse_gate(&json), gate_lines(&reports));
         assert!(json.contains("\"speedup\": 2.000"));
     }
 
@@ -758,11 +666,11 @@ mod tests {
     fn check_detects_drift_and_passes_identity() {
         let reports = sample_reports();
         let json = to_json(&reports, true);
-        assert!(check_against(&reports, &json).is_empty());
+        assert!(crate::gate::check(&gate_lines(&reports), &json).is_empty());
 
         let mut tampered = reports.clone();
         tampered[0].gates[1].1 = 99;
-        let drift = check_against(&tampered, &json);
+        let drift = crate::gate::check(&gate_lines(&tampered), &json);
         assert_eq!(drift.len(), 1);
         assert!(drift[0].contains("a.y"), "{drift:?}");
     }
@@ -771,7 +679,7 @@ mod tests {
     fn check_flags_missing_gates() {
         let reports = sample_reports();
         let json = to_json(&reports[..1], false);
-        let drift = check_against(&reports, &json);
+        let drift = crate::gate::check(&gate_lines(&reports), &json);
         assert!(drift.iter().any(|d| d.contains("b.z")), "{drift:?}");
     }
 }

@@ -36,6 +36,7 @@
 
 pub mod config;
 pub mod figures;
+pub mod gate;
 pub mod kernels;
 pub mod portfolio;
 pub mod scaling;

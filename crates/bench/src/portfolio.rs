@@ -162,7 +162,7 @@ fn run_trial(
         seed: 0x9E1D + trial as u64,
         ..base.clone()
     };
-    run_portfolio_rrt_on(&cfg, machine, WORKERS, Strategy::NoLb, Backend::Des)
+    run_portfolio_rrt_on(&cfg, machine, WORKERS, Strategy::NoLb, Backend::Des, None)
         .expect("DES portfolio run")
 }
 
@@ -225,7 +225,9 @@ pub fn run(quick: bool) -> PortfolioReport {
     }
 }
 
-/// Deterministic gate lines, one per configuration.
+/// Deterministic gate lines, one per configuration. Tail statistics are
+/// *not* gated beyond the [`tail_violations`] assertions — the ledgers
+/// must never drift.
 pub fn gate_lines(report: &PortfolioReport) -> Vec<String> {
     report
         .configs
@@ -297,46 +299,9 @@ pub fn to_json(report: &PortfolioReport) -> String {
         });
     }
     s.push_str("  ],\n");
-    s.push_str("  \"gate\": [\n");
-    let lines = gate_lines(report);
-    for (i, l) in lines.iter().enumerate() {
-        s.push_str(&format!(
-            "    \"{l}\"{}\n",
-            if i + 1 < lines.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
+    crate::gate::write_gate_array(&mut s, &gate_lines(report));
+    s.push_str("}\n");
     s
-}
-
-/// Compare this run's gate digests against a committed
-/// `BENCH_portfolio.json`. Tail statistics are *not* gated beyond the
-/// [`tail_violations`] assertions — the ledgers must never drift.
-pub fn check_against(report: &PortfolioReport, committed_json: &str) -> Vec<String> {
-    let committed = crate::kernels::parse_gate(committed_json);
-    let current = gate_lines(report);
-    let mut drift = Vec::new();
-    if committed.is_empty() {
-        drift.push("committed baseline has no gate array".to_string());
-        return drift;
-    }
-    for line in &current {
-        let key = line.split('=').next().unwrap_or_default();
-        match committed.iter().find(|c| c.split('=').next() == Some(key)) {
-            None => drift.push(format!("gate {key} missing from committed baseline")),
-            Some(c) if c != line => {
-                drift.push(format!("gate drift: committed `{c}` vs current `{line}`"))
-            }
-            Some(_) => {}
-        }
-    }
-    for c in &committed {
-        let key = c.split('=').next().unwrap_or_default();
-        if !current.iter().any(|l| l.split('=').next() == Some(key)) {
-            drift.push(format!("gate {key} present in baseline but not produced"));
-        }
-    }
-    drift
 }
 
 #[cfg(test)]
@@ -377,10 +342,10 @@ mod tests {
         };
         let json = to_json(&report);
         assert!(json.contains("smp-bench/portfolio/v1"));
-        assert!(check_against(&report, &json).is_empty());
+        assert!(crate::gate::check(&gate_lines(&report), &json).is_empty());
         let mut tampered = report.clone();
         tampered.configs[1].gate_digest ^= 1;
-        assert!(!check_against(&tampered, &json).is_empty());
+        assert!(!crate::gate::check(&gate_lines(&tampered), &json).is_empty());
         assert!(tail_violations(&report).is_empty());
         let mut bad = report.clone();
         bad.configs[1].p99_ns = 1_000;
@@ -415,7 +380,8 @@ mod tests {
                     ..RrtPortfolioConfig::new(&env, Point::splat(0.06), Point::splat(0.94))
                 };
                 let out =
-                    run_portfolio_rrt_on(&cfg, &machine, 1, Strategy::NoLb, Backend::Des).unwrap();
+                    run_portfolio_rrt_on(&cfg, &machine, 1, Strategy::NoLb, Backend::Des, None)
+                        .unwrap();
                 if out.ledger.winner.is_some() {
                     v.push(out.ledger.winner_vcost);
                 } else {

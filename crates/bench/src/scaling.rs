@@ -2,7 +2,7 @@
 //! execution backends (`probe scaling`), emitting `BENCH_scaling.json`.
 //!
 //! For each environment × strategy × thread count, the full parallel PRM
-//! runs **live** on real OS threads ([`smp_core::run_parallel_prm_live`])
+//! runs **live** on real OS threads ([`smp_core::run_parallel_prm_live_observed`])
 //! and reports wall-clock phase times plus the merged-roadmap digest.
 //! When the `smp-dist-worker` binary is present next to `probe`, the same
 //! sweep additionally runs on the **dist** backend
@@ -27,7 +27,7 @@
 
 use smp_core::{
     assemble_prm_roadmap, build_prm_workload, roadmap_digest, run_parallel_prm_dist,
-    run_parallel_prm_live, ParallelPrmConfig, Strategy, WeightKind,
+    run_parallel_prm_live_observed, ParallelPrmConfig, Strategy, WeightKind,
 };
 use smp_geom::{envs, Environment};
 use smp_runtime::{DistTuning, LiveTuning, StealConfig, StealPolicyKind};
@@ -171,9 +171,14 @@ fn sweep_env(
             // identical every iteration anyway
             let mut best: Option<ScalingRun> = None;
             for _ in 0..iters {
-                let (w, run) =
-                    run_parallel_prm_live(&cfg, threads, &strategy, LiveTuning::default())
-                        .expect("live run failed");
+                let (w, run) = run_parallel_prm_live_observed(
+                    &cfg,
+                    threads,
+                    &strategy,
+                    LiveTuning::default(),
+                    None,
+                )
+                .expect("live run failed");
                 let sample = ScalingRun {
                     backend: "live",
                     env: name,
@@ -277,6 +282,8 @@ pub fn run(quick: bool) -> ScalingReport {
 }
 
 /// Deterministic gate lines: one per environment's reference digest.
+/// Wall times are *not* gated — they are host-dependent by design; the
+/// digests must never drift.
 pub fn gate_lines(report: &ScalingReport) -> Vec<String> {
     report
         .reference
@@ -312,46 +319,9 @@ pub fn to_json(report: &ScalingReport) -> String {
         });
     }
     s.push_str("  ],\n");
-    s.push_str("  \"gate\": [\n");
-    let lines = gate_lines(report);
-    for (i, l) in lines.iter().enumerate() {
-        s.push_str(&format!(
-            "    \"{l}\"{}\n",
-            if i + 1 < lines.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
+    crate::gate::write_gate_array(&mut s, &gate_lines(report));
+    s.push_str("}\n");
     s
-}
-
-/// Compare this run's reference digests against a committed
-/// `BENCH_scaling.json`'s `gate` array. Wall times are *not* gated —
-/// they are host-dependent by design; the digests must never drift.
-pub fn check_against(report: &ScalingReport, committed_json: &str) -> Vec<String> {
-    let committed = crate::kernels::parse_gate(committed_json);
-    let current = gate_lines(report);
-    let mut drift = Vec::new();
-    if committed.is_empty() {
-        drift.push("committed baseline has no gate array".to_string());
-        return drift;
-    }
-    for line in &current {
-        let key = line.split('=').next().unwrap();
-        match committed.iter().find(|c| c.split('=').next() == Some(key)) {
-            None => drift.push(format!("gate {key} missing from committed baseline")),
-            Some(c) if c != line => {
-                drift.push(format!("gate drift: committed `{c}` vs current `{line}`"))
-            }
-            Some(_) => {}
-        }
-    }
-    for c in &committed {
-        let key = c.split('=').next().unwrap();
-        if !current.iter().any(|l| l.split('=').next() == Some(key)) {
-            drift.push(format!("gate {key} present in baseline but not produced"));
-        }
-    }
-    drift
 }
 
 #[cfg(test)]
@@ -395,10 +365,10 @@ mod tests {
         let report = tiny_report();
         assert!(report.digest_violations().is_empty());
         let json = to_json(&report);
-        assert!(check_against(&report, &json).is_empty());
+        assert!(crate::gate::check(&gate_lines(&report), &json).is_empty());
         let mut tampered = report.clone();
         tampered.reference[0].1 = 0xDEAD;
-        assert!(!check_against(&tampered, &json).is_empty());
+        assert!(!crate::gate::check(&gate_lines(&tampered), &json).is_empty());
         let mut bad_run = report;
         bad_run.runs[1].digest = 0xDEAD;
         assert_eq!(bad_run.digest_violations().len(), 1);

@@ -230,7 +230,9 @@ pub fn run_with(quick: bool, cfg: &ServeConfig, levels: &[(String, u64)]) -> Ser
     }
 }
 
-/// Deterministic gate lines, one per offered-load level.
+/// Deterministic gate lines, one per offered-load level. Latency and
+/// throughput are *not* gated beyond the [`load_violations`] assertions —
+/// the answer digests must never drift.
 pub fn gate_lines(report: &ServeLoadReport) -> Vec<String> {
     report
         .levels
@@ -343,47 +345,9 @@ pub fn to_json(report: &ServeLoadReport) -> String {
         });
     }
     s.push_str("  ],\n");
-    s.push_str("  \"gate\": [\n");
-    let lines = gate_lines(report);
-    for (i, l) in lines.iter().enumerate() {
-        s.push_str(&format!(
-            "    \"{l}\"{}\n",
-            if i + 1 < lines.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
+    crate::gate::write_gate_array(&mut s, &gate_lines(report));
+    s.push_str("}\n");
     s
-}
-
-/// Compare this run's gate digests against a committed
-/// `BENCH_serve.json`. Latency and throughput are *not* gated beyond
-/// the [`load_violations`] assertions — the answer digests must never
-/// drift.
-pub fn check_against(report: &ServeLoadReport, committed_json: &str) -> Vec<String> {
-    let committed = crate::kernels::parse_gate(committed_json);
-    let current = gate_lines(report);
-    let mut drift = Vec::new();
-    if committed.is_empty() {
-        drift.push("committed baseline has no gate array".to_string());
-        return drift;
-    }
-    for line in &current {
-        let key = line.split('=').next().unwrap_or_default();
-        match committed.iter().find(|c| c.split('=').next() == Some(key)) {
-            None => drift.push(format!("gate {key} missing from committed baseline")),
-            Some(c) if c != line => {
-                drift.push(format!("gate drift: committed `{c}` vs current `{line}`"))
-            }
-            Some(_) => {}
-        }
-    }
-    for c in &committed {
-        let key = c.split('=').next().unwrap_or_default();
-        if !current.iter().any(|l| l.split('=').next() == Some(key)) {
-            drift.push(format!("gate {key} present in baseline but not produced"));
-        }
-    }
-    drift
 }
 
 #[cfg(test)]
@@ -426,11 +390,11 @@ mod tests {
         };
         let json = to_json(&report);
         assert!(json.contains("smp-bench/serve/v1"));
-        assert!(check_against(&report, &json).is_empty());
+        assert!(crate::gate::check(&gate_lines(&report), &json).is_empty());
         assert!(load_violations(&report).is_empty());
         let mut tampered = report.clone();
         tampered.levels[1].gate_digest ^= 1;
-        assert!(!check_against(&tampered, &json).is_empty());
+        assert!(!crate::gate::check(&gate_lines(&tampered), &json).is_empty());
         // The tampered digest also breaks the batched-vs-sequential claim.
         assert!(!load_violations(&tampered).is_empty());
         // Equality at a low-load level is tolerated (arrival spacing can
@@ -485,7 +449,7 @@ mod tests {
         );
         assert_eq!(gate_lines(&quick), gate_lines(&full));
         // The quick run must validate the full run's committed artifact.
-        assert!(check_against(&quick, &to_json(&full)).is_empty());
+        assert!(crate::gate::check(&gate_lines(&quick), &to_json(&full)).is_empty());
         // Higher offered load (smaller gaps) compresses the makespan.
         assert!(
             full.level("high").unwrap().warm_makespan_ns

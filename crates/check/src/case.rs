@@ -7,8 +7,8 @@
 //! anywhere.
 
 use smp_runtime::{
-    simulate_explored, FaultPlan, MachineModel, Quiescence, SeededSchedule, SimConfig, SimError,
-    SimReport, StealConfig,
+    simulate_with, FaultPlan, MachineModel, Quiescence, SeededSchedule, SimConfig, SimError,
+    SimOptions, SimReport, StealConfig,
 };
 
 /// Which virtual machine model the case runs on.
@@ -111,14 +111,11 @@ impl CaseSpec {
                 Some(&mut seeded)
             }
         };
-        simulate_explored(
-            &self.costs,
-            None,
-            &self.assignment,
-            &cfg,
+        let opts = SimOptions {
             fault,
-            None,
             oracle,
-        )
+            ..SimOptions::default()
+        };
+        simulate_with(&self.costs, &self.assignment, &cfg, opts)
     }
 }

@@ -33,8 +33,8 @@
 use crate::case::CaseSpec;
 use crate::oracles::Violation;
 use smp_runtime::dist::{
-    synth_work, DistExecutor, DistFaultPlan, DistKill, DistOptions, DistOutcome, WireWriter,
-    WorkDesc,
+    synth_work, DistExecutor, DistFaultPlan, DistKill, DistOptions, DistOutcome, DistTuning,
+    WireWriter, WorkDesc,
 };
 use smp_runtime::{ExecError, ExecSpec};
 
@@ -76,7 +76,10 @@ pub fn generate_dist_fault_plan(seed: u64, p: usize) -> DistFaultPlan {
 }
 
 fn run_dist(spec: &CaseSpec, faults: DistFaultPlan) -> Result<DistOutcome, ExecError> {
-    let mut exec = DistExecutor::new(DistOptions::process_with_faults(faults)?);
+    let mut exec = DistExecutor::new(DistOptions {
+        faults,
+        ..DistOptions::process(DistTuning::default())?
+    });
     let mut blob = WireWriter::new();
     blob.vec_u64(&spec.costs);
     let blob = blob.into_bytes();

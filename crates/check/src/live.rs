@@ -29,8 +29,7 @@
 use crate::case::CaseSpec;
 use crate::oracles::Violation;
 use smp_runtime::{
-    ExecError, ExecOutcome, ExecSpec, Executor, LiveExecutor, LiveFaultPlan, LiveTuning,
-    StealAmount,
+    ExecError, ExecReport, ExecSpec, LiveExecutor, LiveFaultPlan, LiveTuning, StealAmount,
 };
 
 macro_rules! fail {
@@ -52,7 +51,13 @@ fn synthetic_work(task: u32, cost: u64) -> u64 {
     x
 }
 
-fn run_live(spec: &CaseSpec) -> Result<ExecOutcome<u64>, ExecError> {
+/// Run `spec` to completion on the live backend, with `plan` armed if
+/// given: injected panics, stragglers and grant drops fire, and the run
+/// must still *complete* (the generator never dooms every worker).
+fn run_live(
+    spec: &CaseSpec,
+    plan: Option<&LiveFaultPlan>,
+) -> Result<(Vec<u64>, ExecReport), ExecError> {
     let exec_spec = ExecSpec {
         n_tasks: spec.num_tasks(),
         costs: None,
@@ -62,29 +67,11 @@ fn run_live(spec: &CaseSpec) -> Result<ExecOutcome<u64>, ExecError> {
         seed: spec.sim_seed,
     };
     let costs = &spec.costs;
-    LiveExecutor::new(spec.num_pes(), LiveTuning::default())
-        .execute(&exec_spec, &|t| synthetic_work(t, costs[t as usize]))
-}
-
-/// As [`run_live`] with `plan` armed, through the resilient entry point:
-/// injected panics, stragglers and grant drops fire, and the outcome must
-/// still *complete* (the generator never dooms every worker), so the
-/// completed results/report come back in [`ExecOutcome`] shape.
-fn run_live_faulted(spec: &CaseSpec, plan: &LiveFaultPlan) -> Result<ExecOutcome<u64>, ExecError> {
-    let exec_spec = ExecSpec {
-        n_tasks: spec.num_tasks(),
-        costs: None,
-        payloads: None,
-        assignment: &spec.assignment,
-        steal: spec.steal,
-        seed: spec.sim_seed,
-    };
-    let costs = &spec.costs;
-    let out = LiveExecutor::new(spec.num_pes(), LiveTuning::default())
-        .with_faults(plan.clone())
-        .execute_resilient(&exec_spec, &|t| synthetic_work(t, costs[t as usize]))?;
-    let (results, report) = out.into_complete()?;
-    Ok(ExecOutcome { results, report })
+    let mut ex = LiveExecutor::new(spec.num_pes(), LiveTuning::default());
+    if let Some(plan) = plan {
+        ex = ex.with_faults(plan.clone());
+    }
+    ex.execute(&exec_spec, &|t| synthetic_work(t, costs[t as usize]))
 }
 
 /// Run `spec` on the live backend (twice) and check the live oracle
@@ -92,7 +79,7 @@ fn run_live_faulted(spec: &CaseSpec, plan: &LiveFaultPlan) -> Result<ExecOutcome
 /// ignored here — the OS supplies the schedule.
 pub fn check_live_case(spec: &CaseSpec) -> Vec<Violation> {
     let mut out = Vec::new();
-    let first = match run_live(spec) {
+    let (first, report) = match run_live(spec, None) {
         Err(e) => {
             out.push(Violation {
                 oracle: "live_accepts_valid_input",
@@ -102,12 +89,12 @@ pub fn check_live_case(spec: &CaseSpec) -> Vec<Violation> {
         }
         Ok(o) => o,
     };
-    exactly_once_live(spec, &first, &mut out);
-    steal_accounting_live(spec, &first, &mut out);
-    match run_live(spec) {
+    exactly_once_live(spec, &first, &report, &mut out);
+    steal_accounting_live(spec, &report, &mut out);
+    match run_live(spec, None) {
         Err(e) => fail!(out, "result_determinism", "second run failed: {e}"),
-        Ok(second) => {
-            if second.results != first.results {
+        Ok((second, _)) => {
+            if second != first {
                 fail!(
                     out,
                     "result_determinism",
@@ -138,7 +125,7 @@ pub fn check_live_case(spec: &CaseSpec) -> Vec<Violation> {
 ///   distinct workers the plan dooms.
 pub fn check_live_case_faulted(spec: &CaseSpec, plan: &LiveFaultPlan) -> Vec<Violation> {
     let mut out = Vec::new();
-    let baseline = match run_live(spec) {
+    let (baseline, _) = match run_live(spec, None) {
         Err(e) => {
             out.push(Violation {
                 oracle: "live_accepts_valid_input",
@@ -148,7 +135,7 @@ pub fn check_live_case_faulted(spec: &CaseSpec, plan: &LiveFaultPlan) -> Vec<Vio
         }
         Ok(o) => o,
     };
-    let faulted = match run_live_faulted(spec, plan) {
+    let (faulted, report) = match run_live(spec, Some(plan)) {
         Err(e) => {
             out.push(Violation {
                 oracle: "live_fault_recovery",
@@ -158,22 +145,22 @@ pub fn check_live_case_faulted(spec: &CaseSpec, plan: &LiveFaultPlan) -> Vec<Vio
         }
         Ok(o) => o,
     };
-    if faulted.results != baseline.results {
+    if faulted != baseline {
         fail!(
             out,
             "live_fault_recovery",
             "faulted results diverge from the fault-free baseline (plan {plan:?})"
         );
     }
-    exactly_once_live(spec, &faulted, &mut out);
-    steal_accounting_live_faulted(spec, &faulted, &mut out);
+    exactly_once_live(spec, &faulted, &report, &mut out);
+    steal_accounting_live_faulted(spec, &report, &mut out);
     let doomed: std::collections::HashSet<usize> = plan.panics.iter().map(|s| s.worker).collect();
-    if faulted.report.resilience.crashes as usize > doomed.len() {
+    if report.resilience.crashes as usize > doomed.len() {
         fail!(
             out,
             "crash_accounting_live",
             "{} crashes recorded but the plan dooms only {} worker(s)",
-            faulted.report.resilience.crashes,
+            report.resilience.crashes,
             doomed.len()
         );
     }
@@ -182,16 +169,20 @@ pub fn check_live_case_faulted(spec: &CaseSpec, plan: &LiveFaultPlan) -> Vec<Vio
 
 /// Every task executed exactly once by a real worker, and each worker's
 /// execution counter matches the tasks it finally owns.
-fn exactly_once_live(spec: &CaseSpec, outcome: &ExecOutcome<u64>, out: &mut Vec<Violation>) {
+fn exactly_once_live(
+    spec: &CaseSpec,
+    results: &[u64],
+    report: &ExecReport,
+    out: &mut Vec<Violation>,
+) {
     let n = spec.num_tasks();
     let p = spec.num_pes();
-    let report = &outcome.report;
-    if outcome.results.len() != n || report.executed_by.len() != n {
+    if results.len() != n || report.executed_by.len() != n {
         fail!(
             out,
             "exactly_once_live",
             "{} results / {} executed_by entries for {n} tasks",
-            outcome.results.len(),
+            results.len(),
             report.executed_by.len()
         );
         return;
@@ -235,8 +226,7 @@ fn exactly_once_live(spec: &CaseSpec, outcome: &ExecOutcome<u64>, out: &mut Vec<
 /// initial owner adds a transfer with no off-owner execution), batches
 /// respect the configured bound, and a static schedule records no traffic
 /// at all.
-fn steal_accounting_live(spec: &CaseSpec, outcome: &ExecOutcome<u64>, out: &mut Vec<Violation>) {
-    let report = &outcome.report;
+fn steal_accounting_live(spec: &CaseSpec, report: &ExecReport, out: &mut Vec<Violation>) {
     if report.steal_attempts != report.steal_hits + report.steal_misses {
         fail!(
             out,
@@ -294,12 +284,7 @@ fn steal_accounting_live(spec: &CaseSpec, outcome: &ExecOutcome<u64>, out: &mut 
 /// re-steals and steal-backs likely). Batch bounds and the
 /// static-schedule zero-traffic law are fault-free-only oracles and are
 /// not enforced here.
-fn steal_accounting_live_faulted(
-    spec: &CaseSpec,
-    outcome: &ExecOutcome<u64>,
-    out: &mut Vec<Violation>,
-) {
-    let report = &outcome.report;
+fn steal_accounting_live_faulted(spec: &CaseSpec, report: &ExecReport, out: &mut Vec<Violation>) {
     if report.steal_attempts != report.steal_hits + report.steal_misses {
         fail!(
             out,

@@ -37,7 +37,7 @@ pub fn check_case(spec: &CaseSpec) -> Vec<Violation> {
     match spec.run() {
         Err(e) => vec![Violation {
             oracle: "sim_accepts_valid_input",
-            detail: format!("simulate_explored failed: {e} ({e:?})"),
+            detail: format!("simulate_with failed: {e} ({e:?})"),
         }],
         Ok((report, quiescence)) => check_outcome(spec, &report, &quiescence),
     }

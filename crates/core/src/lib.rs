@@ -39,9 +39,10 @@
 //!
 //! Both planners run on all three execution backends (DESIGN.md §12):
 //! the deterministic DES (virtual time on a simulated machine) via
-//! `run_parallel_prm` / `run_parallel_rrt`, the live shared-memory
-//! backend (real OS threads, wall-clock time) via the `*_live` variants,
-//! and the multi-process backend via the `*_dist` variants;
+//! `run_parallel_prm` / `run_parallel_rrt` (`*_observed` takes their
+//! optional arguments), the live shared-memory backend (real OS threads,
+//! wall-clock time) via the `*_live_observed` / `*_live_controlled`
+//! variants, and the multi-process backend via the `*_dist_with` variants;
 //! `run_parallel_prm_on` / `run_parallel_rrt_on` dispatch on
 //! [`smp_runtime::Backend`].
 
@@ -67,21 +68,19 @@ pub use cost::work_cost;
 pub use dist::CoreHandler;
 pub use parallel_prm::{
     build_prm_workload, build_prm_workload_on_grid, run_parallel_prm, run_parallel_prm_dist,
-    run_parallel_prm_dist_with, run_parallel_prm_faulted, run_parallel_prm_live,
-    run_parallel_prm_live_controlled, run_parallel_prm_live_observed, run_parallel_prm_observed,
-    run_parallel_prm_on, run_parallel_prm_with_weights, ParallelPrmConfig, PrmRun, PrmWorkload,
+    run_parallel_prm_dist_with, run_parallel_prm_live_controlled, run_parallel_prm_live_observed,
+    run_parallel_prm_observed, run_parallel_prm_on, ParallelPrmConfig, PrmRun, PrmWorkload,
 };
 pub use parallel_rrt::{
-    build_rrt_workload, run_parallel_rrt, run_parallel_rrt_dist, run_parallel_rrt_dist_with,
-    run_parallel_rrt_faulted, run_parallel_rrt_live, run_parallel_rrt_live_controlled,
-    run_parallel_rrt_live_observed, run_parallel_rrt_observed, run_parallel_rrt_on,
-    ParallelRrtConfig, RrtRun, RrtWorkload,
+    build_rrt_workload, run_parallel_rrt, run_parallel_rrt_dist_with,
+    run_parallel_rrt_live_controlled, run_parallel_rrt_live_observed, run_parallel_rrt_observed,
+    run_parallel_rrt_on, ParallelRrtConfig, RrtRun, RrtWorkload,
 };
 pub use phases::PhaseBreakdown;
 pub use pipeline::PlannerRun;
 pub use portfolio::{
-    run_portfolio_rrt_faulted, run_portfolio_rrt_on, Attempt, PlannerKind, PortfolioLedger,
-    PortfolioOutcome, RoundReport, RrtPortfolioConfig,
+    run_portfolio_rrt_on, Attempt, PlannerKind, PortfolioLedger, PortfolioOutcome, RoundReport,
+    RrtPortfolioConfig,
 };
 pub use restart::{luby, RestartSchedule};
 pub use strategy::{Strategy, WeightKind};

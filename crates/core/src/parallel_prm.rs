@@ -49,8 +49,8 @@ use smp_obs::Tracer;
 use smp_plan::connect::{connect_roadmaps, CandidateEdge};
 use smp_runtime::dist::{DistExecutor, DistOptions};
 use smp_runtime::{
-    simulate_observed, Backend, DistTuning, ExecError, ExecSpec, FaultPlan, LiveControl,
-    LiveOutcome, LiveTuning, MachineModel, SimConfig, SimError,
+    simulate_with, Backend, DistTuning, ExecError, ExecSpec, FaultPlan, LiveControl, LiveOutcome,
+    LiveTuning, MachineModel, SimConfig, SimError, SimOptions,
 };
 use std::time::Instant;
 
@@ -355,7 +355,7 @@ const PRM_METRICS: MetricNames = MetricNames {
 /// The repartitioning weights PRM can resolve from what a run already
 /// has: measured sample counts and exact free volume. `Probe`/`KRays`
 /// need a separate measurement pass over the environment
-/// ([`run_parallel_prm_with_weights`] takes its result).
+/// ([`run_parallel_prm_observed`] takes its result as `custom_weights`).
 fn prm_weights(kind: WeightKind, counts: &[u32], vfree: &[f64]) -> Option<Vec<f64>> {
     match kind {
         WeightKind::SampleCount => Some(weights::sample_count_weights(counts)),
@@ -395,42 +395,23 @@ pub fn run_parallel_prm<const D: usize>(
     p: usize,
     strategy: &Strategy,
 ) -> Result<PrmRun, SimError> {
-    run_parallel_prm_faulted(workload, machine, p, strategy, None, None)
+    run_parallel_prm_observed(workload, machine, p, strategy, None, None, None)
 }
 
-/// As [`run_parallel_prm`] but with explicit repartitioning weights
-/// (required for `Probe`/`KRays` weight kinds, which otherwise fail with
-/// [`SimError::UnsupportedWeights`]).
-pub fn run_parallel_prm_with_weights<const D: usize>(
-    workload: &PrmWorkload<D>,
-    machine: &MachineModel,
-    p: usize,
-    strategy: &Strategy,
-    custom_weights: Option<&[f64]>,
-) -> Result<PrmRun, SimError> {
-    run_parallel_prm_faulted(workload, machine, p, strategy, custom_weights, None)
-}
-
-/// As [`run_parallel_prm_with_weights`] but injecting `fault` into the
-/// node-connection phase — the long, imbalanced phase where stragglers,
-/// lost messages, and PE crashes actually bite. A `None` or zero-fault plan
-/// reproduces [`run_parallel_prm`] bit for bit.
-pub fn run_parallel_prm_faulted<const D: usize>(
-    workload: &PrmWorkload<D>,
-    machine: &MachineModel,
-    p: usize,
-    strategy: &Strategy,
-    custom_weights: Option<&[f64]>,
-    fault: Option<&FaultPlan>,
-) -> Result<PrmRun, SimError> {
-    run_parallel_prm_observed(workload, machine, p, strategy, custom_weights, fault, None)
-}
-
-/// As [`run_parallel_prm_faulted`] with an optional [`Tracer`]: all four
-/// phases are spliced onto one timeline — per-PE tracks carry the DES
-/// events of the simulated phases, and a dedicated `"phases"` track (id
-/// `p`) carries one span per planner phase. Tracing never perturbs the
-/// run; replaying the same inputs yields byte-identical traces.
+/// [`run_parallel_prm`] with its optional arguments:
+///
+/// * `custom_weights` — explicit repartitioning weights, required for the
+///   `Probe`/`KRays` weight kinds (which otherwise fail with
+///   [`SimError::UnsupportedWeights`]);
+/// * `fault` — injected into the node-connection phase, the long,
+///   imbalanced phase where stragglers, lost messages and PE crashes
+///   actually bite. `None` or a zero-fault plan reproduces
+///   [`run_parallel_prm`] bit for bit;
+/// * `tracer` — all four phases are spliced onto one timeline: per-PE
+///   tracks carry the DES events of the simulated phases, and a dedicated
+///   `"phases"` track (id `p`) carries one span per planner phase. Tracing
+///   never perturbs the run; replaying the same inputs yields
+///   byte-identical traces.
 pub fn run_parallel_prm_observed<const D: usize>(
     workload: &PrmWorkload<D>,
     machine: &MachineModel,
@@ -467,14 +448,11 @@ pub fn run_parallel_prm_observed<const D: usize>(
         seed: derive_seed(workload.seed, p as u64, 1),
     };
     timeline.begin("generation");
-    let gen_sim = simulate_observed(
-        &gen_costs,
-        None,
-        &naive.items_per_pe(),
-        &gen_cfg,
-        None,
-        timeline.tracer(),
-    )?;
+    let gen_opts = SimOptions {
+        tracer: timeline.tracer(),
+        ..SimOptions::default()
+    };
+    let (gen_sim, _) = simulate_with(&gen_costs, &naive.items_per_pe(), &gen_cfg, gen_opts)?;
     timeline.end(gen_sim.makespan);
 
     // Phase 2: load balancing, at modelled cost: two barriers and the
@@ -514,14 +492,13 @@ pub fn run_parallel_prm_observed<const D: usize>(
         seed: derive_seed(workload.seed, p as u64, 2),
     };
     timeline.begin("node_connection");
-    let con_sim = simulate_observed(
-        &con_costs,
-        Some(&payloads),
-        &bal.owners.items_per_pe(),
-        &con_cfg,
+    let con_opts = SimOptions {
+        payloads: Some(&payloads),
         fault,
-        timeline.tracer(),
-    )?;
+        tracer: timeline.tracer(),
+        ..SimOptions::default()
+    };
+    let (con_sim, _) = simulate_with(&con_costs, &bal.owners.items_per_pe(), &con_cfg, con_opts)?;
     timeline.end(con_sim.makespan);
 
     // Phase 4: region connection, charged to the owner of each edge's first
@@ -620,8 +597,7 @@ fn execute_prm<const D: usize>(
         local: |r| connect_region(cfg, &gen_results[r as usize].0),
         decode: dist::decode_connect,
     };
-    let (con_results, con_report) = runner.run(connect, &mut timeline)?;
-    let construction = con_report.to_sim_report();
+    let (con_results, construction) = runner.run(connect, &mut timeline)?;
     let final_owner = &construction.executed_by;
 
     // Phase 4: region connection on the final owner of each edge's first
@@ -699,20 +675,12 @@ fn execute_prm<const D: usize>(
 /// `Probe`/`KRays` repartitioning weights need a separate measurement
 /// pass and fail with [`SimError::UnsupportedWeights`]; use `SampleCount`
 /// or `Vfree`.
-pub fn run_parallel_prm_live<const D: usize>(
-    cfg: &ParallelPrmConfig<'_, D>,
-    threads: usize,
-    strategy: &Strategy,
-    tuning: LiveTuning,
-) -> Result<(PrmWorkload<D>, PrmRun), ExecError> {
-    run_parallel_prm_live_observed(cfg, threads, strategy, tuning, None)
-}
-
-/// As [`run_parallel_prm_live`] with an optional [`Tracer`]: per-worker
-/// tracks carry wall-clock task spans, steal instants, and queue-length
-/// counters, and a `"phases"` track (id `threads`) carries one span per
-/// planner phase — the same vocabulary as the DES trace, on a wall-clock
-/// timeline (so it is **not** golden-file comparable; see DESIGN.md §12).
+///
+/// With a [`Tracer`], per-worker tracks carry wall-clock task spans, steal
+/// instants, and queue-length counters, and a `"phases"` track (id
+/// `threads`) carries one span per planner phase — the same vocabulary as
+/// the DES trace, on a wall-clock timeline (so it is **not** golden-file
+/// comparable; see DESIGN.md §12).
 pub fn run_parallel_prm_live_observed<const D: usize>(
     cfg: &ParallelPrmConfig<'_, D>,
     threads: usize,
@@ -750,8 +718,8 @@ pub fn run_parallel_prm_live_controlled<const D: usize>(
 
 /// Run the full parallel PRM on `p` worker **processes** via a pre-built
 /// [`DistExecutor`]: the same pipeline as
-/// [`run_parallel_prm_live`], with each phase shipped as a work kind plus
-/// the encoded `cfg` ([`crate::dist`]) instead of a closure.
+/// [`run_parallel_prm_live_observed`], with each phase shipped as a work
+/// kind plus the encoded `cfg` ([`crate::dist`]) instead of a closure.
 ///
 /// The returned workload — and hence the assembled roadmap and its
 /// digest — is byte-identical to the DES and live backends for the same
@@ -805,7 +773,7 @@ pub fn run_parallel_prm_on<const D: usize>(
             let run = run_parallel_prm(&workload, machine, p, strategy)?;
             Ok((workload, run))
         }
-        Backend::Live(tuning) => run_parallel_prm_live(cfg, p, strategy, tuning),
+        Backend::Live(tuning) => run_parallel_prm_live_observed(cfg, p, strategy, tuning, None),
         Backend::Dist(tuning) => run_parallel_prm_dist(cfg, p, strategy, tuning),
     }
 }
@@ -1040,8 +1008,14 @@ mod tests {
                 Strategy::Repartition(WeightKind::SampleCount),
                 Strategy::RectPartition(WeightKind::SampleCount),
             ] {
-                let (w, run) =
-                    run_parallel_prm_live(&cfg, threads, &strategy, LiveTuning::default()).unwrap();
+                let (w, run) = run_parallel_prm_live_observed(
+                    &cfg,
+                    threads,
+                    &strategy,
+                    LiveTuning::default(),
+                    None,
+                )
+                .unwrap();
                 // Work-product determinism: live == measured build, bit for bit.
                 assert_eq!(
                     roadmap_digest(&assemble_prm_roadmap(&w)),

@@ -32,8 +32,8 @@ use smp_plan::connect::connect_roadmaps;
 use smp_plan::rrt::{grow_rrt, RrtParams};
 use smp_runtime::dist::{DistExecutor, DistOptions};
 use smp_runtime::{
-    simulate_observed, Backend, DistTuning, ExecError, ExecSpec, FaultPlan, LiveControl,
-    LiveOutcome, LiveTuning, MachineModel, SimConfig, SimError,
+    simulate_with, Backend, ExecError, ExecSpec, FaultPlan, LiveControl, LiveOutcome, LiveTuning,
+    MachineModel, SimConfig, SimError, SimOptions,
 };
 use std::time::Instant;
 
@@ -306,26 +306,15 @@ pub fn run_parallel_rrt<const D: usize>(
     p: usize,
     strategy: &Strategy,
 ) -> Result<RrtRun, SimError> {
-    run_parallel_rrt_faulted(workload, machine, p, strategy, None)
+    run_parallel_rrt_observed(workload, machine, p, strategy, None, None)
 }
 
-/// As [`run_parallel_rrt`] but injecting `fault` into the construction
-/// phase. A `None` or zero-fault plan reproduces [`run_parallel_rrt`] bit
-/// for bit.
-pub fn run_parallel_rrt_faulted<const D: usize>(
-    workload: &RrtWorkload<D>,
-    machine: &MachineModel,
-    p: usize,
-    strategy: &Strategy,
-    fault: Option<&FaultPlan>,
-) -> Result<RrtRun, SimError> {
-    run_parallel_rrt_observed(workload, machine, p, strategy, fault, None)
-}
-
-/// As [`run_parallel_rrt_faulted`] with an optional [`Tracer`]: per-PE
-/// tracks carry the construction DES events and a dedicated `"phases"`
-/// track (id `p`) carries one span per planner phase, spliced onto one
-/// timeline. Tracing never perturbs the run and replays byte-identically.
+/// [`run_parallel_rrt`] with its optional arguments: `fault` is injected
+/// into the construction phase (`None` or a zero-fault plan reproduces
+/// [`run_parallel_rrt`] bit for bit), and with a [`Tracer`] per-PE tracks
+/// carry the construction DES events and a dedicated `"phases"` track (id
+/// `p`) carries one span per planner phase, spliced onto one timeline.
+/// Tracing never perturbs the run and replays byte-identically.
 pub fn run_parallel_rrt_observed<const D: usize>(
     workload: &RrtWorkload<D>,
     machine: &MachineModel,
@@ -373,14 +362,12 @@ pub fn run_parallel_rrt_observed<const D: usize>(
         seed: derive_seed(workload.seed, p as u64, 3),
     };
     timeline.begin("construction");
-    let con_sim = simulate_observed(
-        &costs,
-        None,
-        &bal.owners.items_per_pe(),
-        &con_cfg,
+    let con_opts = SimOptions {
         fault,
-        timeline.tracer(),
-    )?;
+        tracer: timeline.tracer(),
+        ..SimOptions::default()
+    };
+    let (con_sim, _) = simulate_with(&costs, &bal.owners.items_per_pe(), &con_cfg, con_opts)?;
     timeline.end(con_sim.makespan);
 
     // region connection (with cycle pruning happening at assembly; the
@@ -460,8 +447,7 @@ fn execute_rrt<const D: usize>(
         local: |r| grow_branch(cfg, &sub, r),
         decode: dist::decode_branch::<D>,
     };
-    let (branches, con_report) = runner.run(grow, &mut timeline)?;
-    let construction = con_report.to_sim_report();
+    let (branches, construction) = runner.run(grow, &mut timeline)?;
     let final_owner = &construction.executed_by;
 
     // Phase 3: region connection on the final owner of each edge's first
@@ -529,19 +515,11 @@ fn execute_rrt<const D: usize>(
 ///
 /// `Repartition` uses the k-random-rays weights (the only estimate
 /// available *before* growth, §III-B), exactly as the DES path does.
-pub fn run_parallel_rrt_live<const D: usize>(
-    cfg: &ParallelRrtConfig<'_, D>,
-    threads: usize,
-    strategy: &Strategy,
-    tuning: LiveTuning,
-) -> Result<(RrtWorkload<D>, RrtRun), ExecError> {
-    run_parallel_rrt_live_observed(cfg, threads, strategy, tuning, None)
-}
-
-/// As [`run_parallel_rrt_live`] with an optional [`Tracer`]: per-worker
-/// tracks carry wall-clock task spans and steal instants, and a
-/// `"phases"` track (id `threads`) carries one span per planner phase —
-/// wall-clock timeline, so not golden-file comparable (DESIGN.md §12).
+///
+/// With a [`Tracer`], per-worker tracks carry wall-clock task spans and
+/// steal instants, and a `"phases"` track (id `threads`) carries one span
+/// per planner phase — wall-clock timeline, so not golden-file comparable
+/// (DESIGN.md §12).
 pub fn run_parallel_rrt_live_observed<const D: usize>(
     cfg: &ParallelRrtConfig<'_, D>,
     threads: usize,
@@ -576,8 +554,9 @@ pub fn run_parallel_rrt_live_controlled<const D: usize>(
 }
 
 /// Run the full parallel RRT on `p` worker **processes** via a pre-built
-/// [`DistExecutor`]: the same pipeline as [`run_parallel_rrt_live`], with
-/// the same cross-backend digest-identity guarantee as
+/// [`DistExecutor`]: the same pipeline as
+/// [`run_parallel_rrt_live_observed`], with the same cross-backend
+/// digest-identity guarantee as
 /// [`crate::parallel_prm::run_parallel_prm_dist_with`]. The k-random-rays
 /// weights are computed coordinator-side.
 pub fn run_parallel_rrt_dist_with<const D: usize>(
@@ -591,18 +570,6 @@ pub fn run_parallel_rrt_dist_with<const D: usize>(
         blob: dist::encode_rrt_blob(cfg),
     };
     execute_rrt(cfg, p, strategy, &mut runner, None)
-}
-
-/// As [`run_parallel_rrt_dist_with`], spawning `p` worker processes of the
-/// `smp-dist-worker` binary (the `Backend::Dist` entry point).
-pub fn run_parallel_rrt_dist<const D: usize>(
-    cfg: &ParallelRrtConfig<'_, D>,
-    p: usize,
-    strategy: &Strategy,
-    tuning: DistTuning,
-) -> Result<(RrtWorkload<D>, RrtRun), ExecError> {
-    let mut exec = DistExecutor::new(DistOptions::process(tuning)?);
-    run_parallel_rrt_dist_with(cfg, p, strategy, &mut exec)
 }
 
 /// Backend-agnostic entry point, mirroring
@@ -624,8 +591,12 @@ pub fn run_parallel_rrt_on<const D: usize>(
             let run = run_parallel_rrt(&workload, machine, p, strategy)?;
             Ok((workload, run))
         }
-        Backend::Live(tuning) => run_parallel_rrt_live(cfg, p, strategy, tuning),
-        Backend::Dist(tuning) => run_parallel_rrt_dist(cfg, p, strategy, tuning),
+        Backend::Live(tuning) => run_parallel_rrt_live_observed(cfg, p, strategy, tuning, None),
+        Backend::Dist(tuning) => {
+            // A fresh pool of `smp-dist-worker` processes for this run.
+            let mut exec = DistExecutor::new(DistOptions::process(tuning)?);
+            run_parallel_rrt_dist_with(cfg, p, strategy, &mut exec)
+        }
     }
 }
 
@@ -822,8 +793,14 @@ mod tests {
                 Strategy::Repartition(WeightKind::KRays(4)),
                 Strategy::RectPartition(WeightKind::KRays(4)),
             ] {
-                let (w, run) =
-                    run_parallel_rrt_live(&cfg, threads, &strategy, LiveTuning::default()).unwrap();
+                let (w, run) = run_parallel_rrt_live_observed(
+                    &cfg,
+                    threads,
+                    &strategy,
+                    LiveTuning::default(),
+                    None,
+                )
+                .unwrap();
                 assert_eq!(
                     roadmap_digest(&assemble_rrt_tree(&w)),
                     reference,

@@ -31,8 +31,8 @@ use smp_graph::{OwnerMap, RegionGraph, RemoteAccessCounter};
 use smp_obs::{cat, MetricsRegistry, MetricsSnapshot, Tracer};
 use smp_runtime::dist::{DistExecutor, WorkDesc};
 use smp_runtime::{
-    ExecError, ExecReport, ExecSpec, LiveControl, LiveOutcome, LivePartial, MachineModel, SimError,
-    SimReport, StealConfig,
+    ExecError, ExecSpec, LiveControl, LiveOutcome, LivePartial, MachineModel, SimError, SimReport,
+    StealConfig,
 };
 use std::time::Instant;
 
@@ -238,7 +238,7 @@ pub(crate) trait PhaseRunner {
         &mut self,
         phase: Phase<'_, R, F>,
         timeline: &mut Timeline<'_>,
-    ) -> Result<(Vec<R>, ExecReport), ExecError>;
+    ) -> Result<(Vec<R>, SimReport), ExecError>;
 }
 
 /// Phases on OS threads: a fresh [`smp_runtime::LiveExecutor`] per phase
@@ -281,7 +281,7 @@ impl PhaseRunner for LiveRunner<'_> {
         &mut self,
         phase: Phase<'_, R, F>,
         timeline: &mut Timeline<'_>,
-    ) -> Result<(Vec<R>, ExecReport), ExecError> {
+    ) -> Result<(Vec<R>, SimReport), ExecError> {
         let mut ex = self
             .control
             .phase_executor(phase.spec.assignment.len(), self.run_start);
@@ -319,7 +319,7 @@ impl PhaseRunner for DistRunner<'_> {
         &mut self,
         phase: Phase<'_, R, F>,
         timeline: &mut Timeline<'_>,
-    ) -> Result<(Vec<R>, ExecReport), ExecError> {
+    ) -> Result<(Vec<R>, SimReport), ExecError> {
         let work = WorkDesc {
             kind: phase.kind,
             blob: &self.blob,
@@ -495,7 +495,7 @@ mod tests {
     };
     use smp_geom::envs;
     use smp_runtime::dist::{DistFaultPlan, DistOptions, DistTuning, SpawnMode};
-    use smp_runtime::{Backend, StealPolicyKind};
+    use smp_runtime::{Backend, LiveTuning, StealPolicyKind};
     use std::sync::Arc;
 
     const BACKENDS: [&str; 3] = ["des", "live", "dist"];
@@ -518,9 +518,10 @@ mod tests {
         backend: &str,
     ) -> DigestAndRun {
         let machine = MachineModel::hopper();
+        let live = Backend::Live(LiveTuning::default());
         let (w, run) = match backend {
             "des" => run_parallel_prm_on(cfg, &machine, p, s, Backend::Des)?,
-            "live" => run_parallel_prm_on(cfg, &machine, p, s, Backend::live(p))?,
+            "live" => run_parallel_prm_on(cfg, &machine, p, s, live)?,
             _ => run_parallel_prm_dist_with(cfg, p, s, &mut thread_workers())?,
         };
         Ok((roadmap_digest(&assemble_prm_roadmap(&w)), run))
@@ -533,9 +534,10 @@ mod tests {
         backend: &str,
     ) -> DigestAndRun {
         let machine = MachineModel::opteron();
+        let live = Backend::Live(LiveTuning::default());
         let (w, run) = match backend {
             "des" => run_parallel_rrt_on(cfg, &machine, p, s, Backend::Des)?,
-            "live" => run_parallel_rrt_on(cfg, &machine, p, s, Backend::live(p))?,
+            "live" => run_parallel_rrt_on(cfg, &machine, p, s, live)?,
             _ => run_parallel_rrt_dist_with(cfg, p, s, &mut thread_workers())?,
         };
         Ok((roadmap_digest(&assemble_rrt_tree(&w)), run))

@@ -39,8 +39,8 @@ use smp_plan::{
     RrtConnectParams, RrtParams,
 };
 use smp_runtime::{
-    simulate, Backend, CancelToken, ExecError, ExecSpec, LiveExecutor, LiveFaultPlan, LiveTuning,
-    MachineModel, SimConfig, StealConfig,
+    simulate_phase, Backend, CancelToken, ExecError, ExecSpec, LiveExecutor, LiveFaultPlan,
+    LiveTuning, MachineModel, StealConfig,
 };
 
 /// Seed-derivation stream tags (arbitrary, fixed forever).
@@ -236,6 +236,16 @@ where
     let p = spec.workers.max(1);
     let assignment = round_robin(k, p);
     let n_rounds = spec.schedule.max_rounds(spec.max_rounds);
+    // Portfolio attempts are closures producing arbitrary `T` — they
+    // cannot cross a process boundary, so `Backend::Dist` runs its rounds
+    // on the in-process live engine with default tuning. Deterministic
+    // settlement makes the winner and ledger identical either way; only
+    // wall-clock timings differ from a true multi-process round.
+    let live_tuning = match backend {
+        Backend::Des => None,
+        Backend::Live(tuning) => Some(tuning),
+        Backend::Dist(_) => Some(LiveTuning::default()),
+    };
 
     let mut rounds: Vec<RoundReport> = Vec::new();
     let mut winner: Option<(usize, usize)> = None; // (member, round)
@@ -265,85 +275,35 @@ where
             a
         };
 
-        // Run the round on the chosen backend. Both arms leave
-        // `slots[m] = Some(attempt)` for every attempt that physically
-        // ran, plus the round's native-time makespan.
-        let (mut slots, makespan): (Vec<Option<Attempt<T>>>, u64) = match backend {
-            Backend::Des => {
-                // The DES runs closures serially (its schedule never
-                // touches real work), so its cancellation boundary is the
-                // member boundary: the executed set is always the member-id
-                // prefix up to the first success. The round's virtual
-                // makespan replays the executed attempts' measured vcosts.
-                let mut slots: Vec<Option<Attempt<T>>> = (0..k).map(|_| None).collect();
-                let mut executed = 0usize;
-                for m in 0..k as u32 {
-                    if token.is_cancelled() {
-                        break;
-                    }
-                    slots[m as usize] = Some(work(m));
-                    executed += 1;
-                }
-                let vcosts: Vec<u64> = slots[..executed]
-                    .iter()
-                    .map(|s| s.as_ref().map_or(0, |a| a.vcost))
-                    .collect();
-                let prefix: Vec<Vec<u32>> = assignment
-                    .iter()
-                    .map(|q| {
-                        q.iter()
-                            .copied()
-                            .filter(|&t| (t as usize) < executed)
-                            .collect()
-                    })
-                    .collect();
-                let cfg = SimConfig {
-                    machine: spec.machine.clone(),
-                    steal: spec.steal,
-                    seed: round_seed,
-                };
-                let report = simulate(&vcosts, &prefix, &cfg)?;
-                (slots, report.makespan)
-            }
-            Backend::Live(tuning) => {
+        // Run the round on the chosen backend. Either way `slots[m]` is
+        // `Some(attempt)` for every attempt that physically ran, and the
+        // makespan is in the backend's native time.
+        let exec_spec = ExecSpec {
+            n_tasks: k,
+            costs: None,
+            payloads: None,
+            assignment: &assignment,
+            steal: spec.steal,
+            seed: round_seed,
+        };
+        let out = match live_tuning {
+            // The DES cancels at the member boundary, so the executed set
+            // is the member-id prefix up to the first success, and the
+            // round's virtual makespan replays those attempts' vcosts.
+            None => simulate_phase(&exec_spec, spec.machine, Some(&token), |m| {
+                let a = work(m);
+                let vcost = a.vcost;
+                (a, vcost)
+            })?,
+            Some(tuning) => {
                 let mut ex = LiveExecutor::new(p, tuning).with_cancel(token.clone());
                 if let Some(f) = &spec.faults {
                     ex = ex.with_faults(f.clone());
                 }
-                let exec_spec = ExecSpec {
-                    n_tasks: k,
-                    costs: None,
-                    payloads: None,
-                    assignment: &assignment,
-                    steal: spec.steal,
-                    seed: round_seed,
-                };
-                let out = ex.execute_resilient(&exec_spec, &work)?;
-                (out.results, out.report.makespan)
-            }
-            // Portfolio attempts are closures producing arbitrary `T` —
-            // they cannot cross a process boundary, so `Backend::Dist`
-            // runs the round on the in-process live engine with default
-            // tuning. Deterministic settlement makes the winner and
-            // ledger identical either way; only wall-clock timings
-            // differ from a true multi-process round.
-            Backend::Dist(_) => {
-                let mut ex = LiveExecutor::new(p, LiveTuning::default()).with_cancel(token.clone());
-                if let Some(f) = &spec.faults {
-                    ex = ex.with_faults(f.clone());
-                }
-                let exec_spec = ExecSpec {
-                    n_tasks: k,
-                    costs: None,
-                    payloads: None,
-                    assignment: &assignment,
-                    steal: spec.steal,
-                    seed: round_seed,
-                };
-                let out = ex.execute_resilient(&exec_spec, &work)?;
-                (out.results, out.report.makespan)
+                ex.execute_resilient(&exec_spec, &work)?
             }
         };
+        let (mut slots, makespan) = (out.results, out.report.makespan);
 
         let st = state.into_inner();
         total_time += makespan;
@@ -634,20 +594,10 @@ fn rrt_attempt<const D: usize>(
 /// bulk-synchronous [`Strategy::Repartition`] has no meaning inside one
 /// round of identical single-task members, so it (like
 /// [`Strategy::NoLb`]) falls back to the static member→worker
-/// assignment.
+/// assignment. `faults` are injected into every live round (the DES
+/// ignores them) — the differential suite uses this to show the ledger
+/// survives faults.
 pub fn run_portfolio_rrt_on<const D: usize>(
-    cfg: &RrtPortfolioConfig<'_, D>,
-    machine: &MachineModel,
-    workers: usize,
-    strategy: Strategy,
-    backend: Backend,
-) -> Result<PortfolioOutcome<Roadmap<D>>, ExecError> {
-    run_portfolio_rrt_faulted(cfg, machine, workers, strategy, backend, None)
-}
-
-/// [`run_portfolio_rrt_on`] with live fault injection (ignored by DES) —
-/// the differential suite uses this to show the ledger survives faults.
-pub fn run_portfolio_rrt_faulted<const D: usize>(
     cfg: &RrtPortfolioConfig<'_, D>,
     machine: &MachineModel,
     workers: usize,
@@ -804,14 +754,15 @@ mod tests {
             ..RrtPortfolioConfig::new(&env, Point::splat(0.1), Point::splat(0.9))
         };
         let machine = MachineModel::hopper();
-        let des =
-            run_portfolio_rrt_on(&cfg, &machine, 2, Strategy::NoLb, Backend::Des).expect("des");
+        let des = run_portfolio_rrt_on(&cfg, &machine, 2, Strategy::NoLb, Backend::Des, None)
+            .expect("des");
         let live = run_portfolio_rrt_on(
             &cfg,
             &machine,
             2,
             Strategy::NoLb,
             Backend::Live(LiveTuning::default()),
+            None,
         )
         .expect("live");
         assert!(des.ledger.winner.is_some());
@@ -833,8 +784,8 @@ mod tests {
             ..RrtPortfolioConfig::new(&env, Point::splat(0.1), Point::splat(0.9))
         };
         let machine = MachineModel::hopper();
-        let out =
-            run_portfolio_rrt_on(&cfg, &machine, 3, Strategy::NoLb, Backend::Des).expect("des");
+        let out = run_portfolio_rrt_on(&cfg, &machine, 3, Strategy::NoLb, Backend::Des, None)
+            .expect("des");
         assert!(out.ledger.winner.is_some());
         assert!(out.ledger.closes());
     }

@@ -39,34 +39,19 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static A: CountingAlloc = CountingAlloc;
 
-/// The pre-PR-4 queue-based bisection, kept verbatim as the ordering oracle.
-/// Returns the sequence of interpolation parameters checked and whether the
-/// edge was accepted, given a predicate over t.
+#[path = "reference/queue_bisection.rs"]
+mod queue_bisection;
+
+/// The pre-PR-4 queue-based bisection as the ordering oracle: the sequence
+/// of interpolation parameters it checks and whether the edge was
+/// accepted, given a predicate over t.
 fn reference_order(n: u32, valid_at: impl Fn(f64) -> bool) -> (Vec<f64>, bool) {
     let mut ts = Vec::new();
-    let mut queue = std::collections::VecDeque::new();
-    if n > 1 {
-        queue.push_back((1u32, n - 1));
-    }
-    let mut ok = true;
-    while let Some((lo, hi)) = queue.pop_front() {
-        if lo > hi {
-            continue;
-        }
-        let mid = lo + (hi - lo) / 2;
+    let ok = queue_bisection::reference_bisection(n, |mid| {
         let t = mid as f64 / n as f64;
         ts.push(t);
-        if !valid_at(t) {
-            ok = false;
-            break;
-        }
-        if mid > lo {
-            queue.push_back((lo, mid - 1));
-        }
-        if mid < hi {
-            queue.push_back((mid + 1, hi));
-        }
-    }
+        valid_at(t)
+    });
     (ts, ok)
 }
 

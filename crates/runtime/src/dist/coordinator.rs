@@ -1,6 +1,6 @@
 //! The coordinator side of the distributed backend.
 //!
-//! [`DistExecutor`] is the third [`crate::executor`] backend: it spawns
+//! [`DistExecutor`] is the multi-process [`crate::executor`] backend: it spawns
 //! (or adopts, in thread mode) N worker processes, distributes one phase's
 //! tasks over them, brokers work stealing with the paper's
 //! victim-selection policies, and recovers from worker crashes — all over
@@ -35,7 +35,7 @@ use super::msg::Msg;
 use super::transport::{DistListener, DistStream, Endpoint, TransportKind};
 use super::worker::{run_worker, DistHandler, WorkerParams};
 use super::DistError;
-use crate::executor::{validate_assignment, ExecError, ExecMode, ExecReport, ExecSpec};
+use crate::executor::{validate_assignment, ExecError, ExecReport, ExecSpec};
 use crate::sim::{ResilienceStats, StealAmount};
 use crate::topology::Mesh;
 use smp_obs::MetricsRegistry;
@@ -111,16 +111,6 @@ impl DistOptions {
             tuning,
             spawn: SpawnMode::Process(resolve_worker_cmd()?),
             faults: DistFaultPlan::default(),
-        })
-    }
-
-    /// As [`DistOptions::process`] with default tuning and the given
-    /// fault plan armed.
-    pub fn process_with_faults(faults: DistFaultPlan) -> Result<Self, DistError> {
-        Ok(DistOptions {
-            tuning: DistTuning::default(),
-            spawn: SpawnMode::Process(resolve_worker_cmd()?),
-            faults,
         })
     }
 }
@@ -220,6 +210,32 @@ struct Pool {
     unbound: HashMap<u64, DistStream>,
 }
 
+impl Pool {
+    /// Bind the connection that said `Hello{worker, epoch}` to its slot,
+    /// returning the slot index. **First bind wins**: the slot must be
+    /// waiting (spawned at this epoch, not yet introduced). Any other
+    /// `Hello` — a zombie of an earlier incarnation, an out-of-range id,
+    /// or a second connection claiming a slot whose worker is alive — is
+    /// cut loose, so no outside connection can take over a live worker's
+    /// writer and strand its `Done`s and its EOF.
+    fn bind_hello(&mut self, conn: u64, worker: u32, epoch: u32) -> Option<usize> {
+        let writer = self.unbound.remove(&conn)?;
+        let w = worker as usize;
+        match self.slots.get_mut(w) {
+            Some(slot) if slot.epoch == epoch && !slot.alive => {
+                slot.conn = Some(conn);
+                slot.writer = Some(writer);
+                slot.alive = true;
+                Some(w)
+            }
+            _ => {
+                writer.shutdown();
+                None
+            }
+        }
+    }
+}
+
 /// The distributed multi-process executor (DESIGN.md §17).
 ///
 /// Construct once, run many phases: the worker pool persists across
@@ -261,21 +277,6 @@ impl DistExecutor {
             respawn_policy: HashMap::new(),
             pool: None,
         }
-    }
-
-    /// Process-mode coordinator with default tuning and no faults.
-    pub fn with_workers() -> Result<Self, DistError> {
-        Ok(Self::new(DistOptions::process(DistTuning::default())?))
-    }
-
-    /// Backend display name (`"dist"`).
-    pub fn name(&self) -> &'static str {
-        "dist"
-    }
-
-    /// The executor's wall-clock time base.
-    pub fn mode(&self) -> ExecMode {
-        ExecMode::WallClockNs
     }
 
     /// Execute one phase to completion; every task must produce a result.
@@ -470,14 +471,7 @@ impl DistExecutor {
                     conn,
                     msg: Msg::Hello { worker, epoch, .. },
                 } => {
-                    let w = worker as usize;
-                    if w < p && epoch == pool.slots[w].epoch {
-                        if let Some(writer) = pool.unbound.remove(&conn) {
-                            pool.slots[w].conn = Some(conn);
-                            pool.slots[w].writer = Some(writer);
-                            pool.slots[w].alive = true;
-                        }
-                    }
+                    pool.bind_hello(conn, worker, epoch);
                 }
                 Event::Msg { .. } => {}
                 Event::Gone { conn } => {
@@ -818,48 +812,35 @@ impl DistExecutor {
                         received += 1;
                         match msg {
                             Msg::Hello { worker, epoch, .. } => {
-                                let w = worker as usize;
-                                if w < p && epoch == pool.slots[w].epoch {
-                                    if let Some(writer) = pool.unbound.remove(&conn) {
-                                        pool.slots[w].conn = Some(conn);
-                                        pool.slots[w].writer = Some(writer);
-                                        pool.slots[w].alive = true;
-                                        if let Some(t) = dead_at[w].take() {
-                                            dead_ns[w] += t.elapsed().as_nanos() as u64;
-                                        }
-                                        // Respawned worker: hand it the
-                                        // recovered queue.
-                                        if let Some(tasks) = pending_init[w].take() {
-                                            queue_est[w] = tasks.len() as i64;
-                                            for &t in &tasks {
-                                                owner[t as usize] = w as u32;
-                                            }
-                                            let init = Msg::Init {
-                                                phase,
-                                                worker,
-                                                n_workers: p as u32,
-                                                epoch,
-                                                kind: work.kind.to_string(),
-                                                blob: work.blob.to_vec(),
-                                                tasks,
-                                                amount,
-                                                kill_after: None,
-                                            };
-                                            #[allow(clippy::expect_used)] // bound just above
-                                            let writer = pool.slots[w]
-                                                .writer
-                                                .as_mut()
-                                                .expect("writer bound");
-                                            send_counted(writer, &init, &mut sent)
-                                                .map_err(|e| ExecError::Transport(e.to_string()))?;
-                                        }
+                                let Some(w) = pool.bind_hello(conn, worker, epoch) else {
+                                    continue;
+                                };
+                                if let Some(t) = dead_at[w].take() {
+                                    dead_ns[w] += t.elapsed().as_nanos() as u64;
+                                }
+                                // Respawned worker: hand it the recovered
+                                // queue.
+                                if let Some(tasks) = pending_init[w].take() {
+                                    queue_est[w] = tasks.len() as i64;
+                                    for &t in &tasks {
+                                        owner[t as usize] = w as u32;
                                     }
-                                } else {
-                                    // Stale epoch: a zombie from a previous
-                                    // incarnation; cut it loose.
-                                    if let Some(writer) = pool.unbound.remove(&conn) {
-                                        writer.shutdown();
-                                    }
+                                    let init = Msg::Init {
+                                        phase,
+                                        worker,
+                                        n_workers: p as u32,
+                                        epoch,
+                                        kind: work.kind.to_string(),
+                                        blob: work.blob.to_vec(),
+                                        tasks,
+                                        amount,
+                                        kill_after: None,
+                                    };
+                                    #[allow(clippy::expect_used)] // bound just above
+                                    let writer =
+                                        pool.slots[w].writer.as_mut().expect("writer bound");
+                                    send_counted(writer, &init, &mut sent)
+                                        .map_err(|e| ExecError::Transport(e.to_string()))?;
                                 }
                             }
                             Msg::Done {
@@ -1225,7 +1206,6 @@ impl DistExecutor {
             }
         }
         let mut report = ExecReport {
-            mode: ExecMode::WallClockNs,
             makespan,
             per_pe_busy: (0..p).map(|w| busy_committed[w] + busy_live[w]).collect(),
             per_pe_finish: finish_ns,
@@ -1288,5 +1268,76 @@ impl DistExecutor {
 impl Drop for DistExecutor {
     fn drop(&mut self) {
         self.teardown_pool();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dist::{synth_work, SynthHandler, WireWriter};
+    use std::io::Read;
+
+    /// A second connection claiming a live worker's slot (any local
+    /// process can reach the socket) must not take the slot over: the
+    /// real worker's `Done`s would be dropped as coming from an unbound
+    /// connection — or its next `Init` sent to the impostor — and the
+    /// phase would hang until its timeout.
+    #[test]
+    fn duplicate_hello_does_not_hijack_a_live_worker_slot() {
+        let mut exec = DistExecutor::new(DistOptions {
+            tuning: DistTuning {
+                phase_timeout_ms: 2_000,
+                ..DistTuning::default()
+            },
+            spawn: SpawnMode::Threads(Arc::new(|| Box::new(SynthHandler::default()))),
+            faults: DistFaultPlan::default(),
+        });
+        exec.ensure_pool(2).expect("pool up");
+        let endpoint = exec.pool.as_ref().expect("pool").endpoint.clone();
+        let hello = Msg::Hello {
+            worker: 0,
+            epoch: 0,
+            pid: 0,
+        };
+        let mut impostor = endpoint.connect().expect("connect");
+        write_frame(&mut impostor, &hello.encode()).expect("send duplicate Hello");
+
+        let costs = vec![200_000u64; 8];
+        let mut blob = WireWriter::new();
+        blob.vec_u64(&costs);
+        let blob = blob.into_bytes();
+        let assignment = vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7]];
+        let spec = ExecSpec {
+            n_tasks: costs.len(),
+            costs: None,
+            payloads: None,
+            assignment: &assignment,
+            steal: None,
+            seed: 1,
+        };
+        let work = WorkDesc {
+            kind: "synth",
+            blob: &blob,
+        };
+        // Whenever the coordinator meets the frame — before, during or
+        // between these phases — both must complete on the real workers.
+        for phase in 1..=2 {
+            let out = exec
+                .execute_raw(&spec, &work)
+                .unwrap_or_else(|e| panic!("phase {phase}: {e}"));
+            for (t, bytes) in out.results.iter().enumerate() {
+                let want = synth_work(t as u32, costs[t]).to_le_bytes();
+                assert_eq!(bytes.as_slice(), want.as_slice(), "task {t}");
+            }
+            // Static schedule: each task ran on the worker that owns it.
+            assert_eq!(out.report.executed_by, vec![0, 0, 0, 0, 1, 1, 1, 1]);
+        }
+        // First bind won: the newcomer was shut down, not left dangling.
+        if let DistStream::Unix(s) = &impostor {
+            s.set_read_timeout(Some(Duration::from_secs(5)))
+                .expect("set timeout");
+        }
+        let mut byte = [0u8; 1];
+        assert_eq!(impostor.read(&mut byte).expect("EOF, not a timeout"), 0);
     }
 }

@@ -1,6 +1,6 @@
 //! Distributed multi-process execution backend (DESIGN.md §17).
 //!
-//! The third [`crate::executor`] backend: a coordinator plus N worker
+//! The multi-process [`crate::executor`] backend: a coordinator plus N worker
 //! *processes* exchanging length-prefixed, checksummed frames over Unix
 //! domain sockets (or TCP behind a flag). Layering, bottom-up:
 //!

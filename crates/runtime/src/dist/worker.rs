@@ -31,8 +31,9 @@ use crate::sim::StealAmount;
 ///
 /// Implementations decode `blob` (cached across calls — the same blob is
 /// sent for every phase of a planner run) and compute the result bytes for
-/// `task`. The contract mirrors the [`crate::executor::Executor`] work
-/// closure, lowered to bytes so it can cross a process boundary: the
+/// `task`. The contract mirrors the task closure of the in-process
+/// backends ([`crate::executor`]), lowered to bytes so it can cross a
+/// process boundary: the
 /// result must depend only on `(kind, blob, task)` — never on which worker
 /// runs it or when — which is what makes the distributed backend
 /// result-deterministic.

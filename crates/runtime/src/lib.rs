@@ -11,17 +11,16 @@
 //!    Task *costs* are measured by really executing the planners once
 //!    (region work is location-independent); every load-balancing strategy
 //!    is then replayed exactly in virtual time.
-//! 2. An **execution-backend abstraction** ([`executor`]): planners emit
-//!    per-phase [`ExecSpec`]s and run them on the DES ([`DesExecutor`],
-//!    virtual time, schedule-deterministic), the **live shared-memory
-//!    backend** ([`live`]: [`LiveExecutor`], real OS threads, wall-clock
-//!    time, result-deterministic) or the **multi-process backend**
-//!    ([`dist`]: [`DistExecutor`], worker processes over framed sockets)
-//!    — DESIGN.md §12.
+//! 2. Two **executing backends** for the same per-phase [`ExecSpec`]s
+//!    ([`executor`]): the **live shared-memory backend** ([`live`]:
+//!    [`LiveExecutor`], real OS threads, wall-clock time,
+//!    result-deterministic) and the **multi-process backend** ([`dist`]:
+//!    [`DistExecutor`], worker processes over framed sockets). The DES
+//!    side of a closure phase is [`simulate_phase`]: run the closures
+//!    once, measuring them, then replay — DESIGN.md §12.
 //!
 //! [`machine`] defines the virtual machine models (`HOPPER`, `OPTERON`);
-//! [`topology`] the 2-D processor mesh used by diffusive stealing;
-//! [`comm`] the migration message encoding.
+//! [`topology`] the 2-D processor mesh used by diffusive stealing.
 
 #![warn(missing_docs)]
 // Hot paths must not abort: recoverable failures return `Result`, and the
@@ -30,7 +29,6 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cancel;
-pub mod comm;
 pub mod dist;
 pub mod executor;
 pub mod fault;
@@ -48,19 +46,15 @@ pub use dist::{
     DistError, DistExecutor, DistFaultPlan, DistKill, DistOptions, DistOutcome, DistTuning,
     TransportKind,
 };
-pub use executor::{
-    Backend, DesExecutor, ExecError, ExecMode, ExecOutcome, ExecReport, ExecSpec, Executor,
-    RunStatus,
-};
+pub use executor::{Backend, ExecError, ExecReport, ExecSpec, RunStatus};
 pub use fault::{Crash, FaultPlan, Straggler};
 pub use live::{LiveControl, LiveExecutor, LiveOutcome, LivePartial, LiveTuning, ResilientOutcome};
 pub use live_fault::{LiveFaultPlan, PanicSpec, SleepSpec};
 pub use machine::{LatencyModel, MachineModel, OpCosts};
 pub use rect::rect_bisection;
 pub use sim::{
-    simulate, simulate_explored, simulate_faulted, simulate_observed, simulate_with_payloads,
-    Quiescence, ResilienceStats, ScheduleOracle, SeededSchedule, SimConfig, SimError, SimReport,
-    StealAmount, StealConfig,
+    simulate, simulate_phase, simulate_with, Quiescence, ResilienceStats, ScheduleOracle,
+    SeededSchedule, SimConfig, SimError, SimOptions, SimReport, StealAmount, StealConfig,
 };
 pub use smp_obs::{MetricsRegistry, MetricsSnapshot, Tracer};
 pub use steal::StealPolicyKind;

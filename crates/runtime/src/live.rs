@@ -56,10 +56,7 @@
 //! recovered faults appear as [`cat::FAULT`] instants.
 
 use crate::cancel::CancelToken;
-use crate::executor::{
-    validate_assignment, ExecError, ExecMode, ExecOutcome, ExecReport, ExecSpec, Executor,
-    RunStatus,
-};
+use crate::executor::{validate_assignment, ExecError, ExecReport, ExecSpec, RunStatus};
 use crate::live_fault::LiveFaultPlan;
 use crate::topology::Mesh;
 use parking_lot::Mutex;
@@ -132,15 +129,17 @@ struct DeathLedger {
     in_flight: Vec<u32>,
 }
 
-/// Partial or complete results of a resilient live run: `results[task]`
-/// is `None` exactly for the tasks a cooperative stop prevented from
-/// running ([`RunStatus`] says which stop, and guarantees completeness
-/// when it is [`RunStatus::Completed`]).
+/// Partial or complete results of a stoppable run (live, or a DES closure
+/// phase — [`crate::sim::simulate_phase`]): `results[task]` is `None`
+/// exactly for the tasks a cooperative stop prevented from running
+/// ([`RunStatus`] says which stop, and guarantees completeness when it is
+/// [`RunStatus::Completed`]).
 #[derive(Debug)]
 pub struct ResilientOutcome<R> {
     /// Per-task results; `None` = not executed before the stop.
     pub results: Vec<Option<R>>,
-    /// Scheduling + resilience statistics (wall-clock nanoseconds).
+    /// Scheduling + resilience statistics, in the producing backend's
+    /// time base.
     pub report: ExecReport,
     /// How the run ended.
     pub status: RunStatus,
@@ -152,24 +151,17 @@ impl<R> ResilientOutcome<R> {
     /// with a hole converts to [`ExecError::MissingResult`] (an executor
     /// bug, never a user-visible abort).
     pub fn into_complete(self) -> Result<(Vec<R>, ExecReport), ExecError> {
-        match self.status {
-            RunStatus::Completed => {
-                let mut results = Vec::with_capacity(self.results.len());
-                for (t, slot) in self.results.into_iter().enumerate() {
-                    match slot {
-                        Some(v) => results.push(v),
-                        None => return Err(ExecError::MissingResult { task: t as u32 }),
-                    }
-                }
-                Ok((results, self.report))
-            }
-            RunStatus::Cancelled { executed, total } => {
-                Err(ExecError::Cancelled { executed, total })
-            }
-            RunStatus::DeadlineExceeded { executed, total } => {
-                Err(ExecError::DeadlineExceeded { executed, total })
+        if let Some(stop) = self.status.stop_error() {
+            return Err(stop);
+        }
+        let mut results = Vec::with_capacity(self.results.len());
+        for (t, slot) in self.results.into_iter().enumerate() {
+            match slot {
+                Some(v) => results.push(v),
+                None => return Err(ExecError::MissingResult { task: t as u32 }),
             }
         }
+        Ok((results, self.report))
     }
 }
 
@@ -265,15 +257,10 @@ impl<T> LiveOutcome<T> {
     pub fn into_result(self) -> Result<T, ExecError> {
         match self {
             LiveOutcome::Complete(v) => Ok(v),
-            LiveOutcome::Partial(p) => match p.status {
-                RunStatus::Cancelled { executed, total } => {
-                    Err(ExecError::Cancelled { executed, total })
-                }
-                RunStatus::DeadlineExceeded { executed, total } => {
-                    Err(ExecError::DeadlineExceeded { executed, total })
-                }
-                RunStatus::Completed => Err(ExecError::MissingResult { task: 0 }),
-            },
+            LiveOutcome::Partial(p) => Err(p
+                .status
+                .stop_error()
+                .unwrap_or(ExecError::MissingResult { task: 0 })),
         }
     }
 }
@@ -373,6 +360,17 @@ impl LiveExecutor {
             tracer.name_track(buf.track(), &format!("worker {}", buf.track()));
             buf.replay_into(tracer);
         }
+    }
+
+    /// Run a phase to completion: results in task order plus the report.
+    /// Any cooperative stop is an error here — use
+    /// [`LiveExecutor::execute_resilient`] to get the partial results.
+    pub fn execute<R: Send>(
+        &mut self,
+        spec: &ExecSpec<'_>,
+        work: &(dyn Fn(u32) -> R + Sync),
+    ) -> Result<(Vec<R>, ExecReport), ExecError> {
+        self.execute_resilient(spec, work)?.into_complete()
     }
 
     /// Run a phase with the full fault-tolerance contract: injected and
@@ -494,23 +492,9 @@ impl LiveExecutor {
 
         // Merge worker-local tallies into the phase report.
         let mut report = ExecReport {
-            mode: ExecMode::WallClockNs,
             makespan,
-            per_pe_busy: vec![0; p],
-            per_pe_finish: vec![0; p],
-            per_pe_executed: vec![0; p],
-            per_pe_stolen_executed: vec![0; p],
             executed_by: vec![0; spec.n_tasks],
-            steal_attempts: 0,
-            steal_hits: 0,
-            steal_misses: 0,
-            tasks_transferred: 0,
-            messages: 0,
-            resilience: crate::sim::ResilienceStats {
-                per_pe_dead_time: vec![0; p],
-                ..Default::default()
-            },
-            metrics: Default::default(),
+            ..ExecReport::blank(p)
         };
         for (w, l) in locals.iter().enumerate() {
             report.per_pe_busy[w] = l.busy_ns;
@@ -583,25 +567,6 @@ impl LiveExecutor {
             report,
             status,
         })
-    }
-}
-
-impl Executor for LiveExecutor {
-    fn name(&self) -> &'static str {
-        "live"
-    }
-
-    fn mode(&self) -> ExecMode {
-        ExecMode::WallClockNs
-    }
-
-    fn execute<R: Send>(
-        &mut self,
-        spec: &ExecSpec<'_>,
-        work: &(dyn Fn(u32) -> R + Sync),
-    ) -> Result<ExecOutcome<R>, ExecError> {
-        let (results, report) = self.execute_resilient(spec, work)?.into_complete()?;
-        Ok(ExecOutcome { results, report })
     }
 }
 
@@ -980,14 +945,13 @@ mod tests {
     fn static_schedule_executes_every_task_exactly_once() {
         let assignment = vec![vec![0, 2, 4], vec![1, 3, 5]];
         let mut ex = LiveExecutor::new(2, LiveTuning::default());
-        let out = ex
+        let (results, report) = ex
             .execute(&spec(6, &assignment, None), &region_work)
             .expect("execute");
-        assert_eq!(out.results, expected(6));
-        assert_eq!(out.report.per_pe_executed, vec![3, 3]);
-        assert_eq!(out.report.steal_attempts, 0);
-        assert_eq!(out.report.executed_by, vec![0, 1, 0, 1, 0, 1]);
-        assert_eq!(out.report.mode, ExecMode::WallClockNs);
+        assert_eq!(results, expected(6));
+        assert_eq!(report.per_pe_executed, vec![3, 3]);
+        assert_eq!(report.steal_attempts, 0);
+        assert_eq!(report.executed_by, vec![0, 1, 0, 1, 0, 1]);
     }
 
     #[test]
@@ -1002,15 +966,15 @@ mod tests {
             let assignment: Vec<Vec<u32>> = (0..2)
                 .map(|w| (0..n as u32).filter(|t| t % 2 == w).collect())
                 .collect();
-            let out = reused
+            let (results, _) = reused
                 .execute(&spec(n, &assignment, None), &region_work)
                 .expect("reused execute");
             let mut fresh = LiveExecutor::new(2, LiveTuning::default());
-            let fresh_out = fresh
+            let (fresh_results, _) = fresh
                 .execute(&spec(n, &assignment, None), &region_work)
                 .expect("fresh execute");
-            assert_eq!(out.results, fresh_out.results, "round {round}");
-            assert_eq!(out.results, expected(n), "round {round}");
+            assert_eq!(results, fresh_results, "round {round}");
+            assert_eq!(results, expected(n), "round {round}");
             assert_eq!(reused.submissions(), u64::from(round) + 1);
         }
     }
@@ -1026,29 +990,28 @@ mod tests {
             StealPolicyKind::Hybrid(8),
         ] {
             let mut ex = LiveExecutor::new(4, LiveTuning::default());
-            let out = ex
+            let (results, report) = ex
                 .execute(
                     &spec(n, &assignment, Some(StealConfig::new(policy))),
                     &region_work,
                 )
                 .expect("execute");
-            assert_eq!(out.results, expected(n), "results under {policy:?}");
-            let total: u32 = out.report.per_pe_executed.iter().sum();
+            assert_eq!(results, expected(n), "results under {policy:?}");
+            let total: u32 = report.per_pe_executed.iter().sum();
             assert_eq!(total, n as u32);
             // Steal accounting laws hold in the live protocol too.
             assert_eq!(
-                out.report.steal_attempts,
-                out.report.steal_hits + out.report.steal_misses
+                report.steal_attempts,
+                report.steal_hits + report.steal_misses
             );
-            let stolen: u64 = out
-                .report
+            let stolen: u64 = report
                 .per_pe_stolen_executed
                 .iter()
                 .map(|&x| u64::from(x))
                 .sum();
             // every hop of a steal chain is a transfer, so a task
             // stolen twice makes this strict
-            assert!(stolen <= out.report.tasks_transferred);
+            assert!(stolen <= report.tasks_transferred);
         }
     }
 
@@ -1073,10 +1036,10 @@ mod tests {
                 }),
             ] {
                 let mut ex = LiveExecutor::new(threads, LiveTuning::default());
-                let out = ex
+                let (results, _) = ex
                     .execute(&spec(n, &assignment, steal), &region_work)
                     .expect("execute");
-                assert_eq!(out.results, serial, "threads={threads} steal={steal:?}");
+                assert_eq!(results, serial, "threads={threads} steal={steal:?}");
             }
         }
     }
@@ -1090,12 +1053,12 @@ mod tests {
             amount: StealAmount::Half,
         };
         let mut ex = LiveExecutor::new(2, LiveTuning::default());
-        let out = ex
+        let (results, report) = ex
             .execute(&spec(n, &assignment, Some(cfg)), &region_work)
             .expect("execute");
-        assert_eq!(out.results, expected(n));
+        assert_eq!(results, expected(n));
         // Any hit must have moved at least one task.
-        assert!(out.report.tasks_transferred >= out.report.steal_hits);
+        assert!(report.tasks_transferred >= report.steal_hits);
     }
 
     #[test]
@@ -1103,7 +1066,7 @@ mod tests {
         let n = 16;
         let assignment = vec![(0..n as u32).collect::<Vec<_>>(), vec![]];
         let mut ex = LiveExecutor::new(2, LiveTuning::default()).with_tracing();
-        let out = ex
+        let (results, report) = ex
             .execute(
                 &spec(
                     n,
@@ -1113,7 +1076,7 @@ mod tests {
                 &region_work,
             )
             .expect("execute");
-        assert_eq!(out.results, expected(n));
+        assert_eq!(results, expected(n));
         let mut tracer = Tracer::new();
         ex.replay_trace_into(&mut tracer);
         tracer.check_well_formed().expect("well-formed");
@@ -1121,11 +1084,10 @@ mod tests {
         assert_eq!(tracer.count_category(cat::TASK), 2 * n);
         assert_eq!(tracer.open_spans(), 0);
         // Live metrics are present and consistent.
-        assert_eq!(out.report.metrics.expect("live.tasks.executed"), n as u64);
+        assert_eq!(report.metrics.expect("live.tasks.executed"), n as u64);
         assert_eq!(
-            out.report.metrics.expect("live.steal.requests"),
-            out.report.metrics.expect("live.steal.hits")
-                + out.report.metrics.expect("live.steal.misses")
+            report.metrics.expect("live.steal.requests"),
+            report.metrics.expect("live.steal.hits") + report.metrics.expect("live.steal.misses")
         );
     }
 
@@ -1163,25 +1125,25 @@ mod tests {
         for steal in [None, Some(StealConfig::new(StealPolicyKind::rand8()))] {
             let mut ex = LiveExecutor::new(3, LiveTuning::default())
                 .with_faults(LiveFaultPlan::new(7).with_panic(1, 2));
-            let out = ex
+            let (results, report) = ex
                 .execute(&spec(n, &assignment, steal), &region_work)
                 .expect("recovered run");
-            assert_eq!(out.results, expected(n), "steal={steal:?}");
+            assert_eq!(results, expected(n), "steal={steal:?}");
             if steal.is_none() {
                 // Static schedule: worker 1 deterministically dies on its
                 // third task; its in-flight task plus queue are adopted.
-                assert_eq!(out.report.resilience.crashes, 1);
-                assert!(out.report.resilience.tasks_recovered > 0);
-                assert_eq!(out.report.resilience.tasks_reexecuted, 1);
-                assert!(out.report.resilience.per_pe_dead_time[1] > 0);
+                assert_eq!(report.resilience.crashes, 1);
+                assert!(report.resilience.tasks_recovered > 0);
+                assert_eq!(report.resilience.tasks_reexecuted, 1);
+                assert!(report.resilience.per_pe_dead_time[1] > 0);
                 // The dead worker executed exactly the tasks before its panic.
-                assert_eq!(out.report.per_pe_executed[1], 2);
-                assert_eq!(out.report.metrics.expect("live.faults.crashes"), 1);
+                assert_eq!(report.per_pe_executed[1], 2);
+                assert_eq!(report.metrics.expect("live.faults.crashes"), 1);
             } else {
                 // With stealing the doomed worker may run out of work
                 // before its third attempt; recovery still never loses a
                 // task (the byte-identical results above prove it).
-                assert!(out.report.resilience.crashes <= 1);
+                assert!(report.resilience.crashes <= 1);
             }
         }
     }
@@ -1203,10 +1165,10 @@ mod tests {
                 region_work(t)
             })
         });
-        let out = result.expect("recovered run");
-        assert_eq!(out.results, expected(n));
-        assert_eq!(out.report.resilience.crashes, 1);
-        assert_eq!(out.report.executed_by[5], 1, "task 5 re-ran on worker 1");
+        let (results, report) = result.expect("recovered run");
+        assert_eq!(results, expected(n));
+        assert_eq!(report.resilience.crashes, 1);
+        assert_eq!(report.executed_by[5], 1, "task 5 re-ran on worker 1");
     }
 
     #[test]
@@ -1262,12 +1224,12 @@ mod tests {
                 .collect();
             for steal in [None, Some(StealConfig::new(StealPolicyKind::Hybrid(8)))] {
                 let mut ex = LiveExecutor::new(p, LiveTuning::default());
-                let out = ex
+                let (results, _) = ex
                     .execute(&spec(n, &assignment, steal), &|t: u32| {
                         (std::thread::current().id(), region_work(t))
                     })
                     .expect("execute");
-                for (t, (ran_on, value)) in out.results.iter().enumerate() {
+                for (t, (ran_on, value)) in results.iter().enumerate() {
                     assert_eq!(*value, region_work(t as u32));
                     assert_eq!(
                         *ran_on == caller,
@@ -1324,7 +1286,7 @@ mod tests {
         ];
         let mut ex = LiveExecutor::new(2, LiveTuning::default())
             .with_faults(LiveFaultPlan::new(0).with_straggler(0, 200, 4));
-        let out = ex
+        let (results, report) = ex
             .execute(
                 &spec(
                     n,
@@ -1334,8 +1296,8 @@ mod tests {
                 &region_work,
             )
             .expect("straggler run");
-        assert_eq!(out.results, expected(n));
-        assert_eq!(out.report.resilience.crashes, 0);
+        assert_eq!(results, expected(n));
+        assert_eq!(report.resilience.crashes, 0);
     }
 
     #[test]
@@ -1344,7 +1306,7 @@ mod tests {
         let assignment = vec![(0..n as u32).collect::<Vec<_>>(), vec![], vec![]];
         let mut ex = LiveExecutor::new(3, LiveTuning::default())
             .with_faults(LiveFaultPlan::new(3).with_grant_drop_rate(0.5));
-        let out = ex
+        let (results, report) = ex
             .execute(
                 &spec(
                     n,
@@ -1354,15 +1316,15 @@ mod tests {
                 &region_work,
             )
             .expect("drop run");
-        assert_eq!(out.results, expected(n));
+        assert_eq!(results, expected(n));
         // Dropped grants count as misses, so the accounting law holds.
         assert_eq!(
-            out.report.steal_attempts,
-            out.report.steal_hits + out.report.steal_misses
+            report.steal_attempts,
+            report.steal_hits + report.steal_misses
         );
         assert_eq!(
-            out.report.resilience.retransmissions,
-            out.report.metrics.expect("live.faults.grant_drops")
+            report.resilience.retransmissions,
+            report.metrics.expect("live.faults.grant_drops")
         );
     }
 
@@ -1384,7 +1346,7 @@ mod tests {
             }
         );
         assert!(out.results.iter().all(|r| r.is_none()));
-        // The trait-level entry point surfaces the same stop as an error.
+        // The run-to-completion entry point surfaces the same stop as an error.
         let token = CancelToken::new();
         token.cancel();
         let mut ex = LiveExecutor::new(2, LiveTuning::default()).with_cancel(token);

@@ -28,7 +28,10 @@
 //! * malformed inputs and event storms surface as [`SimError`] instead of
 //!   panics.
 
+use crate::cancel::CancelToken;
+use crate::executor::{validate_assignment, ExecError, ExecSpec, RunStatus};
 use crate::fault::FaultPlan;
+use crate::live::ResilientOutcome;
 use crate::machine::MachineModel;
 use crate::steal::StealPolicyKind;
 use crate::topology::Mesh;
@@ -85,8 +88,6 @@ pub enum SimError {
         /// Tasks left unexecuted.
         missing: usize,
     },
-    /// The DES backend needs measured task costs but the spec had none.
-    MissingCosts,
     /// A repartitioning strategy named a weight kind the planner cannot
     /// resolve on its own (rendered kind, e.g. `"Probe(16)"`): PRM
     /// resolves `SampleCount` and `Vfree`, RRT resolves `KRays`. The same
@@ -118,9 +119,6 @@ impl std::fmt::Display for SimError {
                     f,
                     "{missing} tasks unexecuted despite live PEs: scheduler bug"
                 )
-            }
-            SimError::MissingCosts => {
-                write!(f, "the DES backend requires measured task costs")
             }
             SimError::UnsupportedWeights(kind) => {
                 write!(
@@ -231,7 +229,16 @@ pub struct ResilienceStats {
     pub per_pe_dead_time: Vec<VTime>,
 }
 
-/// Complete outcome of one simulated phase.
+/// Complete outcome of one phase — the one report shape of every backend
+/// ([`crate::executor::ExecReport`] is this type).
+///
+/// **Time base.** Every duration is in nanoseconds of the clock of the
+/// backend that produced the report: *virtual* time on the simulated
+/// machine for the DES ([`simulate`], [`simulate_with`],
+/// [`simulate_phase`]) — bit-identical for identical inputs — and
+/// *wall-clock* time since the phase epoch for
+/// [`crate::live::LiveExecutor`] and [`crate::dist::DistExecutor`], which
+/// varies run to run. Counts mean the same thing everywhere.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SimReport {
     /// Time the last task completed.
@@ -239,13 +246,14 @@ pub struct SimReport {
     /// Per-PE busy time (actual execution time, including straggler
     /// slowdown; equals the sum of executed task costs in fault-free runs).
     pub per_pe_busy: Vec<VTime>,
-    /// Per-PE completion time of its last task.
+    /// Per-PE completion time of its last task (0 if it ran none).
     pub per_pe_finish: Vec<VTime>,
     /// Per-PE number of tasks executed.
     pub per_pe_executed: Vec<u32>,
     /// Per-PE number of *stolen* tasks executed (initial owner differed).
     pub per_pe_stolen_executed: Vec<u32>,
-    /// Executor PE of each task.
+    /// Executor PE of each task (`0` for a task a cooperative stop
+    /// prevented from running).
     pub executed_by: Vec<u32>,
     /// Total steal requests sent.
     pub steal_attempts: u64,
@@ -253,19 +261,49 @@ pub struct SimReport {
     pub steal_hits: u64,
     /// Requests denied.
     pub steal_misses: u64,
-    /// Tasks moved by stealing.
+    /// Tasks whose ownership moved on a successful steal.
     pub tasks_transferred: u64,
-    /// Control + transfer messages sent.
+    /// Control + transfer messages: simulated network traffic on the DES,
+    /// frames sent + received by the dist coordinator, and on the live
+    /// backend (shared memory, no real messages) steal requests + grants.
     pub messages: u64,
-    /// Fault-handling counters.
+    /// Fault-handling counters. The DES fills all of them; the executing
+    /// backends fill the ones they can observe — both `crashes`,
+    /// `tasks_recovered`, `tasks_reexecuted`, `retransmissions` and
+    /// `per_pe_dead_time`, live also `wasted_work`, dist also
+    /// `messages_dropped`.
     pub resilience: ResilienceStats,
-    /// Flat, deterministic metrics snapshot (`des.*` taxonomy, DESIGN.md
-    /// §9): every counter above plus derived totals and fixed-bucket
-    /// histograms, byte-stable for golden-file comparison and CSV dumps.
+    /// Flat metrics snapshot in the producing backend's taxonomy (`des.*`
+    /// / `live.*` / `dist.*`, DESIGN.md §9): every counter above plus
+    /// derived totals, and on the DES fixed-bucket histograms — byte-stable
+    /// there for golden-file comparison and CSV dumps.
     pub metrics: MetricsSnapshot,
 }
 
 impl SimReport {
+    /// The report of `p` PEs that have done nothing yet (no task slots:
+    /// the caller sizes `executed_by`).
+    pub(crate) fn blank(p: usize) -> Self {
+        SimReport {
+            makespan: 0,
+            per_pe_busy: vec![0; p],
+            per_pe_finish: vec![0; p],
+            per_pe_executed: vec![0; p],
+            per_pe_stolen_executed: vec![0; p],
+            executed_by: Vec::new(),
+            steal_attempts: 0,
+            steal_hits: 0,
+            steal_misses: 0,
+            tasks_transferred: 0,
+            messages: 0,
+            resilience: ResilienceStats {
+                per_pe_dead_time: vec![0; p],
+                ..ResilienceStats::default()
+            },
+            metrics: MetricsSnapshot::default(),
+        }
+    }
+
     /// Coefficient of variation of per-PE busy time (σ/μ) — the paper's
     /// imbalance metric (§IV-B).
     pub fn busy_cov(&self) -> f64 {
@@ -299,7 +337,7 @@ impl SimReport {
 /// any permutation of equal-time events is a valid execution of the
 /// modelled machine, so every invariant (exactly-once, conservation,
 /// quiescence consistency) must hold under all of them. `smp-check`
-/// drives thousands of such schedules through [`simulate_explored`].
+/// drives thousands of such schedules through [`simulate_with`].
 pub trait ScheduleOracle {
     /// Tie-break key for the event pushed as `seq` at virtual `time`.
     /// Must be deterministic for a given oracle state to keep replays
@@ -322,7 +360,7 @@ impl ScheduleOracle for SeededSchedule {
     }
 }
 
-/// End-of-run scheduler state snapshot, exposed by [`simulate_explored`]
+/// End-of-run scheduler state snapshot, exposed by [`simulate_with`]
 /// for invariant oracles that need more than the [`SimReport`]: message
 /// accounting in conservation form, residual queue contents, liveness,
 /// and event-loop sanity counters.
@@ -1305,7 +1343,10 @@ impl Sim<'_> {
     }
 }
 
-/// Run one simulated phase (no migration payloads).
+/// Run one simulated phase: `task_costs[i]` is the virtual cost of task
+/// `i`, and `assignment[pe]` the initial queue (front-to-back execution
+/// order) of each PE — every task must appear exactly once across all
+/// queues. Malformed input yields a [`SimError`], never a panic.
 ///
 /// ```
 /// use smp_runtime::{simulate, MachineModel, SimConfig, StealConfig, StealPolicyKind};
@@ -1322,43 +1363,50 @@ impl Sim<'_> {
 /// assert!(report.makespan < 800_000); // faster than serial execution
 /// ```
 ///
-/// See [`simulate_with_payloads`] and [`simulate_faulted`].
+/// [`simulate_with`] is the full form; [`simulate_phase`] runs a phase
+/// of closures whose costs are not known yet.
 pub fn simulate(
     task_costs: &[VTime],
     assignment: &[Vec<u32>],
     cfg: &SimConfig,
 ) -> Result<SimReport, SimError> {
-    simulate_faulted(task_costs, None, assignment, cfg, None)
+    simulate_with(task_costs, assignment, cfg, SimOptions::default()).map(|(report, _)| report)
 }
 
-/// Run one simulated phase.
-///
-/// * `task_costs[i]` — virtual cost of task `i`;
-/// * `payloads` — optional per-task migration payload (vertex count moved
-///   with the task on ownership transfer);
-/// * `assignment[pe]` — initial queue (front-to-back execution order) of
-///   each PE; every task must appear exactly once across all queues.
-///
-/// Returns [`SimError`] on malformed input instead of panicking.
-pub fn simulate_with_payloads(
-    task_costs: &[VTime],
-    payloads: Option<&[u64]>,
-    assignment: &[Vec<u32>],
-    cfg: &SimConfig,
-) -> Result<SimReport, SimError> {
-    simulate_faulted(task_costs, payloads, assignment, cfg, None)
+/// The optional arguments of [`simulate_with`]. `SimOptions::default()`
+/// makes it exactly [`simulate`]; each field is independent of the others.
+#[derive(Default)]
+pub struct SimOptions<'a> {
+    /// Per-task migration payload (vertex count moved with the task on
+    /// ownership transfer); must be as long as the cost vector.
+    pub payloads: Option<&'a [u64]>,
+    /// Faults to inject. `None` and a zero-fault plan give bit-identical
+    /// reports — fault decisions never touch the victim-selection RNG.
+    /// Under faults every task still executes exactly once unless every
+    /// PE crashes ([`SimError::AllPesCrashed`]).
+    pub fault: Option<&'a FaultPlan>,
+    /// Records the structured event stream (task spans, steal traffic,
+    /// fault instants, queue-depth counters — one track per PE). `None`
+    /// reduces every instrumentation site to one branch. Observation
+    /// never perturbs the simulation: the report is the same traced or
+    /// untraced, and tracing twice yields byte-identical Chrome JSON (the
+    /// golden-trace suite pins both).
+    pub tracer: Option<&'a mut Tracer>,
+    /// Perturbs the delivery order of simultaneous events. `None` is
+    /// tie-broken FIFO, the order every report and golden trace pins;
+    /// with an oracle the run explores a different legal schedule of the
+    /// same virtual execution (`smp-check` asserts the invariants across
+    /// thousands of them).
+    pub oracle: Option<&'a mut (dyn ScheduleOracle + 'a)>,
 }
 
-/// Run one simulated phase under an optional [`FaultPlan`].
-///
-/// With `fault = None` or a zero-fault plan the result is bit-identical to
-/// [`simulate_with_payloads`] — fault decisions never touch the victim-
-/// selection RNG. Under faults, every task still executes exactly once
-/// unless every PE crashes ([`SimError::AllPesCrashed`]).
+/// [`simulate`] with every hook exposed ([`SimOptions`]), returning the
+/// report plus a [`Quiescence`] snapshot of end-of-run scheduler state
+/// for invariant checking.
 ///
 /// ```
-/// use smp_runtime::{simulate, simulate_faulted, FaultPlan, MachineModel,
-///                   SimConfig, StealConfig, StealPolicyKind};
+/// use smp_runtime::{simulate, simulate_with, FaultPlan, MachineModel, SimConfig,
+///                   SimOptions, StealConfig, StealPolicyKind};
 /// let costs = vec![100_000u64; 8];
 /// let assignment = vec![vec![0, 1, 2, 3, 4, 5, 6, 7], vec![], vec![], vec![]];
 /// let cfg = SimConfig {
@@ -1368,81 +1416,26 @@ pub fn simulate_with_payloads(
 /// };
 /// let clean = simulate(&costs, &assignment, &cfg).unwrap();
 /// let plan = FaultPlan::new(7).with_straggler(0, 0, u64::MAX, 8.0);
-/// let hurt = simulate_faulted(&costs, None, &assignment, &cfg, Some(&plan)).unwrap();
+/// let opts = SimOptions { fault: Some(&plan), ..SimOptions::default() };
+/// let (hurt, quiescence) = simulate_with(&costs, &assignment, &cfg, opts).unwrap();
 /// assert!(hurt.degradation_ratio(clean.makespan) >= 1.0);
+/// assert!(quiescence.messages_conserved());
 /// ```
-pub fn simulate_faulted(
-    task_costs: &[VTime],
-    payloads: Option<&[u64]>,
-    assignment: &[Vec<u32>],
-    cfg: &SimConfig,
-    fault: Option<&FaultPlan>,
-) -> Result<SimReport, SimError> {
-    simulate_observed(task_costs, payloads, assignment, cfg, fault, None)
-}
-
-/// Run one simulated phase with full observability: an optional
-/// [`Tracer`] records the structured event stream (task spans, steal
-/// traffic, fault instants, queue-depth counters — one track per PE), and
-/// the returned report's [`SimReport::metrics`] snapshot is populated
-/// either way.
-///
-/// `tracer = None` is the zero-overhead path [`simulate_faulted`] uses:
-/// every instrumentation site reduces to one branch on the `Option`.
-/// Observation never perturbs the simulation — the same
-/// `(costs, assignment, cfg, fault)` yields the same report traced or
-/// untraced, and tracing twice yields byte-identical Chrome JSON (the
-/// golden-trace suite pins both properties).
-pub fn simulate_observed(
-    task_costs: &[VTime],
-    payloads: Option<&[u64]>,
-    assignment: &[Vec<u32>],
-    cfg: &SimConfig,
-    fault: Option<&FaultPlan>,
-    tracer: Option<&mut Tracer>,
-) -> Result<SimReport, SimError> {
-    simulate_explored(task_costs, payloads, assignment, cfg, fault, tracer, None)
-        .map(|(report, _)| report)
-}
-
-/// Run one simulated phase with every hook exposed: observability
-/// ([`simulate_observed`]), an optional [`ScheduleOracle`] perturbing the
-/// delivery order of simultaneous events, and a [`Quiescence`] snapshot of
-/// end-of-run scheduler state for invariant checking.
-///
-/// With `oracle = None` this is exactly [`simulate_observed`] — tie-broken
-/// FIFO, bit-identical reports. With an oracle, the run explores a
-/// different legal schedule of the same virtual execution; `smp-check`
-/// asserts the correctness invariants hold across thousands of them.
-pub fn simulate_explored<'a>(
+pub fn simulate_with<'a>(
     task_costs: &'a [VTime],
-    payloads: Option<&'a [u64]>,
     assignment: &[Vec<u32>],
     cfg: &'a SimConfig,
-    fault: Option<&'a FaultPlan>,
-    tracer: Option<&'a mut Tracer>,
-    oracle: Option<&'a mut (dyn ScheduleOracle + 'a)>,
+    opts: SimOptions<'a>,
 ) -> Result<(SimReport, Quiescence), SimError> {
+    let SimOptions {
+        payloads,
+        fault,
+        tracer,
+        oracle,
+    } = opts;
     let p = assignment.len();
-    if p == 0 {
-        return Err(SimError::NoPes);
-    }
     let n = task_costs.len();
-    let mut initial_owner = vec![u32::MAX; n];
-    for (pe, queue) in assignment.iter().enumerate() {
-        for &task in queue {
-            if task as usize >= n {
-                return Err(SimError::TaskOutOfRange { task, n });
-            }
-            if initial_owner[task as usize] != u32::MAX {
-                return Err(SimError::DuplicateAssignment { task });
-            }
-            initial_owner[task as usize] = pe as u32;
-        }
-    }
-    if let Some(task) = initial_owner.iter().position(|&o| o == u32::MAX) {
-        return Err(SimError::UnassignedTask { task: task as u32 });
-    }
+    let initial_owner = validate_assignment(n, assignment)?;
     if let Some(pl) = payloads {
         if pl.len() != n {
             return Err(SimError::PayloadLenMismatch {
@@ -1456,22 +1449,8 @@ pub fn simulate_explored<'a>(
     }
 
     let report = SimReport {
-        makespan: 0,
-        per_pe_busy: vec![0; p],
-        per_pe_finish: vec![0; p],
-        per_pe_executed: vec![0; p],
-        per_pe_stolen_executed: vec![0; p],
         executed_by: vec![u32::MAX; n],
-        steal_attempts: 0,
-        steal_hits: 0,
-        steal_misses: 0,
-        tasks_transferred: 0,
-        messages: 0,
-        resilience: ResilienceStats {
-            per_pe_dead_time: vec![0; p],
-            ..ResilienceStats::default()
-        },
-        metrics: MetricsSnapshot::default(),
+        ..SimReport::blank(p)
     };
 
     let mut sim = Sim {
@@ -1583,6 +1562,124 @@ pub fn simulate_explored<'a>(
     Ok((sim.report, quiescence))
 }
 
+/// Run one phase of *closures* on the DES: execute, then replay.
+///
+/// On the simulator a task's cost is only known once the task has run
+/// (the paper's method: do each region's work once, measuring it, then
+/// replay the measured costs under a balancing strategy), so `work`
+/// returns the task's result **and** its virtual cost; `spec.costs` is
+/// not read. Tasks run serially on the calling thread in task-id order —
+/// the simulated schedule never touches real work, which is what keeps
+/// the report bit-deterministic — and the measured costs are then
+/// replayed on `machine` under `spec`'s assignment and steal
+/// configuration, exactly as [`simulate`] would replay them.
+///
+/// `cancel` is observed before each task, so a fired token leaves exactly
+/// the already-run **task-id prefix** executed: the deterministic
+/// analogue of the live backend's "finish your in-flight task, then
+/// stop". The report then replays only that prefix (queues keep their
+/// order minus the tasks the stop prevented), `executed_by` is padded
+/// back to `n_tasks` with `0` as the live backend reports unexecuted
+/// tasks, and a phase that ran nothing reports all zeros over the full
+/// worker set. There is no DES deadline — wall-clock budgets mean nothing
+/// in virtual time — so the status is [`RunStatus::Completed`] or
+/// [`RunStatus::Cancelled`]. A malformed spec fails the same way whether
+/// or not the token fires, before any task runs.
+///
+/// ```
+/// use smp_runtime::{simulate, simulate_phase, ExecSpec, MachineModel, SimConfig};
+/// let assignment = vec![vec![0, 1, 2], vec![3, 4, 5]];
+/// let spec = ExecSpec {
+///     n_tasks: 6,
+///     costs: None, // measured by the closure below
+///     payloads: None,
+///     assignment: &assignment,
+///     steal: None,
+///     seed: 7,
+/// };
+/// let machine = MachineModel::hopper();
+/// let cost = |t: u32| 50_000 + 1_000 * u64::from(t);
+/// let out = simulate_phase(&spec, &machine, None, |t| (t * 10, cost(t))).unwrap();
+/// let (results, report) = out.into_complete().unwrap();
+/// assert_eq!(results, vec![0, 10, 20, 30, 40, 50]);
+/// // The report is the one `simulate` gives for the measured costs.
+/// let costs: Vec<u64> = (0..6).map(cost).collect();
+/// let cfg = SimConfig { machine, steal: None, seed: 7 };
+/// assert_eq!(report, simulate(&costs, &assignment, &cfg).unwrap());
+/// ```
+pub fn simulate_phase<R>(
+    spec: &ExecSpec<'_>,
+    machine: &MachineModel,
+    cancel: Option<&CancelToken>,
+    mut work: impl FnMut(u32) -> (R, VTime),
+) -> Result<ResilientOutcome<R>, ExecError> {
+    let n = spec.n_tasks;
+    validate_assignment(n, spec.assignment)?;
+    if let Some(pl) = spec.payloads.filter(|pl| pl.len() != n) {
+        return Err(SimError::PayloadLenMismatch {
+            expected: n,
+            got: pl.len(),
+        }
+        .into());
+    }
+
+    let mut results: Vec<Option<R>> = Vec::with_capacity(n);
+    let mut costs: Vec<VTime> = Vec::with_capacity(n);
+    for t in 0..n as u32 {
+        if cancel.is_some_and(CancelToken::is_cancelled) {
+            break;
+        }
+        let (result, cost) = work(t);
+        results.push(Some(result));
+        costs.push(cost);
+    }
+    let executed = costs.len();
+    results.resize_with(n, || None);
+
+    let cfg = SimConfig {
+        machine: machine.clone(),
+        steal: spec.steal,
+        seed: spec.seed,
+    };
+    let replay = |assignment: &[Vec<u32>]| {
+        let opts = SimOptions {
+            payloads: spec.payloads.map(|pl| &pl[..executed]),
+            ..SimOptions::default()
+        };
+        simulate_with(&costs, assignment, &cfg, opts).map(|(report, _)| report)
+    };
+    let mut report = if executed == n {
+        replay(spec.assignment)?
+    } else if executed == 0 {
+        // The simulator has no notion of an empty phase.
+        SimReport::blank(spec.assignment.len())
+    } else {
+        // Prefix ids are unchanged, so no renumbering is needed.
+        let prefix: Vec<Vec<u32>> = spec
+            .assignment
+            .iter()
+            .map(|q| {
+                q.iter()
+                    .copied()
+                    .filter(|&t| (t as usize) < executed)
+                    .collect()
+            })
+            .collect();
+        replay(&prefix)?
+    };
+    report.executed_by.resize(n, 0);
+    let status = if executed == n {
+        RunStatus::Completed
+    } else {
+        RunStatus::Cancelled { executed, total: n }
+    };
+    Ok(ResilientOutcome {
+        results,
+        report,
+        status,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1605,6 +1702,36 @@ mod tests {
             steal: Some(StealConfig::new(policy)),
             seed: 1,
         }
+    }
+
+    /// [`simulate`] under a fault plan.
+    fn faulted(
+        costs: &[VTime],
+        assignment: &[Vec<u32>],
+        cfg: &SimConfig,
+        plan: &FaultPlan,
+    ) -> Result<SimReport, SimError> {
+        let opts = SimOptions {
+            fault: Some(plan),
+            ..SimOptions::default()
+        };
+        simulate_with(costs, assignment, cfg, opts).map(|(report, _)| report)
+    }
+
+    /// One explored schedule of the run, optionally under a fault plan.
+    fn explored(
+        costs: &[VTime],
+        assignment: &[Vec<u32>],
+        cfg: &SimConfig,
+        fault: Option<&FaultPlan>,
+        oracle: &mut SeededSchedule,
+    ) -> Result<(SimReport, Quiescence), SimError> {
+        let opts = SimOptions {
+            fault,
+            oracle: Some(oracle),
+            ..SimOptions::default()
+        };
+        simulate_with(costs, assignment, cfg, opts)
     }
 
     /// Round-robin assignment of `n` tasks over `p` queues.
@@ -1773,8 +1900,11 @@ mod tests {
 
     #[test]
     fn payload_mismatch_is_error() {
-        let err = simulate_with_payloads(&[1u64, 2], Some(&[5]), &[vec![0, 1]], &static_cfg())
-            .unwrap_err();
+        let opts = SimOptions {
+            payloads: Some(&[5]),
+            ..SimOptions::default()
+        };
+        let err = simulate_with(&[1u64, 2], &[vec![0, 1]], &static_cfg(), opts).unwrap_err();
         assert_eq!(
             err,
             SimError::PayloadLenMismatch {
@@ -1840,7 +1970,7 @@ mod tests {
         ] {
             let plain = simulate(&costs, &assignment, &cfg).unwrap();
             let zero = FaultPlan::new(99);
-            let faulted = simulate_faulted(&costs, None, &assignment, &cfg, Some(&zero)).unwrap();
+            let faulted = faulted(&costs, &assignment, &cfg, &zero).unwrap();
             assert_eq!(plain, faulted, "zero-fault plan must change nothing");
         }
     }
@@ -1854,7 +1984,7 @@ mod tests {
         let clean = simulate(&costs, &assignment, &cfg).unwrap();
         // PE 0 (the owner of all work) runs 8x slow for the whole phase
         let plan = FaultPlan::new(1).with_straggler(0, 0, u64::MAX, 8.0);
-        let hurt = simulate_faulted(&costs, None, &assignment, &cfg, Some(&plan)).unwrap();
+        let hurt = faulted(&costs, &assignment, &cfg, &plan).unwrap();
         assert!(hurt.makespan > clean.makespan);
         assert!(hurt.degradation_ratio(clean.makespan) > 1.0);
         // work stealing still moves tasks off the straggler, every task runs
@@ -1870,7 +2000,7 @@ mod tests {
         let cfg = ws_cfg(StealPolicyKind::rand8());
         // kill the loaded PE mid-phase
         let plan = FaultPlan::new(2).with_crash(0, 200_000);
-        let rep = simulate_faulted(&costs, None, &assignment, &cfg, Some(&plan)).unwrap();
+        let rep = faulted(&costs, &assignment, &cfg, &plan).unwrap();
         assert_eq!(rep.resilience.crashes, 1);
         assert!(rep.executed_by.iter().all(|&e| e != u32::MAX));
         assert_eq!(rep.per_pe_executed.iter().sum::<u32>(), 64);
@@ -1888,7 +2018,7 @@ mod tests {
         let costs = vec![40_000u64; 40];
         let assignment = round_robin(40, 4);
         let plan = FaultPlan::new(3).with_crash(2, 100_000);
-        let rep = simulate_faulted(&costs, None, &assignment, &static_cfg(), Some(&plan)).unwrap();
+        let rep = faulted(&costs, &assignment, &static_cfg(), &plan).unwrap();
         assert_eq!(rep.resilience.crashes, 1);
         assert!(rep.executed_by.iter().all(|&e| e != u32::MAX));
         assert_eq!(rep.per_pe_executed.iter().sum::<u32>(), 40);
@@ -1903,7 +2033,7 @@ mod tests {
         let assignment = round_robin(4, 4);
         // crash PE 1 halfway through its (only) task
         let plan = FaultPlan::new(4).with_crash(1, 500_000);
-        let rep = simulate_faulted(&costs, None, &assignment, &static_cfg(), Some(&plan)).unwrap();
+        let rep = faulted(&costs, &assignment, &static_cfg(), &plan).unwrap();
         assert_eq!(rep.resilience.tasks_reexecuted, 1);
         assert_eq!(rep.resilience.wasted_work, 500_000);
         assert!(rep.executed_by.iter().all(|&e| e != u32::MAX));
@@ -1915,8 +2045,7 @@ mod tests {
         let costs = vec![100_000u64; 8];
         let assignment = round_robin(8, 2);
         let plan = FaultPlan::new(5).with_crash(0, 10).with_crash(1, 10);
-        let err =
-            simulate_faulted(&costs, None, &assignment, &static_cfg(), Some(&plan)).unwrap_err();
+        let err = faulted(&costs, &assignment, &static_cfg(), &plan).unwrap_err();
         assert!(matches!(err, SimError::AllPesCrashed { missing } if missing > 0));
     }
 
@@ -1929,7 +2058,7 @@ mod tests {
         assignment[0] = (0..48u32).collect();
         let cfg = ws_cfg(StealPolicyKind::rand8());
         let plan = FaultPlan::new(6).with_message_loss(1.0);
-        let rep = simulate_faulted(&costs, None, &assignment, &cfg, Some(&plan)).unwrap();
+        let rep = faulted(&costs, &assignment, &cfg, &plan).unwrap();
         // no steal request ever arrives, so the owner does everything —
         // but the run terminates and every task executes
         assert!(rep.executed_by.iter().all(|&e| e == 0));
@@ -1954,7 +2083,7 @@ mod tests {
             let plan = FaultPlan::new(7)
                 .with_message_loss(0.3)
                 .with_message_jitter(0.3, 50_000);
-            let rep = simulate_faulted(&costs, None, &assignment, &cfg, Some(&plan)).unwrap();
+            let rep = faulted(&costs, &assignment, &cfg, &plan).unwrap();
             assert!(
                 rep.executed_by.iter().all(|&e| e != u32::MAX),
                 "{policy:?}: task lost under message faults"
@@ -1974,8 +2103,8 @@ mod tests {
             .with_message_jitter(0.2, 25_000)
             .with_straggler(2, 0, 2_000_000, 3.0)
             .with_crash(3, 400_000);
-        let a = simulate_faulted(&costs, None, &assignment, &cfg, Some(&plan)).unwrap();
-        let b = simulate_faulted(&costs, None, &assignment, &cfg, Some(&plan)).unwrap();
+        let a = faulted(&costs, &assignment, &cfg, &plan).unwrap();
+        let b = faulted(&costs, &assignment, &cfg, &plan).unwrap();
         assert_eq!(a, b);
     }
 
@@ -1984,12 +2113,10 @@ mod tests {
         let costs = vec![1_000u64; 4];
         let assignment = round_robin(4, 2);
         let bad = FaultPlan::new(0).with_message_loss(1.5);
-        let err =
-            simulate_faulted(&costs, None, &assignment, &static_cfg(), Some(&bad)).unwrap_err();
+        let err = faulted(&costs, &assignment, &static_cfg(), &bad).unwrap_err();
         assert!(matches!(err, SimError::InvalidFaultPlan(_)));
         let bad = FaultPlan::new(0).with_crash(9, 0);
-        let err =
-            simulate_faulted(&costs, None, &assignment, &static_cfg(), Some(&bad)).unwrap_err();
+        let err = faulted(&costs, &assignment, &static_cfg(), &bad).unwrap_err();
         assert!(matches!(err, SimError::InvalidFaultPlan(_)));
     }
 
@@ -2031,7 +2158,7 @@ mod tests {
         let cfg = ws_cfg(StealPolicyKind::rand8());
 
         let plan = FaultPlan::new(0).with_dropped_message(2);
-        let rep = simulate_faulted(&costs, None, &assignment, &cfg, Some(&plan)).unwrap();
+        let rep = faulted(&costs, &assignment, &cfg, &plan).unwrap();
         assert_eq!(
             rep.resilience.retransmissions, 1,
             "grant drop = 1 retransmit"
@@ -2045,7 +2172,7 @@ mod tests {
         assert_eq!(rep.per_pe_executed.iter().sum::<u32>(), 8);
 
         let plan = FaultPlan::new(0).with_dropped_message(1);
-        let rep = simulate_faulted(&costs, None, &assignment, &cfg, Some(&plan)).unwrap();
+        let rep = faulted(&costs, &assignment, &cfg, &plan).unwrap();
         assert_eq!(rep.resilience.messages_dropped, 1, "request drop = 1 loss");
         assert_eq!(rep.resilience.retransmissions, 0);
         assert!(
@@ -2103,8 +2230,11 @@ mod tests {
         let cfg = ws_cfg(StealPolicyKind::Hybrid(8));
         let run = || {
             let mut tr = Tracer::new();
-            let rep =
-                simulate_observed(&costs, None, &assignment, &cfg, None, Some(&mut tr)).unwrap();
+            let opts = SimOptions {
+                tracer: Some(&mut tr),
+                ..SimOptions::default()
+            };
+            let (rep, _) = simulate_with(&costs, &assignment, &cfg, opts).unwrap();
             (rep, tr)
         };
         let (rep_a, tr_a) = run();
@@ -2123,14 +2253,14 @@ mod tests {
     // ---- schedule exploration --------------------------------------------
 
     #[test]
-    fn explored_without_oracle_matches_observed() {
+    fn default_options_match_simulate_and_quiesce_cleanly() {
         let costs: Vec<u64> = (0..90).map(|i| 3_000 + (i * 23) % 40_000).collect();
         let mut assignment = vec![Vec::new(); 8];
         assignment[0] = (0..90u32).collect();
         let cfg = ws_cfg(StealPolicyKind::rand8());
         let plain = simulate(&costs, &assignment, &cfg).expect("plain sim");
         let (explored, q) =
-            simulate_explored(&costs, None, &assignment, &cfg, None, None, None).expect("explored");
+            simulate_with(&costs, &assignment, &cfg, SimOptions::default()).expect("explored");
         assert_eq!(plain, explored, "no oracle = FIFO tie-break, bit-identical");
         assert!(q.messages_conserved(), "{q:?}");
         assert_eq!(q.time_regressions, 0);
@@ -2147,16 +2277,7 @@ mod tests {
         let cfg = ws_cfg(StealPolicyKind::rand8());
         let run = |seed: u64| {
             let mut oracle = SeededSchedule { seed };
-            simulate_explored(
-                &costs,
-                None,
-                &assignment,
-                &cfg,
-                None,
-                None,
-                Some(&mut oracle),
-            )
-            .expect("explored sim")
+            explored(&costs, &assignment, &cfg, None, &mut oracle).expect("explored sim")
         };
         let (a, qa) = run(5);
         let (b, _) = run(5);
@@ -2186,16 +2307,8 @@ mod tests {
         let mut any_diff = false;
         for seed in 0..16 {
             let mut oracle = SeededSchedule { seed };
-            let (r, _) = simulate_explored(
-                &costs,
-                None,
-                &assignment,
-                &cfg,
-                None,
-                None,
-                Some(&mut oracle),
-            )
-            .expect("explored sim");
+            let (r, _) =
+                explored(&costs, &assignment, &cfg, None, &mut oracle).expect("explored sim");
             if r.executed_by != fifo.executed_by || r.makespan != fifo.makespan {
                 any_diff = true;
             }
@@ -2224,16 +2337,8 @@ mod tests {
             for seed in 0..8 {
                 let mut oracle = SeededSchedule { seed };
                 let cfg = ws_cfg(policy);
-                let (r, q) = simulate_explored(
-                    &costs,
-                    None,
-                    &assignment,
-                    &cfg,
-                    Some(&plan),
-                    None,
-                    Some(&mut oracle),
-                )
-                .expect("faulted explored sim");
+                let (r, q) = explored(&costs, &assignment, &cfg, Some(&plan), &mut oracle)
+                    .expect("faulted explored sim");
                 assert!(
                     q.messages_conserved(),
                     "{policy:?} seed {seed}: sent {} != delivered {} + dropped {} + dead {}",
@@ -2258,8 +2363,12 @@ mod tests {
             .with_crash(0, 200_000)
             .with_straggler(1, 0, u64::MAX, 4.0);
         let mut tr = Tracer::new();
-        let rep =
-            simulate_observed(&costs, None, &assignment, &cfg, Some(&plan), Some(&mut tr)).unwrap();
+        let opts = SimOptions {
+            fault: Some(&plan),
+            tracer: Some(&mut tr),
+            ..SimOptions::default()
+        };
+        let (rep, _) = simulate_with(&costs, &assignment, &cfg, opts).unwrap();
         tr.check_well_formed().expect("aborted spans still balance");
         assert!(tr.count_category(smp_obs::cat::FAULT) > 0);
         assert!(tr
@@ -2272,5 +2381,200 @@ mod tests {
             .any(|e| e.cat == smp_obs::cat::FAULT && e.name == "straggler_scaled"));
         assert_eq!(rep.metrics.expect("des.fault.crashes"), 1);
         assert!(rep.metrics.expect("des.fault.dead_time_ns") > 0);
+    }
+
+    #[test]
+    fn degradation_ratio_matches_definition() {
+        let report = simulate(&PHASE_COSTS, &[(0..6).collect()], &static_cfg()).expect("sim");
+        assert_eq!(report.degradation_ratio(0), 1.0);
+        let base = report.makespan;
+        assert_eq!(report.degradation_ratio(base), 1.0);
+        assert_eq!(
+            report.degradation_ratio(base / 2),
+            base as f64 / (base / 2) as f64
+        );
+    }
+
+    // ---- closure phases ---------------------------------------------------
+
+    const PHASE_COSTS: [VTime; 6] = [100_000, 50_000, 75_000, 25_000, 60_000, 90_000];
+
+    fn phase_spec(assignment: &[Vec<u32>], steal: Option<StealConfig>, seed: u64) -> ExecSpec<'_> {
+        ExecSpec {
+            n_tasks: PHASE_COSTS.len(),
+            costs: None,
+            payloads: None,
+            assignment,
+            steal,
+            seed,
+        }
+    }
+
+    /// Task `t` yields `t` at its `PHASE_COSTS` cost, firing `token` from
+    /// inside task `fire_at`.
+    fn firing(token: &CancelToken, fire_at: u32) -> impl FnMut(u32) -> (u32, VTime) + '_ {
+        move |t| {
+            if t == fire_at {
+                token.cancel();
+            }
+            (t, PHASE_COSTS[t as usize])
+        }
+    }
+
+    #[test]
+    fn phase_report_bit_equals_simulate_on_the_measured_costs() {
+        let assignment = vec![vec![0, 1, 2, 3, 4, 5], vec![], vec![], vec![]];
+        let cfg = ws_cfg(StealPolicyKind::rand8());
+        let direct = simulate(&PHASE_COSTS, &assignment, &cfg).expect("simulate");
+        let spec = phase_spec(&assignment, cfg.steal, cfg.seed);
+        let out = simulate_phase(&spec, &machine(), None, |t| {
+            (t * 2, PHASE_COSTS[t as usize])
+        })
+        .expect("phase");
+        assert_eq!(out.status, RunStatus::Completed);
+        let (results, report) = out.into_complete().expect("complete");
+        assert_eq!(results, vec![0, 2, 4, 6, 8, 10]);
+        assert_eq!(report, direct);
+    }
+
+    #[test]
+    fn phase_takes_costs_from_the_closure_not_the_spec() {
+        let assignment = vec![vec![0, 2, 4], vec![1, 3, 5]];
+        let run = |costs: Option<&[VTime]>| {
+            let spec = ExecSpec {
+                costs,
+                ..phase_spec(&assignment, None, 3)
+            };
+            simulate_phase(&spec, &machine(), None, |t| (t, PHASE_COSTS[t as usize]))
+                .expect("phase")
+                .report
+        };
+        let measured = run(None);
+        assert_eq!(measured.per_pe_busy, vec![235_000, 165_000]);
+        // Up-front costs, right or wrong, are not what gets replayed.
+        assert_eq!(run(Some(&[1; 6])), measured);
+        assert_eq!(run(Some(&[])), measured);
+    }
+
+    #[test]
+    fn phase_cancel_leaves_a_task_id_prefix_and_replays_only_it() {
+        let assignment = vec![vec![0, 2, 4], vec![1, 3, 5]];
+        let payloads = [1u64, 2, 3, 4, 5, 6];
+        let spec = ExecSpec {
+            payloads: Some(&payloads),
+            ..phase_spec(&assignment, None, 0)
+        };
+        // Fired from inside task 2: tasks 0..=2 run, the boundary check
+        // stops task 3 onward.
+        let token = CancelToken::new();
+        let out =
+            simulate_phase(&spec, &machine(), Some(&token), firing(&token, 2)).expect("phase");
+        assert_eq!(
+            out.status,
+            RunStatus::Cancelled {
+                executed: 3,
+                total: 6
+            }
+        );
+        assert_eq!(
+            out.results,
+            vec![Some(0), Some(1), Some(2), None, None, None]
+        );
+        assert_eq!(out.report.executed_by.len(), 6);
+        assert_eq!(out.report.per_pe_executed, vec![2, 1]);
+        // Exactly the replay of the executed prefix on the thinned queues.
+        let opts = SimOptions {
+            payloads: Some(&payloads[..3]),
+            ..SimOptions::default()
+        };
+        let (mut prefix, _) = simulate_with(
+            &PHASE_COSTS[..3],
+            &[vec![0, 2], vec![1]],
+            &static_cfg_seeded(0),
+            opts,
+        )
+        .expect("prefix");
+        prefix.executed_by.resize(6, 0);
+        assert_eq!(out.report, prefix);
+        let full = simulate(&PHASE_COSTS, &assignment, &static_cfg_seeded(0)).expect("full");
+        assert!(out.report.makespan < full.makespan);
+    }
+
+    fn static_cfg_seeded(seed: u64) -> SimConfig {
+        SimConfig {
+            seed,
+            ..static_cfg()
+        }
+    }
+
+    #[test]
+    fn phase_with_a_pre_fired_token_executes_nothing() {
+        let assignment = vec![vec![0, 1, 2], vec![3, 4, 5]];
+        let token = CancelToken::new();
+        token.cancel();
+        let out = simulate_phase(
+            &phase_spec(&assignment, None, 0),
+            &machine(),
+            Some(&token),
+            |t| -> (u32, VTime) { panic!("task {t} ran after the token fired") },
+        )
+        .expect("phase");
+        assert_eq!(
+            out.status,
+            RunStatus::Cancelled {
+                executed: 0,
+                total: 6
+            }
+        );
+        assert!(out.results.iter().all(Option::is_none));
+        // All zeros over the full worker set.
+        let zero = SimReport {
+            executed_by: vec![0; 6],
+            ..SimReport::blank(2)
+        };
+        assert_eq!(out.report, zero);
+    }
+
+    #[test]
+    fn phase_cancelled_replay_is_deterministic() {
+        let assignment = vec![vec![0, 2, 4], vec![1, 3, 5]];
+        let steal = Some(StealConfig::new(StealPolicyKind::rand8()));
+        let run = || {
+            let token = CancelToken::new();
+            let out = simulate_phase(
+                &phase_spec(&assignment, steal, 9),
+                &machine(),
+                Some(&token),
+                firing(&token, 3),
+            )
+            .expect("phase");
+            (out.status, out.results, out.report)
+        };
+        assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn phase_rejects_a_malformed_spec_before_running_anything() {
+        let ran = std::cell::Cell::new(0u32);
+        let count = |t: u32| {
+            ran.set(ran.get() + 1);
+            (t, 1)
+        };
+        let unassigned = vec![vec![0, 1, 2], vec![3, 4]];
+        let err =
+            simulate_phase(&phase_spec(&unassigned, None, 0), &machine(), None, count).unwrap_err();
+        assert_eq!(err, ExecError::Sim(SimError::UnassignedTask { task: 5 }));
+        let assignment = vec![vec![0, 1, 2], vec![3, 4, 5]];
+        let short = ExecSpec {
+            payloads: Some(&[1, 2]),
+            ..phase_spec(&assignment, None, 0)
+        };
+        let err = simulate_phase(&short, &machine(), None, count).unwrap_err();
+        let mismatch = SimError::PayloadLenMismatch {
+            expected: 6,
+            got: 2,
+        };
+        assert_eq!(err, ExecError::Sim(mismatch));
+        assert_eq!(ran.get(), 0);
     }
 }

@@ -1,12 +1,13 @@
 //! The server loop: drain the admission queue in service order, batch
-//! same-snapshot queries onto one reused executor, settle every request
+//! same-snapshot queries into one phase each, settle every request
 //! exactly once.
 //!
 //! Two serving modes share all classification logic:
 //!
 //! * [`Server::run`] — **batched**: maximal runs of consecutive
-//!   same-snapshot requests (up to `batch_max`) become one executor
-//!   phase; per-query answers are computed through the snapshot's
+//!   same-snapshot requests (up to `batch_max`) become one phase — on
+//!   the run's one reused `LiveExecutor`, or one `simulate_phase` call on
+//!   the DES; per-query answers are computed through the snapshot's
 //!   prebuilt [`smp_plan::QueryIndex`]. A live phase has
 //!   `min(threads, batch)` queues and work stealing; a DES phase is a
 //!   static schedule (DESIGN.md §15 has the reason for each).
@@ -28,7 +29,7 @@ use smp_core::work_cost;
 use smp_cspace::WorkCounters;
 use smp_obs::{MetricsRegistry, MetricsSnapshot};
 use smp_runtime::{
-    Backend, CancelToken, DesExecutor, ExecError, ExecSpec, Executor, LiveExecutor, LiveTuning,
+    simulate_phase, Backend, CancelToken, ExecError, ExecSpec, LiveExecutor, LiveTuning,
     MachineModel, RunStatus, StealConfig, StealPolicyKind,
 };
 use std::time::{Duration, Instant};
@@ -53,7 +54,7 @@ pub struct ServeConfig {
     pub backend: Backend,
     /// Worker count for batched evaluation.
     pub threads: usize,
-    /// Max queries per batch (per executor phase).
+    /// Max queries per batch (per phase).
     pub batch_max: usize,
     /// Snapshot cache capacity (leased entries are never evicted).
     pub cache_capacity: usize,
@@ -119,10 +120,11 @@ pub struct ServeReport {
     pub cache_misses: u64,
     /// Snapshot-cache evictions during this run.
     pub cache_evictions: u64,
-    /// Executor phases submitted.
+    /// Batches evaluated (one phase each).
     pub batches: u64,
-    /// Executor submissions observed on the reused executor (equals
-    /// `batches` in batched mode, 0 sequentially).
+    /// Phases submitted: counted by the run's reused live executor, or one
+    /// simulated phase per batch on the DES (either way it equals
+    /// `batches` in batched mode); 0 sequentially.
     pub submissions: u64,
     /// End-to-end time of the run in backend-native ns.
     pub makespan_ns: u64,
@@ -173,15 +175,6 @@ impl ServeReport {
         }
         lat[((lat.len() - 1) as f64 * q) as usize]
     }
-}
-
-/// The reused per-run executor: one instance accepts every batch
-/// submission of the run (`smp_runtime` counts the submissions).
-enum Exec {
-    Des(DesExecutor),
-    Live(Box<LiveExecutor>),
-    /// Sequential replay mode: no executor at all.
-    None,
 }
 
 /// The planning-as-a-service front door.
@@ -239,8 +232,8 @@ impl Server {
         Ok(lease.digest)
     }
 
-    /// Serve everything queued, batching same-snapshot queries onto the
-    /// run's one reused executor.
+    /// Serve everything queued, batching same-snapshot queries into one
+    /// phase each.
     pub fn run(&mut self) -> Result<ServeReport, ExecError> {
         self.serve(true)
     }
@@ -263,18 +256,18 @@ impl Server {
         let misses0 = self.cache.misses;
         let evict0 = self.cache.evictions;
 
-        let mut exec = if !batched {
-            Exec::None
-        } else {
-            match self.cfg.backend {
-                Backend::Des => Exec::Des(DesExecutor::new(self.machine.clone())),
-                Backend::Live(tuning) => Exec::Live(Box::new(self.live_executor(tuning))),
-                // Service batches are closures over in-process snapshot
-                // state and cannot cross a process boundary; a Dist
-                // backend serves on the in-process live engine with
-                // default tuning (answer digests are backend-invariant).
-                Backend::Dist(_) => Exec::Live(Box::new(self.live_executor(LiveTuning::default()))),
-            }
+        // The run's one reused executor: it accepts every batch of a live
+        // run (`smp_runtime` counts the submissions). A DES batch needs
+        // none — it is one simulated phase — and neither does sequential
+        // replay.
+        let mut live = match (batched, self.cfg.backend) {
+            (false, _) | (true, Backend::Des) => None,
+            (true, Backend::Live(tuning)) => Some(self.live_executor(tuning)),
+            // Service batches are closures over in-process snapshot
+            // state and cannot cross a process boundary; a Dist backend
+            // serves on the in-process live engine with default tuning
+            // (answer digests are backend-invariant).
+            (true, Backend::Dist(_)) => Some(self.live_executor(LiveTuning::default())),
         };
 
         let epoch = Instant::now();
@@ -359,7 +352,8 @@ impl Server {
             }
 
             batches += 1;
-            let outcomes = self.evaluate_batch(&mut exec, &lease, batch, batches, &mut vclock)?;
+            let outcomes =
+                self.evaluate_batch(live.as_mut(), batched, &lease, batch, batches, &mut vclock)?;
             for (b, (outcome, latency)) in batch.iter().zip(outcomes) {
                 Self::settle(
                     &mut records,
@@ -382,10 +376,11 @@ impl Server {
             answers_digest = fnv_mix(answers_digest, r.digest);
         }
 
-        let submissions = match &exec {
-            Exec::Des(e) => e.submissions(),
-            Exec::Live(e) => e.submissions(),
-            Exec::None => 0,
+        let submissions = match &live {
+            Some(e) => e.submissions(),
+            // Every batched DES batch was one `simulate_phase` call.
+            None if batched => batches,
+            None => 0,
         };
         let makespan_ns = self.now_ns(&epoch, vclock);
         metrics.inc("serve.requests.admitted", ledger.admitted);
@@ -469,102 +464,95 @@ impl Server {
     /// in batch order.
     fn evaluate_batch(
         &self,
-        exec: &mut Exec,
+        live: Option<&mut LiveExecutor>,
+        batched: bool,
         lease: &SnapshotLease,
         batch: &[Admitted],
         batch_no: u64,
         vclock: &mut u64,
     ) -> Result<Vec<(ServeOutcome, u64)>, ExecError> {
         let k = self.cfg.k_query;
-        match exec {
-            Exec::None => {
-                // Sequential replay: answer one at a time, charging each
-                // query's virtual cost to the clock as it completes.
-                let mut out = Vec::with_capacity(batch.len());
-                for a in batch {
-                    let mut work = WorkCounters::new();
-                    let res = lease.answer(a.req.start, a.req.goal, k, &mut work);
-                    let vcost = work_cost(&work, &self.machine.ops);
-                    let begin = (*vclock).max(a.req.arrival_ns);
-                    *vclock = begin + vcost;
-                    let latency = vclock.saturating_sub(a.req.arrival_ns);
-                    out.push((ServeOutcome::from_query(res), latency));
-                }
-                Ok(out)
-            }
-            Exec::Des(e) => {
-                // One-pass cost measurement (DESIGN.md §4): compute every
-                // answer once, measuring its chargeable work, then replay
-                // the measured costs through the simulator for the
-                // batch's virtual schedule.
-                let mut outcomes = Vec::with_capacity(batch.len());
-                let mut costs = Vec::with_capacity(batch.len());
-                for a in batch {
-                    let mut work = WorkCounters::new();
-                    let res = lease.answer(a.req.start, a.req.goal, k, &mut work);
-                    costs.push(work_cost(&work, &self.machine.ops));
-                    outcomes.push(ServeOutcome::from_query(res));
-                }
-                // The model's schedule is static on all `threads` PEs: the
-                // virtual latencies are a recorded reference
-                // (`BENCH_serve.json`), not a throughput.
-                let assignment = round_robin(self.cfg.threads.max(1), batch.len());
-                let spec = ExecSpec {
-                    n_tasks: batch.len(),
-                    costs: Some(&costs),
-                    payloads: None,
-                    assignment: &assignment,
-                    steal: None,
-                    seed: self.cfg.seed ^ batch_no,
-                };
-                let digests: Vec<u64> = outcomes.iter().map(answer_digest).collect();
-                let out = e.execute(&spec, &|t: u32| digests[t as usize])?;
-                debug_assert_eq!(out.results, digests, "executor permuted batch results");
-                let begin =
-                    (*vclock).max(batch.iter().map(|a| a.req.arrival_ns).max().unwrap_or(0));
-                let completion = begin + out.report.makespan;
-                *vclock = completion;
-                Ok(outcomes
-                    .into_iter()
-                    .zip(batch)
-                    .map(|(o, a)| (o, completion.saturating_sub(a.req.arrival_ns)))
-                    .collect())
-            }
-            Exec::Live(e) => {
-                // One queue per query at most (a worker with an empty
-                // queue is a thread spawned to do nothing), and the
-                // planners' default stealing: query costs are uneven and
-                // unknown in advance, so a static split leaves a worker
-                // idle behind the expensive ones. Results are indexed by
-                // task, so who ran a query cannot change an answer.
-                let assignment = round_robin(e.threads().min(batch.len()), batch.len());
-                let spec = ExecSpec {
-                    n_tasks: batch.len(),
-                    costs: None,
-                    payloads: None,
-                    assignment: &assignment,
-                    steal: Some(StealConfig::new(StealPolicyKind::Hybrid(8))),
-                    seed: self.cfg.seed ^ batch_no,
-                };
-                let epoch = Instant::now();
-                let out = e.execute_resilient(&spec, &|t: u32| {
-                    let a = &batch[t as usize];
-                    let mut work = WorkCounters::new();
-                    ServeOutcome::from_query(lease.answer(a.req.start, a.req.goal, k, &mut work))
-                })?;
-                let elapsed = epoch.elapsed().as_nanos() as u64;
-                *vclock += elapsed;
-                let missing_outcome = match out.status {
-                    RunStatus::DeadlineExceeded { .. } => ServeOutcome::Expired,
-                    _ => ServeOutcome::Rejected(ServeError::Cancelled),
-                };
-                Ok(out
-                    .results
-                    .into_iter()
-                    .map(|r| (r.unwrap_or_else(|| missing_outcome.clone()), elapsed))
-                    .collect())
-            }
+        if let Some(e) = live {
+            // One queue per query at most (a worker with an empty queue
+            // is a thread spawned to do nothing), and the planners'
+            // default stealing: query costs are uneven and unknown in
+            // advance, so a static split leaves a worker idle behind the
+            // expensive ones. Results are indexed by task, so who ran a
+            // query cannot change an answer.
+            let assignment = round_robin(e.threads().min(batch.len()), batch.len());
+            let spec = ExecSpec {
+                n_tasks: batch.len(),
+                costs: None,
+                payloads: None,
+                assignment: &assignment,
+                steal: Some(StealConfig::new(StealPolicyKind::Hybrid(8))),
+                seed: self.cfg.seed ^ batch_no,
+            };
+            let epoch = Instant::now();
+            let out = e.execute_resilient(&spec, &|t: u32| {
+                let a = &batch[t as usize];
+                let mut work = WorkCounters::new();
+                ServeOutcome::from_query(lease.answer(a.req.start, a.req.goal, k, &mut work))
+            })?;
+            let elapsed = epoch.elapsed().as_nanos() as u64;
+            *vclock += elapsed;
+            let missing_outcome = match out.status {
+                RunStatus::DeadlineExceeded { .. } => ServeOutcome::Expired,
+                _ => ServeOutcome::Rejected(ServeError::Cancelled),
+            };
+            return Ok(out
+                .results
+                .into_iter()
+                .map(|r| (r.unwrap_or_else(|| missing_outcome.clone()), elapsed))
+                .collect());
         }
+
+        // Virtual time from here on: each answer is computed once, with
+        // its chargeable work measured as it completes (DESIGN.md §4).
+        let answer = |a: &Admitted| {
+            let mut work = WorkCounters::new();
+            let res = lease.answer(a.req.start, a.req.goal, k, &mut work);
+            (
+                ServeOutcome::from_query(res),
+                work_cost(&work, &self.machine.ops),
+            )
+        };
+        if !batched {
+            // Sequential replay: answer one at a time, charging each
+            // query's virtual cost to the clock as it completes.
+            let mut out = Vec::with_capacity(batch.len());
+            for a in batch {
+                let (outcome, vcost) = answer(a);
+                let begin = (*vclock).max(a.req.arrival_ns);
+                *vclock = begin + vcost;
+                out.push((outcome, vclock.saturating_sub(a.req.arrival_ns)));
+            }
+            return Ok(out);
+        }
+        // One DES phase: the measured costs are replayed through the
+        // simulator for the batch's virtual schedule. The model's
+        // schedule is static on all `threads` PEs: the virtual latencies
+        // are a recorded reference (`BENCH_serve.json`), not a throughput.
+        let assignment = round_robin(self.cfg.threads.max(1), batch.len());
+        let spec = ExecSpec {
+            n_tasks: batch.len(),
+            costs: None,
+            payloads: None,
+            assignment: &assignment,
+            steal: None,
+            seed: self.cfg.seed ^ batch_no,
+        };
+        let (outcomes, report) =
+            simulate_phase(&spec, &self.machine, None, |t| answer(&batch[t as usize]))?
+                .into_complete()?;
+        let begin = (*vclock).max(batch.iter().map(|a| a.req.arrival_ns).max().unwrap_or(0));
+        let completion = begin + report.makespan;
+        *vclock = completion;
+        Ok(outcomes
+            .into_iter()
+            .zip(batch)
+            .map(|(o, a)| (o, completion.saturating_sub(a.req.arrival_ns)))
+            .collect())
     }
 
     fn settle(
@@ -678,7 +666,7 @@ mod tests {
         assert_eq!(b.ledger.expired, 1);
         assert_eq!(b.ledger.rejected, 1);
         assert_eq!(b.ledger.completed, 4);
-        // Batched mode actually used the reused executor; sequential never did.
+        // Batched mode ran one phase per batch; sequential ran none.
         assert_eq!(b.submissions, b.batches);
         assert!(b.batches >= 1);
         assert_eq!(s.submissions, 0);

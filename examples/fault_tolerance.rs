@@ -14,7 +14,7 @@
 //! ```
 
 use smp::core::{
-    build_prm_workload, run_parallel_prm, run_parallel_prm_faulted, ParallelPrmConfig, Strategy,
+    build_prm_workload, run_parallel_prm, run_parallel_prm_observed, ParallelPrmConfig, Strategy,
     WeightKind,
 };
 use smp::geom::envs;
@@ -59,8 +59,9 @@ fn main() {
             .with_straggler(0, 0, u64::MAX, 4.0)
             .with_message_loss(0.10)
             .with_crash(1, crash_at);
-        let faulted = run_parallel_prm_faulted(&workload, &machine, p, strategy, None, Some(&plan))
-            .expect("faulted sim failed");
+        let faulted =
+            run_parallel_prm_observed(&workload, &machine, p, strategy, None, Some(&plan), None)
+                .expect("faulted sim failed");
         let r = &faulted.construction.resilience;
         println!(
             "{:>15} {:>12.4} {:>12.4} {:>11.2}x {:>9} {:>10} {:>9}",

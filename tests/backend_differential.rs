@@ -13,8 +13,8 @@
 
 use smp_core::{
     assemble_prm_roadmap, assemble_rrt_tree, build_prm_workload, build_rrt_workload,
-    roadmap_digest, run_parallel_prm_live, run_parallel_rrt_live, ParallelPrmConfig,
-    ParallelRrtConfig, Strategy, WeightKind,
+    roadmap_digest, run_parallel_prm_live_observed, run_parallel_rrt_live_observed,
+    ParallelPrmConfig, ParallelRrtConfig, Strategy, WeightKind,
 };
 use smp_geom::envs;
 use smp_runtime::{LiveTuning, StealConfig, StealPolicyKind};
@@ -45,8 +45,14 @@ fn live_prm_digest_matches_des_across_threads_and_strategies() {
     let des_digest = roadmap_digest(&assemble_prm_roadmap(&build_prm_workload(&cfg)));
     for threads in THREAD_COUNTS {
         for strategy in prm_strategies() {
-            let (w, run) = run_parallel_prm_live(&cfg, threads, &strategy, LiveTuning::default())
-                .expect("live PRM run");
+            let (w, run) = run_parallel_prm_live_observed(
+                &cfg,
+                threads,
+                &strategy,
+                LiveTuning::default(),
+                None,
+            )
+            .expect("live PRM run");
             assert_eq!(
                 roadmap_digest(&assemble_prm_roadmap(&w)),
                 des_digest,
@@ -73,8 +79,10 @@ fn live_prm_digest_is_stable_across_repeated_runs() {
         ..ParallelPrmConfig::new(&env)
     };
     let s = Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Hybrid(8)));
-    let (wa, _) = run_parallel_prm_live(&cfg, 8, &s, LiveTuning::default()).expect("run a");
-    let (wb, _) = run_parallel_prm_live(&cfg, 8, &s, LiveTuning::default()).expect("run b");
+    let (wa, _) =
+        run_parallel_prm_live_observed(&cfg, 8, &s, LiveTuning::default(), None).expect("run a");
+    let (wb, _) =
+        run_parallel_prm_live_observed(&cfg, 8, &s, LiveTuning::default(), None).expect("run b");
     assert_eq!(
         roadmap_digest(&assemble_prm_roadmap(&wa)),
         roadmap_digest(&assemble_prm_roadmap(&wb))
@@ -101,8 +109,14 @@ fn live_rrt_digest_matches_des_across_threads_and_strategies() {
     ];
     for threads in THREAD_COUNTS {
         for strategy in &strategies {
-            let (w, _) = run_parallel_rrt_live(&cfg, threads, strategy, LiveTuning::default())
-                .expect("live RRT run");
+            let (w, _) = run_parallel_rrt_live_observed(
+                &cfg,
+                threads,
+                strategy,
+                LiveTuning::default(),
+                None,
+            )
+            .expect("live RRT run");
             assert_eq!(
                 roadmap_digest(&assemble_rrt_tree(&w)),
                 des_digest,
@@ -135,7 +149,7 @@ fn live_portfolio_matches_des_winner_ledger_and_payload() {
     };
     let machine = MachineModel::hopper();
     let strategy = Strategy::WorkStealing(StealConfig::new(StealPolicyKind::RandK(8)));
-    let des = run_portfolio_rrt_on(&cfg, &machine, 2, strategy, Backend::Des).expect("des");
+    let des = run_portfolio_rrt_on(&cfg, &machine, 2, strategy, Backend::Des, None).expect("des");
     let des_digest = roadmap_digest(des.winner.as_ref().expect("des winner"));
     for threads in THREAD_COUNTS {
         let live = run_portfolio_rrt_on(
@@ -144,6 +158,7 @@ fn live_portfolio_matches_des_winner_ledger_and_payload() {
             threads,
             strategy,
             Backend::Live(LiveTuning::default()),
+            None,
         )
         .expect("live");
         assert_eq!(
@@ -178,7 +193,8 @@ fn live_steal_counters_obey_conservation_laws() {
         StealPolicyKind::Hybrid(8),
     ] {
         let s = Strategy::WorkStealing(StealConfig::new(policy));
-        let (_, run) = run_parallel_prm_live(&cfg, 4, &s, LiveTuning::default()).expect("run");
+        let (_, run) =
+            run_parallel_prm_live_observed(&cfg, 4, &s, LiveTuning::default(), None).expect("run");
         let c = &run.construction;
         assert_eq!(
             c.steal_attempts,

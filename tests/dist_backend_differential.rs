@@ -14,8 +14,9 @@ use std::path::PathBuf;
 
 use smp::core::{
     assemble_prm_roadmap, assemble_rrt_tree, build_prm_workload, build_rrt_workload,
-    roadmap_digest, run_parallel_prm_dist_with, run_parallel_prm_live, run_parallel_rrt_dist_with,
-    run_parallel_rrt_live, ParallelPrmConfig, ParallelRrtConfig, Strategy, WeightKind,
+    roadmap_digest, run_parallel_prm_dist_with, run_parallel_prm_live_observed,
+    run_parallel_rrt_dist_with, run_parallel_rrt_live_observed, ParallelPrmConfig,
+    ParallelRrtConfig, Strategy, WeightKind,
 };
 use smp::geom::envs;
 use smp::runtime::dist::{
@@ -73,7 +74,8 @@ fn dist_prm_digest_matches_des_and_live_across_workers_and_strategies() {
     let cfg = prm_cfg(&env);
     let des_digest = roadmap_digest(&assemble_prm_roadmap(&build_prm_workload(&cfg)));
     let (lw, _) =
-        run_parallel_prm_live(&cfg, 2, &Strategy::NoLb, LiveTuning::default()).expect("live");
+        run_parallel_prm_live_observed(&cfg, 2, &Strategy::NoLb, LiveTuning::default(), None)
+            .expect("live");
     assert_eq!(roadmap_digest(&assemble_prm_roadmap(&lw)), des_digest);
 
     let mut all = strategies();
@@ -104,7 +106,8 @@ fn dist_rrt_digest_matches_des_and_live_across_workers_and_strategies() {
     let cfg = rrt_cfg(&env);
     let des_digest = roadmap_digest(&assemble_rrt_tree(&build_rrt_workload(&cfg)));
     let (lw, _) =
-        run_parallel_rrt_live(&cfg, 2, &Strategy::NoLb, LiveTuning::default()).expect("live");
+        run_parallel_rrt_live_observed(&cfg, 2, &Strategy::NoLb, LiveTuning::default(), None)
+            .expect("live");
     assert_eq!(roadmap_digest(&assemble_rrt_tree(&lw)), des_digest);
 
     let mut all = strategies();

@@ -20,9 +20,10 @@ use smp::core::{
     ParallelPrmConfig, ParallelRrtConfig, Strategy,
 };
 use smp::geom::envs;
-use smp::runtime::{
-    simulate_observed, FaultPlan, MachineModel, SimConfig, StealConfig, StealPolicyKind, Tracer,
-};
+use smp::runtime::{FaultPlan, MachineModel, SimConfig, StealConfig, StealPolicyKind, Tracer};
+
+mod common;
+use common::observe;
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -108,8 +109,7 @@ fn crash_recovery_steal() -> (String, String) {
     };
     let plan = FaultPlan::new(2).with_crash(0, 200_000);
     let mut tr = Tracer::new();
-    let rep = simulate_observed(&costs, None, &assignment, &cfg, Some(&plan), Some(&mut tr))
-        .expect("sim failed");
+    let rep = observe(&costs, &assignment, &cfg, Some(&plan), Some(&mut tr));
     tr.check_well_formed().expect("trace well-formed");
     assert_eq!(rep.resilience.crashes, 1, "scenario must exercise recovery");
     (tr.to_chrome_json(), rep.metrics.to_csv())

@@ -10,9 +10,10 @@
 use smp::core::{build_prm_workload, run_parallel_prm_observed, ParallelPrmConfig, Strategy};
 use smp::geom::envs;
 use smp::obs::MetricsSnapshot;
-use smp::runtime::{
-    simulate_observed, FaultPlan, MachineModel, SimConfig, StealConfig, StealPolicyKind,
-};
+use smp::runtime::{FaultPlan, MachineModel, SimConfig, StealConfig, StealPolicyKind};
+
+mod common;
+use common::observe;
 
 const POLICIES: [StealPolicyKind; 3] = [
     StealPolicyKind::RandK(8),
@@ -94,8 +95,7 @@ fn conservation_fault_free_all_policies() {
     let assignment = skewed(n, 8);
     for policy in POLICIES {
         let cfg = ws_cfg(policy);
-        let rep =
-            simulate_observed(&costs, None, &assignment, &cfg, None, None).expect("sim failed");
+        let rep = observe(&costs, &assignment, &cfg, None, None);
         let label = format!("{policy:?} fault-free");
         assert_conservation(&rep.metrics, n as u64, &label);
         // fault-free sharpening: nothing re-executed, recovered, or dropped
@@ -123,8 +123,7 @@ fn conservation_under_crash_all_policies() {
     for policy in POLICIES {
         let cfg = ws_cfg(policy);
         let plan = FaultPlan::new(3).with_crash(0, 150_000);
-        let rep = simulate_observed(&costs, None, &assignment, &cfg, Some(&plan), None)
-            .expect("sim failed");
+        let rep = observe(&costs, &assignment, &cfg, Some(&plan), None);
         let label = format!("{policy:?} crash");
         assert_conservation(&rep.metrics, n as u64, &label);
         assert_eq!(rep.metrics.expect("des.fault.crashes"), 1, "{label}");

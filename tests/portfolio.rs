@@ -16,10 +16,7 @@
 use proptest::prelude::*;
 use smp::core::portfolio::{run_portfolio_on, Attempt, PortfolioSpec};
 use smp::core::restart::{luby, RestartSchedule};
-use smp::core::{
-    roadmap_digest, run_portfolio_rrt_faulted, run_portfolio_rrt_on, PlannerKind,
-    RrtPortfolioConfig, Strategy,
-};
+use smp::core::{roadmap_digest, run_portfolio_rrt_on, PlannerKind, RrtPortfolioConfig, Strategy};
 use smp::geom::{envs, Point};
 use smp::runtime::{
     Backend, LiveFaultPlan, LiveTuning, MachineModel, StealConfig, StealPolicyKind,
@@ -144,7 +141,8 @@ fn portfolio_winner_and_ledger_match_des_across_threads_and_strategies() {
         Strategy::NoLb,
         Strategy::WorkStealing(StealConfig::new(StealPolicyKind::rand8())),
     ] {
-        let des = run_portfolio_rrt_on(&cfg, &machine, 2, strategy, Backend::Des).expect("des");
+        let des =
+            run_portfolio_rrt_on(&cfg, &machine, 2, strategy, Backend::Des, None).expect("des");
         assert!(
             des.ledger.winner.is_some(),
             "scenario must be solvable for the digest comparison to bite"
@@ -158,6 +156,7 @@ fn portfolio_winner_and_ledger_match_des_across_threads_and_strategies() {
                 threads,
                 strategy,
                 Backend::Live(LiveTuning::default()),
+                None,
             )
             .expect("live");
             assert_eq!(
@@ -179,7 +178,8 @@ fn portfolio_ledger_survives_live_faults() {
     let env = envs::walls(2, 0.04, 0.22);
     let cfg = narrow_cfg(&env);
     let machine = MachineModel::hopper();
-    let des = run_portfolio_rrt_on(&cfg, &machine, 2, Strategy::NoLb, Backend::Des).expect("des");
+    let des =
+        run_portfolio_rrt_on(&cfg, &machine, 2, Strategy::NoLb, Backend::Des, None).expect("des");
     let des_digest = roadmap_digest(des.winner.as_ref().expect("winner payload"));
     // Stragglers + grant drops on every worker, plus a recoverable panic:
     // none of it may perturb the deterministic outcome.
@@ -188,7 +188,7 @@ fn portfolio_ledger_survives_live_faults() {
         .with_grant_drop_rate(0.25)
         .with_panic(1, 1);
     for threads in [2usize, 8] {
-        let live = run_portfolio_rrt_faulted(
+        let live = run_portfolio_rrt_on(
             &cfg,
             &machine,
             threads,
@@ -220,6 +220,7 @@ fn live_portfolio_is_deterministic_run_to_run() {
             4,
             Strategy::WorkStealing(StealConfig::new(StealPolicyKind::rand8())),
             Backend::Live(LiveTuning::default()),
+            None,
         )
         .expect("live")
     };

@@ -5,9 +5,10 @@ use smp::core::partition::{greedy_lpt, loads, naive_block, spatial_bisection};
 use smp::geom::{Aabb, GridSubdivision, Point};
 use smp::graph::search::dijkstra;
 use smp::graph::{Graph, KdTree, UnionFind};
-use smp::runtime::{
-    simulate, simulate_faulted, FaultPlan, MachineModel, SimConfig, StealConfig, StealPolicyKind,
-};
+use smp::runtime::{simulate, FaultPlan, MachineModel, SimConfig, StealConfig, StealPolicyKind};
+
+mod common;
+use common::observe;
 
 /// Floyd–Warshall reference for shortest-path verification.
 fn floyd_warshall(g: &Graph<(), f64>) -> Vec<Vec<f64>> {
@@ -255,8 +256,7 @@ proptest! {
         };
         let plain = simulate(&costs, &assignment, &cfg).expect("sim failed");
         let plan = FaultPlan::new(plan_seed);
-        let faulted = simulate_faulted(&costs, None, &assignment, &cfg, Some(&plan))
-            .expect("sim failed");
+        let faulted = observe(&costs, &assignment, &cfg, Some(&plan), None);
         prop_assert_eq!(plain, faulted);
     }
 
@@ -281,8 +281,7 @@ proptest! {
             seed: 11,
         };
         let plan = FaultPlan::new(3).with_crash(victim, crash_at);
-        let rep = simulate_faulted(&costs, None, &assignment, &cfg, Some(&plan))
-            .expect("sim failed");
+        let rep = observe(&costs, &assignment, &cfg, Some(&plan), None);
         let total: u64 = costs.iter().sum();
         prop_assert_eq!(rep.per_pe_executed.iter().map(|&x| x as usize).sum::<usize>(), n);
         prop_assert_eq!(rep.per_pe_busy.iter().sum::<u64>(), total);
@@ -316,8 +315,8 @@ proptest! {
             .with_straggler(0, 0, u64::MAX, factor)
             .with_message_loss(loss)
             .with_message_jitter(0.2, 40_000);
-        let a = simulate_faulted(&costs, None, &assignment, &cfg, Some(&plan)).expect("sim failed");
-        let b = simulate_faulted(&costs, None, &assignment, &cfg, Some(&plan)).expect("sim failed");
+        let a = observe(&costs, &assignment, &cfg, Some(&plan), None);
+        let b = observe(&costs, &assignment, &cfg, Some(&plan), None);
         prop_assert_eq!(a, b);
     }
 
@@ -341,8 +340,7 @@ proptest! {
         };
         let loss = if total_loss { 1.0 } else { loss };
         let plan = FaultPlan::new(17).with_message_loss(loss);
-        let rep = simulate_faulted(&costs, None, &assignment, &cfg, Some(&plan))
-            .expect("message loss must never livelock the simulation");
+        let rep = observe(&costs, &assignment, &cfg, Some(&plan), None);
         let total: u64 = costs.iter().sum();
         prop_assert_eq!(rep.per_pe_executed.iter().map(|&x| x as usize).sum::<usize>(), n);
         prop_assert_eq!(rep.per_pe_busy.iter().sum::<u64>(), total);

@@ -12,9 +12,10 @@
 
 use proptest::prelude::*;
 use smp::obs::{cat, EventPhase, Tracer};
-use smp::runtime::{
-    simulate_observed, FaultPlan, MachineModel, SimConfig, StealConfig, StealPolicyKind,
-};
+use smp::runtime::{FaultPlan, MachineModel, SimConfig, StealConfig, StealPolicyKind};
+
+mod common;
+use common::observe;
 
 fn policy(idx: usize) -> StealPolicyKind {
     match idx % 4 {
@@ -88,8 +89,7 @@ proptest! {
             seed,
         };
         let mut tr = Tracer::new();
-        let rep = simulate_observed(&costs, None, &assignment, &cfg, None, Some(&mut tr))
-            .expect("sim failed");
+        let rep = observe(&costs, &assignment, &cfg, None, Some(&mut tr));
         tr.check_well_formed().expect("tracer audit");
         assert_stream_invariants(&tr);
         prop_assert_eq!(tr.count_category(cat::FAULT), 0,
@@ -121,10 +121,8 @@ proptest! {
         let plan = FaultPlan::new(seed); // no stragglers, crashes, or losses
         let mut tr_none = Tracer::new();
         let mut tr_empty = Tracer::new();
-        let a = simulate_observed(&costs, None, &assignment, &cfg, None, Some(&mut tr_none))
-            .expect("sim failed");
-        let b = simulate_observed(&costs, None, &assignment, &cfg, Some(&plan), Some(&mut tr_empty))
-            .expect("sim failed");
+        let a = observe(&costs, &assignment, &cfg, None, Some(&mut tr_none));
+        let b = observe(&costs, &assignment, &cfg, Some(&plan), Some(&mut tr_empty));
         prop_assert_eq!(tr_empty.count_category(cat::FAULT), 0);
         prop_assert_eq!(tr_none.to_chrome_json(), tr_empty.to_chrome_json());
         prop_assert_eq!(a.metrics.to_csv(), b.metrics.to_csv());
@@ -154,8 +152,7 @@ proptest! {
             .with_crash(crash_pe, crash_at)
             .with_straggler((crash_pe + 1) % p, 0, u64::MAX, 3.0);
         let mut tr = Tracer::new();
-        let rep = simulate_observed(&costs, None, &assignment, &cfg, Some(&plan), Some(&mut tr))
-            .expect("sim failed");
+        let rep = observe(&costs, &assignment, &cfg, Some(&plan), Some(&mut tr));
         tr.check_well_formed().expect("tracer audit");
         assert_stream_invariants(&tr);
         // the fault plan must be visible in the trace
