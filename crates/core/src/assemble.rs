@@ -6,7 +6,7 @@
 //! makes virtual-time replay sound.
 
 use crate::parallel_prm::PrmWorkload;
-use crate::parallel_rrt::RrtWorkload;
+use crate::parallel_rrt::{BranchOutcome, RrtWorkload};
 use smp_graph::UnionFind;
 use smp_plan::Roadmap;
 
@@ -46,7 +46,10 @@ pub fn roadmap_digest<const D: usize>(map: &Roadmap<D>) -> u64 {
 /// Merge all regional roadmaps plus cross-region links into one global
 /// roadmap (Algorithm 1's output `G`).
 pub fn assemble_prm_roadmap<const D: usize>(workload: &PrmWorkload<D>) -> Roadmap<D> {
-    let mut global: Roadmap<D> = Roadmap::new();
+    let regional_edges: usize = workload.regions.iter().map(|r| r.edges.len()).sum();
+    let cross_links: usize = workload.cross.iter().map(|c| c.links.len()).sum();
+    let mut global: Roadmap<D> =
+        Roadmap::with_capacity(workload.total_vertices(), regional_edges + cross_links);
     // vertex-id offset of each region in the global map
     let mut offsets = Vec::with_capacity(workload.regions.len());
     for region in &workload.regions {
@@ -80,7 +83,13 @@ pub fn assemble_prm_roadmap<const D: usize>(workload: &PrmWorkload<D>) -> Roadma
 /// (Algorithm 2 lines 15–17), so the result is always a tree or forest of
 /// the root's component.
 pub fn assemble_rrt_tree<const D: usize>(workload: &RrtWorkload<D>) -> Roadmap<D> {
-    let mut global: Roadmap<D> = Roadmap::new();
+    // one shared root plus every branch's other vertices; pruned cross
+    // links make the edge count an upper bound
+    let branch_vertices = |r: &BranchOutcome<D>| r.cfgs.len().saturating_sub(1);
+    let vertices = 1 + workload.regions.iter().map(branch_vertices).sum::<usize>();
+    let regional_edges: usize = workload.regions.iter().map(|r| r.edges.len()).sum();
+    let cross_links: usize = workload.cross.iter().map(|c| c.links.len()).sum();
+    let mut global: Roadmap<D> = Roadmap::with_capacity(vertices, regional_edges + cross_links);
     let root_id = global.add_vertex(workload.sub.root());
 
     // map (region, local vertex) -> global id; local 0 is the shared root

@@ -433,13 +433,14 @@ impl<const D: usize> PrmCtx<D> {
         let mut w = WireWriter::new();
         match kind {
             "prm-gen" => {
-                let (cfgs, work) = self.gen(task).clone();
-                put_cfgs(&mut w, &cfgs);
-                put_counters(&mut w, &work);
+                let (cfgs, work) = self.gen(task);
+                put_cfgs(&mut w, cfgs);
+                put_counters(&mut w, work);
             }
             "prm-connect" => {
-                let cfgs = self.gen(task).0.clone();
-                let (edges, work) = connect_region(&self.params.view(), &cfgs);
+                // fill the cache, then read it next to `params`
+                self.gen(task);
+                let (edges, work) = connect_region(&self.params.view(), &self.gens[&task].0);
                 put_weighted_edges(&mut w, edges.iter().copied());
                 put_counters(&mut w, &work);
             }
@@ -448,9 +449,11 @@ impl<const D: usize> PrmCtx<D> {
                     .edges
                     .get(task as usize)
                     .ok_or_else(|| format!("prm cross edge {task} out of range"))?;
-                let a_cfgs = self.gen(a).0.clone();
-                let b_cfgs = self.gen(b).0.clone();
-                let out = cross_edge(&self.params.view(), a, b, &a_cfgs, &b_cfgs);
+                // fill the cache, then read both entries next to `params`
+                self.gen(a);
+                self.gen(b);
+                let (a_cfgs, b_cfgs) = (&self.gens[&a].0, &self.gens[&b].0);
+                let out = cross_edge(&self.params.view(), a, b, a_cfgs, b_cfgs);
                 put_cross(&mut w, &out);
             }
             other => return Err(format!("unknown prm work kind {other:?}")),
@@ -501,7 +504,7 @@ impl<const D: usize> RrtCtx<D> {
         let mut w = WireWriter::new();
         match kind {
             "rrt-grow" => {
-                let b = self.branch(task).clone();
+                let b = self.branch(task);
                 put_cfgs(&mut w, &b.cfgs);
                 put_weighted_edges(&mut w, b.edges.iter().copied());
                 put_counters(&mut w, &b.work);
@@ -511,9 +514,11 @@ impl<const D: usize> RrtCtx<D> {
                     .edges
                     .get(task as usize)
                     .ok_or_else(|| format!("rrt cross edge {task} out of range"))?;
-                let a_cfgs = self.branch(a).cfgs.clone();
-                let b_cfgs = self.branch(b).cfgs.clone();
-                let out = rrt_cross_edge(&self.params.view(), a, b, &a_cfgs, &b_cfgs);
+                // fill the cache, then read both entries next to `params`
+                self.branch(a);
+                self.branch(b);
+                let (a_cfgs, b_cfgs) = (&self.branches[&a].cfgs, &self.branches[&b].cfgs);
+                let out = rrt_cross_edge(&self.params.view(), a, b, a_cfgs, b_cfgs);
                 put_cross(&mut w, &out);
             }
             other => return Err(format!("unknown rrt work kind {other:?}")),

@@ -199,12 +199,13 @@ pub(crate) fn rrt_cross_edge<const D: usize>(
     let lp = StraightLinePlanner::new(cfg.lp_resolution);
     let mut work = WorkCounters::new();
     let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, a as u64, b as u64));
-    // connect non-root vertices of adjacent branches
-    let a_cfgs: Vec<Cfg<D>> = a_branch.iter().skip(1).copied().collect();
-    let b_cfgs: Vec<Cfg<D>> = b_branch.iter().skip(1).copied().collect();
+    // connect non-root vertices of adjacent branches (a branch whose root
+    // was invalid is empty)
+    let a_cfgs = a_branch.get(1..).unwrap_or_default();
+    let b_cfgs = b_branch.get(1..).unwrap_or_default();
     let mut links = connect_roadmaps(
-        &a_cfgs,
-        &b_cfgs,
+        a_cfgs,
+        b_cfgs,
         &validity,
         &lp,
         cfg.connect_max_pairs,
@@ -212,7 +213,7 @@ pub(crate) fn rrt_cross_edge<const D: usize>(
         &mut work,
         &mut rng,
     );
-    // re-index to full-branch indices (skip(1) shifted by one)
+    // re-index to full-branch indices (the slices start at vertex 1)
     for l in &mut links {
         l.from += 1;
         l.to += 1;

@@ -9,6 +9,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use smp_cspace::{Cfg, LocalPlanner, ValidityChecker, WorkCounters};
+use std::cmp::Ordering;
 
 /// A feasible connection found between two regional roadmaps: indices into
 /// the respective cfg arrays plus the edge length.
@@ -44,21 +45,35 @@ where
     if a_cfgs.is_empty() || b_cfgs.is_empty() || max_pairs == 0 {
         return Vec::new();
     }
-    // All cross pairs, sorted by distance. Regional roadmaps are small (a
-    // handful of samples), so the quadratic enumeration is the dominant
-    // idiom in practice; the candidate count is charged as kNN work.
-    let mut pairs: Vec<(f64, u32, u32)> = Vec::with_capacity(a_cfgs.len() * b_cfgs.len());
+    // Every cross pair's distance is evaluated once (and charged as kNN
+    // work), but only the `max_pairs` closest are ever looked at, so only
+    // those are kept: `best` is the sorted prefix a full sort of all pairs
+    // under `closer` would produce. `(i, j)` is unique, so `closer` has no
+    // equal keys and that prefix is unique (DESIGN.md §11).
+    let total = a_cfgs.len() * b_cfgs.len();
+    let keep = max_pairs.min(total);
+    let closer = |x: &(f64, u32, u32), y: &(f64, u32, u32)| {
+        x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)).then(x.2.cmp(&y.2)) == Ordering::Less
+    };
+    let mut best: Vec<(f64, u32, u32)> = Vec::with_capacity(keep);
     for (i, qa) in a_cfgs.iter().enumerate() {
         for (j, qb) in b_cfgs.iter().enumerate() {
-            pairs.push((qa.dist(qb), i as u32, j as u32));
+            let pair = (qa.dist(qb), i as u32, j as u32);
+            if best.len() == keep {
+                if !closer(&pair, &best[keep - 1]) {
+                    continue;
+                }
+                best.pop();
+            }
+            let at = best.partition_point(|kept| closer(kept, &pair));
+            best.insert(at, pair);
         }
     }
     work.knn_queries += 1;
-    work.knn_candidates += pairs.len() as u64;
-    pairs.sort_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)).then(x.2.cmp(&y.2)));
+    work.knn_candidates += total as u64;
 
     let mut out = Vec::new();
-    for &(dist, i, j) in pairs.iter().take(max_pairs) {
+    for &(dist, i, j) in &best {
         let res = local_planner.check(&a_cfgs[i as usize], &b_cfgs[j as usize], validity, work);
         if res.valid {
             out.push(CandidateEdge {
