@@ -281,8 +281,11 @@ fn ownership_at_quiescence(spec: &CaseSpec, outcome: &DistOutcome, out: &mut Vec
 /// The protocol's message ledgers close: every brokered steal ask is
 /// settled by exactly one Grant, one Deny, or an `unresolved` record
 /// (victim crashed, or the phase quiesced before it answered); transfer
-/// counters are backed by grants, and every received Done is classified
-/// (unique, duplicate, or stale).
+/// counters are backed by grants, every result an accepted `Done` frame
+/// carried is classified (unique, duplicate, or stale), and every `Done`
+/// frame that was not dropped is answered by exactly one ack, sent or
+/// dropped. Results and frames are different units since `Done` carries a
+/// batch, so each equality stays within one of them.
 fn message_conservation(spec: &CaseSpec, outcome: &DistOutcome, out: &mut Vec<Violation>) {
     let report = &outcome.report;
     let m = &report.metrics;
@@ -318,12 +321,25 @@ fn message_conservation(spec: &CaseSpec, outcome: &DistOutcome, out: &mut Vec<Vi
     let unique = m.get("dist.msgs.done_unique").unwrap_or(0);
     let dup = m.get("dist.msgs.done_dup").unwrap_or(0);
     let stale = m.get("dist.msgs.stale_done").unwrap_or(0);
-    let received = m.get("dist.msgs.received").unwrap_or(0);
-    if unique + dup + stale > received {
+    let carried = m.get("dist.msgs.done_results").unwrap_or(0);
+    if unique + dup + stale != carried {
         fail!(
             out,
             "message_conservation",
-            "{unique} unique + {dup} dup + {stale} stale Dones exceed {received} received frames"
+            "{unique} unique + {dup} dup + {stale} stale results != {carried} carried by accepted \
+             Done frames"
+        );
+    }
+    let frames = m.get("dist.msgs.done_frames").unwrap_or(0);
+    let dropped = m.get("dist.msgs.done_dropped").unwrap_or(0);
+    let acks = m.get("dist.msgs.ack_sent").unwrap_or(0);
+    let acks_dropped = m.get("dist.msgs.ack_dropped").unwrap_or(0);
+    if acks + acks_dropped + dropped != frames {
+        fail!(
+            out,
+            "message_conservation",
+            "{acks} acks sent + {acks_dropped} acks dropped + {dropped} Dones dropped != {frames} \
+             Done frames"
         );
     }
 }

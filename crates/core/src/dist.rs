@@ -18,7 +18,7 @@
 //! * [`CoreHandler`], the worker-side handler for the five planner work
 //!   kinds (`prm-gen`, `prm-connect`, `prm-cross`, `rrt-grow`,
 //!   `rrt-cross`), which rebuilds the subdivision from the blob once
-//!   (cached by blob hash) and derives any region's samples on demand —
+//!   (cached by blob bytes) and derives any region's samples on demand —
 //!   region work is a pure function of `(config, region id)`, so a stolen
 //!   task needs **no sample migration**, mirroring the live backend's
 //!   location-independence argument.
@@ -43,7 +43,7 @@ use smp_geom::{
 };
 use smp_graph::RegionGraph;
 use smp_plan::connect::CandidateEdge;
-use smp_runtime::dist::{blob_key, DistHandler, SynthHandler, WireReader, WireWriter};
+use smp_runtime::dist::{DistHandler, SynthHandler, WireReader, WireWriter};
 use smp_runtime::ExecError;
 
 // ---------------------------------------------------------------------------
@@ -527,8 +527,9 @@ impl<const D: usize> RrtCtx<D> {
     }
 }
 
-/// Cached planner contexts, keyed by blob hash and monomorphized per
-/// supported dimension (2-D and 3-D cover every environment in the repo).
+/// Cached planner contexts, keyed by the blob they were decoded from and
+/// monomorphized per supported dimension (2-D and 3-D cover every
+/// environment in the repo).
 enum CtxSlot {
     Prm2(PrmCtx<2>),
     Prm3(PrmCtx<3>),
@@ -542,15 +543,16 @@ enum CtxSlot {
 #[derive(Default)]
 pub struct CoreHandler {
     synth: SynthHandler,
-    ctx: Option<(u64, CtxSlot)>,
+    ctx: Option<(Vec<u8>, CtxSlot)>,
 }
 
 impl CoreHandler {
     fn ctx_for(&mut self, kind: &str, blob: &[u8]) -> Res<&mut CtxSlot> {
-        let key = blob_key(blob);
+        // Current when the bytes are: a memcmp per task, not a hash of the
+        // whole blob.
         let fresh = match &self.ctx {
-            Some((k, slot)) => {
-                *k != key
+            Some((b, slot)) => {
+                b.as_slice() != blob
                     || !matches!(
                         (kind.starts_with("prm-"), slot),
                         (true, CtxSlot::Prm2(_) | CtxSlot::Prm3(_))
@@ -568,7 +570,7 @@ impl CoreHandler {
                 (false, 3) => CtxSlot::Rrt3(RrtCtx::from_blob(blob)?),
                 (_, d) => return Err(format!("unsupported planner dimension {d}")),
             };
-            self.ctx = Some((key, slot));
+            self.ctx = Some((blob.to_vec(), slot));
         }
         // Installed just above when absent or mismatched.
         self.ctx

@@ -19,6 +19,7 @@
 //! (NoTaskDuplication, NoTaskLoss) and liveness (Progress).
 
 use std::collections::HashMap;
+use std::io::BufReader;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -397,7 +398,7 @@ impl DistExecutor {
                         Err(_) => continue,
                     };
                     let tx_r = tx.clone();
-                    let mut reader = stream;
+                    let mut reader = BufReader::new(stream);
                     // Announce the connection BEFORE spawning the reader:
                     // otherwise the reader can deliver this connection's
                     // Hello ahead of the Conn event and the coordinator
@@ -553,6 +554,8 @@ impl DistExecutor {
         let mut claimed = vec![0u64; p];
         let mut busy_live = vec![0u64; p];
         let mut busy_committed = vec![0u64; p];
+        let mut comm_live = vec![0u64; p];
+        let mut comm_committed = vec![0u64; p];
         let mut finish_ns = vec![0u64; p];
         let mut fail_streak = vec![0u32; p];
         let mut dead_at: Vec<Option<Instant>> = vec![None; p];
@@ -595,6 +598,8 @@ impl DistExecutor {
         let mut done_unique = 0u64;
         let mut done_dup = 0u64;
         let mut done_dropped = 0u64;
+        let mut done_frames = 0u64;
+        let mut done_results = 0u64;
         let mut acks_sent = 0u64;
         let mut acks_dropped = 0u64;
         let mut grants = 0u64;
@@ -690,6 +695,8 @@ impl DistExecutor {
                         dead_at[w] = Some(Instant::now());
                         busy_committed[w] += busy_live[w];
                         busy_live[w] = 0;
+                        comm_committed[w] += comm_live[w];
+                        comm_live[w] = 0;
                         // Results the dead process executed but never got
                         // credited for are lost and will run again. The
                         // worker piggybacks its executed count on `Done`,
@@ -845,10 +852,11 @@ impl DistExecutor {
                             }
                             Msg::Done {
                                 phase: ph,
-                                task,
+                                seq,
                                 executed,
                                 busy_ns,
-                                result,
+                                comm_ns,
+                                results: batch,
                             } => {
                                 let Some(w) = pool
                                     .slots
@@ -857,48 +865,67 @@ impl DistExecutor {
                                 else {
                                     continue;
                                 };
+                                done_frames += 1;
                                 if ph != phase {
                                     // Left over from an abandoned phase:
                                     // ack so the worker quiesces.
-                                    stale_done += 1;
+                                    done_results += batch.len() as u64;
+                                    stale_done += batch.len() as u64;
                                     if let Some(writer) = pool.slots[w].writer.as_mut() {
+                                        acks_sent += 1;
                                         let _ = send_counted(
                                             writer,
-                                            &Msg::DoneAck { phase: ph, task },
+                                            &Msg::DoneAck { phase: ph, seq },
                                             &mut sent,
                                         );
                                     }
                                     continue;
                                 }
-                                let t = task as usize;
-                                if t >= n {
-                                    continue;
-                                }
                                 claimed[w] = claimed[w].max(executed);
                                 busy_live[w] = busy_live[w].max(busy_ns);
+                                comm_live[w] = comm_live[w].max(comm_ns);
                                 if done_coin.flip() {
-                                    // Injected receive-side loss: the
-                                    // worker's retransmit must recover it.
+                                    // Injected receive-side loss of the
+                                    // whole frame: the worker's retransmit
+                                    // must recover it.
                                     msgs_dropped += 1;
                                     done_dropped += 1;
                                     continue;
                                 }
-                                if done[t] {
-                                    // At-least-once delivery observed;
-                                    // exactly-once recording holds here.
-                                    done_dup += 1;
-                                    retransmissions += 1;
-                                } else {
+                                done_results += batch.len() as u64;
+                                let arrived_ns = t_start.elapsed().as_nanos() as u64;
+                                let mut dup_in_frame = false;
+                                let mut stop_now = false;
+                                for (task, result) in batch {
+                                    let t = task as usize;
+                                    if t >= n {
+                                        continue;
+                                    }
+                                    if done[t] {
+                                        // At-least-once delivery observed
+                                        // (or a task repeated inside the
+                                        // batch); exactly-once recording
+                                        // holds here.
+                                        done_dup += 1;
+                                        dup_in_frame = true;
+                                        continue;
+                                    }
                                     done[t] = true;
                                     done_count += 1;
                                     done_unique += 1;
-                                    results[t] = Some(result);
                                     executed_by[t] = w as u32;
                                     owner[t] = w as u32;
                                     credited[w] += 1;
                                     queue_est[w] = (queue_est[w] - 1).max(0);
-                                    finish_ns[w] = t_start.elapsed().as_nanos() as u64;
+                                    finish_ns[w] = arrived_ns;
+                                    // Once the hook fires the phase is over;
+                                    // what this frame still carries arrived
+                                    // with the winner and is recorded too.
+                                    stop_now =
+                                        stop_now || stop.is_some_and(|hook| hook(task, &result));
+                                    results[t] = Some(result);
                                 }
+                                retransmissions += u64::from(dup_in_frame);
                                 if ack_coin.flip() {
                                     // Injected ack loss: the worker will
                                     // redeliver and hit the dedup path.
@@ -908,24 +935,22 @@ impl DistExecutor {
                                     acks_sent += 1;
                                     let _ = send_counted(
                                         writer,
-                                        &Msg::DoneAck { phase, task },
+                                        &Msg::DoneAck { phase, seq },
                                         &mut sent,
                                     );
                                 }
-                                if let (Some(hook), Some(bytes)) = (stop, results[t].as_ref()) {
-                                    if !stopped && hook(task, bytes) {
-                                        stopped = true;
-                                        for slot in pool.slots.iter_mut() {
-                                            if let Some(writer) = slot.writer.as_mut() {
-                                                let _ = send_counted(
-                                                    writer,
-                                                    &Msg::Cancel { phase },
-                                                    &mut sent,
-                                                );
-                                            }
+                                if stop_now {
+                                    stopped = true;
+                                    for slot in pool.slots.iter_mut() {
+                                        if let Some(writer) = slot.writer.as_mut() {
+                                            let _ = send_counted(
+                                                writer,
+                                                &Msg::Cancel { phase },
+                                                &mut sent,
+                                            );
                                         }
-                                        continue 'phase;
                                     }
+                                    continue 'phase;
                                 }
                             }
                             Msg::NeedWork { phase: ph, worker } => {
@@ -1205,9 +1230,21 @@ impl DistExecutor {
                 per_pe_stolen[executed_by[t] as usize] += 1;
             }
         }
+        let per_pe_busy: Vec<u64> = (0..p).map(|w| busy_committed[w] + busy_live[w]).collect();
+        // Where each worker's share of the phase wall went: tasks, frame
+        // sends (as of its last `Done`), and the rest — waiting for work,
+        // acks or the other workers.
+        let per_pe_comm: Vec<u64> = (0..p).map(|w| comm_committed[w] + comm_live[w]).collect();
+        let per_pe_idle: Vec<u64> = (0..p)
+            .map(|w| makespan.saturating_sub(per_pe_busy[w] + per_pe_comm[w]))
+            .collect();
+        let sum_max = |v: &[u64]| (v.iter().sum::<u64>(), v.iter().copied().max().unwrap_or(0));
+        let (busy_sum, busy_max) = sum_max(&per_pe_busy);
+        let (comm_sum, comm_max) = sum_max(&per_pe_comm);
+        let (idle_sum, idle_max) = sum_max(&per_pe_idle);
         let mut report = ExecReport {
             makespan,
-            per_pe_busy: (0..p).map(|w| busy_committed[w] + busy_live[w]).collect(),
+            per_pe_busy,
             per_pe_finish: finish_ns,
             per_pe_executed: credited.clone(),
             per_pe_stolen_executed: per_pe_stolen,
@@ -1237,6 +1274,8 @@ impl DistExecutor {
         reg.inc("dist.msgs.done_unique", done_unique);
         reg.inc("dist.msgs.done_dup", done_dup);
         reg.inc("dist.msgs.done_dropped", done_dropped);
+        reg.inc("dist.msgs.done_frames", done_frames);
+        reg.inc("dist.msgs.done_results", done_results);
         reg.inc("dist.msgs.ack_sent", acks_sent);
         reg.inc("dist.msgs.ack_dropped", acks_dropped);
         reg.inc("dist.msgs.grant", grants);
@@ -1248,6 +1287,12 @@ impl DistExecutor {
         reg.inc("dist.steal.misses", steal_misses);
         reg.inc("dist.steal.unresolved", steal_unresolved);
         reg.inc("dist.steal.orphaned_grants", orphan_grants);
+        reg.inc("dist.time.busy_ns", busy_sum);
+        reg.inc("dist.time.busy_max_ns", busy_max);
+        reg.inc("dist.time.comm_ns", comm_sum);
+        reg.inc("dist.time.comm_max_ns", comm_max);
+        reg.inc("dist.time.idle_ns", idle_sum);
+        reg.inc("dist.time.idle_max_ns", idle_max);
         reg.inc("dist.tasks.executed", done_unique);
         reg.inc("dist.tasks.transferred", transferred);
         reg.inc("dist.faults.crashes", report.resilience.crashes);

@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  b"SMPD"
-//! 4       1     version (currently 1)
+//! 4       1     version (currently 2)
 //! 5       4     payload length, u32 little-endian (<= MAX_FRAME)
 //! 9       8     FNV-1a 64 checksum of the payload, u64 little-endian
 //! 17      len   payload (one encoded `Msg`)
@@ -22,8 +22,9 @@ use std::io::{self, Read, Write};
 
 /// Frame preamble: ASCII "SMPD".
 pub const MAGIC: [u8; 4] = *b"SMPD";
-/// Current protocol version. Bumped on any wire-incompatible change.
-pub const VERSION: u8 = 1;
+/// Current protocol version. Bumped on any wire-incompatible change
+/// (2: `Done` carries a batch of results and is acknowledged by `seq`).
+pub const VERSION: u8 = 2;
 /// Maximum accepted payload size (64 MiB); larger frames are rejected
 /// before allocation.
 pub const MAX_FRAME: usize = 64 * 1024 * 1024;
@@ -114,20 +115,22 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Serialize one frame around `payload` and write it to `w`.
+/// Serialize one frame around `payload` and write it to `w` — header and
+/// payload in a single write, so an unbuffered socket sees one syscall
+/// (and its reader one wake-up) per frame.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), FrameError> {
     if payload.len() > MAX_FRAME {
         return Err(FrameError::Oversized {
             claimed: payload.len() as u64,
         });
     }
-    let mut header = [0u8; HEADER_LEN];
-    header[..4].copy_from_slice(&MAGIC);
-    header[4] = VERSION;
-    header[5..9].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[9..17].copy_from_slice(&fnv1a(payload).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
+    frame.extend_from_slice(&MAGIC);
+    frame.push(VERSION);
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }

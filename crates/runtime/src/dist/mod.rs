@@ -41,9 +41,7 @@ pub use frame::{FrameError, MAX_FRAME};
 pub use msg::Msg;
 pub use transport::{DistListener, DistStream, Endpoint, TransportKind};
 pub use wire::{WireError, WireReader, WireWriter};
-pub use worker::{
-    blob_key, run_worker, synth_work, DistHandler, SynthHandler, WorkerExit, WorkerParams,
-};
+pub use worker::{run_worker, synth_work, DistHandler, SynthHandler, WorkerExit, WorkerParams};
 
 /// Failures of the distributed machinery itself (transport, spawning,
 /// protocol), distinct from task-level [`crate::executor::ExecError`]s.

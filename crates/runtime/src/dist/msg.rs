@@ -57,13 +57,13 @@ pub enum Msg {
         /// Worker slot that ran out of work.
         thief: u32,
     },
-    /// C→W `0x04`: acknowledge a [`Msg::Done`]; the worker stops
-    /// retransmitting that result. TLA+ action: `AckResult`.
+    /// C→W `0x04`: acknowledge a [`Msg::Done`] batch; the worker stops
+    /// retransmitting it. TLA+ action: `AckResult`.
     DoneAck {
-        /// Phase of the acknowledged result.
+        /// Phase of the acknowledged batch.
         phase: u32,
-        /// Task whose result was recorded.
-        task: u32,
+        /// Echo of the batch's sequence number.
+        seq: u64,
     },
     /// C→W `0x05`: abandon the rest of a phase (portfolio winner found or
     /// caller cancelled). Workers clear their queue and go idle.
@@ -85,20 +85,25 @@ pub enum Msg {
         /// OS process id (diagnostics only).
         pid: u64,
     },
-    /// W→C `0x82`: a task's result bytes. Retransmitted with capped
-    /// backoff until [`Msg::DoneAck`] arrives; the coordinator deduplicates
-    /// by task id. TLA+ action: `CompleteTask`.
+    /// W→C `0x82`: a batch of task results (one result is the degenerate
+    /// batch). Retransmitted with capped backoff until the
+    /// [`Msg::DoneAck`] echoing `seq` arrives; the coordinator deduplicates
+    /// by task id, result by result. TLA+ action: `CompleteTask`.
     Done {
-        /// Phase the task belongs to.
+        /// Phase the tasks belong to.
         phase: u32,
-        /// Completed task id.
-        task: u32,
+        /// Batch sequence number, unique per worker process and phase.
+        seq: u64,
         /// Cumulative tasks this process has executed (crash accounting).
         executed: u64,
         /// Cumulative busy nanoseconds in this process (report only).
         busy_ns: u64,
-        /// Encoded task result, decoded by the submitting planner.
-        result: Vec<u8>,
+        /// Cumulative nanoseconds this process spent sending frames
+        /// (report only).
+        comm_ns: u64,
+        /// `(task id, encoded result)` pairs; each result is decoded by
+        /// the submitting planner.
+        results: Vec<(u32, Vec<u8>)>,
     },
     /// W→C `0x83`: the worker's queue is empty; resent with capped backoff
     /// while idle. TLA+ action: `RequestWork`.
@@ -254,9 +259,9 @@ impl Msg {
                 w.u64(*req);
                 w.u32(*thief);
             }
-            Msg::DoneAck { phase, task } => {
+            Msg::DoneAck { phase, seq } => {
                 w.u32(*phase);
-                w.u32(*task);
+                w.u64(*seq);
             }
             Msg::Cancel { phase } => {
                 w.u32(*phase);
@@ -269,16 +274,22 @@ impl Msg {
             }
             Msg::Done {
                 phase,
-                task,
+                seq,
                 executed,
                 busy_ns,
-                result,
+                comm_ns,
+                results,
             } => {
                 w.u32(*phase);
-                w.u32(*task);
+                w.u64(*seq);
                 w.u64(*executed);
                 w.u64(*busy_ns);
-                w.bytes(result);
+                w.u64(*comm_ns);
+                w.u32(results.len() as u32);
+                for (task, result) in results {
+                    w.u32(*task);
+                    w.bytes(result);
+                }
             }
             Msg::NeedWork { phase, worker } => {
                 w.u32(*phase);
@@ -333,7 +344,7 @@ impl Msg {
             },
             0x04 => Msg::DoneAck {
                 phase: r.u32()?,
-                task: r.u32()?,
+                seq: r.u64()?,
             },
             0x05 => Msg::Cancel { phase: r.u32()? },
             0x06 => Msg::Shutdown,
@@ -344,10 +355,20 @@ impl Msg {
             },
             0x82 => Msg::Done {
                 phase: r.u32()?,
-                task: r.u32()?,
+                seq: r.u64()?,
                 executed: r.u64()?,
                 busy_ns: r.u64()?,
-                result: r.bytes()?.to_vec(),
+                comm_ns: r.u64()?,
+                results: {
+                    let count = r.u32()? as usize;
+                    // A result occupies at least its task id and length
+                    // prefix: believe the count only as far as bytes remain.
+                    let mut results = Vec::with_capacity(count.min(r.remaining() / 8));
+                    for _ in 0..count {
+                        results.push((r.u32()?, r.bytes()?.to_vec()));
+                    }
+                    results
+                },
             },
             0x83 => Msg::NeedWork {
                 phase: r.u32()?,
@@ -409,7 +430,7 @@ mod tests {
                 req: 5,
                 thief: 0,
             },
-            Msg::DoneAck { phase: 3, task: 8 },
+            Msg::DoneAck { phase: 3, seq: 8 },
             Msg::Cancel { phase: 3 },
             Msg::Shutdown,
             Msg::Hello {
@@ -419,10 +440,11 @@ mod tests {
             },
             Msg::Done {
                 phase: 3,
-                task: 8,
+                seq: 2,
                 executed: 5,
                 busy_ns: 123_456,
-                result: vec![0xAB; 17],
+                comm_ns: 789,
+                results: vec![(8, vec![0xAB; 17]), (9, Vec::new())],
             },
             Msg::NeedWork {
                 phase: 3,

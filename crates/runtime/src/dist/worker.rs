@@ -5,19 +5,19 @@
 //! scheduling policy: victim selection, ownership, and recovery all live
 //! in the coordinator — the worker only executes tasks from its local
 //! queue, sheds work when asked ([`Msg::StealAsk`] → [`Msg::Grant`] /
-//! [`Msg::Deny`]), and reports results with at-least-once delivery
-//! ([`Msg::Done`] retransmitted with capped exponential backoff until the
-//! coordinator's [`Msg::DoneAck`]). Exactly-once *recording* is the
-//! coordinator's job (dedup by task id); exactly-once *execution* holds
-//! per process because the local `done` set filters re-deliveries.
+//! [`Msg::Deny`]), and reports results in batches with at-least-once
+//! delivery (one [`Msg::Done`] frame per flush, retransmitted with capped
+//! exponential backoff until the coordinator's [`Msg::DoneAck`] echoes
+//! its `seq`). Exactly-once *recording* is the coordinator's job (dedup
+//! by task id); exactly-once *execution* holds per process because the
+//! local `done` set filters re-deliveries.
 //!
 //! The loop is transport- and deployment-agnostic: `smp-dist-worker`
 //! (process mode) and the in-process thread workers used by the runtime
 //! tests both call [`run_worker`].
 
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::Write;
+use std::io::BufReader;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -48,12 +48,8 @@ pub trait DistHandler {
 /// little-endian bytes of [`synth_work`].
 #[derive(Debug, Default)]
 pub struct SynthHandler {
-    costs: Option<(u64, Vec<u64>)>,
-}
-
-/// FNV-1a over the blob, used as a cheap cache key by handlers.
-pub fn blob_key(blob: &[u8]) -> u64 {
-    super::frame::fnv1a(blob)
+    /// The blob last decoded and its costs.
+    costs: Option<(Vec<u8>, Vec<u64>)>,
 }
 
 /// The synthetic task function: a short deterministic spin (so stealing
@@ -76,12 +72,13 @@ impl DistHandler for SynthHandler {
         if kind != "synth" {
             return Err(format!("SynthHandler cannot run work kind {kind:?}"));
         }
-        let key = blob_key(blob);
-        if self.costs.as_ref().map(|(k, _)| *k) != Some(key) {
+        // The cache is current when the bytes are: a memcmp per task, not
+        // a hash of the whole blob.
+        if self.costs.as_ref().map(|(b, _)| b.as_slice()) != Some(blob) {
             let mut r = super::wire::WireReader::new(blob);
             let costs = r.vec_u64().map_err(|e| format!("bad synth blob: {e}"))?;
             r.finish().map_err(|e| format!("bad synth blob: {e}"))?;
-            self.costs = Some((key, costs));
+            self.costs = Some((blob.to_vec(), costs));
         }
         let costs = &self.costs.as_ref().map(|(_, c)| c).ok_or("no costs")?;
         let cost = costs
@@ -119,13 +116,23 @@ pub struct WorkerParams {
 const DONE_RETRANSMIT_BASE: Duration = Duration::from_millis(25);
 /// Retransmit backoff ceiling for unacked `Done`s.
 const DONE_RETRANSMIT_CAP: Duration = Duration::from_millis(400);
+/// Flush the pending `Done` batch once it holds this many results, ...
+const BATCH_MAX_RESULTS: usize = 64;
+/// ... or this many result bytes, ...
+const BATCH_MAX_BYTES: usize = 32 * 1024;
+/// ... or once the task behind its oldest result started this long ago
+/// (checked between tasks: a result waits for at most this plus the task
+/// in progress, which bounds the stop hook's latency).
+const BATCH_MAX_AGE: Duration = Duration::from_millis(2);
 /// First idle `NeedWork` delay; doubles up to [`IDLE_CAP`].
 const IDLE_BASE: Duration = Duration::from_millis(2);
 /// Idle `NeedWork` backoff ceiling.
 const IDLE_CAP: Duration = Duration::from_millis(64);
 
+/// A sent `Done` batch awaiting its `DoneAck`: the encoded frame payload,
+/// resent as is.
 struct UnackedDone {
-    result: Vec<u8>,
+    payload: Vec<u8>,
     next: Instant,
     backoff: Duration,
 }
@@ -142,7 +149,17 @@ struct PhaseState {
     enqueued: HashSet<u32>,
     /// Tasks this process already executed (exactly-once per process).
     done: HashSet<u32>,
-    unacked: HashMap<u32, UnackedDone>,
+    /// Results executed but not yet sent, in execution order.
+    pending: Vec<(u32, Vec<u8>)>,
+    /// Result bytes held in `pending`.
+    pending_bytes: usize,
+    /// When the task behind `pending[0]` started (meaningless while
+    /// `pending` is empty).
+    pending_since: Instant,
+    /// Sequence number of the next `Done` batch.
+    next_seq: u64,
+    /// Sent batches by sequence number, until acknowledged.
+    unacked: HashMap<u64, UnackedDone>,
     cancelled: bool,
     idle_next: Instant,
     idle_backoff: Duration,
@@ -158,16 +175,70 @@ enum Inbound {
     Gone,
 }
 
-fn send(writer: &mut impl Write, msg: &Msg) -> Result<(), DistError> {
-    write_frame(writer, &msg.encode()).map_err(DistError::Frame)
+impl PhaseState {
+    /// Send the pending results as one `Done` frame, kept for
+    /// retransmission until its `DoneAck`.
+    fn flush(&mut self, link: &mut Link) -> Result<(), DistError> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.pending_bytes = 0;
+        let payload = link.send(&Msg::Done {
+            phase: self.id,
+            seq,
+            executed: self.executed,
+            busy_ns: self.busy_ns,
+            comm_ns: link.comm_ns,
+            results: std::mem::take(&mut self.pending),
+        })?;
+        self.unacked.insert(
+            seq,
+            UnackedDone {
+                payload,
+                next: Instant::now() + DONE_RETRANSMIT_BASE,
+                backoff: DONE_RETRANSMIT_BASE,
+            },
+        );
+        Ok(())
+    }
+}
+
+/// The worker's write half. Every send is timed, so a phase's wall splits
+/// into busy (tasks), comm (here) and idle (the rest).
+struct Link {
+    writer: DistStream,
+    /// Nanoseconds spent encoding and writing frames since the last `Init`.
+    comm_ns: u64,
+}
+
+impl Link {
+    /// Encode and send `msg`; hands back the payload for senders that
+    /// retransmit.
+    fn send(&mut self, msg: &Msg) -> Result<Vec<u8>, DistError> {
+        let t0 = Instant::now();
+        let payload = msg.encode();
+        self.comm_ns += t0.elapsed().as_nanos() as u64;
+        self.resend(&payload)?;
+        Ok(payload)
+    }
+
+    /// Send an already encoded payload again.
+    fn resend(&mut self, payload: &[u8]) -> Result<(), DistError> {
+        let t0 = Instant::now();
+        let sent = write_frame(&mut self.writer, payload);
+        self.comm_ns += t0.elapsed().as_nanos() as u64;
+        sent.map_err(DistError::Frame)
+    }
 }
 
 /// Run the worker loop until shutdown, coordinator loss, or injected kill.
 ///
 /// Connects to `params.endpoint`, introduces itself with [`Msg::Hello`],
-/// then serves [`Msg::Init`]ed phases. Cumulative `executed` / `busy_ns`
-/// counters piggyback on every [`Msg::Done`] so the coordinator can
-/// account for lost in-flight work after a crash.
+/// then serves [`Msg::Init`]ed phases. Cumulative `executed` / `busy_ns` /
+/// `comm_ns` counters piggyback on every [`Msg::Done`] so the coordinator
+/// can account for lost in-flight work after a crash.
 pub fn run_worker(
     params: &WorkerParams,
     handler: &mut dyn DistHandler,
@@ -210,11 +281,12 @@ fn is_disconnect(e: &DistError) -> bool {
 
 fn run_worker_on(
     stream: DistStream,
-    mut writer: DistStream,
+    writer: DistStream,
     params: &WorkerParams,
     handler: &mut dyn DistHandler,
 ) -> Result<WorkerExit, DistError> {
-    let mut reader = stream;
+    let mut reader = BufReader::new(stream);
+    let mut link = Link { writer, comm_ns: 0 };
     let (tx, rx) = mpsc::channel::<Inbound>();
     std::thread::spawn(move || loop {
         match read_frame(&mut reader) {
@@ -238,14 +310,11 @@ fn run_worker_on(
         }
     });
 
-    send(
-        &mut writer,
-        &Msg::Hello {
-            worker: params.worker,
-            epoch: params.epoch,
-            pid: u64::from(std::process::id()),
-        },
-    )?;
+    link.send(&Msg::Hello {
+        worker: params.worker,
+        epoch: params.epoch,
+        pid: u64::from(std::process::id()),
+    })?;
 
     let mut phase: Option<PhaseState> = None;
 
@@ -255,7 +324,7 @@ fn run_worker_on(
         loop {
             match rx.try_recv() {
                 Ok(Inbound::Msg(msg)) => {
-                    if let Some(exit) = handle_msg(msg, &mut phase, &mut writer, params.worker)? {
+                    if let Some(exit) = handle_msg(msg, &mut phase, &mut link)? {
                         return Ok(exit);
                     }
                 }
@@ -277,38 +346,31 @@ fn run_worker_on(
                     match result {
                         Ok(bytes) => {
                             if ph.kill_after == Some(ph.executed) {
-                                // Injected crash: die with the freshest
-                                // result unreported — the hardest case for
-                                // the recovery path.
+                                // Injected crash: everything earlier is
+                                // sent, then die with the freshest result
+                                // unreported — the hardest case for the
+                                // recovery path.
+                                ph.flush(&mut link)?;
                                 return Ok(WorkerExit::KilledByFault);
                             }
-                            send(
-                                &mut writer,
-                                &Msg::Done {
-                                    phase: ph.id,
-                                    task,
-                                    executed: ph.executed,
-                                    busy_ns: ph.busy_ns,
-                                    result: bytes.clone(),
-                                },
-                            )?;
-                            ph.unacked.insert(
-                                task,
-                                UnackedDone {
-                                    result: bytes,
-                                    next: Instant::now() + DONE_RETRANSMIT_BASE,
-                                    backoff: DONE_RETRANSMIT_BASE,
-                                },
-                            );
+                            if ph.pending.is_empty() {
+                                ph.pending_since = t0;
+                            }
+                            ph.pending_bytes += bytes.len();
+                            ph.pending.push((task, bytes));
+                            if ph.queue.is_empty()
+                                || ph.pending.len() >= BATCH_MAX_RESULTS
+                                || ph.pending_bytes >= BATCH_MAX_BYTES
+                                || ph.pending_since.elapsed() >= BATCH_MAX_AGE
+                            {
+                                ph.flush(&mut link)?;
+                            }
                         }
                         Err(message) => {
-                            send(
-                                &mut writer,
-                                &Msg::Fatal {
-                                    worker: params.worker,
-                                    message,
-                                },
-                            )?;
+                            link.send(&Msg::Fatal {
+                                worker: params.worker,
+                                message,
+                            })?;
                             ph.cancelled = true;
                             ph.queue.clear();
                         }
@@ -322,20 +384,11 @@ fn run_worker_on(
         let now = Instant::now();
         let mut next_deadline = now + Duration::from_millis(50);
         if let Some(ph) = phase.as_mut() {
-            let phase_id = ph.id;
-            let (executed, busy_ns) = (ph.executed, ph.busy_ns);
-            for (task, u) in ph.unacked.iter_mut() {
+            // Nothing left to run: report what is pending before sleeping.
+            ph.flush(&mut link)?;
+            for u in ph.unacked.values_mut() {
                 if now >= u.next {
-                    send(
-                        &mut writer,
-                        &Msg::Done {
-                            phase: phase_id,
-                            task: *task,
-                            executed,
-                            busy_ns,
-                            result: u.result.clone(),
-                        },
-                    )?;
+                    link.resend(&u.payload)?;
                     u.backoff = (u.backoff * 2).min(DONE_RETRANSMIT_CAP);
                     u.next = now + u.backoff;
                 }
@@ -343,13 +396,10 @@ fn run_worker_on(
             }
             if ph.queue.is_empty() && !ph.cancelled {
                 if now >= ph.idle_next {
-                    send(
-                        &mut writer,
-                        &Msg::NeedWork {
-                            phase: phase_id,
-                            worker: params.worker,
-                        },
-                    )?;
+                    link.send(&Msg::NeedWork {
+                        phase: ph.id,
+                        worker: params.worker,
+                    })?;
                     ph.idle_backoff = (ph.idle_backoff * 2).min(IDLE_CAP);
                     ph.idle_next = now + ph.idle_backoff;
                 }
@@ -362,7 +412,7 @@ fn run_worker_on(
             .max(Duration::from_millis(1));
         match rx.recv_timeout(wait) {
             Ok(Inbound::Msg(msg)) => {
-                if let Some(exit) = handle_msg(msg, &mut phase, &mut writer, params.worker)? {
+                if let Some(exit) = handle_msg(msg, &mut phase, &mut link)? {
                     return Ok(exit);
                 }
             }
@@ -378,8 +428,7 @@ fn run_worker_on(
 fn handle_msg(
     msg: Msg,
     phase: &mut Option<PhaseState>,
-    writer: &mut impl Write,
-    _self_worker: u32,
+    link: &mut Link,
 ) -> Result<Option<WorkerExit>, DistError> {
     match msg {
         Msg::Init {
@@ -396,6 +445,7 @@ fn handle_msg(
             // phase is fully recorded or abandoned).
             let mut enqueued = HashSet::new();
             enqueued.extend(tasks.iter().copied());
+            link.comm_ns = 0;
             *phase = Some(PhaseState {
                 id,
                 kind,
@@ -405,6 +455,10 @@ fn handle_msg(
                 queue: tasks.into(),
                 enqueued,
                 done: HashSet::new(),
+                pending: Vec::new(),
+                pending_bytes: 0,
+                pending_since: Instant::now(),
+                next_seq: 0,
                 unacked: HashMap::new(),
                 cancelled: false,
                 idle_next: Instant::now(),
@@ -420,7 +474,7 @@ fn handle_msg(
         } => {
             // Always ack (even stale phases) so the coordinator's
             // retransmit timer quiesces; only enqueue for the live phase.
-            send(writer, &Msg::AssignAck { phase: p, xfer })?;
+            link.send(&Msg::AssignAck { phase: p, xfer })?;
             if let Some(ph) = phase.as_mut() {
                 if ph.id == p && !ph.cancelled {
                     for t in tasks {
@@ -436,6 +490,11 @@ fn handle_msg(
             }
         }
         Msg::StealAsk { phase: p, req, .. } => {
+            // Report first, so the coordinator's queue estimate for this
+            // worker is fresh when the answer reaches it.
+            if let Some(ph) = phase.as_mut().filter(|ph| ph.id == p) {
+                ph.flush(link)?;
+            }
             let reply = match phase.as_mut() {
                 Some(ph) if ph.id == p && !ph.cancelled && ph.queue.len() >= 2 => {
                     let take = ph.amount.take(ph.queue.len()).min(ph.queue.len() - 1);
@@ -454,15 +513,11 @@ fn handle_msg(
                 }
                 _ => Msg::Deny { phase: p, req },
             };
-            send(writer, &reply)?;
+            link.send(&reply)?;
         }
-        Msg::DoneAck { phase: p, task } => {
-            if let Some(ph) = phase.as_mut() {
-                if ph.id == p {
-                    if let Entry::Occupied(e) = ph.unacked.entry(task) {
-                        e.remove();
-                    }
-                }
+        Msg::DoneAck { phase: p, seq } => {
+            if let Some(ph) = phase.as_mut().filter(|ph| ph.id == p) {
+                ph.unacked.remove(&seq);
             }
         }
         Msg::Cancel { phase: p } => {
@@ -470,6 +525,8 @@ fn handle_msg(
                 if ph.id == p {
                     ph.cancelled = true;
                     ph.queue.clear();
+                    ph.pending.clear();
+                    ph.pending_bytes = 0;
                     ph.unacked.clear();
                 }
             }

@@ -5,9 +5,9 @@
 //! and messages must round-trip exactly (PROTOCOL.md §1–§4).
 
 use proptest::prelude::*;
-use smp_runtime::dist::frame::{fnv1a, read_frame, write_frame, HEADER_LEN, MAX_FRAME};
+use smp_runtime::dist::frame::{fnv1a, read_frame, write_frame, HEADER_LEN, MAX_FRAME, VERSION};
 use smp_runtime::dist::wire::{WireReader, WireWriter};
-use smp_runtime::dist::{FrameError, Msg};
+use smp_runtime::dist::{FrameError, Msg, WireError};
 use smp_runtime::StealAmount;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -74,6 +74,71 @@ fn framed(payload: &[u8]) -> Vec<u8> {
     buf
 }
 
+fn done_batch(results: Vec<(u32, Vec<u8>)>) -> Msg {
+    Msg::Done {
+        phase: 3,
+        seq: 11,
+        executed: 5,
+        busy_ns: 12_345,
+        comm_ns: 678,
+        results,
+    }
+}
+
+/// A `Done` batch round-trips with no, one and many results, empty result
+/// bytes included, and cutting a valid batch anywhere is an error.
+#[test]
+fn done_batches_roundtrip_and_every_truncation_errors() {
+    let many: Vec<(u32, Vec<u8>)> = (0..200u32)
+        .map(|t| (t * 7, vec![t as u8; (t % 5) as usize]))
+        .collect();
+    for results in [vec![], vec![(9, vec![])], vec![(9, vec![1, 2, 3])], many] {
+        let msg = done_batch(results);
+        let bytes = msg.encode();
+        assert_eq!(Msg::decode(&bytes).expect("valid batch"), msg);
+        for cut in 0..bytes.len() {
+            assert!(Msg::decode(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+    }
+}
+
+/// A batch may *claim* `u32::MAX` results; the decoder sizes its vector by
+/// the bytes that are there, not by the claim.
+#[test]
+fn a_lying_batch_count_is_a_wire_error_without_a_large_allocation() {
+    let mut bytes = done_batch(vec![]).encode();
+    let count_at = bytes.len() - 4;
+    bytes[count_at..].copy_from_slice(&u32::MAX.to_le_bytes());
+    bytes.extend_from_slice(&[0xAA; 10]);
+    let before = ALLOCATED.with(Cell::get);
+    let res = Msg::decode(&bytes);
+    let allocated = ALLOCATED.with(Cell::get) - before;
+    assert!(
+        matches!(
+            res,
+            Err(WireError::Truncated { .. } | WireError::BadLength { .. })
+        ),
+        "{res:?}"
+    );
+    assert!(
+        allocated < 1 << 10,
+        "{allocated} bytes allocated for a ten-byte batch body"
+    );
+}
+
+/// The batched `Done` changed the wire format: a version-1 peer is turned
+/// away at the frame header, before its payload is looked at.
+#[test]
+fn a_version_1_frame_is_bad_version() {
+    let mut buf = framed(&Msg::Shutdown.encode());
+    buf[4] = 1;
+    let res = read_frame(&mut Cursor::new(&buf));
+    assert!(
+        matches!(res, Err(FrameError::BadVersion { found: 1 })),
+        "{res:?}"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -135,7 +200,7 @@ proptest! {
         let claimed = MAX_FRAME as u64 + extra;
         let mut buf = Vec::new();
         buf.extend_from_slice(b"SMPD");
-        buf.push(1);
+        buf.push(VERSION);
         buf.extend_from_slice(&(claimed as u32).to_le_bytes());
         buf.extend_from_slice(&fnv1a(&[]).to_le_bytes());
         let res = read_frame(&mut Cursor::new(&buf));
@@ -150,7 +215,6 @@ proptest! {
     fn messages_roundtrip_exactly(
         phase in 0u32..1000,
         worker in 0u32..64,
-        task in 0u32..100_000,
         xfer in 0u64..1_000_000,
         blob in prop::collection::vec(0u8..255, 0..256),
         tasks in prop::collection::vec(0u32..100_000, 0..64),
@@ -171,16 +235,17 @@ proptest! {
             },
             Msg::Assign { phase, xfer, tasks: tasks.clone() },
             Msg::StealAsk { phase, req: xfer, thief: worker },
-            Msg::DoneAck { phase, task },
+            Msg::DoneAck { phase, seq: xfer },
             Msg::Cancel { phase },
             Msg::Shutdown,
             Msg::Hello { worker, epoch: phase % 7, pid: xfer },
             Msg::Done {
                 phase,
-                task,
+                seq: xfer,
                 executed: xfer,
                 busy_ns: xfer * 3,
-                result: blob.clone(),
+                comm_ns: xfer * 5,
+                results: tasks.iter().map(|&t| (t, blob.clone())).collect(),
             },
             Msg::NeedWork { phase, worker },
             Msg::Grant { phase, req: xfer, tasks: tasks.clone() },
@@ -208,14 +273,7 @@ proptest! {
             prop_assert_eq!(msg.encode(), bytes);
         }
         // A valid message truncated mid-field must error, not panic.
-        let valid = Msg::Done {
-            phase: 3,
-            task: 17,
-            executed: 5,
-            busy_ns: 12_345,
-            result: bytes.clone(),
-        }
-        .encode();
+        let valid = done_batch(vec![(17, bytes.clone())]).encode();
         let cut = 1 + (cut_frac as usize * (valid.len() - 2)) / 1000;
         prop_assert!(Msg::decode(&valid[..cut]).is_err());
         // Trailing garbage is rejected (decode requires full consumption).

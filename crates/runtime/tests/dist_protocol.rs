@@ -8,8 +8,8 @@
 
 use smp_runtime::dist::wire::WireWriter;
 use smp_runtime::dist::{
-    synth_work, DistExecutor, DistFaultPlan, DistKill, DistOptions, DistTuning, HandlerFactory,
-    SpawnMode, SynthHandler, WorkDesc,
+    synth_work, DistExecutor, DistFaultPlan, DistHandler, DistKill, DistOptions, DistTuning,
+    HandlerFactory, SpawnMode, SynthHandler, WorkDesc,
 };
 use smp_runtime::executor::ExecSpec;
 use smp_runtime::{StealAmount, StealConfig, StealPolicyKind};
@@ -146,8 +146,11 @@ fn dist_steals_under_imbalance() {
 fn dist_results_identical_under_message_faults() {
     // Drop a third of Done receives and DoneAck sends, and suppress some
     // Assign sends: retransmit + dedup must still deliver every result,
-    // byte-identical to the fault-free run.
-    let costs: Vec<u64> = (0..32).map(|t| 50_000 + t * 2_000).collect();
+    // byte-identical to the fault-free run. The coins flip once per frame,
+    // so the phase is sized in frames: 4 096 cheap tasks are at least 64
+    // `Done` batches — each coin flips well over 30 times whatever the
+    // host's timing does to the batch boundaries.
+    let costs: Vec<u64> = (0..4096).map(|t| 256 + t % 7).collect();
     let assignment = round_robin(costs.len(), 2);
     let steal = StealConfig {
         policy: StealPolicyKind::RandK(2),
@@ -179,6 +182,55 @@ fn dist_results_identical_under_message_faults() {
         "dedup path never exercised"
     );
     assert_eq!(m.get("dist.msgs.done_unique"), Some(costs.len() as u64));
+}
+
+/// A handler whose every task outlasts the batch age limit.
+struct SlowSynth(SynthHandler);
+
+impl DistHandler for SlowSynth {
+    fn run(&mut self, kind: &str, blob: &[u8], task: u32) -> Result<Vec<u8>, String> {
+        std::thread::sleep(std::time::Duration::from_millis(3));
+        self.0.run(kind, blob, task)
+    }
+}
+
+#[test]
+fn dist_reports_results_in_batches() {
+    let m = |out: &smp_runtime::dist::DistOutcome, name: &str| out.report.metrics.expect(name);
+
+    // Cheap tasks travel many to a frame: far fewer frames than tasks.
+    let costs: Vec<u64> = vec![256; 2000];
+    let mut exec = DistExecutor::new(thread_opts(DistFaultPlan::default()));
+    let out = run_synth(&mut exec, &costs, &round_robin(costs.len(), 2), None);
+    assert_eq!(out.results, expected(&costs));
+    assert_eq!(m(&out, "dist.msgs.done_unique"), 2000);
+    let received = m(&out, "dist.msgs.received");
+    assert!(
+        received <= 2000 / 8,
+        "{received} frames received for 2000 tasks: results are not batched"
+    );
+
+    // A batch of one still arrives: the queue-empty flush.
+    let one = run_synth(&mut exec, &[256], &[vec![0], vec![]], None);
+    assert_eq!(one.results, expected(&[256]));
+
+    // Tasks longer than the age limit are each reported as they finish —
+    // every accepted frame carried exactly one result — so the stop hook
+    // hears of a result within one task of its completion.
+    let factory: HandlerFactory = Arc::new(|| Box::new(SlowSynth(SynthHandler::default())));
+    let mut slow = DistExecutor::new(DistOptions {
+        spawn: SpawnMode::Threads(factory),
+        ..thread_opts(DistFaultPlan::default())
+    });
+    let costs: Vec<u64> = vec![256; 12];
+    let out = run_synth(&mut slow, &costs, &round_robin(costs.len(), 2), None);
+    assert_eq!(out.results, expected(&costs));
+    assert_eq!(m(&out, "dist.msgs.done_unique"), 12);
+    assert_eq!(
+        m(&out, "dist.msgs.done_results"),
+        m(&out, "dist.msgs.done_frames"),
+        "a frame carried more than one slow result"
+    );
 }
 
 #[test]

@@ -25,6 +25,17 @@
  *     thief has crashed meanwhile (coordinator.rs orphaned-grant
  *     recovery; thieves are anonymous here, which makes that
  *     unconditionality the model's statement of the rule);
+ *   - BATCHED Done frames: the implementation reports results in batches
+ *     (one Done frame carries a set of results, one DoneAck answers it).
+ *     Here a batch is a SET of <<t, w>> pairs that enter doneCh in
+ *     consecutive SendDone steps and leave it in consecutive RecordDone
+ *     (or DropDone) steps. The model already allows those steps in every
+ *     interleaving, so its behaviours are a superset of the batched
+ *     implementation's; no action changed, and RecordDone's dedup guard
+ *     — applied per pair, as coordinator.rs applies it per result of a
+ *     batch — is untouched. (Not re-run through TLC for the batching
+ *     revision: no tla2tools.jar on the build machine. The runtime
+ *     oracles in crates/check/src/dist.rs are the check that ran.)
  *   - worker crashes: a crashed worker loses its queue, its unreported
  *     results, and its undelivered Grant frames; the coordinator
  *     recovers every unrecorded task it owned (respawn and redistribute
@@ -121,7 +132,9 @@ ExecuteTask(w, t) ==
 
 \* Send (or retransmit) Done for an unacked result. At-least-once: this
 \* action stays enabled until DoneAck, so a dropped frame is always
-\* resent eventually (worker.rs DONE_RETRANSMIT_BASE/CAP backoff).
+\* resent eventually (worker.rs DONE_RETRANSMIT_BASE/CAP backoff). One
+\* Done frame of the implementation is several of these steps back to
+\* back, one per result of the batch (worker.rs PhaseState::flush).
 SendDone(w, t) ==
     /\ ~crashed[w]
     /\ t \in executedBy[w]
@@ -149,7 +162,9 @@ GrantSteal(v, S) ==
 
 \* Record an in-flight Done. The dedup guard is the protocol's core:
 \* recording is a no-op for already-recorded tasks, so retransmitted or
-\* duplicated Dones can never double-count (coordinator.rs done[] check).
+\* duplicated Dones can never double-count (coordinator.rs done[] check,
+\* run once per result of a received batch — a task repeated inside one
+\* batch hits the same guard).
 RecordDone(t, w) ==
     /\ <<t, w>> \in doneCh
     /\ doneCh' = doneCh \ {<<t, w>>}
