@@ -12,10 +12,6 @@
 //! bit-identical, and prints the oracle verdicts. Exit status 0 means
 //! every invariant held.
 //!
-//! `probe bench [...]` runs the kernel benchmark harness (see
-//! `smp_bench::kernels`); `probe scaling [...]` runs the live-backend
-//! strong-scaling harness (see `smp_bench::scaling`).
-//!
 //! `probe portfolio [...]` runs the DES restart-portfolio tail benchmark
 //! (see `smp_bench::portfolio`) and emits/validates
 //! `BENCH_portfolio.json`.
@@ -140,116 +136,6 @@ fn replay_probe(path: &str) {
         for v in &violations {
             eprintln!("oracle violation: {v}");
         }
-        std::process::exit(1);
-    }
-}
-
-/// Kernel benchmark harness: `probe bench [--quick] [--out FILE] [--check FILE]`.
-///
-/// Runs the PR-4 hot-path kernels against their pre-overhaul baselines
-/// (smp_bench::kernels), prints per-kernel speedups, optionally writes
-/// `BENCH_kernels.json`, and optionally gates the run's deterministic work
-/// counters against a committed baseline (exit 1 on drift).
-fn bench_probe(args: impl Iterator<Item = String>) {
-    let mut quick = false;
-    let mut out: Option<String> = None;
-    let mut check: Option<String> = None;
-    let mut args = args;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--out" => out = args.next(),
-            "--check" => check = args.next(),
-            other => panic!("unknown bench argument: {other}"),
-        }
-    }
-    let reports = smp_bench::kernels::run(quick);
-    for r in &reports {
-        println!(
-            "{:22} baseline={:>10.3}ms optimized={:>10.3}ms speedup={:.2}x",
-            r.name,
-            r.baseline_ns as f64 / 1e6,
-            r.optimized_ns as f64 / 1e6,
-            r.speedup()
-        );
-    }
-    if let Some(path) = &out {
-        std::fs::write(path, smp_bench::kernels::to_json(&reports, quick))
-            .expect("write bench json");
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = &check {
-        if !smp_bench::gate::check_file(path, &smp_bench::kernels::gate_lines(&reports), "counters")
-        {
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Strong-scaling harness over the live and dist backends:
-/// `probe scaling [--quick] [--out FILE] [--check FILE]`.
-///
-/// Runs the parallel PRM live on 1/2/4/8 host threads per strategy
-/// (smp_bench::scaling), plus — when the `smp-dist-worker` binary is
-/// present — on 1/2/4 worker *processes*, prints wall times and
-/// speedups, optionally writes `BENCH_scaling.json`, and optionally
-/// gates the merged-roadmap digests against a committed artifact (exit 1
-/// on drift). Digest equality across backends and thread counts is
-/// always enforced; the ≥1.5× speedup expectation at 4 threads is
-/// asserted only for live rows on hosts with ≥4 cores — wall times from
-/// smaller hosts (and all dist wall times) are recorded honestly, not
-/// gated.
-fn scaling_probe(args: impl Iterator<Item = String>) {
-    let mut quick = false;
-    let mut out: Option<String> = None;
-    let mut check: Option<String> = None;
-    let mut args = args;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--out" => out = args.next(),
-            "--check" => check = args.next(),
-            other => panic!("unknown scaling argument: {other}"),
-        }
-    }
-    let report = smp_bench::scaling::run(quick);
-    println!("host parallelism: {}", report.host_parallelism);
-    for r in &report.runs {
-        let speedup = report
-            .speedup(r.backend, r.env, &r.strategy, r.threads)
-            .unwrap_or(f64::NAN);
-        println!(
-            "{:4} {:9} {:15} t={} wall={:>9.3}ms node={:>9.3}ms speedup={:.2}x hits={:>4} digest={:#018x}",
-            r.backend, r.env, r.strategy, r.threads, r.wall_ms, r.node_ms, speedup, r.steal_hits, r.digest
-        );
-    }
-    let digest_violations = report.digest_violations();
-    for v in &digest_violations {
-        eprintln!("digest violation: {v}");
-    }
-    if report.host_parallelism >= 4 {
-        for v in report.speedup_violations(1.5) {
-            eprintln!("speedup violation: {v}");
-        }
-    } else {
-        eprintln!(
-            "note: host has {} core(s); strong-scaling speedups are recorded but not asserted",
-            report.host_parallelism
-        );
-    }
-    if let Some(path) = &out {
-        std::fs::write(path, smp_bench::scaling::to_json(&report)).expect("write scaling json");
-        eprintln!("wrote {path}");
-    }
-    let mut failed = !digest_violations.is_empty();
-    if let Some(path) = &check {
-        failed |=
-            !smp_bench::gate::check_file(path, &smp_bench::scaling::gate_lines(&report), "digests");
-    }
-    if report.host_parallelism >= 4 && !report.speedup_violations(1.5).is_empty() {
-        failed = true;
-    }
-    if failed {
         std::process::exit(1);
     }
 }
@@ -506,14 +392,6 @@ fn resilience_probe(args: impl Iterator<Item = String>) {
 fn main() {
     if std::env::args().nth(1).as_deref() == Some("rrt") {
         rrt_probe();
-        return;
-    }
-    if std::env::args().nth(1).as_deref() == Some("bench") {
-        bench_probe(std::env::args().skip(2));
-        return;
-    }
-    if std::env::args().nth(1).as_deref() == Some("scaling") {
-        scaling_probe(std::env::args().skip(2));
         return;
     }
     if std::env::args().nth(1).as_deref() == Some("portfolio") {

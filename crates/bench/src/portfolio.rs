@@ -266,8 +266,8 @@ pub fn tail_violations(report: &PortfolioReport) -> Vec<String> {
     v
 }
 
-/// Serialize as `BENCH_portfolio.json` (hand-rolled, same idiom as
-/// [`crate::kernels::to_json`]).
+/// Serialize as `BENCH_portfolio.json` (hand-rolled; the workspace carries no JSON
+/// dependency). The `gate` tail is [`crate::gate::write_gate_array`].
 pub fn to_json(report: &PortfolioReport) -> String {
     let mut s = String::from("{\n");
     s.push_str("  \"schema\": \"smp-bench/portfolio/v1\",\n");
@@ -346,6 +346,13 @@ mod tests {
         let mut tampered = report.clone();
         tampered.configs[1].gate_digest ^= 1;
         assert!(!crate::gate::check(&gate_lines(&tampered), &json).is_empty());
+        // A line only one side has is drift too, in either direction.
+        let mut fewer = report.clone();
+        fewer.configs.pop();
+        assert_eq!(crate::gate::check(&gate_lines(&fewer), &json).len(), 1);
+        let drift = crate::gate::check(&gate_lines(&report), &to_json(&fewer));
+        assert_eq!(drift.len(), 1);
+        assert!(drift[0].contains("luby-250"), "{drift:?}");
         assert!(tail_violations(&report).is_empty());
         let mut bad = report.clone();
         bad.configs[1].p99_ns = 1_000;

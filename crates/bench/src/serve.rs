@@ -308,8 +308,8 @@ pub fn load_violations(report: &ServeLoadReport) -> Vec<String> {
     v
 }
 
-/// Serialize as `BENCH_serve.json` (hand-rolled, same idiom as
-/// [`crate::kernels::to_json`]).
+/// Serialize as `BENCH_serve.json` (hand-rolled; the workspace carries no JSON
+/// dependency). The `gate` tail is [`crate::gate::write_gate_array`].
 pub fn to_json(report: &ServeLoadReport) -> String {
     let mut s = String::from("{\n");
     s.push_str("  \"schema\": \"smp-bench/serve/v1\",\n");

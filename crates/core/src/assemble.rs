@@ -14,8 +14,8 @@ use smp_plan::Roadmap;
 /// coordinates (exact f64 bits, in id order) and edges `(a, b, length)`.
 ///
 /// Unlike `std::hash::DefaultHasher` this is specified and stable across
-/// Rust versions, so digests can live in committed artifacts
-/// (`BENCH_scaling.json`) and be compared across toolchains. Two backends
+/// Rust versions, so digests can be pinned as literals in tests
+/// (`tests/kernel_gates.rs`) and compared across toolchains. Two backends
 /// producing the same roadmap produce the same digest — the work-product
 /// determinism gate of DESIGN.md §12.
 pub fn roadmap_digest<const D: usize>(map: &Roadmap<D>) -> u64 {

@@ -38,6 +38,7 @@ use smp_plan::{
     build_prm, grow_rrt_until_target, rrt_connect, solve_query, PrmParams, Roadmap,
     RrtConnectParams, RrtParams,
 };
+use smp_runtime::executor::round_robin;
 use smp_runtime::{
     simulate_phase, Backend, CancelToken, ExecError, ExecSpec, LiveExecutor, LiveFaultPlan,
     LiveTuning, MachineModel, StealConfig,
@@ -206,16 +207,6 @@ struct RoundState {
     completed: u64,
     fired: bool,
     completed_at_fire: u64,
-}
-
-/// Member → worker round-robin assignment (member `m` starts on worker
-/// `m % workers`).
-fn round_robin(members: usize, workers: usize) -> Vec<Vec<u32>> {
-    let mut asg = vec![Vec::new(); workers];
-    for m in 0..members as u32 {
-        asg[m as usize % workers].push(m);
-    }
-    asg
 }
 
 /// Run a portfolio of pure attempts on `backend`.

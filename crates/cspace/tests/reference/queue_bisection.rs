@@ -1,8 +1,9 @@
 //! Reference kernel, not a test target: the pre-PR-4 queue-based
 //! bisection of a straight edge. `lp_bisection.rs` uses it as the visit-
-//! order oracle for `StraightLinePlanner`; `smp-bench`'s kernel harness
-//! `#[path]`-includes this same file as its timing baseline, so the two
-//! can never drift apart.
+//! order oracle for `StraightLinePlanner`; `smp-plan`'s verbatim
+//! pre-overhaul RRT loop (`crates/plan/tests/reference/grow_rrt_brute.rs`)
+//! `#[path]`-includes this same file as its local planner, so the two can
+//! never drift apart.
 
 /// Visit the interior step indices `1..n` of an `n`-step edge in the old
 /// planner's order — breadth-first over midpoints, through a `VecDeque`

@@ -113,8 +113,9 @@ impl<const D: usize> KdTree<D> {
     }
 
     /// Tree-order layout as `(points, original indices)`. Exposed so
-    /// differential tests and the kernel benchmark can prove the median
-    /// partition produces the exact layout of the reference full-sort build.
+    /// differential tests can prove the median partition produces the
+    /// exact layout of the reference full-sort build, and the kernel gates
+    /// can pin it.
     pub fn layout(&self) -> (&[Point<D>], &[u32]) {
         (&self.points, &self.original)
     }
@@ -180,8 +181,8 @@ impl<const D: usize> KdTree<D> {
     /// unique — so any exact algorithm returns the same `(index, distance)`
     /// list. Only `examined` differs (the leaf scan counts every point in
     /// the span, where recursion may prune inside it), which is why the
-    /// kernel benchmark re-records that counter while its result checksum
-    /// stays pinned.
+    /// kernel gates pin this kernel's own `examined` tally next to a
+    /// result checksum equal to the recursive path's.
     pub fn k_nearest_batched_into(
         &self,
         query: &Point<D>,

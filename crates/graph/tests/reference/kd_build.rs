@@ -1,7 +1,6 @@
 //! Reference kernel, not a test target: the pre-PR-4 kd-tree build.
 //! `nn_index_differential.rs` uses it as the layout oracle for
-//! `KdTree::build`; `smp-bench`'s kernel harness `#[path]`-includes this
-//! same file as its timing baseline, so the two can never drift apart.
+//! `KdTree::build`.
 
 use smp_geom::Point;
 

@@ -266,6 +266,14 @@ pub(crate) fn validate_assignment(n: usize, assignment: &[Vec<u32>]) -> Result<V
     Ok(owner)
 }
 
+/// Deal tasks `0..tasks` round-robin onto `workers` queues: task `t`
+/// starts on worker `t % workers`, each queue in ascending id order.
+pub fn round_robin(tasks: usize, workers: usize) -> Vec<Vec<u32>> {
+    (0..workers)
+        .map(|w| (w as u32..tasks as u32).step_by(workers).collect())
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,5 +325,15 @@ mod tests {
             Err(SimError::TaskOutOfRange { task: 7, n: 1 })
         );
         assert_eq!(validate_assignment(2, &[vec![1], vec![0]]), Ok(vec![1, 0]));
+    }
+
+    #[test]
+    fn round_robin_deals_every_task_once_in_order() {
+        assert_eq!(round_robin(5, 2), vec![vec![0, 2, 4], vec![1, 3]]);
+        assert_eq!(round_robin(2, 3), vec![vec![0], vec![1], vec![]]);
+        assert_eq!(
+            validate_assignment(7, &round_robin(7, 3)),
+            Ok(vec![0, 1, 2, 0, 1, 2, 0])
+        );
     }
 }

@@ -1683,6 +1683,7 @@ pub fn simulate_phase<R>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::round_robin;
 
     fn machine() -> MachineModel {
         MachineModel::hopper()
@@ -1732,15 +1733,6 @@ mod tests {
             ..SimOptions::default()
         };
         simulate_with(costs, assignment, cfg, opts)
-    }
-
-    /// Round-robin assignment of `n` tasks over `p` queues.
-    fn round_robin(n: usize, p: usize) -> Vec<Vec<u32>> {
-        let mut a = vec![Vec::new(); p];
-        for t in 0..n {
-            a[t % p].push(t as u32);
-        }
-        a
     }
 
     #[test]

@@ -11,7 +11,7 @@ use smp_runtime::dist::{
     synth_work, DistExecutor, DistFaultPlan, DistHandler, DistKill, DistOptions, DistTuning,
     HandlerFactory, SpawnMode, SynthHandler, WorkDesc,
 };
-use smp_runtime::executor::ExecSpec;
+use smp_runtime::executor::{round_robin, ExecSpec};
 use smp_runtime::{StealAmount, StealConfig, StealPolicyKind};
 use std::sync::Arc;
 
@@ -36,15 +36,6 @@ fn expected(costs: &[u64]) -> Vec<Vec<u8>> {
         .enumerate()
         .map(|(t, &c)| synth_work(t as u32, c).to_le_bytes().to_vec())
         .collect()
-}
-
-/// Round-robin assignment of `n` tasks over `p` workers.
-fn round_robin(n: usize, p: usize) -> Vec<Vec<u32>> {
-    let mut a = vec![Vec::new(); p];
-    for t in 0..n {
-        a[t % p].push(t as u32);
-    }
-    a
 }
 
 fn run_synth(

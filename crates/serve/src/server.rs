@@ -28,6 +28,7 @@ use crate::snapshot::{SnapshotCache, SnapshotKey, SnapshotLease, SnapshotParams}
 use smp_core::work_cost;
 use smp_cspace::WorkCounters;
 use smp_obs::{MetricsRegistry, MetricsSnapshot};
+use smp_runtime::executor::round_robin;
 use smp_runtime::{
     simulate_phase, Backend, CancelToken, ExecError, ExecSpec, LiveExecutor, LiveTuning,
     MachineModel, RunStatus, StealConfig, StealPolicyKind,
@@ -479,7 +480,7 @@ impl Server {
             // advance, so a static split leaves a worker idle behind the
             // expensive ones. Results are indexed by task, so who ran a
             // query cannot change an answer.
-            let assignment = round_robin(e.threads().min(batch.len()), batch.len());
+            let assignment = round_robin(batch.len(), e.threads().min(batch.len()));
             let spec = ExecSpec {
                 n_tasks: batch.len(),
                 costs: None,
@@ -533,7 +534,7 @@ impl Server {
         // simulator for the batch's virtual schedule. The model's
         // schedule is static on all `threads` PEs: the virtual latencies
         // are a recorded reference (`BENCH_serve.json`), not a throughput.
-        let assignment = round_robin(self.cfg.threads.max(1), batch.len());
+        let assignment = round_robin(batch.len(), self.cfg.threads.max(1));
         let spec = ExecSpec {
             n_tasks: batch.len(),
             costs: None,
@@ -584,13 +585,6 @@ impl Server {
             Backend::Live(_) | Backend::Dist(_) => epoch.elapsed().as_nanos() as u64,
         }
     }
-}
-
-/// Deal tasks `0..n_tasks` round-robin onto `queues` worker queues.
-fn round_robin(queues: usize, n_tasks: usize) -> Vec<Vec<u32>> {
-    (0..queues)
-        .map(|w| (w as u32..n_tasks as u32).step_by(queues).collect())
-        .collect()
 }
 
 #[cfg(test)]

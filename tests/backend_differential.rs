@@ -9,7 +9,8 @@
 //! is the work product: region work is seeded by region id, so whichever
 //! OS thread ends up owning a region after stealing builds the identical
 //! regional roadmap. These tests pin that contract with the stable FNV
-//! digest used by the committed `BENCH_scaling.json` artifact.
+//! `roadmap_digest` (`tests/kernel_gates.rs` pins its value on a larger
+//! PRM).
 
 use smp_core::{
     assemble_prm_roadmap, assemble_rrt_tree, build_prm_workload, build_rrt_workload,
@@ -27,7 +28,9 @@ fn prm_strategies() -> Vec<Strategy> {
         Strategy::WorkStealing(StealConfig::new(StealPolicyKind::RandK(8))),
         Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Diffusive)),
         Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Hybrid(8))),
+        Strategy::WorkStealing(StealConfig::new(StealPolicyKind::DiffusiveAdaptive)),
         Strategy::Repartition(WeightKind::SampleCount),
+        Strategy::RectPartition(WeightKind::SampleCount),
     ]
 }
 

@@ -7,8 +7,8 @@
 //! The dist runs here spawn real `smp-dist-worker` processes over Unix
 //! domain sockets: workers re-derive region data from the config blob, so
 //! whichever *process* ends up owning a region after an ownership
-//! transfer builds the identical regional roadmap. The digest is the same
-//! stable FNV the committed `BENCH_scaling.json` artifact uses.
+//! transfer builds the identical regional roadmap. The digest is the
+//! stable FNV `roadmap_digest` whose value `tests/kernel_gates.rs` pins.
 
 use std::path::PathBuf;
 

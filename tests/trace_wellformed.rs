@@ -12,6 +12,7 @@
 
 use proptest::prelude::*;
 use smp::obs::{cat, EventPhase, Tracer};
+use smp::runtime::executor::round_robin;
 use smp::runtime::{FaultPlan, MachineModel, SimConfig, StealConfig, StealPolicyKind};
 
 mod common;
@@ -24,15 +25,6 @@ fn policy(idx: usize) -> StealPolicyKind {
         2 => StealPolicyKind::Hybrid(4),
         _ => StealPolicyKind::RandK(8),
     }
-}
-
-/// Round-robin assignment of `n` tasks over `p` queues.
-fn round_robin(n: usize, p: usize) -> Vec<Vec<u32>> {
-    let mut a = vec![Vec::new(); p];
-    for t in 0..n {
-        a[t % p].push(t as u32);
-    }
-    a
 }
 
 /// Re-derive balance and monotonicity directly from the event stream,
