@@ -33,10 +33,10 @@
 use crate::case::CaseSpec;
 use crate::oracles::Violation;
 use smp_runtime::dist::{
-    synth_work, DistExecutor, DistFaultPlan, DistKill, DistOptions, DistOutcome, DistTuning,
-    WireWriter, WorkDesc,
+    synth_work, DistExecutor, DistFaultPlan, DistKill, DistOptions, DistTuning, WireWriter,
+    WorkDesc,
 };
-use smp_runtime::{ExecError, ExecSpec};
+use smp_runtime::{ExecError, ExecReport, ExecSpec};
 
 macro_rules! fail {
     ($out:expr, $oracle:literal, $($fmt:tt)+) => {
@@ -71,11 +71,13 @@ pub fn generate_dist_fault_plan(seed: u64, p: usize) -> DistFaultPlan {
         drop_ack_permille: 150 + (next() % 200) as u16,
         delay_assign_permille: (next() % 400) as u16,
         kills,
-        kill_thief_mid_steal: None,
     }
 }
 
-fn run_dist(spec: &CaseSpec, faults: DistFaultPlan) -> Result<DistOutcome, ExecError> {
+/// Per-task result bytes and the phase report.
+type Outcome = (Vec<Vec<u8>>, ExecReport);
+
+fn run_dist(spec: &CaseSpec, faults: DistFaultPlan) -> Result<Outcome, ExecError> {
     let mut exec = DistExecutor::new(DistOptions {
         faults,
         ..DistOptions::process(DistTuning::default())?
@@ -105,7 +107,7 @@ fn run_dist(spec: &CaseSpec, faults: DistFaultPlan) -> Result<DistOutcome, ExecE
 /// dist faults are injected separately via [`generate_dist_fault_plan`].
 pub fn check_dist_case(spec: &CaseSpec) -> Vec<Violation> {
     let mut out = Vec::new();
-    let outcome = match run_dist(spec, DistFaultPlan::default()) {
+    let (results, report) = match run_dist(spec, DistFaultPlan::default()) {
         Err(e) => {
             // Progress is the liveness property: a deadline or transport
             // failure on a valid case is its violation.
@@ -114,12 +116,22 @@ pub fn check_dist_case(spec: &CaseSpec) -> Vec<Violation> {
         }
         Ok(o) => o,
     };
-    no_task_duplication(spec, &outcome, &mut out);
-    no_task_loss(spec, &outcome, &mut out);
-    progress(spec, &outcome, &mut out);
-    ownership_at_quiescence(spec, &outcome, &mut out);
-    message_conservation(spec, &outcome, &mut out);
+    check_catalog(spec, &results, &report, &mut out);
     out
+}
+
+/// Every oracle of the catalog, on one phase's results and report.
+fn check_catalog(
+    spec: &CaseSpec,
+    results: &[Vec<u8>],
+    report: &ExecReport,
+    out: &mut Vec<Violation>,
+) {
+    no_task_duplication(spec, report, out);
+    no_task_loss(spec, results, out);
+    progress(spec, report, out);
+    ownership_at_quiescence(spec, report, out);
+    message_conservation(spec, report, out);
 }
 
 /// As [`check_dist_case`], with a seed-derived fault plan armed: the
@@ -128,14 +140,14 @@ pub fn check_dist_case(spec: &CaseSpec) -> Vec<Violation> {
 /// loss and process crashes — the resilience half of the TLA+ spec).
 pub fn check_dist_case_faulted(spec: &CaseSpec, plan: &DistFaultPlan) -> Vec<Violation> {
     let mut out = Vec::new();
-    let baseline = match run_dist(spec, DistFaultPlan::default()) {
+    let (baseline, _) = match run_dist(spec, DistFaultPlan::default()) {
         Err(e) => {
             fail!(out, "Progress", "fault-free baseline failed: {e} ({e:?})");
             return out;
         }
         Ok(o) => o,
     };
-    let faulted = match run_dist(spec, plan.clone()) {
+    let (results, report) = match run_dist(spec, plan.clone()) {
         Err(e) => {
             fail!(
                 out,
@@ -146,24 +158,20 @@ pub fn check_dist_case_faulted(spec: &CaseSpec, plan: &DistFaultPlan) -> Vec<Vio
         }
         Ok(o) => o,
     };
-    if faulted.results != baseline.results {
+    if results != baseline {
         fail!(
             out,
             "NoTaskDuplication",
             "faulted results diverge from the fault-free baseline (plan {plan:?})"
         );
     }
-    no_task_duplication(spec, &faulted, &mut out);
-    no_task_loss(spec, &faulted, &mut out);
-    progress(spec, &faulted, &mut out);
-    ownership_at_quiescence(spec, &faulted, &mut out);
-    message_conservation(spec, &faulted, &mut out);
-    if !plan.kills.is_empty() && faulted.report.resilience.crashes as usize > plan.kills.len() {
+    check_catalog(spec, &results, &report, &mut out);
+    if !plan.kills.is_empty() && report.resilience.crashes as usize > plan.kills.len() {
         fail!(
             out,
             "message_conservation",
             "{} crashes recorded but the plan kills only {} worker(s)",
-            faulted.report.resilience.crashes,
+            report.resilience.crashes,
             plan.kills.len()
         );
     }
@@ -174,9 +182,8 @@ pub fn check_dist_case_faulted(spec: &CaseSpec, plan: &DistFaultPlan) -> Vec<Vio
 /// coordinator records each task on its first `Done` and acks duplicates
 /// without re-crediting, so unique recordings must equal the task count
 /// and per-worker execution counters must sum to it exactly.
-fn no_task_duplication(spec: &CaseSpec, outcome: &DistOutcome, out: &mut Vec<Violation>) {
+fn no_task_duplication(spec: &CaseSpec, report: &ExecReport, out: &mut Vec<Violation>) {
     let n = spec.num_tasks() as u64;
-    let report = &outcome.report;
     let unique = report.metrics.get("dist.msgs.done_unique").unwrap_or(0);
     if unique != n {
         fail!(
@@ -205,18 +212,13 @@ fn no_task_duplication(spec: &CaseSpec, outcome: &DistOutcome, out: &mut Vec<Vio
 /// TLA+ `NoTaskLoss`: every task's result is present at quiescence and
 /// byte-identical to the pure function of (task, cost) the worker
 /// computes — nothing dropped, nothing substituted.
-fn no_task_loss(spec: &CaseSpec, outcome: &DistOutcome, out: &mut Vec<Violation>) {
+fn no_task_loss(spec: &CaseSpec, results: &[Vec<u8>], out: &mut Vec<Violation>) {
     let n = spec.num_tasks();
-    if outcome.results.len() != n {
-        fail!(
-            out,
-            "NoTaskLoss",
-            "{} results for {n} tasks",
-            outcome.results.len()
-        );
+    if results.len() != n {
+        fail!(out, "NoTaskLoss", "{} results for {n} tasks", results.len());
         return;
     }
-    for (t, bytes) in outcome.results.iter().enumerate() {
+    for (t, bytes) in results.iter().enumerate() {
         let want = synth_work(t as u32, spec.costs[t]).to_le_bytes();
         if bytes[..] != want {
             fail!(
@@ -233,9 +235,8 @@ fn no_task_loss(spec: &CaseSpec, outcome: &DistOutcome, out: &mut Vec<Violation>
 /// enforced by reaching this function) and the report describes a
 /// complete schedule: every task has a final owner and wall time moved
 /// whenever work existed.
-fn progress(spec: &CaseSpec, outcome: &DistOutcome, out: &mut Vec<Violation>) {
+fn progress(spec: &CaseSpec, report: &ExecReport, out: &mut Vec<Violation>) {
     let n = spec.num_tasks();
-    let report = &outcome.report;
     if report.executed_by.len() != n {
         fail!(
             out,
@@ -252,9 +253,8 @@ fn progress(spec: &CaseSpec, outcome: &DistOutcome, out: &mut Vec<Violation>) {
 /// Final ownership is consistent at quiescence: every task's recorded
 /// owner is a real worker slot, and each worker's execution counter
 /// equals the number of tasks it finally owns.
-fn ownership_at_quiescence(spec: &CaseSpec, outcome: &DistOutcome, out: &mut Vec<Violation>) {
+fn ownership_at_quiescence(spec: &CaseSpec, report: &ExecReport, out: &mut Vec<Violation>) {
     let p = spec.num_pes();
-    let report = &outcome.report;
     let mut owned = vec![0u32; p];
     for (task, &w) in report.executed_by.iter().enumerate() {
         if w as usize >= p {
@@ -286,8 +286,7 @@ fn ownership_at_quiescence(spec: &CaseSpec, outcome: &DistOutcome, out: &mut Vec
 /// frame that was not dropped is answered by exactly one ack, sent or
 /// dropped. Results and frames are different units since `Done` carries a
 /// batch, so each equality stays within one of them.
-fn message_conservation(spec: &CaseSpec, outcome: &DistOutcome, out: &mut Vec<Violation>) {
-    let report = &outcome.report;
+fn message_conservation(spec: &CaseSpec, report: &ExecReport, out: &mut Vec<Violation>) {
     let m = &report.metrics;
     let requests = m.get("dist.steal.requests").unwrap_or(0);
     let hits = m.get("dist.steal.hits").unwrap_or(0);
@@ -387,7 +386,7 @@ mod tests {
     /// Unit tests avoid the worker binary (the check crate cannot build
     /// it): thread-mode workers speak the identical protocol, so the
     /// oracles see the same counters a process pool produces.
-    fn run_threaded(spec: &CaseSpec, faults: DistFaultPlan) -> DistOutcome {
+    fn run_threaded(spec: &CaseSpec, faults: DistFaultPlan) -> Outcome {
         let factory: HandlerFactory = Arc::new(|| Box::new(SynthHandler::default()));
         let mut exec = DistExecutor::new(DistOptions {
             tuning: DistTuning::default(),
@@ -423,16 +422,12 @@ mod tests {
         } else {
             DistFaultPlan::default()
         };
-        let baseline = run_threaded(&spec, DistFaultPlan::default());
-        let outcome = run_threaded(&spec, plan);
-        if outcome.results != baseline.results {
+        let (baseline, _) = run_threaded(&spec, DistFaultPlan::default());
+        let (results, report) = run_threaded(&spec, plan);
+        if results != baseline {
             fail!(out, "NoTaskDuplication", "faulted results diverge");
         }
-        no_task_duplication(&spec, &outcome, &mut out);
-        no_task_loss(&spec, &outcome, &mut out);
-        progress(&spec, &outcome, &mut out);
-        ownership_at_quiescence(&spec, &outcome, &mut out);
-        message_conservation(&spec, &outcome, &mut out);
+        check_catalog(&spec, &results, &report, &mut out);
         out
     }
 

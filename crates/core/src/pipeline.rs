@@ -324,15 +324,14 @@ impl PhaseRunner for DistRunner<'_> {
             kind: phase.kind,
             blob: &self.blob,
         };
-        let out = self.exec.execute_raw(&phase.spec, &work)?;
-        let results = out
-            .results
+        let (raw, report) = self.exec.execute_raw(&phase.spec, &work)?;
+        let results = raw
             .iter()
             .map(|bytes| (phase.decode)(bytes))
             .collect::<Result<_, _>>()?;
         timeline.begin(phase.name);
-        timeline.end(out.report.makespan);
-        Ok((results, out.report))
+        timeline.end(report.makespan);
+        Ok((results, report))
     }
 }
 

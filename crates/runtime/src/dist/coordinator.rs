@@ -6,40 +6,28 @@
 //! victim-selection policies, and recovers from worker crashes — all over
 //! the framed message protocol of [`super::msg`] (PROTOCOL.md).
 //!
-//! The coordinator is the single source of truth for **task ownership**:
-//! every task is `Pending` at exactly one worker (or in transfer, owned by
-//! the coordinator) until its result is recorded, mirroring the DES's
-//! ownership-transfer semantics. Results are recorded **exactly once**
-//! (dedup by task id) even though workers deliver them at-least-once;
-//! ownership transfers ([`Msg::Assign`]) are retransmitted with capped
-//! exponential backoff until acknowledged. A worker connection closing is
-//! a crash: the dead worker's unfinished tasks are either re-assigned to
-//! survivors or handed to a respawned replacement process (next epoch).
-//! `specs/tla/StealProtocol.tla` model-checks this protocol's safety
-//! (NoTaskDuplication, NoTaskLoss) and liveness (Progress).
+//! This file is the driver — sockets, reader threads, worker processes and
+//! the clock. Every protocol decision is a handler of the I/O-free
+//! `PhaseState` (`phase.rs`); the driver feeds it events and writes the
+//! frames it queues, in order.
 
 use std::collections::HashMap;
-use std::io::BufReader;
+use std::net::Shutdown;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use super::fault::{DistFaultPlan, FaultCoin};
-use super::frame::{read_frame, write_frame};
+use super::fault::DistFaultPlan;
+use super::frame::write_frame;
 use super::msg::Msg;
-use super::transport::{DistListener, DistStream, Endpoint, TransportKind};
-use super::worker::{run_worker, DistHandler, WorkerParams};
+use super::phase::{Effect, PhaseState, SlotPlan};
+use super::transport::{spawn_reader, DistListener, DistStream, Endpoint};
+use super::worker::{run_worker, DistHandler, WorkerParams, ASSIGN_RETRANSMIT_BASE};
 use super::DistError;
 use crate::executor::{validate_assignment, ExecError, ExecReport, ExecSpec};
-use crate::sim::{ResilienceStats, StealAmount};
-use crate::topology::Mesh;
-use smp_obs::MetricsRegistry;
+use crate::live::ResilientOutcome;
 
 /// Early-stop predicate consulted on each newly recorded `(task, result)`;
 /// returning `true` cancels the remainder of the phase on all workers.
@@ -48,11 +36,6 @@ pub type StopFn<'a> = &'a dyn Fn(u32, &[u8]) -> bool;
 /// `Copy` tuning knobs carried by [`crate::executor::Backend::Dist`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DistTuning {
-    /// Which transport carries frames (Unix sockets by default).
-    pub transport: TransportKind,
-    /// Base retransmit delay for unacked `Assign`s, in milliseconds;
-    /// doubles per attempt up to 16×.
-    pub retransmit_ms: u32,
     /// Abort a phase that has not completed after this many milliseconds
     /// (guards CI against protocol deadlocks; generous by default).
     pub phase_timeout_ms: u32,
@@ -61,8 +44,6 @@ pub struct DistTuning {
 impl Default for DistTuning {
     fn default() -> Self {
         DistTuning {
-            transport: TransportKind::Unix,
-            retransmit_ms: 20,
             phase_timeout_ms: 180_000,
         }
     }
@@ -127,29 +108,21 @@ pub fn resolve_worker_cmd() -> Result<PathBuf, DistError> {
         if p.is_file() {
             return Ok(p);
         }
-        return Err(DistError::Spawn(format!(
-            "SMP_DIST_WORKER={} does not exist",
-            p.display()
-        )));
+        let msg = format!("SMP_DIST_WORKER={} does not exist", p.display());
+        return Err(DistError::Spawn(msg));
     }
     let exe = std::env::current_exe().map_err(DistError::Io)?;
-    let mut dirs = Vec::new();
-    if let Some(d) = exe.parent() {
-        dirs.push(d.to_path_buf());
-        if let Some(dd) = d.parent() {
-            dirs.push(dd.to_path_buf());
-        }
-    }
-    for d in &dirs {
-        let cand = d.join("smp-dist-worker");
-        if cand.is_file() {
-            return Ok(cand);
-        }
-    }
-    Err(DistError::Spawn(format!(
-        "smp-dist-worker not found next to {} (set SMP_DIST_WORKER)",
-        exe.display()
-    )))
+    exe.ancestors()
+        .skip(1)
+        .take(2)
+        .map(|d| d.join("smp-dist-worker"))
+        .find(|c| c.is_file())
+        .ok_or_else(|| {
+            DistError::Spawn(format!(
+                "smp-dist-worker not found next to {} (set SMP_DIST_WORKER)",
+                exe.display()
+            ))
+        })
 }
 
 /// A work descriptor shipped to every worker: a kind string the worker's
@@ -163,48 +136,37 @@ pub struct WorkDesc<'a> {
     pub blob: &'a [u8],
 }
 
-/// Results of a fully-executed distributed phase.
-#[derive(Debug, Clone)]
-pub struct DistOutcome {
-    /// Per-task result bytes, in task order.
-    pub results: Vec<Vec<u8>>,
-    /// Scheduling/resilience statistics (wall-clock mode).
-    pub report: ExecReport,
-}
-
-/// Results of a phase that may have been stopped early by a stop hook.
-#[derive(Debug, Clone)]
-pub struct DistPartial {
-    /// Per-task result bytes; `None` for tasks unfinished at the stop.
-    pub results: Vec<Option<Vec<u8>>>,
-    /// Scheduling/resilience statistics (wall-clock mode).
-    pub report: ExecReport,
-    /// True when the stop hook ended the phase before completion.
-    pub stopped: bool,
-}
-
 const HELLO_TIMEOUT: Duration = Duration::from_secs(20);
-/// Owner sentinel: the task is in transfer, owned by the coordinator.
-const IN_TRANSFER: u32 = u32::MAX;
 
 enum Event {
-    Conn { conn: u64, writer: DistStream },
-    Msg { conn: u64, msg: Msg },
-    Gone { conn: u64 },
+    /// A new connection and its write half.
+    Conn(u64, DistStream),
+    /// A frame read from a connection; `None` once it has closed.
+    Frame(u64, Option<Msg>),
 }
 
+/// What an event means to the protocol once the pool has done its
+/// connection bookkeeping.
+enum Routed {
+    /// This worker's connection closed.
+    Lost(usize),
+    /// A frame, with the slot its connection is bound to, if any.
+    Msg(Option<usize>, Msg),
+}
+
+/// A worker slot; its worker is alive while a connection is bound.
+#[derive(Debug, Default)]
 struct Slot {
     epoch: u32,
     conn: Option<u64>,
     writer: Option<DistStream>,
     child: Option<Child>,
-    alive: bool,
 }
 
+#[derive(Debug)]
 struct Pool {
-    p: usize,
     endpoint: Endpoint,
-    stop: Arc<AtomicBool>,
+    spawn: SpawnMode,
     events: Receiver<Event>,
     slots: Vec<Slot>,
     /// Writers of connections that have not sent `Hello` yet.
@@ -212,6 +174,37 @@ struct Pool {
 }
 
 impl Pool {
+    /// Track connections as they open, introduce themselves and close,
+    /// and say which worker an event concerns. Pool set-up and phases
+    /// route every event through here.
+    fn route(&mut self, ev: Event) -> Option<Routed> {
+        match ev {
+            Event::Conn(conn, writer) => {
+                self.unbound.insert(conn, writer);
+                None
+            }
+            Event::Frame(conn, None) => {
+                self.unbound.remove(&conn);
+                let w = self.worker_of(conn)?;
+                self.slots[w].conn = None;
+                self.slots[w].writer = None;
+                Some(Routed::Lost(w))
+            }
+            Event::Frame(conn, Some(msg)) => {
+                let from = match msg {
+                    Msg::Hello { worker, epoch, .. } => self.bind_hello(conn, worker, epoch),
+                    _ => self.worker_of(conn),
+                };
+                Some(Routed::Msg(from, msg))
+            }
+        }
+    }
+
+    /// The live slot `conn` is bound to.
+    fn worker_of(&self, conn: u64) -> Option<usize> {
+        self.slots.iter().position(|s| s.conn == Some(conn))
+    }
+
     /// Bind the connection that said `Hello{worker, epoch}` to its slot,
     /// returning the slot index. **First bind wins**: the slot must be
     /// waiting (spawned at this epoch, not yet introduced). Any other
@@ -223,17 +216,74 @@ impl Pool {
         let writer = self.unbound.remove(&conn)?;
         let w = worker as usize;
         match self.slots.get_mut(w) {
-            Some(slot) if slot.epoch == epoch && !slot.alive => {
+            Some(slot) if slot.epoch == epoch && slot.conn.is_none() => {
                 slot.conn = Some(conn);
                 slot.writer = Some(writer);
-                slot.alive = true;
                 Some(w)
             }
             _ => {
-                writer.shutdown();
+                let _ = writer.shutdown(Shutdown::Both);
                 None
             }
         }
+    }
+
+    fn spawn_slot(&mut self, w: usize, epoch: u32) -> Result<(), DistError> {
+        match &self.spawn {
+            SpawnMode::Process(cmd) => {
+                let child = Command::new(cmd)
+                    .args(["--endpoint", &self.endpoint.to_string()])
+                    .args(["--worker", &w.to_string(), "--epoch", &epoch.to_string()])
+                    .stdin(Stdio::null())
+                    .stdout(Stdio::null())
+                    .stderr(Stdio::inherit())
+                    .spawn()
+                    .map_err(|e| DistError::Spawn(format!("spawning {}: {e}", cmd.display())))?;
+                // Reap the previous process of this slot, if any.
+                if let Some(mut old) = self.slots[w].child.take() {
+                    let _ = old.try_wait();
+                }
+                self.slots[w].child = Some(child);
+            }
+            SpawnMode::Threads(factory) => {
+                let endpoint = self.endpoint.clone();
+                let params = WorkerParams {
+                    endpoint,
+                    worker: w as u32,
+                    epoch,
+                };
+                let mut handler = factory();
+                // The coordinator observes the exit as EOF, whatever its reason.
+                std::thread::spawn(move || run_worker(&params, &mut *handler));
+            }
+        }
+        // The slot is fresh or its connection was lost: only the epoch moves.
+        self.slots[w].epoch = epoch;
+        Ok(())
+    }
+
+    /// Carry out queued effects in order, counting the frames written in
+    /// `sent`. A failed `Init` write fails the phase; every other send is
+    /// best-effort — retransmitted, re-requested, or moot once the peer's
+    /// EOF arrives.
+    fn apply(&mut self, effects: &mut Vec<Effect>, sent: &mut u64) -> Result<(), ExecError> {
+        for effect in effects.drain(..) {
+            match effect {
+                Effect::Send(w, msg) => {
+                    let writer = self.slots[w].writer.as_mut();
+                    match writer.map(|wr| write_frame(wr, &msg.encode())) {
+                        Some(Ok(())) => *sent += 1,
+                        Some(Err(e)) if matches!(msg, Msg::Init { .. }) => {
+                            return Err(DistError::Frame(e).into())
+                        }
+                        // No connection (the worker is gone), or best effort.
+                        _ => {}
+                    }
+                }
+                Effect::Respawn { worker, epoch } => self.spawn_slot(worker, epoch)?,
+            }
+        }
+        Ok(())
     }
 }
 
@@ -243,28 +293,13 @@ impl Pool {
 /// [`DistExecutor::execute_raw`] calls (workers cache decoded work blobs,
 /// so later phases of the same planner run start hot). Dropping the
 /// executor shuts the pool down.
+#[derive(Debug)]
 pub struct DistExecutor {
     opts: DistOptions,
     phase: u32,
     /// Worker slots whose injected kill has been armed (fires once).
     kills_armed: Vec<u32>,
-    /// Respawn policy remembered per armed kill.
-    respawn_policy: HashMap<u32, bool>,
     pool: Option<Pool>,
-}
-
-impl std::fmt::Debug for DistExecutor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DistExecutor")
-            .field("opts", &self.opts)
-            .field("phase", &self.phase)
-            .finish_non_exhaustive()
-    }
-}
-
-fn send_counted(writer: &mut DistStream, msg: &Msg, sent: &mut u64) -> Result<(), DistError> {
-    *sent += 1;
-    write_frame(writer, &msg.encode()).map_err(DistError::Frame)
 }
 
 impl DistExecutor {
@@ -275,215 +310,96 @@ impl DistExecutor {
             opts,
             phase: 0,
             kills_armed: Vec::new(),
-            respawn_policy: HashMap::new(),
             pool: None,
         }
     }
 
     /// Execute one phase to completion; every task must produce a result.
+    /// Returns per-task result bytes in task order and the phase report.
     pub fn execute_raw(
         &mut self,
         spec: &ExecSpec<'_>,
         work: &WorkDesc<'_>,
-    ) -> Result<DistOutcome, ExecError> {
-        let partial = self.execute_raw_with_stop(spec, work, None)?;
-        let mut results = Vec::with_capacity(partial.results.len());
-        for (t, r) in partial.results.into_iter().enumerate() {
-            match r {
-                Some(bytes) => results.push(bytes),
-                None => return Err(ExecError::MissingResult { task: t as u32 }),
-            }
-        }
-        Ok(DistOutcome {
-            results,
-            report: partial.report,
-        })
+    ) -> Result<(Vec<Vec<u8>>, ExecReport), ExecError> {
+        self.execute_raw_with_stop(spec, work, None)?
+            .into_complete()
     }
 
     /// Execute one phase, optionally stopping early: `stop(task, result)`
     /// is consulted on every *newly recorded* result, and returning `true`
     /// cancels the remainder of the phase on all workers (used by restart
-    /// portfolios to cancel losers).
+    /// portfolios to cancel losers); the outcome is then
+    /// [`crate::RunStatus::Cancelled`] with partial results.
     pub fn execute_raw_with_stop(
         &mut self,
         spec: &ExecSpec<'_>,
         work: &WorkDesc<'_>,
         stop: Option<StopFn<'_>>,
-    ) -> Result<DistPartial, ExecError> {
-        let initial_owner = validate_assignment(spec.n_tasks, spec.assignment)?;
-        let p = spec.assignment.len();
-        self.ensure_pool(p)
-            .map_err(|e| ExecError::Transport(e.to_string()))?;
+    ) -> Result<ResilientOutcome<Vec<u8>>, ExecError> {
+        validate_assignment(spec.n_tasks, spec.assignment)?;
+        self.ensure_pool(spec.assignment.len())?;
         self.phase += 1;
-        self.run_phase(spec, work, &initial_owner, stop)
-    }
-
-    fn spawn_slot(
-        pool: &mut Pool,
-        spawn: &SpawnMode,
-        w: usize,
-        epoch: u32,
-    ) -> Result<(), DistError> {
-        match spawn {
-            SpawnMode::Process(cmd) => {
-                let child = Command::new(cmd)
-                    .arg("--endpoint")
-                    .arg(pool.endpoint.to_string())
-                    .arg("--worker")
-                    .arg(w.to_string())
-                    .arg("--epoch")
-                    .arg(epoch.to_string())
-                    .stdin(Stdio::null())
-                    .stdout(Stdio::null())
-                    .stderr(Stdio::inherit())
-                    .spawn()
-                    .map_err(|e| DistError::Spawn(format!("spawning {}: {e}", cmd.display())))?;
-                // Reap the previous process of this slot, if any.
-                if let Some(mut old) = pool.slots[w].child.take() {
-                    let _ = old.try_wait();
-                }
-                pool.slots[w].child = Some(child);
-            }
-            SpawnMode::Threads(factory) => {
-                let endpoint = pool.endpoint.clone();
-                let mut handler = factory();
-                std::thread::spawn(move || {
-                    let params = WorkerParams {
-                        endpoint,
-                        worker: w as u32,
-                        epoch,
-                    };
-                    // Exit reason is observed by the coordinator as EOF;
-                    // nothing to report from here.
-                    let _ = run_worker(&params, &mut *handler);
-                });
-            }
-        }
-        pool.slots[w].epoch = epoch;
-        pool.slots[w].alive = false;
-        pool.slots[w].conn = None;
-        pool.slots[w].writer = None;
-        Ok(())
+        self.run_phase(spec, work, stop)
     }
 
     /// Bind a listener, start the accept thread, spawn `p` workers, and
     /// wait for all of them to introduce themselves.
     fn ensure_pool(&mut self, p: usize) -> Result<(), DistError> {
         if let Some(pool) = &self.pool {
-            if pool.p == p && pool.slots.iter().all(|s| s.alive) {
+            if pool.slots.len() == p && pool.slots.iter().all(|s| s.conn.is_some()) {
                 return Ok(());
             }
             // Worker count changed or a worker died outside a phase:
             // rebuild from scratch.
             self.teardown_pool();
         }
-        let listener = DistListener::bind(self.opts.tuning.transport).map_err(DistError::Io)?;
-        let endpoint = listener.endpoint().map_err(DistError::Io)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let conn_ids = Arc::new(AtomicU64::new(1));
+        let listener = DistListener::bind().map_err(DistError::Io)?;
+        let endpoint = listener.endpoint();
         let (tx, rx) = std::sync::mpsc::channel::<Event>();
-
-        {
-            let stop = Arc::clone(&stop);
-            let conn_ids = Arc::clone(&conn_ids);
-            let tx = tx.clone();
-            std::thread::spawn(move || {
-                while let Ok(stream) = listener.accept() {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let conn = conn_ids.fetch_add(1, Ordering::SeqCst);
-                    let writer = match stream.try_clone() {
-                        Ok(wtr) => wtr,
-                        Err(_) => continue,
-                    };
-                    let tx_r = tx.clone();
-                    let mut reader = BufReader::new(stream);
-                    // Announce the connection BEFORE spawning the reader:
-                    // otherwise the reader can deliver this connection's
-                    // Hello ahead of the Conn event and the coordinator
-                    // would have no writer to bind it to.
-                    if tx.send(Event::Conn { conn, writer }).is_err() {
-                        break;
-                    }
-                    std::thread::spawn(move || loop {
-                        match read_frame(&mut reader) {
-                            Ok(payload) => match Msg::decode(&payload) {
-                                Ok(msg) => {
-                                    if tx_r.send(Event::Msg { conn, msg }).is_err() {
-                                        break;
-                                    }
-                                }
-                                Err(_) => {
-                                    let _ = tx_r.send(Event::Gone { conn });
-                                    break;
-                                }
-                            },
-                            Err(_) => {
-                                let _ = tx_r.send(Event::Gone { conn });
-                                break;
-                            }
-                        }
-                    });
+        // The accept thread ends once teardown has dropped the receiver and
+        // woken it; its listener drops then, unlinking the socket path.
+        std::thread::spawn(move || {
+            for conn in 1.. {
+                let Ok(stream) = listener.accept() else { break };
+                let Ok(writer) = stream.try_clone() else {
+                    continue;
+                };
+                // Announce the connection BEFORE spawning the reader:
+                // otherwise the reader can deliver this connection's Hello
+                // ahead of the Conn event and the coordinator would have no
+                // writer to bind it to.
+                if tx.send(Event::Conn(conn, writer)).is_err() {
+                    break;
                 }
-                // Listener drops here, unlinking the socket path.
-            });
-        }
+                spawn_reader(stream, tx.clone(), move |msg| Event::Frame(conn, msg));
+            }
+        });
 
         let mut pool = Pool {
-            p,
             endpoint,
-            stop,
+            spawn: self.opts.spawn.clone(),
             events: rx,
-            slots: (0..p)
-                .map(|_| Slot {
-                    epoch: 0,
-                    conn: None,
-                    writer: None,
-                    child: None,
-                    alive: false,
-                })
-                .collect(),
+            slots: (0..p).map(|_| Slot::default()).collect(),
             unbound: HashMap::new(),
         };
-        let spawn = self.opts.spawn.clone();
         for w in 0..p {
-            Self::spawn_slot(&mut pool, &spawn, w, 0)?;
+            pool.spawn_slot(w, 0)?;
         }
 
         // Collect Hellos.
         let deadline = Instant::now() + HELLO_TIMEOUT;
-        while pool.slots.iter().any(|s| !s.alive) {
+        while pool.slots.iter().any(|s| s.conn.is_none()) {
             let wait = deadline
                 .saturating_duration_since(Instant::now())
                 .max(Duration::from_millis(1));
             let ev = pool.events.recv_timeout(wait).map_err(|_| {
                 DistError::Protocol(format!(
                     "timed out waiting for worker Hello ({}/{} connected)",
-                    pool.slots.iter().filter(|s| s.alive).count(),
+                    pool.slots.iter().filter(|s| s.conn.is_some()).count(),
                     p
                 ))
             })?;
-            match ev {
-                Event::Conn { conn, writer } => {
-                    pool.unbound.insert(conn, writer);
-                }
-                Event::Msg {
-                    conn,
-                    msg: Msg::Hello { worker, epoch, .. },
-                } => {
-                    pool.bind_hello(conn, worker, epoch);
-                }
-                Event::Msg { .. } => {}
-                Event::Gone { conn } => {
-                    pool.unbound.remove(&conn);
-                    if let Some(s) = pool.slots.iter_mut().find(|s| s.conn == Some(conn)) {
-                        s.alive = false;
-                        s.conn = None;
-                        s.writer = None;
-                    }
-                }
-            }
+            pool.route(ev);
         }
         if Instant::now() > deadline {
             return Err(DistError::Protocol("worker pool setup timed out".into()));
@@ -494,819 +410,96 @@ impl DistExecutor {
 
     fn teardown_pool(&mut self) {
         if let Some(mut pool) = self.pool.take() {
-            pool.stop.store(true, Ordering::SeqCst);
-            let mut sent = 0u64;
             for slot in pool.slots.iter_mut() {
                 if let Some(writer) = slot.writer.as_mut() {
-                    let _ = send_counted(writer, &Msg::Shutdown, &mut sent);
+                    let _ = write_frame(writer, &Msg::Shutdown.encode());
                 }
             }
-            // Wake the blocking accept so the thread observes `stop`.
+            // Wake the blocking accept: with the receiver gone, it exits.
+            drop(pool.events);
             let _ = pool.endpoint.connect();
             for slot in pool.slots.iter_mut() {
                 if let Some(writer) = slot.writer.take() {
-                    writer.shutdown();
+                    let _ = writer.shutdown(Shutdown::Both);
                 }
                 if let Some(mut child) = slot.child.take() {
                     let _ = child.wait();
                 }
             }
-            // Unix socket path cleanup happens when the accept thread's
-            // listener drops.
         }
     }
 
-    #[allow(clippy::too_many_lines)] // One protocol state machine; splitting it would scatter invariants.
+    /// Drive one phase: feed socket events and timer ticks to a
+    /// [`PhaseState`] and write what its handlers queue.
     fn run_phase(
         &mut self,
         spec: &ExecSpec<'_>,
         work: &WorkDesc<'_>,
-        initial_owner: &[u32],
         stop: Option<StopFn<'_>>,
-    ) -> Result<DistPartial, ExecError> {
-        let n = spec.n_tasks;
-        let phase = self.phase;
-        let tuning = self.opts.tuning;
-        let faults = self.opts.faults.clone();
+    ) -> Result<ResilientOutcome<Vec<u8>>, ExecError> {
+        let faults = &self.opts.faults;
         #[allow(clippy::expect_used)] // ensure_pool ran in execute_raw_with_stop.
         let pool = self.pool.as_mut().expect("pool initialised");
-        let p = pool.p;
-        let mesh = Mesh::new(p.max(1));
-        let mut rng = StdRng::seed_from_u64(spec.seed);
-        let policy = spec.steal.map(|s| s.policy);
-        let amount = spec.steal.map_or(StealAmount::Half, |s| s.amount);
-
-        // Fault machinery: independent deterministic streams.
-        let mut done_coin = FaultCoin::new(faults.seed, 1, faults.drop_done_permille);
-        let mut ack_coin = FaultCoin::new(faults.seed, 2, faults.drop_ack_permille);
-        let mut assign_coin = FaultCoin::new(faults.seed, 3, faults.delay_assign_permille);
-
-        // Ownership and results.
-        let mut owner: Vec<u32> = initial_owner.to_vec();
-        let mut done = vec![false; n];
-        let mut results: Vec<Option<Vec<u8>>> = vec![None; n];
-        let mut executed_by = vec![0u32; n];
-        let mut done_count = 0usize;
-
-        // Per-worker accounting.
-        let mut queue_est = vec![0i64; p];
-        let mut credited = vec![0u32; p];
-        let mut claimed = vec![0u64; p];
-        let mut busy_live = vec![0u64; p];
-        let mut busy_committed = vec![0u64; p];
-        let mut comm_live = vec![0u64; p];
-        let mut comm_committed = vec![0u64; p];
-        let mut finish_ns = vec![0u64; p];
-        let mut fail_streak = vec![0u32; p];
-        let mut dead_at: Vec<Option<Instant>> = vec![None; p];
-        let mut dead_ns = vec![0u64; p];
-        let mut pending_init: Vec<Option<Vec<u32>>> = vec![None; p];
-        let mut deaths: Vec<usize> = Vec::new();
-
-        // Steal brokering.
-        struct Inflight {
-            req: u64,
-            victim: u32,
-            fallbacks: Vec<usize>,
-        }
-        struct Xfer {
-            dest: u32,
-            tasks: Vec<u32>,
-            next: Instant,
-            backoff: Duration,
-            sends: u32,
-        }
-        let mut inflight: Vec<Option<Inflight>> = (0..p).map(|_| None).collect();
-        let mut req_owner: HashMap<u64, u32> = HashMap::new();
-        let mut xfers: HashMap<u64, Xfer> = HashMap::new();
-        let mut next_req: u64 = 1;
-        let mut next_xfer: u64 = 1;
-        let retransmit_base = Duration::from_millis(u64::from(tuning.retransmit_ms.max(1)));
-
-        // Counters.
+        let plans = (0..pool.slots.len())
+            .map(|w| {
+                let kill = faults.kill_for(w as u32);
+                // Each injected kill fires once per executor lifetime.
+                let arm = kill.filter(|k| !self.kills_armed.contains(&k.worker));
+                if let Some(k) = arm {
+                    self.kills_armed.push(k.worker);
+                }
+                SlotPlan {
+                    epoch: pool.slots[w].epoch,
+                    kill_after: arm.map(|k| k.after_tasks),
+                    respawn: kill.is_some_and(|k| k.respawn),
+                }
+            })
+            .collect();
+        let mut state =
+            PhaseState::new(self.phase, spec, *work, stop, plans, faults, Instant::now());
         let mut sent = 0u64;
-        let mut received = 0u64;
-        let mut steal_attempts = 0u64;
-        let mut steal_hits = 0u64;
-        let mut steal_misses = 0u64;
-        let mut steal_unresolved = 0u64;
-        let mut transferred = 0u64;
-        let mut retransmissions = 0u64;
-        let mut msgs_dropped = 0u64;
-        let mut recovered = 0u64;
-        let mut reexecuted = 0u64;
-        let mut done_unique = 0u64;
-        let mut done_dup = 0u64;
-        let mut done_dropped = 0u64;
-        let mut done_frames = 0u64;
-        let mut done_results = 0u64;
-        let mut acks_sent = 0u64;
-        let mut acks_dropped = 0u64;
-        let mut grants = 0u64;
-        let mut grants_seen = 0u64;
-        let mut orphan_grants = 0u64;
-        let mut denies = 0u64;
-        let mut needwork_seen = 0u64;
-        let mut stale_done = 0u64;
-
-        // Arm injected kills (each fires once per executor lifetime).
-        let mut kill_after: Vec<Option<u64>> = vec![None; p];
-        for k in &faults.kills {
-            let w = k.worker;
-            if (w as usize) < p && !self.kills_armed.contains(&w) {
-                kill_after[w as usize] = Some(k.after_tasks);
-                self.kills_armed.push(w);
-                self.respawn_policy.insert(w, k.respawn);
-            }
+        // Each worker's `Init` is written before the next one is built.
+        for w in 0..pool.slots.len() {
+            state.kickoff(w);
+            pool.apply(&mut state.effects, &mut sent)?;
         }
 
-        // Phase kickoff: every worker gets its initial queue.
-        for w in 0..p {
-            let tasks = spec.assignment[w].clone();
-            queue_est[w] = tasks.len() as i64;
-            let init = Msg::Init {
-                phase,
-                worker: w as u32,
-                n_workers: p as u32,
-                epoch: pool.slots[w].epoch,
-                kind: work.kind.to_string(),
-                blob: work.blob.to_vec(),
-                tasks,
-                amount,
-                kill_after: kill_after[w],
-            };
-            if let Some(writer) = pool.slots[w].writer.as_mut() {
-                send_counted(writer, &init, &mut sent)
-                    .map_err(|e| ExecError::Transport(e.to_string()))?;
-            }
-        }
-
-        let t_start = Instant::now();
-        let deadline = t_start + Duration::from_millis(u64::from(tuning.phase_timeout_ms));
-        let tick = Duration::from_millis(u64::from(tuning.retransmit_ms.max(2)) / 2);
-        let mut stopped = false;
-
-        'phase: while done_count < n && !stopped {
+        let deadline =
+            Instant::now() + Duration::from_millis(self.opts.tuning.phase_timeout_ms.into());
+        'phase: while state.done_count < spec.n_tasks {
             if Instant::now() > deadline {
                 return Err(ExecError::DeadlineExceeded {
-                    executed: done_count,
-                    total: n,
+                    executed: state.done_count,
+                    total: spec.n_tasks,
                 });
             }
-
             // Collect at least one event (or a tick), then drain.
-            let mut batch: Vec<Event> = Vec::new();
-            match pool.events.recv_timeout(tick) {
-                Ok(ev) => batch.push(ev),
-                Err(RecvTimeoutError::Timeout) => {}
+            let first = match pool.events.recv_timeout(ASSIGN_RETRANSMIT_BASE / 2) {
+                Ok(ev) => Some(ev),
+                Err(RecvTimeoutError::Timeout) => None,
                 Err(RecvTimeoutError::Disconnected) => {
                     return Err(ExecError::Transport(
                         "event channel closed (accept thread died)".into(),
                     ));
                 }
-            }
-            loop {
-                match pool.events.try_recv() {
-                    Ok(ev) => batch.push(ev),
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => break,
-                }
-            }
-
+            };
+            let batch: Vec<Event> = first.into_iter().chain(pool.events.try_iter()).collect();
             for ev in batch {
-                match ev {
-                    Event::Conn { conn, writer } => {
-                        pool.unbound.insert(conn, writer);
-                    }
-                    Event::Gone { conn } => {
-                        pool.unbound.remove(&conn);
-                        let Some(w) = pool
-                            .slots
-                            .iter()
-                            .position(|s| s.conn == Some(conn) && s.alive)
-                        else {
-                            continue;
-                        };
-                        // ---- crash recovery (TLA+ WorkerCrash/RecoverTasks) ----
-                        pool.slots[w].alive = false;
-                        pool.slots[w].conn = None;
-                        pool.slots[w].writer = None;
-                        deaths.push(w);
-                        dead_at[w] = Some(Instant::now());
-                        busy_committed[w] += busy_live[w];
-                        busy_live[w] = 0;
-                        comm_committed[w] += comm_live[w];
-                        comm_live[w] = 0;
-                        // Results the dead process executed but never got
-                        // credited for are lost and will run again. The
-                        // worker piggybacks its executed count on `Done`,
-                        // but an injected kill dies *without* reporting
-                        // its last task — for those we know the true count
-                        // by construction (`after_tasks`).
-                        if let Some(k) = kill_after[w] {
-                            claimed[w] = claimed[w].max(k);
-                        }
-                        reexecuted += claimed[w].saturating_sub(u64::from(credited[w]));
-                        claimed[w] = 0;
-                        queue_est[w] = 0;
-                        // Orphans: everything the dead worker still owned,
-                        // plus in-flight transfers headed its way.
-                        let mut orphans: Vec<u32> = (0..n as u32)
-                            .filter(|&t| !done[t as usize] && owner[t as usize] == w as u32)
-                            .collect();
-                        let dead_xfers: Vec<u64> = xfers
-                            .iter()
-                            .filter(|(_, x)| x.dest == w as u32)
-                            .map(|(&id, _)| id)
-                            .collect();
-                        for id in dead_xfers {
-                            #[allow(clippy::expect_used)] // key collected from the same map above
-                            let x = xfers.remove(&id).expect("xfer id present");
-                            orphans.extend(x.tasks);
-                        }
-                        orphans.sort_unstable();
-                        orphans.dedup();
-                        recovered += orphans.len() as u64;
-                        // Cancel steal chains touching the dead worker.
-                        // Cancelled asks resolve to neither Grant nor
-                        // Deny; they settle as `unresolved` so the steal
-                        // ledger still closes exactly.
-                        if let Some(infl) = inflight[w].take() {
-                            req_owner.remove(&infl.req);
-                            steal_unresolved += 1;
-                        }
-                        for th in 0..p {
-                            if let Some(infl) = &inflight[th] {
-                                if infl.victim == w as u32 {
-                                    req_owner.remove(&infl.req);
-                                    inflight[th] = None;
-                                    fail_streak[th] += 1;
-                                    steal_unresolved += 1;
-                                }
-                            }
-                        }
-                        let respawn = self
-                            .respawn_policy
-                            .get(&(w as u32))
-                            .copied()
-                            .unwrap_or(false);
-                        if respawn {
-                            let epoch = pool.slots[w].epoch + 1;
-                            Self::spawn_slot(pool, &self.opts.spawn, w, epoch)
-                                .map_err(|e| ExecError::Transport(e.to_string()))?;
-                            pending_init[w] = Some(orphans);
-                        } else if !orphans.is_empty() {
-                            // Redistribute to the least-loaded survivor.
-                            if let Some(dest) = (0..p)
-                                .filter(|&v| pool.slots[v].alive)
-                                .min_by_key(|&v| queue_est[v])
-                            {
-                                for &t in &orphans {
-                                    owner[t as usize] = IN_TRANSFER;
-                                }
-                                queue_est[dest] += orphans.len() as i64;
-                                let id = next_xfer;
-                                next_xfer += 1;
-                                let msg = Msg::Assign {
-                                    phase,
-                                    xfer: id,
-                                    tasks: orphans.clone(),
-                                };
-                                if let Some(writer) = pool.slots[dest].writer.as_mut() {
-                                    let _ = send_counted(writer, &msg, &mut sent);
-                                }
-                                xfers.insert(
-                                    id,
-                                    Xfer {
-                                        dest: dest as u32,
-                                        tasks: orphans,
-                                        next: Instant::now() + retransmit_base,
-                                        backoff: retransmit_base,
-                                        sends: 1,
-                                    },
-                                );
-                            } else if let Some(v) = (0..p).find(|&v| pending_init[v].is_some()) {
-                                // No slot is alive this instant, but one is
-                                // mid-respawn (spawned, Hello pending): park
-                                // the orphans in its pending queue instead
-                                // of aborting — the replacement adopts them
-                                // on arrival, like its own slot's orphans.
-                                #[allow(clippy::expect_used)] // gated on is_some above
-                                let parked =
-                                    pending_init[v].as_mut().expect("pending respawn queue");
-                                parked.extend(orphans);
-                                parked.sort_unstable();
-                                parked.dedup();
-                            } else {
-                                return Err(ExecError::WorkerPanic {
-                                    workers: deaths.clone(),
-                                    message: "all worker processes died".into(),
-                                    missing: n - done_count,
-                                });
-                            }
-                        } else if pool.slots.iter().all(|s| !s.alive)
-                            && pending_init.iter().all(|q| q.is_none())
-                            && done_count < n
-                        {
-                            return Err(ExecError::WorkerPanic {
-                                workers: deaths.clone(),
-                                message: "all worker processes died".into(),
-                                missing: n - done_count,
-                            });
-                        }
-                    }
-                    Event::Msg { conn, msg } => {
-                        received += 1;
-                        match msg {
-                            Msg::Hello { worker, epoch, .. } => {
-                                let Some(w) = pool.bind_hello(conn, worker, epoch) else {
-                                    continue;
-                                };
-                                if let Some(t) = dead_at[w].take() {
-                                    dead_ns[w] += t.elapsed().as_nanos() as u64;
-                                }
-                                // Respawned worker: hand it the recovered
-                                // queue.
-                                if let Some(tasks) = pending_init[w].take() {
-                                    queue_est[w] = tasks.len() as i64;
-                                    for &t in &tasks {
-                                        owner[t as usize] = w as u32;
-                                    }
-                                    let init = Msg::Init {
-                                        phase,
-                                        worker,
-                                        n_workers: p as u32,
-                                        epoch,
-                                        kind: work.kind.to_string(),
-                                        blob: work.blob.to_vec(),
-                                        tasks,
-                                        amount,
-                                        kill_after: None,
-                                    };
-                                    #[allow(clippy::expect_used)] // bound just above
-                                    let writer =
-                                        pool.slots[w].writer.as_mut().expect("writer bound");
-                                    send_counted(writer, &init, &mut sent)
-                                        .map_err(|e| ExecError::Transport(e.to_string()))?;
-                                }
-                            }
-                            Msg::Done {
-                                phase: ph,
-                                seq,
-                                executed,
-                                busy_ns,
-                                comm_ns,
-                                results: batch,
-                            } => {
-                                let Some(w) = pool
-                                    .slots
-                                    .iter()
-                                    .position(|s| s.conn == Some(conn) && s.alive)
-                                else {
-                                    continue;
-                                };
-                                done_frames += 1;
-                                if ph != phase {
-                                    // Left over from an abandoned phase:
-                                    // ack so the worker quiesces.
-                                    done_results += batch.len() as u64;
-                                    stale_done += batch.len() as u64;
-                                    if let Some(writer) = pool.slots[w].writer.as_mut() {
-                                        acks_sent += 1;
-                                        let _ = send_counted(
-                                            writer,
-                                            &Msg::DoneAck { phase: ph, seq },
-                                            &mut sent,
-                                        );
-                                    }
-                                    continue;
-                                }
-                                claimed[w] = claimed[w].max(executed);
-                                busy_live[w] = busy_live[w].max(busy_ns);
-                                comm_live[w] = comm_live[w].max(comm_ns);
-                                if done_coin.flip() {
-                                    // Injected receive-side loss of the
-                                    // whole frame: the worker's retransmit
-                                    // must recover it.
-                                    msgs_dropped += 1;
-                                    done_dropped += 1;
-                                    continue;
-                                }
-                                done_results += batch.len() as u64;
-                                let arrived_ns = t_start.elapsed().as_nanos() as u64;
-                                let mut dup_in_frame = false;
-                                let mut stop_now = false;
-                                for (task, result) in batch {
-                                    let t = task as usize;
-                                    if t >= n {
-                                        continue;
-                                    }
-                                    if done[t] {
-                                        // At-least-once delivery observed
-                                        // (or a task repeated inside the
-                                        // batch); exactly-once recording
-                                        // holds here.
-                                        done_dup += 1;
-                                        dup_in_frame = true;
-                                        continue;
-                                    }
-                                    done[t] = true;
-                                    done_count += 1;
-                                    done_unique += 1;
-                                    executed_by[t] = w as u32;
-                                    owner[t] = w as u32;
-                                    credited[w] += 1;
-                                    queue_est[w] = (queue_est[w] - 1).max(0);
-                                    finish_ns[w] = arrived_ns;
-                                    // Once the hook fires the phase is over;
-                                    // what this frame still carries arrived
-                                    // with the winner and is recorded too.
-                                    stop_now =
-                                        stop_now || stop.is_some_and(|hook| hook(task, &result));
-                                    results[t] = Some(result);
-                                }
-                                retransmissions += u64::from(dup_in_frame);
-                                if ack_coin.flip() {
-                                    // Injected ack loss: the worker will
-                                    // redeliver and hit the dedup path.
-                                    msgs_dropped += 1;
-                                    acks_dropped += 1;
-                                } else if let Some(writer) = pool.slots[w].writer.as_mut() {
-                                    acks_sent += 1;
-                                    let _ = send_counted(
-                                        writer,
-                                        &Msg::DoneAck { phase, seq },
-                                        &mut sent,
-                                    );
-                                }
-                                if stop_now {
-                                    stopped = true;
-                                    for slot in pool.slots.iter_mut() {
-                                        if let Some(writer) = slot.writer.as_mut() {
-                                            let _ = send_counted(
-                                                writer,
-                                                &Msg::Cancel { phase },
-                                                &mut sent,
-                                            );
-                                        }
-                                    }
-                                    continue 'phase;
-                                }
-                            }
-                            Msg::NeedWork { phase: ph, worker } => {
-                                needwork_seen += 1;
-                                let w = worker as usize;
-                                if ph != phase
-                                    || w >= p
-                                    || policy.is_none()
-                                    || !pool.slots[w].alive
-                                    || pool.slots[w].conn != Some(conn)
-                                    || inflight[w].is_some()
-                                    || done_count >= n
-                                {
-                                    continue;
-                                }
-                                #[allow(clippy::expect_used)] // gated on is_none above
-                                let pol = policy.expect("steal policy");
-                                let candidates: Vec<usize> = pol
-                                    .round_victims_adaptive(w, &mesh, &mut rng, fail_streak[w])
-                                    .into_iter()
-                                    .filter(|&v| v != w && pool.slots[v].alive && queue_est[v] >= 2)
-                                    .collect();
-                                let Some((&victim, rest)) = candidates.split_first() else {
-                                    fail_streak[w] += 1;
-                                    continue;
-                                };
-                                let req = next_req;
-                                next_req += 1;
-                                steal_attempts += 1;
-                                req_owner.insert(req, w as u32);
-                                inflight[w] = Some(Inflight {
-                                    req,
-                                    victim: victim as u32,
-                                    fallbacks: rest.to_vec(),
-                                });
-                                if let Some(writer) = pool.slots[victim].writer.as_mut() {
-                                    let _ = send_counted(
-                                        writer,
-                                        &Msg::StealAsk {
-                                            phase,
-                                            req,
-                                            thief: w as u32,
-                                        },
-                                        &mut sent,
-                                    );
-                                }
-                            }
-                            Msg::Grant {
-                                phase: ph,
-                                req,
-                                tasks,
-                            } => {
-                                if ph != phase {
-                                    continue;
-                                }
-                                grants_seen += 1;
-                                if faults.kill_thief_mid_steal == Some(grants_seen) {
-                                    // Injected mid-steal thief death: sever
-                                    // the thief's socket (the loop observes
-                                    // the real EOF later) and cancel its ask
-                                    // exactly as crash recovery would have —
-                                    // the Grant below then takes the
-                                    // orphaned-grant path.
-                                    if let Some(&th) = req_owner.get(&req) {
-                                        let th = th as usize;
-                                        if let Some(writer) = pool.slots[th].writer.as_ref() {
-                                            writer.shutdown();
-                                        }
-                                        req_owner.remove(&req);
-                                        inflight[th] = None;
-                                        steal_unresolved += 1;
-                                    }
-                                }
-                                let thief = req_owner.remove(&req);
-                                if thief.is_none() {
-                                    // The requesting thief crashed between
-                                    // StealAsk and this Grant (crash recovery
-                                    // cancelled the req). The victim has
-                                    // already shed these tasks, so ownership
-                                    // MUST land at the coordinator anyway or
-                                    // they would never run (NoTaskLoss); the
-                                    // cancelled ask settled after all, so the
-                                    // steal ledger moves it from unresolved
-                                    // to granted. A Grant whose *victim* is
-                                    // already gone is dropped instead: its
-                                    // death swept the shed tasks via owner[].
-                                    if pool.slots.iter().any(|s| s.conn == Some(conn) && s.alive) {
-                                        orphan_grants += 1;
-                                        steal_unresolved = steal_unresolved.saturating_sub(1);
-                                    } else {
-                                        continue;
-                                    }
-                                }
-                                grants += 1;
-                                steal_hits += 1;
-                                let victim = match thief {
-                                    Some(th) => {
-                                        let th = th as usize;
-                                        fail_streak[th] = 0;
-                                        inflight[th].take().map_or(u32::MAX, |i| i.victim)
-                                    }
-                                    // Orphaned grant: the sender is the victim.
-                                    None => pool
-                                        .slots
-                                        .iter()
-                                        .position(|s| s.conn == Some(conn) && s.alive)
-                                        .map_or(u32::MAX, |v| v as u32),
-                                };
-                                if (victim as usize) < p {
-                                    queue_est[victim as usize] =
-                                        (queue_est[victim as usize] - tasks.len() as i64).max(0);
-                                }
-                                let live_tasks: Vec<u32> = tasks
-                                    .into_iter()
-                                    .filter(|&t| (t as usize) < n && !done[t as usize])
-                                    .collect();
-                                if live_tasks.is_empty() {
-                                    continue;
-                                }
-                                // Destination: the thief, or for an orphaned
-                                // grant the least-loaded live worker (the
-                                // live victim guarantees one exists).
-                                let Some(dest) = thief.or_else(|| {
-                                    (0..p)
-                                        .filter(|&v| pool.slots[v].alive)
-                                        .min_by_key(|&v| queue_est[v])
-                                        .map(|v| v as u32)
-                                }) else {
-                                    continue;
-                                };
-                                let dst = dest as usize;
-                                transferred += live_tasks.len() as u64;
-                                for &t in &live_tasks {
-                                    owner[t as usize] = IN_TRANSFER;
-                                }
-                                queue_est[dst] += live_tasks.len() as i64;
-                                let id = next_xfer;
-                                next_xfer += 1;
-                                let mut x = Xfer {
-                                    dest,
-                                    tasks: live_tasks,
-                                    next: Instant::now() + retransmit_base,
-                                    backoff: retransmit_base,
-                                    sends: 0,
-                                };
-                                if assign_coin.flip() {
-                                    // Injected send-side loss: the
-                                    // retransmit timer must recover it.
-                                    msgs_dropped += 1;
-                                } else if pool.slots[dst].alive {
-                                    let msg = Msg::Assign {
-                                        phase,
-                                        xfer: id,
-                                        tasks: x.tasks.clone(),
-                                    };
-                                    if let Some(writer) = pool.slots[dst].writer.as_mut() {
-                                        let _ = send_counted(writer, &msg, &mut sent);
-                                        x.sends = 1;
-                                    }
-                                }
-                                xfers.insert(id, x);
-                            }
-                            Msg::Deny { phase: ph, req } => {
-                                if ph != phase {
-                                    continue;
-                                }
-                                let Some(thief) = req_owner.remove(&req) else {
-                                    continue;
-                                };
-                                denies += 1;
-                                steal_misses += 1;
-                                let th = thief as usize;
-                                let Some(mut infl) = inflight[th].take() else {
-                                    continue;
-                                };
-                                // Walk the round's remaining candidates.
-                                let next_victim = loop {
-                                    let Some(v) = infl.fallbacks.first().copied() else {
-                                        break None;
-                                    };
-                                    infl.fallbacks.remove(0);
-                                    if pool.slots[v].alive && queue_est[v] >= 2 {
-                                        break Some(v);
-                                    }
-                                };
-                                match next_victim {
-                                    Some(v) => {
-                                        let req = next_req;
-                                        next_req += 1;
-                                        steal_attempts += 1;
-                                        req_owner.insert(req, thief);
-                                        infl.req = req;
-                                        infl.victim = v as u32;
-                                        inflight[th] = Some(infl);
-                                        if let Some(writer) = pool.slots[v].writer.as_mut() {
-                                            let _ = send_counted(
-                                                writer,
-                                                &Msg::StealAsk { phase, req, thief },
-                                                &mut sent,
-                                            );
-                                        }
-                                    }
-                                    None => {
-                                        fail_streak[th] += 1;
-                                    }
-                                }
-                            }
-                            Msg::AssignAck { phase: ph, xfer } => {
-                                if ph != phase {
-                                    continue;
-                                }
-                                if let Some(x) = xfers.remove(&xfer) {
-                                    for t in x.tasks {
-                                        if !done[t as usize] {
-                                            owner[t as usize] = x.dest;
-                                        }
-                                    }
-                                }
-                            }
-                            Msg::Fatal { worker, message } => {
-                                return Err(ExecError::WorkerPanic {
-                                    workers: vec![worker as usize],
-                                    message,
-                                    missing: n - done_count,
-                                });
-                            }
-                            // Coordinator-bound protocol has no other
-                            // worker→coordinator messages; ignore strays.
-                            _ => {}
-                        }
-                    }
+                match pool.route(ev) {
+                    Some(Routed::Lost(w)) => state.lost(w, Instant::now())?,
+                    Some(Routed::Msg(from, msg)) => state.on_msg(from, msg, Instant::now())?,
+                    None => {}
+                }
+                pool.apply(&mut state.effects, &mut sent)?;
+                if state.stopped {
+                    // The stop hook fired: the rest of the batch is moot.
+                    break 'phase;
                 }
             }
-
-            // Retransmit timer: every unacked transfer past its deadline
-            // is resent with doubled backoff (capped at 16× base). This is
-            // the recovery path for fault-suppressed or lost `Assign`s.
-            let now = Instant::now();
-            for (&id, x) in xfers.iter_mut() {
-                if now < x.next {
-                    continue;
-                }
-                let dest = x.dest as usize;
-                if dest < p && pool.slots[dest].alive {
-                    let msg = Msg::Assign {
-                        phase,
-                        xfer: id,
-                        tasks: x.tasks.clone(),
-                    };
-                    if let Some(writer) = pool.slots[dest].writer.as_mut() {
-                        let _ = send_counted(writer, &msg, &mut sent);
-                        retransmissions += 1;
-                        x.sends += 1;
-                    }
-                }
-                x.backoff = (x.backoff * 2).min(retransmit_base * 16);
-                x.next = now + x.backoff;
-            }
+            state.tick(Instant::now());
+            pool.apply(&mut state.effects, &mut sent)?;
         }
-
-        // Asks still in flight at quiescence resolve to neither a Grant
-        // nor a Deny — the phase completed before the victim answered.
-        // Settle them as `unresolved` so the message-conservation ledger
-        // closes exactly: requests == grants + denials + unresolved.
-        steal_unresolved += inflight.iter().filter(|i| i.is_some()).count() as u64;
-
-        // ---- report assembly ----
-        let makespan = t_start.elapsed().as_nanos() as u64;
-        for w in 0..p {
-            if let Some(t) = dead_at[w] {
-                dead_ns[w] += t.elapsed().as_nanos() as u64;
-            }
-        }
-        let mut per_pe_stolen = vec![0u32; p];
-        for t in 0..n {
-            if done[t] && executed_by[t] != initial_owner[t] {
-                per_pe_stolen[executed_by[t] as usize] += 1;
-            }
-        }
-        let per_pe_busy: Vec<u64> = (0..p).map(|w| busy_committed[w] + busy_live[w]).collect();
-        // Where each worker's share of the phase wall went: tasks, frame
-        // sends (as of its last `Done`), and the rest — waiting for work,
-        // acks or the other workers.
-        let per_pe_comm: Vec<u64> = (0..p).map(|w| comm_committed[w] + comm_live[w]).collect();
-        let per_pe_idle: Vec<u64> = (0..p)
-            .map(|w| makespan.saturating_sub(per_pe_busy[w] + per_pe_comm[w]))
-            .collect();
-        let sum_max = |v: &[u64]| (v.iter().sum::<u64>(), v.iter().copied().max().unwrap_or(0));
-        let (busy_sum, busy_max) = sum_max(&per_pe_busy);
-        let (comm_sum, comm_max) = sum_max(&per_pe_comm);
-        let (idle_sum, idle_max) = sum_max(&per_pe_idle);
-        let mut report = ExecReport {
-            makespan,
-            per_pe_busy,
-            per_pe_finish: finish_ns,
-            per_pe_executed: credited.clone(),
-            per_pe_stolen_executed: per_pe_stolen,
-            executed_by,
-            steal_attempts,
-            steal_hits,
-            steal_misses,
-            tasks_transferred: transferred,
-            messages: sent + received,
-            resilience: ResilienceStats {
-                retransmissions,
-                messages_dropped: msgs_dropped,
-                crashes: deaths.len() as u64,
-                tasks_recovered: recovered,
-                tasks_reexecuted: reexecuted,
-                per_pe_dead_time: dead_ns,
-                ..Default::default()
-            },
-            metrics: Default::default(),
-        };
-        let mut reg = MetricsRegistry::new();
-        reg.set_gauge("dist.workers", p as u64);
-        reg.set_gauge("dist.phase", u64::from(phase));
-        reg.set_gauge("dist.makespan_ns", makespan);
-        reg.inc("dist.msgs.sent", sent);
-        reg.inc("dist.msgs.received", received);
-        reg.inc("dist.msgs.done_unique", done_unique);
-        reg.inc("dist.msgs.done_dup", done_dup);
-        reg.inc("dist.msgs.done_dropped", done_dropped);
-        reg.inc("dist.msgs.done_frames", done_frames);
-        reg.inc("dist.msgs.done_results", done_results);
-        reg.inc("dist.msgs.ack_sent", acks_sent);
-        reg.inc("dist.msgs.ack_dropped", acks_dropped);
-        reg.inc("dist.msgs.grant", grants);
-        reg.inc("dist.msgs.deny", denies);
-        reg.inc("dist.msgs.needwork", needwork_seen);
-        reg.inc("dist.msgs.stale_done", stale_done);
-        reg.inc("dist.steal.requests", steal_attempts);
-        reg.inc("dist.steal.hits", steal_hits);
-        reg.inc("dist.steal.misses", steal_misses);
-        reg.inc("dist.steal.unresolved", steal_unresolved);
-        reg.inc("dist.steal.orphaned_grants", orphan_grants);
-        reg.inc("dist.time.busy_ns", busy_sum);
-        reg.inc("dist.time.busy_max_ns", busy_max);
-        reg.inc("dist.time.comm_ns", comm_sum);
-        reg.inc("dist.time.comm_max_ns", comm_max);
-        reg.inc("dist.time.idle_ns", idle_sum);
-        reg.inc("dist.time.idle_max_ns", idle_max);
-        reg.inc("dist.tasks.executed", done_unique);
-        reg.inc("dist.tasks.transferred", transferred);
-        reg.inc("dist.faults.crashes", report.resilience.crashes);
-        reg.inc("dist.faults.tasks_recovered", recovered);
-        reg.inc("dist.faults.tasks_reexecuted", reexecuted);
-        reg.inc("dist.faults.messages_dropped", msgs_dropped);
-        reg.inc("dist.faults.retransmissions", retransmissions);
-        report.metrics = reg.snapshot();
-
-        Ok(DistPartial {
-            results,
-            report,
-            stopped,
-        })
+        Ok(state.finish(Instant::now(), sent))
     }
 }
 
@@ -1332,7 +525,6 @@ mod tests {
         let mut exec = DistExecutor::new(DistOptions {
             tuning: DistTuning {
                 phase_timeout_ms: 2_000,
-                ..DistTuning::default()
             },
             spawn: SpawnMode::Threads(Arc::new(|| Box::new(SynthHandler::default()))),
             faults: DistFaultPlan::default(),
@@ -1370,18 +562,18 @@ mod tests {
             let out = exec
                 .execute_raw(&spec, &work)
                 .unwrap_or_else(|e| panic!("phase {phase}: {e}"));
-            for (t, bytes) in out.results.iter().enumerate() {
+            let (results, report) = out;
+            for (t, bytes) in results.iter().enumerate() {
                 let want = synth_work(t as u32, costs[t]).to_le_bytes();
                 assert_eq!(bytes.as_slice(), want.as_slice(), "task {t}");
             }
             // Static schedule: each task ran on the worker that owns it.
-            assert_eq!(out.report.executed_by, vec![0, 0, 0, 0, 1, 1, 1, 1]);
+            assert_eq!(report.executed_by, vec![0, 0, 0, 0, 1, 1, 1, 1]);
         }
         // First bind won: the newcomer was shut down, not left dangling.
-        if let DistStream::Unix(s) = &impostor {
-            s.set_read_timeout(Some(Duration::from_secs(5)))
-                .expect("set timeout");
-        }
+        impostor
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("set timeout");
         let mut byte = [0u8; 1];
         assert_eq!(impostor.read(&mut byte).expect("EOF, not a timeout"), 0);
     }

@@ -15,11 +15,7 @@
 //!   executing `after_tasks` tasks, *without* reporting the last result:
 //!   the worst case the crash-recovery path must mask;
 //! * **respawn** — whether the coordinator replaces a dead worker with a
-//!   fresh process (next epoch) or redistributes its queue to survivors;
-//! * **mid-steal thief kill** — sever the requesting thief's connection
-//!   at the instant its victim's `Grant` arrives, pinning the
-//!   orphaned-grant interleaving (thief dies between `StealAsk` and
-//!   `Grant`) that the coordinator must recover from for NoTaskLoss.
+//!   fresh process (next epoch) or redistributes its queue to survivors.
 
 /// Kill one worker process mid-phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,24 +43,9 @@ pub struct DistFaultPlan {
     pub delay_assign_permille: u16,
     /// Worker-process kills; each fires at most once per executor.
     pub kills: Vec<DistKill>,
-    /// Kill the requesting thief the moment the Nth `Grant` (1-based,
-    /// counted per phase) reaches the coordinator: its connection is
-    /// severed and its in-flight ask cancelled *before* the `Grant` is
-    /// processed, deterministically forcing the orphaned-grant recovery
-    /// path (PROTOCOL.md §3.1). `None` injects nothing.
-    pub kill_thief_mid_steal: Option<u64>,
 }
 
 impl DistFaultPlan {
-    /// True when the plan injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.drop_done_permille == 0
-            && self.drop_ack_permille == 0
-            && self.delay_assign_permille == 0
-            && self.kills.is_empty()
-            && self.kill_thief_mid_steal.is_none()
-    }
-
     /// The kill scheduled for `worker`, if any.
     pub fn kill_for(&self, worker: u32) -> Option<DistKill> {
         self.kills.iter().copied().find(|k| k.worker == worker)
@@ -153,9 +134,7 @@ mod tests {
             }],
             ..Default::default()
         };
-        assert!(!plan.is_empty());
         assert_eq!(plan.kill_for(2).unwrap().after_tasks, 3);
         assert!(plan.kill_for(0).is_none());
-        assert!(DistFaultPlan::default().is_empty());
     }
 }

@@ -2,20 +2,23 @@
 //!
 //! The multi-process [`crate::executor`] backend: a coordinator plus N worker
 //! *processes* exchanging length-prefixed, checksummed frames over Unix
-//! domain sockets (or TCP behind a flag). Layering, bottom-up:
+//! domain sockets. Layering, bottom-up:
 //!
 //! * [`wire`] — explicit little-endian field codec ([`wire::WireWriter`] /
 //!   [`wire::WireReader`]), `f64` as bit patterns for exact round-trips;
 //! * [`frame`] — `SMPD` magic, version, length prefix, FNV-1a checksum;
 //!   corrupt or truncated frames yield structured errors, never panics;
 //! * [`msg`] — the protocol message enum ([`msg::Msg`]), one per frame;
-//! * [`transport`] — Unix-socket / TCP rendezvous
-//!   ([`transport::Endpoint`], [`transport::DistListener`]);
+//! * [`transport`] — Unix-socket rendezvous ([`transport::Endpoint`],
+//!   [`transport::DistListener`]) and the frame reader thread both sides
+//!   use;
 //! * [`worker`] — the worker process loop ([`worker::run_worker`]) and the
 //!   [`worker::DistHandler`] trait that executes work kinds;
-//! * [`coordinator`] — [`coordinator::DistExecutor`]: ownership tracking,
-//!   steal brokering, retransmit-with-backoff, crash recovery and
-//!   respawn;
+//! * `phase` — the coordinator's protocol as an I/O-free state machine:
+//!   ownership tracking, steal brokering, retransmit timers, crash
+//!   recovery, one handler per protocol step;
+//! * [`coordinator`] — [`coordinator::DistExecutor`], the driver around
+//!   it: sockets, clock, worker processes and respawn;
 //! * [`fault`] — deterministic fault injection ([`fault::DistFaultPlan`])
 //!   mirroring the DES `FaultPlan` for real processes.
 //!
@@ -28,18 +31,18 @@ pub mod coordinator;
 pub mod fault;
 pub mod frame;
 pub mod msg;
+mod phase;
 pub mod transport;
 pub mod wire;
 pub mod worker;
 
 pub use coordinator::{
-    resolve_worker_cmd, DistExecutor, DistOptions, DistOutcome, DistPartial, DistTuning,
-    HandlerFactory, SpawnMode, WorkDesc,
+    resolve_worker_cmd, DistExecutor, DistOptions, DistTuning, HandlerFactory, SpawnMode, WorkDesc,
 };
 pub use fault::{DistFaultPlan, DistKill, FaultCoin};
 pub use frame::{FrameError, MAX_FRAME};
 pub use msg::Msg;
-pub use transport::{DistListener, DistStream, Endpoint, TransportKind};
+pub use transport::{DistListener, DistStream, Endpoint};
 pub use wire::{WireError, WireReader, WireWriter};
 pub use worker::{run_worker, synth_work, DistHandler, SynthHandler, WorkerExit, WorkerParams};
 
@@ -49,10 +52,8 @@ pub use worker::{run_worker, synth_work, DistHandler, SynthHandler, WorkerExit, 
 pub enum DistError {
     /// Socket / process I/O failed.
     Io(std::io::Error),
-    /// A frame was malformed (see [`FrameError`]).
+    /// A frame could not be written or read (see [`FrameError`]).
     Frame(FrameError),
-    /// A message payload was malformed (see [`WireError`]).
-    Wire(WireError),
     /// The peer violated the protocol (bad epoch, missing Hello, ...).
     Protocol(String),
     /// A worker process could not be spawned or found.
@@ -64,7 +65,6 @@ impl std::fmt::Display for DistError {
         match self {
             DistError::Io(e) => write!(f, "dist i/o error: {e}"),
             DistError::Frame(e) => write!(f, "dist framing error: {e}"),
-            DistError::Wire(e) => write!(f, "dist wire error: {e}"),
             DistError::Protocol(m) => write!(f, "dist protocol error: {m}"),
             DistError::Spawn(m) => write!(f, "dist spawn error: {m}"),
         }
@@ -73,26 +73,8 @@ impl std::fmt::Display for DistError {
 
 impl std::error::Error for DistError {}
 
-impl From<std::io::Error> for DistError {
-    fn from(e: std::io::Error) -> Self {
-        DistError::Io(e)
-    }
-}
-
 impl From<DistError> for crate::executor::ExecError {
     fn from(e: DistError) -> Self {
         crate::executor::ExecError::Transport(e.to_string())
-    }
-}
-
-impl From<FrameError> for DistError {
-    fn from(e: FrameError) -> Self {
-        DistError::Frame(e)
-    }
-}
-
-impl From<WireError> for DistError {
-    fn from(e: WireError) -> Self {
-        DistError::Wire(e)
     }
 }

@@ -204,25 +204,6 @@ impl Msg {
         }
     }
 
-    /// Short variant name for counters and logs.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Msg::Init { .. } => "Init",
-            Msg::Assign { .. } => "Assign",
-            Msg::StealAsk { .. } => "StealAsk",
-            Msg::DoneAck { .. } => "DoneAck",
-            Msg::Cancel { .. } => "Cancel",
-            Msg::Shutdown => "Shutdown",
-            Msg::Hello { .. } => "Hello",
-            Msg::Done { .. } => "Done",
-            Msg::NeedWork { .. } => "NeedWork",
-            Msg::Grant { .. } => "Grant",
-            Msg::Deny { .. } => "Deny",
-            Msg::AssignAck { .. } => "AssignAck",
-            Msg::Fatal { .. } => "Fatal",
-        }
-    }
-
     /// Encode into frame-payload bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
@@ -486,7 +467,7 @@ mod tests {
         for m in samples() {
             let enc = m.encode();
             for cut in 0..enc.len() {
-                assert!(Msg::decode(&enc[..cut]).is_err(), "{}: cut={cut}", m.name());
+                assert!(Msg::decode(&enc[..cut]).is_err(), "{m:?}: cut={cut}");
             }
         }
     }

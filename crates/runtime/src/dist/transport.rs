@@ -1,36 +1,18 @@
-//! Stream transports for the distributed backend.
+//! Unix-domain-socket transport for the distributed backend.
 //!
-//! Unix domain sockets are the default (lowest latency, no ports to leak);
-//! TCP on loopback is available behind [`TransportKind::Tcp`] for hosts
-//! without Unix-socket support or for future multi-host experiments. Both
-//! present the same blocking byte-stream interface, so the frame and
-//! protocol layers above are transport-agnostic.
+//! The coordinator binds a listener under the temp directory; workers
+//! connect to its printed [`Endpoint`]. Both sides see a blocking duplex
+//! byte stream ([`DistStream`]) and read it with one `spawn_reader`
+//! thread that turns frames into channel events.
 
 use std::fmt;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
+use std::sync::mpsc::Sender;
 
-/// Which transport carries the protocol frames.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TransportKind {
-    /// Unix domain sockets in the temp directory (default).
-    #[default]
-    Unix,
-    /// TCP on 127.0.0.1 with an OS-assigned port.
-    Tcp,
-}
-
-impl TransportKind {
-    /// Short display name (`"unix"` / `"tcp"`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            TransportKind::Unix => "unix",
-            TransportKind::Tcp => "tcp",
-        }
-    }
-}
+use super::frame::read_frame;
+use super::msg::Msg;
 
 /// A bound rendezvous address, printable and re-parseable so it can be
 /// handed to worker processes on the command line.
@@ -38,166 +20,95 @@ impl TransportKind {
 pub enum Endpoint {
     /// Path of a Unix domain socket.
     Unix(PathBuf),
-    /// TCP socket address (always loopback in this repo).
-    Tcp(SocketAddr),
 }
 
 impl fmt::Display for Endpoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Endpoint::Unix(p) => write!(f, "unix:{}", p.display()),
-            Endpoint::Tcp(a) => write!(f, "tcp:{a}"),
-        }
+        let Endpoint::Unix(p) = self;
+        write!(f, "unix:{}", p.display())
     }
 }
 
 impl Endpoint {
-    /// Parse the `unix:<path>` / `tcp:<addr>` syntax printed by `Display`.
+    /// Parse the `unix:<path>` syntax printed by `Display`.
     pub fn parse(s: &str) -> Result<Endpoint, String> {
-        if let Some(path) = s.strip_prefix("unix:") {
-            if path.is_empty() {
-                return Err("empty unix socket path".into());
-            }
-            return Ok(Endpoint::Unix(PathBuf::from(path)));
+        match s.strip_prefix("unix:") {
+            Some("") => Err("empty unix socket path".into()),
+            Some(path) => Ok(Endpoint::Unix(PathBuf::from(path))),
+            None => Err(format!("endpoint {s:?} must start with \"unix:\"")),
         }
-        if let Some(addr) = s.strip_prefix("tcp:") {
-            return addr
-                .parse::<SocketAddr>()
-                .map(Endpoint::Tcp)
-                .map_err(|e| format!("bad tcp address {addr:?}: {e}"));
-        }
-        Err(format!(
-            "endpoint {s:?} must start with \"unix:\" or \"tcp:\""
-        ))
     }
 
     /// Connect to this endpoint as a worker.
     pub fn connect(&self) -> io::Result<DistStream> {
-        match self {
-            Endpoint::Unix(p) => Ok(DistStream::Unix(UnixStream::connect(p)?)),
-            Endpoint::Tcp(a) => {
-                let s = TcpStream::connect(a)?;
-                s.set_nodelay(true)?;
-                Ok(DistStream::Tcp(s))
-            }
-        }
+        let Endpoint::Unix(p) = self;
+        UnixStream::connect(p)
     }
 }
 
-/// A connected duplex byte stream over either transport.
-#[derive(Debug)]
-pub enum DistStream {
-    /// Unix domain stream.
-    Unix(UnixStream),
-    /// TCP stream (nodelay enabled).
-    Tcp(TcpStream),
-}
+/// A connected duplex byte stream; `try_clone` it to read on one handle
+/// while writing on another.
+pub type DistStream = UnixStream;
 
-impl DistStream {
-    /// Clone the handle so one side can read while the other writes.
-    pub fn try_clone(&self) -> io::Result<DistStream> {
-        match self {
-            DistStream::Unix(s) => Ok(DistStream::Unix(s.try_clone()?)),
-            DistStream::Tcp(s) => Ok(DistStream::Tcp(s.try_clone()?)),
-        }
-    }
-
-    /// Shut down both directions, unblocking any reader on the peer.
-    pub fn shutdown(&self) {
-        match self {
-            DistStream::Unix(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-            DistStream::Tcp(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-        }
-    }
-}
-
-impl Read for DistStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            DistStream::Unix(s) => s.read(buf),
-            DistStream::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for DistStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            DistStream::Unix(s) => s.write(buf),
-            DistStream::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            DistStream::Unix(s) => s.flush(),
-            DistStream::Tcp(s) => s.flush(),
-        }
-    }
-}
-
-/// A bound listener over either transport. Unix sockets unlink their path
-/// on drop.
+/// A bound listener. Its socket path is removed on drop.
 #[derive(Debug)]
 pub enum DistListener {
-    /// Bound Unix listener plus its socket path (removed on drop).
+    /// Bound Unix listener plus its socket path.
     Unix(UnixListener, PathBuf),
-    /// Bound TCP listener.
-    Tcp(TcpListener),
 }
 
 impl DistListener {
-    /// Bind a fresh rendezvous point for `kind`.
-    ///
-    /// Unix sockets land in the temp directory under a pid-and-counter
-    /// unique name; TCP binds 127.0.0.1 with an OS-assigned port.
-    pub fn bind(kind: TransportKind) -> io::Result<DistListener> {
-        match kind {
-            TransportKind::Unix => {
-                use std::sync::atomic::{AtomicU64, Ordering};
-                static COUNTER: AtomicU64 = AtomicU64::new(0);
-                let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-                let path =
-                    std::env::temp_dir().join(format!("smp-dist-{}-{n}.sock", std::process::id()));
-                // A stale path from a crashed prior run would fail the bind.
-                let _ = std::fs::remove_file(&path);
-                Ok(DistListener::Unix(UnixListener::bind(&path)?, path))
-            }
-            TransportKind::Tcp => Ok(DistListener::Tcp(TcpListener::bind("127.0.0.1:0")?)),
-        }
+    /// Bind a fresh rendezvous point: a Unix socket in the temp directory
+    /// under a pid-and-counter unique name.
+    pub fn bind() -> io::Result<DistListener> {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static COUNTER: AtomicU64 = AtomicU64::new(0);
+        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
+        let path = std::env::temp_dir().join(format!("smp-dist-{}-{n}.sock", std::process::id()));
+        // A stale path from a crashed prior run would fail the bind.
+        let _ = std::fs::remove_file(&path);
+        Ok(DistListener::Unix(UnixListener::bind(&path)?, path))
     }
 
     /// The address workers should connect to.
-    pub fn endpoint(&self) -> io::Result<Endpoint> {
-        match self {
-            DistListener::Unix(_, path) => Ok(Endpoint::Unix(path.clone())),
-            DistListener::Tcp(l) => Ok(Endpoint::Tcp(l.local_addr()?)),
-        }
+    pub fn endpoint(&self) -> Endpoint {
+        let DistListener::Unix(_, path) = self;
+        Endpoint::Unix(path.clone())
     }
 
     /// Block until the next worker connects.
     pub fn accept(&self) -> io::Result<DistStream> {
-        match self {
-            DistListener::Unix(l, _) => Ok(DistStream::Unix(l.accept()?.0)),
-            DistListener::Tcp(l) => {
-                let (s, _) = l.accept()?;
-                s.set_nodelay(true)?;
-                Ok(DistStream::Tcp(s))
-            }
-        }
+        let DistListener::Unix(l, _) = self;
+        Ok(l.accept()?.0)
     }
 }
 
 impl Drop for DistListener {
     fn drop(&mut self) {
-        if let DistListener::Unix(_, path) = self {
-            let _ = std::fs::remove_file(path);
-        }
+        let DistListener::Unix(_, path) = self;
+        let _ = std::fs::remove_file(path);
     }
+}
+
+/// Read `stream` on a thread of its own, sending each decoded frame to
+/// `tx` as `wrap(Some(msg))`. End of stream, a bad frame or an undecodable
+/// message (a protocol-version mismatch) is sent once as `wrap(None)`;
+/// the thread then exits, as it does when the receiver hangs up.
+pub(crate) fn spawn_reader<E: Send + 'static>(
+    stream: DistStream,
+    tx: Sender<E>,
+    wrap: impl Fn(Option<Msg>) -> E + Send + 'static,
+) {
+    let mut reader = BufReader::new(stream);
+    std::thread::spawn(move || loop {
+        let msg = read_frame(&mut reader)
+            .ok()
+            .and_then(|payload| Msg::decode(&payload).ok());
+        let ended = msg.is_none();
+        if tx.send(wrap(msg)).is_err() || ended {
+            break;
+        }
+    });
 }
 
 #[cfg(test)]
@@ -208,38 +119,22 @@ mod tests {
     fn endpoint_display_parse_roundtrip() {
         let e = Endpoint::Unix(PathBuf::from("/tmp/x.sock"));
         assert_eq!(Endpoint::parse(&e.to_string()).unwrap(), e);
-        let e = Endpoint::Tcp("127.0.0.1:4520".parse().unwrap());
-        assert_eq!(Endpoint::parse(&e.to_string()).unwrap(), e);
         assert!(Endpoint::parse("unix:").is_err());
-        assert!(Endpoint::parse("tcp:nonsense").is_err());
+        assert!(Endpoint::parse("tcp:127.0.0.1:4520").is_err());
         assert!(Endpoint::parse("pigeon:coop").is_err());
     }
 
     #[test]
     fn unix_bind_connect_frame_roundtrip() {
-        use crate::dist::frame::{read_frame, write_frame};
-        let l = DistListener::bind(TransportKind::Unix).unwrap();
-        let ep = l.endpoint().unwrap();
+        use crate::dist::frame::write_frame;
+        let l = DistListener::bind().unwrap();
+        let ep = l.endpoint();
         let h = std::thread::spawn(move || {
             let mut s = ep.connect().unwrap();
             write_frame(&mut s, b"ping").unwrap();
         });
         let mut conn = l.accept().unwrap();
         assert_eq!(read_frame(&mut conn).unwrap(), b"ping");
-        h.join().unwrap();
-    }
-
-    #[test]
-    fn tcp_bind_connect_frame_roundtrip() {
-        use crate::dist::frame::{read_frame, write_frame};
-        let l = DistListener::bind(TransportKind::Tcp).unwrap();
-        let ep = l.endpoint().unwrap();
-        let h = std::thread::spawn(move || {
-            let mut s = ep.connect().unwrap();
-            write_frame(&mut s, b"pong").unwrap();
-        });
-        let mut conn = l.accept().unwrap();
-        assert_eq!(read_frame(&mut conn).unwrap(), b"pong");
         h.join().unwrap();
     }
 }

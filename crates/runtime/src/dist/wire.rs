@@ -94,16 +94,6 @@ impl WireWriter {
         self.buf
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Write a raw byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);

@@ -10,20 +10,19 @@
 //! exponential backoff until the coordinator's [`Msg::DoneAck`] echoes
 //! its `seq`). Exactly-once *recording* is the coordinator's job (dedup
 //! by task id); exactly-once *execution* holds per process because the
-//! local `done` set filters re-deliveries.
+//! local `enqueued` set filters re-delivered transfers.
 //!
-//! The loop is transport- and deployment-agnostic: `smp-dist-worker`
-//! (process mode) and the in-process thread workers used by the runtime
-//! tests both call [`run_worker`].
+//! The loop is deployment-agnostic: `smp-dist-worker` (process mode) and
+//! the in-process thread workers used by the runtime tests both call
+//! [`run_worker`].
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::BufReader;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use super::frame::{read_frame, write_frame, FrameError};
+use super::frame::{write_frame, FrameError};
 use super::msg::Msg;
-use super::transport::{DistStream, Endpoint};
+use super::transport::{spawn_reader, DistStream, Endpoint};
 use super::DistError;
 use crate::sim::StealAmount;
 
@@ -116,6 +115,9 @@ pub struct WorkerParams {
 const DONE_RETRANSMIT_BASE: Duration = Duration::from_millis(25);
 /// Retransmit backoff ceiling for unacked `Done`s.
 const DONE_RETRANSMIT_CAP: Duration = Duration::from_millis(400);
+/// The other direction: the coordinator's first retransmit delay for an
+/// unacked `Assign`, doubling per resend up to 16× (PROTOCOL.md §7).
+pub(super) const ASSIGN_RETRANSMIT_BASE: Duration = Duration::from_millis(20);
 /// Flush the pending `Done` batch once it holds this many results, ...
 const BATCH_MAX_RESULTS: usize = 64;
 /// ... or this many result bytes, ...
@@ -145,10 +147,9 @@ struct PhaseState {
     amount: StealAmount,
     kill_after: Option<u64>,
     queue: VecDeque<u32>,
-    /// Every task ever enqueued here (dedups retransmitted `Assign`s).
+    /// Every task ever enqueued here and not shed since (dedups
+    /// retransmitted `Assign`s).
     enqueued: HashSet<u32>,
-    /// Tasks this process already executed (exactly-once per process).
-    done: HashSet<u32>,
     /// Results executed but not yet sent, in execution order.
     pending: Vec<(u32, Vec<u8>)>,
     /// Result bytes held in `pending`.
@@ -168,11 +169,6 @@ struct PhaseState {
     executed: u64,
     /// Busy nanoseconds in this phase (piggybacked on `Done`).
     busy_ns: u64,
-}
-
-enum Inbound {
-    Msg(Msg),
-    Gone,
 }
 
 impl PhaseState {
@@ -251,7 +247,7 @@ pub fn run_worker(
     // process: shut the socket down explicitly so the coordinator observes
     // the same EOF a dead process would produce (and our own reader thread
     // unblocks).
-    socket.shutdown();
+    let _ = socket.shutdown(std::net::Shutdown::Both);
     match out {
         // Teardown races a worker mid-send: the coordinator closed the
         // socket on purpose, so a disconnect-kind write failure is the
@@ -285,30 +281,10 @@ fn run_worker_on(
     params: &WorkerParams,
     handler: &mut dyn DistHandler,
 ) -> Result<WorkerExit, DistError> {
-    let mut reader = BufReader::new(stream);
     let mut link = Link { writer, comm_ns: 0 };
-    let (tx, rx) = mpsc::channel::<Inbound>();
-    std::thread::spawn(move || loop {
-        match read_frame(&mut reader) {
-            Ok(payload) => match Msg::decode(&payload) {
-                Ok(msg) => {
-                    if tx.send(Inbound::Msg(msg)).is_err() {
-                        break;
-                    }
-                }
-                // An undecodable frame from our own coordinator is a
-                // protocol-version bug; drop the connection.
-                Err(_) => {
-                    let _ = tx.send(Inbound::Gone);
-                    break;
-                }
-            },
-            Err(_) => {
-                let _ = tx.send(Inbound::Gone);
-                break;
-            }
-        }
-    });
+    // `None`: the coordinator is gone (or spoke a frame we cannot decode).
+    let (tx, rx) = mpsc::channel::<Option<Msg>>();
+    spawn_reader(stream, tx, std::convert::identity);
 
     link.send(&Msg::Hello {
         worker: params.worker,
@@ -323,12 +299,12 @@ fn run_worker_on(
         // so steal requests and cancellations are honoured promptly.
         loop {
             match rx.try_recv() {
-                Ok(Inbound::Msg(msg)) => {
+                Ok(Some(msg)) => {
                     if let Some(exit) = handle_msg(msg, &mut phase, &mut link)? {
                         return Ok(exit);
                     }
                 }
-                Ok(Inbound::Gone) => return Ok(WorkerExit::CoordinatorGone),
+                Ok(None) => return Ok(WorkerExit::CoordinatorGone),
                 Err(mpsc::TryRecvError::Empty) => break,
                 Err(mpsc::TryRecvError::Disconnected) => return Ok(WorkerExit::CoordinatorGone),
             }
@@ -342,7 +318,6 @@ fn run_worker_on(
                     let result = handler.run(&ph.kind, &ph.blob, task);
                     ph.busy_ns += t0.elapsed().as_nanos() as u64;
                     ph.executed += 1;
-                    ph.done.insert(task);
                     match result {
                         Ok(bytes) => {
                             if ph.kill_after == Some(ph.executed) {
@@ -411,12 +386,12 @@ fn run_worker_on(
             .saturating_duration_since(Instant::now())
             .max(Duration::from_millis(1));
         match rx.recv_timeout(wait) {
-            Ok(Inbound::Msg(msg)) => {
+            Ok(Some(msg)) => {
                 if let Some(exit) = handle_msg(msg, &mut phase, &mut link)? {
                     return Ok(exit);
                 }
             }
-            Ok(Inbound::Gone) => return Ok(WorkerExit::CoordinatorGone),
+            Ok(None) => return Ok(WorkerExit::CoordinatorGone),
             Err(mpsc::RecvTimeoutError::Timeout) => {}
             Err(mpsc::RecvTimeoutError::Disconnected) => return Ok(WorkerExit::CoordinatorGone),
         }
@@ -454,7 +429,6 @@ fn handle_msg(
                 kill_after,
                 queue: tasks.into(),
                 enqueued,
-                done: HashSet::new(),
                 pending: Vec::new(),
                 pending_bytes: 0,
                 pending_since: Instant::now(),

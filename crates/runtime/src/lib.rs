@@ -42,10 +42,7 @@ pub mod steal;
 pub mod topology;
 
 pub use cancel::CancelToken;
-pub use dist::{
-    DistError, DistExecutor, DistFaultPlan, DistKill, DistOptions, DistOutcome, DistTuning,
-    TransportKind,
-};
+pub use dist::{DistError, DistExecutor, DistFaultPlan, DistKill, DistOptions, DistTuning};
 pub use executor::{Backend, ExecError, ExecReport, ExecSpec, RunStatus};
 pub use fault::{Crash, FaultPlan, Straggler};
 pub use live::{LiveControl, LiveExecutor, LiveOutcome, LivePartial, LiveTuning, ResilientOutcome};

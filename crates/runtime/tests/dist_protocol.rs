@@ -12,7 +12,7 @@ use smp_runtime::dist::{
     HandlerFactory, SpawnMode, SynthHandler, WorkDesc,
 };
 use smp_runtime::executor::{round_robin, ExecSpec};
-use smp_runtime::{StealAmount, StealConfig, StealPolicyKind};
+use smp_runtime::{ExecReport, RunStatus, StealAmount, StealConfig, StealPolicyKind};
 use std::sync::Arc;
 
 fn thread_opts(faults: DistFaultPlan) -> DistOptions {
@@ -43,7 +43,7 @@ fn run_synth(
     costs: &[u64],
     assignment: &[Vec<u32>],
     steal: Option<StealConfig>,
-) -> smp_runtime::dist::DistOutcome {
+) -> (Vec<Vec<u8>>, ExecReport) {
     let blob = synth_blob(costs);
     let spec = ExecSpec {
         n_tasks: costs.len(),
@@ -68,10 +68,10 @@ fn dist_executes_all_tasks_across_worker_counts() {
     let costs: Vec<u64> = (0..24).map(|t| 40_000 + t * 1_000).collect();
     for p in [1usize, 2, 4] {
         let mut exec = DistExecutor::new(thread_opts(DistFaultPlan::default()));
-        let out = run_synth(&mut exec, &costs, &round_robin(costs.len(), p), None);
-        assert_eq!(out.results, expected(&costs), "p={p}");
+        let (results, report) = run_synth(&mut exec, &costs, &round_robin(costs.len(), p), None);
+        assert_eq!(results, expected(&costs), "p={p}");
         assert_eq!(
-            out.report
+            report
                 .per_pe_executed
                 .iter()
                 .map(|&e| e as usize)
@@ -80,10 +80,10 @@ fn dist_executes_all_tasks_across_worker_counts() {
         );
         // Exactly-once: every task executed once, none lost.
         assert_eq!(
-            out.report.metrics.get("dist.msgs.done_unique"),
+            report.metrics.get("dist.msgs.done_unique"),
             Some(costs.len() as u64)
         );
-        assert_eq!(out.report.resilience.crashes, 0);
+        assert_eq!(report.resilience.crashes, 0);
     }
 }
 
@@ -94,11 +94,11 @@ fn dist_pool_persists_across_phases() {
     let costs: Vec<u64> = vec![60_000; 12];
     let mut exec = DistExecutor::new(thread_opts(DistFaultPlan::default()));
     let a = round_robin(costs.len(), 2);
-    let first = run_synth(&mut exec, &costs, &a, None);
-    let second = run_synth(&mut exec, &costs, &a, None);
-    assert_eq!(first.results, expected(&costs));
-    assert_eq!(second.results, first.results);
-    assert_eq!(second.report.metrics.get("dist.phase"), Some(2));
+    let (first, _) = run_synth(&mut exec, &costs, &a, None);
+    let (second, report) = run_synth(&mut exec, &costs, &a, None);
+    assert_eq!(first, expected(&costs));
+    assert_eq!(second, first);
+    assert_eq!(report.metrics.get("dist.phase"), Some(2));
 }
 
 #[test]
@@ -116,20 +116,20 @@ fn dist_steals_under_imbalance() {
         amount: StealAmount::Half,
     };
     let mut exec = DistExecutor::new(thread_opts(DistFaultPlan::default()));
-    let out = run_synth(&mut exec, &costs, &assignment, Some(steal));
-    assert_eq!(out.results, expected(&costs));
+    let (results, report) = run_synth(&mut exec, &costs, &assignment, Some(steal));
+    assert_eq!(results, expected(&costs));
     assert!(
-        out.report.tasks_transferred > 0,
+        report.tasks_transferred > 0,
         "expected ownership transfers, report: attempts={} hits={}",
-        out.report.steal_attempts,
-        out.report.steal_hits
+        report.steal_attempts,
+        report.steal_hits
     );
     assert_eq!(
-        out.report.steal_hits,
-        out.report.metrics.get("dist.steal.hits").unwrap_or(0)
+        report.steal_hits,
+        report.metrics.get("dist.steal.hits").unwrap_or(0)
     );
     // Stolen tasks really executed elsewhere.
-    let stolen: u32 = out.report.per_pe_stolen_executed.iter().sum();
+    let stolen: u32 = report.per_pe_stolen_executed.iter().sum();
     assert!(stolen > 0);
 }
 
@@ -140,7 +140,9 @@ fn dist_results_identical_under_message_faults() {
     // byte-identical to the fault-free run. The coins flip once per frame,
     // so the phase is sized in frames: 4 096 cheap tasks are at least 64
     // `Done` batches — each coin flips well over 30 times whatever the
-    // host's timing does to the batch boundaries.
+    // host's timing does to the batch boundaries. Whether a dropped ack's
+    // re-delivery beats the next batch is the host's call; the scripted
+    // `PhaseState` tests pin the dedup path itself.
     let costs: Vec<u64> = (0..4096).map(|t| 256 + t % 7).collect();
     let assignment = round_robin(costs.len(), 2);
     let steal = StealConfig {
@@ -149,7 +151,7 @@ fn dist_results_identical_under_message_faults() {
     };
 
     let mut clean = DistExecutor::new(thread_opts(DistFaultPlan::default()));
-    let baseline = run_synth(&mut clean, &costs, &assignment, Some(steal));
+    let (baseline, _) = run_synth(&mut clean, &costs, &assignment, Some(steal));
 
     let faults = DistFaultPlan {
         seed: 7,
@@ -157,21 +159,14 @@ fn dist_results_identical_under_message_faults() {
         drop_ack_permille: 330,
         delay_assign_permille: 500,
         kills: Vec::new(),
-        kill_thief_mid_steal: None,
     };
     let mut faulty = DistExecutor::new(thread_opts(faults));
-    let out = run_synth(&mut faulty, &costs, &assignment, Some(steal));
+    let (results, report) = run_synth(&mut faulty, &costs, &assignment, Some(steal));
 
-    assert_eq!(out.results, baseline.results);
-    let m = &out.report.metrics;
-    // The fault plan actually fired...
+    assert_eq!(results, baseline);
+    let m = &report.metrics;
+    // The fault plan actually fired, and every task was recorded once.
     assert!(m.get("dist.faults.messages_dropped").unwrap_or(0) > 0);
-    // ...and the recovery paths ran: dropped Dones were retransmitted,
-    // dropped acks produced duplicate deliveries that hit the dedup path.
-    assert!(
-        m.get("dist.msgs.done_dup").unwrap_or(0) > 0,
-        "dedup path never exercised"
-    );
     assert_eq!(m.get("dist.msgs.done_unique"), Some(costs.len() as u64));
 }
 
@@ -187,23 +182,23 @@ impl DistHandler for SlowSynth {
 
 #[test]
 fn dist_reports_results_in_batches() {
-    let m = |out: &smp_runtime::dist::DistOutcome, name: &str| out.report.metrics.expect(name);
+    let m = |report: &ExecReport, name: &str| report.metrics.expect(name);
 
     // Cheap tasks travel many to a frame: far fewer frames than tasks.
     let costs: Vec<u64> = vec![256; 2000];
     let mut exec = DistExecutor::new(thread_opts(DistFaultPlan::default()));
-    let out = run_synth(&mut exec, &costs, &round_robin(costs.len(), 2), None);
-    assert_eq!(out.results, expected(&costs));
-    assert_eq!(m(&out, "dist.msgs.done_unique"), 2000);
-    let received = m(&out, "dist.msgs.received");
+    let (results, report) = run_synth(&mut exec, &costs, &round_robin(costs.len(), 2), None);
+    assert_eq!(results, expected(&costs));
+    assert_eq!(m(&report, "dist.msgs.done_unique"), 2000);
+    let received = m(&report, "dist.msgs.received");
     assert!(
         received <= 2000 / 8,
         "{received} frames received for 2000 tasks: results are not batched"
     );
 
     // A batch of one still arrives: the queue-empty flush.
-    let one = run_synth(&mut exec, &[256], &[vec![0], vec![]], None);
-    assert_eq!(one.results, expected(&[256]));
+    let (one, _) = run_synth(&mut exec, &[256], &[vec![0], vec![]], None);
+    assert_eq!(one, expected(&[256]));
 
     // Tasks longer than the age limit are each reported as they finish —
     // every accepted frame carried exactly one result — so the stop hook
@@ -214,12 +209,12 @@ fn dist_reports_results_in_batches() {
         ..thread_opts(DistFaultPlan::default())
     });
     let costs: Vec<u64> = vec![256; 12];
-    let out = run_synth(&mut slow, &costs, &round_robin(costs.len(), 2), None);
-    assert_eq!(out.results, expected(&costs));
-    assert_eq!(m(&out, "dist.msgs.done_unique"), 12);
+    let (results, report) = run_synth(&mut slow, &costs, &round_robin(costs.len(), 2), None);
+    assert_eq!(results, expected(&costs));
+    assert_eq!(m(&report, "dist.msgs.done_unique"), 12);
     assert_eq!(
-        m(&out, "dist.msgs.done_results"),
-        m(&out, "dist.msgs.done_frames"),
+        m(&report, "dist.msgs.done_results"),
+        m(&report, "dist.msgs.done_frames"),
         "a frame carried more than one slow result"
     );
 }
@@ -232,7 +227,7 @@ fn dist_recovers_from_worker_kill_with_respawn() {
     let costs: Vec<u64> = vec![150_000; 20];
     let assignment = round_robin(costs.len(), 2);
     let mut clean = DistExecutor::new(thread_opts(DistFaultPlan::default()));
-    let baseline = run_synth(&mut clean, &costs, &assignment, None);
+    let (baseline, _) = run_synth(&mut clean, &costs, &assignment, None);
 
     let faults = DistFaultPlan {
         seed: 1,
@@ -244,24 +239,20 @@ fn dist_recovers_from_worker_kill_with_respawn() {
             after_tasks: 2,
             respawn: true,
         }],
-        kill_thief_mid_steal: None,
     };
     let mut exec = DistExecutor::new(thread_opts(faults));
-    let out = run_synth(&mut exec, &costs, &assignment, None);
+    let (results, report) = run_synth(&mut exec, &costs, &assignment, None);
 
-    assert_eq!(
-        out.results, baseline.results,
-        "digest identity across kill+respawn"
-    );
-    assert_eq!(out.report.resilience.crashes, 1);
-    assert!(out.report.resilience.tasks_recovered > 0);
+    assert_eq!(results, baseline, "digest identity across kill+respawn");
+    assert_eq!(report.resilience.crashes, 1);
+    assert!(report.resilience.tasks_recovered > 0);
     // The kill suppressed the final Done, so at least that task re-ran.
-    assert!(out.report.resilience.tasks_reexecuted >= 1);
+    assert!(report.resilience.tasks_reexecuted >= 1);
     // The kill is armed once: a second phase on the same executor runs
     // crash-free.
-    let again = run_synth(&mut exec, &costs, &assignment, None);
-    assert_eq!(again.results, baseline.results);
-    assert_eq!(again.report.resilience.crashes, 0);
+    let (again, report) = run_synth(&mut exec, &costs, &assignment, None);
+    assert_eq!(again, baseline);
+    assert_eq!(report.resilience.crashes, 0);
 }
 
 #[test]
@@ -271,7 +262,7 @@ fn dist_recovers_from_worker_kill_by_redistribution() {
     let costs: Vec<u64> = vec![150_000; 18];
     let assignment = round_robin(costs.len(), 3);
     let mut clean = DistExecutor::new(thread_opts(DistFaultPlan::default()));
-    let baseline = run_synth(&mut clean, &costs, &assignment, None);
+    let (baseline, _) = run_synth(&mut clean, &costs, &assignment, None);
 
     let faults = DistFaultPlan {
         seed: 2,
@@ -283,16 +274,15 @@ fn dist_recovers_from_worker_kill_by_redistribution() {
             after_tasks: 1,
             respawn: false,
         }],
-        kill_thief_mid_steal: None,
     };
     let mut exec = DistExecutor::new(thread_opts(faults));
-    let out = run_synth(&mut exec, &costs, &assignment, None);
+    let (results, report) = run_synth(&mut exec, &costs, &assignment, None);
 
-    assert_eq!(out.results, baseline.results);
-    assert_eq!(out.report.resilience.crashes, 1);
-    assert!(out.report.resilience.tasks_recovered > 0);
+    assert_eq!(results, baseline);
+    assert_eq!(report.resilience.crashes, 1);
+    assert!(report.resilience.tasks_recovered > 0);
     // The dead slot executed nothing after its credited task count reset.
-    assert_eq!(out.report.per_pe_executed.len(), 3);
+    assert_eq!(report.per_pe_executed.len(), 3);
 }
 
 #[test]
@@ -306,7 +296,7 @@ fn dist_survives_death_of_last_live_worker_during_respawn() {
     let costs: Vec<u64> = vec![400_000; 20];
     let assignment = round_robin(costs.len(), 2);
     let mut clean = DistExecutor::new(thread_opts(DistFaultPlan::default()));
-    let baseline = run_synth(&mut clean, &costs, &assignment, None);
+    let (baseline, _) = run_synth(&mut clean, &costs, &assignment, None);
 
     let faults = DistFaultPlan {
         seed: 11,
@@ -325,69 +315,18 @@ fn dist_survives_death_of_last_live_worker_during_respawn() {
                 respawn: false,
             },
         ],
-        kill_thief_mid_steal: None,
     };
     let mut exec = DistExecutor::new(thread_opts(faults));
-    let out = run_synth(&mut exec, &costs, &assignment, None);
+    let (results, report) = run_synth(&mut exec, &costs, &assignment, None);
 
-    assert_eq!(out.results, baseline.results, "digest identity");
-    assert_eq!(out.report.resilience.crashes, 2);
-    assert!(out.report.resilience.tasks_recovered > 0);
-}
-
-#[test]
-fn dist_recovers_orphaned_grant_when_thief_dies_mid_steal() {
-    // The thief dies between StealAsk and the victim's Grant: the victim
-    // has already shed the granted tasks, so the coordinator must take
-    // ownership of the orphaned Grant and re-home the tasks — dropping it
-    // would strand them (owner still the live victim, queue empty) and
-    // hang the phase until DeadlineExceeded, violating NoTaskLoss.
-    let costs: Vec<u64> = vec![51_200_000; 48];
-    let mut assignment = vec![Vec::new(); 2];
-    assignment[0] = (0..48u32).collect(); // worker 1 starts empty: instant thief
-    let steal = StealConfig {
-        policy: StealPolicyKind::RandK(1),
-        amount: StealAmount::Half,
-    };
-    let mut clean = DistExecutor::new(thread_opts(DistFaultPlan::default()));
-    let baseline = run_synth(&mut clean, &costs, &assignment, Some(steal));
-
-    let faults = DistFaultPlan {
-        seed: 5,
-        drop_done_permille: 0,
-        drop_ack_permille: 0,
-        delay_assign_permille: 0,
-        kills: Vec::new(),
-        kill_thief_mid_steal: Some(1),
-    };
-    let mut exec = DistExecutor::new(thread_opts(faults));
-    let out = run_synth(&mut exec, &costs, &assignment, Some(steal));
-
-    assert_eq!(out.results, baseline.results, "digest identity");
-    let m = &out.report.metrics;
-    assert_eq!(
-        m.get("dist.steal.orphaned_grants"),
-        Some(1),
-        "the orphaned-grant path must have run"
-    );
-    assert_eq!(out.report.resilience.crashes, 1, "the thief really died");
-    assert_eq!(m.get("dist.msgs.done_unique"), Some(costs.len() as u64));
-    // The steal ledger still closes: the cancelled ask settled as a grant.
-    let requests = m.get("dist.steal.requests").unwrap_or(0);
-    let hits = m.get("dist.steal.hits").unwrap_or(0);
-    let misses = m.get("dist.steal.misses").unwrap_or(0);
-    let unresolved = m.get("dist.steal.unresolved").unwrap_or(0);
-    assert_eq!(
-        requests,
-        hits + misses + unresolved,
-        "steal ledger must close: {requests} != {hits} + {misses} + {unresolved}"
-    );
-    assert_eq!(m.get("dist.msgs.grant"), Some(hits));
+    assert_eq!(results, baseline, "digest identity");
+    assert_eq!(report.resilience.crashes, 2);
+    assert!(report.resilience.tasks_recovered > 0);
 }
 
 #[test]
 fn dist_stop_hook_cancels_remaining_work() {
-    // Stop on the first recorded result: the phase reports `stopped` and
+    // Stop on the first recorded result: the phase reports `Cancelled` and
     // the results vector is partial (on one core the other tasks cannot
     // all have finished first).
     let costs: Vec<u64> = vec![400_000; 40];
@@ -413,7 +352,7 @@ fn dist_stop_hook_cancels_remaining_work() {
             Some(&stop),
         )
         .expect("stopped phase");
-    assert!(partial.stopped);
+    assert!(matches!(partial.status, RunStatus::Cancelled { .. }));
     let finished = partial.results.iter().filter(|r| r.is_some()).count();
     assert!(finished >= 1);
     assert!(finished < costs.len(), "stop hook should cancel the tail");
@@ -427,8 +366,8 @@ fn dist_stop_hook_cancels_remaining_work() {
         }
     }
     // The executor stays usable after a cancelled phase.
-    let full = run_synth(&mut exec, &costs, &assignment, None);
-    assert_eq!(full.results, expected(&costs));
+    let (full, _) = run_synth(&mut exec, &costs, &assignment, None);
+    assert_eq!(full, expected(&costs));
 }
 
 #[test]

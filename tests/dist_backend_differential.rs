@@ -157,7 +157,7 @@ fn crash_phase(exec: &mut DistExecutor, p: usize) -> smp::runtime::ExecReport {
         },
     )
     .expect("synth crash phase")
-    .report
+    .1
 }
 
 #[test]
@@ -237,7 +237,6 @@ fn dist_message_faults_do_not_change_the_digest() {
         drop_ack_permille: 330,
         delay_assign_permille: 500,
         kills: Vec::new(),
-        kill_thief_mid_steal: None,
     };
     let mut exec = process_exec(faults);
     let strategy = Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Hybrid(8)));
