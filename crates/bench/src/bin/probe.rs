@@ -7,8 +7,8 @@
 //! (load it in `chrome://tracing` or <https://ui.perfetto.dev>).
 //! `--metrics-out FILE` writes that run's flat metrics snapshot as CSV.
 //!
-//! `probe --replay FILE` re-executes a shrunk smp-check repro file (see
-//! `crates/check`): it runs the case twice, asserts the two runs are
+//! `probe --replay FILE` re-executes a shrunk smp-check DES repro file
+//! (see `crates/check`): it runs the case twice, asserts the two runs are
 //! bit-identical, and prints the oracle verdicts. Exit status 0 means
 //! every invariant held.
 //!
@@ -108,8 +108,13 @@ fn rrt_probe() {
 fn replay_probe(path: &str) {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read repro {path}: {e}"));
-    let spec =
+    let (spec, backend) =
         smp_check::repro::parse(&text).unwrap_or_else(|e| panic!("cannot parse repro {path}: {e}"));
+    assert!(
+        backend == smp_check::Backend::Des,
+        "{path} failed on the {} backend, which does not replay exactly; use smp-check --replay",
+        backend.name()
+    );
     println!(
         "replaying {path}: {} tasks on {} PEs ({}, steal {})",
         spec.num_tasks(),
@@ -129,7 +134,7 @@ fn replay_probe(path: &str) {
         _ => panic!("replay is not deterministic: one run failed, one succeeded"),
     }
     println!("determinism: two runs bit-identical");
-    let violations = smp_check::check_case(&spec);
+    let violations = smp_check::check_case(&spec, backend);
     if violations.is_empty() {
         println!("oracles: all satisfied");
     } else {

@@ -6,12 +6,14 @@
 //! random fault plans (stragglers, crashes, message loss and jitter), and
 //! a random schedule perturbation. The generator only emits *valid*
 //! configurations — every task assigned once, fault targets in range,
-//! never crashing all PEs — so any simulator rejection is a bug.
+//! never crashing all PEs — so any backend's rejection is a bug. The
+//! fault plan is drawn once, in the DES vocabulary, and lowered to the
+//! live and dist backends by [`CaseSpec`].
 
 use crate::case::{CaseSpec, MachineKind, SchedulePlan};
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
-use smp_runtime::{FaultPlan, LiveFaultPlan, StealAmount, StealConfig, StealPolicyKind, VTime};
+use smp_runtime::{FaultPlan, StealAmount, StealConfig, StealPolicyKind, VTime};
 
 /// Build the deterministic case for `seed`.
 pub fn generate_case(seed: u64) -> CaseSpec {
@@ -97,43 +99,6 @@ pub fn generate_case(seed: u64) -> CaseSpec {
     }
 }
 
-/// Build the deterministic **live** fault plan for `seed` against `p`
-/// workers — the wall-clock sibling of the DES plan baked into each
-/// [`CaseSpec`]. Always valid: injected panics target at most `p - 1`
-/// distinct workers (none at all when `p == 1`), sleeps are short enough
-/// to keep a whole smoke case under a few milliseconds, and grant-drop
-/// rates stay below certainty so thieves always make progress. ~35% of
-/// seeds produce a zero-fault plan, keeping the faulted sweep anchored to
-/// plain smoke behaviour.
-pub fn generate_live_fault_plan(seed: u64, p: usize) -> LiveFaultPlan {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x11F3_FA17_D00D_CAFE);
-    let mut plan = LiveFaultPlan::new(rng.next_u64());
-    if rng.random_bool(0.35) {
-        return plan; // zero-fault: the fault machinery armed but silent
-    }
-    if p >= 2 {
-        // panic at most p-1 distinct workers so a survivor always remains
-        let doomed = rng.random_range(0usize..p.min(3));
-        let mut victims: Vec<usize> = (0..p).collect();
-        for _ in 0..doomed {
-            let i = rng.random_range(0usize..victims.len());
-            let worker = victims.swap_remove(i);
-            plan = plan.with_panic(worker, rng.random_range(0usize..5));
-        }
-    }
-    for _ in 0..rng.random_range(0u32..3) {
-        plan = plan.with_straggler(
-            rng.random_range(0usize..p),
-            rng.random_range(20u64..300),
-            rng.random_range(1usize..4),
-        );
-    }
-    if rng.random_bool(0.4) {
-        plan = plan.with_grant_drop_rate(rng.random_range(0.0f64..0.5));
-    }
-    plan
-}
-
 fn generate_fault_plan(rng: &mut StdRng, p: usize) -> FaultPlan {
     let mut plan = FaultPlan::new(rng.next_u64());
     if rng.random_bool(0.4) {
@@ -204,38 +169,6 @@ mod tests {
                 case.fault.crashes.iter().map(|c| c.pe).collect();
             assert!(crashed.len() < p, "seed {seed}: all PEs crash");
         }
-    }
-
-    #[test]
-    fn live_fault_plans_are_deterministic_and_valid() {
-        for seed in 0..200u64 {
-            for p in 1..6usize {
-                let plan = generate_live_fault_plan(seed, p);
-                assert_eq!(
-                    plan,
-                    generate_live_fault_plan(seed, p),
-                    "seed {seed} p {p} not reproducible"
-                );
-                assert!(
-                    plan.validate(p).is_ok(),
-                    "seed {seed} p {p}: invalid live plan {plan:?}"
-                );
-                if p == 1 {
-                    assert!(plan.panics.is_empty(), "seed {seed}: panic with p = 1");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn live_fault_plans_cover_the_space() {
-        let plans: Vec<LiveFaultPlan> = (0..300u64)
-            .map(|s| generate_live_fault_plan(s, 6))
-            .collect();
-        assert!(plans.iter().any(|p| p.is_zero()));
-        assert!(plans.iter().any(|p| !p.panics.is_empty()));
-        assert!(plans.iter().any(|p| !p.stragglers.is_empty()));
-        assert!(plans.iter().any(|p| p.grant_drop_rate > 0.0));
     }
 
     #[test]

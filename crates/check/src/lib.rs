@@ -1,94 +1,70 @@
-//! # smp-check — schedule-exploration fuzzing for the DES
+//! # smp-check — one invariant sweep for all three backends
 //!
 //! The simulator promises determinism *given* an event order, but many
-//! legal orders exist whenever events tie on virtual time. This crate
-//! explores that space: it fuzzes the DES across thousands of randomized
-//! `(workload, placement, steal config, fault plan, schedule seed)`
-//! cases, perturbing equal-time tie-breaking through the runtime's
-//! [`ScheduleOracle`](smp_runtime::ScheduleOracle) hook, and checks an
-//! invariant-oracle catalog after every run:
+//! legal orders exist whenever events tie on virtual time; the live and
+//! dist backends take their order from the OS. This crate draws thousands
+//! of randomized `(workload, placement, steal config, fault plan, schedule
+//! seed)` cases ([`gen`]), runs each on one backend ([`backend`]) and
+//! checks one invariant catalog after every run ([`oracles`]):
 //!
-//! - **exactly_once** — every task executes exactly once, by a real PE
-//! - **ownership_at_quiescence** — queues drained, per-PE counters match
-//!   final ownership, crash accounting closes
-//! - **message_conservation** — sent = delivered + dropped + in-flight at
-//!   a crash
-//! - **monotone_time** — no event scheduled into the past; final time
-//!   covers the makespan
-//! - **differential_vs_sequential** — final counts match a 1-PE
-//!   no-fault FIFO baseline run
-//! - **steal_accounting** — steal traffic bookkeeping closes and batch
-//!   bounds hold
+//! - **Progress**, **NoTaskLoss**, **NoTaskDuplication** — the three
+//!   properties `specs/tla/StealProtocol.tla` model-checks, by name: the
+//!   run quiesces, every task ran on a real worker with the right result,
+//!   and none was credited twice
+//! - **ownership_at_quiescence** — per-worker counters match final
+//!   ownership, and crash accounting closes
+//! - **steal_accounting** — every steal request is settled once, batch
+//!   bounds hold, and stolen executions are backed by transfers
+//! - **message_conservation** — the DES delivery ledger and the dist wire
+//!   ledgers close exactly
+//! - **monotone_time**, **work_conservation** — DES virtual time never
+//!   runs backwards, and busy time equals the case's total cost
 //!
-//! Failures shrink greedily to a locally-minimal case and serialize to a
-//! line-oriented replay file (see [`repro`]) that both
-//! `smp-check --replay` and `probe --replay` re-execute
-//! deterministically.
+//! Every case carries its fault plan — stragglers, crashes, message loss
+//! and jitter, or none — in the DES vocabulary, lowered to worker panics
+//! and grant drops on live and to process kills and frame drops on dist.
+//! Each oracle checks the laws its backend gives evidence for, and the
+//! live and dist results are compared with the pure task function, so no
+//! case runs twice.
 //!
-//! Run it: `cargo run -p smp-check -- --runs 1000`.
+//! Failures serialize to a line-oriented replay file (see [`repro`])
+//! naming the backend, which `smp-check --replay` re-executes. DES
+//! failures first shrink greedily to a locally-minimal case; their
+//! replays are exact and `probe --replay` re-runs them too.
 //!
-//! A second sweep targets the **live shared-memory backend** ([`live`]):
-//! the same generator cases run on real OS threads and are checked for
-//! exactly-once execution, steal-accounting conservation, and result
-//! determinism (two racing runs must return identical results). Live
-//! schedules come from the OS, so failures are reported but not shrunk.
-//! Run it: `cargo run -p smp-check -- --live-smoke 200`.
+//! ```text
+//! cargo run -p smp-check -- --runs 1000          # DES
+//! cargo run -p smp-check -- --live-smoke 200     # OS threads
+//! cargo run -p smp-check -- --dist-smoke 25      # worker processes
+//! ```
 //!
-//! With `--faults`, the live sweep also re-runs every case under a
-//! deterministic [`smp_runtime::LiveFaultPlan`] — injected worker
-//! panics, induced stragglers, dropped steal grants — and requires
-//! recovery to complete with results byte-identical to the fault-free
-//! baseline ([`live::check_live_case_faulted`]).
-//! Run it: `cargo run -p smp-check -- --live-smoke 200 --faults`.
-//!
-//! A third sweep targets the **restart-portfolio engine** ([`portfolio`]):
-//! generated `(members, workers, schedule, steal)` cases must settle a
-//! deterministic winner and a closing wasted-work ledger on both
-//! backends, with cancellation overshoot bounded by one in-flight
-//! attempt per worker.
-//! Run it: `cargo run -p smp-check -- --portfolio-smoke 50`.
-//!
-//! A fourth sweep targets the **planning-as-a-service layer** ([`serve`]):
-//! generated multi-tenant workloads — mixed classes, shared snapshot
-//! keys, unknown keys, logical-deadline pressure — must keep the
+//! Two more sweeps check layers above the executors. The
+//! **restart-portfolio engine** ([`portfolio`]): generated `(members,
+//! workers, schedule, steal)` cases must settle a deterministic winner
+//! and a closing wasted-work ledger on both backends, with cancellation
+//! overshoot bounded by one in-flight attempt per worker
+//! (`--portfolio-smoke 50`). The **planning-as-a-service layer**
+//! ([`serve`]): generated multi-tenant workloads — mixed classes, shared
+//! snapshot keys, unknown keys, logical-deadline pressure — must keep the
 //! request-conservation ledger closed and return byte-identical answer
-//! digests across batched/sequential modes and DES/live backends.
-//! Failures shrink to a minimal workload and serialize to an
-//! `smp-serve-repro v1` file that `--replay` re-executes.
-//! Run it: `cargo run -p smp-check -- --serve-smoke 200`.
-//!
-//! A fifth sweep targets the **distributed multi-process backend**
-//! ([`dist`]): generator cases execute on real coordinator/worker
-//! processes over Unix domain sockets, and the oracles assert the
-//! model-checked invariants of `specs/tla/StealProtocol.tla` by name —
-//! **NoTaskDuplication**, **NoTaskLoss**, **Progress** — plus
-//! ownership-at-quiescence and message-conservation ledgers. With
-//! `--faults`, every case re-runs under a seed-derived
-//! [`smp_runtime::dist::DistFaultPlan`] (dropped Done/Ack frames,
-//! delayed Assigns, a worker-process kill) and must still match its
-//! fault-free baseline byte-for-byte. Failing cases serialize to the
-//! same repro format as the DES fuzzer.
-//! Run it: `cargo run -p smp-check -- --dist-smoke 25 --faults`.
+//! digests across batched/sequential modes and DES/live backends; they
+//! shrink to an `smp-serve-repro v1` file that `--replay` re-executes
+//! (`--serve-smoke 200`).
 
+pub mod backend;
 pub mod case;
-pub mod dist;
 pub mod gen;
 pub mod harness;
-pub mod live;
 pub mod oracles;
 pub mod portfolio;
 pub mod repro;
 pub mod serve;
 pub mod shrink;
 
+pub use backend::Backend;
 pub use case::{CaseSpec, MachineKind, SchedulePlan};
-pub use dist::{
-    check_dist_case, check_dist_case_faulted, dist_smoke, dist_smoke_faulted,
-    generate_dist_fault_plan,
-};
 pub use harness::{fuzz, FuzzConfig, FuzzOutcome};
-pub use live::{check_live_case, check_live_case_faulted, live_smoke, live_smoke_faulted};
-pub use oracles::{check_case, check_outcome, Violation};
+pub use oracles::{check_case, Violation};
 pub use portfolio::{check_portfolio_case, generate_portfolio_case, portfolio_smoke};
 pub use repro::{parse, serialize};
 pub use serve::{check_serve_case, generate_serve_case, serve_smoke, shrink_serve_case, ServeCase};

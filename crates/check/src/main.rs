@@ -1,34 +1,31 @@
-//! `smp-check` CLI — fuzz the DES or replay a shrunk failure.
+//! `smp-check` CLI — fuzz a backend or replay a shrunk failure.
 //!
 //! ```text
-//! smp-check [--runs N] [--seed S] [--out DIR] [--fail-fast]
+//! smp-check [--runs N | --live-smoke N | --dist-smoke N] [--seed S]
+//!           [--out DIR | --no-out] [--fail-fast]
 //! smp-check --replay FILE
-//! smp-check --live-smoke N [--seed S] [--faults]
-//! smp-check --dist-smoke N [--seed S] [--faults] [--out DIR]
 //! smp-check --portfolio-smoke N [--seed S]
 //! smp-check --serve-smoke N [--seed S] [--out DIR]
 //! ```
 //!
-//! Exit status is 0 only if every run satisfied every oracle.
+//! `--runs` sweeps the DES, `--live-smoke` the live backend and
+//! `--dist-smoke` worker processes; all three run the same cases through
+//! the same catalog. Exit status is 0 only if every run satisfied every
+//! oracle.
 
 use smp_check::harness::{fuzz, FuzzConfig};
-use smp_check::{oracles, repro};
+use smp_check::{oracles, repro, Backend};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut cfg = FuzzConfig {
-        runs: 1000,
-        base_seed: 0,
         out_dir: Some(PathBuf::from("target/smp-check")),
-        fail_fast: false,
+        ..FuzzConfig::default()
     };
     let mut replay: Option<PathBuf> = None;
-    let mut live_smoke: Option<u64> = None;
-    let mut dist_smoke: Option<u64> = None;
     let mut portfolio_smoke: Option<u64> = None;
     let mut serve_smoke: Option<u64> = None;
-    let mut live_faults = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -38,60 +35,29 @@ fn main() -> ExitCode {
                 std::process::exit(2);
             })
         };
+        let mut count = |what: &str| {
+            let v = take(what);
+            v.parse::<u64>().unwrap_or_else(|e| {
+                eprintln!("smp-check: bad {arg} {v:?}: {e}");
+                std::process::exit(2);
+            })
+        };
         match arg.as_str() {
-            "--runs" => {
-                let v = take("a count");
-                cfg.runs = v.parse().unwrap_or_else(|e| {
-                    eprintln!("smp-check: bad --runs {v:?}: {e}");
-                    std::process::exit(2);
-                });
-            }
-            "--seed" => {
-                let v = take("a seed");
-                cfg.base_seed = v.parse().unwrap_or_else(|e| {
-                    eprintln!("smp-check: bad --seed {v:?}: {e}");
-                    std::process::exit(2);
-                });
-            }
+            "--runs" => cfg.runs = count("a count"),
+            "--live-smoke" => (cfg.backend, cfg.runs) = (Backend::Live, count("a run count")),
+            "--dist-smoke" => (cfg.backend, cfg.runs) = (Backend::Dist, count("a run count")),
+            "--seed" => cfg.base_seed = count("a seed"),
             "--out" => cfg.out_dir = Some(PathBuf::from(take("a directory"))),
             "--no-out" => cfg.out_dir = None,
             "--fail-fast" => cfg.fail_fast = true,
             "--replay" => replay = Some(PathBuf::from(take("a repro file"))),
-            "--live-smoke" => {
-                let v = take("a run count");
-                live_smoke = Some(v.parse().unwrap_or_else(|e| {
-                    eprintln!("smp-check: bad --live-smoke {v:?}: {e}");
-                    std::process::exit(2);
-                }));
-            }
-            "--faults" => live_faults = true,
-            "--dist-smoke" => {
-                let v = take("a run count");
-                dist_smoke = Some(v.parse().unwrap_or_else(|e| {
-                    eprintln!("smp-check: bad --dist-smoke {v:?}: {e}");
-                    std::process::exit(2);
-                }));
-            }
-            "--portfolio-smoke" => {
-                let v = take("a run count");
-                portfolio_smoke = Some(v.parse().unwrap_or_else(|e| {
-                    eprintln!("smp-check: bad --portfolio-smoke {v:?}: {e}");
-                    std::process::exit(2);
-                }));
-            }
-            "--serve-smoke" => {
-                let v = take("a run count");
-                serve_smoke = Some(v.parse().unwrap_or_else(|e| {
-                    eprintln!("smp-check: bad --serve-smoke {v:?}: {e}");
-                    std::process::exit(2);
-                }));
-            }
+            "--portfolio-smoke" => portfolio_smoke = Some(count("a run count")),
+            "--serve-smoke" => serve_smoke = Some(count("a run count")),
             "--help" | "-h" => {
                 println!(
-                    "usage: smp-check [--runs N] [--seed S] [--out DIR | --no-out] [--fail-fast]\n\
+                    "usage: smp-check [--runs N | --live-smoke N | --dist-smoke N] [--seed S]\n\
+                     \x20                [--out DIR | --no-out] [--fail-fast]\n\
                      \x20      smp-check --replay FILE\n\
-                     \x20      smp-check --live-smoke N [--seed S] [--faults]\n\
-                     \x20      smp-check --dist-smoke N [--seed S] [--faults] [--out DIR]\n\
                      \x20      smp-check --portfolio-smoke N [--seed S]\n\
                      \x20      smp-check --serve-smoke N [--seed S] [--out DIR]"
                 );
@@ -110,10 +76,6 @@ fn main() -> ExitCode {
 
     if let Some(runs) = serve_smoke {
         return run_serve_smoke(runs, cfg.base_seed, cfg.out_dir.as_deref());
-    }
-
-    if let Some(runs) = dist_smoke {
-        return run_dist_smoke(runs, cfg.base_seed, live_faults, cfg.out_dir.as_deref());
     }
 
     if let Some(runs) = portfolio_smoke {
@@ -140,41 +102,9 @@ fn main() -> ExitCode {
         };
     }
 
-    if let Some(runs) = live_smoke {
-        let mode = if live_faults {
-            "fault-bearing generator cases"
-        } else {
-            "generator cases"
-        };
-        println!(
-            "smp-check: live smoke — {runs} {mode} on the shared-memory backend (seed {})",
-            cfg.base_seed
-        );
-        let failures = if live_faults {
-            smp_check::live_smoke_faulted(runs, cfg.base_seed)
-        } else {
-            smp_check::live_smoke(runs, cfg.base_seed)
-        };
-        return if failures.is_empty() {
-            println!("smp-check: OK — {runs} live runs, all oracles satisfied");
-            ExitCode::SUCCESS
-        } else {
-            for (seed, violations) in &failures {
-                eprintln!("smp-check: live seed {seed} FAILED:");
-                for v in violations {
-                    eprintln!("  {v}");
-                }
-            }
-            eprintln!(
-                "smp-check: {} of {runs} live runs violated an oracle",
-                failures.len()
-            );
-            ExitCode::FAILURE
-        };
-    }
-
+    let backend = cfg.backend.name();
     println!(
-        "smp-check: fuzzing {} runs from seed {}",
+        "smp-check: fuzzing {} runs on the {backend} backend from seed {}",
         cfg.runs, cfg.base_seed
     );
     let stride = (cfg.runs / 20).max(1);
@@ -183,16 +113,25 @@ fn main() -> ExitCode {
             println!("  {done}/{total} runs, {fails} failure(s)");
         }
     });
+    println!(
+        "smp-check: {} runs recorded a crash, {} dropped or resent a message",
+        outcome.runs_with_crash, outcome.runs_with_loss
+    );
     if outcome.ok() {
         println!(
-            "smp-check: OK — {} runs, all oracles satisfied",
+            "smp-check: OK — {} {backend} runs, all oracles satisfied",
             outcome.runs_executed
         );
         ExitCode::SUCCESS
     } else {
+        let shrunk = if cfg.backend == Backend::Des {
+            "shrunk to "
+        } else {
+            ""
+        };
         for f in &outcome.failures {
             eprintln!(
-                "smp-check: seed {} FAILED (shrunk to {} tasks / {} PEs):",
+                "smp-check: {backend} seed {} FAILED ({shrunk}{} tasks / {} PEs):",
                 f.seed,
                 f.shrunk.num_tasks(),
                 f.shrunk.num_pes()
@@ -205,73 +144,12 @@ fn main() -> ExitCode {
             }
         }
         eprintln!(
-            "smp-check: {} of {} runs violated an oracle",
+            "smp-check: {} of {} {backend} runs violated an oracle",
             outcome.failures.len(),
             outcome.runs_executed
         );
         ExitCode::FAILURE
     }
-}
-
-fn run_dist_smoke(
-    runs: u64,
-    base_seed: u64,
-    faults: bool,
-    out_dir: Option<&std::path::Path>,
-) -> ExitCode {
-    let mode = if faults {
-        "fault-bearing generator cases"
-    } else {
-        "generator cases"
-    };
-    println!("smp-check: dist smoke — {runs} {mode} on real worker processes (seed {base_seed})");
-    let failures = if faults {
-        smp_check::dist_smoke_faulted(runs, base_seed)
-    } else {
-        smp_check::dist_smoke(runs, base_seed)
-    };
-    if failures.is_empty() {
-        println!("smp-check: OK — {runs} dist runs, all protocol oracles satisfied (NoTaskDuplication, NoTaskLoss, Progress)");
-        return ExitCode::SUCCESS;
-    }
-    for (seed, violations) in &failures {
-        eprintln!("smp-check: dist seed {seed} FAILED:");
-        for v in violations {
-            eprintln!("  {v}");
-        }
-        if let Some(dir) = out_dir {
-            let spec = smp_check::gen::generate_case(*seed);
-            let mut context = vec![
-                format!("dist smoke seed {seed} (backend: worker processes)"),
-                format!(
-                    "violated: {}",
-                    violations
-                        .iter()
-                        .map(|v| v.oracle)
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ),
-            ];
-            if faults {
-                context.push(format!(
-                    "dist fault plan: {:?}",
-                    smp_check::generate_dist_fault_plan(*seed, spec.num_pes())
-                ));
-            }
-            let path = dir.join(format!("dist-{seed}.repro"));
-            match std::fs::create_dir_all(dir)
-                .and_then(|()| std::fs::write(&path, smp_check::serialize(&spec, &context)))
-            {
-                Ok(()) => eprintln!("  repro: {} (replay with --replay)", path.display()),
-                Err(e) => eprintln!("  could not write repro: {e}"),
-            }
-        }
-    }
-    eprintln!(
-        "smp-check: {} of {runs} dist runs violated an oracle",
-        failures.len()
-    );
-    ExitCode::FAILURE
 }
 
 fn run_serve_smoke(runs: u64, base_seed: u64, out_dir: Option<&std::path::Path>) -> ExitCode {
@@ -353,20 +231,21 @@ fn run_replay(path: &std::path::Path) -> ExitCode {
             ExitCode::FAILURE
         };
     }
-    let spec = match repro::parse(&text) {
-        Ok(s) => s,
+    let (spec, backend) = match repro::parse(&text) {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("smp-check: {}: {e}", path.display());
             return ExitCode::from(2);
         }
     };
     println!(
-        "smp-check: replaying {} ({} tasks, {} PEs)",
+        "smp-check: replaying {} ({} tasks, {} PEs, {} backend)",
         path.display(),
         spec.num_tasks(),
-        spec.num_pes()
+        spec.num_pes(),
+        backend.name()
     );
-    let violations = oracles::check_case(&spec);
+    let violations = oracles::check_case(&spec, backend);
     if violations.is_empty() {
         println!("smp-check: replay PASSED — all oracles satisfied");
         ExitCode::SUCCESS

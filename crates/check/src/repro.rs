@@ -1,13 +1,15 @@
 //! The replay-file format.
 //!
 //! A shrunk failure serializes to a small, line-oriented text file that
-//! `smp-check --replay` and `probe --replay` re-execute deterministically.
+//! `smp-check --replay` re-executes on the backend it failed on (and
+//! `probe --replay` re-executes on the DES, where replay is exact).
 //! The format is versioned, order-insensitive past the header, and
 //! self-describing (DESIGN.md §10):
 //!
 //! ```text
 //! smp-check-repro v1
 //! # free-text context lines
+//! backend des
 //! machine hopper
 //! sim_seed 42
 //! schedule seeded 17
@@ -25,16 +27,19 @@
 //! ```
 //!
 //! One `queue` line per PE (possibly empty); every other fault line is
-//! optional. Floats round-trip through Rust's shortest-representation
-//! formatting, so parse(serialize(c)) == c exactly.
+//! optional, and a file without a `backend` line replays on the DES.
+//! Floats round-trip through Rust's shortest-representation formatting,
+//! so parse(serialize(c)) == c exactly.
 
+use crate::backend::Backend;
 use crate::case::{CaseSpec, MachineKind, SchedulePlan};
 use smp_runtime::{FaultPlan, StealAmount, StealConfig, StealPolicyKind};
 
 const HEADER: &str = "smp-check-repro v1";
 
-/// Serialize a case (plus optional context comment lines).
-pub fn serialize(spec: &CaseSpec, context: &[String]) -> String {
+/// Serialize a case, the backend it failed on, and optional context
+/// comment lines.
+pub fn serialize(spec: &CaseSpec, backend: Backend, context: &[String]) -> String {
     let mut out = String::new();
     out.push_str(HEADER);
     out.push('\n');
@@ -43,6 +48,7 @@ pub fn serialize(spec: &CaseSpec, context: &[String]) -> String {
         out.push_str(line);
         out.push('\n');
     }
+    out.push_str(&format!("backend {}\n", backend.name()));
     out.push_str(&format!("machine {}\n", spec.machine.name()));
     out.push_str(&format!("sim_seed {}\n", spec.sim_seed));
     match spec.schedule {
@@ -105,13 +111,15 @@ pub fn serialize(spec: &CaseSpec, context: &[String]) -> String {
     out
 }
 
-/// Parse a replay file. Errors carry the offending line.
-pub fn parse(text: &str) -> Result<CaseSpec, String> {
+/// Parse a replay file into its case and backend. Errors carry the
+/// offending line.
+pub fn parse(text: &str) -> Result<(CaseSpec, Backend), String> {
     let mut lines = text.lines();
     let header = lines.next().ok_or("empty replay file")?.trim();
     if header != HEADER {
         return Err(format!("bad header {header:?}, expected {HEADER:?}"));
     }
+    let mut backend = Backend::Des;
     let mut machine = None;
     let mut sim_seed = None;
     let mut schedule = None;
@@ -141,6 +149,13 @@ pub fn parse(text: &str) -> Result<CaseSpec, String> {
                 .map_err(|e| format!("{line:?}: bad {what}: {e}"))
         };
         match key {
+            "backend" => {
+                let name = rest
+                    .first()
+                    .ok_or_else(|| format!("{line:?}: no backend"))?;
+                backend = Backend::parse(name)
+                    .ok_or_else(|| format!("{line:?}: unknown backend {name:?}"))?;
+            }
             "machine" => {
                 let name = rest
                     .first()
@@ -236,7 +251,7 @@ pub fn parse(text: &str) -> Result<CaseSpec, String> {
     if spec.assignment.is_empty() {
         return Err("missing queue lines (need at least one PE)".to_string());
     }
-    Ok(spec)
+    Ok((spec, backend))
 }
 
 #[cfg(test)]
@@ -246,12 +261,21 @@ mod tests {
 
     #[test]
     fn round_trips_exactly() {
+        let backends = [Backend::Des, Backend::Live, Backend::Dist];
         for seed in 0..120 {
             let case = generate_case(seed);
-            let text = serialize(&case, &["context".to_string()]);
+            let backend = backends[seed as usize % 3];
+            let text = serialize(&case, backend, &["context".to_string()]);
             let back = parse(&text).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-            assert_eq!(case, back, "seed {seed} did not round-trip");
+            assert_eq!((case, backend), back, "seed {seed} did not round-trip");
         }
+    }
+
+    #[test]
+    fn a_file_without_a_backend_line_replays_on_the_des() {
+        let text = "smp-check-repro v1\nmachine hopper\nsim_seed 1\nschedule fifo\nsteal none\ncosts 5\nqueue 0\n";
+        assert_eq!(parse(text).map(|(_, b)| b), Ok(Backend::Des));
+        assert!(parse(&text.replace("machine", "backend tcp\nmachine")).is_err());
     }
 
     #[test]

@@ -1,12 +1,16 @@
-//! Greedy structural shrinking of a failing case.
+//! Greedy structural shrinking of a failing DES case.
 //!
 //! Repeatedly tries size-reducing edits — drop tasks, merge PEs away,
 //! strip fault-plan entries, simplify the steal config, fall back to the
 //! FIFO schedule — keeping an edit only if the edited case *still fails*
 //! (same oracle verdict source: [`crate::oracles::check_case`]). The loop
 //! is bounded, so shrinking a pathological case terminates; the result is
-//! a local minimum: no single remaining edit preserves the failure.
+//! a local minimum: no single remaining edit preserves the failure. Only
+//! the DES is shrunk: each probe of a live or dist case is a full
+//! execution under an OS schedule, and a hang there costs a phase
+//! timeout per probe, so those failures are reported as generated.
 
+use crate::backend::Backend;
 use crate::case::{CaseSpec, SchedulePlan};
 use crate::oracles::{check_case, Violation};
 
@@ -14,11 +18,12 @@ use crate::oracles::{check_case, Violation};
 /// meaningfully longer than the fuzz run that found the bug.
 const MAX_PROBES: usize = 400;
 
-/// Shrink `spec` (which must currently fail) to a locally-minimal failing
-/// case. Returns the shrunk case and its violations.
+/// Shrink `spec` (which must currently fail on the DES) to a
+/// locally-minimal failing case. Returns the shrunk case and its
+/// violations.
 pub fn shrink(spec: &CaseSpec) -> (CaseSpec, Vec<Violation>) {
     let mut best = spec.clone();
-    let mut violations = check_case(&best);
+    let mut violations = check_case(&best, Backend::Des);
     debug_assert!(!violations.is_empty(), "shrink() called on a passing case");
     let mut probes = 0usize;
     loop {
@@ -31,7 +36,7 @@ pub fn shrink(spec: &CaseSpec) -> (CaseSpec, Vec<Violation>) {
                 continue;
             }
             probes += 1;
-            let v = check_case(&candidate);
+            let v = check_case(&candidate, Backend::Des);
             if !v.is_empty() {
                 best = candidate;
                 violations = v;

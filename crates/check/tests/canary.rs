@@ -8,7 +8,7 @@
 //! whole detection pipeline works, not just that the happy path is green.
 
 use smp_check::harness::{fuzz, FuzzConfig};
-use smp_check::{oracles, CaseSpec, MachineKind, SchedulePlan};
+use smp_check::{oracles, Backend, CaseSpec, MachineKind, SchedulePlan};
 use smp_runtime::{FaultPlan, StealAmount, StealConfig, StealPolicyKind};
 
 /// A case guaranteed to trigger at least one steal grant: all work on
@@ -34,7 +34,7 @@ mod clean_build {
 
     #[test]
     fn steal_heavy_case_satisfies_all_oracles() {
-        let violations = oracles::check_case(&guaranteed_steal_case());
+        let violations = oracles::check_case(&guaranteed_steal_case(), Backend::Des);
         assert!(
             violations.is_empty(),
             "clean build must pass: {violations:?}"
@@ -46,8 +46,7 @@ mod clean_build {
         let cfg = FuzzConfig {
             runs: 120,
             base_seed: 0xC1EA4,
-            out_dir: None,
-            fail_fast: false,
+            ..FuzzConfig::default()
         };
         let outcome = fuzz(&cfg, |_, _, _| {});
         assert_eq!(outcome.runs_executed, 120);
@@ -70,10 +69,10 @@ mod canary_build {
 
     #[test]
     fn oracles_catch_the_planted_double_execution() {
-        let violations = oracles::check_case(&guaranteed_steal_case());
+        let violations = oracles::check_case(&guaranteed_steal_case(), Backend::Des);
         assert!(
-            violations.iter().any(|v| v.oracle == "exactly_once"),
-            "exactly_once must flag the canary, got: {violations:?}"
+            violations.iter().any(|v| v.oracle == "NoTaskDuplication"),
+            "NoTaskDuplication must flag the canary, got: {violations:?}"
         );
     }
 
@@ -92,15 +91,19 @@ mod canary_build {
 
         // the shrunk case must survive a serialize → parse → re-check
         // round trip with the identical verdict, twice (determinism)
-        let text = repro::serialize(&shrunk, &[]);
-        let back = repro::parse(&text).expect("repro must parse");
-        assert_eq!(shrunk, back, "repro round trip must be lossless");
-        let first = oracles::check_case(&back);
-        let second = oracles::check_case(&back);
+        let text = repro::serialize(&shrunk, Backend::Des, &[]);
+        let (back, backend) = repro::parse(&text).expect("repro must parse");
+        assert_eq!(
+            (&shrunk, Backend::Des),
+            (&back, backend),
+            "repro round trip must be lossless"
+        );
+        let first = oracles::check_case(&back, backend);
+        let second = oracles::check_case(&back, backend);
         assert_eq!(first, second, "replay must be deterministic");
         assert!(
-            first.iter().any(|v| v.oracle == "exactly_once"),
-            "replayed case must still fail exactly_once: {first:?}"
+            first.iter().any(|v| v.oracle == "NoTaskDuplication"),
+            "replayed case must still fail NoTaskDuplication: {first:?}"
         );
     }
 
@@ -108,9 +111,8 @@ mod canary_build {
     fn fuzz_campaign_finds_the_canary() {
         let cfg = FuzzConfig {
             runs: 60,
-            base_seed: 0,
-            out_dir: None,
             fail_fast: true,
+            ..FuzzConfig::default()
         };
         let outcome = fuzz(&cfg, |_, _, _| {});
         assert!(
