@@ -20,7 +20,7 @@
 //! (see `smp_bench::serve`) and emits/validates `BENCH_serve.json`.
 //!
 //! `probe resilience [...]` runs the live PRM under a fault plan built
-//! from the command line (injected panics, stragglers, dropped steal
+//! from the command line (crashed workers, stragglers, dropped steal
 //! grants, deadline, pre-cancellation), verifies the merged-roadmap
 //! digest against a fault-free baseline, and prints the resilience
 //! ledger and degradation ratio — the quickstart for DESIGN.md §13.
@@ -33,8 +33,8 @@ use smp_core::{
     run_parallel_rrt, work_cost, ParallelPrmConfig, Strategy, WeightKind,
 };
 use smp_runtime::{
-    CancelToken, LiveControl, LiveFaultPlan, LiveOutcome, LiveTuning, MachineModel, StealConfig,
-    StealPolicyKind, Tracer,
+    CancelToken, FaultPlan, LiveControl, LiveOutcome, LiveTuning, MachineModel, StealConfig,
+    StealPolicyKind, Tracer, VTime,
 };
 use std::time::Duration;
 
@@ -266,11 +266,13 @@ fn serve_probe(args: impl Iterator<Item = String>) {
 }
 
 /// Live fault-injection probe:
-/// `probe resilience [--threads N] [--panic W:AFTER] [--straggler W:US:FIRST]
-///                   [--drop-rate R] [--deadline-ms MS] [--cancelled]`.
+/// `probe resilience [--threads N] [--crash W:AFTER] [--straggler W:FACTOR]
+///                   [--loss RATE] [--deadline-ms MS] [--cancelled]`.
 ///
-/// Runs the live PRM once fault-free and once under the requested plan
-/// (each flag is repeatable), checks the two merged-roadmap digests are
+/// Runs the live PRM once fault-free and once under the requested
+/// [`FaultPlan`] (`--crash` and `--straggler` are repeatable; each
+/// straggler sleeps `(FACTOR − 1) × 100 µs` before its worker's first
+/// four tasks of every phase), checks the two merged-roadmap digests are
 /// byte-identical whenever recovery completes, and prints the resilience
 /// ledger plus the wall-clock degradation ratio. A deadline/cancel stop
 /// prints the structured partial outcome and still exits 0 — stopping
@@ -278,11 +280,11 @@ fn serve_probe(args: impl Iterator<Item = String>) {
 /// drift or an unrecoverable run.
 fn resilience_probe(args: impl Iterator<Item = String>) {
     let mut threads = 4usize;
-    let mut plan = LiveFaultPlan::new(0xFA_017);
+    let mut plan = FaultPlan::new(0xFA_017);
     let mut deadline_ms: Option<u64> = None;
     let mut cancelled = false;
     let mut args = args;
-    let split = |s: &str| -> Vec<u64> {
+    let split = |s: &str| -> Vec<f64> {
         s.split(':')
             .map(|part| {
                 part.parse()
@@ -294,17 +296,15 @@ fn resilience_probe(args: impl Iterator<Item = String>) {
         let mut take = |what: &str| args.next().unwrap_or_else(|| panic!("{a} needs {what}"));
         match a.as_str() {
             "--threads" => threads = take("a count").parse().expect("bad --threads"),
-            "--panic" => match split(&take("W:AFTER"))[..] {
-                [w, after] => plan = plan.with_panic(w as usize, after as usize),
-                _ => panic!("--panic wants WORKER:AFTER_TASKS"),
+            "--crash" => match split(&take("W:AFTER"))[..] {
+                [w, after] => plan = plan.with_task_crash(w as usize, after as u64, false),
+                _ => panic!("--crash wants WORKER:AFTER_TASKS"),
             },
-            "--straggler" => match split(&take("W:US:FIRST"))[..] {
-                [w, us, first] => plan = plan.with_straggler(w as usize, us, first as usize),
-                _ => panic!("--straggler wants WORKER:SLEEP_US:FIRST_TASKS"),
+            "--straggler" => match split(&take("W:FACTOR"))[..] {
+                [w, factor] => plan = plan.with_straggler(w as usize, 0, VTime::MAX, factor),
+                _ => panic!("--straggler wants WORKER:FACTOR"),
             },
-            "--drop-rate" => {
-                plan = plan.with_grant_drop_rate(take("a rate").parse().expect("bad --drop-rate"))
-            }
+            "--loss" => plan = plan.with_message_loss(take("a rate").parse().expect("bad --loss")),
             "--deadline-ms" => {
                 deadline_ms = Some(take("milliseconds").parse().expect("bad --deadline-ms"))
             }
@@ -336,10 +336,10 @@ fn resilience_probe(args: impl Iterator<Item = String>) {
     assert_eq!(base_digest, seq_digest, "fault-free live digest drift");
 
     println!(
-        "fault plan: {} panic(s), {} straggler(s), drop-rate {}{}{}",
-        plan.panics.len(),
+        "fault plan: {} crash(es), {} straggler(s), loss {}{}{}",
+        plan.crashes.len(),
         plan.stragglers.len(),
-        plan.grant_drop_rate,
+        plan.msg_loss,
         deadline_ms.map_or(String::new(), |ms| format!(", deadline {ms}ms")),
         if cancelled { ", pre-cancelled" } else { "" },
     );

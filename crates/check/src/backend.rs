@@ -3,11 +3,11 @@
 //! A [`CaseSpec`] is backend-independent data. The DES prices its
 //! virtual costs under its fault plan and schedule seed. The live and
 //! dist backends execute [`synth_work`], a short spin whose result is a
-//! pure function of `(task, cost)`, under the same fault plan lowered to
-//! their own vocabulary (`CaseSpec::live_faults`,
-//! `CaseSpec::dist_faults`). Every correct result is known before the
-//! run, so one run per case is enough: the catalog compares the results
-//! with `synth_work` instead of with a second, fault-free run.
+//! pure function of `(task, cost)`, under the same fault plan, which
+//! each reads directly (`smp_runtime::fault`). Every correct result is
+//! known before the run, so one run per case is enough: the catalog
+//! compares the results with `synth_work` instead of with a second,
+//! fault-free run.
 
 use crate::case::CaseSpec;
 use smp_runtime::dist::{synth_work, DistExecutor, DistOptions, WireWriter, WorkDesc};
@@ -80,7 +80,7 @@ pub(crate) fn execute(spec: &CaseSpec, backend: Backend) -> Result<Run, String> 
         Backend::Live => {
             let costs = &spec.costs;
             let (results, report) = LiveExecutor::new(spec.num_pes(), LiveTuning::default())
-                .with_faults(spec.live_faults())
+                .with_faults(spec.fault.clone())
                 .execute(&exec_spec, &|t| {
                     synth_work(t, costs[t as usize]).to_le_bytes()
                 })
@@ -97,7 +97,7 @@ pub(crate) fn execute(spec: &CaseSpec, backend: Backend) -> Result<Run, String> 
             blob.vec_u64(&spec.costs);
             let blob = blob.into_bytes();
             let mut exec = DistExecutor::new(DistOptions {
-                faults: spec.dist_faults(),
+                faults: spec.fault.clone(),
                 ..dist_workers()?
             });
             let work = WorkDesc {
@@ -132,6 +132,6 @@ fn dist_workers() -> Result<DistOptions, String> {
     Ok(DistOptions {
         tuning: smp_runtime::DistTuning::default(),
         spawn: SpawnMode::Threads(std::sync::Arc::new(|| Box::new(SynthHandler::default()))),
-        faults: smp_runtime::DistFaultPlan::default(),
+        faults: smp_runtime::FaultPlan::default(),
     })
 }

@@ -4,13 +4,12 @@
 //! A case is *data*, not a generator state: the shrinker edits it
 //! structurally (drop tasks, remove faults, merge PEs) and the repro
 //! format serializes it losslessly, so a failing case replays bit for bit
-//! anywhere. Its one fault plan is written in the DES vocabulary and
-//! lowered to each executing backend's, so shrinking a fault away removes
-//! it on every backend.
+//! anywhere. Every backend reads its one fault plan directly, so
+//! shrinking a fault away removes it on every backend.
 
 use smp_runtime::{
-    simulate_with, DistFaultPlan, DistKill, FaultPlan, LiveFaultPlan, MachineModel, Quiescence,
-    SeededSchedule, SimConfig, SimError, SimOptions, SimReport, StealConfig,
+    simulate_with, FaultPlan, MachineModel, Quiescence, SeededSchedule, SimConfig, SimError,
+    SimOptions, SimReport, StealConfig,
 };
 
 /// Which virtual machine model the case runs on.
@@ -119,92 +118,5 @@ impl CaseSpec {
             ..SimOptions::default()
         };
         simulate_with(&self.costs, &self.assignment, &cfg, opts)
-    }
-
-    /// The fault plan on the live backend: each straggler window becomes a
-    /// sleep and message loss a steal-grant drop rate
-    /// ([`LiveFaultPlan::mirroring`]); each crash panics that worker after
-    /// zero to four tasks, so panics before any work and panics mid-run,
-    /// with steals in flight, are both swept.
-    pub(crate) fn live_faults(&self) -> LiveFaultPlan {
-        let mut plan = LiveFaultPlan::mirroring(&self.fault);
-        for (panic, crash) in plan.panics.iter_mut().zip(&self.fault.crashes) {
-            panic.after_tasks = (crash.at % 5) as usize;
-        }
-        plan
-    }
-
-    /// The fault plan on the dist backend. Each crash kills that worker's
-    /// process after one to three tasks; an even crash instant respawns
-    /// it, an odd one redistributes its queue. Message loss drops `Done`
-    /// and `DoneAck` frames, and jitter withholds first `Assign` sends,
-    /// each at 150‰ plus 300‰ of the DES rate (at most 360‰), so a lossy
-    /// case always loses a real share of its frames and still ends soon.
-    /// Stragglers have no dist counterpart.
-    pub(crate) fn dist_faults(&self) -> DistFaultPlan {
-        let f = &self.fault;
-        let permille = |rate: f64| {
-            if rate > 0.0 {
-                (150.0 + rate * 300.0).min(999.0) as u16
-            } else {
-                0
-            }
-        };
-        DistFaultPlan {
-            seed: f.seed,
-            drop_done_permille: permille(f.msg_loss),
-            drop_ack_permille: permille(f.msg_loss),
-            delay_assign_permille: permille(f.msg_jitter),
-            kills: f
-                .crashes
-                .iter()
-                .map(|c| DistKill {
-                    worker: c.pe as u32,
-                    after_tasks: 1 + c.at % 3,
-                    respawn: c.at % 2 == 0,
-                })
-                .collect(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use crate::gen::generate_case;
-    use std::collections::HashSet;
-
-    #[test]
-    fn lowered_fault_plans_are_valid_and_cover_every_fault() {
-        let (mut respawns, mut redistributions, mut drops) = (0, 0, 0);
-        let mut panic_points = HashSet::new();
-        for seed in 0..300 {
-            let case = generate_case(seed);
-            let p = case.num_pes();
-            let live = case.live_faults();
-            assert!(live.validate(p).is_ok(), "seed {seed}: {live:?}");
-            let dist = case.dist_faults();
-            let killed: HashSet<u32> = dist.kills.iter().map(|k| k.worker).collect();
-            assert_eq!(
-                killed.len(),
-                dist.kills.len(),
-                "seed {seed}: a worker killed twice"
-            );
-            assert!(
-                killed.len() < p || killed.is_empty(),
-                "seed {seed}: no survivor"
-            );
-            assert!(
-                killed.iter().all(|&w| (w as usize) < p),
-                "seed {seed}: bad target"
-            );
-            assert!(dist.drop_done_permille < 1000 && dist.delay_assign_permille < 1000);
-            assert_eq!(case.fault.msg_loss > 0.0, dist.drop_done_permille >= 150);
-            panic_points.extend(live.panics.iter().map(|s| s.after_tasks));
-            respawns += dist.kills.iter().filter(|k| k.respawn).count();
-            redistributions += dist.kills.iter().filter(|k| !k.respawn).count();
-            drops += usize::from(dist.drop_ack_permille > 0);
-        }
-        assert_eq!(panic_points, (0..5).collect::<HashSet<usize>>());
-        assert!(respawns > 0 && redistributions > 0 && drops > 0);
     }
 }

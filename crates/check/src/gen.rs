@@ -7,8 +7,7 @@
 //! a random schedule perturbation. The generator only emits *valid*
 //! configurations — every task assigned once, fault targets in range,
 //! never crashing all PEs — so any backend's rejection is a bug. The
-//! fault plan is drawn once, in the DES vocabulary, and lowered to the
-//! live and dist backends by [`CaseSpec`].
+//! fault plan is drawn once and every backend reads it directly.
 
 use crate::case::{CaseSpec, MachineKind, SchedulePlan};
 use rand::rngs::StdRng;
@@ -88,7 +87,7 @@ pub fn generate_case(seed: u64) -> CaseSpec {
         SchedulePlan::Seeded(rng.next_u64())
     };
 
-    CaseSpec {
+    let mut case = CaseSpec {
         costs,
         assignment,
         machine,
@@ -96,7 +95,16 @@ pub fn generate_case(seed: u64) -> CaseSpec {
         sim_seed: rng.next_u64(),
         fault,
         schedule,
+    };
+    // The wall-clock crash triggers come after every DES draw, so the DES
+    // half of a case does not depend on them: a crash before any work and
+    // crashes mid-run, with steals in flight, are both swept, and dist
+    // both respawns and redistributes.
+    for crash in &mut case.fault.crashes {
+        crash.after_tasks = rng.random_range(0u64..5);
+        crash.respawn = rng.random_bool(0.5);
     }
+    case
 }
 
 fn generate_fault_plan(rng: &mut StdRng, p: usize) -> FaultPlan {
@@ -136,6 +144,7 @@ fn generate_fault_plan(rng: &mut StdRng, p: usize) -> FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn generation_is_deterministic() {
@@ -165,10 +174,24 @@ mod tests {
             assert!(seen.iter().all(|&s| s), "seed {seed}: unassigned task");
             assert!(case.fault.validate(p).is_ok(), "seed {seed}: invalid plan");
             // never all PEs crashed
-            let crashed: std::collections::HashSet<usize> =
-                case.fault.crashes.iter().map(|c| c.pe).collect();
+            let crashed: HashSet<usize> = case.fault.crashes.iter().map(|c| c.pe).collect();
             assert!(crashed.len() < p, "seed {seed}: all PEs crash");
         }
+    }
+
+    #[test]
+    fn fault_plans_validate_and_cover_every_crash_trigger() {
+        let (mut after_tasks, mut respawns) = (HashSet::new(), HashSet::new());
+        for seed in 0..300 {
+            let case = generate_case(seed);
+            let f = &case.fault;
+            assert!(f.validate(case.num_pes()).is_ok(), "seed {seed}: {f:?}");
+            assert!(f.msg_loss < 1.0, "seed {seed}: dist could record nothing");
+            after_tasks.extend(f.crashes.iter().map(|c| c.after_tasks));
+            respawns.extend(f.crashes.iter().map(|c| c.respawn));
+        }
+        assert_eq!(after_tasks, (0..5).collect::<HashSet<u64>>());
+        assert_eq!(respawns.len(), 2, "both respawn and redistribution");
     }
 
     #[test]

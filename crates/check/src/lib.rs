@@ -20,9 +20,9 @@
 //! - **monotone_time**, **work_conservation** — DES virtual time never
 //!   runs backwards, and busy time equals the case's total cost
 //!
-//! Every case carries its fault plan — stragglers, crashes, message loss
-//! and jitter, or none — in the DES vocabulary, lowered to worker panics
-//! and grant drops on live and to process kills and frame drops on dist.
+//! Every case carries one `FaultPlan` — stragglers, crashes, message loss
+//! and jitter, or none — and each backend reads it directly: worker
+//! panics and grant drops on live, process kills and frame drops on dist.
 //! Each oracle checks the laws its backend gives evidence for, and the
 //! live and dist results are compared with the pure task function, so no
 //! case runs twice.

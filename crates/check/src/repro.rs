@@ -21,19 +21,21 @@
 //! msg_loss 0.25
 //! msg_jitter 0.1 50000
 //! straggler 0 0 1000000 4.0
-//! crash 2 300000
+//! crash 2 300000 1 false
 //! drop 17
 //! delay 9 4000
 //! ```
 //!
 //! One `queue` line per PE (possibly empty); every other fault line is
-//! optional, and a file without a `backend` line replays on the DES.
+//! optional, and a file without a `backend` line replays on the DES. A
+//! `crash` line reads `PE AT AFTER_TASKS RESPAWN`; a legacy `crash PE AT`
+//! line takes [`FaultPlan::with_crash`]'s wall-clock defaults.
 //! Floats round-trip through Rust's shortest-representation formatting,
 //! so parse(serialize(c)) == c exactly.
 
 use crate::backend::Backend;
 use crate::case::{CaseSpec, MachineKind, SchedulePlan};
-use smp_runtime::{FaultPlan, StealAmount, StealConfig, StealPolicyKind};
+use smp_runtime::{Crash, FaultPlan, StealAmount, StealConfig, StealPolicyKind};
 
 const HEADER: &str = "smp-check-repro v1";
 
@@ -100,7 +102,10 @@ pub fn serialize(spec: &CaseSpec, backend: Backend, context: &[String]) -> Strin
         ));
     }
     for c in &f.crashes {
-        out.push_str(&format!("crash {} {}\n", c.pe, c.at));
+        out.push_str(&format!(
+            "crash {} {} {} {}\n",
+            c.pe, c.at, c.after_tasks, c.respawn
+        ));
     }
     for &s in &f.drop_seqs {
         out.push_str(&format!("drop {s}\n"));
@@ -232,7 +237,23 @@ pub fn parse(text: &str) -> Result<(CaseSpec, Backend), String> {
                     flt(3, "factor")?,
                 );
             }
-            "crash" => fault = fault.with_crash(num(0, "pe")? as usize, num(1, "at")?),
+            "crash" => {
+                let (pe, at) = (num(0, "pe")? as usize, num(1, "at")?);
+                if rest.len() == 2 {
+                    fault = fault.with_crash(pe, at);
+                } else {
+                    let respawn = rest
+                        .get(3)
+                        .and_then(|r| r.parse().ok())
+                        .ok_or_else(|| format!("{line:?}: bad respawn"))?;
+                    fault.crashes.push(Crash {
+                        pe,
+                        at,
+                        after_tasks: num(2, "after_tasks")?,
+                        respawn,
+                    });
+                }
+            }
             "drop" => fault = fault.with_dropped_message(num(0, "seq")?),
             "delay" => fault = fault.with_delayed_message(num(0, "seq")?, num(1, "extra")?),
             _ => return Err(format!("unknown key {key:?} in {line:?}")),
@@ -262,13 +283,18 @@ mod tests {
     #[test]
     fn round_trips_exactly() {
         let backends = [Backend::Des, Backend::Live, Backend::Dist];
+        let mut crashes = Vec::new();
         for seed in 0..120 {
             let case = generate_case(seed);
             let backend = backends[seed as usize % 3];
             let text = serialize(&case, backend, &["context".to_string()]);
             let back = parse(&text).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            crashes.extend_from_slice(&case.fault.crashes);
             assert_eq!((case, backend), back, "seed {seed} did not round-trip");
         }
+        // the wall-clock crash fields travelled, not just their defaults
+        assert!(crashes.iter().any(|c| c.respawn));
+        assert!(crashes.iter().any(|c| c.after_tasks != 1));
     }
 
     #[test]
@@ -276,6 +302,10 @@ mod tests {
         let text = "smp-check-repro v1\nmachine hopper\nsim_seed 1\nschedule fifo\nsteal none\ncosts 5\nqueue 0\n";
         assert_eq!(parse(text).map(|(_, b)| b), Ok(Backend::Des));
         assert!(parse(&text.replace("machine", "backend tcp\nmachine")).is_err());
+        // a legacy two-field crash line takes `with_crash`'s defaults
+        let (legacy, _) = parse(&format!("{text}crash 0 500\n")).unwrap();
+        assert_eq!(legacy.fault, FaultPlan::new(0).with_crash(0, 500));
+        assert!(parse(&format!("{text}crash 0 500 1 maybe\n")).is_err());
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   `rrt-cross`), which rebuilds the subdivision from the blob once
 //!   (cached by blob bytes) and derives any region's samples on demand —
 //!   region work is a pure function of `(config, region id)`, so a stolen
-//!   task needs **no sample migration**, mirroring the live backend's
+//!   task needs **no sample migration**, by the live backend's
 //!   location-independence argument.
 //!
 //! Dimension is part of the blob (first field), so one worker binary
@@ -462,7 +462,7 @@ impl<const D: usize> PrmCtx<D> {
     }
 }
 
-/// Worker context for one RRT experiment, mirroring [`PrmCtx`]: radial
+/// Worker context for one RRT experiment, shaped like [`PrmCtx`]: radial
 /// subdivision rebuilt from the blob, plus a per-region branch cache for
 /// cross-connection tasks.
 struct RrtCtx<const D: usize> {

@@ -573,7 +573,7 @@ pub fn run_parallel_rrt_dist_with<const D: usize>(
     execute_rrt(cfg, p, strategy, &mut runner, None)
 }
 
-/// Backend-agnostic entry point, mirroring
+/// Backend-agnostic entry point, the RRT twin of
 /// [`crate::parallel_prm::run_parallel_prm_on`]: `Backend::Des` measures
 /// the workload once and replays it on `p` virtual PEs of `machine`;
 /// `Backend::Live` executes it on `p` OS threads and `Backend::Dist` on

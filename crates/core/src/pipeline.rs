@@ -493,8 +493,8 @@ mod tests {
         ParallelPrmConfig, ParallelRrtConfig,
     };
     use smp_geom::envs;
-    use smp_runtime::dist::{DistFaultPlan, DistOptions, DistTuning, SpawnMode};
-    use smp_runtime::{Backend, LiveTuning, StealPolicyKind};
+    use smp_runtime::dist::{DistOptions, DistTuning, SpawnMode};
+    use smp_runtime::{Backend, FaultPlan, LiveTuning, StealPolicyKind};
     use std::sync::Arc;
 
     const BACKENDS: [&str; 3] = ["des", "live", "dist"];
@@ -506,7 +506,7 @@ mod tests {
         DistExecutor::new(DistOptions {
             tuning: DistTuning::default(),
             spawn: SpawnMode::Threads(Arc::new(|| Box::new(CoreHandler::default()))),
-            faults: DistFaultPlan::default(),
+            faults: FaultPlan::default(),
         })
     }
 

@@ -40,8 +40,8 @@ use smp_plan::{
 };
 use smp_runtime::executor::round_robin;
 use smp_runtime::{
-    simulate_phase, Backend, CancelToken, ExecError, ExecSpec, LiveExecutor, LiveFaultPlan,
-    LiveTuning, MachineModel, StealConfig,
+    simulate_phase, Backend, CancelToken, ExecError, ExecSpec, FaultPlan, LiveExecutor, LiveTuning,
+    MachineModel, StealConfig,
 };
 
 /// Seed-derivation stream tags (arbitrary, fixed forever).
@@ -80,7 +80,7 @@ pub struct PortfolioSpec<'a> {
     /// Portfolio seed; all round/member seeds derive from it.
     pub seed: u64,
     /// Optional fault injection for the live backend (ignored by DES).
-    pub faults: Option<LiveFaultPlan>,
+    pub faults: Option<FaultPlan>,
 }
 
 /// Run-dependent facts about one executed round.
@@ -594,7 +594,7 @@ pub fn run_portfolio_rrt_on<const D: usize>(
     workers: usize,
     strategy: Strategy,
     backend: Backend,
-    faults: Option<LiveFaultPlan>,
+    faults: Option<FaultPlan>,
 ) -> Result<PortfolioOutcome<Roadmap<D>>, ExecError> {
     let steal = match strategy {
         Strategy::WorkStealing(sc) => Some(sc),

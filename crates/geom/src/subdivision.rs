@@ -1,6 +1,6 @@
 //! Spatial subdivisions of the planning space into regions.
 //!
-//! Two subdivision schemes, mirroring the paper:
+//! Two subdivision schemes, as in the paper:
 //!
 //! * [`GridSubdivision`] — uniform axis-aligned grid (Algorithm 1, used for
 //!   parallel PRM). Regions are grid cells, optionally inflated by an overlap
@@ -201,7 +201,7 @@ impl<const D: usize> RadialSubdivision<D> {
     ///
     /// Directions are sorted into angular bands so region ids are spatially
     /// coherent: a contiguous id block (the naïve mapping) is then an
-    /// angular sector, mirroring the spatially-contiguous naïve column
+    /// angular sector, like the spatially-contiguous naïve column
     /// mapping used for the grid subdivision.
     pub fn sample(root: Point<D>, radius: f64, nr: usize, overlap_factor: f64, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);

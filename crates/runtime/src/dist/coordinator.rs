@@ -19,7 +19,6 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use super::fault::DistFaultPlan;
 use super::frame::write_frame;
 use super::msg::Msg;
 use super::phase::{Effect, PhaseState, SlotPlan};
@@ -27,7 +26,9 @@ use super::transport::{spawn_reader, DistListener, DistStream, Endpoint};
 use super::worker::{run_worker, DistHandler, WorkerParams, ASSIGN_RETRANSMIT_BASE};
 use super::DistError;
 use crate::executor::{validate_assignment, ExecError, ExecReport, ExecSpec};
+use crate::fault::FaultPlan;
 use crate::live::ResilientOutcome;
+use crate::sim::SimError;
 
 /// Early-stop predicate consulted on each newly recorded `(task, result)`;
 /// returning `true` cancels the remainder of the phase on all workers.
@@ -81,8 +82,10 @@ pub struct DistOptions {
     pub tuning: DistTuning,
     /// Process vs. thread workers.
     pub spawn: SpawnMode,
-    /// Deterministic fault injection (empty by default).
-    pub faults: DistFaultPlan,
+    /// Deterministic fault injection (empty by default): crashes with
+    /// their respawn flag, dropped `Done` / `DoneAck` frames and withheld
+    /// `Assign`s (PROTOCOL.md §6).
+    pub faults: FaultPlan,
 }
 
 impl DistOptions {
@@ -92,9 +95,22 @@ impl DistOptions {
         Ok(DistOptions {
             tuning,
             spawn: SpawnMode::Process(resolve_worker_cmd()?),
-            faults: DistFaultPlan::default(),
+            faults: FaultPlan::default(),
         })
     }
+}
+
+/// [`FaultPlan::validate`], plus the dist rule that a `Done` must be able
+/// to get through: at a loss rate of 1 no result is ever recorded.
+fn validate_faults(plan: &FaultPlan, p: usize) -> Result<(), SimError> {
+    plan.validate(p)?;
+    if plan.msg_loss >= 1.0 {
+        return Err(SimError::InvalidFaultPlan(format!(
+            "msg_loss {} would drop every Done frame",
+            plan.msg_loss
+        )));
+    }
+    Ok(())
 }
 
 /// Locate the `smp-dist-worker` binary.
@@ -297,8 +313,8 @@ impl Pool {
 pub struct DistExecutor {
     opts: DistOptions,
     phase: u32,
-    /// Worker slots whose injected kill has been armed (fires once).
-    kills_armed: Vec<u32>,
+    /// Worker slots whose injected crash has been armed (fires once).
+    kills_armed: Vec<usize>,
     pool: Option<Pool>,
 }
 
@@ -337,6 +353,7 @@ impl DistExecutor {
         stop: Option<StopFn<'_>>,
     ) -> Result<ResilientOutcome<Vec<u8>>, ExecError> {
         validate_assignment(spec.n_tasks, spec.assignment)?;
+        validate_faults(&self.opts.faults, spec.assignment.len())?;
         self.ensure_pool(spec.assignment.len())?;
         self.phase += 1;
         self.run_phase(spec, work, stop)
@@ -442,16 +459,18 @@ impl DistExecutor {
         let pool = self.pool.as_mut().expect("pool initialised");
         let plans = (0..pool.slots.len())
             .map(|w| {
-                let kill = faults.kill_for(w as u32);
-                // Each injected kill fires once per executor lifetime.
-                let arm = kill.filter(|k| !self.kills_armed.contains(&k.worker));
-                if let Some(k) = arm {
-                    self.kills_armed.push(k.worker);
+                let crash = faults.crashes.iter().find(|c| c.pe == w);
+                // Each injected crash fires once per executor lifetime.
+                let arm = crash.filter(|_| !self.kills_armed.contains(&w));
+                if arm.is_some() {
+                    self.kills_armed.push(w);
                 }
                 SlotPlan {
                     epoch: pool.slots[w].epoch,
-                    kill_after: arm.map(|k| k.after_tasks),
-                    respawn: kill.is_some_and(|k| k.respawn),
+                    // The worker reports `after_tasks` results, then exits
+                    // right after executing the next task.
+                    kill_after: arm.map(|c| c.after_tasks + 1),
+                    respawn: crash.is_some_and(|c| c.respawn),
                 }
             })
             .collect();
@@ -527,7 +546,7 @@ mod tests {
                 phase_timeout_ms: 2_000,
             },
             spawn: SpawnMode::Threads(Arc::new(|| Box::new(SynthHandler::default()))),
-            faults: DistFaultPlan::default(),
+            faults: FaultPlan::default(),
         });
         exec.ensure_pool(2).expect("pool up");
         let endpoint = exec.pool.as_ref().expect("pool").endpoint.clone();

@@ -18,9 +18,9 @@
 //!   ownership tracking, steal brokering, retransmit timers, crash
 //!   recovery, one handler per protocol step;
 //! * [`coordinator`] — [`coordinator::DistExecutor`], the driver around
-//!   it: sockets, clock, worker processes and respawn;
-//! * [`fault`] — deterministic fault injection ([`fault::DistFaultPlan`])
-//!   mirroring the DES `FaultPlan` for real processes.
+//!   it: sockets, clock, worker processes and respawn; it reads the one
+//!   [`crate::FaultPlan`] directly (kills, respawns, dropped frames);
+//! * `fault` — the seeded coin behind each dropped or withheld frame.
 //!
 //! The protocol itself is documented in `PROTOCOL.md` and model-checked in
 //! `specs/tla/StealProtocol.tla` (invariants **NoTaskDuplication**,
@@ -28,7 +28,7 @@
 //! --dist-smoke`).
 
 pub mod coordinator;
-pub mod fault;
+mod fault;
 pub mod frame;
 pub mod msg;
 mod phase;
@@ -39,7 +39,6 @@ pub mod worker;
 pub use coordinator::{
     resolve_worker_cmd, DistExecutor, DistOptions, DistTuning, HandlerFactory, SpawnMode, WorkDesc,
 };
-pub use fault::{DistFaultPlan, DistKill, FaultCoin};
 pub use frame::{FrameError, MAX_FRAME};
 pub use msg::Msg;
 pub use transport::{DistListener, DistStream, Endpoint};

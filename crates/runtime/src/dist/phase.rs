@@ -17,10 +17,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use super::coordinator::{StopFn, WorkDesc};
-use super::fault::{DistFaultPlan, FaultCoin};
+use super::fault::FaultCoin;
 use super::msg::Msg;
 use super::worker::ASSIGN_RETRANSMIT_BASE;
 use crate::executor::{ExecError, ExecSpec, RunStatus};
+use crate::fault::FaultPlan;
 use crate::live::ResilientOutcome;
 use crate::sim::{ResilienceStats, SimReport, StealAmount, StealConfig};
 use crate::topology::Mesh;
@@ -43,7 +44,8 @@ pub(crate) enum Effect {
 pub(crate) struct SlotPlan {
     /// The slot's current respawn epoch.
     pub(crate) epoch: u32,
-    /// Injected kill armed for this phase (`DistKill::after_tasks`).
+    /// Injected kill armed for this phase: the worker exits after
+    /// executing this many tasks (`Crash::after_tasks` + 1).
     pub(crate) kill_after: Option<u64>,
     /// Replace the slot's process when it dies instead of redistributing.
     pub(crate) respawn: bool,
@@ -157,7 +159,7 @@ impl<'a> PhaseState<'a> {
         work: WorkDesc<'a>,
         stop: Option<StopFn<'a>>,
         plans: Vec<SlotPlan>,
-        faults: &DistFaultPlan,
+        faults: &FaultPlan,
         now: Instant,
     ) -> Self {
         let (n, p) = (spec.n_tasks, plans.len());
@@ -178,9 +180,9 @@ impl<'a> PhaseState<'a> {
             mesh: Mesh::new(p.max(1)),
             rng: StdRng::seed_from_u64(spec.seed),
             // Independent deterministic streams, one per fault family.
-            done_coin: FaultCoin::new(faults.seed, 1, faults.drop_done_permille),
-            ack_coin: FaultCoin::new(faults.seed, 2, faults.drop_ack_permille),
-            assign_coin: FaultCoin::new(faults.seed, 3, faults.delay_assign_permille),
+            done_coin: FaultCoin::new(faults.seed, 1, faults.msg_loss),
+            ack_coin: FaultCoin::new(faults.seed, 2, faults.msg_loss),
+            assign_coin: FaultCoin::new(faults.seed, 3, faults.msg_jitter),
             t_start: now,
             assignment: spec.assignment,
             owner: vec![0; n],
@@ -752,7 +754,7 @@ mod tests {
     fn start<'a>(
         assignment: &'a [Vec<u32>],
         steal: Option<StealConfig>,
-        faults: &DistFaultPlan,
+        faults: &FaultPlan,
         stop: Option<StopFn<'a>>,
         t0: Instant,
     ) -> PhaseState<'a> {
@@ -816,13 +818,7 @@ mod tests {
         };
         let t0 = Instant::now();
         let assignment = [vec![0, 1], vec![2, 3]];
-        let mut s = start(
-            &assignment,
-            None,
-            &DistFaultPlan::default(),
-            Some(&hook),
-            t0,
-        );
+        let mut s = start(&assignment, None, &FaultPlan::default(), Some(&hook), t0);
         let frames = [
             done(1, 0, &[(0, 10), (99, 11)]), // out-of-range task id
             done(1, 1, &[(1, 20), (1, 21)]),  // id repeated inside the batch
@@ -851,10 +847,9 @@ mod tests {
 
     #[test]
     fn a_done_redelivered_after_its_ack_dropped_is_deduplicated() {
-        let faults = DistFaultPlan {
-            drop_ack_permille: 1000,
-            ..DistFaultPlan::default()
-        };
+        // Under seed 80 the loss coins let both `Done`s through and drop
+        // both acks.
+        let faults = FaultPlan::new(80).with_message_loss(0.5);
         let t0 = Instant::now();
         let assignment = [vec![0, 1, 2], vec![3]];
         let mut s = start(&assignment, None, &faults, None, t0);
@@ -877,7 +872,7 @@ mod tests {
         // 1's ask goes to worker 0 — and worker 1 dies before the Grant.
         let t0 = Instant::now();
         let assignment = [(0..8).collect(), vec![], vec![8]];
-        let mut s = start(&assignment, rand_k(2), &DistFaultPlan::default(), None, t0);
+        let mut s = start(&assignment, rand_k(2), &FaultPlan::default(), None, t0);
         let need_work = Msg::NeedWork {
             phase: 1,
             worker: 1,
@@ -919,10 +914,7 @@ mod tests {
 
     #[test]
     fn a_withheld_assign_is_resent_by_the_timer_with_doubling_backoff() {
-        let faults = DistFaultPlan {
-            delay_assign_permille: 1000,
-            ..DistFaultPlan::default()
-        };
+        let faults = FaultPlan::new(0).with_message_jitter(1.0, 0);
         let t0 = Instant::now();
         let assignment = [vec![0, 1, 2, 3], vec![]];
         let mut s = start(&assignment, rand_k(1), &faults, None, t0);

@@ -1,11 +1,10 @@
-//! Deterministic fault injection for the discrete-event simulator.
+//! Deterministic fault injection: one plan for all three backends.
 //!
-//! A [`FaultPlan`] describes everything that goes wrong during a simulated
-//! phase: PEs that run slow for a window of virtual time (stragglers), PEs
-//! that crash at a given instant, and control messages that are lost or
-//! delayed. The plan is *data*, not behaviour — the simulator consults it at
-//! well-defined points, and every decision is a pure hash of
-//! `(plan.seed, message sequence number)`, so:
+//! A [`FaultPlan`] describes everything that goes wrong during a phase:
+//! PEs that run slow (stragglers), PEs that crash, and messages that are
+//! lost or delayed. The plan is *data*, not behaviour — each executor
+//! consults it at well-defined points, and every decision is a pure hash
+//! of `(plan.seed, message sequence number)`, so:
 //!
 //! * the same `(workload, SimConfig, FaultPlan)` triple always produces the
 //!   same [`crate::SimReport`] bit for bit;
@@ -13,7 +12,7 @@
 //!   untouched — it consumes nothing from the simulator's steal RNG and
 //!   produces results identical to running with no plan at all.
 //!
-//! ## Fault semantics
+//! ## Fault semantics on the DES
 //!
 //! * **Straggler** — tasks *starting* while `from <= t < until` on the
 //!   affected PE cost `factor`× their measured cost. Overlapping windows
@@ -27,6 +26,22 @@
 //!   carrying* messages (grants, lifeline pushes) ride a reliable channel: a
 //!   drop costs a detection + retransmit delay instead of losing the
 //!   payload, so every task still executes exactly once.
+//!
+//! ## The same plan on live threads and worker processes
+//!
+//! Wall-clock backends have no virtual clock, so a crash there fires on
+//! its task count: the worker reports [`Crash::after_tasks`] results, and
+//! the result of its next task is lost.
+//!
+//! | field | live ([`crate::LiveExecutor`]) | dist ([`crate::DistExecutor`]) |
+//! |---|---|---|
+//! | `Crash.at` | — | — |
+//! | `Crash.after_tasks` = k | panic starting task k+1 | exit after executing task k+1, before reporting it |
+//! | `Crash.respawn` | — (redistribute) | replace the process at the next epoch, else redistribute |
+//! | `stragglers` | sleep `(factor−1)×100 µs` (≤ 5 ms) before each of the worker's first 4 tasks | — |
+//! | `msg_loss` | drop steal grant `seq` when [`FaultPlan::drops_message`] | drop each incoming `Done` and outgoing `DoneAck` with probability `msg_loss` (< 1) |
+//! | `msg_jitter` | — | withhold an `Assign`'s first send with probability `msg_jitter` |
+//! | `drop_seqs` | forced grant drop | — |
 
 use crate::{SimError, VTime};
 use serde::{Deserialize, Serialize};
@@ -45,13 +60,21 @@ pub struct Straggler {
     pub factor: f64,
 }
 
-/// A PE failure at a virtual instant.
+/// A PE failure, with one trigger per kind of clock: the DES reads the
+/// virtual instant `at`, the live and dist backends the task count
+/// `after_tasks`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Crash {
     /// PE that dies.
     pub pe: usize,
-    /// Virtual instant of the failure.
+    /// Virtual instant of the failure (DES).
     pub at: VTime,
+    /// Results the worker reports before it dies (live, dist); the result
+    /// of its task `after_tasks + 1` is lost.
+    pub after_tasks: u64,
+    /// Replace the dead worker process at the next epoch instead of
+    /// redistributing its queue (dist only).
+    pub respawn: bool,
 }
 
 /// A deterministic, serializable description of injected faults.
@@ -108,9 +131,28 @@ impl FaultPlan {
         self
     }
 
-    /// Kill `pe` at virtual instant `at`.
+    /// Kill `pe` at virtual instant `at`; on the wall-clock backends it
+    /// dies after reporting one result, and is not respawned.
     pub fn with_crash(mut self, pe: usize, at: VTime) -> Self {
-        self.crashes.push(Crash { pe, at });
+        self.crashes.push(Crash {
+            pe,
+            at,
+            after_tasks: 1,
+            respawn: false,
+        });
+        self
+    }
+
+    /// Kill `pe` once it has reported `after_tasks` results (live, dist),
+    /// replacing its process if `respawn` (dist). On the DES it dies at
+    /// virtual instant 0.
+    pub fn with_task_crash(mut self, pe: usize, after_tasks: u64, respawn: bool) -> Self {
+        self.crashes.push(Crash {
+            pe,
+            at: 0,
+            after_tasks,
+            respawn,
+        });
         self
     }
 
@@ -247,7 +289,9 @@ impl FaultPlan {
     }
 }
 
-fn splitmix64(mut x: u64) -> u64 {
+/// splitmix64, the crate's one cheap deterministic mixer.
+#[inline]
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x ^= x >> 30;
     x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -337,6 +381,24 @@ mod tests {
             .with_message_loss(0.5)
             .validate(4)
             .is_ok());
+    }
+
+    #[test]
+    fn crash_triggers_default_to_one_task_without_respawn() {
+        let plan = FaultPlan::new(0)
+            .with_crash(1, 500)
+            .with_task_crash(2, 3, true);
+        let [timed, counted] = plan.crashes[..] else {
+            panic!("two crashes expected");
+        };
+        assert_eq!(
+            (timed.at, timed.after_tasks, timed.respawn),
+            (500, 1, false)
+        );
+        assert_eq!(
+            (counted.at, counted.after_tasks, counted.respawn),
+            (0, 3, true)
+        );
     }
 
     #[test]

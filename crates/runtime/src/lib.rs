@@ -33,7 +33,6 @@ pub mod dist;
 pub mod executor;
 pub mod fault;
 pub mod live;
-pub mod live_fault;
 pub mod machine;
 pub mod metrics;
 pub mod rect;
@@ -42,11 +41,10 @@ pub mod steal;
 pub mod topology;
 
 pub use cancel::CancelToken;
-pub use dist::{DistError, DistExecutor, DistFaultPlan, DistKill, DistOptions, DistTuning};
+pub use dist::{DistError, DistExecutor, DistOptions, DistTuning};
 pub use executor::{Backend, ExecError, ExecReport, ExecSpec, RunStatus};
 pub use fault::{Crash, FaultPlan, Straggler};
 pub use live::{LiveControl, LiveExecutor, LiveOutcome, LivePartial, LiveTuning, ResilientOutcome};
-pub use live_fault::{LiveFaultPlan, PanicSpec, SleepSpec};
 pub use machine::{LatencyModel, MachineModel, OpCosts};
 pub use rect::rect_bisection;
 pub use sim::{

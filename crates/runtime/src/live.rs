@@ -42,10 +42,11 @@
 //! byte-identical to a fault-free one. Runs can also be stopped
 //! cooperatively, via a [`CancelToken`] or a deadline, at task
 //! granularity: [`LiveExecutor::execute_resilient`] then returns the
-//! partial results with a [`RunStatus`] instead of an error. A
-//! deterministic [`LiveFaultPlan`] injects panics, stragglers, and
-//! steal-grant drops for testing; the fault-handling counters surface in
-//! [`ExecReport::resilience`] and the `live.faults.*` metrics.
+//! partial results with a [`RunStatus`] instead of an error. The
+//! deterministic [`FaultPlan`] injects panics, stragglers, and steal-grant
+//! drops for testing (its module docs map each field onto this backend);
+//! the fault-handling counters surface in [`ExecReport::resilience`] and
+//! the `live.faults.*` metrics.
 //!
 //! Instrumentation: with [`LiveExecutor::with_tracing`], every worker
 //! records task spans, steal instants, and queue-length counters into a
@@ -57,7 +58,8 @@
 
 use crate::cancel::CancelToken;
 use crate::executor::{validate_assignment, ExecError, ExecReport, ExecSpec, RunStatus};
-use crate::live_fault::LiveFaultPlan;
+use crate::fault::FaultPlan;
+use crate::sim::SimError;
 use crate::topology::Mesh;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -91,7 +93,7 @@ const CAUSE_NONE: u8 = 0;
 const CAUSE_CANCELLED: u8 = 1;
 const CAUSE_DEADLINE: u8 = 2;
 
-/// Message attached to panics injected by a [`LiveFaultPlan`]. Injected
+/// Message attached to panics injected by a [`FaultPlan`] crash. Injected
 /// panics unwind via `resume_unwind`, which skips the global panic hook,
 /// so fault-injection tests stay quiet on stderr.
 const INJECTED_PANIC_MSG: &str = "injected panic (live fault plan)";
@@ -179,7 +181,7 @@ pub struct LiveControl {
     /// executor receives the remaining budget as its deadline.
     pub deadline: Option<Duration>,
     /// Fault plan injected into every phase.
-    pub faults: Option<LiveFaultPlan>,
+    pub faults: Option<FaultPlan>,
 }
 
 impl LiveControl {
@@ -204,7 +206,7 @@ impl LiveControl {
     }
 
     /// Inject `plan` into every phase.
-    pub fn with_faults(mut self, plan: LiveFaultPlan) -> Self {
+    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
         self
     }
@@ -282,7 +284,7 @@ pub struct LiveExecutor {
     record: bool,
     cancel: Option<CancelToken>,
     deadline: Option<Duration>,
-    faults: Option<LiveFaultPlan>,
+    faults: Option<FaultPlan>,
     last_bufs: Vec<TraceBuf>,
     submissions: u64,
 }
@@ -341,7 +343,7 @@ impl LiveExecutor {
 
     /// Inject deterministic faults (panics, stragglers, grant drops)
     /// into every phase this executor runs.
-    pub fn with_faults(mut self, plan: LiveFaultPlan) -> Self {
+    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
         self
     }
@@ -391,7 +393,7 @@ impl LiveExecutor {
         let initial_owner = validate_assignment(spec.n_tasks, spec.assignment)?;
         let p = spec.assignment.len();
         if let Some(plan) = &self.faults {
-            plan.validate(p)?;
+            validate_faults(plan, p)?;
         }
         let trace_on = self.record;
 
@@ -590,7 +592,7 @@ struct WorkerCtx<'a, R> {
     tuning: LiveTuning,
     cancel: Option<CancelToken>,
     deadline_at: Option<Instant>,
-    faults: Option<LiveFaultPlan>,
+    faults: Option<FaultPlan>,
     epoch: Instant,
     trace_on: bool,
     work: &'a (dyn Fn(u32) -> R + Sync),
@@ -637,6 +639,42 @@ impl<R> WorkerCtx<'_, R> {
 
 fn elapsed_ns(epoch: Instant) -> u64 {
     u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// [`FaultPlan::validate`], plus the live rule that some worker must
+/// survive to adopt the queues of the ones the plan crashes.
+fn validate_faults(plan: &FaultPlan, p: usize) -> Result<(), SimError> {
+    plan.validate(p)?;
+    let mut doomed: Vec<usize> = plan.crashes.iter().map(|c| c.pe).collect();
+    doomed.sort_unstable();
+    doomed.dedup();
+    if doomed.len() >= p {
+        return Err(SimError::InvalidFaultPlan(format!(
+            "plan crashes all {p} workers — no survivor to recover onto"
+        )));
+    }
+    Ok(())
+}
+
+/// Should worker `w` panic as it starts task attempt `attempts` (1-based)?
+fn trips_crash(plan: &FaultPlan, w: usize, attempts: usize) -> bool {
+    plan.crashes
+        .iter()
+        .any(|c| c.pe == w && attempts as u64 > c.after_tasks)
+}
+
+/// Microseconds worker `w` sleeps before a task, having executed `done`:
+/// each straggler on `w` adds `(factor − 1) × 100 µs`, at most 5 ms,
+/// before each of its first four tasks.
+fn straggler_sleep_us(plan: &FaultPlan, w: usize, done: usize) -> u64 {
+    if done >= 4 {
+        return 0;
+    }
+    plan.stragglers
+        .iter()
+        .filter(|s| s.pe == w)
+        .map(|s| ((s.factor - 1.0).max(0.0) * 100.0).min(5_000.0) as u64)
+        .sum()
 }
 
 /// Best-effort panic message.
@@ -723,7 +761,7 @@ fn worker_loop<R: Send>(ctx: WorkerCtx<'_, R>) -> WorkerLocal {
             attempts += 1;
             // Induced straggler sleep (deterministic fault injection).
             if let Some(plan) = &ctx.faults {
-                let sleep_us = plan.sleep_us(ctx.w, local.executed_tasks.len());
+                let sleep_us = straggler_sleep_us(plan, ctx.w, local.executed_tasks.len());
                 if sleep_us > 0 {
                     if let Some(buf) = &mut local.buf {
                         buf.instant(
@@ -745,7 +783,7 @@ fn worker_loop<R: Send>(ctx: WorkerCtx<'_, R>) -> WorkerLocal {
             // kills only this worker; survivors adopt its tasks.
             let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 if let Some(plan) = &ctx.faults {
-                    if plan.trips_panic(ctx.w, attempts) {
+                    if trips_crash(plan, ctx.w, attempts) {
                         // resume_unwind skips the panic hook: no stderr
                         // noise from planned faults.
                         std::panic::resume_unwind(Box::new(INJECTED_PANIC_MSG));
@@ -834,7 +872,7 @@ fn worker_loop<R: Send>(ctx: WorkerCtx<'_, R>) -> WorkerLocal {
             if ctx
                 .faults
                 .as_ref()
-                .is_some_and(|plan| plan.drops_grant(seq))
+                .is_some_and(|plan| plan.drops_message(seq))
             {
                 let mut q = ctx.queues[victim].lock();
                 for &t in batch.iter().rev() {
@@ -899,8 +937,9 @@ fn worker_loop<R: Send>(ctx: WorkerCtx<'_, R>) -> WorkerLocal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{SimError, StealAmount, StealConfig};
+    use crate::sim::{StealAmount, StealConfig};
     use crate::steal::StealPolicyKind;
+    use crate::VTime;
 
     fn spec<'a>(n: usize, assignment: &'a [Vec<u32>], steal: Option<StealConfig>) -> ExecSpec<'a> {
         ExecSpec {
@@ -1109,11 +1148,45 @@ mod tests {
     fn malformed_fault_plans_are_rejected() {
         let assignment = vec![vec![0u32], vec![1u32]];
         let mut ex = LiveExecutor::new(2, LiveTuning::default())
-            .with_faults(LiveFaultPlan::new(0).with_panic(5, 0));
+            .with_faults(FaultPlan::new(0).with_task_crash(5, 0, false));
         let err = ex
             .execute(&spec(2, &assignment, None), &region_work)
             .unwrap_err();
         assert!(matches!(err, ExecError::Sim(SimError::InvalidFaultPlan(_))));
+    }
+
+    #[test]
+    fn a_plan_must_leave_a_survivor() {
+        let every = FaultPlan::new(0)
+            .with_task_crash(0, 0, false)
+            .with_task_crash(1, 2, false);
+        assert!(validate_faults(&every, 2).is_err());
+        assert!(validate_faults(&FaultPlan::new(0).with_crash(0, 9), 1).is_err());
+        assert!(validate_faults(&FaultPlan::new(0).with_task_crash(0, 0, true), 2).is_ok());
+    }
+
+    #[test]
+    fn a_crash_trips_as_its_worker_starts_task_after_tasks_plus_one() {
+        let plan = FaultPlan::new(0).with_task_crash(2, 3, false);
+        assert!(!trips_crash(&plan, 2, 3)); // still on its 3rd attempt
+        assert!(trips_crash(&plan, 2, 4)); // starting the 4th
+        assert!(trips_crash(&plan, 2, 10));
+        assert!(!trips_crash(&plan, 1, 10)); // other worker
+    }
+
+    #[test]
+    fn straggler_sleeps_scale_with_the_factor_for_four_tasks() {
+        let plan = FaultPlan::new(9)
+            .with_straggler(0, 0, 1_000_000, 4.0)
+            .with_straggler(0, 5, 10, 1.5)
+            .with_straggler(1, 0, 10, 200.0)
+            .with_straggler(2, 0, 10, 0.5);
+        assert_eq!(straggler_sleep_us(&plan, 0, 0), 350); // overlapping specs sum
+        assert_eq!(straggler_sleep_us(&plan, 0, 3), 350);
+        assert_eq!(straggler_sleep_us(&plan, 0, 4), 0);
+        assert_eq!(straggler_sleep_us(&plan, 1, 0), 5_000); // capped at 5 ms
+        assert_eq!(straggler_sleep_us(&plan, 2, 0), 0); // a speed-up never sleeps
+        assert_eq!(straggler_sleep_us(&plan, 3, 0), 0);
     }
 
     #[test]
@@ -1124,7 +1197,7 @@ mod tests {
             .collect();
         for steal in [None, Some(StealConfig::new(StealPolicyKind::rand8()))] {
             let mut ex = LiveExecutor::new(3, LiveTuning::default())
-                .with_faults(LiveFaultPlan::new(7).with_panic(1, 2));
+                .with_faults(FaultPlan::new(7).with_task_crash(1, 2, false));
             let (results, report) = ex
                 .execute(&spec(n, &assignment, steal), &region_work)
                 .expect("recovered run");
@@ -1177,7 +1250,7 @@ mod tests {
         let n = 4;
         let assignment = vec![vec![0, 1, 2, 3]];
         let mut ex = LiveExecutor::new(1, LiveTuning::default())
-            .with_faults(LiveFaultPlan::new(0).with_panic(0, 1));
+            .with_faults(FaultPlan::new(0).with_task_crash(0, 1, false));
         // The plan validator rejects killing the only worker; force the
         // equivalent via a genuine panic to exercise the lost path.
         let err = ex
@@ -1285,7 +1358,7 @@ mod tests {
             vec![8, 9, 10, 11, 12, 13, 14, 15],
         ];
         let mut ex = LiveExecutor::new(2, LiveTuning::default())
-            .with_faults(LiveFaultPlan::new(0).with_straggler(0, 200, 4));
+            .with_faults(FaultPlan::new(0).with_straggler(0, 0, VTime::MAX, 3.0));
         let (results, report) = ex
             .execute(
                 &spec(
@@ -1305,7 +1378,7 @@ mod tests {
         let n = 48;
         let assignment = vec![(0..n as u32).collect::<Vec<_>>(), vec![], vec![]];
         let mut ex = LiveExecutor::new(3, LiveTuning::default())
-            .with_faults(LiveFaultPlan::new(3).with_grant_drop_rate(0.5));
+            .with_faults(FaultPlan::new(3).with_message_loss(0.5));
         let (results, report) = ex
             .execute(
                 &spec(

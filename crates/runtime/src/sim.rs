@@ -30,7 +30,7 @@
 
 use crate::cancel::CancelToken;
 use crate::executor::{validate_assignment, ExecError, ExecSpec, RunStatus};
-use crate::fault::FaultPlan;
+use crate::fault::{splitmix64, FaultPlan};
 use crate::live::ResilientOutcome;
 use crate::machine::MachineModel;
 use crate::steal::StealPolicyKind;
@@ -356,7 +356,7 @@ pub struct SeededSchedule {
 
 impl ScheduleOracle for SeededSchedule {
     fn tie_key(&mut self, _time: VTime, seq: u64) -> u64 {
-        mix64(self.seed ^ seq.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+        splitmix64(self.seed ^ seq.wrapping_mul(0x9e37_79b9_7f4a_7c15))
     }
 }
 
@@ -543,15 +543,6 @@ struct Sim<'a> {
     grants_rerouted: u64,
     exec_hist: MiniHist,
     batch_hist: MiniHist,
-}
-
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Bucket bounds of `des.tasks.exec_ns`: decades from 1 µs to 100 ms.
@@ -1008,9 +999,9 @@ impl Sim<'_> {
                     // deterministic jitter desynchronises thieves that ran
                     // dry at the same instant without touching the main RNG
                     let span = lat.steal_backoff / 4 + 1;
-                    let jitter =
-                        mix64(self.cfg.seed ^ (pe as u64) << 32 ^ u64::from(self.fail_rounds[pe]))
-                            % span;
+                    let jitter = splitmix64(
+                        self.cfg.seed ^ (pe as u64) << 32 ^ u64::from(self.fail_rounds[pe]),
+                    ) % span;
                     self.fail_rounds[pe] = self.fail_rounds[pe].saturating_add(1);
                     self.report.resilience.retries += 1;
                     trace_ev!(

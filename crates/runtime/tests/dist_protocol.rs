@@ -8,14 +8,18 @@
 
 use smp_runtime::dist::wire::WireWriter;
 use smp_runtime::dist::{
-    synth_work, DistExecutor, DistFaultPlan, DistHandler, DistKill, DistOptions, DistTuning,
-    HandlerFactory, SpawnMode, SynthHandler, WorkDesc,
+    synth_work, DistExecutor, DistHandler, DistOptions, DistTuning, HandlerFactory, SpawnMode,
+    SynthHandler, WorkDesc,
 };
 use smp_runtime::executor::{round_robin, ExecSpec};
-use smp_runtime::{ExecReport, RunStatus, StealAmount, StealConfig, StealPolicyKind};
+use smp_runtime::{
+    ExecError, ExecReport, FaultPlan, RunStatus, SimError, StealAmount, StealConfig,
+    StealPolicyKind,
+};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-fn thread_opts(faults: DistFaultPlan) -> DistOptions {
+fn thread_opts(faults: FaultPlan) -> DistOptions {
     let factory: HandlerFactory = Arc::new(|| Box::new(SynthHandler::default()));
     DistOptions {
         tuning: DistTuning::default(),
@@ -67,7 +71,7 @@ fn run_synth(
 fn dist_executes_all_tasks_across_worker_counts() {
     let costs: Vec<u64> = (0..24).map(|t| 40_000 + t * 1_000).collect();
     for p in [1usize, 2, 4] {
-        let mut exec = DistExecutor::new(thread_opts(DistFaultPlan::default()));
+        let mut exec = DistExecutor::new(thread_opts(FaultPlan::default()));
         let (results, report) = run_synth(&mut exec, &costs, &round_robin(costs.len(), p), None);
         assert_eq!(results, expected(&costs), "p={p}");
         assert_eq!(
@@ -92,7 +96,7 @@ fn dist_pool_persists_across_phases() {
     // Two phases on one executor: the pool (and the workers' cached blob)
     // is reused; results stay correct in both.
     let costs: Vec<u64> = vec![60_000; 12];
-    let mut exec = DistExecutor::new(thread_opts(DistFaultPlan::default()));
+    let mut exec = DistExecutor::new(thread_opts(FaultPlan::default()));
     let a = round_robin(costs.len(), 2);
     let (first, _) = run_synth(&mut exec, &costs, &a, None);
     let (second, report) = run_synth(&mut exec, &costs, &a, None);
@@ -115,7 +119,7 @@ fn dist_steals_under_imbalance() {
         policy: StealPolicyKind::RandK(3),
         amount: StealAmount::Half,
     };
-    let mut exec = DistExecutor::new(thread_opts(DistFaultPlan::default()));
+    let mut exec = DistExecutor::new(thread_opts(FaultPlan::default()));
     let (results, report) = run_synth(&mut exec, &costs, &assignment, Some(steal));
     assert_eq!(results, expected(&costs));
     assert!(
@@ -150,16 +154,12 @@ fn dist_results_identical_under_message_faults() {
         amount: StealAmount::One,
     };
 
-    let mut clean = DistExecutor::new(thread_opts(DistFaultPlan::default()));
+    let mut clean = DistExecutor::new(thread_opts(FaultPlan::default()));
     let (baseline, _) = run_synth(&mut clean, &costs, &assignment, Some(steal));
 
-    let faults = DistFaultPlan {
-        seed: 7,
-        drop_done_permille: 330,
-        drop_ack_permille: 330,
-        delay_assign_permille: 500,
-        kills: Vec::new(),
-    };
+    let faults = FaultPlan::new(7)
+        .with_message_loss(0.33)
+        .with_message_jitter(0.5, 0);
     let mut faulty = DistExecutor::new(thread_opts(faults));
     let (results, report) = run_synth(&mut faulty, &costs, &assignment, Some(steal));
 
@@ -181,12 +181,48 @@ impl DistHandler for SlowSynth {
 }
 
 #[test]
+fn dist_rejects_an_unrunnable_fault_plan_before_the_phase_starts() {
+    // A crash aimed past the last worker would never fire, and a loss
+    // rate of 1 would drop every `Done` until the phase timeout: both are
+    // structured errors, returned at once.
+    let costs: Vec<u64> = vec![256; 4];
+    let blob = synth_blob(&costs);
+    let assignment = round_robin(costs.len(), 2);
+    let spec = ExecSpec {
+        n_tasks: costs.len(),
+        costs: Some(&costs),
+        payloads: None,
+        assignment: &assignment,
+        steal: None,
+        seed: 42,
+    };
+    let work = WorkDesc {
+        kind: "synth",
+        blob: &blob,
+    };
+    for faults in [
+        FaultPlan::new(0).with_task_crash(2, 0, false),
+        FaultPlan::new(0).with_message_loss(1.0),
+    ] {
+        let t0 = Instant::now();
+        let err = DistExecutor::new(thread_opts(faults.clone()))
+            .execute_raw(&spec, &work)
+            .expect_err("an unrunnable plan must be rejected");
+        assert!(
+            matches!(err, ExecError::Sim(SimError::InvalidFaultPlan(_))),
+            "{faults:?}: {err:?}"
+        );
+        assert!(t0.elapsed() < Duration::from_secs(5), "{faults:?} waited");
+    }
+}
+
+#[test]
 fn dist_reports_results_in_batches() {
     let m = |report: &ExecReport, name: &str| report.metrics.expect(name);
 
     // Cheap tasks travel many to a frame: far fewer frames than tasks.
     let costs: Vec<u64> = vec![256; 2000];
-    let mut exec = DistExecutor::new(thread_opts(DistFaultPlan::default()));
+    let mut exec = DistExecutor::new(thread_opts(FaultPlan::default()));
     let (results, report) = run_synth(&mut exec, &costs, &round_robin(costs.len(), 2), None);
     assert_eq!(results, expected(&costs));
     assert_eq!(m(&report, "dist.msgs.done_unique"), 2000);
@@ -206,7 +242,7 @@ fn dist_reports_results_in_batches() {
     let factory: HandlerFactory = Arc::new(|| Box::new(SlowSynth(SynthHandler::default())));
     let mut slow = DistExecutor::new(DistOptions {
         spawn: SpawnMode::Threads(factory),
-        ..thread_opts(DistFaultPlan::default())
+        ..thread_opts(FaultPlan::default())
     });
     let costs: Vec<u64> = vec![256; 12];
     let (results, report) = run_synth(&mut slow, &costs, &round_robin(costs.len(), 2), None);
@@ -221,25 +257,16 @@ fn dist_reports_results_in_batches() {
 
 #[test]
 fn dist_recovers_from_worker_kill_with_respawn() {
-    // Worker 1 dies after 2 executed tasks *without* reporting the second
-    // one (worst case: executed-but-uncredited work is lost). A replacement
-    // process joins at the next epoch and adopts the orphans.
+    // Worker 1 reports one result, then dies right after executing its
+    // second task *without* reporting it (worst case: executed-but-
+    // uncredited work is lost). A replacement process joins at the next
+    // epoch and adopts the orphans.
     let costs: Vec<u64> = vec![150_000; 20];
     let assignment = round_robin(costs.len(), 2);
-    let mut clean = DistExecutor::new(thread_opts(DistFaultPlan::default()));
+    let mut clean = DistExecutor::new(thread_opts(FaultPlan::default()));
     let (baseline, _) = run_synth(&mut clean, &costs, &assignment, None);
 
-    let faults = DistFaultPlan {
-        seed: 1,
-        drop_done_permille: 0,
-        drop_ack_permille: 0,
-        delay_assign_permille: 0,
-        kills: vec![DistKill {
-            worker: 1,
-            after_tasks: 2,
-            respawn: true,
-        }],
-    };
+    let faults = FaultPlan::new(1).with_task_crash(1, 1, true);
     let mut exec = DistExecutor::new(thread_opts(faults));
     let (results, report) = run_synth(&mut exec, &costs, &assignment, None);
 
@@ -261,20 +288,10 @@ fn dist_recovers_from_worker_kill_by_redistribution() {
     // least-loaded survivor and the phase completes on p-1 workers.
     let costs: Vec<u64> = vec![150_000; 18];
     let assignment = round_robin(costs.len(), 3);
-    let mut clean = DistExecutor::new(thread_opts(DistFaultPlan::default()));
+    let mut clean = DistExecutor::new(thread_opts(FaultPlan::default()));
     let (baseline, _) = run_synth(&mut clean, &costs, &assignment, None);
 
-    let faults = DistFaultPlan {
-        seed: 2,
-        drop_done_permille: 0,
-        drop_ack_permille: 0,
-        delay_assign_permille: 0,
-        kills: vec![DistKill {
-            worker: 2,
-            after_tasks: 1,
-            respawn: false,
-        }],
-    };
+    let faults = FaultPlan::new(2).with_task_crash(2, 0, false);
     let mut exec = DistExecutor::new(thread_opts(faults));
     let (results, report) = run_synth(&mut exec, &costs, &assignment, None);
 
@@ -295,27 +312,12 @@ fn dist_survives_death_of_last_live_worker_during_respawn() {
     // completes on the replacement alone.
     let costs: Vec<u64> = vec![400_000; 20];
     let assignment = round_robin(costs.len(), 2);
-    let mut clean = DistExecutor::new(thread_opts(DistFaultPlan::default()));
+    let mut clean = DistExecutor::new(thread_opts(FaultPlan::default()));
     let (baseline, _) = run_synth(&mut clean, &costs, &assignment, None);
 
-    let faults = DistFaultPlan {
-        seed: 11,
-        drop_done_permille: 0,
-        drop_ack_permille: 0,
-        delay_assign_permille: 0,
-        kills: vec![
-            DistKill {
-                worker: 0,
-                after_tasks: 1,
-                respawn: true,
-            },
-            DistKill {
-                worker: 1,
-                after_tasks: 2,
-                respawn: false,
-            },
-        ],
-    };
+    let faults = FaultPlan::new(11)
+        .with_task_crash(0, 0, true)
+        .with_task_crash(1, 1, false);
     let mut exec = DistExecutor::new(thread_opts(faults));
     let (results, report) = run_synth(&mut exec, &costs, &assignment, None);
 
@@ -340,7 +342,7 @@ fn dist_stop_hook_cancels_remaining_work() {
         steal: None,
         seed: 9,
     };
-    let mut exec = DistExecutor::new(thread_opts(DistFaultPlan::default()));
+    let mut exec = DistExecutor::new(thread_opts(FaultPlan::default()));
     let stop = |_task: u32, _bytes: &[u8]| true;
     let partial = exec
         .execute_raw_with_stop(
@@ -384,7 +386,7 @@ fn dist_rejects_malformed_blob_with_structured_error() {
         steal: None,
         seed: 3,
     };
-    let mut exec = DistExecutor::new(thread_opts(DistFaultPlan::default()));
+    let mut exec = DistExecutor::new(thread_opts(FaultPlan::default()));
     let err = exec
         .execute_raw(
             &spec,

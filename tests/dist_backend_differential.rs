@@ -19,10 +19,8 @@ use smp::core::{
     ParallelRrtConfig, Strategy, WeightKind,
 };
 use smp::geom::envs;
-use smp::runtime::dist::{
-    DistExecutor, DistFaultPlan, DistKill, DistOptions, DistTuning, SpawnMode,
-};
-use smp::runtime::{LiveTuning, StealConfig, StealPolicyKind};
+use smp::runtime::dist::{DistExecutor, DistOptions, DistTuning, SpawnMode};
+use smp::runtime::{FaultPlan, LiveTuning, StealConfig, StealPolicyKind};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
@@ -30,7 +28,7 @@ fn worker_bin() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_smp-dist-worker"))
 }
 
-fn process_exec(faults: DistFaultPlan) -> DistExecutor {
+fn process_exec(faults: FaultPlan) -> DistExecutor {
     DistExecutor::new(DistOptions {
         tuning: DistTuning::default(),
         spawn: SpawnMode::Process(worker_bin()),
@@ -82,7 +80,7 @@ fn dist_prm_digest_matches_des_and_live_across_workers_and_strategies() {
     all.push(Strategy::RectPartition(WeightKind::SampleCount));
     for p in WORKER_COUNTS {
         // One process pool per worker count, reused across strategies.
-        let mut exec = process_exec(DistFaultPlan::default());
+        let mut exec = process_exec(FaultPlan::default());
         for strategy in &all {
             let (w, run) =
                 run_parallel_prm_dist_with(&cfg, p, strategy, &mut exec).expect("dist PRM run");
@@ -113,7 +111,7 @@ fn dist_rrt_digest_matches_des_and_live_across_workers_and_strategies() {
     let mut all = strategies();
     all.push(Strategy::RectPartition(WeightKind::KRays(4)));
     for p in WORKER_COUNTS {
-        let mut exec = process_exec(DistFaultPlan::default());
+        let mut exec = process_exec(FaultPlan::default());
         for strategy in &all {
             let (w, _) =
                 run_parallel_rrt_dist_with(&cfg, p, strategy, &mut exec).expect("dist RRT run");
@@ -162,23 +160,16 @@ fn crash_phase(exec: &mut DistExecutor, p: usize) -> smp::runtime::ExecReport {
 
 #[test]
 fn dist_digest_survives_worker_process_crash_and_respawn() {
-    // Kill worker process 1 (after 2 executed tasks, its last Done
-    // suppressed — executed-but-uncredited work) and respawn it; then run
+    // Kill worker process 1 (it reports one result, then executes a
+    // second task and dies before reporting it — executed-but-uncredited
+    // work) and respawn it; then run
     // the full planner on the same recovered pool. The roadmap must still
     // be byte-identical to the DES.
     let env = envs::med_cube();
     let cfg = prm_cfg(&env);
     let des_digest = roadmap_digest(&assemble_prm_roadmap(&build_prm_workload(&cfg)));
 
-    let faults = DistFaultPlan {
-        seed: 11,
-        kills: vec![DistKill {
-            worker: 1,
-            after_tasks: 2,
-            respawn: true,
-        }],
-        ..DistFaultPlan::default()
-    };
+    let faults = FaultPlan::new(11).with_task_crash(1, 1, true);
     let mut exec = process_exec(faults);
     let report = crash_phase(&mut exec, 2);
     assert_eq!(report.resilience.crashes, 1, "kill never fired");
@@ -204,15 +195,7 @@ fn dist_digest_survives_worker_process_crash_without_respawn() {
     let cfg = prm_cfg(&env);
     let des_digest = roadmap_digest(&assemble_prm_roadmap(&build_prm_workload(&cfg)));
 
-    let faults = DistFaultPlan {
-        seed: 12,
-        kills: vec![DistKill {
-            worker: 1,
-            after_tasks: 3,
-            respawn: false,
-        }],
-        ..DistFaultPlan::default()
-    };
+    let faults = FaultPlan::new(12).with_task_crash(1, 2, false);
     let mut exec = process_exec(faults);
     let report = crash_phase(&mut exec, 2);
     assert_eq!(report.resilience.crashes, 1, "kill never fired");
@@ -231,13 +214,9 @@ fn dist_message_faults_do_not_change_the_digest() {
     let cfg = prm_cfg(&env);
     let des_digest = roadmap_digest(&assemble_prm_roadmap(&build_prm_workload(&cfg)));
 
-    let faults = DistFaultPlan {
-        seed: 13,
-        drop_done_permille: 330,
-        drop_ack_permille: 330,
-        delay_assign_permille: 500,
-        kills: Vec::new(),
-    };
+    let faults = FaultPlan::new(13)
+        .with_message_loss(0.33)
+        .with_message_jitter(0.5, 0);
     let mut exec = process_exec(faults);
     let strategy = Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Hybrid(8)));
     let (w, run) = run_parallel_prm_dist_with(&cfg, 2, &strategy, &mut exec)

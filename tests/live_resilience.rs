@@ -17,8 +17,8 @@ use smp_core::{
 };
 use smp_geom::envs;
 use smp_runtime::{
-    CancelToken, ExecError, ExecSpec, LiveControl, LiveExecutor, LiveFaultPlan, LiveOutcome,
-    LiveTuning, RunStatus, StealConfig, StealPolicyKind,
+    CancelToken, ExecError, ExecSpec, FaultPlan, LiveControl, LiveExecutor, LiveOutcome,
+    LiveTuning, RunStatus, StealConfig, StealPolicyKind, VTime,
 };
 use std::time::Duration;
 
@@ -38,12 +38,12 @@ fn prm_cfg(env: &smp_geom::Environment<3>) -> ParallelPrmConfig<'_, 3> {
 /// A plan that exercises every live fault kind `threads` supports:
 /// stragglers and grant drops always, plus a panic on the last worker
 /// when a survivor exists to recover onto.
-fn stress_plan(threads: usize) -> LiveFaultPlan {
-    let mut plan = LiveFaultPlan::new(0xFA_017)
-        .with_straggler(0, 50, 3)
-        .with_grant_drop_rate(0.3);
+fn stress_plan(threads: usize) -> FaultPlan {
+    let mut plan = FaultPlan::new(0xFA_017)
+        .with_straggler(0, 0, VTime::MAX, 1.5)
+        .with_message_loss(0.3);
     if threads >= 2 {
-        plan = plan.with_panic(threads - 1, 1);
+        plan = plan.with_task_crash(threads - 1, 1, false);
     }
     plan
 }
@@ -203,7 +203,7 @@ fn static_schedule_guarantees_the_planned_panic_fires() {
         seed: 3,
     };
     let out = LiveExecutor::new(2, LiveTuning::default())
-        .with_faults(LiveFaultPlan::new(1).with_panic(1, 0))
+        .with_faults(FaultPlan::new(1).with_task_crash(1, 0, false))
         .execute_resilient(&spec, &|t: u32| t + 100)
         .expect("recovery must complete");
     assert_eq!(out.status, RunStatus::Completed);
@@ -268,7 +268,7 @@ fn cancelled_partial_outcome_keeps_the_fault_metrics_conserved() {
     let tok = token.clone();
     let out = LiveExecutor::new(2, LiveTuning::default())
         .with_cancel(token)
-        .with_faults(LiveFaultPlan::new(2).with_panic(1, 0))
+        .with_faults(FaultPlan::new(2).with_task_crash(1, 0, false))
         .execute_resilient(&spec, &|t: u32| {
             if t == 0 {
                 std::thread::sleep(Duration::from_millis(30));

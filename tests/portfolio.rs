@@ -19,7 +19,7 @@ use smp::core::restart::{luby, RestartSchedule};
 use smp::core::{roadmap_digest, run_portfolio_rrt_on, PlannerKind, RrtPortfolioConfig, Strategy};
 use smp::geom::{envs, Point};
 use smp::runtime::{
-    Backend, LiveFaultPlan, LiveTuning, MachineModel, StealConfig, StealPolicyKind,
+    Backend, FaultPlan, LiveTuning, MachineModel, StealConfig, StealPolicyKind, VTime,
 };
 
 // ---------------------------------------------------------------------
@@ -174,7 +174,7 @@ fn portfolio_winner_and_ledger_match_des_across_threads_and_strategies() {
 }
 
 #[test]
-fn portfolio_ledger_survives_live_faults() {
+fn portfolio_ledger_survives_injected_faults() {
     let env = envs::walls(2, 0.04, 0.22);
     let cfg = narrow_cfg(&env);
     let machine = MachineModel::hopper();
@@ -183,10 +183,10 @@ fn portfolio_ledger_survives_live_faults() {
     let des_digest = roadmap_digest(des.winner.as_ref().expect("winner payload"));
     // Stragglers + grant drops on every worker, plus a recoverable panic:
     // none of it may perturb the deterministic outcome.
-    let plan = LiveFaultPlan::new(0xF0A7)
-        .with_straggler(0, 40, 2)
-        .with_grant_drop_rate(0.25)
-        .with_panic(1, 1);
+    let plan = FaultPlan::new(0xF0A7)
+        .with_straggler(0, 0, VTime::MAX, 1.4)
+        .with_message_loss(0.25)
+        .with_task_crash(1, 1, false);
     for threads in [2usize, 8] {
         let live = run_portfolio_rrt_on(
             &cfg,
