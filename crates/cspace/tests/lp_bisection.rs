@@ -2,9 +2,9 @@
 //! the queue-based bisection it replaced: same visit order, same step
 //! counts, same early-exit point — and allocation-free.
 
-use smp_cspace::validity::FnValidity;
+use smp_cspace::validity::{EnvValidity, FnValidity};
 use smp_cspace::{Cfg, LocalPlanner, StraightLinePlanner, WorkCounters};
-use smp_geom::Point;
+use smp_geom::{envs, Point};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Mutex;
@@ -126,16 +126,30 @@ fn early_exit_matches_queue_reference() {
 #[test]
 fn check_allocates_nothing() {
     let v = FnValidity(|_: &Cfg<3>| true);
+    // `mixed` has 604 boxes, so its checks walk the uniform grid; the
+    // second edge runs through the free core and crosses the cell
+    // boundaries at x = y = z = 0.5, where every point's clearance ball
+    // reaches several cells.
+    let clutter = envs::mixed();
+    let grid = EnvValidity::new(&clutter, 0.02);
     let lp = StraightLinePlanner::new(0.003);
     let a = Point::new([0.02, 0.9, 0.4]);
     let b = Point::new([0.88, 0.13, 0.62]);
+    let (c, d) = (Point::new([0.44, 0.5, 0.5]), Point::new([0.56, 0.5, 0.5]));
     let mut w = WorkCounters::new();
-    // warm-up (nothing to warm, but keep the shape of the other alloc tests)
+    // warm-up: builds the environment's lazy SoA arrays and grid
     lp.check(&a, &b, &v, &mut w);
+    lp.check(&a, &b, &grid, &mut w);
+    assert!(
+        lp.check(&c, &d, &grid, &mut w).valid,
+        "the core edge is free"
+    );
 
     let before = thread_allocs();
     for _ in 0..64 {
         std::hint::black_box(lp.check(&a, &b, &v, &mut w));
+        std::hint::black_box(lp.check(&a, &b, &grid, &mut w));
+        std::hint::black_box(lp.check(&c, &d, &grid, &mut w));
     }
     let after = thread_allocs();
     assert_eq!(

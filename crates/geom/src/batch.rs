@@ -3,11 +3,14 @@
 //! [`BatchEnv`] stores the broad-phase obstacle set of an [`Environment`](crate::Environment)
 //! **obstacles-in-lanes**: padded structure-of-arrays chunks of [`LANES`]
 //! obstacles, indexed `[chunk][axis][lane]`, so the validity kernel tests
-//! one point against four obstacles per step. [`BatchEnv::first_invalid`]
-//! (the local planner's edge check) walks its points *sequentially* through
-//! that kernel — keeping the scalar path's stop-at-first-invalid work
-//! profile, which dominates in cluttered environments, while every point's
-//! obstacle scan runs four-wide. The free-function distance kernels
+//! one point against four obstacles per step.
+//! [`Environment::first_invalid`](crate::Environment::first_invalid) (the
+//! local planner's edge check) walks its points *sequentially* through that
+//! kernel — keeping the scalar path's stop-at-first-invalid work profile,
+//! which dominates in cluttered environments, while every point's obstacle
+//! scan runs four-wide. With enough obstacles the kernel runs per cell of a
+//! uniform grid instead of over the whole set (`crate::grid`), on the same
+//! chunk layout. The free-function distance kernels
 //! ([`dist_chunk`], [`dists_into`]) are the points-in-lanes counterpart
 //! used by the kNN leaf scans.
 //!
@@ -43,8 +46,8 @@
 //! every kernel and can never produce a NaN.
 
 use crate::aabb::Aabb;
-use crate::obstacle::Obstacle;
 use crate::point::Point;
+use std::ops::Range;
 
 /// SIMD lane width of the batch kernels. `[f64; 4]` loops autovectorize to
 /// 256-bit (AVX) or wider vector code without any explicit intrinsics.
@@ -53,7 +56,7 @@ pub const LANES: usize = 4;
 /// One-ulp inflation applied to squared thresholds so float rounding of the
 /// `clearance²` product can never flip a sqrt-free comparison (same constant
 /// as the scalar path).
-const SQ_ULP: f64 = 1.0 + 1e-15;
+pub(crate) const SQ_ULP: f64 = 1.0 + 1e-15;
 
 /// Structure-of-arrays broad-phase obstacle storage (see module docs).
 #[derive(Debug, Clone, Default)]
@@ -79,34 +82,64 @@ impl<const D: usize> BatchEnv<D> {
         spheres: Vec<(Point<D>, f64)>,
         narrow: Vec<u32>,
     ) -> Self {
+        let mut env = BatchEnv {
+            narrow,
+            ..Self::default()
+        };
+        env.push_chunks(&boxes, &spheres);
+        env
+    }
+
+    /// Append `boxes` and `spheres` as fresh padded chunks (the previous
+    /// chunks stay untouched) and return the *chunk* index ranges they
+    /// occupy. The uniform grid (`crate::grid`) stores every cell's
+    /// entries this way, one flat SoA array with per-cell chunk offsets.
+    pub(crate) fn push_chunks(
+        &mut self,
+        boxes: &[Aabb<D>],
+        spheres: &[(Point<D>, f64)],
+    ) -> (Range<usize>, Range<usize>) {
+        let b0 = self.box_chunks();
         let bc = boxes.len().div_ceil(LANES);
-        let sc = spheres.len().div_ceil(LANES);
-        let mut box_lo = vec![f64::MAX; bc * D * LANES];
-        let mut box_hi = vec![f64::MAX; bc * D * LANES];
+        self.box_lo.resize((b0 + bc) * D * LANES, f64::MAX);
+        self.box_hi.resize((b0 + bc) * D * LANES, f64::MAX);
         for (i, bb) in boxes.iter().enumerate() {
-            let (ch, lane) = (i / LANES, i % LANES);
+            let (ch, lane) = (b0 + i / LANES, i % LANES);
             let (lo, hi) = (bb.lo(), bb.hi());
             for a in 0..D {
-                box_lo[(ch * D + a) * LANES + lane] = lo[a];
-                box_hi[(ch * D + a) * LANES + lane] = hi[a];
+                self.box_lo[(ch * D + a) * LANES + lane] = lo[a];
+                self.box_hi[(ch * D + a) * LANES + lane] = hi[a];
             }
         }
-        let mut sph_c = vec![f64::MAX; sc * D * LANES];
-        let mut sph_r = vec![0.0; sc * LANES];
+        let s0 = self.sphere_chunks();
+        let sc = spheres.len().div_ceil(LANES);
+        self.sph_c.resize((s0 + sc) * D * LANES, f64::MAX);
+        self.sph_r.resize((s0 + sc) * LANES, 0.0);
         for (i, (c, r)) in spheres.iter().enumerate() {
-            let (ch, lane) = (i / LANES, i % LANES);
+            let (ch, lane) = (s0 + i / LANES, i % LANES);
             for a in 0..D {
-                sph_c[(ch * D + a) * LANES + lane] = c[a];
+                self.sph_c[(ch * D + a) * LANES + lane] = c[a];
             }
-            sph_r[ch * LANES + lane] = *r;
+            self.sph_r[ch * LANES + lane] = *r;
         }
-        BatchEnv {
-            box_lo,
-            box_hi,
-            sph_c,
-            sph_r,
-            narrow,
-        }
+        (b0..b0 + bc, s0..s0 + sc)
+    }
+
+    /// Reserve exactly `boxes` more box chunks and `spheres` more sphere
+    /// chunks.
+    pub(crate) fn reserve_chunks(&mut self, boxes: usize, spheres: usize) {
+        self.box_lo.reserve_exact(boxes * D * LANES);
+        self.box_hi.reserve_exact(boxes * D * LANES);
+        self.sph_c.reserve_exact(spheres * D * LANES);
+        self.sph_r.reserve_exact(spheres * LANES);
+    }
+
+    fn box_chunks(&self) -> usize {
+        self.box_lo.len() / (D * LANES).max(1)
+    }
+
+    fn sphere_chunks(&self) -> usize {
+        self.sph_r.len() / LANES
     }
 
     /// Obstacle-list indices needing the convex narrow phase.
@@ -119,7 +152,27 @@ impl<const D: usize> BatchEnv<D> {
     /// scalar decision rule. The convex narrow phase is the caller's job.
     #[inline]
     pub fn boxes_spheres_valid(&self, p: &Point<D>, clearance: f64, c2: f64) -> bool {
-        for ch in 0..self.box_lo.len() / (D * LANES).max(1) {
+        self.chunks_valid(
+            0..self.box_chunks(),
+            0..self.sphere_chunks(),
+            p,
+            clearance,
+            c2,
+        )
+    }
+
+    /// [`Self::boxes_spheres_valid`] restricted to the box chunks `boxes`
+    /// and sphere chunks `spheres`.
+    #[inline]
+    pub(crate) fn chunks_valid(
+        &self,
+        boxes: Range<usize>,
+        spheres: Range<usize>,
+        p: &Point<D>,
+        clearance: f64,
+        c2: f64,
+    ) -> bool {
+        for ch in boxes {
             let base = ch * D * LANES;
             let mut sq = [0.0f64; LANES];
             for a in 0..D {
@@ -146,7 +199,7 @@ impl<const D: usize> BatchEnv<D> {
                 }
             }
         }
-        for ch in 0..self.sph_r.len() / LANES.max(1) {
+        for ch in spheres {
             let base = ch * D * LANES;
             let mut sq = [0.0f64; LANES];
             for a in 0..D {
@@ -177,47 +230,6 @@ impl<const D: usize> BatchEnv<D> {
             }
         }
         true
-    }
-
-    /// Index of the first point in `pts` that is invalid (out of bounds or
-    /// colliding at `clearance`), or `None` when all are valid. Decision- and
-    /// order-identical to calling the scalar `is_valid` on each point in
-    /// sequence — points are visited one at a time so work stops exactly
-    /// where the scalar path would (no lane is ever checked past the first
-    /// failure), and each visit runs the four-obstacles-per-step SoA kernel.
-    pub fn first_invalid(
-        &self,
-        bounds: &Aabb<D>,
-        obstacles: &[Obstacle<D>],
-        pts: &[Point<D>],
-        clearance: f64,
-    ) -> Option<usize> {
-        let c2 = clearance * clearance * SQ_ULP;
-        pts.iter()
-            .position(|p| !self.point_valid(bounds, obstacles, p, clearance, c2))
-    }
-
-    /// Full scalar-rule validity of one point (bounds, batch broad phase,
-    /// convex narrow phase).
-    #[inline]
-    fn point_valid(
-        &self,
-        bounds: &Aabb<D>,
-        obstacles: &[Obstacle<D>],
-        p: &Point<D>,
-        clearance: f64,
-        c2: f64,
-    ) -> bool {
-        if !bounds.contains(p) {
-            return false;
-        }
-        if !self.boxes_spheres_valid(p, clearance, c2) {
-            return false;
-        }
-        self.narrow.iter().all(|&idx| {
-            let o = &obstacles[idx as usize];
-            !(o.contains(p) || o.distance(p) < clearance)
-        })
     }
 }
 

@@ -1,7 +1,8 @@
 //! Workspace environments: bounds + obstacles + geometric queries.
 
 use crate::aabb::Aabb;
-use crate::batch::BatchEnv;
+use crate::batch::{BatchEnv, SQ_ULP};
+use crate::grid::Grid;
 use crate::obstacle::Obstacle;
 use crate::point::Point;
 use crate::ray::Ray;
@@ -37,6 +38,11 @@ pub struct Environment<const D: usize> {
     /// construction path — including deserialization — gets it for free.
     #[serde(skip, default)]
     batch: OnceLock<BatchEnv<D>>,
+    /// Lazily-built uniform grid over the boxes and spheres (see
+    /// [`crate::grid`]); `None` below the grid's obstacle threshold, where
+    /// the linear SoA scan runs. Skipped by serde like `batch`.
+    #[serde(skip, default)]
+    grid: OnceLock<Option<Grid<D>>>,
 }
 
 /// One broad-phase record, ordered by descending bounding-box volume (large
@@ -90,6 +96,38 @@ fn broad_phase<const D: usize>(obstacles: &[Obstacle<D>]) -> Vec<BroadEntry<D>> 
         .collect()
 }
 
+/// Visit the midpoints of a `res`-per-axis (at least 2) grid over
+/// `region`, axis 0 fastest — the probe points of
+/// [`Environment::obstacle_volume_in_estimate`].
+pub(crate) fn for_each_midpoint<const D: usize>(
+    region: &Aabb<D>,
+    res: usize,
+    mut f: impl FnMut(Point<D>),
+) {
+    let n = res.max(2);
+    let ext = region.extents();
+    let mut idx = vec![0usize; D];
+    loop {
+        let mut p = region.lo();
+        for i in 0..D {
+            p[i] += ext[i] * ((idx[i] as f64 + 0.5) / n as f64);
+        }
+        f(p);
+        let mut i = 0;
+        loop {
+            if i == D {
+                return;
+            }
+            idx[i] += 1;
+            if idx[i] < n {
+                break;
+            }
+            idx[i] = 0;
+            i += 1;
+        }
+    }
+}
+
 impl<const D: usize> Environment<D> {
     /// New environment. `disjoint` should be true only when the caller
     /// guarantees obstacles do not overlap each other.
@@ -107,6 +145,7 @@ impl<const D: usize> Environment<D> {
             disjoint_obstacles: disjoint,
             broad,
             batch: OnceLock::new(),
+            grid: OnceLock::new(),
         }
     }
 
@@ -127,6 +166,36 @@ impl<const D: usize> Environment<D> {
             }
             BatchEnv::from_parts(boxes, spheres, narrow)
         })
+    }
+
+    /// The uniform grid, built on first use in the broad phase's order.
+    pub(crate) fn grid(&self) -> Option<&Grid<D>> {
+        self.grid
+            .get_or_init(|| {
+                let order: Vec<u32> = self.broad.iter().map(|e| e.idx).collect();
+                Grid::build(&self.bounds, &self.obstacles, &order)
+            })
+            .as_ref()
+    }
+
+    /// Full validity of one point: bounds, boxes and spheres (through the
+    /// grid when there is one, else the whole SoA set), then the convex
+    /// narrow phase. `c2` is the one-ulp-inflated `clearance²`.
+    #[inline]
+    fn valid_at(&self, p: &Point<D>, clearance: f64, c2: f64) -> bool {
+        if !self.bounds.contains(p) {
+            return false;
+        }
+        let batch = self.batch();
+        let clear = match self.grid() {
+            Some(grid) => grid.boxes_spheres_valid(p, clearance, c2),
+            None => batch.boxes_spheres_valid(p, clearance, c2),
+        };
+        clear
+            && batch.narrow_indices().iter().all(|&idx| {
+                let o = &self.obstacles[idx as usize];
+                !(o.contains(p) || o.distance(p) < clearance)
+            })
     }
 
     /// Obstacle-free environment.
@@ -158,32 +227,20 @@ impl<const D: usize> Environment<D> {
     /// spheres are tested four obstacles per step with per-lane scalar
     /// decisions, so the verdict is bit-identical to [`Self::is_valid_scalar`]
     /// (proven by differential tests); only convex polytopes pay for the
-    /// narrow phase.
+    /// narrow phase. With at least 16 boxes and spheres the kernel runs only
+    /// on the uniform-grid cells the clearance ball can reach.
     pub fn is_valid(&self, p: &Point<D>, clearance: f64) -> bool {
-        if !self.bounds.contains(p) {
-            return false;
-        }
-        let c2 = clearance * clearance * (1.0 + 1e-15);
-        let batch = self.batch();
-        if !batch.boxes_spheres_valid(p, clearance, c2) {
-            return false;
-        }
-        for &idx in batch.narrow_indices() {
-            let o = &self.obstacles[idx as usize];
-            if o.contains(p) || o.distance(p) < clearance {
-                return false;
-            }
-        }
-        true
+        self.valid_at(p, clearance, clearance * clearance * SQ_ULP)
     }
 
     /// Index of the first point in `pts` that fails `is_valid`, or `None`
     /// when all pass. Decision-identical to calling [`Self::is_valid`] on
-    /// each point in order, but batched four points at a time against the
-    /// SoA obstacle arrays — the local planner's edge checks go through here.
+    /// each point in order — points are visited one at a time, so work stops
+    /// exactly where the scalar path would — the local planner's edge
+    /// checks go through here.
     pub fn first_invalid(&self, pts: &[Point<D>], clearance: f64) -> Option<usize> {
-        self.batch()
-            .first_invalid(&self.bounds, &self.obstacles, pts, clearance)
+        let c2 = clearance * clearance * SQ_ULP;
+        pts.iter().position(|p| !self.valid_at(p, clearance, c2))
     }
 
     /// Scalar reference implementation of [`Self::is_valid`]: the verbatim
@@ -261,12 +318,37 @@ impl<const D: usize> Environment<D> {
     /// Distance along `ray` to the first obstacle hit, clipped at `max_t`.
     ///
     /// This is the primitive behind the paper's RRT "k random rays" work
-    /// estimate (§III-B).
+    /// estimate (§III-B). With a grid, boxes and spheres are met cell by
+    /// cell in ray order and the walk stops at the first cell whose exit
+    /// lies beyond the best hit; the result is bit-identical to the fold
+    /// over every obstacle. Rays outside the walk's preconditions (origin
+    /// outside the bounds, non-finite direction, `max_t` not positive) and
+    /// zero results — where `f64::min` of `0.0` and `-0.0` depends on the
+    /// order — take that fold.
     pub fn ray_cast(&self, ray: &Ray<D>, max_t: f64) -> f64 {
-        self.obstacles
+        let fold = || {
+            self.obstacles
+                .iter()
+                .filter_map(|o| o.ray_hit(ray))
+                .fold(max_t, f64::min)
+        };
+        let Some(grid) = self.grid() else {
+            return fold();
+        };
+        if !(max_t > 0.0 && self.bounds.contains(&ray.origin) && ray.dir.is_finite()) {
+            return fold();
+        }
+        let t = self
+            .batch()
+            .narrow_indices()
             .iter()
-            .filter_map(|o| o.ray_hit(ray))
-            .fold(max_t, f64::min)
+            .filter_map(|&idx| self.obstacles[idx as usize].ray_hit(ray))
+            .fold(grid.ray_cast(&self.obstacles, ray, max_t), f64::min);
+        if t == 0.0 {
+            fold()
+        } else {
+            t
+        }
     }
 
     /// Exact obstacle volume inside `region` (requires disjoint obstacles;
@@ -285,33 +367,14 @@ impl<const D: usize> Environment<D> {
         if self.obstacles.is_empty() {
             return 0.0;
         }
-        let n = res.max(2);
-        let ext = region.extents();
-        let mut idx = vec![0usize; D];
-        let mut inside = 0usize;
-        let mut total = 0usize;
-        loop {
-            let mut p = region.lo();
-            for i in 0..D {
-                p[i] += ext[i] * ((idx[i] as f64 + 0.5) / n as f64);
-            }
+        let (mut inside, mut total) = (0usize, 0usize);
+        for_each_midpoint(region, res, |p| {
             total += 1;
             if self.obstacles.iter().any(|o| o.contains(&p)) {
                 inside += 1;
             }
-            let mut i = 0;
-            loop {
-                if i == D {
-                    return region.volume() * inside as f64 / total as f64;
-                }
-                idx[i] += 1;
-                if idx[i] < n {
-                    break;
-                }
-                idx[i] = 0;
-                i += 1;
-            }
-        }
+        });
+        region.volume() * inside as f64 / total as f64
     }
 
     /// Free-space volume inside `region` (region ∩ bounds minus obstacles).

@@ -12,7 +12,7 @@
 
 use crate::aabb::Aabb;
 use crate::convex::{ConvexPolytope, Halfspace};
-use crate::environment::Environment;
+use crate::environment::{for_each_midpoint, Environment};
 use crate::obstacle::Obstacle;
 use crate::point::Point;
 use rand::rngs::StdRng;
@@ -82,12 +82,20 @@ pub fn clutter_env(
     let mut rng = StdRng::seed_from_u64(seed);
     let center = bounds.center();
     let mut obstacles: Vec<Obstacle<3>> = Vec::new();
-    let mut env = Environment::new(name, bounds, obstacles.clone(), false);
+    // The blocked fraction is `Environment::blocked_fraction`'s 12³
+    // midpoint estimate, kept incrementally: a probe, once covered, stays
+    // covered, so each new box only marks the probes it contains, and the
+    // fraction is the estimate's own `volume · inside / total / volume`.
+    let mut probes = Vec::new();
+    for_each_midpoint(&bounds, 12, |p| probes.push((p, false)));
+    let (total, v) = (probes.len(), bounds.volume());
+    let blocked = |inside: usize| (v * inside as f64 / total as f64 / v).clamp(0.0, 1.0);
+    let mut inside = 0usize;
     // Place boxes until the estimated blocked fraction reaches the target.
     // Boxes are biased away from the free core so a planner rooted at the
     // center always has somewhere to start.
     let mut attempts = 0;
-    while env.blocked_fraction() < target && attempts < 10_000 {
+    while blocked(inside) < target && attempts < 10_000 {
         attempts += 1;
         let side = obstacle_scale * rng.random_range(0.5..1.5);
         let mut c = Point::<3>::zero();
@@ -99,10 +107,16 @@ pub fn clutter_env(
         if c.dist(&center) < free_core + side {
             continue;
         }
-        obstacles.push(Obstacle::Box(Aabb::cube(c, side).clip_to(&bounds)));
-        env = Environment::new(name, bounds, obstacles.clone(), false);
+        let bb = Aabb::cube(c, side).clip_to(&bounds);
+        for (p, covered) in probes.iter_mut() {
+            if !*covered && bb.contains(p) {
+                *covered = true;
+                inside += 1;
+            }
+        }
+        obstacles.push(Obstacle::Box(bb));
     }
-    env
+    Environment::new(name, bounds, obstacles, false)
 }
 
 /// `mixed`: ~60 % blocked clutter (paper Fig. 10(a)).

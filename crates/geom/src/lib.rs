@@ -24,6 +24,7 @@ pub mod batch;
 pub mod convex;
 pub mod environment;
 pub mod envs;
+mod grid;
 pub mod obstacle;
 pub mod point;
 pub mod ray;

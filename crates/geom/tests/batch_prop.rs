@@ -8,6 +8,14 @@
 //! ulp either side of the sqrt-free reject boundary — every batch answer
 //! must equal the scalar rule bit for bit, and the distance kernels must
 //! reproduce `Point::dist` / `Point::dist_sq` exactly.
+//!
+//! Environments with at least 16 boxes and spheres answer through a
+//! uniform grid (a query tests only the obstacles in the cells its
+//! clearance ball reaches). The grid cases below aim at where a grid
+//! could go wrong: points on cell boundaries and obstacle faces,
+//! clearances of 0, 1e-12 and wider than a cell, sphere-only clutter,
+//! convex polytopes among boxes, obstacles poking out of the bounds, and
+//! NaN / ±∞ inputs.
 
 use proptest::prelude::*;
 use smp_geom::{batch, Aabb, ConvexPolytope, Environment, Obstacle, Point};
@@ -181,6 +189,224 @@ proptest! {
                 "dist_sq[{}] bits differ: {} vs {}", i, got, want
             );
         }
+    }
+}
+
+/// Coordinates where cells meet, for every grid the unit bounds can get
+/// (2 to 8 cells per axis).
+fn cell_planes() -> Vec<f64> {
+    (2..=8u32)
+        .flat_map(|n| (0..=n).map(move |k| f64::from(k) / f64::from(n)))
+        .collect()
+}
+
+/// Grid-sized clutter (24 to 63 obstacles, so at least 16 boxes and
+/// spheres in every mode; centers up to 0.15 outside the bounds). `mode` 0
+/// keeps the drawn kinds, 1 makes every obstacle a sphere, 2 turns every
+/// third into a convex polytope and the rest into boxes.
+fn grid_env(obs: &[(u8, [f64; 3], f64)], mode: u8) -> Environment<3> {
+    let obs: Vec<(u8, [f64; 3], f64)> = obs
+        .iter()
+        .enumerate()
+        .map(|(i, &(kind, c, s))| {
+            let kind = match mode % 3 {
+                0 => kind,
+                1 => 1,
+                _ => {
+                    if i % 3 == 2 {
+                        2
+                    } else {
+                        0
+                    }
+                }
+            };
+            (kind, c, s)
+        })
+        .collect();
+    build_env(&obs)
+}
+
+/// One query coordinate on axis `a`: uniform in `[-0.1, 1.1]`, on a cell
+/// plane, or on an obstacle face — exactly, or `clearance` beyond it and
+/// one ulp to either side.
+fn crafted_coord(
+    sel: u8,
+    k: usize,
+    a: usize,
+    obs: &[(u8, [f64; 3], f64)],
+    planes: &[f64],
+    clearance: f64,
+) -> f64 {
+    match sel % 3 {
+        0 => -0.1 + 1.2 * (k % 1000) as f64 / 999.0,
+        1 => planes[k % planes.len()],
+        _ => {
+            let (_, c, s) = obs[k % obs.len()];
+            let half = side_of(s) / 2.0;
+            let (face, off) = if k.is_multiple_of(2) {
+                (c[a] + half, clearance)
+            } else {
+                (c[a] - half, -clearance)
+            };
+            match (k / 2) % 4 {
+                0 => face,
+                1 => face + off,
+                2 => (face + off).next_up(),
+                _ => (face + off).next_down(),
+            }
+        }
+    }
+}
+
+/// Clearance 0, 1e-12, the planners' range, or wider than any cell.
+fn grid_clearance(pick: u8, c: f64) -> f64 {
+    match pick % 4 {
+        0 => 0.0,
+        1 => 1e-12,
+        2 => c,
+        _ => 0.55 + c,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Grid path == scalar rule, point by point and as `first_invalid`,
+    /// on crafted points: every coordinate is random, on a cell plane or
+    /// on an obstacle face (± clearance, ± one ulp).
+    #[test]
+    fn grid_queries_equal_scalar(
+        obs in prop::collection::vec(
+            (0u8..3, prop::array::uniform3(-0.15f64..1.15), 0.0f64..1.0),
+            24..64,
+        ),
+        mode in 0u8..3,
+        picks in prop::collection::vec(
+            (prop::array::uniform3(0u8..3), prop::array::uniform3(0usize..100_000)),
+            1..48,
+        ),
+        pick in 0u8..4,
+        c in 0.0f64..0.3,
+    ) {
+        let clearance = grid_clearance(pick, c);
+        let env = grid_env(&obs, mode);
+        let planes = cell_planes();
+        let points: Vec<Point<3>> = picks
+            .iter()
+            .map(|(sel, k)| {
+                Point::new(std::array::from_fn(|a| {
+                    crafted_coord(sel[a], k[a], a, &obs, &planes, clearance)
+                }))
+            })
+            .collect();
+        for p in &points {
+            prop_assert_eq!(
+                env.is_valid(p, clearance),
+                env.is_valid_scalar(p, clearance),
+                "grid divergence at {:?} clearance {} mode {}",
+                p,
+                clearance,
+                mode
+            );
+        }
+        prop_assert_eq!(
+            env.first_invalid(&points, clearance),
+            points.iter().position(|p| !env.is_valid_scalar(p, clearance)),
+            "grid first_invalid diverged (clearance {}, mode {})",
+            clearance,
+            mode
+        );
+    }
+}
+
+/// Faces just past a cell plane, probed from the neighbouring cell at
+/// distances around the clearance. The obstacle is listed only on its own
+/// side of the plane, so only the query's reach across the plane finds it:
+/// a reach even 0.1 % short turns some of these points valid.
+#[test]
+fn faces_across_a_cell_plane_are_reached() {
+    // 32 boxes and spheres give 3 cells per axis: planes at 1/3 and 2/3.
+    for offset in [2e-6, 1e-4, 1e-3, 0.01] {
+        let mut obstacles = Vec::new();
+        let mut probes = Vec::new();
+        for (plane, side) in [(1.0 / 3.0, 1.0), (2.0 / 3.0, -1.0)] {
+            let face: f64 = plane + side * offset;
+            for j in 0..4 {
+                for k in 0..4 {
+                    let (y, z) = (0.1 + 0.22 * j as f64, 0.1 + 0.22 * k as f64);
+                    let far = face + side * 0.1;
+                    let (lo, hi) = (face.min(far), face.max(far));
+                    obstacles.push(if (j + k) % 2 == 0 {
+                        Obstacle::Box(Aabb::new(
+                            Point::new([lo, y, z]),
+                            Point::new([hi, y + 0.1, z + 0.1]),
+                        ))
+                    } else {
+                        Obstacle::Sphere {
+                            center: Point::new([(lo + hi) / 2.0, y + 0.05, z + 0.05]),
+                            radius: 0.05,
+                        }
+                    });
+                    probes.push((face, -side, y + 0.05, z + 0.05));
+                }
+            }
+        }
+        let env = Environment::new("planes", Aabb::unit(), obstacles, false);
+        for clearance in [1e-3f64, 0.02, 0.1, 0.3, 0.45] {
+            let ds = [
+                clearance * (1.0 - 1e-3),
+                clearance * (1.0 - 1e-9),
+                clearance.next_down(),
+                clearance,
+                clearance.next_up(),
+                clearance * (1.0 + 1e-9),
+            ];
+            for &(face, away, y, z) in &probes {
+                for d in ds {
+                    let p = Point::new([face + away * d, y, z]);
+                    assert_eq!(
+                        env.is_valid(&p, clearance),
+                        env.is_valid_scalar(&p, clearance),
+                        "offset {offset} clearance {clearance}: divergence at {p:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// NaN and ±∞ in point coordinates and in the clearance: out-of-bounds
+/// points stay invalid, and a non-finite clearance gives the scalar rule's
+/// verdict (the grid widens its reach to every cell).
+#[test]
+fn non_finite_inputs_agree_on_grid_envs() {
+    let env = smp_geom::envs::mixed();
+    let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.5, 0.0, 1.0];
+    let mut points = Vec::new();
+    for &x in &specials {
+        for &y in &specials {
+            for &z in &[0.3, f64::NAN, f64::INFINITY] {
+                points.push(Point::new([x, y, z]));
+            }
+        }
+    }
+    points.push(Point::new([0.5, 0.5, 0.5]));
+    points.push(Point::new([0.05, 0.02, 0.97]));
+    for clearance in [0.0, 0.02, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.02] {
+        for p in &points {
+            assert_eq!(
+                env.is_valid(p, clearance),
+                env.is_valid_scalar(p, clearance),
+                "divergence at {p:?} clearance {clearance}"
+            );
+        }
+        assert_eq!(
+            env.first_invalid(&points, clearance),
+            points
+                .iter()
+                .position(|p| !env.is_valid_scalar(p, clearance)),
+            "first_invalid diverged at clearance {clearance}"
+        );
     }
 }
 

@@ -19,8 +19,8 @@ use smp_graph::{IncrementalNn, KdTree, KnnScratch};
 use smp_plan::rrt::{grow_rrt, RrtParams};
 use std::sync::OnceLock;
 
-/// The 604-obstacle clutter four kernels run in, built once per binary:
-/// its construction is the slowest single step here in a debug build.
+/// The 604-obstacle clutter four kernels run in, built once per binary so
+/// they share its lazily built SoA arrays and uniform grid.
 fn mixed() -> &'static Environment<3> {
     static ENV: OnceLock<Environment<3>> = OnceLock::new();
     ENV.get_or_init(envs::mixed)
