@@ -17,6 +17,8 @@
 
 use smp_geom::Point;
 use smp_graph::OwnerMap;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// Contiguous block distribution of `n` items over `p` PEs.
 pub fn naive_block(n: usize, p: usize) -> OwnerMap {
@@ -26,6 +28,12 @@ pub fn naive_block(n: usize, p: usize) -> OwnerMap {
 /// Greedy LPT (longest processing time first): sort by descending weight,
 /// assign each item to the currently least-loaded PE. Guarantees max load
 /// ≤ (4/3 − 1/(3p)) × optimum; ignores spatial locality entirely.
+///
+/// O(n log n + n log p): the least-loaded PE comes off a min-heap keyed
+/// `(load, pe)`. The PE index makes the minimum unique, so the heap picks
+/// exactly the PE a scan of all `p` loads would, and every load sees the
+/// same additions in the same order — owner maps are bit-identical to the
+/// scan (`tests/greedy_lpt_differential.rs` checks it against the scan).
 pub fn greedy_lpt(weights: &[f64], p: usize) -> OwnerMap {
     assert!(p > 0);
     // Hash tie-break on equal weights: without it, large classes of
@@ -47,18 +55,47 @@ pub fn greedy_lpt(weights: &[f64], p: usize) -> OwnerMap {
     // all landing on whichever PE happens to have strictly minimal load.
     let total: f64 = weights.iter().sum();
     let eps = (total / weights.len().max(1) as f64).max(1e-9) * 1e-3;
-    let mut load = vec![0.0f64; p];
+    let mut heap: BinaryHeap<PeLoad> = (0..p as u32).map(|pe| PeLoad { load: 0.0, pe }).collect();
     let mut owner = vec![0u32; weights.len()];
     for item in order {
-        let pe = (0..p)
-            .min_by(|&i, &j| load[i].total_cmp(&load[j]).then(i.cmp(&j)))
-            // INVARIANT: the range is non-empty — `assert!(p > 0)` at entry.
-            .expect("p > 0");
-        owner[item as usize] = pe as u32;
-        load[pe] += weights[item as usize] + eps;
+        // INVARIANT: the heap holds all `p > 0` PEs — `assert!(p > 0)` at entry.
+        let mut least = heap.peek_mut().expect("p > 0");
+        owner[item as usize] = least.pe;
+        least.load += weights[item as usize] + eps;
     }
     OwnerMap::new(owner, p)
 }
+
+/// A PE's running load in [`greedy_lpt`]'s heap. The order is reversed so
+/// `BinaryHeap`'s maximum is the least `(load, pe)`: `total_cmp` on the
+/// load, then the lower PE index.
+struct PeLoad {
+    load: f64,
+    pe: u32,
+}
+
+impl Ord for PeLoad {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .load
+            .total_cmp(&self.load)
+            .then(other.pe.cmp(&self.pe))
+    }
+}
+
+impl PartialOrd for PeLoad {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for PeLoad {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for PeLoad {}
 
 /// Weight-balanced recursive coordinate bisection.
 ///

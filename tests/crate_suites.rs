@@ -4,11 +4,13 @@
 //! a suite under `crates/*/tests/` can be red while tier-1 is green. The
 //! ones that guard the layers the planner pipelines stand on — the dist
 //! wire protocol and framing, the batch collision kernels and the grid
-//! ray walk, and the region-connection and RRT-growth differentials
-//! against their verbatim references — and the serve registry's
+//! ray walk, and the greedy partitioner, region-connection and RRT-growth
+//! differentials against their verbatim references — and the serve registry's
 //! build-once catalog are compiled into this target as modules, unchanged
 //! (they still run in their own crates under `cargo test --workspace`).
 
+#[path = "../crates/core/tests/greedy_lpt_differential.rs"]
+mod core_greedy_lpt_differential;
 #[path = "../crates/geom/tests/batch_prop.rs"]
 mod geom_batch_prop;
 #[path = "../crates/geom/tests/ray_cast_differential.rs"]

@@ -7,16 +7,19 @@
 //! tallies and FNV folds of result indices, at fixed sizes and seeds. A
 //! change that stays self-consistent but moves one of them — and with it
 //! the counters every DES cost and golden trace is derived from — fails
-//! here. Nothing is timed: wall-clock speed is the business of
-//! `benchmark/` (`BENCHMARK.json`).
+//! here. The partitioner and the DES's victim draw are pinned the same
+//! way at the paper's PE counts (`des_at_paper_scale`). Nothing is timed:
+//! wall-clock speed is the business of `benchmark/` (`BENCHMARK.json`).
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use smp_core::partition::greedy_lpt;
 use smp_core::{assemble_prm_roadmap, build_prm_workload, roadmap_digest, ParallelPrmConfig};
 use smp_cspace::{BoxSampler, EnvValidity, LocalPlanner, StraightLinePlanner, WorkCounters};
 use smp_geom::{envs, Environment, Point};
-use smp_graph::{IncrementalNn, KdTree, KnnScratch};
+use smp_graph::{IncrementalNn, KdTree, KnnScratch, OwnerMap};
 use smp_plan::rrt::{grow_rrt, RrtParams};
+use smp_runtime::{simulate, MachineModel, SimConfig, StealConfig, StealPolicyKind};
 use std::sync::OnceLock;
 
 /// The 604-obstacle clutter four kernels run in, built once per binary so
@@ -230,6 +233,89 @@ fn prm_roadmap_digests() {
         [
             ("med-cube", 0xfc80_2eab_5098_9225),
             ("free", 0x20ca_b1d5_e6f5_a417)
+        ]
+    );
+}
+
+/// Skewed region weights at the benchmark's 13 824 regions: small
+/// integers (so large tie classes), about a third of them zero, and a hot
+/// first quarter of the id range that a block partition piles onto the
+/// low PEs.
+fn paper_scale_weights() -> Vec<f64> {
+    let n = 13_824;
+    let mut rng = StdRng::seed_from_u64(91);
+    (0..n)
+        .map(|i| {
+            let w = match rng.random_range(0u32..10) {
+                0..=2 => 0,
+                r @ 3..=6 => r,
+                _ => rng.random_range(0u32..60).pow(2) / 8,
+            };
+            f64::from(if i < n / 4 { w * 6 } else { w })
+        })
+        .collect()
+}
+
+/// The greedy global partitioner and the DES's random victim draw at the
+/// paper's PE counts: the owner maps of `greedy_lpt` at 512 and 2 048 PEs,
+/// and a work-stealing phase at 2 048 PEs from a block partition of the
+/// same weights under each random policy. The golden traces run the DES at
+/// small P only; these literals catch a self-consistent change in either
+/// decision at scale.
+#[test]
+fn des_at_paper_scale() {
+    let weights = paper_scale_weights();
+    let owners = |p: usize| {
+        let owners = greedy_lpt(&weights, p);
+        owners.owners().iter().fold(0u64, |a, &o| fold(a, o as u64))
+    };
+    assert_eq!(
+        [("lpt_512", owners(512)), ("lpt_2048", owners(2_048))],
+        [
+            ("lpt_512", 18_042_536_913_042_848_142),
+            ("lpt_2048", 7_151_517_076_751_234_325)
+        ]
+    );
+
+    let p = 2_048;
+    let costs: Vec<u64> = weights.iter().map(|&w| 2_000 + w as u64 * 40_000).collect();
+    let assignment = OwnerMap::block(costs.len(), p).items_per_pe();
+    let run = |policy: StealPolicyKind| {
+        let cfg = SimConfig {
+            machine: MachineModel::hopper(),
+            steal: Some(StealConfig::new(policy)),
+            seed: 17,
+        };
+        let r = simulate(&costs, &assignment, &cfg).expect("a valid phase");
+        [
+            ("makespan", r.makespan),
+            ("steal_attempts", r.steal_attempts),
+            ("steal_hits", r.steal_hits),
+            ("tasks_transferred", r.tasks_transferred),
+            (
+                "executed_by_checksum",
+                r.executed_by.iter().fold(0u64, |a, &pe| fold(a, pe as u64)),
+            ),
+        ]
+    };
+    assert_eq!(
+        run(StealPolicyKind::Hybrid(8)),
+        [
+            ("makespan", 115_167_649),
+            ("steal_attempts", 56_022),
+            ("steal_hits", 5_302),
+            ("tasks_transferred", 5_302),
+            ("executed_by_checksum", 7_642_789_851_462_398_434)
+        ]
+    );
+    assert_eq!(
+        run(StealPolicyKind::RandK(8)),
+        [
+            ("makespan", 114_725_600),
+            ("steal_attempts", 30_939),
+            ("steal_hits", 5_018),
+            ("tasks_transferred", 5_018),
+            ("executed_by_checksum", 9_842_724_358_638_205_071)
         ]
     );
 }
