@@ -28,9 +28,8 @@
 use smp_bench::figures::Suite;
 use smp_bench::HarnessConfig;
 use smp_core::{
-    assemble_prm_roadmap, build_prm_workload, roadmap_digest, run_parallel_prm,
-    run_parallel_prm_live_controlled, run_parallel_prm_live_observed, run_parallel_prm_observed,
-    run_parallel_rrt, work_cost, ParallelPrmConfig, Strategy, WeightKind,
+    assemble_prm_roadmap, build_prm_workload, replay_prm, replay_rrt, roadmap_digest, run_prm,
+    work_cost, On, ParallelPrmConfig, RunOptions, Strategy, WeightKind,
 };
 use smp_runtime::{
     CancelToken, FaultPlan, LiveControl, LiveOutcome, LiveTuning, MachineModel, StealConfig,
@@ -81,14 +80,17 @@ fn rrt_probe() {
             .collect::<Vec<_>>()
     );
     for p in [8usize, 32, 256] {
-        let no_lb = run_parallel_rrt(w, &machine, p, &Strategy::NoLb).expect("sim failed");
-        let diff = run_parallel_rrt(
+        let no_lb =
+            replay_rrt(w, &machine, RunOptions::new(p, &Strategy::NoLb)).expect("sim failed");
+        let diff = replay_rrt(
             w,
             &machine,
-            p,
-            &Strategy::WorkStealing(smp_runtime::StealConfig::new(
-                smp_runtime::StealPolicyKind::Diffusive,
-            )),
+            RunOptions::new(
+                p,
+                &Strategy::WorkStealing(smp_runtime::StealConfig::new(
+                    smp_runtime::StealPolicyKind::Diffusive,
+                )),
+            ),
         )
         .expect("sim failed");
         println!(
@@ -323,9 +325,13 @@ fn resilience_probe(args: impl Iterator<Item = String>) {
     };
     let strategy = Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Hybrid(8)));
 
-    let (base_w, base_run) =
-        run_parallel_prm_live_observed(&cfg, threads, &strategy, LiveTuning::default(), None)
-            .expect("fault-free baseline run failed");
+    let (base_w, base_run) = run_prm(
+        &cfg,
+        On::Live(&LiveControl::default()),
+        RunOptions::new(threads, &strategy),
+    )
+    .and_then(LiveOutcome::into_result)
+    .expect("fault-free baseline run failed");
     let base_digest = roadmap_digest(&assemble_prm_roadmap(&base_w));
     println!(
         "baseline : t={threads} wall={:.3}ms digest={base_digest:#018x}",
@@ -352,8 +358,12 @@ fn resilience_probe(args: impl Iterator<Item = String>) {
         token.cancel();
         control = control.with_cancel(token);
     }
-    let out = run_parallel_prm_live_controlled(&cfg, threads, &strategy, &control, None)
-        .unwrap_or_else(|e| panic!("unrecoverable faulted run: {e}"));
+    let out = run_prm(
+        &cfg,
+        On::Live(&control),
+        RunOptions::new(threads, &strategy),
+    )
+    .unwrap_or_else(|e| panic!("unrecoverable faulted run: {e}"));
     match out {
         LiveOutcome::Partial(p) => {
             println!(
@@ -456,8 +466,15 @@ fn main() {
             first_run = false;
             let r = if observe {
                 let mut tr = Tracer::new();
-                let r = run_parallel_prm_observed(w, &machine, p, &s, None, None, Some(&mut tr))
-                    .expect("sim failed");
+                let r = replay_prm(
+                    w,
+                    &machine,
+                    RunOptions {
+                        tracer: Some(&mut tr),
+                        ..RunOptions::new(p, &s)
+                    },
+                )
+                .expect("sim failed");
                 if let Some(path) = &trace_out {
                     std::fs::write(path, tr.to_chrome_json()).expect("write trace");
                     eprintln!("wrote Chrome trace ({} events) to {path}", tr.len());
@@ -468,7 +485,7 @@ fn main() {
                 }
                 r
             } else {
-                run_parallel_prm(w, &machine, p, &s).expect("sim failed")
+                replay_prm(w, &machine, RunOptions::new(p, &s)).expect("sim failed")
             };
             let busy_max = r.construction.per_pe_busy.iter().max().unwrap();
             let busy_sum: u64 = r.construction.per_pe_busy.iter().sum();

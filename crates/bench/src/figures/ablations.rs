@@ -5,8 +5,7 @@ use crate::table::{f4, vsecs, Table};
 use smp_core::partition::{greedy_lpt, loads, naive_block, spatial_bisection};
 use smp_core::weights::{normalize_to, probe_weights};
 use smp_core::{
-    build_prm_workload, run_parallel_prm, run_parallel_prm_observed, work_cost, ParallelPrmConfig,
-    Strategy, WeightKind,
+    build_prm_workload, replay_prm, work_cost, ParallelPrmConfig, RunOptions, Strategy, WeightKind,
 };
 use smp_geom::envs;
 use smp_runtime::{simulate, MachineModel, SimConfig, StealAmount, StealConfig, StealPolicyKind};
@@ -34,7 +33,7 @@ pub fn steal_amount(suite: &mut Suite) -> Table {
             policy: StealPolicyKind::Hybrid(8),
             amount,
         });
-        let run = run_parallel_prm(workload, &machine, p, &s).expect("sim failed");
+        let run = replay_prm(workload, &machine, RunOptions::new(p, &s)).expect("sim failed");
         t.push_row(vec![
             label.to_string(),
             vsecs(run.phases.node_connection),
@@ -61,11 +60,10 @@ pub fn lifeline(suite: &mut Suite) -> Table {
         StealPolicyKind::Lifeline,
     ] {
         let workload = suite.hopper_medcube();
-        let run = run_parallel_prm(
+        let run = replay_prm(
             workload,
             &machine,
-            p,
-            &Strategy::WorkStealing(StealConfig::new(policy)),
+            RunOptions::new(p, &Strategy::WorkStealing(StealConfig::new(policy))),
         )
         .expect("sim failed");
         t.push_row(vec![
@@ -93,8 +91,12 @@ pub fn weight_quality(suite: &mut Suite) -> Table {
     // exact baselines
     for kind in [WeightKind::SampleCount, WeightKind::Vfree] {
         let workload = suite.hopper_medcube();
-        let run = run_parallel_prm(workload, &machine, p, &Strategy::Repartition(kind))
-            .expect("sim failed");
+        let run = replay_prm(
+            workload,
+            &machine,
+            RunOptions::new(p, &Strategy::Repartition(kind)),
+        )
+        .expect("sim failed");
         t.push_row(vec![
             kind.label(),
             vsecs(run.phases.node_connection),
@@ -108,14 +110,13 @@ pub fn weight_quality(suite: &mut Suite) -> Table {
         let w = probe_weights(&env, &workload.grid, m, robot_radius, seed);
         let total: f64 = workload.sample_counts().iter().map(|&c| c as f64).sum();
         let w = normalize_to(&w, total);
-        let run = run_parallel_prm_observed(
+        let run = replay_prm(
             workload,
             &machine,
-            p,
-            &Strategy::Repartition(WeightKind::Probe(m)),
-            Some(&w),
-            None,
-            None,
+            RunOptions {
+                custom_weights: Some(&w),
+                ..RunOptions::new(p, &Strategy::Repartition(WeightKind::Probe(m)))
+            },
         )
         .expect("sim failed");
         t.push_row(vec![
@@ -126,7 +127,8 @@ pub fn weight_quality(suite: &mut Suite) -> Table {
     }
     // no balancing reference
     let workload = suite.hopper_medcube();
-    let run = run_parallel_prm(workload, &machine, p, &Strategy::NoLb).expect("sim failed");
+    let run =
+        replay_prm(workload, &machine, RunOptions::new(p, &Strategy::NoLb)).expect("sim failed");
     t.push_row(vec![
         "none".to_string(),
         vsecs(run.phases.node_connection),
@@ -163,7 +165,8 @@ pub fn balance(suite: &mut Suite) -> Table {
         Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Hybrid(8))),
     ] {
         let workload = suite.hopper_medcube();
-        let run = run_parallel_prm(workload, &machine, p, &strategy).expect("sim failed");
+        let run =
+            replay_prm(workload, &machine, RunOptions::new(p, &strategy)).expect("sim failed");
         t.push_row(vec![
             strategy.label(),
             vsecs(run.phases.node_connection),
@@ -254,12 +257,12 @@ pub fn granularity(suite: &mut Suite) -> Table {
             ..ParallelPrmConfig::new(&env)
         };
         let workload = build_prm_workload(&pcfg);
-        let no_lb = run_parallel_prm(&workload, &machine, p, &Strategy::NoLb).expect("sim failed");
-        let repart = run_parallel_prm(
+        let no_lb = replay_prm(&workload, &machine, RunOptions::new(p, &Strategy::NoLb))
+            .expect("sim failed");
+        let repart = replay_prm(
             &workload,
             &machine,
-            p,
-            &Strategy::Repartition(WeightKind::SampleCount),
+            RunOptions::new(p, &Strategy::Repartition(WeightKind::SampleCount)),
         )
         .expect("sim failed");
         t.push_row(vec![
@@ -310,13 +313,14 @@ pub fn walls45(suite: &mut Suite) -> Table {
             ..ParallelPrmConfig::new(&env)
         };
         let workload = build_prm_workload(&pcfg);
-        let base = run_parallel_prm(&workload, &machine, p, &Strategy::NoLb).expect("sim failed");
+        let base = replay_prm(&workload, &machine, RunOptions::new(p, &Strategy::NoLb))
+            .expect("sim failed");
         for s in [
             Strategy::NoLb,
             Strategy::Repartition(WeightKind::SampleCount),
             Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Hybrid(8))),
         ] {
-            let run = run_parallel_prm(&workload, &machine, p, &s).expect("sim failed");
+            let run = replay_prm(&workload, &machine, RunOptions::new(p, &s)).expect("sim failed");
             t.push_row(vec![
                 name.to_string(),
                 run.strategy_label.clone(),

@@ -10,7 +10,7 @@
 
 use super::Suite;
 use crate::table::{f4, pct, Table};
-use smp_core::{run_parallel_prm, Strategy, WeightKind};
+use smp_core::{replay_prm, RunOptions, Strategy, WeightKind};
 use smp_runtime::metrics::percent_improvement;
 use smp_runtime::MachineModel;
 
@@ -30,12 +30,12 @@ pub fn fig4a(suite: &mut Suite) -> Table {
     for &p in &ps {
         let (instance, workload) = suite.model();
         let row = instance.analyze_p(p);
-        let no_lb = run_parallel_prm(workload, &machine, p, &Strategy::NoLb).expect("sim failed");
-        let repart = run_parallel_prm(
+        let no_lb = replay_prm(workload, &machine, RunOptions::new(p, &Strategy::NoLb))
+            .expect("sim failed");
+        let repart = replay_prm(
             workload,
             &machine,
-            p,
-            &Strategy::Repartition(WeightKind::SampleCount),
+            RunOptions::new(p, &Strategy::Repartition(WeightKind::SampleCount)),
         )
         .expect("sim failed");
         t.push_row(vec![
@@ -64,12 +64,12 @@ pub fn fig4b(suite: &mut Suite) -> Table {
     for &p in &ps {
         let (instance, workload) = suite.model();
         let row = instance.analyze_p(p);
-        let no_lb = run_parallel_prm(workload, &machine, p, &Strategy::NoLb).expect("sim failed");
-        let repart = run_parallel_prm(
+        let no_lb = replay_prm(workload, &machine, RunOptions::new(p, &Strategy::NoLb))
+            .expect("sim failed");
+        let repart = replay_prm(
             workload,
             &machine,
-            p,
-            &Strategy::Repartition(WeightKind::SampleCount),
+            RunOptions::new(p, &Strategy::Repartition(WeightKind::SampleCount)),
         )
         .expect("sim failed");
         let max_before = no_lb.node_load_initial.iter().copied().max().unwrap_or(0) as f64;

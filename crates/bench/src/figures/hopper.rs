@@ -2,7 +2,7 @@
 
 use super::Suite;
 use crate::table::{f4, vsecs, Table};
-use smp_core::{run_parallel_prm, PrmRun, Strategy, WeightKind};
+use smp_core::{replay_prm, PrmRun, RunOptions, Strategy, WeightKind};
 use smp_runtime::MachineModel;
 
 fn hopper() -> MachineModel {
@@ -15,7 +15,7 @@ fn run_all(suite: &mut Suite, p: usize) -> Vec<PrmRun> {
     let workload = suite.hopper_medcube();
     strategies
         .iter()
-        .map(|s| run_parallel_prm(workload, &machine, p, s).expect("sim failed"))
+        .map(|s| replay_prm(workload, &machine, RunOptions::new(p, s)).expect("sim failed"))
         .collect()
 }
 
@@ -45,11 +45,10 @@ pub fn fig5b(suite: &mut Suite) -> Table {
     );
     for &p in &ps {
         let workload = suite.hopper_medcube();
-        let run = run_parallel_prm(
+        let run = replay_prm(
             workload,
             &machine,
-            p,
-            &Strategy::Repartition(WeightKind::SampleCount),
+            RunOptions::new(p, &Strategy::Repartition(WeightKind::SampleCount)),
         )
         .expect("sim failed");
         t.push_row(vec![
@@ -66,12 +65,12 @@ pub fn fig5c(suite: &mut Suite) -> Table {
     let p = suite.cfg.fig7a_p; // the paper uses a 192-core run
     let machine = hopper();
     let workload = suite.hopper_medcube();
-    let no_lb = run_parallel_prm(workload, &machine, p, &Strategy::NoLb).expect("sim failed");
-    let repart = run_parallel_prm(
+    let no_lb =
+        replay_prm(workload, &machine, RunOptions::new(p, &Strategy::NoLb)).expect("sim failed");
+    let repart = replay_prm(
         workload,
         &machine,
-        p,
-        &Strategy::Repartition(WeightKind::SampleCount),
+        RunOptions::new(p, &Strategy::Repartition(WeightKind::SampleCount)),
     )
     .expect("sim failed");
     let total: u64 = no_lb.node_load_final.iter().sum();
@@ -101,12 +100,12 @@ pub fn fig6(suite: &mut Suite) -> Table {
     );
     for &p in &ps {
         let workload = suite.hopper_medcube();
-        let no_lb = run_parallel_prm(workload, &machine, p, &Strategy::NoLb).expect("sim failed");
-        let repart = run_parallel_prm(
+        let no_lb = replay_prm(workload, &machine, RunOptions::new(p, &Strategy::NoLb))
+            .expect("sim failed");
+        let repart = replay_prm(
             workload,
             &machine,
-            p,
-            &Strategy::Repartition(WeightKind::SampleCount),
+            RunOptions::new(p, &Strategy::Repartition(WeightKind::SampleCount)),
         )
         .expect("sim failed");
         t.push_row(vec![
@@ -153,12 +152,12 @@ pub fn fig7b(suite: &mut Suite) -> Table {
     let p = suite.cfg.fig7b_p;
     let machine = hopper();
     let workload = suite.hopper_medcube();
-    let no_lb = run_parallel_prm(workload, &machine, p, &Strategy::NoLb).expect("sim failed");
-    let repart = run_parallel_prm(
+    let no_lb =
+        replay_prm(workload, &machine, RunOptions::new(p, &Strategy::NoLb)).expect("sim failed");
+    let repart = replay_prm(
         workload,
         &machine,
-        p,
-        &Strategy::Repartition(WeightKind::SampleCount),
+        RunOptions::new(p, &Strategy::Repartition(WeightKind::SampleCount)),
     )
     .expect("sim failed");
     let mut t = Table::new(
@@ -188,7 +187,7 @@ pub fn fig9(suite: &mut Suite, low_count: bool) -> Table {
     let s = Strategy::WorkStealing(smp_runtime::StealConfig::new(
         smp_runtime::StealPolicyKind::Hybrid(8),
     ));
-    let run = run_parallel_prm(workload, &machine, p, &s).expect("sim failed");
+    let run = replay_prm(workload, &machine, RunOptions::new(p, &s)).expect("sim failed");
     let name = if low_count { "9(a)" } else { "9(b)" };
     let mut t = Table::new(
         format!("Fig {name}: tasks stolen vs executed locally at {p} PEs (Hybrid WS)"),

@@ -8,7 +8,7 @@
 
 use super::Suite;
 use crate::table::{vsecs, Table};
-use smp_core::{run_parallel_prm, Strategy};
+use smp_core::{replay_prm, RunOptions, Strategy};
 use smp_runtime::MachineModel;
 
 pub fn fig8(suite: &mut Suite, env: &str, fig_id: &str) -> Table {
@@ -23,7 +23,7 @@ pub fn fig8(suite: &mut Suite, env: &str, fig_id: &str) -> Table {
         let workload = suite.opteron_env(env);
         let mut row = vec![p.to_string()];
         for s in &strategies {
-            let run = run_parallel_prm(workload, &machine, p, s).expect("sim failed");
+            let run = replay_prm(workload, &machine, RunOptions::new(p, s)).expect("sim failed");
             row.push(vsecs(run.total_time));
         }
         t.push_row(row);

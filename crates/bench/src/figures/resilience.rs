@@ -14,9 +14,7 @@
 
 use super::Suite;
 use crate::table::{f4, vsecs, Table};
-use smp_core::{
-    run_parallel_prm, run_parallel_prm_observed, PrmRun, PrmWorkload, Strategy, WeightKind,
-};
+use smp_core::{replay_prm, PrmRun, PrmWorkload, RunOptions, Strategy, WeightKind};
 use smp_runtime::{FaultPlan, MachineModel, StealConfig, StealPolicyKind};
 
 /// The replay of `workload` with `plan` injected into node connection.
@@ -27,8 +25,15 @@ fn faulted(
     strategy: &Strategy,
     plan: &FaultPlan,
 ) -> PrmRun {
-    run_parallel_prm_observed(workload, machine, p, strategy, None, Some(plan), None)
-        .expect("faulted sim failed")
+    replay_prm(
+        workload,
+        machine,
+        RunOptions {
+            fault: Some(plan),
+            ..RunOptions::new(p, strategy)
+        },
+    )
+    .expect("faulted sim failed")
 }
 
 fn strategies() -> Vec<Strategy> {
@@ -58,7 +63,8 @@ pub fn straggler(suite: &mut Suite) -> Table {
     );
     for strategy in strategies() {
         let workload = suite.hopper_medcube();
-        let base = run_parallel_prm(workload, &machine, p, &strategy).expect("baseline sim failed");
+        let base = replay_prm(workload, &machine, RunOptions::new(p, &strategy))
+            .expect("baseline sim failed");
         for factor in [1.0f64, 2.0, 4.0, 8.0] {
             let plan = FaultPlan::new(seed).with_straggler(0, 0, u64::MAX, factor);
             let workload = suite.hopper_medcube();
@@ -105,7 +111,8 @@ pub fn message_loss(suite: &mut Suite) -> Table {
     ] {
         let strategy = Strategy::WorkStealing(StealConfig::new(policy));
         let workload = suite.hopper_medcube();
-        let base = run_parallel_prm(workload, &machine, p, &strategy).expect("baseline sim failed");
+        let base = replay_prm(workload, &machine, RunOptions::new(p, &strategy))
+            .expect("baseline sim failed");
         for loss in [0.0f64, 0.1, 0.3] {
             let plan = FaultPlan::new(seed).with_message_loss(loss);
             let workload = suite.hopper_medcube();
@@ -147,7 +154,8 @@ pub fn crash(suite: &mut Suite) -> Table {
     );
     for strategy in strategies() {
         let workload = suite.hopper_medcube();
-        let base = run_parallel_prm(workload, &machine, p, &strategy).expect("baseline sim failed");
+        let base = replay_prm(workload, &machine, RunOptions::new(p, &strategy))
+            .expect("baseline sim failed");
         let crash_at = base.construction.makespan / 4;
         let plan = FaultPlan::new(seed).with_crash(1, crash_at.max(1));
         let workload = suite.hopper_medcube();

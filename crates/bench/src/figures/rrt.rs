@@ -5,7 +5,7 @@
 
 use super::Suite;
 use crate::table::{vsecs, Table};
-use smp_core::{run_parallel_rrt, Strategy, WeightKind};
+use smp_core::{replay_rrt, RunOptions, Strategy, WeightKind};
 use smp_runtime::MachineModel;
 
 pub fn fig10(suite: &mut Suite, env: &str, fig_id: &str) -> Table {
@@ -25,15 +25,14 @@ pub fn fig10(suite: &mut Suite, env: &str, fig_id: &str) -> Table {
         let workload = suite.rrt_env(env);
         let mut row = vec![p.to_string()];
         for s in &strategies {
-            let run = run_parallel_rrt(workload, &machine, p, s).expect("sim failed");
+            let run = replay_rrt(workload, &machine, RunOptions::new(p, s)).expect("sim failed");
             row.push(vsecs(run.total_time));
         }
         if include_repart {
-            let run = run_parallel_rrt(
+            let run = replay_rrt(
                 workload,
                 &machine,
-                p,
-                &Strategy::Repartition(WeightKind::KRays(4)),
+                RunOptions::new(p, &Strategy::Repartition(WeightKind::KRays(4))),
             )
             .expect("sim failed");
             row.push(vsecs(run.total_time));

@@ -18,9 +18,9 @@
 //! * [`parallel_rrt`] — uniform radial-subdivision parallel RRT
 //!   (Algorithm 2), structured the same way;
 //! * `pipeline` (private) — what both planners and all three backends
-//!   share: the balancing decision, the phase-runner seam between a
-//!   pipeline and an executing backend, and the run epilogue
-//!   ([`PlannerRun`]);
+//!   share: the fronts' arguments ([`On`], [`RunOptions`]), the balancing
+//!   decision, the phase-runner seam between a pipeline and an executing
+//!   backend, and the run epilogue ([`PlannerRun`]);
 //! * [`dist`] — wire codecs, config blobs and the worker-side
 //!   [`CoreHandler`] that let pipeline phases cross a process boundary;
 //! * [`model`] — the theoretical model of §IV-B: exact `V_free` imbalance
@@ -37,14 +37,17 @@
 //!   the moment one succeeds, and the wasted work is accounted in a
 //!   deterministic ledger (`run_portfolio_rrt_on`).
 //!
-//! Both planners run on all three execution backends (DESIGN.md §12):
-//! the deterministic DES (virtual time on a simulated machine) via
-//! `run_parallel_prm` / `run_parallel_rrt` (`*_observed` takes their
-//! optional arguments), the live shared-memory backend (real OS threads,
-//! wall-clock time) via the `*_live_observed` / `*_live_controlled`
-//! variants, and the multi-process backend via the `*_dist_with` variants;
-//! `run_parallel_prm_on` / `run_parallel_rrt_on` dispatch on
-//! [`smp_runtime::Backend`].
+//! Each planner has two fronts (DESIGN.md §12). [`replay_prm`] /
+//! [`replay_rrt`] replay a measured workload on the deterministic DES
+//! (virtual time on a simulated machine) — the figures measure a workload
+//! once and replay it at many PE counts and strategies. [`run_prm`] /
+//! [`run_rrt`] run an experiment end to end on the backend [`On`] names:
+//! the DES, the live shared-memory backend (real OS threads, wall-clock
+//! time, under a [`smp_runtime::LiveControl`]) or the multi-process
+//! backend (a caller's [`smp_runtime::dist::DistExecutor`]). Both take one
+//! [`RunOptions`] value: worker count, strategy, and the optional custom
+//! weights, fault plan and tracer. Every backend's workload assembles to
+//! the same roadmap for the same seed (the example on [`run_prm`]).
 
 #![warn(missing_docs)]
 
@@ -53,6 +56,7 @@ pub mod assemble;
 pub mod cost;
 pub mod dist;
 pub mod model;
+mod par;
 pub mod parallel_prm;
 pub mod parallel_rrt;
 pub mod partition;
@@ -66,18 +70,19 @@ pub mod weights;
 pub use assemble::{assemble_prm_roadmap, assemble_rrt_tree, roadmap_digest};
 pub use cost::work_cost;
 pub use dist::CoreHandler;
+#[doc(hidden)]
+pub use par::set_host_threads;
 pub use parallel_prm::{
-    build_prm_workload, build_prm_workload_on_grid, run_parallel_prm, run_parallel_prm_dist,
-    run_parallel_prm_dist_with, run_parallel_prm_live_controlled, run_parallel_prm_live_observed,
-    run_parallel_prm_observed, run_parallel_prm_on, ParallelPrmConfig, PrmRun, PrmWorkload,
+    build_prm_workload, build_prm_workload_on_grid, replay_prm, run_parallel_prm,
+    run_parallel_prm_dist, run_parallel_prm_dist_with, run_parallel_prm_live_observed, run_prm,
+    ParallelPrmConfig, PrmRun, PrmWorkload,
 };
 pub use parallel_rrt::{
-    build_rrt_workload, run_parallel_rrt, run_parallel_rrt_dist_with,
-    run_parallel_rrt_live_controlled, run_parallel_rrt_live_observed, run_parallel_rrt_observed,
-    run_parallel_rrt_on, ParallelRrtConfig, RrtRun, RrtWorkload,
+    build_rrt_workload, replay_rrt, run_parallel_rrt_live_observed, run_rrt, ParallelRrtConfig,
+    RrtRun, RrtWorkload,
 };
 pub use phases::PhaseBreakdown;
-pub use pipeline::PlannerRun;
+pub use pipeline::{On, PlannerRun, RunOptions};
 pub use portfolio::{
     run_portfolio_rrt_on, Attempt, PlannerKind, PortfolioLedger, PortfolioOutcome, RoundReport,
     RrtPortfolioConfig,

@@ -4,7 +4,7 @@
 //! ## Execution model (DESIGN.md §4)
 //!
 //! A *workload* is built once per `(environment, parameters)` pair: every
-//! region's PRM is really executed (in parallel on the host via rayon) with
+//! region's PRM is really executed (in parallel on the host threads) with
 //! a region-derived RNG seed, splitting the measured work into a *node
 //! generation* part and a *node connection* part, and every region-graph
 //! edge's cross-connection is really executed. Because region work is
@@ -26,20 +26,25 @@
 //! replaying them — one pipeline (`execute_prm`) for both, with the
 //! balancing decision and the run epilogue shared with the replay
 //! (DESIGN.md §12).
+//!
+//! Two verbs front it: [`replay_prm`] replays a measured workload on the
+//! DES (the figures measure once and replay at many `p` and strategies),
+//! and [`run_prm`] runs the experiment end to end on any backend.
 
 use crate::cost::work_cost;
 use crate::dist;
+use crate::par::par_map;
 use crate::partition::naive_block;
 use crate::phases::PhaseBreakdown;
 use crate::pipeline::{
     balance, cross_queues, finish, modelled_region_connection, remote_accesses, static_spec,
-    DistRunner, Finish, LiveRunner, MetricNames, Phase, PhaseRunner, PlannerRun, Timeline,
+    DistRunner, Finish, LiveRunner, MetricNames, On, Phase, PhaseRunner, PlannerRun, RunOptions,
+    Timeline,
 };
 use crate::strategy::{Strategy, WeightKind};
 use crate::weights;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use smp_cspace::{derive_seed, BoxSampler, Cfg, EnvValidity, StraightLinePlanner, WorkCounters};
 use smp_cspace::{LocalPlanner, Sampler, ValidityChecker};
@@ -49,8 +54,8 @@ use smp_obs::Tracer;
 use smp_plan::connect::{connect_roadmaps, CandidateEdge};
 use smp_runtime::dist::{DistExecutor, DistOptions};
 use smp_runtime::{
-    simulate_with, Backend, DistTuning, ExecError, ExecSpec, FaultPlan, LiveControl, LiveOutcome,
-    LiveTuning, MachineModel, SimConfig, SimError, SimOptions,
+    simulate_with, DistTuning, ExecError, ExecSpec, LiveControl, LiveOutcome, LiveTuning,
+    MachineModel, SimConfig, SimError, SimOptions,
 };
 use std::time::Instant;
 
@@ -304,24 +309,16 @@ pub fn build_prm_workload_on_grid<const D: usize>(
     let region_graph = RegionGraph::from_grid(&grid);
 
     let region_ids: Vec<u32> = grid.region_ids().collect();
-    let regions: Vec<RegionOutcome<D>> = region_ids
-        .par_iter()
-        .map(|&r| build_region(cfg, &grid, r))
-        .collect();
-
-    let cross: Vec<CrossOutcome> = region_graph
-        .edges()
-        .par_iter()
-        .map(|&(a, b)| {
-            cross_edge(
-                cfg,
-                a,
-                b,
-                &regions[a as usize].cfgs,
-                &regions[b as usize].cfgs,
-            )
-        })
-        .collect();
+    let regions = par_map(&region_ids, |&r| build_region(cfg, &grid, r));
+    let cross = par_map(region_graph.edges(), |&(a, b)| {
+        cross_edge(
+            cfg,
+            a,
+            b,
+            &regions[a as usize].cfgs,
+            &regions[b as usize].cfgs,
+        )
+    });
 
     let vfree = weights::vfree_weights(cfg.env, &grid);
 
@@ -354,8 +351,8 @@ const PRM_METRICS: MetricNames = MetricNames {
 
 /// The repartitioning weights PRM can resolve from what a run already
 /// has: measured sample counts and exact free volume. `Probe`/`KRays`
-/// need a separate measurement pass over the environment
-/// ([`run_parallel_prm_observed`] takes its result as `custom_weights`).
+/// need a separate measurement pass over the environment (whose result
+/// [`replay_prm`] takes as [`RunOptions::custom_weights`]).
 fn prm_weights(kind: WeightKind, counts: &[u32], vfree: &[f64]) -> Option<Vec<f64>> {
     match kind {
         WeightKind::SampleCount => Some(weights::sample_count_weights(counts)),
@@ -373,10 +370,23 @@ fn rect_dims<const D: usize>(grid: &GridSubdivision<D>) -> Vec<usize> {
     dims
 }
 
-/// Replay the workload under `strategy` on `p` virtual PEs of `machine`.
+/// Replay the workload on `opts.p` virtual PEs of `machine` under
+/// `opts.strategy`.
+///
+/// * `custom_weights` are required for the `Probe`/`KRays` weight kinds
+///   (which otherwise fail with [`SimError::UnsupportedWeights`]);
+/// * `fault` is injected into the node-connection phase, the long,
+///   imbalanced phase where stragglers, lost messages and PE crashes
+///   actually bite. `None` or a zero-fault plan replays bit for bit like
+///   no plan;
+/// * with a `tracer`, all four phases are spliced onto one timeline:
+///   per-PE tracks carry the DES events of the simulated phases, and a
+///   dedicated `"phases"` track (id `p`) carries one span per planner
+///   phase. Tracing never perturbs the run; replaying the same inputs
+///   yields byte-identical traces.
 ///
 /// ```
-/// use smp_core::{build_prm_workload, run_parallel_prm, ParallelPrmConfig, Strategy, WeightKind};
+/// use smp_core::{build_prm_workload, replay_prm, ParallelPrmConfig, RunOptions, Strategy, WeightKind};
 /// use smp_geom::envs;
 /// use smp_runtime::MachineModel;
 ///
@@ -384,43 +394,23 @@ fn rect_dims<const D: usize>(grid: &GridSubdivision<D>) -> Vec<usize> {
 /// let cfg = ParallelPrmConfig { regions_target: 64, ..ParallelPrmConfig::new(&env) };
 /// let workload = build_prm_workload(&cfg);
 /// let machine = MachineModel::hopper();
-/// let no_lb = run_parallel_prm(&workload, &machine, 8, &Strategy::NoLb).unwrap();
-/// let repart = run_parallel_prm(
-///     &workload, &machine, 8, &Strategy::Repartition(WeightKind::SampleCount)).unwrap();
+/// let no_lb = replay_prm(&workload, &machine, RunOptions::new(8, &Strategy::NoLb)).unwrap();
+/// let repart = Strategy::Repartition(WeightKind::SampleCount);
+/// let repart = replay_prm(&workload, &machine, RunOptions::new(8, &repart)).unwrap();
 /// assert!(repart.phases.node_connection <= no_lb.phases.node_connection);
 /// ```
-pub fn run_parallel_prm<const D: usize>(
+pub fn replay_prm<const D: usize>(
     workload: &PrmWorkload<D>,
     machine: &MachineModel,
-    p: usize,
-    strategy: &Strategy,
+    opts: RunOptions<'_>,
 ) -> Result<PrmRun, SimError> {
-    run_parallel_prm_observed(workload, machine, p, strategy, None, None, None)
-}
-
-/// [`run_parallel_prm`] with its optional arguments:
-///
-/// * `custom_weights` — explicit repartitioning weights, required for the
-///   `Probe`/`KRays` weight kinds (which otherwise fail with
-///   [`SimError::UnsupportedWeights`]);
-/// * `fault` — injected into the node-connection phase, the long,
-///   imbalanced phase where stragglers, lost messages and PE crashes
-///   actually bite. `None` or a zero-fault plan reproduces
-///   [`run_parallel_prm`] bit for bit;
-/// * `tracer` — all four phases are spliced onto one timeline: per-PE
-///   tracks carry the DES events of the simulated phases, and a dedicated
-///   `"phases"` track (id `p`) carries one span per planner phase. Tracing
-///   never perturbs the run; replaying the same inputs yields
-///   byte-identical traces.
-pub fn run_parallel_prm_observed<const D: usize>(
-    workload: &PrmWorkload<D>,
-    machine: &MachineModel,
-    p: usize,
-    strategy: &Strategy,
-    custom_weights: Option<&[f64]>,
-    fault: Option<&FaultPlan>,
-    tracer: Option<&mut Tracer>,
-) -> Result<PrmRun, SimError> {
+    let RunOptions {
+        p,
+        strategy,
+        custom_weights,
+        fault,
+        tracer,
+    } = opts;
     if p == 0 {
         return Err(SimError::NoPes);
     }
@@ -660,27 +650,85 @@ fn execute_prm<const D: usize>(
     Ok((workload, run))
 }
 
-/// Run the full parallel PRM **live** on `threads` OS threads: the four
-/// phases of [`run_parallel_prm`] with real work (sampling, kNN, local
-/// planning) executed through [`smp_runtime::LiveExecutor`] in wall-clock time, with
-/// real ownership handoff on steal.
+/// Run the experiment `cfg` describes end to end on `opts.p` workers of
+/// the backend `on` names. [`On::Des`] measures the workload
+/// ([`build_prm_workload`]) and replays it ([`replay_prm`], with every
+/// option); [`On::Live`] executes the four phases on OS threads under the
+/// [`LiveControl`], with real ownership handoff on steal; [`On::Dist`]
+/// ships each phase as a work kind plus the encoded `cfg` ([`crate::dist`])
+/// to the executor's worker processes.
 ///
-/// Returns the workload the live run *produced* alongside the run report.
-/// Because region work is location-independent, that workload — and hence
-/// the assembled roadmap and its digest — is byte-identical to
-/// [`build_prm_workload`]'s output for the same `cfg`, at any thread
-/// count and under any strategy. Only the report's wall-clock timings and
-/// steal counters vary run to run (DESIGN.md §12).
+/// Region work is location-independent, so the returned workload — and
+/// the assembled roadmap's digest — is byte-identical on every backend, at
+/// any worker count, under any strategy and across recovered faults
+/// (DESIGN.md §12). The executing backends resolve `SampleCount` and
+/// `Vfree` weights; `Probe`/`KRays` fail with
+/// [`SimError::UnsupportedWeights`]. A live cancel/deadline stop is a
+/// success: [`LiveOutcome::Partial`] names the phase it stopped in. The
+/// DES and dist always return [`LiveOutcome::Complete`]. A `tracer` gets a
+/// `"phases"` track (id `p`); live runs add per-worker spans on a
+/// wall-clock timeline (not golden-file comparable).
 ///
-/// `Probe`/`KRays` repartitioning weights need a separate measurement
-/// pass and fail with [`SimError::UnsupportedWeights`]; use `SampleCount`
-/// or `Vfree`.
+/// The same `cfg` on the DES and on live threads yields the same roadmap:
 ///
-/// With a [`Tracer`], per-worker tracks carry wall-clock task spans, steal
-/// instants, and queue-length counters, and a `"phases"` track (id
-/// `threads`) carries one span per planner phase — the same vocabulary as
-/// the DES trace, on a wall-clock timeline (so it is **not** golden-file
-/// comparable; see DESIGN.md §12).
+/// ```
+/// use smp_core::{assemble_prm_roadmap, roadmap_digest, run_prm, On, ParallelPrmConfig};
+/// use smp_core::{RunOptions, Strategy};
+/// use smp_geom::envs;
+/// use smp_runtime::{LiveControl, MachineModel};
+///
+/// let env = envs::med_cube();
+/// let cfg = ParallelPrmConfig { regions_target: 27, ..ParallelPrmConfig::new(&env) };
+/// let machine = MachineModel::hopper();
+/// let digest = |on| {
+///     let (workload, _run) = run_prm(&cfg, on, RunOptions::new(2, &Strategy::NoLb))
+///         .and_then(|out| out.into_result())
+///         .unwrap();
+///     roadmap_digest(&assemble_prm_roadmap(&workload))
+/// };
+/// let des = digest(On::Des(&machine));
+/// assert_eq!(digest(On::Live(&LiveControl::default())), des);
+/// ```
+pub fn run_prm<const D: usize>(
+    cfg: &ParallelPrmConfig<'_, D>,
+    on: On<'_>,
+    opts: RunOptions<'_>,
+) -> Result<LiveOutcome<(PrmWorkload<D>, PrmRun)>, ExecError> {
+    match on {
+        On::Des(machine) => {
+            let workload = build_prm_workload(cfg);
+            let run = replay_prm(&workload, machine, opts)?;
+            Ok(LiveOutcome::Complete((workload, run)))
+        }
+        On::Live(control) => {
+            opts.check_executing()?;
+            let mut runner = LiveRunner::new(control);
+            let result = execute_prm(cfg, opts.p, opts.strategy, &mut runner, opts.tracer);
+            runner.outcome(result)
+        }
+        On::Dist(exec) => {
+            opts.check_executing()?;
+            let blob = dist::encode_prm_blob(cfg);
+            let mut runner = DistRunner { exec, blob };
+            execute_prm(cfg, opts.p, opts.strategy, &mut runner, opts.tracer)
+                .map(LiveOutcome::Complete)
+        }
+    }
+}
+
+/// [`replay_prm`] without options. Kept only because `benchmark/` calls
+/// it; ROADMAP open item 3 removes it.
+pub fn run_parallel_prm<const D: usize>(
+    workload: &PrmWorkload<D>,
+    machine: &MachineModel,
+    p: usize,
+    strategy: &Strategy,
+) -> Result<PrmRun, SimError> {
+    replay_prm(workload, machine, RunOptions::new(p, strategy))
+}
+
+/// [`run_prm`] on live threads. Kept only because `benchmark/` calls it;
+/// ROADMAP open item 3 removes it.
 pub fn run_parallel_prm_live_observed<const D: usize>(
     cfg: &ParallelPrmConfig<'_, D>,
     threads: usize,
@@ -688,61 +736,26 @@ pub fn run_parallel_prm_live_observed<const D: usize>(
     tuning: LiveTuning,
     tracer: Option<&mut Tracer>,
 ) -> Result<(PrmWorkload<D>, PrmRun), ExecError> {
-    run_parallel_prm_live_controlled(cfg, threads, strategy, &LiveControl::new(tuning), tracer)?
-        .into_result()
+    let opts = RunOptions {
+        tracer,
+        ..RunOptions::new(threads, strategy)
+    };
+    run_prm(cfg, On::Live(&LiveControl::new(tuning)), opts)?.into_result()
 }
 
-/// The fully-controlled live PRM entry point: as
-/// [`run_parallel_prm_live_observed`] but threading a [`LiveControl`]
-/// (cancel token, whole-run deadline, fault plan) through every phase's
-/// executor and work closures.
-///
-/// A cancel/deadline stop is a *success* here: the run returns
-/// [`LiveOutcome::Partial`] naming the phase it stopped in, with the
-/// stopped phase's report — never a hang or an abort. Injected faults
-/// that the executor recovers from leave the output workload
-/// byte-identical to a fault-free run (exactly-once execution of
-/// location-independent region work); the recovery cost shows up only in
-/// the run's `live.faults.*` metrics and resilience counters.
-pub fn run_parallel_prm_live_controlled<const D: usize>(
-    cfg: &ParallelPrmConfig<'_, D>,
-    threads: usize,
-    strategy: &Strategy,
-    control: &LiveControl,
-    tracer: Option<&mut Tracer>,
-) -> Result<LiveOutcome<(PrmWorkload<D>, PrmRun)>, ExecError> {
-    let mut runner = LiveRunner::new(control);
-    let result = execute_prm(cfg, threads, strategy, &mut runner, tracer);
-    runner.outcome(result)
-}
-
-/// Run the full parallel PRM on `p` worker **processes** via a pre-built
-/// [`DistExecutor`]: the same pipeline as
-/// [`run_parallel_prm_live_observed`], with each phase shipped as a work
-/// kind plus the encoded `cfg` ([`crate::dist`]) instead of a closure.
-///
-/// The returned workload — and hence the assembled roadmap and its
-/// digest — is byte-identical to the DES and live backends for the same
-/// `cfg.seed`, at any worker count, under any strategy, and across
-/// injected message faults and worker-process crashes (the three-way
-/// differential gate in `tests/dist_backend_differential.rs`). Supported
-/// repartitioning weights are as live.
+/// [`run_prm`] on a dist pool. Kept only because `benchmark/` calls it;
+/// ROADMAP open item 3 removes it.
 pub fn run_parallel_prm_dist_with<const D: usize>(
     cfg: &ParallelPrmConfig<'_, D>,
     p: usize,
     strategy: &Strategy,
     exec: &mut DistExecutor,
 ) -> Result<(PrmWorkload<D>, PrmRun), ExecError> {
-    let mut runner = DistRunner {
-        exec,
-        blob: dist::encode_prm_blob(cfg),
-    };
-    execute_prm(cfg, p, strategy, &mut runner, None)
+    run_prm(cfg, On::Dist(exec), RunOptions::new(p, strategy))?.into_result()
 }
 
-/// As [`run_parallel_prm_dist_with`], spawning `p` worker processes of the
-/// `smp-dist-worker` binary with the given tuning (the `Backend::Dist`
-/// entry point).
+/// [`run_prm`] on a fresh pool of `p` `smp-dist-worker` processes. Kept
+/// only because `benchmark/` calls it; ROADMAP open item 3 removes it.
 pub fn run_parallel_prm_dist<const D: usize>(
     cfg: &ParallelPrmConfig<'_, D>,
     p: usize,
@@ -750,32 +763,7 @@ pub fn run_parallel_prm_dist<const D: usize>(
     tuning: DistTuning,
 ) -> Result<(PrmWorkload<D>, PrmRun), ExecError> {
     let mut exec = DistExecutor::new(DistOptions::process(tuning)?);
-    run_parallel_prm_dist_with(cfg, p, strategy, &mut exec)
-}
-
-/// Backend-agnostic entry point: build-and-run the experiment described by
-/// `cfg` on `p` workers of the selected [`Backend`]. `Backend::Des`
-/// measures the workload once and replays it on `p` virtual PEs of
-/// `machine`; `Backend::Live` executes it on `p` OS threads and
-/// `Backend::Dist` on `p` worker processes (`machine` is unused). Every
-/// backend's workload assembles to the same roadmap for the same
-/// `cfg.seed` — the cross-backend determinism gate.
-pub fn run_parallel_prm_on<const D: usize>(
-    cfg: &ParallelPrmConfig<'_, D>,
-    machine: &MachineModel,
-    p: usize,
-    strategy: &Strategy,
-    backend: Backend,
-) -> Result<(PrmWorkload<D>, PrmRun), ExecError> {
-    match backend {
-        Backend::Des => {
-            let workload = build_prm_workload(cfg);
-            let run = run_parallel_prm(&workload, machine, p, strategy)?;
-            Ok((workload, run))
-        }
-        Backend::Live(tuning) => run_parallel_prm_live_observed(cfg, p, strategy, tuning, None),
-        Backend::Dist(tuning) => run_parallel_prm_dist(cfg, p, strategy, tuning),
-    }
+    run_prm(cfg, On::Dist(&mut exec), RunOptions::new(p, strategy))?.into_result()
 }
 
 #[cfg(test)]
@@ -784,7 +772,7 @@ mod tests {
     use crate::pipeline::assert_phase_spans;
     use smp_geom::envs;
     use smp_obs::cat;
-    use smp_runtime::{StealConfig, StealPolicyKind};
+    use smp_runtime::{LiveControl, StealConfig, StealPolicyKind};
 
     const PHASES: [&str; 4] = [
         "generation",
@@ -827,12 +815,11 @@ mod tests {
         let w = small_workload();
         let machine = MachineModel::hopper();
         let p = 32;
-        let no_lb = run_parallel_prm(&w, &machine, p, &Strategy::NoLb).unwrap();
-        let repart = run_parallel_prm(
+        let no_lb = replay_prm(&w, &machine, RunOptions::new(p, &Strategy::NoLb)).unwrap();
+        let repart = replay_prm(
             &w,
             &machine,
-            p,
-            &Strategy::Repartition(WeightKind::SampleCount),
+            RunOptions::new(p, &Strategy::Repartition(WeightKind::SampleCount)),
         )
         .unwrap();
         assert!(
@@ -850,12 +837,11 @@ mod tests {
         let w = small_workload();
         let machine = MachineModel::hopper();
         let p = 32;
-        let no_lb = run_parallel_prm(&w, &machine, p, &Strategy::NoLb).unwrap();
-        let rect = run_parallel_prm(
+        let no_lb = replay_prm(&w, &machine, RunOptions::new(p, &Strategy::NoLb)).unwrap();
+        let rect = replay_prm(
             &w,
             &machine,
-            p,
-            &Strategy::RectPartition(WeightKind::SampleCount),
+            RunOptions::new(p, &Strategy::RectPartition(WeightKind::SampleCount)),
         )
         .unwrap();
         assert!(rect.migrations > 0);
@@ -897,12 +883,14 @@ mod tests {
         let w = small_workload();
         let machine = MachineModel::hopper();
         let p = 32;
-        let no_lb = run_parallel_prm(&w, &machine, p, &Strategy::NoLb).unwrap();
-        let ws = run_parallel_prm(
+        let no_lb = replay_prm(&w, &machine, RunOptions::new(p, &Strategy::NoLb)).unwrap();
+        let ws = replay_prm(
             &w,
             &machine,
-            p,
-            &Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Hybrid(8))),
+            RunOptions::new(
+                p,
+                &Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Hybrid(8))),
+            ),
         )
         .unwrap();
         assert!(ws.phases.node_connection < no_lb.phases.node_connection);
@@ -914,12 +902,11 @@ mod tests {
         let w = small_workload();
         let machine = MachineModel::hopper();
         let p = 64;
-        let no_lb = run_parallel_prm(&w, &machine, p, &Strategy::NoLb).unwrap();
-        let repart = run_parallel_prm(
+        let no_lb = replay_prm(&w, &machine, RunOptions::new(p, &Strategy::NoLb)).unwrap();
+        let repart = replay_prm(
             &w,
             &machine,
-            p,
-            &Strategy::Repartition(WeightKind::SampleCount),
+            RunOptions::new(p, &Strategy::Repartition(WeightKind::SampleCount)),
         )
         .unwrap();
         assert!(
@@ -936,7 +923,7 @@ mod tests {
         let w = small_workload();
         let machine = MachineModel::opteron();
         for s in Strategy::prm_set() {
-            let run = run_parallel_prm(&w, &machine, 16, &s).unwrap();
+            let run = replay_prm(&w, &machine, RunOptions::new(16, &s)).unwrap();
             let executed: u32 = run.construction.per_pe_executed.iter().sum();
             assert_eq!(executed as usize, w.num_regions(), "{}", s.label());
             // load conservation
@@ -951,8 +938,8 @@ mod tests {
         let w = small_workload();
         let machine = MachineModel::hopper();
         let s = Strategy::WorkStealing(StealConfig::new(StealPolicyKind::RandK(8)));
-        let a = run_parallel_prm(&w, &machine, 24, &s).unwrap();
-        let b = run_parallel_prm(&w, &machine, 24, &s).unwrap();
+        let a = replay_prm(&w, &machine, RunOptions::new(24, &s)).unwrap();
+        let b = replay_prm(&w, &machine, RunOptions::new(24, &s)).unwrap();
         assert_eq!(a.total_time, b.total_time);
         assert_eq!(a.construction.executed_by, b.construction.executed_by);
     }
@@ -963,12 +950,19 @@ mod tests {
         let machine = MachineModel::hopper();
         let s = Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Hybrid(8)));
         let mut tr = Tracer::new();
-        let observed =
-            run_parallel_prm_observed(&w, &machine, 16, &s, None, None, Some(&mut tr)).unwrap();
+        let observed = replay_prm(
+            &w,
+            &machine,
+            RunOptions {
+                tracer: Some(&mut tr),
+                ..RunOptions::new(16, &s)
+            },
+        )
+        .unwrap();
         tr.check_well_formed().expect("planner trace well-formed");
         assert_phase_spans(&tr, 16, &PHASES);
         // observation must not change the result
-        let plain = run_parallel_prm(&w, &machine, 16, &s).unwrap();
+        let plain = replay_prm(&w, &machine, RunOptions::new(16, &s)).unwrap();
         assert_eq!(observed.total_time, plain.total_time);
         assert_eq!(observed.construction, plain.construction);
         // planner + DES metrics merged into one flat snapshot
@@ -1008,13 +1002,12 @@ mod tests {
                 Strategy::Repartition(WeightKind::SampleCount),
                 Strategy::RectPartition(WeightKind::SampleCount),
             ] {
-                let (w, run) = run_parallel_prm_live_observed(
+                let (w, run) = run_prm(
                     &cfg,
-                    threads,
-                    &strategy,
-                    LiveTuning::default(),
-                    None,
+                    On::Live(&LiveControl::default()),
+                    RunOptions::new(threads, &strategy),
                 )
+                .and_then(LiveOutcome::into_result)
                 .unwrap();
                 // Work-product determinism: live == measured build, bit for bit.
                 assert_eq!(
@@ -1046,9 +1039,16 @@ mod tests {
         };
         let s = Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Hybrid(4)));
         let mut tr = Tracer::new();
-        let (w, run) =
-            run_parallel_prm_live_observed(&cfg, 2, &s, LiveTuning::default(), Some(&mut tr))
-                .unwrap();
+        let (w, run) = run_prm(
+            &cfg,
+            On::Live(&LiveControl::default()),
+            RunOptions {
+                tracer: Some(&mut tr),
+                ..RunOptions::new(2, &s)
+            },
+        )
+        .and_then(LiveOutcome::into_result)
+        .unwrap();
         tr.check_well_formed()
             .expect("live planner trace well-formed");
         assert_phase_spans(&tr, 2, &PHASES);
@@ -1074,9 +1074,9 @@ mod tests {
         let w = build_prm_workload(&cfg);
         let machine = MachineModel::opteron();
         let p = 16;
-        let no_lb = run_parallel_prm(&w, &machine, p, &Strategy::NoLb).unwrap();
+        let no_lb = replay_prm(&w, &machine, RunOptions::new(p, &Strategy::NoLb)).unwrap();
         for s in Strategy::prm_set().into_iter().skip(1) {
-            let run = run_parallel_prm(&w, &machine, p, &s).unwrap();
+            let run = replay_prm(&w, &machine, RunOptions::new(p, &s)).unwrap();
             assert!(
                 run.total_time <= no_lb.total_time + no_lb.total_time / 5,
                 "{} overhead too high: {} vs {}",

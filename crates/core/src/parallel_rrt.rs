@@ -8,21 +8,25 @@
 //! estimate a priori, so repartitioning must rely on the k-random-rays
 //! weight — which correlates poorly with the real work and can make
 //! repartitioning *worse than no balancing at all* (Figure 10(b)).
+//!
+//! The same two verbs front it: [`replay_rrt`] on the DES and [`run_rrt`]
+//! on any backend.
 
 use crate::cost::work_cost;
 use crate::dist;
+use crate::par::par_map;
 use crate::parallel_prm::CrossOutcome;
 use crate::partition::naive_block;
 use crate::phases::PhaseBreakdown;
 use crate::pipeline::{
     balance, cross_queues, finish, modelled_region_connection, remote_accesses, static_spec,
-    DistRunner, Finish, LiveRunner, MetricNames, Phase, PhaseRunner, PlannerRun, Timeline,
+    DistRunner, Finish, LiveRunner, MetricNames, On, Phase, PhaseRunner, PlannerRun, RunOptions,
+    Timeline,
 };
 use crate::strategy::{Strategy, WeightKind};
 use crate::weights;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use smp_cspace::{derive_seed, Cfg, ConeSampler, EnvValidity, StraightLinePlanner, WorkCounters};
 use smp_geom::{Environment, RadialSubdivision};
@@ -30,10 +34,9 @@ use smp_graph::RegionGraph;
 use smp_obs::Tracer;
 use smp_plan::connect::connect_roadmaps;
 use smp_plan::rrt::{grow_rrt, RrtParams};
-use smp_runtime::dist::{DistExecutor, DistOptions};
 use smp_runtime::{
-    simulate_with, Backend, ExecError, ExecSpec, FaultPlan, LiveControl, LiveOutcome, LiveTuning,
-    MachineModel, SimConfig, SimError, SimOptions,
+    simulate_with, ExecError, ExecSpec, LiveControl, LiveOutcome, LiveTuning, MachineModel,
+    SimConfig, SimError, SimOptions,
 };
 use std::time::Instant;
 
@@ -246,24 +249,17 @@ pub fn build_rrt_workload<const D: usize>(cfg: &ParallelRrtConfig<'_, D>) -> Rrt
     let sub = radial_subdivision(cfg);
     let region_graph = RegionGraph::from_radial(&sub, cfg.k_adjacent);
 
-    let regions: Vec<BranchOutcome<D>> = (0..sub.num_regions() as u32)
-        .into_par_iter()
-        .map(|r| grow_branch(cfg, &sub, r))
-        .collect();
-
-    let cross: Vec<RrtCrossOutcome> = region_graph
-        .edges()
-        .par_iter()
-        .map(|&(a, b)| {
-            rrt_cross_edge(
-                cfg,
-                a,
-                b,
-                &regions[a as usize].cfgs,
-                &regions[b as usize].cfgs,
-            )
-        })
-        .collect();
+    let region_ids: Vec<u32> = (0..sub.num_regions() as u32).collect();
+    let regions = par_map(&region_ids, |&r| grow_branch(cfg, &sub, r));
+    let cross = par_map(region_graph.edges(), |&(a, b)| {
+        rrt_cross_edge(
+            cfg,
+            a,
+            b,
+            &regions[a as usize].cfgs,
+            &regions[b as usize].cfgs,
+        )
+    });
 
     let krays_weights = weights::krays_weights(cfg.env, &sub, cfg.krays, cfg.seed);
 
@@ -294,36 +290,32 @@ const RRT_METRICS: MetricNames = MetricNames {
     time_region_connection: "rrt.time.region_connection_ns",
 };
 
-/// Replay the workload under `strategy` on `p` virtual PEs of `machine`.
+/// Replay the workload on `opts.p` virtual PEs of `machine` under
+/// `opts.strategy`.
 ///
 /// `Repartition` uses the k-random-rays weights measured in the workload
 /// (the only weight available *before* growth — RRT work cannot be measured
-/// a priori, §III-B); any other weight kind fails with
-/// [`SimError::UnsupportedWeights`]. The repartitioning happens before
-/// construction, so migration ships only region descriptors.
-pub fn run_parallel_rrt<const D: usize>(
+/// a priori, §III-B) unless `custom_weights` replace them; any other weight
+/// kind fails with [`SimError::UnsupportedWeights`]. The repartitioning
+/// happens before construction, so migration ships only region
+/// descriptors. `fault` is injected into the construction phase (`None` or
+/// a zero-fault plan replays bit for bit like no plan), and with a
+/// `tracer` per-PE tracks carry the construction DES events and a
+/// dedicated `"phases"` track (id `p`) carries one span per planner phase,
+/// spliced onto one timeline. Tracing never perturbs the run and replays
+/// byte-identically.
+pub fn replay_rrt<const D: usize>(
     workload: &RrtWorkload<D>,
     machine: &MachineModel,
-    p: usize,
-    strategy: &Strategy,
+    opts: RunOptions<'_>,
 ) -> Result<RrtRun, SimError> {
-    run_parallel_rrt_observed(workload, machine, p, strategy, None, None)
-}
-
-/// [`run_parallel_rrt`] with its optional arguments: `fault` is injected
-/// into the construction phase (`None` or a zero-fault plan reproduces
-/// [`run_parallel_rrt`] bit for bit), and with a [`Tracer`] per-PE tracks
-/// carry the construction DES events and a dedicated `"phases"` track (id
-/// `p`) carries one span per planner phase, spliced onto one timeline.
-/// Tracing never perturbs the run and replays byte-identically.
-pub fn run_parallel_rrt_observed<const D: usize>(
-    workload: &RrtWorkload<D>,
-    machine: &MachineModel,
-    p: usize,
-    strategy: &Strategy,
-    fault: Option<&FaultPlan>,
-    tracer: Option<&mut Tracer>,
-) -> Result<RrtRun, SimError> {
+    let RunOptions {
+        p,
+        strategy,
+        custom_weights,
+        fault,
+        tracer,
+    } = opts;
     if p == 0 {
         return Err(SimError::NoPes);
     }
@@ -342,9 +334,12 @@ pub fn run_parallel_rrt_observed<const D: usize>(
     // casts behind the weights themselves (k per region, §III-B calls this
     // expensive), the partition compute, and — when cones move — their
     // descriptors (pre-construction migration ships nothing else).
-    let bal = balance(strategy, &naive, &[nr], |kind| match kind {
-        WeightKind::KRays(_) => Some(workload.krays_weights.clone()),
-        _ => None,
+    let bal = balance(strategy, &naive, &[nr], |kind| {
+        match (custom_weights, kind) {
+            (Some(w), _) => Some(w.to_vec()),
+            (None, WeightKind::KRays(_)) => Some(workload.krays_weights.clone()),
+            (None, _) => None,
+        }
     })?;
     let lb_time = if bal.weights.is_some() {
         let krays_cost = (nr as u64 * ops.cd_check * 4) / p as u64;
@@ -505,22 +500,43 @@ fn execute_rrt<const D: usize>(
     Ok((workload, run))
 }
 
-/// Run the full parallel RRT **live** on `threads` OS threads: branch
-/// growth and cross-connection really execute through [`smp_runtime::LiveExecutor`] in
-/// wall-clock time, with real ownership handoff on steal.
-///
-/// Returns the workload the live run produced alongside the run report.
-/// Branch growth is seeded by region id, so the workload — and the
-/// assembled tree digest — is byte-identical to [`build_rrt_workload`]'s
-/// for the same `cfg`, at any thread count and strategy (DESIGN.md §12).
-///
-/// `Repartition` uses the k-random-rays weights (the only estimate
-/// available *before* growth, §III-B), exactly as the DES path does.
-///
-/// With a [`Tracer`], per-worker tracks carry wall-clock task spans and
-/// steal instants, and a `"phases"` track (id `threads`) carries one span
-/// per planner phase — wall-clock timeline, so not golden-file comparable
-/// (DESIGN.md §12).
+/// The RRT twin of [`crate::run_prm`]: the DES measures the workload
+/// ([`build_rrt_workload`]) and replays it ([`replay_rrt`]); live threads
+/// and dist processes grow and cross-connect the branches for real. Branch
+/// growth is seeded by region id, so the returned workload — and the
+/// assembled tree digest — is byte-identical on every backend (DESIGN.md
+/// §12). `Repartition` uses the k-random-rays weights everywhere (the only
+/// estimate available *before* growth, §III-B); dist computes them on the
+/// coordinator.
+pub fn run_rrt<const D: usize>(
+    cfg: &ParallelRrtConfig<'_, D>,
+    on: On<'_>,
+    opts: RunOptions<'_>,
+) -> Result<LiveOutcome<(RrtWorkload<D>, RrtRun)>, ExecError> {
+    match on {
+        On::Des(machine) => {
+            let workload = build_rrt_workload(cfg);
+            let run = replay_rrt(&workload, machine, opts)?;
+            Ok(LiveOutcome::Complete((workload, run)))
+        }
+        On::Live(control) => {
+            opts.check_executing()?;
+            let mut runner = LiveRunner::new(control);
+            let result = execute_rrt(cfg, opts.p, opts.strategy, &mut runner, opts.tracer);
+            runner.outcome(result)
+        }
+        On::Dist(exec) => {
+            opts.check_executing()?;
+            let blob = dist::encode_rrt_blob(cfg);
+            let mut runner = DistRunner { exec, blob };
+            execute_rrt(cfg, opts.p, opts.strategy, &mut runner, opts.tracer)
+                .map(LiveOutcome::Complete)
+        }
+    }
+}
+
+/// [`run_rrt`] on live threads. Kept only because `benchmark/` calls it;
+/// ROADMAP open item 3 removes it.
 pub fn run_parallel_rrt_live_observed<const D: usize>(
     cfg: &ParallelRrtConfig<'_, D>,
     threads: usize,
@@ -528,77 +544,11 @@ pub fn run_parallel_rrt_live_observed<const D: usize>(
     tuning: LiveTuning,
     tracer: Option<&mut Tracer>,
 ) -> Result<(RrtWorkload<D>, RrtRun), ExecError> {
-    run_parallel_rrt_live_controlled(cfg, threads, strategy, &LiveControl::new(tuning), tracer)?
-        .into_result()
-}
-
-/// The fully-controlled live RRT entry point: as
-/// [`run_parallel_rrt_live_observed`] but threading a [`LiveControl`]
-/// (cancel token, whole-run deadline, fault plan) through every phase's
-/// executor and work closures, exactly as
-/// [`crate::parallel_prm::run_parallel_prm_live_controlled`] does.
-///
-/// A cancel/deadline stop returns [`LiveOutcome::Partial`] naming the
-/// phase it stopped in — never a hang or an abort. Recovered faults leave
-/// the output workload byte-identical to a fault-free run; the recovery
-/// cost shows up only in `live.faults.*` metrics and resilience counters.
-pub fn run_parallel_rrt_live_controlled<const D: usize>(
-    cfg: &ParallelRrtConfig<'_, D>,
-    threads: usize,
-    strategy: &Strategy,
-    control: &LiveControl,
-    tracer: Option<&mut Tracer>,
-) -> Result<LiveOutcome<(RrtWorkload<D>, RrtRun)>, ExecError> {
-    let mut runner = LiveRunner::new(control);
-    let result = execute_rrt(cfg, threads, strategy, &mut runner, tracer);
-    runner.outcome(result)
-}
-
-/// Run the full parallel RRT on `p` worker **processes** via a pre-built
-/// [`DistExecutor`]: the same pipeline as
-/// [`run_parallel_rrt_live_observed`], with the same cross-backend
-/// digest-identity guarantee as
-/// [`crate::parallel_prm::run_parallel_prm_dist_with`]. The k-random-rays
-/// weights are computed coordinator-side.
-pub fn run_parallel_rrt_dist_with<const D: usize>(
-    cfg: &ParallelRrtConfig<'_, D>,
-    p: usize,
-    strategy: &Strategy,
-    exec: &mut DistExecutor,
-) -> Result<(RrtWorkload<D>, RrtRun), ExecError> {
-    let mut runner = DistRunner {
-        exec,
-        blob: dist::encode_rrt_blob(cfg),
+    let opts = RunOptions {
+        tracer,
+        ..RunOptions::new(threads, strategy)
     };
-    execute_rrt(cfg, p, strategy, &mut runner, None)
-}
-
-/// Backend-agnostic entry point, the RRT twin of
-/// [`crate::parallel_prm::run_parallel_prm_on`]: `Backend::Des` measures
-/// the workload once and replays it on `p` virtual PEs of `machine`;
-/// `Backend::Live` executes it on `p` OS threads and `Backend::Dist` on
-/// `p` worker processes (`machine` unused). The returned workloads
-/// assemble to the same tree for the same `cfg.seed`.
-pub fn run_parallel_rrt_on<const D: usize>(
-    cfg: &ParallelRrtConfig<'_, D>,
-    machine: &MachineModel,
-    p: usize,
-    strategy: &Strategy,
-    backend: Backend,
-) -> Result<(RrtWorkload<D>, RrtRun), ExecError> {
-    match backend {
-        Backend::Des => {
-            let workload = build_rrt_workload(cfg);
-            let run = run_parallel_rrt(&workload, machine, p, strategy)?;
-            Ok((workload, run))
-        }
-        Backend::Live(tuning) => run_parallel_rrt_live_observed(cfg, p, strategy, tuning, None),
-        Backend::Dist(tuning) => {
-            // A fresh pool of `smp-dist-worker` processes for this run.
-            let mut exec = DistExecutor::new(DistOptions::process(tuning)?);
-            run_parallel_rrt_dist_with(cfg, p, strategy, &mut exec)
-        }
-    }
+    run_rrt(cfg, On::Live(&LiveControl::new(tuning)), opts)?.into_result()
 }
 
 #[cfg(test)]
@@ -607,7 +557,7 @@ mod tests {
     use crate::pipeline::assert_phase_spans;
     use smp_geom::envs;
     use smp_obs::cat;
-    use smp_runtime::{StealConfig, StealPolicyKind};
+    use smp_runtime::{LiveControl, StealConfig, StealPolicyKind};
 
     fn mixed_workload() -> RrtWorkload<3> {
         let env = envs::mixed();
@@ -652,12 +602,14 @@ mod tests {
         let w = mixed_workload();
         let machine = MachineModel::opteron();
         let p = 16;
-        let no_lb = run_parallel_rrt(&w, &machine, p, &Strategy::NoLb).unwrap();
-        let diff = run_parallel_rrt(
+        let no_lb = replay_rrt(&w, &machine, RunOptions::new(p, &Strategy::NoLb)).unwrap();
+        let diff = replay_rrt(
             &w,
             &machine,
-            p,
-            &Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Diffusive)),
+            RunOptions::new(
+                p,
+                &Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Diffusive)),
+            ),
         )
         .unwrap();
         assert!(
@@ -676,11 +628,10 @@ mod tests {
         // the machinery charges its costs.
         let w = mixed_workload();
         let machine = MachineModel::opteron();
-        let run = run_parallel_rrt(
+        let run = replay_rrt(
             &w,
             &machine,
-            16,
-            &Strategy::Repartition(WeightKind::KRays(4)),
+            RunOptions::new(16, &Strategy::Repartition(WeightKind::KRays(4))),
         )
         .unwrap();
         assert!(run.migrations > 0);
@@ -693,11 +644,10 @@ mod tests {
     fn rect_repartition_keeps_cones_contiguous() {
         let w = mixed_workload();
         let machine = MachineModel::opteron();
-        let run = run_parallel_rrt(
+        let run = replay_rrt(
             &w,
             &machine,
-            16,
-            &Strategy::RectPartition(WeightKind::KRays(4)),
+            RunOptions::new(16, &Strategy::RectPartition(WeightKind::KRays(4))),
         )
         .unwrap();
         assert!(run.migrations > 0);
@@ -720,7 +670,7 @@ mod tests {
         let w = mixed_workload();
         let machine = MachineModel::opteron();
         for s in Strategy::rrt_set() {
-            let run = run_parallel_rrt(&w, &machine, 8, &s).unwrap();
+            let run = replay_rrt(&w, &machine, RunOptions::new(8, &s)).unwrap();
             let busy: u64 = run.construction.per_pe_busy.iter().sum();
             let total: u64 = w
                 .regions
@@ -746,8 +696,8 @@ mod tests {
         assert_eq!(w1.node_counts(), w2.node_counts());
         let machine = MachineModel::opteron();
         let s = Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Hybrid(8)));
-        let a = run_parallel_rrt(&w1, &machine, 8, &s).unwrap();
-        let b = run_parallel_rrt(&w2, &machine, 8, &s).unwrap();
+        let a = replay_rrt(&w1, &machine, RunOptions::new(8, &s)).unwrap();
+        let b = replay_rrt(&w2, &machine, RunOptions::new(8, &s)).unwrap();
         assert_eq!(a.total_time, b.total_time);
     }
 
@@ -757,15 +707,22 @@ mod tests {
         let machine = MachineModel::opteron();
         let s = Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Diffusive));
         let mut tr = Tracer::new();
-        let observed =
-            run_parallel_rrt_observed(&w, &machine, 16, &s, None, Some(&mut tr)).unwrap();
+        let observed = replay_rrt(
+            &w,
+            &machine,
+            RunOptions {
+                tracer: Some(&mut tr),
+                ..RunOptions::new(16, &s)
+            },
+        )
+        .unwrap();
         tr.check_well_formed().expect("planner trace well-formed");
         assert_phase_spans(
             &tr,
             16,
             &["load_balance", "construction", "region_connection"],
         );
-        let plain = run_parallel_rrt(&w, &machine, 16, &s).unwrap();
+        let plain = replay_rrt(&w, &machine, RunOptions::new(16, &s)).unwrap();
         assert_eq!(observed.total_time, plain.total_time);
         assert_eq!(observed.construction, plain.construction);
         assert_eq!(observed.metrics.expect("rrt.p"), 16);
@@ -794,13 +751,12 @@ mod tests {
                 Strategy::Repartition(WeightKind::KRays(4)),
                 Strategy::RectPartition(WeightKind::KRays(4)),
             ] {
-                let (w, run) = run_parallel_rrt_live_observed(
+                let (w, run) = run_rrt(
                     &cfg,
-                    threads,
-                    &strategy,
-                    LiveTuning::default(),
-                    None,
+                    On::Live(&LiveControl::default()),
+                    RunOptions::new(threads, &strategy),
                 )
+                .and_then(LiveOutcome::into_result)
                 .unwrap();
                 assert_eq!(
                     roadmap_digest(&assemble_rrt_tree(&w)),
@@ -827,9 +783,16 @@ mod tests {
         };
         let s = Strategy::WorkStealing(StealConfig::new(StealPolicyKind::rand8()));
         let mut tr = Tracer::new();
-        let (w, run) =
-            run_parallel_rrt_live_observed(&cfg, 2, &s, LiveTuning::default(), Some(&mut tr))
-                .unwrap();
+        let (w, run) = run_rrt(
+            &cfg,
+            On::Live(&LiveControl::default()),
+            RunOptions {
+                tracer: Some(&mut tr),
+                ..RunOptions::new(2, &s)
+            },
+        )
+        .and_then(LiveOutcome::into_result)
+        .unwrap();
         tr.check_well_formed().expect("live rrt trace well-formed");
         assert_phase_spans(
             &tr,
@@ -856,9 +819,9 @@ mod tests {
         };
         let w = build_rrt_workload(&cfg);
         let machine = MachineModel::opteron();
-        let no_lb = run_parallel_rrt(&w, &machine, 8, &Strategy::NoLb).unwrap();
+        let no_lb = replay_rrt(&w, &machine, RunOptions::new(8, &Strategy::NoLb)).unwrap();
         for s in Strategy::rrt_set().into_iter().skip(1) {
-            let run = run_parallel_rrt(&w, &machine, 8, &s).unwrap();
+            let run = replay_rrt(&w, &machine, RunOptions::new(8, &s)).unwrap();
             assert!(
                 run.total_time <= no_lb.total_time + no_lb.total_time / 4,
                 "{} overhead: {} vs {}",

@@ -6,6 +6,8 @@
 //! [`crate::parallel_rrt`]); this module holds the parts that depend on
 //! neither (DESIGN.md §12):
 //!
+//! * [`On`] / [`RunOptions`] — the arguments of both planners' fronts
+//!   (`replay_*` on the DES, `run_*` on any backend);
 //! * [`balance`] — the balancing decision: strategy + weights → the
 //!   ownership the balanced phase starts from, whether it steals, and how
 //!   many regions moved. The only call site of the partitioners;
@@ -31,10 +33,71 @@ use smp_graph::{OwnerMap, RegionGraph, RemoteAccessCounter};
 use smp_obs::{cat, MetricsRegistry, MetricsSnapshot, Tracer};
 use smp_runtime::dist::{DistExecutor, WorkDesc};
 use smp_runtime::{
-    ExecError, ExecSpec, LiveControl, LiveOutcome, LivePartial, MachineModel, SimError, SimReport,
-    StealConfig,
+    ExecError, ExecSpec, FaultPlan, LiveControl, LiveOutcome, LivePartial, MachineModel, SimError,
+    SimReport, StealConfig,
 };
 use std::time::Instant;
+
+/// The backend a `run_prm` / `run_rrt` call executes on.
+pub enum On<'a> {
+    /// Measure the workload on the host, then replay it on `p` virtual PEs
+    /// of this machine (virtual time).
+    Des(&'a MachineModel),
+    /// Execute it on `p` OS threads under this control: executor tuning,
+    /// cancel token, whole-run deadline and fault plan (wall-clock time).
+    Live(&'a LiveControl),
+    /// Execute it on `p` worker processes of this pool, whose options
+    /// carry the fault plan (wall-clock time).
+    Dist(&'a mut DistExecutor),
+}
+
+/// The arguments every planner front shares. `RunOptions::new(p,
+/// &strategy)` is a plain run; the optional fields default to `None`.
+pub struct RunOptions<'a> {
+    /// Workers: virtual PEs (DES), OS threads (live) or processes (dist).
+    pub p: usize,
+    /// The load-balancing strategy.
+    pub strategy: &'a Strategy,
+    /// Repartitioning weights, one per region, used instead of the ones
+    /// the planner resolves itself (DES replay only).
+    pub custom_weights: Option<&'a [f64]>,
+    /// Faults injected into the replayed balanced phase (DES replay only:
+    /// a live run takes its plan from [`LiveControl`], a dist run from its
+    /// executor's options).
+    pub fault: Option<&'a FaultPlan>,
+    /// Receives the run's trace: a `"phases"` track (id `p`) with one span
+    /// per planner phase, beside the backend's per-worker tracks.
+    pub tracer: Option<&'a mut Tracer>,
+}
+
+impl<'a> RunOptions<'a> {
+    /// `p` workers under `strategy`, with no optional argument.
+    pub fn new(p: usize, strategy: &'a Strategy) -> Self {
+        RunOptions {
+            p,
+            strategy,
+            custom_weights: None,
+            fault: None,
+            tracer: None,
+        }
+    }
+
+    /// An executing backend rejects the replay-only options instead of
+    /// dropping them.
+    pub(crate) fn check_executing(&self) -> Result<(), SimError> {
+        if self.fault.is_some() {
+            return Err(SimError::InvalidFaultPlan(
+                "live and dist runs take their fault plan from LiveControl / DistOptions".into(),
+            ));
+        }
+        if self.custom_weights.is_some() {
+            return Err(SimError::UnsupportedWeights(
+                "custom weights (DES replay only)".into(),
+            ));
+        }
+        Ok(())
+    }
+}
 
 /// Result of one planner run under one strategy at one worker count, on
 /// any backend. [`crate::PrmRun`] and [`crate::RrtRun`] are this type.
@@ -488,13 +551,12 @@ pub(crate) fn assert_phase_spans(tracer: &Tracer, p: usize, expected: &[&str]) {
 mod tests {
     use super::*;
     use crate::{
-        assemble_prm_roadmap, assemble_rrt_tree, roadmap_digest, run_parallel_prm_dist_with,
-        run_parallel_prm_on, run_parallel_rrt_dist_with, run_parallel_rrt_on, CoreHandler,
+        assemble_prm_roadmap, assemble_rrt_tree, roadmap_digest, run_prm, run_rrt, CoreHandler,
         ParallelPrmConfig, ParallelRrtConfig,
     };
     use smp_geom::envs;
     use smp_runtime::dist::{DistOptions, DistTuning, SpawnMode};
-    use smp_runtime::{Backend, FaultPlan, LiveTuning, StealPolicyKind};
+    use smp_runtime::{FaultPlan, StealPolicyKind};
     use std::sync::Arc;
 
     const BACKENDS: [&str; 3] = ["des", "live", "dist"];
@@ -510,48 +572,29 @@ mod tests {
         })
     }
 
-    fn prm_on(
-        cfg: &ParallelPrmConfig<'_, 3>,
-        p: usize,
-        s: &Strategy,
-        backend: &str,
-    ) -> DigestAndRun {
-        let machine = MachineModel::hopper();
-        let live = Backend::Live(LiveTuning::default());
-        let (w, run) = match backend {
-            "des" => run_parallel_prm_on(cfg, &machine, p, s, Backend::Des)?,
-            "live" => run_parallel_prm_on(cfg, &machine, p, s, live)?,
-            _ => run_parallel_prm_dist_with(cfg, p, s, &mut thread_workers())?,
-        };
-        Ok((roadmap_digest(&assemble_prm_roadmap(&w)), run))
-    }
-
-    fn rrt_on(
-        cfg: &ParallelRrtConfig<'_, 3>,
-        p: usize,
-        s: &Strategy,
-        backend: &str,
-    ) -> DigestAndRun {
-        let machine = MachineModel::opteron();
-        let live = Backend::Live(LiveTuning::default());
-        let (w, run) = match backend {
-            "des" => run_parallel_rrt_on(cfg, &machine, p, s, Backend::Des)?,
-            "live" => run_parallel_rrt_on(cfg, &machine, p, s, live)?,
-            _ => run_parallel_rrt_dist_with(cfg, p, s, &mut thread_workers())?,
-        };
-        Ok((roadmap_digest(&assemble_rrt_tree(&w)), run))
-    }
-
     /// The table: {Des, Live, Dist} × {NoLb, Repartition, RectPartition,
     /// Hybrid}. Every backend yields the same digest and initial loads;
     /// without stealing the balancing decision alone fixes ownership, so
     /// migrations, final loads and edge cut agree too; and malformed
-    /// requests fail with the same value everywhere.
+    /// requests fail with the same value everywhere — except the
+    /// replay-only options, which the executing backends reject.
     fn check_backend_independence(
-        run: &dyn Fn(usize, &Strategy, &str) -> DigestAndRun,
+        machine: &MachineModel,
+        run: &dyn Fn(On<'_>, RunOptions<'_>) -> DigestAndRun,
         supported: WeightKind,
         unsupported: WeightKind,
     ) -> usize {
+        let control = LiveControl::default();
+        let run = |opts: RunOptions<'_>, backend: &str| {
+            // dist workers spawn lazily: the des and live rows start none
+            let mut pool = thread_workers();
+            let on = match backend {
+                "des" => On::Des(machine),
+                "live" => On::Live(&control),
+                _ => On::Dist(&mut pool),
+            };
+            run(on, opts)
+        };
         let hybrid = Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Hybrid(4)));
         let mut moved = 0;
         for s in [
@@ -560,11 +603,11 @@ mod tests {
             Strategy::RectPartition(supported),
             hybrid,
         ] {
-            let (des_digest, des) = run(4, &s, "des").expect("des");
+            let (des_digest, des) = run(RunOptions::new(4, &s), "des").expect("des");
             moved += des.migrations;
             for backend in &BACKENDS[1..] {
                 let ctx = format!("{backend} vs des under {}", s.label());
-                let (digest, r) = run(4, &s, backend).expect(backend);
+                let (digest, r) = run(RunOptions::new(4, &s), backend).expect(backend);
                 assert_eq!(digest, des_digest, "{ctx}");
                 assert_eq!(r.strategy_label, des.strategy_label, "{ctx}");
                 assert_eq!(r.node_load_initial, des.node_load_initial, "{ctx}");
@@ -576,17 +619,31 @@ mod tests {
                 }
             }
         }
+        let (no_lb, plan) = (Strategy::NoLb, FaultPlan::default());
         for backend in BACKENDS {
             assert_eq!(
-                run(0, &Strategy::NoLb, backend).unwrap_err(),
+                run(RunOptions::new(0, &no_lb), backend).unwrap_err(),
                 ExecError::Sim(SimError::NoPes),
                 "{backend}"
             );
+            let bad = Strategy::Repartition(unsupported);
             assert_eq!(
-                run(4, &Strategy::Repartition(unsupported), backend).unwrap_err(),
+                run(RunOptions::new(4, &bad), backend).unwrap_err(),
                 ExecError::Sim(SimError::UnsupportedWeights(format!("{unsupported:?}"))),
                 "{backend}"
             );
+        }
+        for backend in &BACKENDS[1..] {
+            let fault = RunOptions {
+                fault: Some(&plan),
+                ..RunOptions::new(4, &no_lb)
+            };
+            let weights = RunOptions {
+                custom_weights: Some(&[]),
+                ..RunOptions::new(4, &no_lb)
+            };
+            let rejected = |opts| matches!(run(opts, backend), Err(ExecError::Sim(_)));
+            assert!(rejected(fault) && rejected(weights), "{backend}");
         }
         moved
     }
@@ -602,7 +659,11 @@ mod tests {
             ..ParallelPrmConfig::new(&env)
         };
         let moved = check_backend_independence(
-            &|p, s, backend| prm_on(&cfg, p, s, backend),
+            &MachineModel::hopper(),
+            &|on, opts| {
+                let (w, run) = run_prm(&cfg, on, opts)?.into_result()?;
+                Ok((roadmap_digest(&assemble_prm_roadmap(&w)), run))
+            },
             WeightKind::SampleCount,
             WeightKind::Probe(16),
         );
@@ -620,7 +681,11 @@ mod tests {
             ..ParallelRrtConfig::new(&env)
         };
         let moved = check_backend_independence(
-            &|p, s, backend| rrt_on(&cfg, p, s, backend),
+            &MachineModel::opteron(),
+            &|on, opts| {
+                let (w, run) = run_rrt(&cfg, on, opts)?.into_result()?;
+                Ok((roadmap_digest(&assemble_rrt_tree(&w)), run))
+            },
             WeightKind::KRays(4),
             WeightKind::SampleCount,
         );

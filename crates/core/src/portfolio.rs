@@ -568,7 +568,7 @@ fn rrt_attempt<const D: usize>(
                 cfg.prm_k_neighbors,
                 &mut res.work,
             )
-            .is_some();
+            .is_ok();
             Attempt {
                 solved,
                 vcost: work_cost(&res.work, &machine.ops),

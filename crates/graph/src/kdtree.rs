@@ -420,42 +420,6 @@ impl<const D: usize> KdTree<D> {
             self.knn_rec(query, k, exclude, next, second.0, second.1, heap, examined);
         }
     }
-
-    /// All points within `radius` of `query`, ascending by distance.
-    pub fn within_radius(&self, query: &Point<D>, radius: f64) -> Vec<(usize, f64)> {
-        let mut out = Vec::new();
-        self.radius_rec(query, radius, 0, 0, self.points.len(), &mut out);
-        out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        out
-    }
-
-    fn radius_rec(
-        &self,
-        query: &Point<D>,
-        radius: f64,
-        axis: usize,
-        lo: usize,
-        hi: usize,
-        out: &mut Vec<(usize, f64)>,
-    ) {
-        if lo >= hi {
-            return;
-        }
-        let mid = (lo + hi) / 2;
-        let p = &self.points[mid];
-        let d = p.dist(query);
-        if d <= radius {
-            out.push((self.original[mid] as usize, d));
-        }
-        let next = (axis + 1) % D;
-        let diff = query[axis] - p[axis];
-        if diff <= radius {
-            self.radius_rec(query, radius, next, lo, mid, out);
-        }
-        if -diff <= radius {
-            self.radius_rec(query, radius, next, mid + 1, hi, out);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -516,19 +480,6 @@ mod tests {
         let nn = one.k_nearest(&Point::zero(), 3, None);
         assert_eq!(nn.len(), 1);
         assert_eq!(nn[0].0, 0);
-    }
-
-    #[test]
-    fn within_radius_matches_brute() {
-        let pts = random_points(200, 5);
-        let tree = KdTree::build(&pts);
-        let q = Point::new([0.5, 0.5, 0.5]);
-        let fast = tree.within_radius(&q, 0.3);
-        let slow = knn::within_radius(&pts, &q, 0.3, None);
-        assert_eq!(
-            fast.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
-            slow.iter().map(|&(i, _)| i).collect::<Vec<_>>()
-        );
     }
 
     #[test]

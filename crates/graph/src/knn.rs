@@ -35,26 +35,6 @@ pub fn k_nearest<const D: usize>(
     all
 }
 
-/// All indices within `radius` of `query` (inclusive), ascending by distance.
-pub fn within_radius<const D: usize>(
-    points: &[Point<D>],
-    query: &Point<D>,
-    radius: f64,
-    exclude: Option<usize>,
-) -> Vec<(usize, f64)> {
-    let mut dists = Vec::new();
-    batch::dists_into(points, query, &mut dists);
-    let mut out: Vec<(usize, f64)> = dists
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| Some(*i) != exclude)
-        .map(|(i, &d)| (i, d))
-        .filter(|&(_, d)| d <= radius)
-        .collect();
-    out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    out
-}
-
 /// Index of the single nearest point (`None` for an empty set).
 pub fn nearest<const D: usize>(points: &[Point<D>], query: &Point<D>) -> Option<(usize, f64)> {
     let mut dists = Vec::new();
@@ -102,13 +82,6 @@ mod tests {
         let p = pts();
         let nn = k_nearest(&p, &Point::zero(), 10, None);
         assert_eq!(nn.len(), 4);
-    }
-
-    #[test]
-    fn within_radius_filters() {
-        let p = pts();
-        let r = within_radius(&p, &Point::zero(), 2.0, None);
-        assert_eq!(r.iter().map(|&(i, _)| i).collect::<Vec<_>>(), vec![0, 1, 2]);
     }
 
     #[test]

@@ -7,15 +7,14 @@
 //!   edge payloads (the roadmap / tree representation);
 //! * [`UnionFind`] — connected-component tracking (cycle detection for RRT
 //!   region connection, CC queries for PRM);
-//! * [`KdTree`], the incremental [`IncrementalNn`], the fixed-radius
-//!   [`GridHash`], and brute-force [`knn`] — nearest-neighbour search;
+//! * [`KdTree`], the incremental [`IncrementalNn`], and brute-force
+//!   [`knn`] — nearest-neighbour search;
 //! * [`search`] — BFS / Dijkstra / A* for query resolution;
 //! * [`RegionGraph`] — the region adjacency graph of Algorithms 1 and 2;
 //! * [`partitioned`] — ownership maps and remote-access accounting that
 //!   emulate a distributed (STAPL pGraph-like) view of a graph.
 
 pub mod graph;
-pub mod gridhash;
 pub mod kdtree;
 pub mod knn;
 pub mod nn_index;
@@ -25,7 +24,6 @@ pub mod search;
 pub mod union_find;
 
 pub use graph::{EdgeId, Graph, VertexId};
-pub use gridhash::GridHash;
 pub use kdtree::{KdTree, KnnScratch};
 pub use nn_index::IncrementalNn;
 pub use partitioned::{OwnerMap, RemoteAccessCounter};

@@ -11,7 +11,6 @@
 //! (DESIGN.md §4).
 
 pub mod connect;
-pub mod export;
 pub mod prm;
 pub mod query;
 pub mod roadmap;
@@ -20,8 +19,8 @@ pub mod rrt_connect;
 pub mod smooth;
 
 pub use connect::{connect_roadmaps, CandidateEdge};
-pub use prm::{build_prm, build_prm_with, ConnectStrategy, PrmParams, PrmResult};
-pub use query::{solve_query, solve_query_checked, QueryError, QueryIndex, QueryResult};
+pub use prm::{build_prm, PrmParams, PrmResult};
+pub use query::{solve_query, QueryError, QueryIndex, QueryResult};
 pub use roadmap::Roadmap;
 pub use rrt::{grow_rrt, grow_rrt_until_target, RrtParams, RrtResult};
 pub use rrt_connect::{rrt_connect, RrtConnectParams, RrtConnectResult};

@@ -37,17 +37,6 @@ impl Default for PrmParams {
     }
 }
 
-/// How samples are connected.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ConnectStrategy {
-    /// Connect each sample to its `k` nearest neighbours (the paper's
-    /// planners).
-    KNearest(usize),
-    /// Connect each sample to every neighbour within `r` (the sPRM
-    /// variant; radius connection underlies asymptotic-optimality results).
-    Radius(f64),
-}
-
 /// Output of a PRM construction.
 #[derive(Debug, Clone)]
 pub struct PrmResult<const D: usize> {
@@ -90,32 +79,6 @@ where
     L: LocalPlanner<D>,
     R: Rng + ?Sized,
 {
-    build_prm_with(
-        sampler,
-        validity,
-        local_planner,
-        params,
-        ConnectStrategy::KNearest(params.k_neighbors),
-        rng,
-    )
-}
-
-/// [`build_prm`] with an explicit connection strategy (k-nearest or
-/// radius).
-pub fn build_prm_with<const D: usize, S, V, L, R>(
-    sampler: &S,
-    validity: &V,
-    local_planner: &L,
-    params: &PrmParams,
-    connect: ConnectStrategy,
-    rng: &mut R,
-) -> PrmResult<D>
-where
-    S: Sampler<D>,
-    V: ValidityChecker<D>,
-    L: LocalPlanner<D>,
-    R: Rng + ?Sized,
-{
     let mut work = WorkCounters::new();
     let mut samples: Vec<Cfg<D>> = Vec::with_capacity(params.num_samples);
     let max_attempts =
@@ -136,11 +99,7 @@ where
         work.vertices_added += 1;
     }
 
-    let connect_enabled = match connect {
-        ConnectStrategy::KNearest(k) => k > 0,
-        ConnectStrategy::Radius(r) => r > 0.0,
-    };
-    if samples.len() >= 2 && connect_enabled {
+    if samples.len() >= 2 && params.k_neighbors > 0 {
         let tree = KdTree::build(&samples);
         let mut uf = smp_graph::UnionFind::new(samples.len());
         // one scratch + output buffer reused across all n connection
@@ -149,27 +108,14 @@ where
         let mut nns: Vec<(usize, f64)> = Vec::new();
         for (i, q) in samples.iter().enumerate() {
             work.knn_queries += 1;
-            match connect {
-                ConnectStrategy::KNearest(k) => {
-                    tree.k_nearest_into(
-                        q,
-                        k,
-                        Some(i as u32),
-                        &mut work.knn_candidates,
-                        &mut scratch,
-                        &mut nns,
-                    );
-                }
-                ConnectStrategy::Radius(r) => {
-                    nns.clear();
-                    nns.extend(tree.within_radius(q, r));
-                    // candidates are charged *before* the self-hit filter so
-                    // the §III-B work metric counts what the query examined,
-                    // matching the kNN path (which counts the excluded self)
-                    work.knn_candidates += nns.len() as u64;
-                    nns.retain(|&(j, _)| j != i);
-                }
-            };
+            tree.k_nearest_into(
+                q,
+                params.k_neighbors,
+                Some(i as u32),
+                &mut work.knn_candidates,
+                &mut scratch,
+                &mut nns,
+            );
             for &(j, dist) in &nns {
                 // attempt each undirected pair once
                 if j < i && roadmap.has_edge(j as u32, i as u32) {
@@ -288,76 +234,6 @@ mod tests {
         assert!(res.work.samples_attempted >= res.work.samples_valid);
         assert!(res.work.lp_calls > 0);
         assert!(res.work.cd_checks >= res.work.lp_steps);
-    }
-
-    #[test]
-    fn radius_connection_variant() {
-        let env = envs::free_env();
-        let sampler = BoxSampler::new(*env.bounds());
-        let validity = EnvValidity::new(&env, 0.0);
-        let lp = StraightLinePlanner::new(0.05);
-        let params = PrmParams {
-            num_samples: 80,
-            k_neighbors: 0, // unused by the radius strategy
-            ..Default::default()
-        };
-        let res = crate::prm::build_prm_with(
-            &sampler,
-            &validity,
-            &lp,
-            &params,
-            ConnectStrategy::Radius(0.5),
-            &mut StdRng::seed_from_u64(6),
-        );
-        assert_eq!(res.roadmap.num_vertices(), 80);
-        // every edge is within the radius
-        for (a, b, w) in res.roadmap.edges() {
-            assert!(*w <= 0.5 + 1e-9);
-            assert!(res.roadmap.vertex(a).dist(res.roadmap.vertex(b)) <= 0.5 + 1e-9);
-        }
-        // dense-enough radius in free space: connected
-        let (_, ncomp) = smp_graph::search::connected_components(&res.roadmap);
-        assert_eq!(ncomp, 1);
-        // zero radius: no edges
-        let none = crate::prm::build_prm_with(
-            &sampler,
-            &validity,
-            &lp,
-            &params,
-            ConnectStrategy::Radius(0.0),
-            &mut StdRng::seed_from_u64(6),
-        );
-        assert_eq!(none.roadmap.num_edges(), 0);
-    }
-
-    #[test]
-    fn knearest_strategy_equals_build_prm() {
-        let env = envs::med_cube();
-        let sampler = BoxSampler::new(*env.bounds());
-        let validity = EnvValidity::new(&env, 0.0);
-        let lp = StraightLinePlanner::new(0.05);
-        let params = PrmParams {
-            num_samples: 40,
-            k_neighbors: 5,
-            ..Default::default()
-        };
-        let a = build_prm(
-            &sampler,
-            &validity,
-            &lp,
-            &params,
-            &mut StdRng::seed_from_u64(9),
-        );
-        let b = crate::prm::build_prm_with(
-            &sampler,
-            &validity,
-            &lp,
-            &params,
-            ConnectStrategy::KNearest(5),
-            &mut StdRng::seed_from_u64(9),
-        );
-        assert_eq!(a.work, b.work);
-        assert_eq!(a.roadmap.num_edges(), b.roadmap.num_edges());
     }
 
     #[test]

@@ -64,30 +64,10 @@ impl std::error::Error for QueryError {}
 ///
 /// Both endpoints are connected to up to `k` nearest roadmap vertices via
 /// the local planner, then A* (straight-line heuristic) extracts a shortest
-/// path. Returns `None` when no connection exists.
-///
-/// This is the historical entry point; [`solve_query_checked`] reports
-/// *why* a query failed, and [`QueryIndex`] answers repeated queries
-/// against one roadmap without rebuilding the kd-tree each time.
+/// path. Every failure is a structured [`QueryError`], so untrusted request
+/// input needs no other entry point. [`QueryIndex`] answers repeated
+/// queries against one roadmap without rebuilding the kd-tree each time.
 pub fn solve_query<const D: usize, V, L>(
-    roadmap: &Roadmap<D>,
-    start: Cfg<D>,
-    goal: Cfg<D>,
-    validity: &V,
-    local_planner: &L,
-    k: usize,
-    work: &mut WorkCounters,
-) -> Option<QueryResult<D>>
-where
-    V: ValidityChecker<D>,
-    L: LocalPlanner<D>,
-{
-    solve_query_checked(roadmap, start, goal, validity, local_planner, k, work).ok()
-}
-
-/// As [`solve_query`], but every failure is a structured [`QueryError`]
-/// instead of `None` — the entry point for untrusted request input.
-pub fn solve_query_checked<const D: usize, V, L>(
     roadmap: &Roadmap<D>,
     start: Cfg<D>,
     goal: Cfg<D>,
@@ -209,7 +189,7 @@ where
 /// query, instead of being rebuilt per call as [`solve_query`] does.
 ///
 /// [`QueryIndex::solve`] runs the exact same endpoint-connection and A*
-/// code as [`solve_query_checked`] over the exact same tree layout
+/// code as [`solve_query`] over the exact same tree layout
 /// ([`KdTree::build`] on the roadmap's vertex order), so its answers —
 /// paths, lengths, and work counters — are bit-identical to the one-shot
 /// path. That equivalence is what lets a serving layer cache snapshots and
@@ -244,7 +224,7 @@ impl<const D: usize> QueryIndex<D> {
     /// `roadmap` must be the same roadmap the index was built from (the
     /// index stores its vertices; a mismatch is detected by length and
     /// reported as a debug assertion).
-    #[allow(clippy::too_many_arguments)] // mirrors solve_query_checked's parameter list
+    #[allow(clippy::too_many_arguments)] // mirrors solve_query's parameter list
     pub fn solve<V, L>(
         &self,
         roadmap: &Roadmap<D>,
@@ -368,7 +348,7 @@ mod tests {
             3,
             &mut w
         )
-        .is_none());
+        .is_err());
     }
 
     #[test]
@@ -379,7 +359,7 @@ mod tests {
         let map: Roadmap<3> = Roadmap::new();
         let mut w = WorkCounters::new();
         assert_eq!(
-            solve_query_checked(
+            solve_query(
                 &map,
                 Point::new([f64::NAN, 0.1, 0.1]),
                 Point::splat(0.9),
@@ -391,7 +371,7 @@ mod tests {
             Err(QueryError::NonFinite { which: "start" })
         );
         assert_eq!(
-            solve_query_checked(
+            solve_query(
                 &map,
                 Point::splat(0.1),
                 Point::new([0.1, f64::INFINITY, 0.1]),
@@ -403,7 +383,7 @@ mod tests {
             Err(QueryError::NonFinite { which: "goal" })
         );
         assert_eq!(
-            solve_query_checked(
+            solve_query(
                 &map,
                 Point::splat(0.5),
                 Point::splat(0.9),
@@ -415,7 +395,7 @@ mod tests {
             Err(QueryError::InvalidStart)
         );
         assert_eq!(
-            solve_query_checked(
+            solve_query(
                 &map,
                 Point::splat(0.9),
                 Point::splat(0.5),
@@ -427,7 +407,7 @@ mod tests {
             Err(QueryError::InvalidGoal)
         );
         assert_eq!(
-            solve_query_checked(
+            solve_query(
                 &map,
                 Point::new([0.05, 0.5, 0.5]),
                 Point::new([0.95, 0.5, 0.5]),
@@ -464,7 +444,7 @@ mod tests {
         {
             let mut w1 = WorkCounters::new();
             let mut w2 = WorkCounters::new();
-            let one_shot = solve_query_checked(&prm.roadmap, s, g, &v, &lp, 10, &mut w1);
+            let one_shot = solve_query(&prm.roadmap, s, g, &v, &lp, 10, &mut w1);
             let indexed = index.solve(&prm.roadmap, s, g, &v, &lp, 10, &mut w2);
             match (one_shot, indexed) {
                 (Ok(a), Ok(b)) => {
@@ -494,6 +474,6 @@ mod tests {
             3,
             &mut w
         )
-        .is_none());
+        .is_err());
     }
 }

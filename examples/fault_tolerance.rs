@@ -14,8 +14,7 @@
 //! ```
 
 use smp::core::{
-    build_prm_workload, run_parallel_prm, run_parallel_prm_observed, ParallelPrmConfig, Strategy,
-    WeightKind,
+    build_prm_workload, replay_prm, ParallelPrmConfig, RunOptions, Strategy, WeightKind,
 };
 use smp::geom::envs;
 use smp::runtime::{FaultPlan, MachineModel, StealConfig, StealPolicyKind};
@@ -52,16 +51,23 @@ fn main() {
         "strategy", "clean (s)", "faulted (s)", "degradation", "timeouts", "recovered", "re-exec"
     );
     for strategy in &strategies {
-        let clean = run_parallel_prm(&workload, &machine, p, strategy).expect("clean sim failed");
+        let clean = replay_prm(&workload, &machine, RunOptions::new(p, strategy))
+            .expect("clean sim failed");
         // straggler + message loss + a crash, all in one deterministic plan
         let crash_at = (clean.construction.makespan / 4).max(1);
         let plan = FaultPlan::new(7)
             .with_straggler(0, 0, u64::MAX, 4.0)
             .with_message_loss(0.10)
             .with_crash(1, crash_at);
-        let faulted =
-            run_parallel_prm_observed(&workload, &machine, p, strategy, None, Some(&plan), None)
-                .expect("faulted sim failed");
+        let faulted = replay_prm(
+            &workload,
+            &machine,
+            RunOptions {
+                fault: Some(&plan),
+                ..RunOptions::new(p, strategy)
+            },
+        )
+        .expect("faulted sim failed");
         let r = &faulted.construction.resilience;
         println!(
             "{:>15} {:>12.4} {:>12.4} {:>11.2}x {:>9} {:>10} {:>9}",

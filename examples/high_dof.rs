@@ -74,7 +74,7 @@ fn main() {
 
     let mut work = WorkCounters::new();
     match solve_query(&prm.roadmap, start, goal, &validity, &lp, 15, &mut work) {
-        Some(res) => {
+        Ok(res) => {
             let mut path = res.path.clone();
             let raw_len = path_length(&path);
             let cuts = shortcut_smooth(&mut path, &validity, &lp, 300, &mut rng, &mut work);
@@ -87,6 +87,6 @@ fn main() {
                 path_length(&path)
             );
         }
-        None => println!("query failed — increase num_samples"),
+        Err(e) => println!("query failed ({e}) — increase num_samples"),
     }
 }

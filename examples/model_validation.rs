@@ -8,7 +8,7 @@
 
 use smp::core::model::{ModelConfig, ModelInstance};
 use smp::core::{
-    build_prm_workload_on_grid, run_parallel_prm, ParallelPrmConfig, Strategy, WeightKind,
+    build_prm_workload_on_grid, replay_prm, ParallelPrmConfig, RunOptions, Strategy, WeightKind,
 };
 use smp::geom::{envs, GridSubdivision};
 use smp::runtime::MachineModel;
@@ -43,12 +43,12 @@ fn main() {
     );
     for p in [2usize, 4, 8, 16, 32, 64] {
         let row = model.analyze_p(p);
-        let no_lb = run_parallel_prm(&workload, &machine, p, &Strategy::NoLb).expect("sim failed");
-        let repart = run_parallel_prm(
+        let no_lb = replay_prm(&workload, &machine, RunOptions::new(p, &Strategy::NoLb))
+            .expect("sim failed");
+        let repart = replay_prm(
             &workload,
             &machine,
-            p,
-            &Strategy::Repartition(WeightKind::SampleCount),
+            RunOptions::new(p, &Strategy::Repartition(WeightKind::SampleCount)),
         )
         .expect("sim failed");
         let max_before = no_lb.node_load_initial.iter().max().copied().unwrap_or(0) as f64;

@@ -9,7 +9,7 @@
 //! cargo run --release --example narrow_passage
 //! ```
 
-use smp::core::{build_prm_workload, run_parallel_prm, ParallelPrmConfig, Strategy};
+use smp::core::{build_prm_workload, replay_prm, ParallelPrmConfig, RunOptions, Strategy};
 use smp::geom::envs;
 use smp::geom::Environment;
 use smp::runtime::MachineModel;
@@ -34,13 +34,15 @@ fn study(env: &Environment<3>, p: usize) {
     let workload = build_prm_workload(&cfg);
     let machine = MachineModel::opteron();
 
-    let baseline = run_parallel_prm(&workload, &machine, p, &Strategy::NoLb).expect("sim failed");
+    let baseline =
+        replay_prm(&workload, &machine, RunOptions::new(p, &Strategy::NoLb)).expect("sim failed");
     println!(
         "{:<16} {:>9} {:>8} {:>10} {:>8} {:>9}",
         "strategy", "time(s)", "speedup", "imbalance", "steals", "migrated"
     );
     for strategy in Strategy::prm_set() {
-        let run = run_parallel_prm(&workload, &machine, p, &strategy).expect("sim failed");
+        let run =
+            replay_prm(&workload, &machine, RunOptions::new(p, &strategy)).expect("sim failed");
         println!(
             "{:<16} {:>9.3} {:>7.2}x {:>10.3} {:>8} {:>9}",
             run.strategy_label,

@@ -6,7 +6,9 @@
 //! ```
 
 use smp::core::assemble::assemble_prm_roadmap;
-use smp::core::{build_prm_workload, run_parallel_prm, ParallelPrmConfig, Strategy, WeightKind};
+use smp::core::{
+    build_prm_workload, replay_prm, ParallelPrmConfig, RunOptions, Strategy, WeightKind,
+};
 use smp::cspace::{EnvValidity, StraightLinePlanner, WorkCounters};
 use smp::geom::{envs, Point};
 use smp::plan::solve_query;
@@ -48,7 +50,8 @@ fn main() {
         Strategy::NoLb,
         Strategy::Repartition(WeightKind::SampleCount),
     ] {
-        let run = run_parallel_prm(&workload, &machine, 96, &strategy).expect("sim failed");
+        let run =
+            replay_prm(&workload, &machine, RunOptions::new(96, &strategy)).expect("sim failed");
         println!(
             "{:<16} virtual time {:>8.3} s   (node-connection CoV {:.3})",
             run.strategy_label,
@@ -65,12 +68,12 @@ fn main() {
     let start = Point::new([0.05, 0.05, 0.05]);
     let goal = Point::new([0.95, 0.95, 0.95]);
     match solve_query(&roadmap, start, goal, &validity, &lp, 12, &mut work) {
-        Some(res) => println!(
+        Ok(res) => println!(
             "query solved: {} waypoints, path length {:.3} (straight line {:.3})",
             res.path.len(),
             res.length,
             start.dist(&goal)
         ),
-        None => println!("query failed — try more samples per region"),
+        Err(e) => println!("query failed ({e}) — try more samples per region"),
     }
 }

@@ -8,7 +8,9 @@
 //! ```
 
 use smp::core::assemble::assemble_rrt_tree;
-use smp::core::{build_rrt_workload, run_parallel_rrt, ParallelRrtConfig, Strategy, WeightKind};
+use smp::core::{
+    build_rrt_workload, replay_rrt, ParallelRrtConfig, RunOptions, Strategy, WeightKind,
+};
 use smp::geom::envs;
 use smp::graph::search::connected_components;
 use smp::runtime::MachineModel;
@@ -47,12 +49,13 @@ fn main() {
 
     let machine = MachineModel::opteron();
     let p = 32;
-    let baseline = run_parallel_rrt(&workload, &machine, p, &Strategy::NoLb).expect("sim failed");
+    let baseline =
+        replay_rrt(&workload, &machine, RunOptions::new(p, &Strategy::NoLb)).expect("sim failed");
     let mut strategies = Strategy::rrt_set();
     strategies.push(Strategy::Repartition(WeightKind::KRays(4)));
     println!("\n{:<22} {:>9} {:>8}", "strategy", "time(s)", "speedup");
     for s in strategies {
-        let run = run_parallel_rrt(&workload, &machine, p, &s).expect("sim failed");
+        let run = replay_rrt(&workload, &machine, RunOptions::new(p, &s)).expect("sim failed");
         let label = match s {
             Strategy::Repartition(_) => "Repartitioning(k-rays)".to_string(),
             _ => run.strategy_label.clone(),

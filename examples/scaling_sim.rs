@@ -6,7 +6,9 @@
 //! cargo run --release --example scaling_sim
 //! ```
 
-use smp::core::{build_prm_workload, run_parallel_prm, ParallelPrmConfig, Strategy, WeightKind};
+use smp::core::{
+    build_prm_workload, replay_prm, ParallelPrmConfig, RunOptions, Strategy, WeightKind,
+};
 use smp::geom::envs;
 use smp::runtime::MachineModel;
 
@@ -34,12 +36,12 @@ fn main() {
         "PEs", "no-LB (s)", "repart (s)", "benefit", "no-LB CoV", "repart CoV"
     );
     for p in [96usize, 192, 384, 768, 1536, 3072] {
-        let no_lb = run_parallel_prm(&workload, &machine, p, &Strategy::NoLb).expect("sim failed");
-        let repart = run_parallel_prm(
+        let no_lb = replay_prm(&workload, &machine, RunOptions::new(p, &Strategy::NoLb))
+            .expect("sim failed");
+        let repart = replay_prm(
             &workload,
             &machine,
-            p,
-            &Strategy::Repartition(WeightKind::SampleCount),
+            RunOptions::new(p, &Strategy::Repartition(WeightKind::SampleCount)),
         )
         .expect("sim failed");
         println!(

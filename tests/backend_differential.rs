@@ -14,13 +14,33 @@
 
 use smp_core::{
     assemble_prm_roadmap, assemble_rrt_tree, build_prm_workload, build_rrt_workload,
-    roadmap_digest, run_parallel_prm_live_observed, run_parallel_rrt_live_observed,
-    ParallelPrmConfig, ParallelRrtConfig, Strategy, WeightKind,
+    roadmap_digest, run_prm, run_rrt, On, ParallelPrmConfig, ParallelRrtConfig, PrmRun,
+    PrmWorkload, RrtWorkload, RunOptions, Strategy, WeightKind,
 };
 use smp_geom::envs;
-use smp_runtime::{LiveTuning, StealConfig, StealPolicyKind};
+use smp_runtime::{LiveControl, LiveOutcome, LiveTuning, StealConfig, StealPolicyKind};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+
+/// A live PRM run on `threads` threads that must complete.
+#[track_caller]
+fn live_prm(
+    cfg: &ParallelPrmConfig<'_, 3>,
+    threads: usize,
+    s: &Strategy,
+) -> (PrmWorkload<3>, PrmRun) {
+    let on = On::Live(&LiveControl::default());
+    let out = run_prm(cfg, on, RunOptions::new(threads, s)).and_then(LiveOutcome::into_result);
+    out.expect("live PRM run")
+}
+
+/// A live RRT run on `threads` threads that must complete.
+#[track_caller]
+fn live_rrt(cfg: &ParallelRrtConfig<'_, 3>, threads: usize, s: &Strategy) -> RrtWorkload<3> {
+    let on = On::Live(&LiveControl::default());
+    let out = run_rrt(cfg, on, RunOptions::new(threads, s)).and_then(LiveOutcome::into_result);
+    out.expect("live RRT run").0
+}
 
 fn prm_strategies() -> Vec<Strategy> {
     vec![
@@ -48,14 +68,7 @@ fn live_prm_digest_matches_des_across_threads_and_strategies() {
     let des_digest = roadmap_digest(&assemble_prm_roadmap(&build_prm_workload(&cfg)));
     for threads in THREAD_COUNTS {
         for strategy in prm_strategies() {
-            let (w, run) = run_parallel_prm_live_observed(
-                &cfg,
-                threads,
-                &strategy,
-                LiveTuning::default(),
-                None,
-            )
-            .expect("live PRM run");
+            let (w, run) = live_prm(&cfg, threads, &strategy);
             assert_eq!(
                 roadmap_digest(&assemble_prm_roadmap(&w)),
                 des_digest,
@@ -82,10 +95,8 @@ fn live_prm_digest_is_stable_across_repeated_runs() {
         ..ParallelPrmConfig::new(&env)
     };
     let s = Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Hybrid(8)));
-    let (wa, _) =
-        run_parallel_prm_live_observed(&cfg, 8, &s, LiveTuning::default(), None).expect("run a");
-    let (wb, _) =
-        run_parallel_prm_live_observed(&cfg, 8, &s, LiveTuning::default(), None).expect("run b");
+    let (wa, _) = live_prm(&cfg, 8, &s);
+    let (wb, _) = live_prm(&cfg, 8, &s);
     assert_eq!(
         roadmap_digest(&assemble_prm_roadmap(&wa)),
         roadmap_digest(&assemble_prm_roadmap(&wb))
@@ -112,14 +123,7 @@ fn live_rrt_digest_matches_des_across_threads_and_strategies() {
     ];
     for threads in THREAD_COUNTS {
         for strategy in &strategies {
-            let (w, _) = run_parallel_rrt_live_observed(
-                &cfg,
-                threads,
-                strategy,
-                LiveTuning::default(),
-                None,
-            )
-            .expect("live RRT run");
+            let w = live_rrt(&cfg, threads, strategy);
             assert_eq!(
                 roadmap_digest(&assemble_rrt_tree(&w)),
                 des_digest,
@@ -196,8 +200,7 @@ fn live_steal_counters_obey_conservation_laws() {
         StealPolicyKind::Hybrid(8),
     ] {
         let s = Strategy::WorkStealing(StealConfig::new(policy));
-        let (_, run) =
-            run_parallel_prm_live_observed(&cfg, 4, &s, LiveTuning::default(), None).expect("run");
+        let (_, run) = live_prm(&cfg, 4, &s);
         let c = &run.construction;
         assert_eq!(
             c.steal_attempts,

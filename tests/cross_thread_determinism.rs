@@ -1,15 +1,15 @@
 //! Host-thread-count independence.
 //!
 //! The DES is single-threaded by construction, but workload measurement
-//! fans out over host threads (`par_iter` in `build_prm_workload` /
+//! fans out over host threads (`build_prm_workload` /
 //! `build_rrt_workload`). Determinism therefore requires that the fan-out
 //! is order-preserving: the same seed must yield byte-identical workloads
 //! — and hence byte-identical planner results — whether the host machine
 //! gives us 1, 2, or 8 worker threads.
 
 use smp::core::{
-    build_prm_workload, build_rrt_workload, run_parallel_prm, run_parallel_rrt, ParallelPrmConfig,
-    ParallelRrtConfig, Strategy,
+    build_prm_workload, build_rrt_workload, replay_prm, replay_rrt, ParallelPrmConfig,
+    ParallelRrtConfig, RunOptions, Strategy,
 };
 use smp::geom::envs;
 use smp::runtime::{MachineModel, StealConfig, StealPolicyKind};
@@ -41,7 +41,7 @@ fn hash_counters(h: &mut DefaultHasher, w: &smp::cspace::WorkCounters) {
 /// One digest over everything a PRM run produces: the measured workload
 /// (costs, samples, edges) and the simulated construction outcome.
 fn prm_digest(threads: usize) -> u64 {
-    rayon::set_max_threads(threads);
+    smp::core::set_host_threads(threads);
     let env = envs::med_cube();
     let cfg = ParallelPrmConfig {
         regions_target: 216,
@@ -68,7 +68,7 @@ fn prm_digest(threads: usize) -> u64 {
     }
     let strategy = Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Hybrid(8)));
     let machine = MachineModel::hopper();
-    let r = run_parallel_prm(&w, &machine, 16, &strategy).expect("sim failed");
+    let r = replay_prm(&w, &machine, RunOptions::new(16, &strategy)).expect("sim failed");
     r.total_time.hash(&mut h);
     r.construction.executed_by.hash(&mut h);
     r.construction.per_pe_busy.hash(&mut h);
@@ -78,7 +78,7 @@ fn prm_digest(threads: usize) -> u64 {
 }
 
 fn rrt_digest(threads: usize) -> u64 {
-    rayon::set_max_threads(threads);
+    smp::core::set_host_threads(threads);
     let env = envs::mixed_30();
     let cfg = ParallelRrtConfig {
         num_regions: 96,
@@ -98,11 +98,13 @@ fn rrt_digest(threads: usize) -> u64 {
         }
     }
     let machine = MachineModel::opteron();
-    let r = run_parallel_rrt(
+    let r = replay_rrt(
         &w,
         &machine,
-        8,
-        &Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Diffusive)),
+        RunOptions::new(
+            8,
+            &Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Diffusive)),
+        ),
     )
     .expect("sim failed");
     r.total_time.hash(&mut h);
@@ -113,7 +115,7 @@ fn rrt_digest(threads: usize) -> u64 {
 #[test]
 fn prm_identical_across_host_thread_counts() {
     let digests: Vec<u64> = THREAD_COUNTS.iter().map(|&t| prm_digest(t)).collect();
-    rayon::set_max_threads(0);
+    smp::core::set_host_threads(0);
     assert!(
         digests.windows(2).all(|w| w[0] == w[1]),
         "PRM digests differ across host thread counts {THREAD_COUNTS:?}: {digests:x?}"
@@ -123,7 +125,7 @@ fn prm_identical_across_host_thread_counts() {
 #[test]
 fn rrt_identical_across_host_thread_counts() {
     let digests: Vec<u64> = THREAD_COUNTS.iter().map(|&t| rrt_digest(t)).collect();
-    rayon::set_max_threads(0);
+    smp::core::set_host_threads(0);
     assert!(
         digests.windows(2).all(|w| w[0] == w[1]),
         "RRT digests differ across host thread counts {THREAD_COUNTS:?}: {digests:x?}"

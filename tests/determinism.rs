@@ -5,8 +5,8 @@
 //! figure harness itself must be bit-stable across invocations.
 
 use smp::core::{
-    build_prm_workload, build_rrt_workload, run_parallel_prm, run_parallel_rrt, ParallelPrmConfig,
-    ParallelRrtConfig, Strategy, WeightKind,
+    build_prm_workload, build_rrt_workload, replay_prm, replay_rrt, ParallelPrmConfig,
+    ParallelRrtConfig, RunOptions, Strategy, WeightKind,
 };
 use smp::geom::envs;
 use smp::runtime::{MachineModel, StealConfig, StealPolicyKind};
@@ -92,9 +92,9 @@ fn strategy_replays_bit_stable_across_strategy_order() {
     let ws = Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Hybrid(8)));
     let rp = Strategy::Repartition(WeightKind::SampleCount);
 
-    let ws_first = run_parallel_prm(&w, &machine, 12, &ws).expect("sim failed");
-    let _ = run_parallel_prm(&w, &machine, 12, &rp).expect("sim failed");
-    let ws_second = run_parallel_prm(&w, &machine, 12, &ws).expect("sim failed");
+    let ws_first = replay_prm(&w, &machine, RunOptions::new(12, &ws)).expect("sim failed");
+    let _ = replay_prm(&w, &machine, RunOptions::new(12, &rp)).expect("sim failed");
+    let ws_second = replay_prm(&w, &machine, RunOptions::new(12, &ws)).expect("sim failed");
     assert_eq!(ws_first.total_time, ws_second.total_time);
     assert_eq!(
         ws_first.construction.executed_by,
@@ -119,8 +119,8 @@ fn rrt_replay_stable() {
         Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Diffusive)),
         Strategy::Repartition(WeightKind::KRays(4)),
     ] {
-        let a = run_parallel_rrt(&w, &machine, 8, &s).expect("sim failed");
-        let b = run_parallel_rrt(&w, &machine, 8, &s).expect("sim failed");
+        let a = replay_rrt(&w, &machine, RunOptions::new(8, &s)).expect("sim failed");
+        let b = replay_rrt(&w, &machine, RunOptions::new(8, &s)).expect("sim failed");
         assert_eq!(a.total_time, b.total_time, "{}", s.label());
     }
 }

@@ -14,13 +14,12 @@ use std::path::PathBuf;
 
 use smp::core::{
     assemble_prm_roadmap, assemble_rrt_tree, build_prm_workload, build_rrt_workload,
-    roadmap_digest, run_parallel_prm_dist_with, run_parallel_prm_live_observed,
-    run_parallel_rrt_dist_with, run_parallel_rrt_live_observed, ParallelPrmConfig,
-    ParallelRrtConfig, Strategy, WeightKind,
+    roadmap_digest, run_prm, run_rrt, On, ParallelPrmConfig, ParallelRrtConfig, PrmRun,
+    PrmWorkload, RrtWorkload, RunOptions, Strategy, WeightKind,
 };
 use smp::geom::envs;
 use smp::runtime::dist::{DistExecutor, DistOptions, DistTuning, SpawnMode};
-use smp::runtime::{FaultPlan, LiveTuning, StealConfig, StealPolicyKind};
+use smp::runtime::{FaultPlan, LiveControl, LiveOutcome, StealConfig, StealPolicyKind};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
@@ -34,6 +33,25 @@ fn process_exec(faults: FaultPlan) -> DistExecutor {
         spawn: SpawnMode::Process(worker_bin()),
         faults,
     })
+}
+
+/// A PRM run on `on` that must complete.
+#[track_caller]
+fn prm(
+    cfg: &ParallelPrmConfig<'_, 3>,
+    on: On<'_>,
+    p: usize,
+    s: &Strategy,
+) -> (PrmWorkload<3>, PrmRun) {
+    let out = run_prm(cfg, on, RunOptions::new(p, s)).and_then(LiveOutcome::into_result);
+    out.expect("PRM run")
+}
+
+/// An RRT run on `on` that must complete.
+#[track_caller]
+fn rrt(cfg: &ParallelRrtConfig<'_, 3>, on: On<'_>, p: usize, s: &Strategy) -> RrtWorkload<3> {
+    let out = run_rrt(cfg, on, RunOptions::new(p, s)).and_then(LiveOutcome::into_result);
+    out.expect("RRT run").0
 }
 
 fn strategies() -> Vec<Strategy> {
@@ -71,9 +89,7 @@ fn dist_prm_digest_matches_des_and_live_across_workers_and_strategies() {
     let env = envs::med_cube();
     let cfg = prm_cfg(&env);
     let des_digest = roadmap_digest(&assemble_prm_roadmap(&build_prm_workload(&cfg)));
-    let (lw, _) =
-        run_parallel_prm_live_observed(&cfg, 2, &Strategy::NoLb, LiveTuning::default(), None)
-            .expect("live");
+    let (lw, _) = prm(&cfg, On::Live(&LiveControl::default()), 2, &Strategy::NoLb);
     assert_eq!(roadmap_digest(&assemble_prm_roadmap(&lw)), des_digest);
 
     let mut all = strategies();
@@ -82,8 +98,7 @@ fn dist_prm_digest_matches_des_and_live_across_workers_and_strategies() {
         // One process pool per worker count, reused across strategies.
         let mut exec = process_exec(FaultPlan::default());
         for strategy in &all {
-            let (w, run) =
-                run_parallel_prm_dist_with(&cfg, p, strategy, &mut exec).expect("dist PRM run");
+            let (w, run) = prm(&cfg, On::Dist(&mut exec), p, strategy);
             assert_eq!(
                 roadmap_digest(&assemble_prm_roadmap(&w)),
                 des_digest,
@@ -103,9 +118,7 @@ fn dist_rrt_digest_matches_des_and_live_across_workers_and_strategies() {
     let env = envs::mixed();
     let cfg = rrt_cfg(&env);
     let des_digest = roadmap_digest(&assemble_rrt_tree(&build_rrt_workload(&cfg)));
-    let (lw, _) =
-        run_parallel_rrt_live_observed(&cfg, 2, &Strategy::NoLb, LiveTuning::default(), None)
-            .expect("live");
+    let lw = rrt(&cfg, On::Live(&LiveControl::default()), 2, &Strategy::NoLb);
     assert_eq!(roadmap_digest(&assemble_rrt_tree(&lw)), des_digest);
 
     let mut all = strategies();
@@ -113,8 +126,7 @@ fn dist_rrt_digest_matches_des_and_live_across_workers_and_strategies() {
     for p in WORKER_COUNTS {
         let mut exec = process_exec(FaultPlan::default());
         for strategy in &all {
-            let (w, _) =
-                run_parallel_rrt_dist_with(&cfg, p, strategy, &mut exec).expect("dist RRT run");
+            let w = rrt(&cfg, On::Dist(&mut exec), p, strategy);
             assert_eq!(
                 roadmap_digest(&assemble_rrt_tree(&w)),
                 des_digest,
@@ -177,8 +189,7 @@ fn dist_digest_survives_worker_process_crash_and_respawn() {
     assert!(report.resilience.tasks_reexecuted >= 1);
 
     let strategy = Strategy::WorkStealing(StealConfig::new(StealPolicyKind::RandK(8)));
-    let (w, _) = run_parallel_prm_dist_with(&cfg, 2, &strategy, &mut exec)
-        .expect("dist PRM run on recovered pool");
+    let (w, _) = prm(&cfg, On::Dist(&mut exec), 2, &strategy);
     assert_eq!(
         roadmap_digest(&assemble_prm_roadmap(&w)),
         des_digest,
@@ -200,8 +211,7 @@ fn dist_digest_survives_worker_process_crash_without_respawn() {
     let report = crash_phase(&mut exec, 2);
     assert_eq!(report.resilience.crashes, 1, "kill never fired");
 
-    let (w, _) = run_parallel_prm_dist_with(&cfg, 2, &Strategy::NoLb, &mut exec)
-        .expect("dist PRM run on surviving process");
+    let (w, _) = prm(&cfg, On::Dist(&mut exec), 2, &Strategy::NoLb);
     assert_eq!(roadmap_digest(&assemble_prm_roadmap(&w)), des_digest);
 }
 
@@ -219,8 +229,7 @@ fn dist_message_faults_do_not_change_the_digest() {
         .with_message_jitter(0.5, 0);
     let mut exec = process_exec(faults);
     let strategy = Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Hybrid(8)));
-    let (w, run) = run_parallel_prm_dist_with(&cfg, 2, &strategy, &mut exec)
-        .expect("dist PRM run under message faults");
+    let (w, run) = prm(&cfg, On::Dist(&mut exec), 2, &strategy);
     assert_eq!(roadmap_digest(&assemble_prm_roadmap(&w)), des_digest);
     assert!(
         run.metrics.get("dist.faults.messages_dropped").unwrap_or(0) > 0,

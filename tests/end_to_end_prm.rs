@@ -2,7 +2,9 @@
 //! query, across crates.
 
 use smp::core::assemble::assemble_prm_roadmap;
-use smp::core::{build_prm_workload, run_parallel_prm, ParallelPrmConfig, Strategy, WeightKind};
+use smp::core::{
+    build_prm_workload, replay_prm, ParallelPrmConfig, RunOptions, Strategy, WeightKind,
+};
 use smp::cspace::{EnvValidity, LocalPlanner, StraightLinePlanner, WorkCounters};
 use smp::geom::{envs, Point};
 use smp::graph::search::connected_components;
@@ -61,7 +63,7 @@ fn strategies_agree_on_planning_output() {
     let g = assemble_prm_roadmap(&w);
     let (_, ncomp) = connected_components(&g);
     for s in Strategy::prm_set() {
-        let run = run_parallel_prm(&w, &machine, 16, &s).expect("sim failed");
+        let run = replay_prm(&w, &machine, RunOptions::new(16, &s)).expect("sim failed");
         // the run reports loads over the same totals
         let total: u64 = run.node_load_final.iter().sum();
         assert_eq!(total as usize, w.total_vertices(), "{}", s.label());
@@ -75,12 +77,12 @@ fn repartitioning_improves_both_cov_and_makespan() {
     let w = workload();
     let machine = MachineModel::hopper();
     for p in [8usize, 32, 64] {
-        let no_lb = run_parallel_prm(&w, &machine, p, &Strategy::NoLb).expect("sim failed");
-        let repart = run_parallel_prm(
+        let no_lb =
+            replay_prm(&w, &machine, RunOptions::new(p, &Strategy::NoLb)).expect("sim failed");
+        let repart = replay_prm(
             &w,
             &machine,
-            p,
-            &Strategy::Repartition(WeightKind::SampleCount),
+            RunOptions::new(p, &Strategy::Repartition(WeightKind::SampleCount)),
         )
         .expect("sim failed");
         assert!(
@@ -101,15 +103,18 @@ fn vfree_weight_close_to_sample_weight() {
     let w = workload();
     let machine = MachineModel::hopper();
     let p = 32;
-    let by_samples = run_parallel_prm(
+    let by_samples = replay_prm(
         &w,
         &machine,
-        p,
-        &Strategy::Repartition(WeightKind::SampleCount),
+        RunOptions::new(p, &Strategy::Repartition(WeightKind::SampleCount)),
     )
     .expect("sim failed");
-    let by_vfree = run_parallel_prm(&w, &machine, p, &Strategy::Repartition(WeightKind::Vfree))
-        .expect("sim failed");
+    let by_vfree = replay_prm(
+        &w,
+        &machine,
+        RunOptions::new(p, &Strategy::Repartition(WeightKind::Vfree)),
+    )
+    .expect("sim failed");
     let a = by_samples.phases.node_connection as f64;
     let b = by_vfree.phases.node_connection as f64;
     assert!(
@@ -125,7 +130,8 @@ fn strong_scaling_monotone() {
     let machine = MachineModel::hopper();
     let mut last = u64::MAX;
     for p in [4usize, 8, 16, 32] {
-        let run = run_parallel_prm(&w, &machine, p, &Strategy::NoLb).expect("sim failed");
+        let run =
+            replay_prm(&w, &machine, RunOptions::new(p, &Strategy::NoLb)).expect("sim failed");
         assert!(
             run.total_time < last,
             "p={p}: time {} did not improve on {last}",

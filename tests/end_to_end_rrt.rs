@@ -2,7 +2,9 @@
 //! global tree, across crates.
 
 use smp::core::assemble::assemble_rrt_tree;
-use smp::core::{build_rrt_workload, run_parallel_rrt, ParallelRrtConfig, Strategy, WeightKind};
+use smp::core::{
+    build_rrt_workload, replay_rrt, ParallelRrtConfig, RunOptions, Strategy, WeightKind,
+};
 use smp::cspace::EnvValidity;
 use smp::cspace::{ValidityChecker, WorkCounters};
 use smp::geom::envs;
@@ -66,9 +68,10 @@ fn work_stealing_never_loses_big_and_usually_wins() {
     let w = workload();
     let machine = MachineModel::opteron();
     for p in [8usize, 16, 32] {
-        let no_lb = run_parallel_rrt(&w, &machine, p, &Strategy::NoLb).expect("sim failed");
+        let no_lb =
+            replay_rrt(&w, &machine, RunOptions::new(p, &Strategy::NoLb)).expect("sim failed");
         for s in Strategy::rrt_set().into_iter().skip(1) {
-            let run = run_parallel_rrt(&w, &machine, p, &s).expect("sim failed");
+            let run = replay_rrt(&w, &machine, RunOptions::new(p, &s)).expect("sim failed");
             assert!(
                 run.total_time <= no_lb.total_time + no_lb.total_time / 10,
                 "p={p} {}: {} vs {}",
@@ -123,7 +126,7 @@ fn all_regions_execute_exactly_once_under_every_strategy() {
     let mut strategies = Strategy::rrt_set();
     strategies.push(Strategy::Repartition(WeightKind::KRays(4)));
     for s in strategies {
-        let run = run_parallel_rrt(&w, &machine, 16, &s).expect("sim failed");
+        let run = replay_rrt(&w, &machine, RunOptions::new(16, &s)).expect("sim failed");
         let executed: u32 = run.construction.per_pe_executed.iter().sum();
         assert_eq!(executed as usize, w.num_regions(), "{}", s.label());
         assert!(run.construction.executed_by.iter().all(|&e| e != u32::MAX));

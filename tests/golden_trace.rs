@@ -16,8 +16,8 @@
 use std::path::PathBuf;
 
 use smp::core::{
-    build_prm_workload, build_rrt_workload, run_parallel_prm_observed, run_parallel_rrt_observed,
-    ParallelPrmConfig, ParallelRrtConfig, Strategy,
+    build_prm_workload, build_rrt_workload, replay_prm, replay_rrt, ParallelPrmConfig,
+    ParallelRrtConfig, RunOptions, Strategy,
 };
 use smp::geom::envs;
 use smp::runtime::{FaultPlan, MachineModel, SimConfig, StealConfig, StealPolicyKind, Tracer};
@@ -68,8 +68,15 @@ fn prm_no_fault() -> (String, String) {
     let machine = MachineModel::hopper();
     let strategy = Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Hybrid(8)));
     let mut tr = Tracer::new();
-    let run = run_parallel_prm_observed(&w, &machine, 8, &strategy, None, None, Some(&mut tr))
-        .expect("sim failed");
+    let run = replay_prm(
+        &w,
+        &machine,
+        RunOptions {
+            tracer: Some(&mut tr),
+            ..RunOptions::new(8, &strategy)
+        },
+    )
+    .expect("sim failed");
     tr.check_well_formed().expect("trace well-formed");
     (tr.to_chrome_json(), run.metrics.to_csv())
 }
@@ -90,8 +97,16 @@ fn rrt_straggler() -> (String, String) {
     let strategy = Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Diffusive));
     let plan = FaultPlan::new(7).with_straggler(0, 0, u64::MAX, 4.0);
     let mut tr = Tracer::new();
-    let run = run_parallel_rrt_observed(&w, &machine, 8, &strategy, Some(&plan), Some(&mut tr))
-        .expect("sim failed");
+    let run = replay_rrt(
+        &w,
+        &machine,
+        RunOptions {
+            fault: Some(&plan),
+            tracer: Some(&mut tr),
+            ..RunOptions::new(8, &strategy)
+        },
+    )
+    .expect("sim failed");
     tr.check_well_formed().expect("trace well-formed");
     (tr.to_chrome_json(), run.metrics.to_csv())
 }

@@ -12,8 +12,8 @@
 
 use smp_core::{
     assemble_prm_roadmap, assemble_rrt_tree, build_prm_workload, build_rrt_workload,
-    roadmap_digest, run_parallel_prm_live_controlled, run_parallel_rrt_live_controlled,
-    ParallelPrmConfig, ParallelRrtConfig, Strategy,
+    roadmap_digest, run_prm, run_rrt, On, ParallelPrmConfig, ParallelRrtConfig, RunOptions,
+    Strategy,
 };
 use smp_geom::envs;
 use smp_runtime::{
@@ -56,8 +56,12 @@ fn prm_digest_survives_panics_stragglers_and_grant_drops() {
     let strategy = Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Hybrid(8)));
     for threads in THREAD_COUNTS {
         let control = LiveControl::new(LiveTuning::default()).with_faults(stress_plan(threads));
-        let out = run_parallel_prm_live_controlled(&cfg, threads, &strategy, &control, None)
-            .expect("faulted live PRM run");
+        let out = run_prm(
+            &cfg,
+            On::Live(&control),
+            RunOptions::new(threads, &strategy),
+        )
+        .expect("faulted live PRM run");
         let (w, run) = match out {
             LiveOutcome::Complete(done) => done,
             LiveOutcome::Partial(p) => panic!("faulted run stopped early: {p:?}"),
@@ -89,8 +93,12 @@ fn rrt_digest_survives_injected_panics() {
     let strategy = Strategy::WorkStealing(StealConfig::new(StealPolicyKind::RandK(8)));
     for threads in THREAD_COUNTS {
         let control = LiveControl::new(LiveTuning::default()).with_faults(stress_plan(threads));
-        let out = run_parallel_rrt_live_controlled(&cfg, threads, &strategy, &control, None)
-            .expect("faulted live RRT run");
+        let out = run_rrt(
+            &cfg,
+            On::Live(&control),
+            RunOptions::new(threads, &strategy),
+        )
+        .expect("faulted live RRT run");
         let (w, _) = match out {
             LiveOutcome::Complete(done) => done,
             LiveOutcome::Partial(p) => panic!("faulted run stopped early: {p:?}"),
@@ -108,8 +116,12 @@ fn exhausted_deadline_returns_a_partial_outcome_not_a_hang() {
     let env = envs::med_cube();
     let cfg = prm_cfg(&env);
     let control = LiveControl::new(LiveTuning::default()).with_deadline(Duration::ZERO);
-    let out = run_parallel_prm_live_controlled(&cfg, 2, &Strategy::NoLb, &control, None)
-        .expect("deadline stop is a success, not an error");
+    let out = run_prm(
+        &cfg,
+        On::Live(&control),
+        RunOptions::new(2, &Strategy::NoLb),
+    )
+    .expect("deadline stop is a success, not an error");
     match out {
         LiveOutcome::Partial(p) => {
             assert_eq!(p.phase, "generation", "stop should land in phase 1");
@@ -131,8 +143,12 @@ fn pre_cancelled_token_stops_the_first_phase() {
     let token = CancelToken::new();
     token.cancel();
     let control = LiveControl::new(LiveTuning::default()).with_cancel(token);
-    let out = run_parallel_prm_live_controlled(&cfg, 2, &Strategy::NoLb, &control, None)
-        .expect("cancel stop is a success, not an error");
+    let out = run_prm(
+        &cfg,
+        On::Live(&control),
+        RunOptions::new(2, &Strategy::NoLb),
+    )
+    .expect("cancel stop is a success, not an error");
     match out {
         LiveOutcome::Partial(p) => {
             assert_eq!(p.phase, "generation");

@@ -7,7 +7,7 @@
 //! asserted across all three victim-selection strategies, fault-free and
 //! under a crash plan.
 
-use smp::core::{build_prm_workload, run_parallel_prm_observed, ParallelPrmConfig, Strategy};
+use smp::core::{build_prm_workload, replay_prm, ParallelPrmConfig, RunOptions, Strategy};
 use smp::geom::envs;
 use smp::obs::MetricsSnapshot;
 use smp::runtime::{FaultPlan, MachineModel, SimConfig, StealConfig, StealPolicyKind};
@@ -148,8 +148,7 @@ fn conservation_holds_at_planner_level() {
     let machine = MachineModel::hopper();
     for policy in POLICIES {
         let strategy = Strategy::WorkStealing(StealConfig::new(policy));
-        let run = run_parallel_prm_observed(&w, &machine, 8, &strategy, None, None, None)
-            .expect("sim failed");
+        let run = replay_prm(&w, &machine, RunOptions::new(8, &strategy)).expect("sim failed");
         let m = &run.metrics;
         let label = format!("{policy:?} prm");
         let n = m.expect("des.tasks.spawned");
