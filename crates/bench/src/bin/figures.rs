@@ -7,9 +7,12 @@
 //! cargo run --release -p smp-bench --bin figures -- --quick all  # smoke scale
 //! ```
 //!
-//! Each figure prints an aligned table and writes `results/<id>.csv`.
+//! Each figure prints an aligned table and writes `results/<id>.csv`
+//! (`<id>_<i>.csv` when it yields several). The committed CSVs are the
+//! full-scale output of `figures all ablations`; `--quick` is the smoke
+//! scale whose CSV digests `tests/harness_smoke.rs` pins.
 
-use smp_bench::figures::{run, Suite, ALL_ABLATIONS, ALL_FIGURES};
+use smp_bench::figures::{csv_name, run, Suite, ALL_ABLATIONS, ALL_FIGURES};
 use smp_bench::HarnessConfig;
 use std::path::PathBuf;
 
@@ -49,12 +52,7 @@ fn main() {
         let tables = run(id, &mut suite);
         for (i, t) in tables.iter().enumerate() {
             println!("{}", t.render());
-            let file = if tables.len() == 1 {
-                format!("{id}.csv")
-            } else {
-                format!("{id}_{i}.csv")
-            };
-            let path = results_dir.join(file);
+            let path = results_dir.join(csv_name(id, i, tables.len()));
             if let Err(e) = t.write_csv(&path) {
                 eprintln!("failed to write {}: {e}", path.display());
             } else {

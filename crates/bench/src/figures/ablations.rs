@@ -1,6 +1,6 @@
 //! Design-choice ablations (DESIGN.md §6) — beyond the paper's figures.
 
-use super::Suite;
+use super::{prm, Suite, REPART};
 use crate::table::{f4, vsecs, Table};
 use smp_core::partition::{greedy_lpt, loads, naive_block, spatial_bisection};
 use smp_core::weights::{normalize_to, probe_weights};
@@ -33,7 +33,7 @@ pub fn steal_amount(suite: &mut Suite) -> Table {
             policy: StealPolicyKind::Hybrid(8),
             amount,
         });
-        let run = replay_prm(workload, &machine, RunOptions::new(p, &s)).expect("sim failed");
+        let run = prm(workload, &machine, p, &s);
         t.push_row(vec![
             label.to_string(),
             vsecs(run.phases.node_connection),
@@ -60,12 +60,12 @@ pub fn lifeline(suite: &mut Suite) -> Table {
         StealPolicyKind::Lifeline,
     ] {
         let workload = suite.hopper_medcube();
-        let run = replay_prm(
+        let run = prm(
             workload,
             &machine,
-            RunOptions::new(p, &Strategy::WorkStealing(StealConfig::new(policy))),
-        )
-        .expect("sim failed");
+            p,
+            &Strategy::WorkStealing(StealConfig::new(policy)),
+        );
         t.push_row(vec![
             policy.label(),
             vsecs(run.phases.node_connection),
@@ -91,12 +91,7 @@ pub fn weight_quality(suite: &mut Suite) -> Table {
     // exact baselines
     for kind in [WeightKind::SampleCount, WeightKind::Vfree] {
         let workload = suite.hopper_medcube();
-        let run = replay_prm(
-            workload,
-            &machine,
-            RunOptions::new(p, &Strategy::Repartition(kind)),
-        )
-        .expect("sim failed");
+        let run = prm(workload, &machine, p, &Strategy::Repartition(kind));
         t.push_row(vec![
             kind.label(),
             vsecs(run.phases.node_connection),
@@ -127,8 +122,7 @@ pub fn weight_quality(suite: &mut Suite) -> Table {
     }
     // no balancing reference
     let workload = suite.hopper_medcube();
-    let run =
-        replay_prm(workload, &machine, RunOptions::new(p, &Strategy::NoLb)).expect("sim failed");
+    let run = prm(workload, &machine, p, &Strategy::NoLb);
     t.push_row(vec![
         "none".to_string(),
         vsecs(run.phases.node_connection),
@@ -165,8 +159,7 @@ pub fn balance(suite: &mut Suite) -> Table {
         Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Hybrid(8))),
     ] {
         let workload = suite.hopper_medcube();
-        let run =
-            replay_prm(workload, &machine, RunOptions::new(p, &strategy)).expect("sim failed");
+        let run = prm(workload, &machine, p, &strategy);
         t.push_row(vec![
             strategy.label(),
             vsecs(run.phases.node_connection),
@@ -257,14 +250,8 @@ pub fn granularity(suite: &mut Suite) -> Table {
             ..ParallelPrmConfig::new(&env)
         };
         let workload = build_prm_workload(&pcfg);
-        let no_lb = replay_prm(&workload, &machine, RunOptions::new(p, &Strategy::NoLb))
-            .expect("sim failed");
-        let repart = replay_prm(
-            &workload,
-            &machine,
-            RunOptions::new(p, &Strategy::Repartition(WeightKind::SampleCount)),
-        )
-        .expect("sim failed");
+        let no_lb = prm(&workload, &machine, p, &Strategy::NoLb);
+        let repart = prm(&workload, &machine, p, &REPART);
         t.push_row(vec![
             workload.num_regions().to_string(),
             (workload.num_regions() / p).to_string(),
@@ -313,14 +300,13 @@ pub fn walls45(suite: &mut Suite) -> Table {
             ..ParallelPrmConfig::new(&env)
         };
         let workload = build_prm_workload(&pcfg);
-        let base = replay_prm(&workload, &machine, RunOptions::new(p, &Strategy::NoLb))
-            .expect("sim failed");
+        let base = prm(&workload, &machine, p, &Strategy::NoLb);
         for s in [
             Strategy::NoLb,
             Strategy::Repartition(WeightKind::SampleCount),
             Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Hybrid(8))),
         ] {
-            let run = replay_prm(&workload, &machine, RunOptions::new(p, &s)).expect("sim failed");
+            let run = prm(&workload, &machine, p, &s);
             t.push_row(vec![
                 name.to_string(),
                 run.strategy_label.clone(),

@@ -8,9 +8,9 @@
 //! PE's free area), experimental (reduction in max sample count) and
 //! runtime (reduction of the load-balanced phase's execution time).
 
-use super::Suite;
+use super::{prm, Suite, REPART};
 use crate::table::{f4, pct, Table};
-use smp_core::{replay_prm, RunOptions, Strategy, WeightKind};
+use smp_core::Strategy;
 use smp_runtime::metrics::percent_improvement;
 use smp_runtime::MachineModel;
 
@@ -30,14 +30,8 @@ pub fn fig4a(suite: &mut Suite) -> Table {
     for &p in &ps {
         let (instance, workload) = suite.model();
         let row = instance.analyze_p(p);
-        let no_lb = replay_prm(workload, &machine, RunOptions::new(p, &Strategy::NoLb))
-            .expect("sim failed");
-        let repart = replay_prm(
-            workload,
-            &machine,
-            RunOptions::new(p, &Strategy::Repartition(WeightKind::SampleCount)),
-        )
-        .expect("sim failed");
+        let no_lb = prm(workload, &machine, p, &Strategy::NoLb);
+        let repart = prm(workload, &machine, p, &REPART);
         t.push_row(vec![
             p.to_string(),
             f4(row.cov_naive),
@@ -64,14 +58,8 @@ pub fn fig4b(suite: &mut Suite) -> Table {
     for &p in &ps {
         let (instance, workload) = suite.model();
         let row = instance.analyze_p(p);
-        let no_lb = replay_prm(workload, &machine, RunOptions::new(p, &Strategy::NoLb))
-            .expect("sim failed");
-        let repart = replay_prm(
-            workload,
-            &machine,
-            RunOptions::new(p, &Strategy::Repartition(WeightKind::SampleCount)),
-        )
-        .expect("sim failed");
+        let no_lb = prm(workload, &machine, p, &Strategy::NoLb);
+        let repart = prm(workload, &machine, p, &REPART);
         let max_before = no_lb.node_load_initial.iter().copied().max().unwrap_or(0) as f64;
         let max_after = repart.node_load_final.iter().copied().max().unwrap_or(0) as f64;
         let samples_pct = percent_improvement(max_before, max_after);

@@ -1,21 +1,17 @@
 //! Figures 5, 6, 7 and 9 — the med-cube PRM suite on the virtual Hopper.
 
-use super::Suite;
+use super::{prm, Suite, REPART};
 use crate::table::{f4, vsecs, Table};
-use smp_core::{replay_prm, PrmRun, RunOptions, Strategy, WeightKind};
+use smp_core::{PrmRun, Strategy};
 use smp_runtime::MachineModel;
 
-fn hopper() -> MachineModel {
-    MachineModel::hopper()
-}
-
 fn run_all(suite: &mut Suite, p: usize) -> Vec<PrmRun> {
-    let machine = hopper();
+    let machine = MachineModel::hopper();
     let strategies = Strategy::prm_set();
     let workload = suite.hopper_medcube();
     strategies
         .iter()
-        .map(|s| replay_prm(workload, &machine, RunOptions::new(p, s)).expect("sim failed"))
+        .map(|s| prm(workload, &machine, p, s))
         .collect()
 }
 
@@ -38,19 +34,14 @@ pub fn fig5a(suite: &mut Suite) -> Table {
 /// Fig. 5(b): CoV of roadmap-node load before/after repartitioning.
 pub fn fig5b(suite: &mut Suite) -> Table {
     let ps = suite.cfg.fig5_ps.clone();
-    let machine = hopper();
+    let machine = MachineModel::hopper();
     let mut t = Table::new(
         "Fig 5(b): CoV of PRM roadmap-node load, med-cube on Hopper",
         &["p", "before_repartitioning", "after_repartitioning"],
     );
     for &p in &ps {
         let workload = suite.hopper_medcube();
-        let run = replay_prm(
-            workload,
-            &machine,
-            RunOptions::new(p, &Strategy::Repartition(WeightKind::SampleCount)),
-        )
-        .expect("sim failed");
+        let run = prm(workload, &machine, p, &REPART);
         t.push_row(vec![
             p.to_string(),
             f4(run.cov_before()),
@@ -63,16 +54,10 @@ pub fn fig5b(suite: &mut Suite) -> Table {
 /// Fig. 5(c): per-PE roadmap-node load profile at a fixed core count.
 pub fn fig5c(suite: &mut Suite) -> Table {
     let p = suite.cfg.fig7a_p; // the paper uses a 192-core run
-    let machine = hopper();
+    let machine = MachineModel::hopper();
     let workload = suite.hopper_medcube();
-    let no_lb =
-        replay_prm(workload, &machine, RunOptions::new(p, &Strategy::NoLb)).expect("sim failed");
-    let repart = replay_prm(
-        workload,
-        &machine,
-        RunOptions::new(p, &Strategy::Repartition(WeightKind::SampleCount)),
-    )
-    .expect("sim failed");
+    let no_lb = prm(workload, &machine, p, &Strategy::NoLb);
+    let repart = prm(workload, &machine, p, &REPART);
     let total: u64 = no_lb.node_load_final.iter().sum();
     let ideal = total as f64 / p as f64;
     let mut t = Table::new(
@@ -93,21 +78,15 @@ pub fn fig5c(suite: &mut Suite) -> Table {
 /// Fig. 6: execution time at higher core counts (NoLB vs Repartitioning).
 pub fn fig6(suite: &mut Suite) -> Table {
     let ps = suite.cfg.fig6_ps.clone();
-    let machine = hopper();
+    let machine = MachineModel::hopper();
     let mut t = Table::new(
         "Fig 6: PRM execution time (s) at scale, med-cube on Hopper",
         &["p", "without_lb", "repartitioning", "speedup_x"],
     );
     for &p in &ps {
         let workload = suite.hopper_medcube();
-        let no_lb = replay_prm(workload, &machine, RunOptions::new(p, &Strategy::NoLb))
-            .expect("sim failed");
-        let repart = replay_prm(
-            workload,
-            &machine,
-            RunOptions::new(p, &Strategy::Repartition(WeightKind::SampleCount)),
-        )
-        .expect("sim failed");
+        let no_lb = prm(workload, &machine, p, &Strategy::NoLb);
+        let repart = prm(workload, &machine, p, &REPART);
         t.push_row(vec![
             p.to_string(),
             vsecs(no_lb.total_time),
@@ -150,16 +129,10 @@ pub fn fig7a(suite: &mut Suite) -> Table {
 /// Fig. 7(b): remote accesses in region connection, NoLB vs Repartitioning.
 pub fn fig7b(suite: &mut Suite) -> Table {
     let p = suite.cfg.fig7b_p;
-    let machine = hopper();
+    let machine = MachineModel::hopper();
     let workload = suite.hopper_medcube();
-    let no_lb =
-        replay_prm(workload, &machine, RunOptions::new(p, &Strategy::NoLb)).expect("sim failed");
-    let repart = replay_prm(
-        workload,
-        &machine,
-        RunOptions::new(p, &Strategy::Repartition(WeightKind::SampleCount)),
-    )
-    .expect("sim failed");
+    let no_lb = prm(workload, &machine, p, &Strategy::NoLb);
+    let repart = prm(workload, &machine, p, &REPART);
     let mut t = Table::new(
         format!("Fig 7(b): remote accesses in region connection at {p} PEs"),
         &["method", "region_graph", "roadmap_graph", "edge_cut"],
@@ -182,12 +155,12 @@ pub fn fig9(suite: &mut Suite, low_count: bool) -> Table {
     } else {
         suite.cfg.fig9b_p
     };
-    let machine = hopper();
+    let machine = MachineModel::hopper();
     let workload = suite.hopper_medcube();
     let s = Strategy::WorkStealing(smp_runtime::StealConfig::new(
         smp_runtime::StealPolicyKind::Hybrid(8),
     ));
-    let run = replay_prm(workload, &machine, RunOptions::new(p, &s)).expect("sim failed");
+    let run = prm(workload, &machine, p, &s);
     let name = if low_count { "9(a)" } else { "9(b)" };
     let mut t = Table::new(
         format!("Fig {name}: tasks stolen vs executed locally at {p} PEs (Hybrid WS)"),

@@ -11,15 +11,36 @@ pub mod opteron;
 pub mod resilience;
 pub mod restarts;
 pub mod rrt;
+pub mod serve_load;
 
 use crate::config::HarnessConfig;
 use crate::table::Table;
 use smp_core::model::{ModelConfig, ModelInstance};
 use smp_core::{
-    build_prm_workload, build_prm_workload_on_grid, build_rrt_workload, ParallelPrmConfig,
-    ParallelRrtConfig, PrmWorkload, RrtWorkload,
+    build_prm_workload, build_prm_workload_on_grid, build_rrt_workload, replay_prm, replay_rrt,
+    ParallelPrmConfig, ParallelRrtConfig, PrmRun, PrmWorkload, RrtRun, RrtWorkload, RunOptions,
+    Strategy, WeightKind,
 };
 use smp_geom::{envs, GridSubdivision};
+use smp_runtime::MachineModel;
+
+/// Repartitioning by sample count: the paper's PRM weight.
+const REPART: Strategy = Strategy::Repartition(WeightKind::SampleCount);
+
+/// The DES replay of a PRM workload on `p` PEs of `machine`.
+fn prm<const D: usize>(
+    w: &PrmWorkload<D>,
+    machine: &MachineModel,
+    p: usize,
+    s: &Strategy,
+) -> PrmRun {
+    replay_prm(w, machine, RunOptions::new(p, s)).expect("sim failed")
+}
+
+/// The DES replay of an RRT workload on `p` PEs of `machine`.
+fn rrt(w: &RrtWorkload<3>, machine: &MachineModel, p: usize, s: &Strategy) -> RrtRun {
+    replay_rrt(w, machine, RunOptions::new(p, s)).expect("sim failed")
+}
 
 /// Lazily-built shared workloads for the whole harness run.
 pub struct Suite {
@@ -197,7 +218,18 @@ pub const ALL_ABLATIONS: &[&str] = &[
     "ablation-overlap",
     "resilience",
     "restarts",
+    "serve-load",
 ];
+
+/// The CSV file name of table `i` of the `n` that figure `id` yields:
+/// `<id>.csv` for a single table, `<id>_<i>.csv` otherwise.
+pub fn csv_name(id: &str, i: usize, n: usize) -> String {
+    if n == 1 {
+        format!("{id}.csv")
+    } else {
+        format!("{id}_{i}.csv")
+    }
+}
 
 /// Run one figure (or ablation) by id.
 pub fn run(id: &str, suite: &mut Suite) -> Vec<Table> {
@@ -233,6 +265,7 @@ pub fn run(id: &str, suite: &mut Suite) -> Vec<Table> {
             resilience::crash(suite),
         ],
         "restarts" => vec![restarts::restarts(suite)],
+        "serve-load" => vec![serve_load::serve_load(suite)],
         other => panic!("unknown figure id: {other}"),
     }
 }

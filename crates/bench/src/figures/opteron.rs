@@ -6,9 +6,9 @@
 //! text (§IV-C.1) describes the same experiment on med-cube / small-cube /
 //! free; we follow the body text (see DESIGN.md §2).
 
-use super::Suite;
+use super::{prm, Suite};
 use crate::table::{vsecs, Table};
-use smp_core::{replay_prm, RunOptions, Strategy};
+use smp_core::Strategy;
 use smp_runtime::MachineModel;
 
 pub fn fig8(suite: &mut Suite, env: &str, fig_id: &str) -> Table {
@@ -23,7 +23,7 @@ pub fn fig8(suite: &mut Suite, env: &str, fig_id: &str) -> Table {
         let workload = suite.opteron_env(env);
         let mut row = vec![p.to_string()];
         for s in &strategies {
-            let run = replay_prm(workload, &machine, RunOptions::new(p, s)).expect("sim failed");
+            let run = prm(workload, &machine, p, s);
             row.push(vsecs(run.total_time));
         }
         t.push_row(row);

@@ -12,9 +12,9 @@
 //!   0%/10%/30%. Only work stealing sends messages, so this isolates the
 //!   timeout/backoff recovery path of each victim-selection policy.
 
-use super::Suite;
+use super::{prm, Suite, REPART};
 use crate::table::{f4, vsecs, Table};
-use smp_core::{replay_prm, PrmRun, PrmWorkload, RunOptions, Strategy, WeightKind};
+use smp_core::{replay_prm, PrmRun, PrmWorkload, RunOptions, Strategy};
 use smp_runtime::{FaultPlan, MachineModel, StealConfig, StealPolicyKind};
 
 /// The replay of `workload` with `plan` injected into node connection.
@@ -39,7 +39,7 @@ fn faulted(
 fn strategies() -> Vec<Strategy> {
     vec![
         Strategy::NoLb,
-        Strategy::Repartition(WeightKind::SampleCount),
+        REPART,
         Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Hybrid(8))),
         Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Lifeline)),
     ]
@@ -63,8 +63,7 @@ pub fn straggler(suite: &mut Suite) -> Table {
     );
     for strategy in strategies() {
         let workload = suite.hopper_medcube();
-        let base = replay_prm(workload, &machine, RunOptions::new(p, &strategy))
-            .expect("baseline sim failed");
+        let base = prm(workload, &machine, p, &strategy);
         for factor in [1.0f64, 2.0, 4.0, 8.0] {
             let plan = FaultPlan::new(seed).with_straggler(0, 0, u64::MAX, factor);
             let workload = suite.hopper_medcube();
@@ -111,8 +110,7 @@ pub fn message_loss(suite: &mut Suite) -> Table {
     ] {
         let strategy = Strategy::WorkStealing(StealConfig::new(policy));
         let workload = suite.hopper_medcube();
-        let base = replay_prm(workload, &machine, RunOptions::new(p, &strategy))
-            .expect("baseline sim failed");
+        let base = prm(workload, &machine, p, &strategy);
         for loss in [0.0f64, 0.1, 0.3] {
             let plan = FaultPlan::new(seed).with_message_loss(loss);
             let workload = suite.hopper_medcube();
@@ -154,8 +152,7 @@ pub fn crash(suite: &mut Suite) -> Table {
     );
     for strategy in strategies() {
         let workload = suite.hopper_medcube();
-        let base = replay_prm(workload, &machine, RunOptions::new(p, &strategy))
-            .expect("baseline sim failed");
+        let base = prm(workload, &machine, p, &strategy);
         let crash_at = base.construction.makespan / 4;
         let plan = FaultPlan::new(seed).with_crash(1, crash_at.max(1));
         let workload = suite.hopper_medcube();

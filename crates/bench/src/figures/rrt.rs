@@ -3,9 +3,9 @@
 //! ≈30 %, free 0 %). Figure 10(b) additionally includes repartitioning with
 //! the k-random-rays weight — the paper's negative result.
 
-use super::Suite;
+use super::{rrt, Suite};
 use crate::table::{vsecs, Table};
-use smp_core::{replay_rrt, RunOptions, Strategy, WeightKind};
+use smp_core::{Strategy, WeightKind};
 use smp_runtime::MachineModel;
 
 pub fn fig10(suite: &mut Suite, env: &str, fig_id: &str) -> Table {
@@ -25,16 +25,16 @@ pub fn fig10(suite: &mut Suite, env: &str, fig_id: &str) -> Table {
         let workload = suite.rrt_env(env);
         let mut row = vec![p.to_string()];
         for s in &strategies {
-            let run = replay_rrt(workload, &machine, RunOptions::new(p, s)).expect("sim failed");
+            let run = rrt(workload, &machine, p, s);
             row.push(vsecs(run.total_time));
         }
         if include_repart {
-            let run = replay_rrt(
+            let run = rrt(
                 workload,
                 &machine,
-                RunOptions::new(p, &Strategy::Repartition(WeightKind::KRays(4))),
-            )
-            .expect("sim failed");
+                p,
+                &Strategy::Repartition(WeightKind::KRays(4)),
+            );
             row.push(vsecs(run.total_time));
         }
         t.push_row(row);

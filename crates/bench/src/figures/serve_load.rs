@@ -1,32 +1,33 @@
-//! Planning-as-a-service load benchmark (DES backend, committed as
-//! `BENCH_serve.json`).
+//! Planning-as-a-service load sweep (`figures serve-load`; DES virtual
+//! time, model output).
 //!
 //! The claim under test (DESIGN.md §15): amortizing roadmap construction
 //! across queries — build once per `(environment, robot)` key, answer
 //! every subsequent query against the cached snapshot — is what makes a
-//! query front door viable. The benchmark drives a fixed multi-tenant
+//! query front door viable. The sweep drives a fixed multi-tenant
 //! workload (three snapshot keys, mixed interactive/batch classes) at
 //! three offered-load levels (arrival-gap scaling) through
 //! [`smp_serve::Server`], once **cold** (first query of each key pays
 //! the build) and once **warm** (prewarmed cache), and reports p50/p99
-//! request latency plus throughput per level. The headline assertions:
-//! warm p50 beats cold p50 at every level, and the batched run's answer
-//! digests are byte-identical to the sequential replay's.
+//! request latency plus throughput per level. [`load_violations`] states
+//! the headline assertions: warm p50 never loses to cold p50, and the
+//! batched run's answers are byte-identical to the sequential replay's.
 //!
-//! Everything runs on the DES in virtual time, so the whole report is
-//! deterministic; the committed JSON carries a `gate` array of per-level
-//! FNV digests over the first [`GATE_REQUESTS`] settled answers (quick
-//! and full mode share the prefix, so `--quick --check` validates the
-//! committed full baseline).
+//! Every number is virtual and deterministic. `tests/kernel_gates.rs`
+//! pins each level's digest of the first [`GATE_REQUESTS`] answers and
+//! asserts [`load_violations`] is empty.
 
+use crate::table::Table;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use smp_geom::Point;
 use smp_serve::{fnv_mix, PlanRequest, QueryClass, ServeConfig, ServeReport, Server};
 
-/// Requests whose answer digests form the deterministic gate (= the
-/// quick per-level request count, so quick and full runs gate
-/// identically).
+/// Requests served per offered-load level.
+const REQUESTS: usize = 96;
+
+/// Requests whose answers form the pinned digest. The workload's first
+/// requests do not depend on its length, so the digest does not either.
 pub const GATE_REQUESTS: usize = 24;
 
 /// FNV-1a offset basis (shared with `smp_serve`'s digests).
@@ -70,7 +71,7 @@ pub struct LoadStats {
     /// Executor batches the warm run submitted.
     pub batches: u64,
     /// FNV digest over the first [`GATE_REQUESTS`] `(seq, answer)` pairs
-    /// of the cold batched run — the committed gate value.
+    /// of the cold batched run.
     pub gate_digest: u64,
     /// Same prefix digest from the warm batched run.
     pub warm_gate: u64,
@@ -78,41 +79,16 @@ pub struct LoadStats {
     pub sequential_gate: u64,
 }
 
-/// The full benchmark report.
-#[derive(Debug, Clone)]
-pub struct ServeLoadReport {
-    /// Quick mode serves the gate prefix only; full serves 4× that.
-    pub quick: bool,
-    /// Requests per level.
-    pub requests: usize,
-    /// Stats per offered-load level, low to high.
-    pub levels: Vec<LoadStats>,
-}
-
-impl ServeLoadReport {
-    /// Stats for `label`, if the sweep produced them.
-    pub fn level(&self, label: &str) -> Option<&LoadStats> {
-        self.levels.iter().find(|l| l.label == label)
-    }
-}
-
-/// The default offered-load levels: label + mean inter-arrival gap,
-/// sized around the measured warm per-query virtual cost (~0.5 ms on
-/// the hopper model) so `low` is under-loaded, `med` is near the
-/// service rate, and `high` is saturated.
-pub fn default_levels() -> Vec<(String, u64)> {
-    vec![
-        ("low".to_string(), 1_000_000),
-        ("med".to_string(), 250_000),
-        ("high".to_string(), 62_500),
-    ]
-}
+/// The offered-load levels: label + mean inter-arrival gap (virtual ns),
+/// sized around the measured warm per-query virtual cost (~0.5 ms on the
+/// hopper model) so `low` is under-loaded, `med` is near the service
+/// rate, and `high` is saturated.
+const LEVELS: [(&str, u64); 3] = [("low", 1_000_000), ("med", 250_000), ("high", 62_500)];
 
 /// The deterministic per-level workload: `n` requests cycling through
 /// the three tenant keys, every fourth request batch-class, endpoints
 /// drawn from a seeded RNG, arrivals spaced by `arrival_gap_ns`. The
-/// first [`GATE_REQUESTS`] requests are identical regardless of `n`,
-/// which is what lets quick and full runs share the gate.
+/// first `m` requests are identical for every `n ≥ m`.
 pub fn workload(n: usize, arrival_gap_ns: u64, seed: u64) -> Vec<PlanRequest> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5E21_10AD);
     (0..n)
@@ -137,7 +113,7 @@ pub fn workload(n: usize, arrival_gap_ns: u64, seed: u64) -> Vec<PlanRequest> {
 }
 
 /// FNV fold over the first [`GATE_REQUESTS`] settled `(seq, digest)`
-/// pairs — the prefix identity shared by quick and full runs.
+/// pairs.
 fn prefix_digest(report: &ServeReport) -> u64 {
     let mut h = FNV_OFFSET;
     for r in report
@@ -151,35 +127,20 @@ fn prefix_digest(report: &ServeReport) -> u64 {
     h
 }
 
-fn latency_stats(report: &ServeReport) -> (u64, u64) {
-    (
-        report.latency_percentile(0.5),
-        report.latency_percentile(0.99),
-    )
-}
-
-/// Run the sweep. `quick` serves [`GATE_REQUESTS`] requests per level;
-/// full serves 4× that for better tail resolution. The gate digests are
-/// identical either way. `cfg` defaults keep the sweep on the DES
-/// backend so every number is virtual and deterministic.
-pub fn run(quick: bool) -> ServeLoadReport {
-    run_with(quick, &ServeConfig::default(), &default_levels())
+/// Run the sweep at the default server configuration and load levels.
+pub fn run() -> Vec<LoadStats> {
+    run_with(&ServeConfig::default(), &LEVELS)
 }
 
 /// [`run`] with an explicit server configuration and load levels (tests
 /// shrink the snapshot build and the arrival gaps together so debug
 /// runs stay fast while the claims still bind).
-pub fn run_with(quick: bool, cfg: &ServeConfig, levels: &[(String, u64)]) -> ServeLoadReport {
-    let requests = if quick {
-        GATE_REQUESTS
-    } else {
-        GATE_REQUESTS * 4
-    };
+pub fn run_with(cfg: &ServeConfig, levels: &[(&str, u64)]) -> Vec<LoadStats> {
     let mut out = Vec::new();
-    for (label, gap) in levels.iter().cloned() {
+    for &(label, gap) in levels {
         // Same seed at every level: the query set is identical, only the
         // arrival spacing changes — the sweep isolates the load effect.
-        let reqs = workload(requests, gap, 0x10AD);
+        let reqs = workload(REQUESTS, gap, 0x10AD);
 
         let mut cold = Server::new(cfg.clone());
         for r in reqs.clone() {
@@ -202,17 +163,15 @@ pub fn run_with(quick: bool, cfg: &ServeConfig, levels: &[(String, u64)]) -> Ser
         }
         let seq_report = seq.run_sequential().expect("sequential replay");
 
-        let (cold_p50, cold_p99) = latency_stats(&cold_report);
-        let (warm_p50, warm_p99) = latency_stats(&warm_report);
         out.push(LoadStats {
-            label,
+            label: label.to_string(),
             arrival_gap_ns: gap,
-            requests,
+            requests: REQUESTS,
             completed: cold_report.ledger.completed,
-            cold_p50_ns: cold_p50,
-            cold_p99_ns: cold_p99,
-            warm_p50_ns: warm_p50,
-            warm_p99_ns: warm_p99,
+            cold_p50_ns: cold_report.latency_percentile(0.5),
+            cold_p99_ns: cold_report.latency_percentile(0.99),
+            warm_p50_ns: warm_report.latency_percentile(0.5),
+            warm_p99_ns: warm_report.latency_percentile(0.99),
             throughput_qps: warm_report.ledger.completed as f64
                 / (warm_report.makespan_ns.max(1) as f64 / 1e9),
             cold_makespan_ns: cold_report.makespan_ns,
@@ -223,25 +182,10 @@ pub fn run_with(quick: bool, cfg: &ServeConfig, levels: &[(String, u64)]) -> Ser
             sequential_gate: prefix_digest(&seq_report),
         });
     }
-    ServeLoadReport {
-        quick,
-        requests,
-        levels: out,
-    }
+    out
 }
 
-/// Deterministic gate lines, one per offered-load level. Latency and
-/// throughput are *not* gated beyond the [`load_violations`] assertions —
-/// the answer digests must never drift.
-pub fn gate_lines(report: &ServeLoadReport) -> Vec<String> {
-    report
-        .levels
-        .iter()
-        .map(|l| format!("level-{}={:#018x}", l.label, l.gate_digest))
-        .collect()
-}
-
-/// The benchmark's headline claims, asserted per level:
+/// The sweep's headline claims, asserted per level:
 ///
 /// 1. every request completes (valid keys, no deadlines — nothing may
 ///    be lost or rejected),
@@ -249,23 +193,24 @@ pub fn gate_lines(report: &ServeLoadReport) -> Vec<String> {
 ///    sequential replay's (the determinism oracle), and the warm run
 ///    answers exactly as the cold run does (the cache changes latency,
 ///    never answers),
-/// 3. the warm cache never hurts (warm p50 ≤ cold p50 at every level),
-///    and at the saturated level — where queueing, not arrival spacing,
-///    sets the median latency — warm p50 is *strictly* below cold p50:
-///    the amortization claim itself. (At low offered load, arrival gaps
-///    can hide the build from the median request; that is honest
-///    queueing behaviour, reported but not failed.)
+/// 3. the warm cache never hurts (warm p50 ≤ cold p50 and warm makespan
+///    ≤ cold makespan at every level), and at the saturated level —
+///    where queueing, not arrival spacing, sets the median latency —
+///    warm p50 is *strictly* below cold p50: the amortization claim
+///    itself. (At low offered load, arrival gaps can hide the build from
+///    the median request; that is honest queueing behaviour, reported
+///    but not failed.)
 ///
 /// Returns violation messages (empty = pass).
-pub fn load_violations(report: &ServeLoadReport) -> Vec<String> {
+pub fn load_violations(levels: &[LoadStats]) -> Vec<String> {
     let mut v = Vec::new();
-    if report.levels.len() < 3 {
+    if levels.len() < 3 {
         v.push(format!(
             "sweep produced {} offered-load levels, need >= 3",
-            report.levels.len()
+            levels.len()
         ));
     }
-    if let Some(top) = report.levels.last() {
+    if let Some(top) = levels.last() {
         if top.warm_p50_ns >= top.cold_p50_ns {
             v.push(format!(
                 "{}: warm p50 {}ns does not beat cold p50 {}ns at the saturated level",
@@ -273,7 +218,7 @@ pub fn load_violations(report: &ServeLoadReport) -> Vec<String> {
             ));
         }
     }
-    for l in &report.levels {
+    for l in levels {
         if l.completed != l.requests as u64 {
             v.push(format!(
                 "{}: only {}/{} requests completed",
@@ -308,46 +253,49 @@ pub fn load_violations(report: &ServeLoadReport) -> Vec<String> {
     v
 }
 
-/// Serialize as `BENCH_serve.json` (hand-rolled; the workspace carries no JSON
-/// dependency). The `gate` tail is [`crate::gate::write_gate_array`].
-pub fn to_json(report: &ServeLoadReport) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"schema\": \"smp-bench/serve/v1\",\n");
-    s.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if report.quick { "quick" } else { "full" }
-    ));
-    s.push_str(&format!("  \"requests_per_level\": {},\n", report.requests));
-    s.push_str(&format!("  \"gate_requests\": {GATE_REQUESTS},\n"));
-    s.push_str("  \"levels\": [\n");
-    for (i, l) in report.levels.iter().enumerate() {
-        s.push_str("    {");
-        s.push_str(&format!(
-            "\"label\": \"{}\", \"arrival_gap_ns\": {}, \"requests\": {}, \"completed\": {}, \"cold_p50_ns\": {}, \"cold_p99_ns\": {}, \"warm_p50_ns\": {}, \"warm_p99_ns\": {}, \"throughput_qps\": {:.2}, \"cold_makespan_ns\": {}, \"warm_makespan_ns\": {}, \"batches\": {}, \"digest\": \"{:#018x}\"",
+/// Virtual nanoseconds as milliseconds with 3 decimals.
+fn vms(ns: u64) -> String {
+    format!("{:.3}", ns as f64 / 1e6)
+}
+
+/// The `figures serve-load` table: one row per offered-load level.
+pub fn serve_load(_suite: &mut crate::figures::Suite) -> Table {
+    let mut t = Table::new(
+        format!(
+            "Serve load: cold vs warm snapshot cache, {REQUESTS} requests/level over 3 tenant keys (DES virtual time, model output)"
+        ),
+        &[
+            "level",
+            "arrival_gap_us",
+            "completed",
+            "cold_p50_ms",
+            "cold_p99_ms",
+            "warm_p50_ms",
+            "warm_p99_ms",
+            "warm_qps",
+            "cold_makespan_ms",
+            "warm_makespan_ms",
+            "batches",
+            "answer_digest",
+        ],
+    );
+    for l in run() {
+        t.push_row(vec![
             l.label,
-            l.arrival_gap_ns,
-            l.requests,
-            l.completed,
-            l.cold_p50_ns,
-            l.cold_p99_ns,
-            l.warm_p50_ns,
-            l.warm_p99_ns,
-            l.throughput_qps,
-            l.cold_makespan_ns,
-            l.warm_makespan_ns,
-            l.batches,
-            l.gate_digest
-        ));
-        s.push_str(if i + 1 < report.levels.len() {
-            "},\n"
-        } else {
-            "}\n"
-        });
+            format!("{:.1}", l.arrival_gap_ns as f64 / 1e3),
+            l.completed.to_string(),
+            vms(l.cold_p50_ns),
+            vms(l.cold_p99_ns),
+            vms(l.warm_p50_ns),
+            vms(l.warm_p99_ns),
+            format!("{:.1}", l.throughput_qps),
+            vms(l.cold_makespan_ns),
+            vms(l.warm_makespan_ns),
+            l.batches.to_string(),
+            format!("{:#018x}", l.gate_digest),
+        ]);
     }
-    s.push_str("  ],\n");
-    crate::gate::write_gate_array(&mut s, &gate_lines(report));
-    s.push_str("}\n");
-    s
+    t
 }
 
 #[cfg(test)]
@@ -376,46 +324,36 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips_through_the_gate_checker() {
-        // A tiny synthetic report exercises serialization + gate parsing
-        // without paying for the real sweep in debug tests.
-        let report = ServeLoadReport {
-            quick: true,
-            requests: 4,
-            levels: vec![
-                synthetic_level("low", 0xabc),
-                synthetic_level("med", 0xdef),
-                synthetic_level("high", 0x123),
-            ],
-        };
-        let json = to_json(&report);
-        assert!(json.contains("smp-bench/serve/v1"));
-        assert!(crate::gate::check(&gate_lines(&report), &json).is_empty());
-        assert!(load_violations(&report).is_empty());
-        let mut tampered = report.clone();
-        tampered.levels[1].gate_digest ^= 1;
-        assert!(!crate::gate::check(&gate_lines(&tampered), &json).is_empty());
-        // The tampered digest also breaks the batched-vs-sequential claim.
+    fn load_violations_name_each_broken_claim() {
+        let levels = vec![
+            synthetic_level("low", 0xabc),
+            synthetic_level("med", 0xdef),
+            synthetic_level("high", 0x123),
+        ];
+        assert!(load_violations(&levels).is_empty());
+        // A batched digest that differs from the sequential replay.
+        let mut tampered = levels.clone();
+        tampered[1].gate_digest ^= 1;
         assert!(!load_violations(&tampered).is_empty());
         // Equality at a low-load level is tolerated (arrival spacing can
         // hide the build there) but never at the saturated level, and a
         // warm cache that makes things *worse* fails anywhere.
-        let mut even = report.clone();
-        even.levels[0].warm_p50_ns = even.levels[0].cold_p50_ns;
+        let mut even = levels.clone();
+        even[0].warm_p50_ns = even[0].cold_p50_ns;
         assert!(load_violations(&even).is_empty());
-        let mut slow = report.clone();
-        slow.levels[2].warm_p50_ns = slow.levels[2].cold_p50_ns;
+        let mut slow = levels.clone();
+        slow[2].warm_p50_ns = slow[2].cold_p50_ns;
         assert!(!load_violations(&slow).is_empty());
-        let mut worse = report.clone();
-        worse.levels[0].warm_p50_ns = worse.levels[0].cold_p50_ns + 1;
+        let mut worse = levels.clone();
+        worse[0].warm_p50_ns = worse[0].cold_p50_ns + 1;
         assert!(!load_violations(&worse).is_empty());
-        let mut lost = report;
-        lost.levels[2].completed = 3;
+        let mut lost = levels;
+        lost[2].completed = 3;
         assert!(!load_violations(&lost).is_empty());
     }
 
     #[test]
-    fn quick_and_full_share_the_gate_prefix_and_claims_hold() {
+    fn claims_hold_on_a_shrunken_snapshot() {
         // A shrunken snapshot keeps the real sweep fast enough for debug
         // tests while still exercising the whole cold/warm/sequential
         // pipeline.
@@ -430,37 +368,20 @@ mod tests {
         // Gaps scaled down with the snapshot so the cold build still
         // dominates the arrival window (the warm-beats-cold claim must
         // bind in the shrunken sweep exactly as it does in the real one).
-        let levels = vec![
-            ("low".to_string(), 20_000u64),
-            ("med".to_string(), 5_000),
-            ("high".to_string(), 1_250),
-        ];
-        let quick = run_with(true, &cfg, &levels);
-        let full = run_with(false, &cfg, &levels);
+        let stats = run_with(&cfg, &[("low", 20_000), ("med", 5_000), ("high", 1_250)]);
         assert!(
-            load_violations(&quick).is_empty(),
+            load_violations(&stats).is_empty(),
             "{:?}",
-            load_violations(&quick)
+            load_violations(&stats)
         );
-        assert!(
-            load_violations(&full).is_empty(),
-            "{:?}",
-            load_violations(&full)
-        );
-        assert_eq!(gate_lines(&quick), gate_lines(&full));
-        // The quick run must validate the full run's committed artifact.
-        assert!(crate::gate::check(&gate_lines(&quick), &to_json(&full)).is_empty());
         // Higher offered load (smaller gaps) compresses the makespan.
-        assert!(
-            full.level("high").unwrap().warm_makespan_ns
-                <= full.level("low").unwrap().warm_makespan_ns
-        );
+        assert!(stats[2].warm_makespan_ns <= stats[0].warm_makespan_ns);
     }
 
     #[test]
     fn workload_prefix_is_independent_of_length() {
         let short = workload(GATE_REQUESTS, 1_000, 7);
-        let long = workload(GATE_REQUESTS * 4, 1_000, 7);
+        let long = workload(REQUESTS, 1_000, 7);
         assert_eq!(short[..], long[..GATE_REQUESTS]);
     }
 }

@@ -1,35 +1,19 @@
-//! # smp-bench — paper-figure regeneration and digest-gated DES reports
+//! # smp-bench — paper-figure regeneration
 //!
-//! Two halves:
+//! One driver per figure in the paper's evaluation (Figures 4–10) and per
+//! ablation ([`figures`]), regenerating the series the paper plots as
+//! printed tables and CSV files under `results/`. Run via
+//! `cargo run --release -p smp-bench --bin figures -- <id|all|ablations>`.
 //!
-//! * the **figure harness** ([`figures`]): one driver per figure in the
-//!   paper's evaluation (Figures 4–10), regenerating the same series the
-//!   paper plots, as printed tables and CSV files under `results/`.
-//!   Run via `cargo run --release -p smp-bench --bin figures -- <fig|all>`;
-//! * the **`probe` binary's reports**, each gated by the deterministic
-//!   digests of a committed `BENCH_*.json` ([`gate`]):
-//!   * the **restart-portfolio tail benchmark** ([`portfolio`], run as
-//!     `probe portfolio`) sweeps Luby/fixed/no-restart portfolios over a
-//!     heavy-tailed narrow-passage scenario on the DES and emits
-//!     `BENCH_portfolio.json`: p50/p99/tail-mass of virtual solve time
-//!     plus per-configuration ledger digests (DESIGN.md §14);
-//!   * the **planning-as-a-service load benchmark** ([`serve`], run as
-//!     `probe serve`) drives a multi-tenant query workload through
-//!     `smp_serve::Server` at three offered-load levels, cold and
-//!     prewarmed, and emits `BENCH_serve.json`: p50/p99 request latency
-//!     and throughput per level plus per-level answer digests
-//!     (DESIGN.md §15).
-//!
-//! Both reports are DES virtual time, i.e. model output. Wall-clock speed
-//! is measured by the standalone benchmark in `benchmark/`
-//! (`BENCHMARK.json`); the kernels' deterministic work counters are
-//! pinned by the tier-1 test `tests/kernel_gates.rs` (DESIGN.md §11).
+//! Every table is DES virtual time, i.e. model output — including the
+//! restart-portfolio tail (`restarts`) and the serving-layer load sweep
+//! (`serve-load`). Wall-clock speed is measured by the standalone
+//! benchmark in `benchmark/` (`BENCHMARK.json`). The tier-1 tests pin the
+//! figures' quick-scale CSV digests (`tests/harness_smoke.rs`) and the
+//! portfolio-ledger and serve-answer digests (`tests/kernel_gates.rs`).
 
 pub mod config;
 pub mod figures;
-pub mod gate;
-pub mod portfolio;
-pub mod serve;
 pub mod table;
 
 pub use config::HarnessConfig;

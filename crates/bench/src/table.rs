@@ -1,6 +1,5 @@
 //! Result tables: aligned console printing + CSV output.
 
-use std::io::Write;
 use std::path::Path;
 
 /// A labelled table of experiment results.
@@ -55,36 +54,30 @@ impl Table {
         out
     }
 
-    /// Write as CSV (comma-separated, quoted only when needed).
+    /// The CSV text: comma-separated, quoted only when needed, one line
+    /// per row after the header.
+    pub fn to_csv(&self) -> String {
+        let quote = |s: &String| {
+            if s.contains(',') || s.contains('"') {
+                format!("\"{}\"", s.replace('"', "\"\""))
+            } else {
+                s.clone()
+            }
+        };
+        let mut out = String::new();
+        for line in std::iter::once(&self.headers).chain(&self.rows) {
+            out.push_str(&line.iter().map(quote).collect::<Vec<_>>().join(","));
+            out.push('\n');
+        }
+        out
+    }
+
+    /// Write [`Table::to_csv`] to `path`, creating its directory.
     pub fn write_csv(&self, path: &Path) -> std::io::Result<()> {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
-        let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-        let quote = |s: &str| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        writeln!(
-            f,
-            "{}",
-            self.headers
-                .iter()
-                .map(|h| quote(h))
-                .collect::<Vec<_>>()
-                .join(",")
-        )?;
-        for row in &self.rows {
-            writeln!(
-                f,
-                "{}",
-                row.iter().map(|c| quote(c)).collect::<Vec<_>>().join(",")
-            )?;
-        }
-        f.flush()
+        std::fs::write(path, self.to_csv())
     }
 }
 
@@ -119,15 +112,12 @@ mod tests {
     }
 
     #[test]
-    fn csv_roundtrip_quoting() {
-        let dir = std::env::temp_dir().join("smp_table_test");
-        let path = dir.join("t.csv");
+    fn csv_quotes_only_when_needed() {
         let mut t = Table::new("x", &["a", "b"]);
-        t.push_row(vec!["with,comma".into(), "plain".into()]);
-        t.write_csv(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"with,comma\",plain"));
-        std::fs::remove_dir_all(&dir).ok();
+        t.push_row(vec!["with,comma".into(), "say \"hi\"".into()]);
+        t.push_row(vec!["plain".into(), "1.5".into()]);
+        let csv = "a,b\n\"with,comma\",\"say \"\"hi\"\"\"\nplain,1.5\n";
+        assert_eq!(t.to_csv(), csv);
     }
 
     #[test]

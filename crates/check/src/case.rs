@@ -92,6 +92,12 @@ impl CaseSpec {
             + usize::from(!matches!(self.schedule, SchedulePlan::Fifo))
     }
 
+    /// Whether two executions give bit-identical results. On the DES
+    /// they must: a difference is a determinism bug in the simulator.
+    pub fn replays_identically(&self) -> bool {
+        self.run() == self.run()
+    }
+
     /// Execute the case deterministically.
     pub fn run(&self) -> Result<(SimReport, Quiescence), SimError> {
         let cfg = SimConfig {

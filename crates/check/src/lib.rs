@@ -30,7 +30,8 @@
 //! Failures serialize to a line-oriented replay file (see [`repro`])
 //! naming the backend, which `smp-check --replay` re-executes. DES
 //! failures first shrink greedily to a locally-minimal case; their
-//! replays are exact and `probe --replay` re-runs them too.
+//! replays are exact, so `--replay` runs a DES case twice and fails if
+//! the two results differ.
 //!
 //! ```text
 //! cargo run -p smp-check -- --runs 1000          # DES

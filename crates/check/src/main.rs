@@ -10,8 +10,9 @@
 //!
 //! `--runs` sweeps the DES, `--live-smoke` the live backend and
 //! `--dist-smoke` worker processes; all three run the same cases through
-//! the same catalog. Exit status is 0 only if every run satisfied every
-//! oracle.
+//! the same catalog. `--replay` re-executes a repro file on its backend;
+//! a DES repro runs twice and the two results must be bit-identical.
+//! Exit status is 0 only if every run satisfied every oracle.
 
 use smp_check::harness::{fuzz, FuzzConfig};
 use smp_check::{oracles, repro, Backend};
@@ -245,6 +246,13 @@ fn run_replay(path: &std::path::Path) -> ExitCode {
         spec.num_pes(),
         backend.name()
     );
+    if backend == Backend::Des {
+        if !spec.replays_identically() {
+            eprintln!("smp-check: replay is not deterministic: two DES runs differ");
+            return ExitCode::FAILURE;
+        }
+        println!("smp-check: determinism — two DES runs bit-identical");
+    }
     let violations = oracles::check_case(&spec, backend);
     if violations.is_empty() {
         println!("smp-check: replay PASSED — all oracles satisfied");

@@ -1,8 +1,8 @@
 //! The replay-file format.
 //!
 //! A shrunk failure serializes to a small, line-oriented text file that
-//! `smp-check --replay` re-executes on the backend it failed on (and
-//! `probe --replay` re-executes on the DES, where replay is exact).
+//! `smp-check --replay` re-executes on the backend it failed on (twice
+//! on the DES, where replay is exact and the two runs must agree).
 //! The format is versioned, order-insensitive past the header, and
 //! self-describing (DESIGN.md §10):
 //!
@@ -295,6 +295,15 @@ mod tests {
         // the wall-clock crash fields travelled, not just their defaults
         assert!(crashes.iter().any(|c| c.respawn));
         assert!(crashes.iter().any(|c| c.after_tasks != 1));
+    }
+
+    #[test]
+    fn parsed_cases_replay_identically_on_the_des() {
+        for seed in 0..20 {
+            let text = serialize(&generate_case(seed), Backend::Des, &[]);
+            let (case, _) = parse(&text).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            assert!(case.replays_identically(), "seed {seed}");
+        }
     }
 
     #[test]

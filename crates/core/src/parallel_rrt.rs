@@ -485,9 +485,16 @@ fn execute_rrt<const D: usize>(
         construction,
     });
 
-    // A repartitioning run already cast its rays; reuse them.
+    // A repartitioning run that cast the workload's own ray count already
+    // has these weights; reuse them.
+    let cast_own_rays = matches!(
+        strategy,
+        Strategy::Repartition(WeightKind::KRays(k)) | Strategy::RectPartition(WeightKind::KRays(k))
+            if *k == cfg.krays
+    );
     let krays_weights = bal
         .weights
+        .filter(|_| cast_own_rays)
         .unwrap_or_else(|| weights::krays_weights(cfg.env, &sub, cfg.krays, cfg.seed));
     let workload = RrtWorkload {
         sub,

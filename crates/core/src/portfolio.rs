@@ -154,7 +154,7 @@ impl PortfolioLedger {
     }
 
     /// FNV-1a digest over every field — the byte-identity gate the
-    /// differential tests and `BENCH_portfolio.json` pin.
+    /// differential tests and `tests/kernel_gates.rs` pin.
     pub fn digest(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -533,7 +533,8 @@ impl Server {
         // One DES phase: the measured costs are replayed through the
         // simulator for the batch's virtual schedule. The model's
         // schedule is static on all `threads` PEs: the virtual latencies
-        // are a recorded reference (`BENCH_serve.json`), not a throughput.
+        // are a recorded reference (`results/serve-load.csv`), not a
+        // throughput.
         let assignment = round_robin(batch.len(), self.cfg.threads.max(1));
         let spec = ExecSpec {
             n_tasks: batch.len(),

@@ -9,15 +9,25 @@
 //! *price* — the degradation ratio of the faulted makespan over the
 //! fault-free one.
 //!
+//! The same `FaultPlan` vocabulary then drives real OS threads (DESIGN.md
+//! §13): on 2 threads, worker 1 panics after its first task, worker 0 is a
+//! 2× straggler and 30 % of steal grants are lost. The faulted run's
+//! merged roadmap must equal the fault-free one, and a spent deadline must
+//! stop the run cooperatively with a partial outcome.
+//!
 //! ```text
 //! cargo run --release --example fault_tolerance
 //! ```
 
 use smp::core::{
-    build_prm_workload, replay_prm, ParallelPrmConfig, RunOptions, Strategy, WeightKind,
+    assemble_prm_roadmap, build_prm_workload, replay_prm, roadmap_digest, run_prm, On,
+    ParallelPrmConfig, RunOptions, Strategy, WeightKind,
 };
 use smp::geom::envs;
-use smp::runtime::{FaultPlan, MachineModel, StealConfig, StealPolicyKind};
+use smp::runtime::{
+    FaultPlan, LiveControl, LiveOutcome, MachineModel, StealConfig, StealPolicyKind, VTime,
+};
+use std::time::Duration;
 
 fn main() {
     let env = envs::med_cube();
@@ -87,4 +97,43 @@ fn main() {
          degradation stays well below the static mappings', which pay the\n\
          full 4x on the slow PE plus the re-execution of the dead PE's queue."
     );
+    live_resilience(&cfg);
+}
+
+/// `cfg` on 2 live threads under one fixed fault plan, then under a spent
+/// deadline.
+fn live_resilience(cfg: &ParallelPrmConfig<'_, 3>) {
+    let strategy = Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Hybrid(8)));
+    let run = |control: &LiveControl| {
+        run_prm(cfg, On::Live(control), RunOptions::new(2, &strategy)).expect("live run recovers")
+    };
+    let (base_w, base) = run(&LiveControl::default())
+        .into_result()
+        .expect("completes");
+    let plan = FaultPlan::new(0xFA_017)
+        .with_task_crash(1, 1, false)
+        .with_straggler(0, 0, VTime::MAX, 2.0)
+        .with_message_loss(0.3);
+    let control = LiveControl::default().with_faults(plan);
+    let (w, faulted) = run(&control).into_result().expect("recovers");
+    let digest = roadmap_digest(&assemble_prm_roadmap(&w));
+    assert_eq!(digest, roadmap_digest(&assemble_prm_roadmap(&base_w)));
+    let r = &faulted.construction.resilience;
+    println!(
+        "\nLive, 2 threads, {}: worker 1 crashes after 1 task, worker 0 runs 2x slow,\n\
+         30% of steal grants are lost. Wall {:.1} ms -> {:.1} ms, roadmap digest\n\
+         {digest:#018x} unchanged; {} crash, {} tasks recovered, {} re-executed.",
+        strategy.label(),
+        base.total_time as f64 / 1e6,
+        faulted.total_time as f64 / 1e6,
+        r.crashes,
+        r.tasks_recovered,
+        r.tasks_reexecuted,
+    );
+    match run(&LiveControl::default().with_deadline(Duration::ZERO)) {
+        LiveOutcome::Partial(p) => {
+            println!("A spent deadline stops in {}: {:?}", p.phase, p.status)
+        }
+        LiveOutcome::Complete(_) => panic!("a spent deadline must stop the run"),
+    }
 }

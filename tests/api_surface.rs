@@ -6,7 +6,8 @@
 //! name). A new `run_*` / `replay_*` / `simulate*` function therefore
 //! needs an edit of [`ENTRY_POINTS`] — and a reviewer who agrees it is not
 //! one more `_faulted` / `_observed` twin. The manifests are held to the
-//! same rule: a dependency nothing uses is deleted, not kept around.
+//! same rule: a dependency nothing uses is deleted, not kept around — in
+//! the workspace table, in `vendor/` and in each crate's own manifest.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -168,6 +169,29 @@ fn workspace_dependencies_are_all_used() {
     assert!(
         unnamed.is_empty(),
         "no member uses {unnamed:?}: delete them"
+    );
+
+    // Every library dependency of a crate is imported by that crate's
+    // own `src/`.
+    let mut unimported = Vec::new();
+    for entry in fs::read_dir(repo("crates")).expect("crates/") {
+        let dir = entry.expect("dir entry").path();
+        let manifest = dir.join("Cargo.toml");
+        if !manifest.is_file() {
+            continue;
+        }
+        let mut files = Vec::new();
+        rust_files(&dir.join("src"), true, &mut files);
+        let texts: Vec<String> = files.iter().map(|f| read(f)).collect();
+        for dep in dependency_names(&read(&manifest), |h| h == "[dependencies]") {
+            if !texts.iter().any(|t| imports(t, &dep)) {
+                unimported.push(format!("{}: {dep}", dir.display()));
+            }
+        }
+    }
+    assert!(
+        unimported.is_empty(),
+        "dependencies no source file imports: {unimported:?}"
     );
 
     // Every vendored crate is imported by the workspace's own code, or is

@@ -113,13 +113,18 @@ fn live_rrt_digest_matches_des_across_threads_and_strategies() {
         lp_resolution: 0.04,
         ..ParallelRrtConfig::new(&env)
     };
-    let des_digest = roadmap_digest(&assemble_rrt_tree(&build_rrt_workload(&cfg)));
+    let des = build_rrt_workload(&cfg);
+    let des_digest = roadmap_digest(&assemble_rrt_tree(&des));
+    // `KRays(2)` balances on fewer rays than the workload's own
+    // `cfg.krays` (4): the returned `krays_weights` must still be the
+    // workload's, as the DES measures them.
     let strategies = [
         Strategy::NoLb,
         Strategy::WorkStealing(StealConfig::new(StealPolicyKind::RandK(8))),
         Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Diffusive)),
         Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Hybrid(8))),
         Strategy::Repartition(WeightKind::KRays(4)),
+        Strategy::Repartition(WeightKind::KRays(2)),
     ];
     for threads in THREAD_COUNTS {
         for strategy in &strategies {
@@ -128,6 +133,12 @@ fn live_rrt_digest_matches_des_across_threads_and_strategies() {
                 roadmap_digest(&assemble_rrt_tree(&w)),
                 des_digest,
                 "live RRT digest drift: threads={threads} strategy={}",
+                strategy.label()
+            );
+            assert_eq!(
+                w.krays_weights,
+                des.krays_weights,
+                "live RRT krays_weights drift: threads={threads} strategy={}",
                 strategy.label()
             );
         }

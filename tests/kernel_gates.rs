@@ -8,19 +8,30 @@
 //! change that stays self-consistent but moves one of them — and with it
 //! the counters every DES cost and golden trace is derived from — fails
 //! here. The partitioner and the DES's victim draw are pinned the same
-//! way at the paper's PE counts (`des_at_paper_scale`). Nothing is timed:
-//! wall-clock speed is the business of `benchmark/` (`BENCHMARK.json`).
+//! way at the paper's PE counts (`des_at_paper_scale`), and the two
+//! model-output figures with a claim of their own — the restart
+//! portfolio's ledgers and tail, and the serving layer's answers and
+//! cold/warm latencies — by their digests and asserted claims. Nothing is
+//! timed: wall-clock speed is the business of `benchmark/`
+//! (`BENCHMARK.json`).
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use smp_bench::figures::{restarts, serve_load};
 use smp_core::partition::greedy_lpt;
-use smp_core::{assemble_prm_roadmap, build_prm_workload, roadmap_digest, ParallelPrmConfig};
+use smp_core::{
+    assemble_prm_roadmap, build_prm_workload, roadmap_digest, ParallelPrmConfig, Strategy,
+};
 use smp_cspace::{BoxSampler, EnvValidity, LocalPlanner, StraightLinePlanner, WorkCounters};
 use smp_geom::{envs, Environment, Point};
 use smp_graph::{IncrementalNn, KdTree, KnnScratch, OwnerMap};
 use smp_plan::rrt::{grow_rrt, RrtParams};
 use smp_runtime::{simulate, MachineModel, SimConfig, StealConfig, StealPolicyKind};
+use smp_serve::fnv_mix;
 use std::sync::OnceLock;
+
+/// FNV-1a offset basis of the byte-wise folds (`smp_serve::fnv_mix`).
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// The 604-obstacle clutter four kernels run in, built once per binary so
 /// they share its lazily built SoA arrays and uniform grid.
@@ -316,6 +327,67 @@ fn des_at_paper_scale() {
             ("steal_hits", 5_018),
             ("tasks_transferred", 5_018),
             ("executed_by_checksum", 9_842_724_358_638_205_071)
+        ]
+    );
+}
+
+/// The `restarts` figure's scenario (DESIGN.md §14): an FNV fold of the
+/// first 8 trials' portfolio-ledger digests per schedule, and the tail
+/// claim over those trials — the Luby portfolio's p99 beats the single
+/// run's, and every portfolio solves every trial within budget.
+#[test]
+fn restart_portfolio_ledgers() {
+    const TRIALS: usize = 8;
+    let env = restarts::heavy_tail_env();
+    let base = restarts::heavy_tail_scenario(&env);
+    let schedules = restarts::schedules();
+    let (mut digests, mut p99) = (Vec::new(), Vec::new());
+    for (label, members, schedule) in &schedules {
+        let (mut digest, mut solved, mut times) = (FNV_OFFSET, 0, Vec::new());
+        for trial in 0..TRIALS {
+            let (time, ledger) = restarts::trial(&base, *members, *schedule, Strategy::NoLb, trial);
+            digest = fnv_mix(digest, ledger.digest());
+            solved += usize::from(ledger.winner.is_some());
+            times.push(time);
+        }
+        if label != "single" {
+            assert_eq!(solved, TRIALS, "{label}: unsolved trials");
+        }
+        times.sort_unstable();
+        p99.push(restarts::percentile(&times, 0.99));
+        digests.push((label.as_str(), digest));
+    }
+    assert!(p99[3] < p99[0], "luby p99 must beat single p99: {p99:?}");
+    assert_eq!(
+        digests,
+        [
+            ("single", 0x5098_6a90_34e0_590e),
+            ("par-none", 0xdf90_479c_6638_f599),
+            ("fixed-2000", 0x6252_03ad_d3c3_90c8),
+            ("luby-2500", 0xd57c_8a7c_9c99_6bc1)
+        ]
+    );
+}
+
+/// The `serve-load` figure (DESIGN.md §15): per load level, an FNV fold of
+/// the first 24 answers, and the sweep's claims — every request
+/// completes, batched == warm == sequential answers, warm p50 ≤ cold p50
+/// (strictly at the saturated level) and warm makespan ≤ cold makespan.
+#[test]
+fn serve_load_answers() {
+    let levels = serve_load::run();
+    let violations = serve_load::load_violations(&levels);
+    assert!(violations.is_empty(), "{violations:?}");
+    let digests: Vec<(&str, u64)> = levels
+        .iter()
+        .map(|l| (l.label.as_str(), l.gate_digest))
+        .collect();
+    assert_eq!(
+        digests,
+        [
+            ("low", 0x7dec_6c21_2a55_35d8),
+            ("med", 0x7dec_6c21_2a55_35d8),
+            ("high", 0x7dec_6c21_2a55_35d8)
         ]
     );
 }
