@@ -49,7 +49,7 @@ use serde::{Deserialize, Serialize};
 use smp_cspace::{derive_seed, BoxSampler, Cfg, EnvValidity, StraightLinePlanner, WorkCounters};
 use smp_cspace::{LocalPlanner, Sampler, ValidityChecker};
 use smp_geom::{Environment, GridSubdivision};
-use smp_graph::{KdTree, RegionGraph};
+use smp_graph::{ConnectTurns, KdTree, RegionGraph};
 use smp_obs::Tracer;
 use smp_plan::connect::{connect_roadmaps, CandidateEdge};
 use smp_runtime::dist::{DistExecutor, DistOptions};
@@ -202,14 +202,16 @@ pub(crate) fn connect_region<const D: usize>(
     let validity = EnvValidity::new(cfg.env, cfg.robot_radius);
     let lp = StraightLinePlanner::new(cfg.lp_resolution);
     let mut con_work = WorkCounters::new();
-    let mut edges = Vec::new();
+    let mut edges: Vec<(u32, u32, f64)> = Vec::new();
     if cfgs.len() >= 2 && cfg.k_neighbors > 0 {
         let tree = KdTree::build(cfgs);
         // scratch + output buffers shared by every query against this
         // region's tree: the connection loop performs no per-query allocation
         let mut scratch = smp_graph::KnnScratch::new();
         let mut nns: Vec<(usize, f64)> = Vec::new();
+        let mut turns = ConnectTurns::with_capacity(cfgs.len());
         for (i, q) in cfgs.iter().enumerate() {
+            turns.begin(edges.len());
             con_work.knn_queries += 1;
             tree.k_nearest_into(
                 q,
@@ -220,11 +222,7 @@ pub(crate) fn connect_region<const D: usize>(
                 &mut nns,
             );
             for &(j, dist) in &nns {
-                if j < i
-                    && edges
-                        .iter()
-                        .any(|&(a, b, _)| (a, b) == (j as u32, i as u32))
-                {
+                if j < i && turns.linked(j, i, |e| (edges[e].0, edges[e].1)) {
                     continue;
                 }
                 let out = lp.check(q, &cfgs[j], &validity, &mut con_work);

@@ -1,10 +1,17 @@
-//! Compact undirected adjacency-list graph.
+//! Compact undirected graph with a lazily built CSR adjacency index.
 //!
 //! Vertices and edges carry payloads (`V`, `E`). Indices are `u32` (the
 //! perf-book "smaller integers" idiom); a roadmap with > 4 billion vertices
 //! is out of scope.
+//!
+//! Building a graph only appends to two flat `Vec`s. The adjacency index —
+//! one offset array plus one flat neighbour array — is built on the first
+//! [`Graph::neighbors`] / [`Graph::degree`] / [`Graph::has_edge`] and
+//! dropped by any mutation of the vertex or edge set, so a graph that is
+//! built, digested and dropped never pays for it.
 
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Vertex identifier (dense, 0-based).
 pub type VertexId = u32;
@@ -16,8 +23,55 @@ pub type EdgeId = u32;
 pub struct Graph<V, E> {
     vertices: Vec<V>,
     edges: Vec<(VertexId, VertexId, E)>,
-    /// adjacency[v] = list of (neighbor, edge id)
-    adjacency: Vec<Vec<(VertexId, EdgeId)>>,
+    /// Adjacency, built on first read; empty until then and after any
+    /// mutation.
+    #[serde(skip)]
+    index: OnceLock<Csr>,
+}
+
+/// Compressed sparse rows: the neighbours of `v` are
+/// `nbrs[start[v]..start[v + 1]]` as (neighbor, edge id) pairs, in edge-id
+/// order, with one entry for a self-loop.
+#[derive(Debug, Clone)]
+struct Csr {
+    start: Vec<u32>,
+    nbrs: Vec<(VertexId, EdgeId)>,
+}
+
+impl Csr {
+    /// One counting pass and one fill pass over `edges`.
+    fn build<E>(n: usize, edges: &[(VertexId, VertexId, E)]) -> Self {
+        // start[v] counts the entries of vertices 0..=v ...
+        let mut start = vec![0u32; n + 1];
+        for &(a, b, _) in edges {
+            start[a as usize] += 1;
+            if a != b {
+                start[b as usize] += 1;
+            }
+        }
+        let mut total = 0u32;
+        for s in &mut start[..n] {
+            total += *s;
+            *s = total;
+        }
+        start[n] = total;
+        // ... and a reverse fill walks each start[v] down to v's first slot,
+        // leaving every list in edge-id order.
+        let mut nbrs = vec![(0, 0); total as usize];
+        for (e, &(a, b, _)) in edges.iter().enumerate().rev() {
+            start[a as usize] -= 1;
+            nbrs[start[a as usize] as usize] = (b, e as EdgeId);
+            if a != b {
+                start[b as usize] -= 1;
+                nbrs[start[b as usize] as usize] = (a, e as EdgeId);
+            }
+        }
+        Csr { start, nbrs }
+    }
+
+    fn neighbors(&self, v: VertexId) -> &[(VertexId, EdgeId)] {
+        &self.nbrs[self.start[v as usize] as usize..self.start[v as usize + 1] as usize]
+    }
 }
 
 impl<V, E> Default for Graph<V, E> {
@@ -32,16 +86,16 @@ impl<V, E> Graph<V, E> {
         Graph {
             vertices: Vec::new(),
             edges: Vec::new(),
-            adjacency: Vec::new(),
+            index: OnceLock::new(),
         }
     }
 
-    /// Empty graph with vertex capacity reserved.
+    /// Empty graph with vertex and edge capacity reserved.
     pub fn with_capacity(nv: usize, ne: usize) -> Self {
         Graph {
             vertices: Vec::with_capacity(nv),
             edges: Vec::with_capacity(ne),
-            adjacency: Vec::with_capacity(nv),
+            index: OnceLock::new(),
         }
     }
 
@@ -61,12 +115,11 @@ impl<V, E> Graph<V, E> {
     pub fn add_vertex(&mut self, payload: V) -> VertexId {
         let id = self.vertices.len() as VertexId;
         self.vertices.push(payload);
-        self.adjacency.push(Vec::new());
+        self.index.take();
         id
     }
 
-    /// Add an undirected edge. Parallel edges and self-loops are permitted
-    /// (callers that care use [`Graph::has_edge`] first).
+    /// Add an undirected edge. Parallel edges and self-loops are permitted.
     ///
     /// # Panics
     /// Panics if either endpoint is out of range.
@@ -81,10 +134,7 @@ impl<V, E> Graph<V, E> {
         );
         let id = self.edges.len() as EdgeId;
         self.edges.push((a, b, payload));
-        self.adjacency[a as usize].push((b, id));
-        if a != b {
-            self.adjacency[b as usize].push((a, id));
-        }
+        self.index.take();
         id
     }
 
@@ -102,23 +152,27 @@ impl<V, E> Graph<V, E> {
         (a, b, p)
     }
 
-    /// Neighbours of `v` as (neighbor, edge id) pairs.
+    /// Neighbours of `v` as (neighbor, edge id) pairs, in edge-id order.
+    /// The first read after a mutation builds the adjacency index (O(V + E)).
     pub fn neighbors(&self, v: VertexId) -> &[(VertexId, EdgeId)] {
-        &self.adjacency[v as usize]
+        self.index
+            .get_or_init(|| Csr::build(self.vertices.len(), &self.edges))
+            .neighbors(v)
     }
 
     pub fn degree(&self, v: VertexId) -> usize {
-        self.adjacency[v as usize].len()
+        self.neighbors(v).len()
     }
 
-    /// True if an edge between `a` and `b` exists.
+    /// True if an edge between `a` and `b` exists. Reads the adjacency
+    /// index, so it is not for use between `add_edge` calls.
     pub fn has_edge(&self, a: VertexId, b: VertexId) -> bool {
         let (s, t) = if self.degree(a) <= self.degree(b) {
             (a, b)
         } else {
             (b, a)
         };
-        self.adjacency[s as usize].iter().any(|&(n, _)| n == t)
+        self.neighbors(s).iter().any(|&(n, _)| n == t)
     }
 
     /// Iterate vertex ids.
@@ -142,13 +196,57 @@ impl<V, E> Graph<V, E> {
     pub fn absorb(&mut self, other: Graph<V, E>) -> VertexId {
         let offset = self.vertices.len() as VertexId;
         self.vertices.extend(other.vertices);
-        for _ in 0..(self.vertices.len() - self.adjacency.len()) {
-            self.adjacency.push(Vec::new());
-        }
-        for (a, b, p) in other.edges {
-            self.add_edge(a + offset, b + offset, p);
-        }
+        self.edges.extend(
+            other
+                .edges
+                .into_iter()
+                .map(|(a, b, p)| (a + offset, b + offset, p)),
+        );
+        self.index.take();
         offset
+    }
+}
+
+/// Where each vertex's turn starts in the edge list of a k-nearest
+/// connection loop, which visits the vertices in id order and appends only
+/// edges incident to the vertex whose turn it is.
+///
+/// In such a loop the edge {j, i} with j < i can have been added before
+/// turn i only during j's turn, and each turn's edges are contiguous, so
+/// "is {j, i} already an edge?" is a scan of j's at most k entries — not a
+/// read of [`Graph::neighbors`], whose index every `add_edge` drops.
+#[derive(Debug)]
+pub struct ConnectTurns {
+    first: Vec<u32>,
+}
+
+impl ConnectTurns {
+    /// Log for a loop over `n` vertices.
+    pub fn with_capacity(n: usize) -> Self {
+        ConnectTurns {
+            first: Vec::with_capacity(n),
+        }
+    }
+
+    /// Open the next vertex's turn; `edges` is the edge count so far.
+    pub fn begin(&mut self, edges: usize) {
+        self.first.push(edges as u32);
+    }
+
+    /// True if the turn of `j` added an edge joining `j` and `i`, where
+    /// `j < i` and `i`'s turn is open. `endpoints(e)` gives edge `e`'s ends.
+    pub fn linked(
+        &self,
+        j: usize,
+        i: usize,
+        endpoints: impl Fn(usize) -> (VertexId, VertexId),
+    ) -> bool {
+        debug_assert!(j < i && i < self.first.len(), "turn {j} is not closed");
+        let (jv, iv) = (j as VertexId, i as VertexId);
+        (self.first[j] as usize..self.first[j + 1] as usize).any(|e| {
+            let (a, b) = endpoints(e);
+            (a, b) == (jv, iv) || (a, b) == (iv, jv)
+        })
     }
 }
 
@@ -213,6 +311,18 @@ mod tests {
         assert_eq!(g.num_edges(), 6);
         assert!(g.has_edge(3, 4));
         assert!(!g.has_edge(0, 3));
+    }
+
+    #[test]
+    fn mutation_drops_a_built_index() {
+        let mut g = triangle();
+        assert_eq!(g.degree(0), 2);
+        let d = g.add_vertex("d");
+        assert_eq!(g.degree(d), 0);
+        g.add_edge(d, 0, 4.0);
+        assert_eq!(g.neighbors(0), &[(1, 0), (2, 2), (3, 3)]);
+        g.absorb(triangle());
+        assert_eq!(g.neighbors(4), &[(5, 4), (6, 6)]);
     }
 
     #[test]

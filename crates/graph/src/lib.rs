@@ -23,7 +23,7 @@ pub mod region_graph;
 pub mod search;
 pub mod union_find;
 
-pub use graph::{EdgeId, Graph, VertexId};
+pub use graph::{ConnectTurns, EdgeId, Graph, VertexId};
 pub use kdtree::{KdTree, KnnScratch};
 pub use nn_index::IncrementalNn;
 pub use partitioned::{OwnerMap, RemoteAccessCounter};

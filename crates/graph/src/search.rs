@@ -82,7 +82,34 @@ pub fn astar<V, E>(
     weight: impl Fn(&E) -> f64,
     h: impl Fn(VertexId) -> f64,
 ) -> Option<(Vec<VertexId>, f64)> {
-    let n = g.num_vertices();
+    let weight = &weight;
+    astar_by(
+        g.num_vertices(),
+        start,
+        goal,
+        |v| {
+            g.neighbors(v)
+                .iter()
+                .map(move |&(u, e)| (u, weight(g.edge(e).2)))
+        },
+        h,
+    )
+}
+
+/// The A* body, over any graph of `n` vertices whose adjacency `expand(v)`
+/// yields as `(neighbour, edge weight)` pairs. The result depends only on
+/// the pairs yielded and their order, so two graphs that yield the same
+/// pairs in the same order get bit-identical paths and costs.
+pub fn astar_by<I>(
+    n: usize,
+    start: VertexId,
+    goal: VertexId,
+    expand: impl Fn(VertexId) -> I,
+    h: impl Fn(VertexId) -> f64,
+) -> Option<(Vec<VertexId>, f64)>
+where
+    I: IntoIterator<Item = (VertexId, f64)>,
+{
     if start as usize >= n || goal as usize >= n {
         return None;
     }
@@ -101,8 +128,7 @@ pub fn astar<V, E>(
         if cost - h(v) > dist[v as usize] + 1e-12 {
             continue; // stale entry
         }
-        for &(u, e) in g.neighbors(v) {
-            let w = weight(g.edge(e).2);
+        for (u, w) in expand(v) {
             debug_assert!(w >= 0.0, "negative edge weight");
             let nd = dist[v as usize] + w;
             if nd < dist[u as usize] {

@@ -8,7 +8,7 @@
 use crate::roadmap::Roadmap;
 use rand::Rng;
 use smp_cspace::{Cfg, LocalPlanner, Sampler, ValidityChecker, WorkCounters};
-use smp_graph::KdTree;
+use smp_graph::{ConnectTurns, KdTree};
 
 /// PRM parameters.
 #[derive(Debug, Clone, Copy)]
@@ -106,7 +106,9 @@ where
         // queries: zero allocations per query after the first
         let mut scratch = smp_graph::KnnScratch::new();
         let mut nns: Vec<(usize, f64)> = Vec::new();
+        let mut turns = ConnectTurns::with_capacity(samples.len());
         for (i, q) in samples.iter().enumerate() {
+            turns.begin(roadmap.num_edges());
             work.knn_queries += 1;
             tree.k_nearest_into(
                 q,
@@ -118,7 +120,12 @@ where
             );
             for &(j, dist) in &nns {
                 // attempt each undirected pair once
-                if j < i && roadmap.has_edge(j as u32, i as u32) {
+                if j < i
+                    && turns.linked(j, i, |e| {
+                        let (a, b, _) = roadmap.edge(e as u32);
+                        (a, b)
+                    })
+                {
                     continue;
                 }
                 if params.skip_same_cc && uf.same_set(i as u32, j as u32) {

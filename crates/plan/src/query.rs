@@ -7,7 +7,7 @@
 use crate::roadmap::Roadmap;
 use smp_cspace::{Cfg, LocalPlanner, ValidityChecker, WorkCounters};
 use smp_graph::search;
-use smp_graph::KdTree;
+use smp_graph::{KdTree, KnnScratch, VertexId};
 
 /// A solved query: the configuration path (start..=goal) and its length.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,8 +39,8 @@ pub enum QueryError {
     /// The roadmap has no vertices and the endpoints are not directly
     /// connectable — there is nothing to search.
     EmptyRoadmap,
-    /// Both endpoints are valid and connected to the roadmap copy, but no
-    /// path between them exists through it.
+    /// Both endpoints are valid, but no path between them exists through
+    /// the roadmap.
     Unreachable,
 }
 
@@ -134,9 +134,16 @@ where
     Ok(())
 }
 
-/// The augmented-copy connect + A* core, identical for the one-shot and
-/// indexed paths — both hand it the same `(cfgs, tree)` pair, so answers
-/// are bit-identical by construction.
+/// The connect + A* core, identical for the one-shot and indexed paths —
+/// both hand it the same `(cfgs, tree)` pair, so answers are bit-identical
+/// by construction.
+///
+/// The search runs on the roadmap plus a two-vertex overlay: start and goal
+/// get ids `n` and `n + 1`, and their endpoint edges live in a small list
+/// beside the shared roadmap instead of in a copy of it. A roadmap vertex
+/// yields its own neighbours, then its overlay edges; an endpoint yields its
+/// overlay edges. That is the adjacency order a copy with the endpoint
+/// edges appended would have, so paths and tie-breaks match it exactly.
 #[allow(clippy::too_many_arguments)]
 fn connect_and_search<const D: usize, V, L>(
     roadmap: &Roadmap<D>,
@@ -153,33 +160,67 @@ where
     V: ValidityChecker<D>,
     L: LocalPlanner<D>,
 {
-    // Work on an augmented copy: roadmap + start + goal.
-    let mut g = roadmap.clone();
-    let s = g.add_vertex(start);
-    let t = g.add_vertex(goal);
+    let n = roadmap.num_vertices() as VertexId;
+    let (s, t) = (n, n + 1);
+    // (endpoint id, roadmap vertex, length), in the order they are found
+    let mut overlay: Vec<(VertexId, VertexId, f64)> = Vec::with_capacity(2 * k.min(cfgs.len()));
 
+    let mut scratch = KnnScratch::new();
+    let mut nns: Vec<(usize, f64)> = Vec::new();
     for (endpoint, vid) in [(start, s), (goal, t)] {
         work.knn_queries += 1;
         // Batched-leaf kd query: identical (index, distance) results to
         // `k_nearest_counted` (both are exact under the strict total order),
         // so answers stay bit-identical; `knn_candidates` counts the points
         // the leaf scans actually touch. One-shot and indexed paths share
-        // this call, so their counters remain equal to each other.
-        let nns = tree.k_nearest_batched_counted(&endpoint, k, None, &mut work.knn_candidates);
-        for (j, dist) in nns {
+        // this call, so their counters remain equal to each other. Both
+        // endpoints share one scratch and one output buffer.
+        tree.k_nearest_batched_into(
+            &endpoint,
+            k,
+            None,
+            &mut work.knn_candidates,
+            &mut scratch,
+            &mut nns,
+        );
+        for &(j, dist) in &nns {
             if local_planner
                 .check(&endpoint, &cfgs[j], validity, work)
                 .valid
             {
-                g.add_edge(vid, j as u32, dist);
+                overlay.push((vid, j as VertexId, dist));
             }
         }
     }
 
-    let (path_ids, length) = search::astar(&g, s, t, |w| *w, |v| g.vertex(v).dist(&goal))
+    let cfg = |v: VertexId| {
+        if v < n {
+            *roadmap.vertex(v)
+        } else if v == s {
+            start
+        } else {
+            goal
+        }
+    };
+    let overlay = &overlay;
+    let expand = |v: VertexId| {
+        let own = if v < n { roadmap.neighbors(v) } else { &[] };
+        own.iter()
+            .map(|&(u, e)| (u, *roadmap.edge(e).2))
+            .chain(overlay.iter().filter_map(move |&(end, j, w)| {
+                if end == v {
+                    Some((j, w))
+                } else if j == v {
+                    Some((end, w))
+                } else {
+                    None
+                }
+            }))
+    };
+    let (path_ids, length) = search::astar_by(n as usize + 2, s, t, expand, |v| cfg(v).dist(&goal))
         .ok_or(QueryError::Unreachable)?;
     Ok(QueryResult {
-        path: path_ids.into_iter().map(|v| *g.vertex(v)).collect(),
+        path: path_ids.into_iter().map(cfg).collect(),
         length,
     })
 }

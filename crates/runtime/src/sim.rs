@@ -310,12 +310,6 @@ impl SimReport {
         crate::metrics::cov_u64(&self.per_pe_busy)
     }
 
-    /// Ideal makespan: total work / p.
-    pub fn ideal_makespan(&self) -> VTime {
-        let total: u128 = self.per_pe_busy.iter().map(|&b| b as u128).sum();
-        (total / self.per_pe_busy.len().max(1) as u128) as VTime
-    }
-
     /// Slowdown relative to a fault-free run of the same phase: 1.0 means
     /// the faults cost nothing, 2.0 means the run took twice as long.
     pub fn degradation_ratio(&self, fault_free_makespan: VTime) -> f64 {

@@ -135,14 +135,19 @@ fn dependency_names(manifest: &str, section: impl Fn(&str) -> bool) -> BTreeSet<
     names
 }
 
-/// True when `text` names `krate` as a path root (`krate::`).
+/// True when `text` names `krate` as a path root (`krate::`) or re-exports
+/// it whole (`use krate as alias;`).
 fn imports(text: &str, krate: &str) -> bool {
-    let needle = format!("{}::", krate.replace('-', "_"));
-    text.match_indices(&needle).any(|(i, _)| {
-        !text[..i]
+    let name = krate.replace('-', "_");
+    text.match_indices(&name).any(|(i, _)| {
+        let before = &text[..i];
+        let after = &text[i + name.len()..];
+        let starts_path = !before
             .chars()
             .next_back()
-            .is_some_and(|c| c.is_alphanumeric() || c == '_')
+            .is_some_and(|c| c.is_alphanumeric() || c == '_');
+        starts_path
+            && (after.starts_with("::") || before.ends_with("use ") && after.starts_with(" as "))
     })
 }
 
@@ -171,11 +176,12 @@ fn workspace_dependencies_are_all_used() {
         "no member uses {unnamed:?}: delete them"
     );
 
-    // Every library dependency of a crate is imported by that crate's
-    // own `src/`.
+    // Every library dependency of a package — each crate and the root
+    // package — is imported by that package's own `src/`.
     let mut unimported = Vec::new();
-    for entry in fs::read_dir(repo("crates")).expect("crates/") {
-        let dir = entry.expect("dir entry").path();
+    let crates = fs::read_dir(repo("crates")).expect("crates/");
+    let dirs = crates.map(|entry| entry.expect("dir entry").path());
+    for dir in std::iter::once(repo("")).chain(dirs) {
         let manifest = dir.join("Cargo.toml");
         if !manifest.is_file() {
             continue;
