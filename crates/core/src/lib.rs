@@ -50,6 +50,7 @@
 //! the same roadmap for the same seed (the example on [`run_prm`]).
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod adaptive;
 pub mod assemble;

@@ -16,13 +16,12 @@
 
 use crate::partition::{greedy_lpt, loads};
 use crate::weights::vfree_weights;
-use serde::{Deserialize, Serialize};
 use smp_geom::{envs, Environment, GridSubdivision};
 use smp_graph::OwnerMap;
 use smp_runtime::metrics::{cov, percent_improvement};
 
 /// Model-environment configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ModelConfig {
     /// Fraction of the unit square blocked by the centered square obstacle.
     pub blocked_fraction: f64,
@@ -43,7 +42,7 @@ impl Default for ModelConfig {
 }
 
 /// One row of the model analysis (one processor count).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ModelRow {
     /// Processor count.
     pub p: usize,

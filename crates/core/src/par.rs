@@ -2,6 +2,7 @@
 //! map over scoped threads. Results never depend on the thread count, so
 //! the measured workload is the same on any host.
 
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Thread-count override; `0` means the host's available parallelism.
@@ -35,7 +36,7 @@ pub(crate) fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync)
             .collect();
         handles
             .into_iter()
-            .flat_map(|h| h.join().expect("parallel map worker panicked"))
+            .flat_map(|h| h.join().unwrap_or_else(|panic| resume_unwind(panic)))
             .collect()
     })
 }

@@ -45,7 +45,6 @@ use crate::strategy::{Strategy, WeightKind};
 use crate::weights;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use smp_cspace::{derive_seed, BoxSampler, Cfg, EnvValidity, StraightLinePlanner, WorkCounters};
 use smp_cspace::{LocalPlanner, Sampler, ValidityChecker};
 use smp_geom::{Environment, GridSubdivision};
@@ -104,7 +103,7 @@ impl<'e, const D: usize> ParallelPrmConfig<'e, D> {
 }
 
 /// The measured outcome of one region's PRM.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RegionOutcome<const D: usize> {
     /// Valid samples (regional roadmap vertices).
     pub cfgs: Vec<Cfg<D>>,
@@ -118,7 +117,7 @@ pub struct RegionOutcome<const D: usize> {
 
 /// The measured outcome of one region-graph edge's cross connection
 /// (between two regional roadmaps, or two RRT branches).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CrossOutcome {
     /// The region-graph edge `(a, b)` this outcome belongs to.
     pub regions: (u32, u32),
@@ -360,7 +359,7 @@ fn prm_weights(kind: WeightKind, counts: &[u32], vfree: &[f64]) -> Option<Vec<f6
 }
 
 /// `RectPartition`'s index space: region ids vary fastest along axis 0,
-/// so the grid dims are reversed to match `rect_bisection`'s row-major
+/// so the grid dims are reversed to match `rect_partition`'s row-major
 /// strides.
 fn rect_dims<const D: usize>(grid: &GridSubdivision<D>) -> Vec<usize> {
     let mut dims = grid.dims().to_vec();

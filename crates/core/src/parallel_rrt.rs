@@ -27,7 +27,6 @@ use crate::strategy::{Strategy, WeightKind};
 use crate::weights;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use smp_cspace::{derive_seed, Cfg, ConeSampler, EnvValidity, StraightLinePlanner, WorkCounters};
 use smp_geom::{Environment, RadialSubdivision};
 use smp_graph::RegionGraph;
@@ -102,7 +101,7 @@ impl<'e, const D: usize> ParallelRrtConfig<'e, D> {
 }
 
 /// The measured outcome of one region's branch growth.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BranchOutcome<const D: usize> {
     /// Tree vertices (index 0 is the shared root) — empty if the root was
     /// invalid for this region.

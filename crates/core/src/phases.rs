@@ -5,10 +5,8 @@
 //! portion of the computation connecting roadmap nodes in a region dominates
 //! most of the computation at 90% of the total execution time" (§IV-C.1).
 
-use serde::{Deserialize, Serialize};
-
 /// Virtual time per phase (nanoseconds).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseBreakdown {
     /// Subdivision, sample generation, load balancing, barriers.
     pub other: u64,

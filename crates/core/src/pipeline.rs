@@ -28,7 +28,6 @@ use crate::parallel_prm::CrossOutcome;
 use crate::partition::{greedy_lpt, loads, rect_partition};
 use crate::phases::PhaseBreakdown;
 use crate::strategy::{Strategy, WeightKind};
-use serde::{Deserialize, Serialize};
 use smp_graph::{OwnerMap, RegionGraph, RemoteAccessCounter};
 use smp_obs::{cat, MetricsRegistry, MetricsSnapshot, Tracer};
 use smp_runtime::dist::{DistExecutor, WorkDesc};
@@ -101,7 +100,7 @@ impl<'a> RunOptions<'a> {
 
 /// Result of one planner run under one strategy at one worker count, on
 /// any backend. [`crate::PrmRun`] and [`crate::RrtRun`] are this type.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlannerRun {
     /// Human-readable strategy name (e.g. `"Repartitioning"`).
     pub strategy_label: String,

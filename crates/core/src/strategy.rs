@@ -1,10 +1,9 @@
 //! The load-balancing strategies compared throughout the evaluation.
 
-use serde::{Deserialize, Serialize};
 use smp_runtime::{StealConfig, StealPolicyKind};
 
 /// How a region's work is estimated for repartitioning (§III-B).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WeightKind {
     /// Measured number of valid samples per region — the paper's PRM
     /// metric ("the number of samples in the roadmap that lie within that
@@ -34,7 +33,7 @@ impl WeightKind {
 }
 
 /// A load-balancing strategy for the regional-construction phase.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Strategy {
     /// Static naïve mapping, no balancing — the baseline ("Without LB").
     NoLb,

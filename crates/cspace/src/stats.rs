@@ -6,11 +6,10 @@
 //! operation a planner performs; `smp-runtime` converts counts to virtual
 //! nanoseconds via the per-operation weights in its machine model.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign};
 
 /// Counts of chargeable primitive operations performed by a planner.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkCounters {
     /// Point collision checks (validity queries).
     pub cd_checks: u64,

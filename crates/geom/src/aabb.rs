@@ -5,12 +5,11 @@
 //! region ∩ obstacle volumes must not be approximated for box obstacles.
 
 use crate::point::Point;
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned box `[lo, hi]` in `D` dimensions.
 ///
 /// Invariant: `lo[i] <= hi[i]` for all `i` (enforced by constructors).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Aabb<const D: usize> {
     lo: Point<D>,
     hi: Point<D>,
@@ -171,11 +170,6 @@ impl<const D: usize> Aabb<D> {
             lo: self.lo.min(&other.lo),
             hi: self.hi.max(&other.hi),
         }
-    }
-
-    /// The point of the box nearest to `p`.
-    pub fn clamp_point(&self, p: &Point<D>) -> Point<D> {
-        p.max(&self.lo).min(&self.hi)
     }
 }
 

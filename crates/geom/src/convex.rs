@@ -9,10 +9,9 @@
 use crate::aabb::Aabb;
 use crate::point::Point;
 use crate::ray::Ray;
-use serde::{Deserialize, Serialize};
 
 /// A halfspace `normal · x <= offset`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Halfspace<const D: usize> {
     pub normal: Point<D>,
     pub offset: f64,
@@ -36,7 +35,7 @@ impl<const D: usize> Halfspace<D> {
 
 /// A bounded convex polytope: the intersection of halfspaces, with a
 /// bounding box for coarse queries and volume estimation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConvexPolytope<const D: usize> {
     halfspaces: Vec<Halfspace<D>>,
     bbox: Aabb<D>,

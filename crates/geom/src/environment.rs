@@ -6,7 +6,6 @@ use crate::grid::Grid;
 use crate::obstacle::Obstacle;
 use crate::point::Point;
 use crate::ray::Ray;
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// A motion-planning workspace: a bounding box and a set of solid obstacles.
@@ -23,7 +22,7 @@ use std::sync::OnceLock;
 /// in `R^D` (see DESIGN.md for why this substitution preserves the paper's
 /// load-balance behaviour); validity queries therefore take a clearance
 /// radius.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Environment<const D: usize> {
     name: String,
     bounds: Aabb<D>,
@@ -34,14 +33,14 @@ pub struct Environment<const D: usize> {
     /// Broad-phase acceleration structure; see [`BroadEntry`].
     broad: Vec<BroadEntry<D>>,
     /// Lazily-built SoA mirror of `broad` for the batch kernels (see
-    /// [`crate::batch`]). Skipped by serde and rebuilt on first use, so every
-    /// construction path — including deserialization — gets it for free.
-    #[serde(skip, default)]
+    /// [`crate::batch`]), built on first use, so every construction path gets
+    /// it for free. The distributed backend's hand codec (`put_env` /
+    /// `get_env` in `smp-core`'s `dist.rs`) never encodes it: it sends the
+    /// obstacles and decodes through [`Environment::new`].
     batch: OnceLock<BatchEnv<D>>,
     /// Lazily-built uniform grid over the boxes and spheres (see
     /// [`crate::grid`]); `None` below the grid's obstacle threshold, where
-    /// the linear SoA scan runs. Skipped by serde like `batch`.
-    #[serde(skip, default)]
+    /// the linear SoA scan runs. Never encoded, like `batch`.
     grid: OnceLock<Option<Grid<D>>>,
 }
 
@@ -50,14 +49,14 @@ pub struct Environment<const D: usize> {
 /// makes `is_valid`'s early exit cheapest). Box and sphere obstacles carry
 /// their defining geometry inline, turning validity testing into a flat,
 /// cache-friendly scan that never dereferences the obstacle list.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct BroadEntry<const D: usize> {
     idx: u32,
     phase: BroadPhase<D>,
 }
 
 /// How an obstacle's validity contribution is decided.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum BroadPhase<const D: usize> {
     /// A box: its exact Euclidean distance is the AABB distance, and
     /// containment is exactly `distance == 0`, so one distance evaluation

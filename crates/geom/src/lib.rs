@@ -19,7 +19,6 @@
 //! seed.
 
 pub mod aabb;
-pub mod array_serde;
 pub mod batch;
 pub mod convex;
 pub mod environment;

@@ -8,10 +8,9 @@ use crate::aabb::Aabb;
 use crate::convex::ConvexPolytope;
 use crate::point::Point;
 use crate::ray::Ray;
-use serde::{Deserialize, Serialize};
 
 /// A solid obstacle in the workspace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Obstacle<const D: usize> {
     /// Axis-aligned solid box.
     Box(Aabb<D>),

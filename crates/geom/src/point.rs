@@ -4,12 +4,11 @@
 //! planning stack is generic over the workspace dimension `D` (the paper uses
 //! 2-D for the theoretical model and 3-D for the cube/wall environments).
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Div, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
 /// A point (or vector) in `D`-dimensional Euclidean space.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Point<const D: usize>(#[serde(with = "crate::array_serde")] pub [f64; D]);
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Point<const D: usize>(pub [f64; D]);
 
 impl<const D: usize> Default for Point<D> {
     fn default() -> Self {

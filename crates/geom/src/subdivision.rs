@@ -14,16 +14,14 @@ use crate::point::Point;
 use crate::sphere;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a region within a subdivision.
 pub type RegionId = u32;
 
 /// Uniform grid subdivision of an axis-aligned planning space.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GridSubdivision<const D: usize> {
     bounds: Aabb<D>,
-    #[serde(with = "crate::array_serde")]
     dims: [usize; D],
     /// Overlap margin added to every region on all sides (absolute units),
     /// clipped to the bounds. Overlap lets boundary samples connect adjacent
@@ -180,7 +178,7 @@ impl<const D: usize> GridSubdivision<D> {
 
 /// Uniform radial subdivision: cones rooted at `root` around directions
 /// sampled on the unit sphere, truncated at `radius`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RadialSubdivision<const D: usize> {
     root: Point<D>,
     radius: f64,

@@ -10,7 +10,6 @@
 //! dropped by any mutation of the vertex or edge set, so a graph that is
 //! built, digested and dropped never pays for it.
 
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Vertex identifier (dense, 0-based).
@@ -19,13 +18,12 @@ pub type VertexId = u32;
 pub type EdgeId = u32;
 
 /// An undirected multigraph with vertex payloads `V` and edge payloads `E`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Graph<V, E> {
     vertices: Vec<V>,
     edges: Vec<(VertexId, VertexId, E)>,
     /// Adjacency, built on first read; empty until then and after any
     /// mutation.
-    #[serde(skip)]
     index: OnceLock<Csr>,
 }
 
@@ -173,11 +171,6 @@ impl<V, E> Graph<V, E> {
             (b, a)
         };
         self.neighbors(s).iter().any(|&(n, _)| n == t)
-    }
-
-    /// Iterate vertex ids.
-    pub fn vertex_ids(&self) -> impl Iterator<Item = VertexId> {
-        0..self.vertices.len() as VertexId
     }
 
     /// Iterate vertex payloads.

@@ -216,20 +216,6 @@ impl<const D: usize> KdTree<D> {
         out.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
     }
 
-    /// Allocating convenience wrapper over [`KdTree::k_nearest_batched_into`].
-    pub fn k_nearest_batched_counted(
-        &self,
-        query: &Point<D>,
-        k: usize,
-        exclude: Option<u32>,
-        examined: &mut u64,
-    ) -> Vec<(usize, f64)> {
-        let mut scratch = KnnScratch::new();
-        let mut out = Vec::new();
-        self.k_nearest_batched_into(query, k, exclude, examined, &mut scratch, &mut out);
-        out
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn knn_batched_rec(
         &self,
@@ -583,11 +569,9 @@ mod tests {
             let pts = random_points(n, 5 + n as u64);
             let tree = KdTree::build(&pts);
             let q = Point::new([0.4, 0.5, 0.6]);
-            let mut e = 0;
-            assert_eq!(
-                tree.k_nearest_batched_counted(&q, 4, None, &mut e),
-                tree.k_nearest(&q, 4, None)
-            );
+            let (mut e, mut scratch, mut out) = (0, KnnScratch::new(), Vec::new());
+            tree.k_nearest_batched_into(&q, 4, None, &mut e, &mut scratch, &mut out);
+            assert_eq!(out, tree.k_nearest(&q, 4, None));
         }
     }
 

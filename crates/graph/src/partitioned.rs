@@ -8,10 +8,8 @@
 //! ownership map and the counters; `smp-runtime` charges virtual latency per
 //! remote access.
 
-use serde::{Deserialize, Serialize};
-
 /// Maps each item (region or vertex) to its owning processing element.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OwnerMap {
     owner: Vec<u32>,
     num_pes: usize,
@@ -114,7 +112,7 @@ impl OwnerMap {
 }
 
 /// Remote-access counters for the distributed graphs, by graph kind.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RemoteAccessCounter {
     /// Accesses to region-graph vertices owned elsewhere.
     pub region_graph_remote: u64,

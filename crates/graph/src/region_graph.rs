@@ -4,11 +4,10 @@
 //! and drive the region-connection phase. Region ids are dense `u32`s that
 //! match the underlying subdivision's numbering.
 
-use serde::{Deserialize, Serialize};
 use smp_geom::{GridSubdivision, RadialSubdivision};
 
 /// Region adjacency graph. Undirected; edges stored once as `(min, max)`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RegionGraph {
     num_regions: usize,
     /// Sorted, deduplicated adjacency per region.

@@ -14,7 +14,6 @@
 //! the golden-trace tests compare byte for byte, and what `SimReport`
 //! embeds.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Default histogram bounds: decades from 1 µs to 100 ms in virtual ns.
@@ -103,7 +102,7 @@ impl Histogram {
 }
 
 /// One flattened metric row.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricSample {
     pub name: String,
     pub value: u64,
@@ -111,7 +110,7 @@ pub struct MetricSample {
 
 /// A flat, sorted, integer-valued view of a registry — the deterministic
 /// artifact embedded in reports and compared in golden tests.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Sorted by `name` (lexicographic, unique).
     pub samples: Vec<MetricSample>,

@@ -13,11 +13,10 @@
 //! defects, and [`Tracer::check_well_formed`] re-verifies balance and
 //! monotonicity from the recorded stream itself.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// What kind of trace record an event is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventPhase {
     /// Span opening (`ph: "B"`).
     Begin,
@@ -31,7 +30,7 @@ pub enum EventPhase {
 
 /// One recorded event. `args` hold small integer payloads (task ids,
 /// counts, costs) — never floats, so rendering is byte-stable.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Virtual nanoseconds (after base offset and per-track clamping).
     pub ts: u64,
@@ -114,11 +113,6 @@ impl Tracer {
     /// A tracer that records nothing; every mutator returns immediately.
     pub fn disabled() -> Self {
         Tracer::default()
-    }
-
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Set the offset added to all subsequently recorded timestamps.

@@ -7,13 +7,12 @@
 //! processors.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use smp_cspace::{Cfg, LocalPlanner, ValidityChecker, WorkCounters};
 use std::cmp::Ordering;
 
 /// A feasible connection found between two regional roadmaps: indices into
 /// the respective cfg arrays plus the edge length.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CandidateEdge {
     pub from: u32,
     pub to: u32,

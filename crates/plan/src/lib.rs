@@ -10,6 +10,8 @@
 //! one-pass cost measurement of the simulated distributed runtime valid
 //! (DESIGN.md §4).
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod connect;
 pub mod prm;
 pub mod query;

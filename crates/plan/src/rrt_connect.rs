@@ -59,11 +59,14 @@ impl<const D: usize> Tree<D> {
         // §III-B work model: a nearest query costs one candidate per node
         // (the brute-force-equivalent charge), whatever the index examines.
         work.knn_candidates += self.nodes.len() as u64;
-        debug_assert!(!self.nodes.is_empty(), "RRT tree queried before seeding");
-        self.nodes
+        // INVARIANT: `Tree::new` seeds every tree with its root, and nodes
+        // are never removed.
+        #[allow(clippy::expect_used)]
+        let (i, _) = self
+            .nodes
             .nearest(q)
-            .map(|(i, _)| i)
-            .expect("RRT tree is always seeded with its root before the first query")
+            .expect("RRT tree queried before seeding");
+        i
     }
 
     fn add(&mut self, q: Cfg<D>, parent: usize, work: &mut WorkCounters) -> usize {

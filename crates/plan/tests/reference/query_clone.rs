@@ -5,7 +5,7 @@
 
 use smp_cspace::{Cfg, LocalPlanner, ValidityChecker, WorkCounters};
 use smp_graph::search;
-use smp_graph::KdTree;
+use smp_graph::{KdTree, KnnScratch};
 use smp_plan::{QueryError, QueryResult, Roadmap};
 
 /// The clone-and-augment `solve_query`, body kept verbatim.
@@ -107,7 +107,16 @@ where
         // so answers stay bit-identical; `knn_candidates` counts the points
         // the leaf scans actually touch. One-shot and indexed paths share
         // this call, so their counters remain equal to each other.
-        let nns = tree.k_nearest_batched_counted(&endpoint, k, None, &mut work.knn_candidates);
+        let mut scratch = KnnScratch::new();
+        let mut nns = Vec::new();
+        tree.k_nearest_batched_into(
+            &endpoint,
+            k,
+            None,
+            &mut work.knn_candidates,
+            &mut scratch,
+            &mut nns,
+        );
         for (j, dist) in nns {
             if local_planner
                 .check(&endpoint, &cfgs[j], validity, work)

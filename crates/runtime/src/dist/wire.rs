@@ -1,8 +1,8 @@
 //! Minimal explicit wire codec for the distributed backend.
 //!
-//! The vendored `serde`/`bincode` stand-ins carry no data model (see
-//! `vendor/README.md`), so the distributed protocol encodes every field by
-//! hand with an explicit, documented byte layout (PROTOCOL.md §2):
+//! The workspace has no serialization framework, so the distributed
+//! protocol encodes every field by hand with an explicit, documented byte
+//! layout (PROTOCOL.md §2):
 //!
 //! * all integers little-endian, fixed width (`u8`/`u32`/`u64`);
 //! * `f64` as the little-endian bytes of [`f64::to_bits`] — bit-exact

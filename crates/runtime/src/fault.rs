@@ -44,11 +44,10 @@
 //! | `drop_seqs` | forced grant drop | — |
 
 use crate::{SimError, VTime};
-use serde::{Deserialize, Serialize};
 
 /// One slow-PE window: tasks starting in `[from, until)` on `pe` run
 /// `factor`× slower.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Straggler {
     /// Affected PE.
     pub pe: usize,
@@ -63,7 +62,7 @@ pub struct Straggler {
 /// A PE failure, with one trigger per kind of clock: the DES reads the
 /// virtual instant `at`, the live and dist backends the task count
 /// `after_tasks`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Crash {
     /// PE that dies.
     pub pe: usize,
@@ -90,7 +89,7 @@ pub struct Crash {
 /// assert!(!plan.is_zero());
 /// assert!(FaultPlan::new(42).is_zero());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Seed for the per-message fault decisions. Independent of
     /// [`crate::SimConfig::seed`] — faults never perturb victim selection.

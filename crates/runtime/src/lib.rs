@@ -35,7 +35,6 @@ pub mod fault;
 pub mod live;
 pub mod machine;
 pub mod metrics;
-pub mod rect;
 pub mod sim;
 pub mod steal;
 pub mod topology;
@@ -46,7 +45,6 @@ pub use executor::{Backend, ExecError, ExecReport, ExecSpec, RunStatus};
 pub use fault::{Crash, FaultPlan, Straggler};
 pub use live::{LiveControl, LiveExecutor, LiveOutcome, LivePartial, LiveTuning, ResilientOutcome};
 pub use machine::{LatencyModel, MachineModel, OpCosts};
-pub use rect::rect_bisection;
 pub use sim::{
     simulate, simulate_phase, simulate_with, Quiescence, ResilienceStats, ScheduleOracle,
     SeededSchedule, SimConfig, SimError, SimOptions, SimReport, StealAmount, StealConfig,

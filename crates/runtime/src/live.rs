@@ -61,12 +61,12 @@ use crate::executor::{validate_assignment, ExecError, ExecReport, ExecSpec, RunS
 use crate::fault::FaultPlan;
 use crate::sim::SimError;
 use crate::topology::Mesh;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use smp_obs::{cat, MetricsRegistry, TraceBuf, Tracer};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Knobs for the thief back-off loop (wall-clock analogue of the DES's
@@ -465,7 +465,9 @@ impl LiveExecutor {
         let makespan = elapsed_ns(epoch);
         let not_executed = remaining.load(Ordering::Acquire);
         let executed = spec.n_tasks - not_executed;
-        let ledger = death_lock.into_inner();
+        let ledger = death_lock
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
 
         let status = match stop_cause.load(Ordering::Acquire) {
             CAUSE_CANCELLED => RunStatus::Cancelled {
@@ -525,7 +527,7 @@ impl LiveExecutor {
         report.resilience.tasks_reexecuted = ledger
             .in_flight
             .iter()
-            .filter(|&&t| results[t as usize].lock().is_some())
+            .filter(|&&t| lock(&results[t as usize]).is_some())
             .count() as u64;
         // Shared memory sends no real messages; count the protocol's
         // request + grant traffic so conservation-style checks still hold.
@@ -563,7 +565,10 @@ impl LiveExecutor {
 
         self.last_bufs = locals.into_iter().filter_map(|l| l.buf).collect();
 
-        let results: Vec<Option<R>> = results.into_iter().map(|slot| slot.into_inner()).collect();
+        let results: Vec<Option<R>> = results
+            .into_iter()
+            .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
+            .collect();
         Ok(ResilientOutcome {
             results,
             report,
@@ -695,10 +700,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// survivor exists they are counted as lost so the phase can terminate
 /// (and `execute_resilient` then reports [`ExecError::WorkerPanic`]).
 fn die<R>(ctx: &WorkerCtx<'_, R>, local: &mut WorkerLocal, in_flight: u32, message: String) {
-    let mut ledger = ctx.death_lock.lock();
+    let mut ledger = lock(ctx.death_lock);
     ctx.alive[ctx.w].store(false, Ordering::Release);
     let mut orphans = vec![in_flight];
-    orphans.extend(ctx.queues[ctx.w].lock().drain(..));
+    orphans.extend(lock(&ctx.queues[ctx.w]).drain(..));
     let survivors: Vec<usize> = (0..ctx.queues.len())
         .filter(|&v| v != ctx.w && ctx.alive[v].load(Ordering::Acquire))
         .collect();
@@ -707,9 +712,7 @@ fn die<R>(ctx: &WorkerCtx<'_, R>, local: &mut WorkerLocal, in_flight: u32, messa
         ctx.lost.fetch_add(orphans.len(), Ordering::AcqRel);
     } else {
         for (i, &t) in orphans.iter().enumerate() {
-            ctx.queues[survivors[i % survivors.len()]]
-                .lock()
-                .push_back(t);
+            lock(&ctx.queues[survivors[i % survivors.len()]]).push_back(t);
         }
         ledger.recovered += orphans.len() as u64;
         ledger.in_flight.push(in_flight); // re-runs from scratch (if the run lasts)
@@ -753,7 +756,7 @@ fn worker_loop<R: Send>(ctx: WorkerCtx<'_, R>) -> WorkerLocal {
         }
         // 1. Drain own queue from the front.
         let popped = {
-            let mut q = ctx.queues[ctx.w].lock();
+            let mut q = lock(&ctx.queues[ctx.w]);
             let t = q.pop_front();
             (t, q.len())
         };
@@ -797,7 +800,7 @@ fn worker_loop<R: Send>(ctx: WorkerCtx<'_, R>) -> WorkerLocal {
             }
             match attempt {
                 Ok(value) => {
-                    *ctx.results[task as usize].lock() = Some(value);
+                    *lock(&ctx.results[task as usize]) = Some(value);
                     local.busy_ns += end - start;
                     local.finish_ns = end;
                     local.executed_tasks.push(task);
@@ -844,7 +847,7 @@ fn worker_loop<R: Send>(ctx: WorkerCtx<'_, R>) -> WorkerLocal {
             }
             local.attempts += 1;
             let batch: Vec<u32> = {
-                let mut q = ctx.queues[victim].lock();
+                let mut q = lock(&ctx.queues[victim]);
                 if q.is_empty() {
                     Vec::new()
                 } else {
@@ -874,7 +877,7 @@ fn worker_loop<R: Send>(ctx: WorkerCtx<'_, R>) -> WorkerLocal {
                 .as_ref()
                 .is_some_and(|plan| plan.drops_message(seq))
             {
-                let mut q = ctx.queues[victim].lock();
+                let mut q = lock(&ctx.queues[victim]);
                 for &t in batch.iter().rev() {
                     q.push_back(t);
                 }
@@ -902,7 +905,7 @@ fn worker_loop<R: Send>(ctx: WorkerCtx<'_, R>) -> WorkerLocal {
             }
             // Ownership handoff: the stolen region ids are now this
             // worker's to build and keep.
-            let mut q = ctx.queues[ctx.w].lock();
+            let mut q = lock(&ctx.queues[ctx.w]);
             for t in batch {
                 q.push_back(t);
             }
@@ -928,10 +931,17 @@ fn worker_loop<R: Send>(ctx: WorkerCtx<'_, R>) -> WorkerLocal {
     // orphans; done under the death lock so a concurrent death sees a
     // consistent survivor set.
     {
-        let _ledger = ctx.death_lock.lock();
+        let _ledger = lock(ctx.death_lock);
         ctx.alive[ctx.w].store(false, Ordering::Release);
     }
     local
+}
+
+/// Locks `m` even if a holder panicked. The executor isolates task panics
+/// (a dying worker hands its queue to the survivors under these locks), so
+/// its locks must not poison.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -972,12 +982,33 @@ mod tests {
     static HOOK_GUARD: Mutex<()> = Mutex::new(());
 
     fn with_quiet_panics<T>(f: impl FnOnce() -> T) -> T {
-        let _guard = HOOK_GUARD.lock();
+        let _guard = lock(&HOOK_GUARD);
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let out = f();
         std::panic::set_hook(hook);
         out
+    }
+
+    #[test]
+    fn locks_recover_the_data_a_panicking_holder_left() {
+        let m = Mutex::new(vec![1u32]);
+        let panicked = with_quiet_panics(|| {
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    lock(&m).push(2);
+                    let _held = lock(&m);
+                    panic!("dies holding the lock");
+                })
+                .join()
+                .is_err()
+            })
+        });
+        assert!(panicked && m.is_poisoned());
+        lock(&m).push(3);
+        assert_eq!(*lock(&m), vec![1, 2, 3]);
+        let data = m.into_inner().unwrap_or_else(PoisonError::into_inner);
+        assert_eq!(data, vec![1, 2, 3]);
     }
 
     #[test]
@@ -1265,14 +1296,14 @@ mod tests {
         let result = with_quiet_panics(|| {
             let mut ex = LiveExecutor::new(1, LiveTuning::default());
             ex.execute(&spec(n, &assignment, None), &|t: u32| {
-                ran_on.lock().push(std::thread::current().id());
+                lock(&ran_on).push(std::thread::current().id());
                 if t == 1 {
                     panic!("irrecoverable");
                 }
                 region_work(t)
             })
         });
-        assert_eq!(*ran_on.lock(), vec![caller; 2]);
+        assert_eq!(*lock(&ran_on), vec![caller; 2]);
         match result.unwrap_err() {
             ExecError::WorkerPanic {
                 workers,

@@ -13,10 +13,8 @@
 //! Absolute values are order-of-magnitude calibrations, not measurements;
 //! the figures only require the *relative* shape to be right (DESIGN.md §2).
 
-use serde::{Deserialize, Serialize};
-
 /// Virtual-nanosecond cost of each chargeable primitive operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpCosts {
     /// One collision-detection evaluation (point validity or LP step).
     pub cd_check: u64,
@@ -48,7 +46,7 @@ impl OpCosts {
 }
 
 /// Message and collective latencies (virtual ns).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyModel {
     /// Steal request / small control message, same node.
     pub msg_local: u64,
@@ -82,7 +80,7 @@ pub struct LatencyModel {
 }
 
 /// A simulated parallel platform.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachineModel {
     /// Human-readable preset name (e.g. `"hopper"`).
     pub name: String,

@@ -38,7 +38,6 @@ use crate::topology::Mesh;
 use crate::VTime;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use smp_obs::{cat, MetricSample, MetricsRegistry, MetricsSnapshot, Tracer};
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -133,7 +132,7 @@ impl std::fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 /// How much of a victim's queue a successful steal takes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StealAmount {
     /// Half of the unstarted tasks (at least one).
     Half,
@@ -156,7 +155,7 @@ impl StealAmount {
 }
 
 /// Work-stealing configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StealConfig {
     /// Victim-selection policy (Algorithm 3 variants).
     pub policy: StealPolicyKind,
@@ -196,7 +195,7 @@ pub struct SimConfig {
 
 /// Fault-handling counters (all zero in a fault-free run unless the
 /// workload itself triggers timeouts or backoff retries).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ResilienceStats {
     /// Steal-request timeouts that fired (lost request/response or a
     /// response slower than `steal_timeout`).
@@ -239,7 +238,7 @@ pub struct ResilienceStats {
 /// *wall-clock* time since the phase epoch for
 /// [`crate::live::LiveExecutor`] and [`crate::dist::DistExecutor`], which
 /// varies run to run. Counts mean the same thing everywhere.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimReport {
     /// Time the last task completed.
     pub makespan: VTime,
@@ -342,7 +341,7 @@ pub trait ScheduleOracle {
 /// The canonical [`ScheduleOracle`]: a stateless hash of `(seed, seq)`,
 /// so one `u64` seed fully describes the explored schedule — that seed is
 /// the "schedule trace" a shrunk repro file records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeededSchedule {
     /// The schedule seed; equal seeds replay identical orders.
     pub seed: u64,
@@ -358,7 +357,7 @@ impl ScheduleOracle for SeededSchedule {
 /// for invariant oracles that need more than the [`SimReport`]: message
 /// accounting in conservation form, residual queue contents, liveness,
 /// and event-loop sanity counters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Quiescence {
     /// Events popped from the queue over the whole run.
     pub events_processed: u64,

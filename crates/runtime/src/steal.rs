@@ -13,10 +13,9 @@
 use crate::topology::Mesh;
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt};
-use serde::{Deserialize, Serialize};
 
 /// Which victim-selection policy a thief uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StealPolicyKind {
     /// `k` random distinct victims per round.
     RandK(usize),

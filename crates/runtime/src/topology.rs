@@ -5,10 +5,8 @@
 //! for work" (§III-A). We arrange `p` PEs into the most-square factorization
 //! `rows × cols = p`.
 
-use serde::{Deserialize, Serialize};
-
 /// A logical 2-D mesh over `p` processing elements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mesh {
     rows: usize,
     cols: usize,

@@ -201,7 +201,7 @@ fn workspace_dependencies_are_all_used() {
     );
 
     // Every vendored crate is imported by the workspace's own code, or is
-    // a dependency of one that is (serde's derive macros).
+    // a dependency of one that is (proptest's `rand`).
     let mut sources = Vec::new();
     for dir in ["crates", "src", "tests", "examples"] {
         rust_files(&repo(dir), true, &mut sources);
