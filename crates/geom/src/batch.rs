@@ -11,8 +11,9 @@
 //! scan runs four-wide. With enough obstacles the kernel runs per cell of a
 //! uniform grid instead of over the whole set (`crate::grid`), on the same
 //! chunk layout. The free-function distance kernels
-//! ([`dist_chunk`], [`dists_into`]) are the points-in-lanes counterpart
-//! used by the kNN leaf scans.
+//! ([`dist_sq_chunk`], [`dists_sq_into`] and their square-rooted
+//! [`dist_chunk`], [`dists_into`]) are the points-in-lanes counterpart
+//! used by the kNN leaf scans and cross-region pair selection.
 //!
 //! The SoA layout preserves the environment's volume-descending broad-phase
 //! order, so the early-exit behaviour (biggest obstacle rejects first) is the
@@ -57,6 +58,20 @@ pub const LANES: usize = 4;
 /// `clearance²` product can never flip a sqrt-free comparison (same constant
 /// as the scalar path).
 pub(crate) const SQ_ULP: f64 = 1.0 + 1e-15;
+
+/// Squared-distance bound beyond which a candidate loses to a kept
+/// distance `w` without a square root: every `s > farther_sq(w)` has
+/// `s.sqrt() > w` (DESIGN.md §11). `+∞` — reject nothing, decide exactly —
+/// when `w²` is not a normal float (NaN, zero, underflow) or overflows.
+#[inline]
+pub fn farther_sq(w: f64) -> f64 {
+    let w2 = w * w;
+    if w2 >= f64::MIN_POSITIVE {
+        w2 * SQ_ULP
+    } else {
+        f64::INFINITY
+    }
+}
 
 /// Structure-of-arrays broad-phase obstacle storage (see module docs).
 #[derive(Debug, Clone, Default)]
@@ -233,14 +248,14 @@ impl<const D: usize> BatchEnv<D> {
     }
 }
 
-/// Distances from `q` to exactly [`LANES`] points: the axis-ordered sum of
-/// squares followed by one square root per lane — bit-identical to
-/// [`Point::dist`] per pair. Building block for allocation-free callers.
+/// Squared distances from `q` to exactly [`LANES`] points, each the
+/// axis-ordered sum of squares — bit-identical to [`Point::dist_sq`] per
+/// pair.
 ///
 /// # Panics
 /// Panics when `chunk.len() != LANES`.
 #[inline]
-pub fn dist_chunk<const D: usize>(chunk: &[Point<D>], q: &Point<D>) -> [f64; LANES] {
+pub fn dist_sq_chunk<const D: usize>(chunk: &[Point<D>], q: &Point<D>) -> [f64; LANES] {
     assert_eq!(chunk.len(), LANES);
     let mut sq = [0.0f64; LANES];
     for a in 0..D {
@@ -250,7 +265,18 @@ pub fn dist_chunk<const D: usize>(chunk: &[Point<D>], q: &Point<D>) -> [f64; LAN
             sq[l] += d * d;
         }
     }
-    sq.map(f64::sqrt)
+    sq
+}
+
+/// Distances from `q` to exactly [`LANES`] points: [`dist_sq_chunk`]
+/// followed by one square root per lane — bit-identical to [`Point::dist`]
+/// per pair. Building block for allocation-free callers.
+///
+/// # Panics
+/// Panics when `chunk.len() != LANES`.
+#[inline]
+pub fn dist_chunk<const D: usize>(chunk: &[Point<D>], q: &Point<D>) -> [f64; LANES] {
+    dist_sq_chunk(chunk, q).map(f64::sqrt)
 }
 
 /// Fill `out` with `pts[i].dist(q)` for every point, [`LANES`] points per
@@ -275,15 +301,7 @@ pub fn dists_sq_into<const D: usize>(pts: &[Point<D>], q: &Point<D>, out: &mut V
     out.reserve(pts.len());
     let mut chunks = pts.chunks_exact(LANES);
     for chunk in &mut chunks {
-        let mut sq = [0.0f64; LANES];
-        for a in 0..D {
-            let qa = q[a];
-            for l in 0..LANES {
-                let d = chunk[l][a] - qa;
-                sq[l] += d * d;
-            }
-        }
-        out.extend_from_slice(&sq);
+        out.extend_from_slice(&dist_sq_chunk(chunk, q));
     }
     for p in chunks.remainder() {
         out.push(p.dist_sq(q));

@@ -1,7 +1,7 @@
 //! Workspace environments: bounds + obstacles + geometric queries.
 
 use crate::aabb::Aabb;
-use crate::batch::{BatchEnv, SQ_ULP};
+use crate::batch::{BatchEnv, LANES, SQ_ULP};
 use crate::grid::Grid;
 use crate::obstacle::Obstacle;
 use crate::point::Point;
@@ -179,9 +179,15 @@ impl<const D: usize> Environment<D> {
 
     /// Full validity of one point: bounds, boxes and spheres (through the
     /// grid when there is one, else the whole SoA set), then the convex
-    /// narrow phase. `c2` is the one-ulp-inflated `clearance²`.
+    /// narrow phase. Fewer obstacles than one SoA chunk take the scalar
+    /// loop: a padded chunk costs more than the one to three entries it
+    /// holds (on a one-box cube, about twice the scalar loop per point).
+    /// `c2` is the one-ulp-inflated `clearance²`.
     #[inline]
     fn valid_at(&self, p: &Point<D>, clearance: f64, c2: f64) -> bool {
+        if self.broad.len() < LANES {
+            return self.scalar_at(p, clearance, c2);
+        }
         if !self.bounds.contains(p) {
             return false;
         }
@@ -222,12 +228,13 @@ impl<const D: usize> Environment<D> {
     /// Is the ball of radius `clearance` centered at `p` inside the bounds
     /// and collision-free?
     ///
-    /// Routed through the SoA batch kernel ([`crate::batch`]): boxes and
-    /// spheres are tested four obstacles per step with per-lane scalar
-    /// decisions, so the verdict is bit-identical to [`Self::is_valid_scalar`]
-    /// (proven by differential tests); only convex polytopes pay for the
-    /// narrow phase. With at least 16 boxes and spheres the kernel runs only
-    /// on the uniform-grid cells the clearance ball can reach.
+    /// Routed through the SoA batch kernel ([`crate::batch`]) once there
+    /// are at least [`LANES`] obstacles: boxes and spheres are tested four
+    /// obstacles per step with per-lane scalar decisions, so the verdict is
+    /// bit-identical to [`Self::is_valid_scalar`] (proven by differential
+    /// tests); only convex polytopes pay for the narrow phase. With at least
+    /// 16 boxes and spheres the kernel runs only on the uniform-grid cells
+    /// the clearance ball can reach. Fewer obstacles run the scalar loop.
     pub fn is_valid(&self, p: &Point<D>, clearance: f64) -> bool {
         self.valid_at(p, clearance, clearance * clearance * SQ_ULP)
     }
@@ -243,9 +250,9 @@ impl<const D: usize> Environment<D> {
     }
 
     /// Scalar reference implementation of [`Self::is_valid`]: the verbatim
-    /// pre-batch loop over the inline broad-phase entries, kept as the
-    /// baseline for benchmarks and the differential oracle the batch kernels
-    /// are proven against.
+    /// pre-batch loop over the inline broad-phase entries, the differential
+    /// oracle the batch kernels are proven against and the path
+    /// [`Self::is_valid`] takes below [`LANES`] obstacles.
     ///
     /// Broad-phase: boxes and spheres are decided by a single exact distance
     /// evaluation over an inline, volume-descending entry array (their
@@ -253,6 +260,12 @@ impl<const D: usize> Environment<D> {
     /// pay for the narrow phase. The result is identical to testing every
     /// obstacle with `contains` + `distance`.
     pub fn is_valid_scalar(&self, p: &Point<D>, clearance: f64) -> bool {
+        self.scalar_at(p, clearance, clearance * clearance * SQ_ULP)
+    }
+
+    /// The body of [`Self::is_valid_scalar`] with `c2` precomputed.
+    #[inline]
+    fn scalar_at(&self, p: &Point<D>, clearance: f64, c2: f64) -> bool {
         if !self.bounds.contains(p) {
             return false;
         }
@@ -261,7 +274,6 @@ impl<const D: usize> Environment<D> {
         // product cannot flip the comparison), the real distance strictly
         // exceeds the clearance, and the correctly-rounded sqrt the exact
         // predicate would compute is >= clearance — same verdict, no sqrt.
-        let c2 = clearance * clearance * (1.0 + 1e-15);
         for e in &self.broad {
             let invalid = match &e.phase {
                 BroadPhase::Box(bb) => {

@@ -9,6 +9,11 @@
 //! must equal the scalar rule bit for bit, and the distance kernels must
 //! reproduce `Point::dist` / `Point::dist_sq` exactly.
 //!
+//! `is_valid` runs the scalar loop itself below one SoA chunk (fewer than
+//! four obstacles), so the SoA kernel is also checked directly: a
+//! `BatchEnv` built from the same obstacles must give every environment's
+//! scalar verdict, small ones included.
+//!
 //! Environments with at least 16 boxes and spheres answer through a
 //! uniform grid (a query tests only the obstacles in the cells its
 //! clearance ball reaches). The grid cases below aim at where a grid
@@ -18,7 +23,7 @@
 //! NaN / ±∞ inputs.
 
 use proptest::prelude::*;
-use smp_geom::{batch, Aabb, ConvexPolytope, Environment, Obstacle, Point};
+use smp_geom::{batch, Aabb, BatchEnv, ConvexPolytope, Environment, Obstacle, Point};
 
 /// Same convex kind as `broadphase_prop.rs`: a diagonal slab whose
 /// `distance` is a conservative bound, forcing the narrow-phase path.
@@ -55,6 +60,41 @@ fn build_env(obs: &[(u8, [f64; 3], f64)]) -> Environment<3> {
     Environment::new("prop", Aabb::unit(), obstacles, false)
 }
 
+/// The SoA kernel over all of `env`'s obstacles, whatever their number —
+/// bounds, then [`BatchEnv::boxes_spheres_valid`], then the convex narrow
+/// phase, as `Environment::is_valid` composes them at four or more.
+struct Soa<'e> {
+    env: &'e Environment<3>,
+    batch: BatchEnv<3>,
+}
+
+impl<'e> Soa<'e> {
+    fn new(env: &'e Environment<3>) -> Self {
+        let (mut boxes, mut spheres, mut narrow) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, o) in env.obstacles().iter().enumerate() {
+            match o {
+                Obstacle::Box(bb) => boxes.push(*bb),
+                Obstacle::Sphere { center, radius } => spheres.push((*center, *radius)),
+                Obstacle::Convex(_) => narrow.push(i as u32),
+            }
+        }
+        Soa {
+            env,
+            batch: BatchEnv::from_parts(boxes, spheres, narrow),
+        }
+    }
+
+    fn is_valid(&self, p: &Point<3>, clearance: f64) -> bool {
+        let c2 = clearance * clearance * (1.0 + 1e-15);
+        self.env.bounds().contains(p)
+            && self.batch.boxes_spheres_valid(p, clearance, c2)
+            && self.batch.narrow_indices().iter().all(|&i| {
+                let o = &self.env.obstacles()[i as usize];
+                !(o.contains(p) || o.distance(p) < clearance)
+            })
+    }
+}
+
 /// Clearances worth testing: exactly zero (the contains-only fast path)
 /// half the time, otherwise the continuous range the planners use. The
 /// vendored proptest stub has no `prop_oneof`, so the choice rides in as
@@ -85,14 +125,24 @@ proptest! {
     ) {
         let clearance = pick_clearance(zero, c);
         let env = build_env(&obs);
+        let soa = Soa::new(&env);
         for q in queries {
             let p = Point::new(q);
+            let want = env.is_valid_scalar(&p, clearance);
             prop_assert_eq!(
                 env.is_valid(&p, clearance),
-                env.is_valid_scalar(&p, clearance),
+                want,
                 "divergence at {:?} clearance {}",
                 p,
                 clearance
+            );
+            prop_assert_eq!(
+                soa.is_valid(&p, clearance),
+                want,
+                "SoA kernel divergence at {:?} clearance {} ({} obstacles)",
+                p,
+                clearance,
+                obs.len()
             );
         }
     }
@@ -114,6 +164,7 @@ proptest! {
     ) {
         let clearance = pick_clearance(zero, cl);
         let env = build_env(&obs);
+        let soa = Soa::new(&env);
         for &(kind, c, s) in &obs {
             // Box +x face and sphere +x surface both sit at center + side/2
             // (the sphere's radius is side/2), so one formula covers both.
@@ -122,10 +173,18 @@ proptest! {
             let x0 = surface_x + clearance;
             for x in [x0.next_down(), x0, x0.next_up()] {
                 let p = Point::new([x, c[1], c[2]]);
+                let want = env.is_valid_scalar(&p, clearance);
                 prop_assert_eq!(
                     env.is_valid(&p, clearance),
-                    env.is_valid_scalar(&p, clearance),
+                    want,
                     "boundary divergence at {:?} clearance {}",
+                    p,
+                    clearance
+                );
+                prop_assert_eq!(
+                    soa.is_valid(&p, clearance),
+                    want,
+                    "SoA kernel boundary divergence at {:?} clearance {}",
                     p,
                     clearance
                 );
@@ -443,12 +502,22 @@ fn empty_and_single_obstacle_envs_agree() {
         ),
     ];
     for env in &envs {
+        let soa = Soa::new(env);
         for clearance in [0.0, 0.05, 0.2] {
             for p in &grid {
+                let want = env.is_valid_scalar(p, clearance);
                 assert_eq!(
                     env.is_valid(p, clearance),
-                    env.is_valid_scalar(p, clearance),
+                    want,
                     "{}: divergence at {:?} clearance {}",
+                    env.name(),
+                    p,
+                    clearance
+                );
+                assert_eq!(
+                    soa.is_valid(p, clearance),
+                    want,
+                    "{}: SoA kernel divergence at {:?} clearance {}",
                     env.name(),
                     p,
                     clearance

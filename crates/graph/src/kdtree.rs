@@ -5,11 +5,12 @@
 
 use smp_geom::batch;
 use smp_geom::Point;
-use std::collections::BinaryHeap;
+
+use crate::knn::Nearest;
 
 /// Subtree span at or below which [`KdTree::k_nearest_batched_into`] scans
 /// the contiguous tree range with the SoA distance kernel instead of
-/// descending further. 32 points ≈ five levels of recursion replaced by
+/// descending further. 32 points ≈ five levels of descent replaced by
 /// eight four-lane distance evaluations over contiguous memory.
 const SCAN_SPAN: usize = 32;
 
@@ -22,37 +23,16 @@ pub struct KdTree<const D: usize> {
     original: Vec<u32>,
 }
 
-/// Max-heap entry for bounded kNN (largest distance at the top).
-#[derive(PartialEq)]
-struct HeapItem {
-    dist: f64,
-    idx: u32,
-}
-
-impl Eq for HeapItem {}
-
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.dist
-            .total_cmp(&other.dist)
-            .then(self.idx.cmp(&other.idx))
-    }
-}
-
-/// Reusable query state for [`KdTree::k_nearest_into`]. One scratch serves
-/// any number of queries; after the first query at a given `k` no further
-/// heap allocation occurs.
+/// Reusable query state for [`KdTree::k_nearest_into`] and
+/// [`KdTree::k_nearest_batched_into`]. One scratch serves any number of
+/// queries; after the first query at a given `k` no further heap
+/// allocation occurs.
 #[derive(Default)]
 pub struct KnnScratch {
-    heap: BinaryHeap<HeapItem>,
-    /// Distance buffer for the batched leaf scans; reused across queries.
+    kept: Nearest<u32>,
+    /// Squared-distance buffer for the batched leaf scans.
     dists: Vec<f64>,
+    stack: Vec<Pending>,
 }
 
 impl KnnScratch {
@@ -142,47 +122,25 @@ impl<const D: usize> KdTree<D> {
         scratch: &mut KnnScratch,
         out: &mut Vec<(usize, f64)>,
     ) {
-        out.clear();
-        if self.points.is_empty() || k == 0 {
-            return;
-        }
-        scratch.heap.clear();
-        let have = scratch.heap.capacity();
-        scratch.heap.reserve((k + 1).saturating_sub(have));
-        self.knn_rec(
-            query,
-            k,
-            exclude,
-            0,
-            0,
-            self.points.len(),
-            &mut scratch.heap,
-            examined,
-        );
-        out.reserve(scratch.heap.len());
-        out.extend(scratch.heap.drain().map(|h| (h.idx as usize, h.dist)));
-        // unstable sort: the (distance, index) key is a strict total order
-        // (indices are unique), so the result is deterministic and identical
-        // to a stable sort — and `sort_unstable_by` never allocates.
-        out.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        self.knn(query, k, exclude, 0, examined, scratch, out);
     }
 
     /// Batched-leaf variant of [`KdTree::k_nearest_into`]: identical prune
-    /// rule and heap discipline, but subtrees of span ≤ `SCAN_SPAN` — which
-    /// are contiguous in the median layout — are settled by the SoA distance
-    /// kernel four points per step instead of five more recursion levels.
+    /// rule and kept list, but subtrees of span ≤ `SCAN_SPAN` — which are
+    /// contiguous in the median layout — are settled by the SoA distance
+    /// kernel four points per step instead of five more levels of descent.
     ///
     /// **Results are identical** to [`KdTree::k_nearest_into`]: both
-    /// algorithms are exact (the prune `heap.len() < k || diff.abs() <=
-    /// worst` only skips subtrees that provably contain no improving
-    /// candidate; the leaf scan examines a superset of what recursion
-    /// would), each per-pair distance is bit-identical to `Point::dist`,
-    /// and the k-NN set under the strict `(distance, index)` total order is
-    /// unique — so any exact algorithm returns the same `(index, distance)`
-    /// list. Only `examined` differs (the leaf scan counts every point in
-    /// the span, where recursion may prune inside it), which is why the
-    /// kernel gates pin this kernel's own `examined` tally next to a
-    /// result checksum equal to the recursive path's.
+    /// algorithms are exact (the prune `len < k || diff.abs() <= worst`
+    /// only skips subtrees that provably contain no improving candidate;
+    /// the leaf scan examines a superset of what descent would), each
+    /// per-pair distance is bit-identical to `Point::dist`, and the k-NN
+    /// set under the strict `(distance, index)` total order is unique — so
+    /// any exact algorithm returns the same `(index, distance)` list. Only
+    /// `examined` differs (the leaf scan counts every point in the span,
+    /// where descent may prune inside it), which is why the kernel gates
+    /// pin this kernel's own `examined` tally next to a result checksum
+    /// equal to the unbatched path's.
     pub fn k_nearest_batched_into(
         &self,
         query: &Point<D>,
@@ -192,100 +150,83 @@ impl<const D: usize> KdTree<D> {
         scratch: &mut KnnScratch,
         out: &mut Vec<(usize, f64)>,
     ) {
-        out.clear();
-        if self.points.is_empty() || k == 0 {
-            return;
-        }
-        scratch.heap.clear();
-        let have = scratch.heap.capacity();
-        scratch.heap.reserve((k + 1).saturating_sub(have));
-        let (heap, dists) = (&mut scratch.heap, &mut scratch.dists);
-        self.knn_batched_rec(
-            query,
-            k,
-            exclude,
-            0,
-            0,
-            self.points.len(),
-            heap,
-            examined,
-            dists,
-        );
-        out.reserve(scratch.heap.len());
-        out.extend(scratch.heap.drain().map(|h| (h.idx as usize, h.dist)));
-        out.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        self.knn(query, k, exclude, SCAN_SPAN, examined, scratch, out);
     }
 
+    /// Both kNN variants: a depth-first walk with an explicit stack, in
+    /// the recursive order — a node, its near subtree whole, then its far
+    /// subtree if the prune admits it at that moment. Subtrees of at most
+    /// `scan_span` points are scanned, not descended (`0`: never).
     #[allow(clippy::too_many_arguments)]
-    fn knn_batched_rec(
+    fn knn(
         &self,
         query: &Point<D>,
         k: usize,
         exclude: Option<u32>,
-        axis: usize,
-        lo: usize,
-        hi: usize,
-        heap: &mut BinaryHeap<HeapItem>,
+        scan_span: usize,
         examined: &mut u64,
-        dists: &mut Vec<f64>,
+        scratch: &mut KnnScratch,
+        out: &mut Vec<(usize, f64)>,
     ) {
-        if lo >= hi {
+        out.clear();
+        if self.points.is_empty() || k == 0 {
             return;
         }
-        if hi - lo <= SCAN_SPAN {
-            let span = &self.points[lo..hi];
-            batch::dists_into(span, query, dists);
-            *examined += span.len() as u64;
-            for (off, &d) in dists.iter().enumerate() {
-                let idx = self.original[lo + off];
-                if Some(idx) == exclude {
-                    continue;
-                }
-                let cand = HeapItem { dist: d, idx };
-                if heap.len() < k {
-                    heap.push(cand);
-                } else if let Some(top) = heap.peek() {
-                    if cand.cmp(top) == std::cmp::Ordering::Less {
-                        heap.pop();
-                        heap.push(cand);
+        let KnnScratch { kept, dists, stack } = scratch;
+        kept.reset(k, k.min(self.points.len()));
+        stack.clear();
+        // one pending far side per level at most: the tree's depth
+        stack.reserve((usize::BITS - self.points.len().leading_zeros()) as usize);
+        let mut seen = 0u64;
+        let (mut lo, mut hi, mut axis) = (0, self.points.len(), 0);
+        loop {
+            while lo < hi {
+                if hi - lo <= scan_span {
+                    let span = &self.points[lo..hi];
+                    batch::dists_sq_into(span, query, dists);
+                    seen += span.len() as u64;
+                    for (&idx, &s) in self.original[lo..hi].iter().zip(dists.iter()) {
+                        if Some(idx) != exclude {
+                            kept.offer(s, idx);
+                        }
                     }
+                    break;
+                }
+                let mid = (lo + hi) / 2;
+                let p = &self.points[mid];
+                seen += 1;
+                if Some(self.original[mid]) != exclude {
+                    kept.offer(p.dist_sq(query), self.original[mid]);
+                }
+                let diff = query[axis] - p[axis];
+                axis = if axis + 1 == D { 0 } else { axis + 1 };
+                let (near, far) = if diff <= 0.0 {
+                    ((lo, mid), (mid + 1, hi))
+                } else {
+                    ((mid + 1, hi), (lo, mid))
+                };
+                // an empty far side has nothing to visit, prune or not
+                if far.0 < far.1 {
+                    stack.push(Pending {
+                        lo: far.0 as u32,
+                        hi: far.1 as u32,
+                        axis: axis as u32,
+                        plane: diff.abs(),
+                    });
+                }
+                (lo, hi) = near;
+            }
+            loop {
+                let Some(next) = stack.pop() else {
+                    *examined += seen;
+                    out.extend(kept.as_slice().iter().map(|&(d, i)| (i as usize, d)));
+                    return;
+                };
+                if kept.admits(next.plane) {
+                    (lo, hi, axis) = (next.lo as usize, next.hi as usize, next.axis as usize);
+                    break;
                 }
             }
-            return;
-        }
-        let mid = (lo + hi) / 2;
-        let p = &self.points[mid];
-        *examined += 1;
-        if Some(self.original[mid]) != exclude {
-            let d = p.dist(query);
-            let cand = HeapItem {
-                dist: d,
-                idx: self.original[mid],
-            };
-            if heap.len() < k {
-                heap.push(cand);
-            } else if let Some(top) = heap.peek() {
-                if cand.cmp(top) == std::cmp::Ordering::Less {
-                    heap.pop();
-                    heap.push(cand);
-                }
-            }
-        }
-        let next = (axis + 1) % D;
-        let diff = query[axis] - p[axis];
-        let (first, second) = if diff <= 0.0 {
-            ((lo, mid), (mid + 1, hi))
-        } else {
-            ((mid + 1, hi), (lo, mid))
-        };
-        self.knn_batched_rec(
-            query, k, exclude, next, first.0, first.1, heap, examined, dists,
-        );
-        let worst = heap.peek().map_or(f64::INFINITY, |h| h.dist);
-        if heap.len() < k || diff.abs() <= worst {
-            self.knn_batched_rec(
-                query, k, exclude, next, second.0, second.1, heap, examined, dists,
-            );
         }
     }
 
@@ -356,56 +297,15 @@ impl<const D: usize> KdTree<D> {
             self.nearest_rec(query, next, second.0, second.1, best);
         }
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn knn_rec(
-        &self,
-        query: &Point<D>,
-        k: usize,
-        exclude: Option<u32>,
-        axis: usize,
-        lo: usize,
-        hi: usize,
-        heap: &mut BinaryHeap<HeapItem>,
-        examined: &mut u64,
-    ) {
-        if lo >= hi {
-            return;
-        }
-        let mid = (lo + hi) / 2;
-        let p = &self.points[mid];
-        *examined += 1;
-        if Some(self.original[mid]) != exclude {
-            let d = p.dist(query);
-            // Tie-stability: the heap orders by (distance, original index),
-            // so the top is the worst member under the exact total order the
-            // brute-force oracle uses and eviction keeps the two in lockstep.
-            let cand = HeapItem {
-                dist: d,
-                idx: self.original[mid],
-            };
-            if heap.len() < k {
-                heap.push(cand);
-            } else if let Some(top) = heap.peek() {
-                if cand.cmp(top) == std::cmp::Ordering::Less {
-                    heap.pop();
-                    heap.push(cand);
-                }
-            }
-        }
-        let next = (axis + 1) % D;
-        let diff = query[axis] - p[axis];
-        let (first, second) = if diff <= 0.0 {
-            ((lo, mid), (mid + 1, hi))
-        } else {
-            ((mid + 1, hi), (lo, mid))
-        };
-        self.knn_rec(query, k, exclude, next, first.0, first.1, heap, examined);
-        let worst = heap.peek().map_or(f64::INFINITY, |h| h.dist);
-        if heap.len() < k || diff.abs() <= worst {
-            self.knn_rec(query, k, exclude, next, second.0, second.1, heap, examined);
-        }
-    }
+/// A far subtree waiting for the prune: tree range `[lo, hi)`, split on
+/// `axis`, whose parent's splitting plane lies `plane` from the query.
+struct Pending {
+    lo: u32,
+    hi: u32,
+    axis: u32,
+    plane: f64,
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Differential property test: `KdTree::k_nearest` must agree *exactly*
 //! with the brute-force oracle in `knn.rs` — same indices, same order,
-//! same distances — on random clouds, including the adversarial shapes a
+//! same distance bits — on random clouds, including the adversarial shapes a
 //! uniform cloud almost never produces: duplicate points (discrete
 //! coordinate grids force ties), `k > n`, `k == 0`, and self-exclusion.
 
@@ -26,9 +26,10 @@ fn assert_knn_matches<const D: usize>(
     );
     for (i, (g, w)) in got.iter().zip(&want).enumerate() {
         prop_assert_eq!(g.0, w.0, "rank {} index differs", i);
-        prop_assert!(
-            (g.1 - w.1).abs() < 1e-12,
-            "rank {} distance differs: {} vs {}",
+        prop_assert_eq!(
+            g.1.to_bits(),
+            w.1.to_bits(),
+            "rank {} distance bits differ: {} vs {}",
             i,
             g.1,
             w.1

@@ -8,7 +8,8 @@
 
 use rand::Rng;
 use smp_cspace::{Cfg, LocalPlanner, ValidityChecker, WorkCounters};
-use std::cmp::Ordering;
+use smp_geom::batch::{dist_sq_chunk, LANES};
+use smp_graph::knn::Nearest;
 
 /// A feasible connection found between two regional roadmaps: indices into
 /// the respective cfg arrays plus the edge length.
@@ -47,32 +48,36 @@ where
     // Every cross pair's distance is evaluated once (and charged as kNN
     // work), but only the `max_pairs` closest are ever looked at, so only
     // those are kept: `best` is the sorted prefix a full sort of all pairs
-    // under `closer` would produce. `(i, j)` is unique, so `closer` has no
-    // equal keys and that prefix is unique (DESIGN.md §11).
+    // under `(dist.total_cmp, i, j)` would produce. `(i, j)` is unique, so
+    // that prefix is unique and does not depend on the order pairs are
+    // offered in (DESIGN.md §11). So `a` goes into the four-lane kernel:
+    // each lane computes `qa.dist_sq(qb)` with the operands in the scalar
+    // order, and a chunk all of whose pairs are farther than the kept worst
+    // is dropped whole.
     let total = a_cfgs.len() * b_cfgs.len();
     let keep = max_pairs.min(total);
-    let closer = |x: &(f64, u32, u32), y: &(f64, u32, u32)| {
-        x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)).then(x.2.cmp(&y.2)) == Ordering::Less
-    };
-    let mut best: Vec<(f64, u32, u32)> = Vec::with_capacity(keep);
-    for (i, qa) in a_cfgs.iter().enumerate() {
-        for (j, qb) in b_cfgs.iter().enumerate() {
-            let pair = (qa.dist(qb), i as u32, j as u32);
-            if best.len() == keep {
-                if !closer(&pair, &best[keep - 1]) {
-                    continue;
-                }
-                best.pop();
+    let mut best: Nearest<(u32, u32)> = Nearest::new(keep);
+    for (j, qb) in b_cfgs.iter().enumerate() {
+        let mut chunks = a_cfgs.chunks_exact(LANES);
+        for (c, chunk) in (&mut chunks).enumerate() {
+            let sq = dist_sq_chunk(chunk, qb);
+            if sq.iter().all(|&s| best.rejects(s)) {
+                continue;
             }
-            let at = best.partition_point(|kept| closer(kept, &pair));
-            best.insert(at, pair);
+            for (l, dist_sq) in sq.into_iter().enumerate() {
+                best.offer(dist_sq, ((c * LANES + l) as u32, j as u32));
+            }
+        }
+        let rest = a_cfgs.len() - chunks.remainder().len();
+        for (i, qa) in chunks.remainder().iter().enumerate() {
+            best.offer(qa.dist_sq(qb), ((rest + i) as u32, j as u32));
         }
     }
     work.knn_queries += 1;
     work.knn_candidates += total as u64;
 
     let mut out = Vec::new();
-    for &(dist, i, j) in &best {
+    for &(dist, (i, j)) in best.as_slice() {
         let res = local_planner.check(&a_cfgs[i as usize], &b_cfgs[j as usize], validity, work);
         if res.valid {
             out.push(CandidateEdge {

@@ -231,3 +231,90 @@ proptest! {
         assert_matches_reference(&a, &b[..1], &validity, &EndpointPlanner, max_pairs, stop_after)?;
     }
 }
+
+/// `(x, y)` with `|(x, 0)|²` and `|(x, y)|²` adjacent floats whose square
+/// roots are one distance, as `Point::dist_sq` computes them.
+fn adjacent_squares(x: f64) -> Option<f64> {
+    let origin = Point::new([0.0, 0.0]);
+    let s = origin.dist_sq(&Point::new([x, 0.0]));
+    let y0 = (s.next_up() - s).sqrt();
+    (0..16)
+        .map(|i| y0 * (0.7 + 0.05 * f64::from(i)))
+        .find(|&y| {
+            let t = origin.dist_sq(&Point::new([x, y]));
+            t == s.next_up() && t.sqrt() == s.sqrt()
+        })
+}
+
+/// Two cross pairs one distance apart in name only: their squared
+/// distances are adjacent floats and both round to the same distance, so
+/// only the `(i, j)` tie-break may decide between them. A selection that
+/// compared squared distances, or rejected at the kept worst's square
+/// without the one-ulp margin, would keep the wrong pair. Pair `(1, 0)`
+/// sits at the smaller square but loses the tie to `(0, 1)`, which is
+/// scanned after it; the mirrored sets flip which one has the smaller
+/// square.
+#[test]
+fn adjacent_squares_with_one_distance_tie_break_by_index() {
+    let cases: Vec<(f64, f64)> = (0..64)
+        .map(|i| 1.0 + 0.37 * f64::from(i))
+        .filter_map(|x| adjacent_squares(x).map(|y| (x, y)))
+        .collect();
+    assert!(
+        cases.len() >= 8,
+        "only {} adjacent-square cases",
+        cases.len()
+    );
+    let lp = EndpointPlanner;
+    for (x, y) in cases {
+        let a = [Point::new([0.0, 0.0]), Point::new([0.0, 100.0])];
+        let b = [Point::new([x, 100.0]), Point::new([x, y])];
+        let (a_rev, b_rev) = ([a[1], a[0]], [b[1], b[0]]);
+        for max_pairs in 1..=3 {
+            for stop_after in [1, 4] {
+                assert_matches_reference(&a, &b, &validity_of(0), &lp, max_pairs, stop_after)
+                    .unwrap();
+                assert_matches_reference(
+                    &a_rev,
+                    &b_rev,
+                    &validity_of(0),
+                    &lp,
+                    max_pairs,
+                    stop_after,
+                )
+                .unwrap();
+            }
+        }
+    }
+}
+
+/// Every small selection whose kept worst becomes +∞ (an overflowing
+/// square or an infinite coordinate) or NaN (a NaN coordinate, or
+/// ∞ − ∞, which is a negative NaN and sorts first): the squared bound of
+/// such a worst rejects nothing, so every later pair takes the exact
+/// comparison.
+#[test]
+fn infinite_and_nan_kept_worst_match_reference() {
+    let pts = [
+        Point::new([0.0, 0.0]),
+        Point::new([f64::INFINITY, 0.0]),
+        Point::new([f64::NEG_INFINITY, 0.0]),
+        Point::new([f64::NAN, 0.0]),
+        Point::new([f64::MAX, 0.0]),
+        Point::new([-f64::MAX, 0.0]),
+        Point::new([0.0, f64::INFINITY]),
+    ];
+    let sets: Vec<Vec<Cfg<2>>> = (0..pts.len())
+        .map(|i| vec![pts[i]])
+        .chain((0..pts.len() * pts.len()).map(|c| vec![pts[c / pts.len()], pts[c % pts.len()]]))
+        .collect();
+    let lp = EndpointPlanner;
+    for a in &sets {
+        for b in &sets {
+            for max_pairs in 1..=3 {
+                assert_matches_reference(a, b, &validity_of(0), &lp, max_pairs, usize::MAX)
+                    .unwrap();
+            }
+        }
+    }
+}

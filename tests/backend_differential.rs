@@ -226,3 +226,63 @@ fn live_steal_counters_obey_conservation_laws() {
         );
     }
 }
+
+/// Empty regions and a `k` no region can satisfy: the regions under the
+/// box (and every region of the fully blocked cube) draw no valid sample,
+/// the rest draw at most 8 while `k_neighbors` asks for 64. The DES and
+/// live threads must both finish without a panic and build the same
+/// roadmap, including the empty one.
+#[test]
+fn prm_with_empty_regions_and_oversized_k_matches_across_backends() {
+    use smp_geom::{Aabb, Environment, Obstacle, Point};
+    use smp_runtime::MachineModel;
+
+    let half = Environment::new(
+        "half-blocked",
+        Aabb::unit(),
+        vec![Obstacle::Box(Aabb::new(
+            Point::new([0.0, 0.0, 0.0]),
+            Point::new([1.0, 1.0, 0.5]),
+        ))],
+        true,
+    );
+    let full = Environment::new(
+        "blocked",
+        Aabb::unit(),
+        vec![Obstacle::Box(Aabb::unit())],
+        true,
+    );
+    let machine = MachineModel::hopper();
+    let s = Strategy::WorkStealing(StealConfig::new(StealPolicyKind::Hybrid(8)));
+    for env in [&half, &full] {
+        let cfg = ParallelPrmConfig {
+            regions_target: 64,
+            attempts_per_region: 8,
+            k_neighbors: 64,
+            lp_resolution: 0.02,
+            robot_radius: 0.05,
+            ..ParallelPrmConfig::new(env)
+        };
+        let (des, _) = run_prm(&cfg, On::Des(&machine), RunOptions::new(4, &s))
+            .and_then(LiveOutcome::into_result)
+            .expect("DES PRM run");
+        let empty = (0..des.num_regions())
+            .filter(|&r| des.regions[r].cfgs.is_empty())
+            .count();
+        assert!(
+            empty >= des.num_regions() / 2,
+            "{}: {empty} empty regions",
+            env.name()
+        );
+        let des_digest = roadmap_digest(&assemble_prm_roadmap(&des));
+        for threads in [1, 3] {
+            let (live, _) = live_prm(&cfg, threads, &s);
+            assert_eq!(
+                roadmap_digest(&assemble_prm_roadmap(&live)),
+                des_digest,
+                "{}: live digest differs on {threads} threads",
+                env.name()
+            );
+        }
+    }
+}

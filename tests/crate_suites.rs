@@ -4,9 +4,9 @@
 //! a suite under `crates/*/tests/` can be red while tier-1 is green. The
 //! ones that guard the layers the planner pipelines stand on — the dist
 //! wire protocol and framing, the batch collision kernels and the grid
-//! ray walk, and the greedy partitioner, CSR adjacency, query overlay,
-//! region-connection and RRT-growth differentials against their verbatim
-//! references — and the serve registry's
+//! ray walk, and the greedy partitioner, CSR adjacency, kd-tree kNN, query
+//! overlay, region-connection and RRT-growth differentials against their
+//! verbatim references — and the serve registry's
 //! build-once catalog are compiled into this target as modules, unchanged
 //! (they still run in their own crates under `cargo test --workspace`).
 
@@ -18,6 +18,8 @@ mod geom_batch_prop;
 mod geom_ray_cast_differential;
 #[path = "../crates/graph/tests/csr_oracle.rs"]
 mod graph_csr_oracle;
+#[path = "../crates/graph/tests/knn_heap_oracle.rs"]
+mod graph_knn_heap_oracle;
 #[path = "../crates/plan/tests/connect_differential.rs"]
 mod plan_connect_differential;
 #[path = "../crates/plan/tests/grow_rrt_differential.rs"]
