@@ -103,11 +103,6 @@ impl ModelInstance {
             improvement_bound_pct: percent_improvement(max_naive, max_best),
         }
     }
-
-    /// Analyze a sweep of processor counts.
-    pub fn analyze(&self, ps: &[usize]) -> Vec<ModelRow> {
-        ps.iter().map(|&p| self.analyze_p(p)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -164,8 +159,7 @@ mod tests {
         // "for most problems, the heterogeneity of the subproblems
         // increases as the number of processors increases" (abstract)
         let m = instance();
-        let rows = m.analyze(&[2, 16, 64]);
-        assert!(rows[0].cov_naive < rows[2].cov_naive);
+        assert!(m.analyze_p(2).cov_naive < m.analyze_p(64).cov_naive);
     }
 
     #[test]

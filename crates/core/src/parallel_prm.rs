@@ -44,7 +44,6 @@ use crate::pipeline::{
 use crate::strategy::{Strategy, WeightKind};
 use crate::weights;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use smp_cspace::{derive_seed, BoxSampler, Cfg, EnvValidity, StraightLinePlanner, WorkCounters};
 use smp_cspace::{LocalPlanner, Sampler, ValidityChecker};
 use smp_geom::{Environment, GridSubdivision};
@@ -253,8 +252,7 @@ fn build_region<const D: usize>(
 }
 
 /// Cross-connect one region-graph edge `(a, b)`: deterministic from the
-/// two regions' samples and the edge-derived seed, independent of which
-/// worker runs it.
+/// two regions' samples, independent of which worker runs it.
 pub(crate) fn cross_edge<const D: usize>(
     cfg: &ParallelPrmConfig<'_, D>,
     a: u32,
@@ -265,7 +263,6 @@ pub(crate) fn cross_edge<const D: usize>(
     let validity = EnvValidity::new(cfg.env, cfg.robot_radius);
     let lp = StraightLinePlanner::new(cfg.lp_resolution);
     let mut work = WorkCounters::new();
-    let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, a as u64, b as u64));
     let links = connect_roadmaps(
         a_cfgs,
         b_cfgs,
@@ -274,7 +271,6 @@ pub(crate) fn cross_edge<const D: usize>(
         cfg.connect_max_pairs,
         cfg.connect_stop_after,
         &mut work,
-        &mut rng,
     );
     CrossOutcome {
         regions: (a, b),

@@ -26,7 +26,6 @@ use crate::pipeline::{
 use crate::strategy::{Strategy, WeightKind};
 use crate::weights;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use smp_cspace::{derive_seed, Cfg, ConeSampler, EnvValidity, StraightLinePlanner, WorkCounters};
 use smp_geom::{Environment, RadialSubdivision};
 use smp_graph::RegionGraph;
@@ -188,8 +187,8 @@ pub(crate) fn grow_branch<const D: usize>(
 }
 
 /// Cross-connect the non-root vertices of two adjacent branches:
-/// deterministic from the grown branches and the edge-derived seed,
-/// independent of which worker runs it.
+/// deterministic from the grown branches, independent of which worker
+/// runs it.
 pub(crate) fn rrt_cross_edge<const D: usize>(
     cfg: &ParallelRrtConfig<'_, D>,
     a: u32,
@@ -200,7 +199,6 @@ pub(crate) fn rrt_cross_edge<const D: usize>(
     let validity = EnvValidity::new(cfg.env, cfg.robot_radius);
     let lp = StraightLinePlanner::new(cfg.lp_resolution);
     let mut work = WorkCounters::new();
-    let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, a as u64, b as u64));
     // connect non-root vertices of adjacent branches (a branch whose root
     // was invalid is empty)
     let a_cfgs = a_branch.get(1..).unwrap_or_default();
@@ -213,7 +211,6 @@ pub(crate) fn rrt_cross_edge<const D: usize>(
         cfg.connect_max_pairs,
         cfg.connect_stop_after,
         &mut work,
-        &mut rng,
     );
     // re-index to full-branch indices (the slices start at vertex 1)
     for l in &mut links {

@@ -39,7 +39,7 @@ use smp_plan::{
 };
 use smp_runtime::executor::round_robin;
 use smp_runtime::{
-    simulate_phase, Backend, CancelToken, ExecError, ExecSpec, FaultPlan, LiveExecutor, LiveTuning,
+    simulate_phase, Backend, CancelToken, ExecError, ExecSpec, FaultPlan, LiveExecutor,
     MachineModel, StealConfig,
 };
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -227,15 +227,9 @@ where
     let p = spec.workers.max(1);
     let assignment = round_robin(k, p);
     let n_rounds = spec.schedule.max_rounds(spec.max_rounds);
-    // Portfolio attempts are closures producing arbitrary `T` — they
-    // cannot cross a process boundary, so `Backend::Dist` runs its rounds
-    // on the in-process live engine with default tuning. Deterministic
-    // settlement makes the winner and ledger identical either way; only
-    // wall-clock timings differ from a true multi-process round.
     let live_tuning = match backend {
         Backend::Des => None,
         Backend::Live(tuning) => Some(tuning),
-        Backend::Dist(_) => Some(LiveTuning::default()),
     };
 
     let mut rounds: Vec<RoundReport> = Vec::new();

@@ -140,10 +140,6 @@ impl<V, E> Graph<V, E> {
         &self.vertices[v as usize]
     }
 
-    pub fn vertex_mut(&mut self, v: VertexId) -> &mut V {
-        &mut self.vertices[v as usize]
-    }
-
     /// Edge endpoints and payload.
     pub fn edge(&self, e: EdgeId) -> (VertexId, VertexId, &E) {
         let (a, b, ref p) = self.edges[e as usize];
@@ -278,10 +274,8 @@ mod tests {
 
     #[test]
     fn payload_access() {
-        let mut g = triangle();
+        let g = triangle();
         assert_eq!(*g.vertex(2), "c");
-        *g.vertex_mut(2) = "z";
-        assert_eq!(*g.vertex(2), "z");
         let (a, b, w) = g.edge(1);
         assert_eq!((a, b, *w), (1, 2, 2.0));
     }

@@ -84,16 +84,6 @@ impl UnionFind {
     pub fn num_sets(&self) -> usize {
         self.num_sets
     }
-
-    /// Size of each set, keyed by representative.
-    pub fn set_sizes(&mut self) -> std::collections::BTreeMap<u32, usize> {
-        let n = self.len();
-        let mut out = std::collections::BTreeMap::new();
-        for x in 0..n as u32 {
-            *out.entry(self.find(x)).or_insert(0) += 1;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -129,15 +119,14 @@ mod tests {
     }
 
     #[test]
-    fn set_sizes_sum_to_len() {
+    fn unions_partition_the_elements() {
         let mut uf = UnionFind::new(6);
         uf.union(0, 1);
         uf.union(1, 2);
         uf.union(4, 5);
-        let sizes = uf.set_sizes();
-        assert_eq!(sizes.values().sum::<usize>(), 6);
-        assert_eq!(sizes.len(), 3);
-        assert!(sizes.values().any(|&s| s == 3));
+        assert_eq!(uf.num_sets(), 3);
+        assert!(uf.same_set(0, 2) && uf.same_set(4, 5));
+        assert!(!uf.same_set(2, 3) && !uf.same_set(3, 4));
     }
 
     #[test]

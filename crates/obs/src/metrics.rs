@@ -67,11 +67,6 @@ impl Histogram {
         &self.bounds
     }
 
-    /// Per-bucket counts (last entry is the overflow bucket).
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.counts
-    }
-
     /// Upper-bound estimate of the `q`-quantile (`0.0..=1.0`): the bound
     /// of the first bucket whose cumulative count reaches `ceil(q * count)`.
     /// Values that landed in the `+Inf` overflow bucket clamp to the
@@ -310,7 +305,7 @@ mod tests {
             r.observe("h", v);
         }
         let h = r.histogram("h").unwrap();
-        assert_eq!(h.bucket_counts(), &[2, 2, 0, 1]); // <=10: {5,10}; <=100: {11,100}; inf: {5000}
+        assert_eq!(h.counts, [2, 2, 0, 1]); // <=10: {5,10}; <=100: {11,100}; inf: {5000}
         assert_eq!(h.count(), 5);
         assert_eq!(h.sum(), 5 + 10 + 11 + 100 + 5000);
     }

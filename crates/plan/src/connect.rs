@@ -6,7 +6,6 @@
 //! traffic that Figure 7(b) measures when the two regions live on different
 //! processors.
 
-use rand::Rng;
 use smp_cspace::{Cfg, LocalPlanner, ValidityChecker, WorkCounters};
 use smp_geom::batch::{dist_sq_chunk, LANES};
 use smp_graph::knn::Nearest;
@@ -25,9 +24,7 @@ pub struct CandidateEdge {
 /// For each of up to `max_pairs` closest cross-region configuration pairs, a
 /// local plan is attempted; feasible ones are returned. Pairs are examined
 /// in ascending distance so short boundary connections are found first.
-/// `_rng` reserved for randomized pair subsampling strategies.
-#[allow(clippy::too_many_arguments)] // mirrors Algorithm 1's parameter list
-pub fn connect_roadmaps<const D: usize, V, L, R>(
+pub fn connect_roadmaps<const D: usize, V, L>(
     a_cfgs: &[Cfg<D>],
     b_cfgs: &[Cfg<D>],
     validity: &V,
@@ -35,12 +32,10 @@ pub fn connect_roadmaps<const D: usize, V, L, R>(
     max_pairs: usize,
     stop_after: usize,
     work: &mut WorkCounters,
-    _rng: &mut R,
 ) -> Vec<CandidateEdge>
 where
     V: ValidityChecker<D>,
     L: LocalPlanner<D>,
-    R: Rng + ?Sized,
 {
     if a_cfgs.is_empty() || b_cfgs.is_empty() || max_pairs == 0 {
         return Vec::new();
@@ -96,8 +91,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use smp_cspace::validity::FnValidity;
     use smp_cspace::StraightLinePlanner;
     use smp_geom::Point;
@@ -113,7 +106,7 @@ mod tests {
         let v = FnValidity(|_: &Cfg<2>| true);
         let lp = StraightLinePlanner::new(0.1);
         let mut w = WorkCounters::new();
-        let edges = connect_roadmaps(&a, &b, &v, &lp, 4, 1, &mut w, &mut StdRng::seed_from_u64(0));
+        let edges = connect_roadmaps(&a, &b, &v, &lp, 4, 1, &mut w);
         assert_eq!(edges.len(), 1);
         // nearest pair is a[1] (0.4) to b[0] (0.5)
         assert_eq!((edges[0].from, edges[0].to), (1, 0));
@@ -128,16 +121,7 @@ mod tests {
         let v = FnValidity(|q: &Cfg<2>| !(0.4..=0.6).contains(&q[0]));
         let lp = StraightLinePlanner::new(0.05);
         let mut w = WorkCounters::new();
-        let edges = connect_roadmaps(
-            &a,
-            &b,
-            &v,
-            &lp,
-            10,
-            10,
-            &mut w,
-            &mut StdRng::seed_from_u64(0),
-        );
+        let edges = connect_roadmaps(&a, &b, &v, &lp, 10, 10, &mut w);
         assert!(edges.is_empty());
         assert!(w.lp_calls >= 1);
     }
@@ -149,17 +133,7 @@ mod tests {
         let mut w = WorkCounters::new();
         let empty: Vec<Cfg<2>> = vec![];
         let some = cfgs(&[1.0]);
-        assert!(connect_roadmaps(
-            &empty,
-            &some,
-            &v,
-            &lp,
-            5,
-            5,
-            &mut w,
-            &mut StdRng::seed_from_u64(0)
-        )
-        .is_empty());
+        assert!(connect_roadmaps(&empty, &some, &v, &lp, 5, 5, &mut w).is_empty());
         assert!(w.is_empty());
     }
 
@@ -170,16 +144,7 @@ mod tests {
         let v = FnValidity(|_: &Cfg<2>| true);
         let lp = StraightLinePlanner::new(0.5);
         let mut w = WorkCounters::new();
-        let _ = connect_roadmaps(
-            &a,
-            &b,
-            &v,
-            &lp,
-            3,
-            100,
-            &mut w,
-            &mut StdRng::seed_from_u64(0),
-        );
+        let _ = connect_roadmaps(&a, &b, &v, &lp, 3, 100, &mut w);
         assert_eq!(w.lp_calls, 3);
         assert_eq!(w.knn_candidates, 16);
     }

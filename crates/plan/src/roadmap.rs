@@ -14,11 +14,6 @@ pub fn cfgs<const D: usize>(map: &Roadmap<D>) -> Vec<Cfg<D>> {
     map.vertices().copied().collect()
 }
 
-/// Total edge length of a roadmap.
-pub fn total_edge_length<const D: usize>(map: &Roadmap<D>) -> f64 {
-    map.edges().map(|(_, _, w)| *w).sum()
-}
-
 /// Verify structural invariants every well-formed roadmap obeys; used by
 /// tests. Returns an error description on the first violation.
 pub fn check_invariants<const D: usize>(map: &Roadmap<D>) -> Result<(), String> {
@@ -46,7 +41,6 @@ mod tests {
         let b = m.add_vertex(Point::new([1.0, 0.0]));
         m.add_edge(a, b, 1.0);
         assert!(check_invariants(&m).is_ok());
-        assert_eq!(total_edge_length(&m), 1.0);
         assert_eq!(cfgs(&m).len(), 2);
     }
 

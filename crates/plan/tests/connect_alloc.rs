@@ -9,8 +9,6 @@
 //! `tests/crate_suites.rs` already carries `dist_framing_props.rs`'s,
 //! which is why this case is not part of `connect_differential.rs`.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use smp_cspace::validity::FnValidity;
 use smp_cspace::{Cfg, StraightLinePlanner, WorkCounters};
 use smp_geom::Point;
@@ -65,9 +63,8 @@ fn bytes_per_call(n: usize) -> (u64, usize) {
     let validity = FnValidity(|_: &Cfg<3>| true);
     let lp = StraightLinePlanner::new(0.05);
     let mut work = WorkCounters::new();
-    let mut rng = StdRng::seed_from_u64(0);
     let before = alloc_bytes();
-    let links = connect_roadmaps(&a, &b, &validity, &lp, 4, 2, &mut work, &mut rng);
+    let links = connect_roadmaps(&a, &b, &validity, &lp, 4, 2, &mut work);
     let bytes = alloc_bytes() - before;
     assert_eq!(work.knn_candidates, (n * n) as u64);
     (bytes, links.len())

@@ -12,8 +12,6 @@
 //! what a call allocates.)
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use smp_cspace::validity::FnValidity;
 use smp_cspace::{
     Cfg, LocalPlanOutcome, LocalPlanner, StraightLinePlanner, ValidityChecker, WorkCounters,
@@ -78,27 +76,9 @@ where
         ..WorkCounters::new()
     };
     let (mut got_work, mut want_work) = (start, start);
-    let mut rng = StdRng::seed_from_u64(0);
-    let got = connect_roadmaps(
-        a,
-        b,
-        validity,
-        lp,
-        max_pairs,
-        stop_after,
-        &mut got_work,
-        &mut rng,
-    );
-    let want = reference_connect_roadmaps(
-        a,
-        b,
-        validity,
-        lp,
-        max_pairs,
-        stop_after,
-        &mut want_work,
-        &mut rng,
-    );
+    let got = connect_roadmaps(a, b, validity, lp, max_pairs, stop_after, &mut got_work);
+    let want =
+        reference_connect_roadmaps(a, b, validity, lp, max_pairs, stop_after, &mut want_work);
     prop_assert_eq!(
         observe(got, got_work),
         observe(want, want_work),

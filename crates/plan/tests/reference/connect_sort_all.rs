@@ -3,13 +3,11 @@
 //! looking at the first `max_pairs`. `connect_differential.rs` uses it as
 //! the oracle for `smp_plan::connect_roadmaps` (DESIGN.md §11).
 
-use rand::Rng;
 use smp_cspace::{Cfg, LocalPlanner, ValidityChecker, WorkCounters};
 use smp_plan::CandidateEdge;
 
 /// The sort-all-pairs `connect_roadmaps`, body kept verbatim.
-#[allow(clippy::too_many_arguments)] // mirrors Algorithm 1's parameter list
-pub fn reference_connect_roadmaps<const D: usize, V, L, R>(
+pub fn reference_connect_roadmaps<const D: usize, V, L>(
     a_cfgs: &[Cfg<D>],
     b_cfgs: &[Cfg<D>],
     validity: &V,
@@ -17,12 +15,10 @@ pub fn reference_connect_roadmaps<const D: usize, V, L, R>(
     max_pairs: usize,
     stop_after: usize,
     work: &mut WorkCounters,
-    _rng: &mut R,
 ) -> Vec<CandidateEdge>
 where
     V: ValidityChecker<D>,
     L: LocalPlanner<D>,
-    R: Rng + ?Sized,
 {
     if a_cfgs.is_empty() || b_cfgs.is_empty() || max_pairs == 0 {
         return Vec::new();

@@ -27,14 +27,9 @@ use super::worker::{run_worker, DistHandler, WorkerParams, ASSIGN_RETRANSMIT_BAS
 use super::DistError;
 use crate::executor::{validate_assignment, ExecError, ExecReport, ExecSpec};
 use crate::fault::FaultPlan;
-use crate::live::ResilientOutcome;
 use crate::sim::SimError;
 
-/// Early-stop predicate consulted on each newly recorded `(task, result)`;
-/// returning `true` cancels the remainder of the phase on all workers.
-pub type StopFn<'a> = &'a dyn Fn(u32, &[u8]) -> bool;
-
-/// `Copy` tuning knobs carried by [`crate::executor::Backend::Dist`].
+/// `Copy` tuning knobs of a [`DistExecutor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DistTuning {
     /// Abort a phase that has not completed after this many milliseconds
@@ -78,7 +73,7 @@ impl std::fmt::Debug for SpawnMode {
 /// Full construction options for a [`DistExecutor`].
 #[derive(Debug, Clone)]
 pub struct DistOptions {
-    /// Tuning knobs (also carried by `Backend::Dist`).
+    /// Tuning knobs.
     pub tuning: DistTuning,
     /// Process vs. thread workers.
     pub spawn: SpawnMode,
@@ -330,33 +325,19 @@ impl DistExecutor {
         }
     }
 
-    /// Execute one phase to completion; every task must produce a result.
+    /// Execute one phase to completion: every task produces a result, or
+    /// the phase fails (a dead pool, a `Fatal`, the phase timeout).
     /// Returns per-task result bytes in task order and the phase report.
     pub fn execute_raw(
         &mut self,
         spec: &ExecSpec<'_>,
         work: &WorkDesc<'_>,
     ) -> Result<(Vec<Vec<u8>>, ExecReport), ExecError> {
-        self.execute_raw_with_stop(spec, work, None)?
-            .into_complete()
-    }
-
-    /// Execute one phase, optionally stopping early: `stop(task, result)`
-    /// is consulted on every *newly recorded* result, and returning `true`
-    /// cancels the remainder of the phase on all workers (used by restart
-    /// portfolios to cancel losers); the outcome is then
-    /// [`crate::RunStatus::Cancelled`] with partial results.
-    pub fn execute_raw_with_stop(
-        &mut self,
-        spec: &ExecSpec<'_>,
-        work: &WorkDesc<'_>,
-        stop: Option<StopFn<'_>>,
-    ) -> Result<ResilientOutcome<Vec<u8>>, ExecError> {
         validate_assignment(spec.n_tasks, spec.assignment)?;
         validate_faults(&self.opts.faults, spec.assignment.len())?;
         self.ensure_pool(spec.assignment.len())?;
         self.phase += 1;
-        self.run_phase(spec, work, stop)
+        self.run_phase(spec, work)
     }
 
     /// Bind a listener, start the accept thread, spawn `p` workers, and
@@ -452,10 +433,9 @@ impl DistExecutor {
         &mut self,
         spec: &ExecSpec<'_>,
         work: &WorkDesc<'_>,
-        stop: Option<StopFn<'_>>,
-    ) -> Result<ResilientOutcome<Vec<u8>>, ExecError> {
+    ) -> Result<(Vec<Vec<u8>>, ExecReport), ExecError> {
         let faults = &self.opts.faults;
-        #[allow(clippy::expect_used)] // ensure_pool ran in execute_raw_with_stop.
+        #[allow(clippy::expect_used)] // ensure_pool ran in execute_raw.
         let pool = self.pool.as_mut().expect("pool initialised");
         let plans = (0..pool.slots.len())
             .map(|w| {
@@ -474,8 +454,7 @@ impl DistExecutor {
                 }
             })
             .collect();
-        let mut state =
-            PhaseState::new(self.phase, spec, *work, stop, plans, faults, Instant::now());
+        let mut state = PhaseState::new(self.phase, spec, *work, plans, faults, Instant::now());
         let mut sent = 0u64;
         // Each worker's `Init` is written before the next one is built.
         for w in 0..pool.slots.len() {
@@ -485,7 +464,7 @@ impl DistExecutor {
 
         let deadline =
             Instant::now() + Duration::from_millis(self.opts.tuning.phase_timeout_ms.into());
-        'phase: while state.done_count < spec.n_tasks {
+        while state.done_count < spec.n_tasks {
             if Instant::now() > deadline {
                 return Err(ExecError::DeadlineExceeded {
                     executed: state.done_count,
@@ -510,15 +489,11 @@ impl DistExecutor {
                     None => {}
                 }
                 pool.apply(&mut state.effects, &mut sent)?;
-                if state.stopped {
-                    // The stop hook fired: the rest of the batch is moot.
-                    break 'phase;
-                }
             }
             state.tick(Instant::now());
             pool.apply(&mut state.effects, &mut sent)?;
         }
-        Ok(state.finish(Instant::now(), sent))
+        state.finish(Instant::now(), sent).into_complete()
     }
 }
 
@@ -553,7 +528,6 @@ mod tests {
         let hello = Msg::Hello {
             worker: 0,
             epoch: 0,
-            pid: 0,
         };
         let mut impostor = endpoint.connect().expect("connect");
         write_frame(&mut impostor, &hello.encode()).expect("send duplicate Hello");
@@ -578,10 +552,9 @@ mod tests {
         // Whenever the coordinator meets the frame — before, during or
         // between these phases — both must complete on the real workers.
         for phase in 1..=2 {
-            let out = exec
+            let (results, report) = exec
                 .execute_raw(&spec, &work)
                 .unwrap_or_else(|e| panic!("phase {phase}: {e}"));
-            let (results, report) = out;
             for (t, bytes) in results.iter().enumerate() {
                 let want = synth_work(t as u32, costs[t]).to_le_bytes();
                 assert_eq!(bytes.as_slice(), want.as_slice(), "task {t}");

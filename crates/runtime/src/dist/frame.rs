@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  b"SMPD"
-//! 4       1     version (currently 2)
+//! 4       1     version (currently 3)
 //! 5       4     payload length, u32 little-endian (<= MAX_FRAME)
 //! 9       8     FNV-1a 64 checksum of the payload, u64 little-endian
 //! 17      len   payload (one encoded `Msg`)
@@ -23,8 +23,10 @@ use std::io::{self, Read, Write};
 /// Frame preamble: ASCII "SMPD".
 pub const MAGIC: [u8; 4] = *b"SMPD";
 /// Current protocol version. Bumped on any wire-incompatible change
-/// (2: `Done` carries a batch of results and is acknowledged by `seq`).
-pub const VERSION: u8 = 2;
+/// (2: `Done` carries a batch of results and is acknowledged by `seq`;
+/// 3: no `Cancel`, and `Init`, `StealAsk` and `Hello` lose the fields no
+/// receiver read).
+pub const VERSION: u8 = 3;
 /// Maximum accepted payload size (64 MiB); larger frames are rejected
 /// before allocation.
 pub const MAX_FRAME: usize = 64 * 1024 * 1024;
@@ -219,12 +221,15 @@ mod tests {
             Err(FrameError::BadMagic { .. })
         ));
 
-        let mut bad = buf.clone();
-        bad[4] = VERSION + 1;
-        assert!(matches!(
-            read_frame(&mut Cursor::new(&bad)),
-            Err(FrameError::BadVersion { .. })
-        ));
+        // A peer one version ahead, and one still speaking version 2.
+        for found in [VERSION + 1, 2] {
+            let mut bad = buf.clone();
+            bad[4] = found;
+            assert!(matches!(
+                read_frame(&mut Cursor::new(&bad)),
+                Err(FrameError::BadVersion { found: f }) if f == found
+            ));
+        }
 
         let mut bad = buf.clone();
         *bad.last_mut().unwrap() ^= 0xFF;

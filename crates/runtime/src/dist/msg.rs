@@ -19,12 +19,6 @@ pub enum Msg {
     Init {
         /// Phase id, monotonically increasing per coordinator.
         phase: u32,
-        /// Worker slot receiving the queue.
-        worker: u32,
-        /// Total worker slots in this run (the mesh size).
-        n_workers: u32,
-        /// Respawn epoch for this slot (0 for the first process).
-        epoch: u32,
         /// Work kind understood by the worker's handler (e.g. `"prm-gen"`).
         kind: String,
         /// Opaque work blob the handler decodes (environment + config).
@@ -47,15 +41,13 @@ pub enum Msg {
         /// Tasks whose ownership moves to the destination worker.
         tasks: Vec<u32>,
     },
-    /// C→W `0x03`: ask a victim to shed work for `thief`.
-    /// TLA+ action: `StealRequest`.
+    /// C→W `0x03`: ask a victim to shed work; the coordinator keeps which
+    /// thief the request is for. TLA+ action: `StealRequest`.
     StealAsk {
         /// Phase the request belongs to.
         phase: u32,
         /// Request id; `Grant`/`Deny` echo it.
         req: u64,
-        /// Worker slot that ran out of work.
-        thief: u32,
     },
     /// C→W `0x04`: acknowledge a [`Msg::Done`] batch; the worker stops
     /// retransmitting it. TLA+ action: `AckResult`.
@@ -64,13 +56,6 @@ pub enum Msg {
         phase: u32,
         /// Echo of the batch's sequence number.
         seq: u64,
-    },
-    /// C→W `0x05`: abandon the rest of a phase (portfolio winner found or
-    /// caller cancelled). Workers clear their queue and go idle.
-    /// TLA+ action: not modeled (outside the steal protocol's scope).
-    Cancel {
-        /// Phase being cancelled.
-        phase: u32,
     },
     /// C→W `0x06`: exit the worker process cleanly.
     Shutdown,
@@ -82,8 +67,6 @@ pub enum Msg {
         worker: u32,
         /// Respawn epoch the process was launched with.
         epoch: u32,
-        /// OS process id (diagnostics only).
-        pid: u64,
     },
     /// W→C `0x82`: a batch of task results (one result is the degenerate
     /// batch). Retransmitted with capped backoff until the
@@ -192,7 +175,6 @@ impl Msg {
             Msg::Assign { .. } => 0x02,
             Msg::StealAsk { .. } => 0x03,
             Msg::DoneAck { .. } => 0x04,
-            Msg::Cancel { .. } => 0x05,
             Msg::Shutdown => 0x06,
             Msg::Hello { .. } => 0x81,
             Msg::Done { .. } => 0x82,
@@ -211,9 +193,6 @@ impl Msg {
         match self {
             Msg::Init {
                 phase,
-                worker,
-                n_workers,
-                epoch,
                 kind,
                 blob,
                 tasks,
@@ -221,9 +200,6 @@ impl Msg {
                 kill_after,
             } => {
                 w.u32(*phase);
-                w.u32(*worker);
-                w.u32(*n_workers);
-                w.u32(*epoch);
                 w.str(kind);
                 w.bytes(blob);
                 w.vec_u32(tasks);
@@ -235,23 +211,18 @@ impl Msg {
                 w.u64(*xfer);
                 w.vec_u32(tasks);
             }
-            Msg::StealAsk { phase, req, thief } => {
+            Msg::StealAsk { phase, req } => {
                 w.u32(*phase);
                 w.u64(*req);
-                w.u32(*thief);
             }
             Msg::DoneAck { phase, seq } => {
                 w.u32(*phase);
                 w.u64(*seq);
             }
-            Msg::Cancel { phase } => {
-                w.u32(*phase);
-            }
             Msg::Shutdown => {}
-            Msg::Hello { worker, epoch, pid } => {
+            Msg::Hello { worker, epoch } => {
                 w.u32(*worker);
                 w.u32(*epoch);
-                w.u64(*pid);
             }
             Msg::Done {
                 phase,
@@ -304,9 +275,6 @@ impl Msg {
         let msg = match tag {
             0x01 => Msg::Init {
                 phase: r.u32()?,
-                worker: r.u32()?,
-                n_workers: r.u32()?,
-                epoch: r.u32()?,
                 kind: r.string()?,
                 blob: r.bytes()?.to_vec(),
                 tasks: r.vec_u32()?,
@@ -321,18 +289,15 @@ impl Msg {
             0x03 => Msg::StealAsk {
                 phase: r.u32()?,
                 req: r.u64()?,
-                thief: r.u32()?,
             },
             0x04 => Msg::DoneAck {
                 phase: r.u32()?,
                 seq: r.u64()?,
             },
-            0x05 => Msg::Cancel { phase: r.u32()? },
             0x06 => Msg::Shutdown,
             0x81 => Msg::Hello {
                 worker: r.u32()?,
                 epoch: r.u32()?,
-                pid: r.u64()?,
             },
             0x82 => Msg::Done {
                 phase: r.u32()?,
@@ -392,9 +357,6 @@ mod tests {
         vec![
             Msg::Init {
                 phase: 3,
-                worker: 1,
-                n_workers: 4,
-                epoch: 2,
                 kind: "prm-gen".into(),
                 blob: vec![1, 2, 3, 4, 5],
                 tasks: vec![0, 4, 8],
@@ -406,18 +368,12 @@ mod tests {
                 xfer: 99,
                 tasks: vec![11, 12],
             },
-            Msg::StealAsk {
-                phase: 3,
-                req: 5,
-                thief: 0,
-            },
+            Msg::StealAsk { phase: 3, req: 5 },
             Msg::DoneAck { phase: 3, seq: 8 },
-            Msg::Cancel { phase: 3 },
             Msg::Shutdown,
             Msg::Hello {
                 worker: 2,
                 epoch: 0,
-                pid: 4242,
             },
             Msg::Done {
                 phase: 3,
@@ -456,10 +412,13 @@ mod tests {
 
     #[test]
     fn unknown_tag_rejected() {
-        assert!(matches!(
-            Msg::decode(&[0x42]),
-            Err(WireError::BadTag { what: "Msg", .. })
-        ));
+        // 0x05 was version 2's `Cancel`; version 3 has no such message.
+        for payload in [&[0x42][..], &[0x05, 3, 0, 0, 0]] {
+            assert!(matches!(
+                Msg::decode(payload),
+                Err(WireError::BadTag { what: "Msg", tag }) if tag == payload[0]
+            ));
+        }
     }
 
     #[test]
@@ -487,9 +446,6 @@ mod tests {
         for amount in [StealAmount::Half, StealAmount::One, StealAmount::Fixed(3)] {
             let m = Msg::Init {
                 phase: 0,
-                worker: 0,
-                n_workers: 1,
-                epoch: 0,
                 kind: "synth".into(),
                 blob: vec![],
                 tasks: vec![],

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use super::coordinator::{StopFn, WorkDesc};
+use super::coordinator::WorkDesc;
 use super::fault::FaultCoin;
 use super::msg::Msg;
 use super::worker::ASSIGN_RETRANSMIT_BASE;
@@ -124,7 +124,6 @@ pub(crate) struct PhaseState<'a> {
     phase: u32,
     n: usize,
     work: WorkDesc<'a>,
-    stop: Option<StopFn<'a>>,
     steal: Option<StealConfig>,
     mesh: Mesh,
     rng: StdRng,
@@ -143,8 +142,6 @@ pub(crate) struct PhaseState<'a> {
     deaths: Vec<usize>,
     xfers: BTreeMap<u64, Xfer>,
     next_xfer: u64,
-    /// The stop hook fired; `Cancel` went to every live worker.
-    pub(crate) stopped: bool,
     ledger: Ledger,
     /// Replies and respawns queued by the handlers, oldest first.
     pub(crate) effects: Vec<Effect>,
@@ -157,7 +154,6 @@ impl<'a> PhaseState<'a> {
         phase: u32,
         spec: &ExecSpec<'a>,
         work: WorkDesc<'a>,
-        stop: Option<StopFn<'a>>,
         plans: Vec<SlotPlan>,
         faults: &FaultPlan,
         now: Instant,
@@ -175,7 +171,6 @@ impl<'a> PhaseState<'a> {
             phase,
             n,
             work,
-            stop,
             steal: spec.steal,
             mesh: Mesh::new(p.max(1)),
             rng: StdRng::seed_from_u64(spec.seed),
@@ -193,7 +188,6 @@ impl<'a> PhaseState<'a> {
             deaths: Vec::new(),
             xfers: BTreeMap::new(),
             next_xfer: 1,
-            stopped: false,
             ledger: Ledger::default(),
             effects: Vec::new(),
         }
@@ -214,9 +208,6 @@ impl<'a> PhaseState<'a> {
         }
         let msg = Msg::Init {
             phase: self.phase,
-            worker: w as u32,
-            n_workers: self.slots.len() as u32,
-            epoch: self.slots[w].plan.epoch,
             kind: self.work.kind.to_string(),
             blob: self.work.blob.to_vec(),
             tasks,
@@ -395,7 +386,6 @@ impl<'a> PhaseState<'a> {
         }
         let arrived_ns = nanos(now.saturating_duration_since(self.t_start));
         let mut dup_in_frame = false;
-        let mut stop_now = false;
         for (task, result) in results {
             let t = task as usize;
             if t >= self.n {
@@ -417,9 +407,6 @@ impl<'a> PhaseState<'a> {
             slot.credited += 1;
             slot.queue_est = (slot.queue_est - 1).max(0);
             slot.finish_ns = arrived_ns;
-            // Once the hook fires the phase is over; what this frame still
-            // carries arrived with the winner and is recorded too.
-            stop_now = stop_now || self.stop.is_some_and(|hook| hook(task, &result));
             self.results[t] = Some(result);
         }
         self.ledger.retransmissions += u64::from(dup_in_frame);
@@ -431,13 +418,6 @@ impl<'a> PhaseState<'a> {
             self.ledger.acks_sent += 1;
             self.effects
                 .push(Effect::Send(w, Msg::DoneAck { phase: ph, seq }));
-        }
-        if stop_now {
-            self.stopped = true;
-            for v in (0..self.slots.len()).filter(|&v| self.slots[v].alive) {
-                self.effects
-                    .push(Effect::Send(v, Msg::Cancel { phase: ph }));
-            }
         }
     }
 
@@ -492,7 +472,6 @@ impl<'a> PhaseState<'a> {
         let msg = Msg::StealAsk {
             phase: self.phase,
             req,
-            thief: thief as u32,
         };
         self.effects.push(Effect::Send(victim, msg));
     }
@@ -717,18 +696,10 @@ impl<'a> PhaseState<'a> {
             },
             metrics: reg.snapshot(),
         };
-        let status = if self.stopped {
-            RunStatus::Cancelled {
-                executed: self.done_count,
-                total: self.n,
-            }
-        } else {
-            RunStatus::Completed
-        };
         ResilientOutcome {
             results: self.results,
             report,
-            status,
+            status: RunStatus::Completed,
         }
     }
 }
@@ -744,7 +715,6 @@ mod tests {
 
     use super::*;
     use crate::steal::StealPolicyKind;
-    use std::cell::RefCell;
 
     const WORK: WorkDesc<'static> = WorkDesc {
         kind: "synth",
@@ -755,7 +725,6 @@ mod tests {
         assignment: &'a [Vec<u32>],
         steal: Option<StealConfig>,
         faults: &FaultPlan,
-        stop: Option<StopFn<'a>>,
         t0: Instant,
     ) -> PhaseState<'a> {
         let spec = ExecSpec {
@@ -772,7 +741,7 @@ mod tests {
             respawn: false,
         };
         let plans = vec![plan; assignment.len()];
-        let mut s = PhaseState::new(1, &spec, WORK, stop, plans, faults, t0);
+        let mut s = PhaseState::new(1, &spec, WORK, plans, faults, t0);
         for w in 0..assignment.len() {
             s.kickoff(w);
         }
@@ -811,14 +780,9 @@ mod tests {
 
     #[test]
     fn hostile_done_batches_record_each_result_once_and_close_the_ledgers() {
-        let recorded = RefCell::new(Vec::new());
-        let hook = |task: u32, _: &[u8]| {
-            recorded.borrow_mut().push(task);
-            false
-        };
         let t0 = Instant::now();
         let assignment = [vec![0, 1], vec![2, 3]];
-        let mut s = start(&assignment, None, &FaultPlan::default(), Some(&hook), t0);
+        let mut s = start(&assignment, None, &FaultPlan::default(), t0);
         let frames = [
             done(1, 0, &[(0, 10), (99, 11)]), // out-of-range task id
             done(1, 1, &[(1, 20), (1, 21)]),  // id repeated inside the batch
@@ -829,8 +793,8 @@ mod tests {
             s.on_msg(Some(0), frame, t0).unwrap();
         }
 
-        assert_eq!(*recorded.borrow(), [0, 1]);
         assert_eq!(s.results, [Some(vec![10]), Some(vec![20]), None, None]);
+        assert_eq!(s.slots[0].credited, 2, "each new result is credited once");
         let acks = (0..4).map(|seq| {
             let phase = if seq == 3 { 0 } else { 1 };
             (0, Msg::DoneAck { phase, seq })
@@ -852,7 +816,7 @@ mod tests {
         let faults = FaultPlan::new(80).with_message_loss(0.5);
         let t0 = Instant::now();
         let assignment = [vec![0, 1, 2], vec![3]];
-        let mut s = start(&assignment, None, &faults, None, t0);
+        let mut s = start(&assignment, None, &faults, t0);
         let batch = done(1, 0, &[(0, 1), (1, 2), (2, 3)]);
         s.on_msg(Some(0), batch.clone(), t0).unwrap();
         let first = s.results.clone();
@@ -872,16 +836,22 @@ mod tests {
         // 1's ask goes to worker 0 — and worker 1 dies before the Grant.
         let t0 = Instant::now();
         let assignment = [(0..8).collect(), vec![], vec![8]];
-        let mut s = start(&assignment, rand_k(2), &FaultPlan::default(), None, t0);
+        let mut s = start(&assignment, rand_k(2), &FaultPlan::default(), t0);
         let need_work = Msg::NeedWork {
             phase: 1,
             worker: 1,
         };
         s.on_msg(Some(1), need_work, t0).unwrap();
         let req = match sent(&mut s).as_slice() {
-            [(0, Msg::StealAsk { req, thief: 1, .. })] => *req,
+            [(0, Msg::StealAsk { req, .. })] => *req,
             other => panic!("expected one StealAsk to worker 0, got {other:?}"),
         };
+        // The ask is worker 1's: the ledger counts it, and it waits on worker 0.
+        assert_eq!(s.ledger.steal_attempts, 1);
+        assert!(s.slots[1]
+            .ask
+            .as_ref()
+            .is_some_and(|a| a.req == req && a.victim == 0));
         s.lost(1, t0).unwrap();
         let shed = vec![4, 5, 6, 7];
         let grant = Msg::Grant {
@@ -917,7 +887,7 @@ mod tests {
         let faults = FaultPlan::new(0).with_message_jitter(1.0, 0);
         let t0 = Instant::now();
         let assignment = [vec![0, 1, 2, 3], vec![]];
-        let mut s = start(&assignment, rand_k(1), &faults, None, t0);
+        let mut s = start(&assignment, rand_k(1), &faults, t0);
         let need_work = Msg::NeedWork {
             phase: 1,
             worker: 1,

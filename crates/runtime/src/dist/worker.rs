@@ -124,7 +124,7 @@ const BATCH_MAX_RESULTS: usize = 64;
 const BATCH_MAX_BYTES: usize = 32 * 1024;
 /// ... or once the task behind its oldest result started this long ago
 /// (checked between tasks: a result waits for at most this plus the task
-/// in progress, which bounds the stop hook's latency).
+/// in progress before it is sent).
 const BATCH_MAX_AGE: Duration = Duration::from_millis(2);
 /// First idle `NeedWork` delay; doubles up to [`IDLE_CAP`].
 const IDLE_BASE: Duration = Duration::from_millis(2);
@@ -161,6 +161,7 @@ struct PhaseState {
     next_seq: u64,
     /// Sent batches by sequence number, until acknowledged.
     unacked: HashMap<u64, UnackedDone>,
+    /// The handler failed and `Fatal` went out: run and accept no more.
     cancelled: bool,
     idle_next: Instant,
     idle_backoff: Duration,
@@ -289,14 +290,13 @@ fn run_worker_on(
     link.send(&Msg::Hello {
         worker: params.worker,
         epoch: params.epoch,
-        pid: u64::from(std::process::id()),
     })?;
 
     let mut phase: Option<PhaseState> = None;
 
     loop {
         // Drain everything already queued before touching the task queue,
-        // so steal requests and cancellations are honoured promptly.
+        // so steal requests and transfers are honoured promptly.
         loop {
             match rx.try_recv() {
                 Ok(Some(msg)) => {
@@ -492,17 +492,6 @@ fn handle_msg(
         Msg::DoneAck { phase: p, seq } => {
             if let Some(ph) = phase.as_mut().filter(|ph| ph.id == p) {
                 ph.unacked.remove(&seq);
-            }
-        }
-        Msg::Cancel { phase: p } => {
-            if let Some(ph) = phase.as_mut() {
-                if ph.id == p {
-                    ph.cancelled = true;
-                    ph.queue.clear();
-                    ph.pending.clear();
-                    ph.pending_bytes = 0;
-                    ph.unacked.clear();
-                }
             }
         }
         Msg::Shutdown => return Ok(Some(WorkerExit::Shutdown)),

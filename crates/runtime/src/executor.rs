@@ -190,28 +190,16 @@ impl RunStatus {
     }
 }
 
-/// Which execution backend runs a phase.
+/// Which in-process backend runs a phase of closures (serving batches,
+/// restart portfolios). Closures cannot cross a process boundary, so the
+/// worker-process backend is not one of these: planners reach it through
+/// a [`crate::dist::DistExecutor`] and a work kind its workers know.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Backend {
     /// The deterministic discrete-event simulator (virtual time).
     Des,
     /// Real OS threads with live work stealing (wall-clock time).
     Live(LiveTuning),
-    /// Coordinator + worker *processes* over framed sockets (wall-clock
-    /// time) — see [`crate::dist`]. Worker count is carried by the planner
-    /// entry points, like `Live`.
-    Dist(crate::dist::DistTuning),
-}
-
-impl Backend {
-    /// Short display name (`"des"` / `"live"` / `"dist"`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Backend::Des => "des",
-            Backend::Live(_) => "live",
-            Backend::Dist(_) => "dist",
-        }
-    }
 }
 
 /// One phase of independent tasks, ready to execute on any backend.

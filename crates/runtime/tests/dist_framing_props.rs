@@ -224,9 +224,6 @@ proptest! {
         let msgs = [
             Msg::Init {
                 phase,
-                worker,
-                n_workers: worker + 1,
-                epoch: phase % 7,
                 kind: "prm-connect".to_string(),
                 blob: blob.clone(),
                 tasks: tasks.clone(),
@@ -234,11 +231,10 @@ proptest! {
                 kill_after: if has_kill { Some(kill) } else { None },
             },
             Msg::Assign { phase, xfer, tasks: tasks.clone() },
-            Msg::StealAsk { phase, req: xfer, thief: worker },
+            Msg::StealAsk { phase, req: xfer },
             Msg::DoneAck { phase, seq: xfer },
-            Msg::Cancel { phase },
             Msg::Shutdown,
-            Msg::Hello { worker, epoch: phase % 7, pid: xfer },
+            Msg::Hello { worker, epoch: phase % 7 },
             Msg::Done {
                 phase,
                 seq: xfer,

@@ -13,8 +13,7 @@ use smp_runtime::dist::{
 };
 use smp_runtime::executor::{round_robin, ExecSpec};
 use smp_runtime::{
-    ExecError, ExecReport, FaultPlan, RunStatus, SimError, StealAmount, StealConfig,
-    StealPolicyKind,
+    ExecError, ExecReport, FaultPlan, SimError, StealAmount, StealConfig, StealPolicyKind,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -237,7 +236,7 @@ fn dist_reports_results_in_batches() {
     assert_eq!(one, expected(&[256]));
 
     // Tasks longer than the age limit are each reported as they finish —
-    // every accepted frame carried exactly one result — so the stop hook
+    // every accepted frame carried exactly one result — so the coordinator
     // hears of a result within one task of its completion.
     let factory: HandlerFactory = Arc::new(|| Box::new(SlowSynth(SynthHandler::default())));
     let mut slow = DistExecutor::new(DistOptions {
@@ -324,52 +323,6 @@ fn dist_survives_death_of_last_live_worker_during_respawn() {
     assert_eq!(results, baseline, "digest identity");
     assert_eq!(report.resilience.crashes, 2);
     assert!(report.resilience.tasks_recovered > 0);
-}
-
-#[test]
-fn dist_stop_hook_cancels_remaining_work() {
-    // Stop on the first recorded result: the phase reports `Cancelled` and
-    // the results vector is partial (on one core the other tasks cannot
-    // all have finished first).
-    let costs: Vec<u64> = vec![400_000; 40];
-    let blob = synth_blob(&costs);
-    let assignment = round_robin(costs.len(), 2);
-    let spec = ExecSpec {
-        n_tasks: costs.len(),
-        costs: Some(&costs),
-        payloads: None,
-        assignment: &assignment,
-        steal: None,
-        seed: 9,
-    };
-    let mut exec = DistExecutor::new(thread_opts(FaultPlan::default()));
-    let stop = |_task: u32, _bytes: &[u8]| true;
-    let partial = exec
-        .execute_raw_with_stop(
-            &spec,
-            &WorkDesc {
-                kind: "synth",
-                blob: &blob,
-            },
-            Some(&stop),
-        )
-        .expect("stopped phase");
-    assert!(matches!(partial.status, RunStatus::Cancelled { .. }));
-    let finished = partial.results.iter().filter(|r| r.is_some()).count();
-    assert!(finished >= 1);
-    assert!(finished < costs.len(), "stop hook should cancel the tail");
-    // Recorded results are still the correct bytes.
-    for (t, r) in partial.results.iter().enumerate() {
-        if let Some(bytes) = r {
-            assert_eq!(
-                bytes,
-                &synth_work(t as u32, costs[t]).to_le_bytes().to_vec()
-            );
-        }
-    }
-    // The executor stays usable after a cancelled phase.
-    let (full, _) = run_synth(&mut exec, &costs, &assignment, None);
-    assert_eq!(full, expected(&costs));
 }
 
 #[test]

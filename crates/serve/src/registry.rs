@@ -104,11 +104,6 @@ pub fn env_keys() -> impl Iterator<Item = &'static str> {
     ENVS.iter().map(|e| e.key)
 }
 
-/// Every registered robot key, in registry order.
-pub fn robot_keys() -> &'static [&'static str] {
-    &["point", "probe", "ball"]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,9 +114,10 @@ mod tests {
             assert!(has_env(k), "env key {k}");
             assert!(resolve_env(k).is_some(), "env key {k}");
         }
-        for k in robot_keys() {
-            assert!(resolve_robot(k).is_some(), "robot key {k}");
-        }
+        assert_eq!(
+            ["point", "probe", "ball"].map(resolve_robot),
+            [Some(0.0), Some(0.02), Some(0.05)]
+        );
         assert!(!has_env("no-such-env"));
         assert!(resolve_env("no-such-env").is_none());
         assert!(shared_env("no-such-env").is_none());

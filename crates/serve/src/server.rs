@@ -264,11 +264,6 @@ impl Server {
         let mut live = match (batched, self.cfg.backend) {
             (false, _) | (true, Backend::Des) => None,
             (true, Backend::Live(tuning)) => Some(self.live_executor(tuning)),
-            // Service batches are closures over in-process snapshot
-            // state and cannot cross a process boundary; a Dist backend
-            // serves on the in-process live engine with default tuning
-            // (answer digests are backend-invariant).
-            (true, Backend::Dist(_)) => Some(self.live_executor(LiveTuning::default())),
         };
 
         let epoch = Instant::now();
@@ -583,7 +578,7 @@ impl Server {
     fn now_ns(&self, epoch: &Instant, vclock: u64) -> u64 {
         match self.cfg.backend {
             Backend::Des => vclock,
-            Backend::Live(_) | Backend::Dist(_) => epoch.elapsed().as_nanos() as u64,
+            Backend::Live(_) => epoch.elapsed().as_nanos() as u64,
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Worker-process binary for the distributed backend (`Backend::Dist`).
+//! Worker-process binary for the distributed backend (`smp::runtime::dist`).
 //!
 //! Spawned by the coordinator (`DistExecutor` in process mode) as
 //!
@@ -7,11 +7,11 @@
 //! ```
 //!
 //! and never by hand: it connects back to the coordinator, handshakes
-//! (`Hello`), then serves `Assign`ed tasks with [`smp::core::CoreHandler`]
-//! — the five planner work kinds plus the `synth` smoke kind — until
-//! `Shutdown`, coordinator EOF, or an injected kill. See `PROTOCOL.md`
-//! for the wire protocol and `specs/tla/StealProtocol.tla` for the model
-//! it implements.
+//! (`Hello`), then runs the tasks that `Init` and `Assign` hand it with
+//! [`smp::core::CoreHandler`] — the five planner work kinds plus the
+//! `synth` smoke kind — until `Shutdown`, coordinator EOF, or an injected
+//! kill. See `PROTOCOL.md` for the wire protocol and
+//! `specs/tla/StealProtocol.tla` for the model it implements.
 
 use std::process::ExitCode;
 

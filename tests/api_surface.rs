@@ -91,10 +91,8 @@ fn entry_points_are_exactly_the_reviewed_list() {
     );
 }
 
-#[test]
-fn a_phase_of_closures_runs_one_way_per_backend() {
-    // No trait over the backends (nothing was ever generic over it) and no
-    // DES "executor": `simulate_phase` measures and replays.
+/// Every `.rs` file under `crates/*/src`.
+fn crate_sources() -> Vec<PathBuf> {
     let mut files = Vec::new();
     let crates = fs::read_dir(repo("crates")).expect("crates/");
     for entry in crates {
@@ -104,9 +102,14 @@ fn a_phase_of_closures_runs_one_way_per_backend() {
         }
     }
     assert!(files.len() > 50, "scan found only {} files", files.len());
-    for file in &files {
+    files
+}
+
+/// Fails naming the first file of `files` that contains one of `banned`.
+fn assert_absent(files: &[PathBuf], banned: &[&str]) {
+    for file in files {
         let text = read(file);
-        for banned in ["trait Executor", "struct DesExecutor"] {
+        for banned in banned {
             assert!(
                 !text.contains(banned),
                 "`{banned}` is back in {}",
@@ -114,6 +117,25 @@ fn a_phase_of_closures_runs_one_way_per_backend() {
             );
         }
     }
+}
+
+#[test]
+fn a_phase_of_closures_runs_one_way_per_backend() {
+    // No trait over the backends (nothing was ever generic over it) and no
+    // DES "executor": `simulate_phase` measures and replays.
+    assert_absent(&crate_sources(), &["trait Executor", "struct DesExecutor"]);
+}
+
+#[test]
+fn a_dist_phase_runs_to_completion_or_fails() {
+    // Protocol version 3 has no early stop: no stop hook on the executor
+    // and no cancel message on the wire (PROTOCOL.md §4).
+    let mut files = crate_sources();
+    rust_files(&repo("src"), true, &mut files);
+    // Spelled in pieces, so a search for the deleted names finds none here.
+    let banned = [concat!("execute_raw", "_with_stop"), concat!("Stop", "Fn")];
+    assert_absent(&files, &banned);
+    assert_absent(&[repo("crates/runtime/src/dist/msg.rs")], &["Cancel {"]);
 }
 
 /// The dependency names declared in the `[...dependencies]` sections of
